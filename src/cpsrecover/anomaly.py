@@ -17,7 +17,8 @@ signals presence) and two modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +55,11 @@ class AnomalyWindow:
 
 @dataclass(frozen=True)
 class AnomalySchedule:
-    """Non-overlapping anomaly windows for one sub-system."""
+    """Non-overlapping anomaly windows for one sub-system.
+
+    Windows are kept sorted with their start and end times in integer
+    microseconds, so :meth:`active_window` is a bisection.
+    """
 
     windows: tuple = ()
 
@@ -64,12 +69,19 @@ class AnomalySchedule:
             if a.t_end > b.t_start:
                 raise ValueError("anomaly windows must not overlap")
         object.__setattr__(self, "windows", ws)
+        object.__setattr__(self, "_starts_us", tuple(w.start_us for w in ws))
+        object.__setattr__(self, "_ends_us", tuple(w.end_us for w in ws))
 
     def active_window(self, t: float) -> AnomalyWindow | None:
+        """The window with ``t_start <= t < t_end``, if any.
+
+        Half-open, non-overlapping windows hold ``t`` in at most one: the
+        last to start at or before ``t``, when it has not yet ended.
+        """
         t_us = to_us(t)
-        for w in self.windows:
-            if w.start_us <= t_us < w.end_us:
-                return w
+        i = bisect_right(self._starts_us, t_us) - 1
+        if i >= 0 and t_us < self._ends_us[i]:
+            return self.windows[i]
         return None
 
 
@@ -112,12 +124,11 @@ def inject_anomaly(y_healthy, schedule: AnomalySchedule, t: float) -> np.ndarray
 
 def _oracle_flags(n_y: int, schedule: AnomalySchedule, t: float,
                   detection_time: float) -> np.ndarray:
-    t_us = to_us(t)
-    d_us = to_us(detection_time)
+    # only the window active at t can raise flags; windows never overlap
     flags = np.zeros(n_y, dtype=int)
-    for w in schedule.windows:
-        if w.start_us + d_us <= t_us < w.end_us:
-            flags |= w.gamma.astype(int)
+    w = schedule.active_window(t)
+    if w is not None and w.start_us + to_us(detection_time) <= to_us(t):
+        flags |= w.gamma.astype(int)
     return flags
 
 

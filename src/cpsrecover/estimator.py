@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import SubsystemModel
+from .models import SubsystemModel, identity
 
 _REG = 1e-12
 
@@ -53,7 +53,7 @@ def ekf_predict(model: SubsystemModel, est: EstimatorState, u):
 def ekf_gain(model: SubsystemModel, P_pred, x_pred, u) -> np.ndarray:
     """Kalman gain ``P C^T (C P C^T + R)^-1`` with C evaluated at the prior."""
     C = np.atleast_2d(model.jac_C(x_pred, np.asarray(u, float)))
-    S = C @ P_pred @ C.T + model.R + _REG * np.eye(model.n_y)
+    S = C @ P_pred @ C.T + model.R + _REG * identity(model.n_y)
     try:
         K = np.linalg.solve(S.T, (P_pred @ C.T).T).T
     except np.linalg.LinAlgError as exc:
@@ -69,7 +69,7 @@ def ekf_update(model: SubsystemModel, x_pred, P_pred, K, y_meas, u) -> Estimator
     C = np.atleast_2d(model.jac_C(x_pred, u))
     innov = y_meas - model.g(x_pred, u)
     x_hat = x_pred + K @ innov
-    P = (np.eye(model.n_x) - K @ C) @ P_pred
+    P = (identity(model.n_x) - K @ C) @ P_pred
     P = (P + P.T) / 2.0
     return EstimatorState(x_hat, P)
 

@@ -5,10 +5,14 @@ simulate and estimate its plant: a discrete-time dynamics map ``f``, a
 measurement map ``g``, their Jacobian evaluators and the noise covariances.
 Dynamics given as continuous-time derivatives are discretized with an
 explicit Euler step (``x + deriv(x, u) * dt``).
+
+A model's covariances are constant: it keeps read-only copies of them and
+factors each once, when it is built, for :func:`sample_noise`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,12 +33,45 @@ def _check_psd(name: str, m: np.ndarray) -> None:
         raise ValueError(f"{name} must be positive semi-definite")
 
 
+@functools.lru_cache(maxsize=None)
+def identity(n: int) -> np.ndarray:
+    """Read-only ``n x n`` identity, shared by every caller."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def noise_factor(cov) -> np.ndarray:
+    """A factor ``L`` with ``L @ L.T == cov``, for :func:`sample_noise`.
+
+    A Cholesky factor when the covariance is positive definite, an
+    eigen-decomposition otherwise (singular covariances, e.g. a zero row,
+    are legal).  A zero covariance gets an ``n x 0`` factor, so sampling it
+    draws nothing from the generator.  Raises ``ValueError`` if the
+    covariance is not positive semi-definite.
+    """
+    cov = np.asarray(cov, float)
+    n = cov.shape[0]
+    if not np.any(cov):
+        return np.zeros((n, 0))
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        w, V = np.linalg.eigh((cov + cov.T) / 2.0)
+        if w.min() < -1e-9 * max(1.0, abs(w.max())):
+            raise ValueError("covariance is not positive semi-definite")
+        return V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+
+
 @dataclass(frozen=True)
 class SubsystemModel:
     """One loop's plant, sensor and noise description.
 
     ``f(x, u)`` returns the next state, ``g(x, u)`` the measurement.
     ``jac_A``/``jac_C`` evaluate the state Jacobians of ``f``/``g``.
+    ``Q``, ``R`` and ``Sigma0`` are stored as read-only float copies, each
+    with its :func:`noise_factor` in ``Q_factor``, ``R_factor`` and
+    ``Sigma0_factor``.
     """
 
     id: str
@@ -50,17 +87,23 @@ class SubsystemModel:
     dt: float
     mu0: np.ndarray = None
     Sigma0: np.ndarray = None
+    Q_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    R_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    Sigma0_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        _check_psd("Q", np.asarray(self.Q, float))
-        _check_psd("R", np.asarray(self.R, float))
         if self.mu0 is None:
             object.__setattr__(self, "mu0", np.zeros(self.n_x))
         if self.Sigma0 is None:
             object.__setattr__(self, "Sigma0", np.eye(self.n_x))
-        _check_psd("Sigma0", np.asarray(self.Sigma0, float))
+        for name in ("Q", "R", "Sigma0"):
+            cov = np.array(getattr(self, name), float)
+            _check_psd(name, cov)
+            cov.flags.writeable = False
+            object.__setattr__(self, name, cov)
+            object.__setattr__(self, name + "_factor", noise_factor(cov))
 
     @property
     def rate(self) -> float:
@@ -94,26 +137,16 @@ def measure(model: SubsystemModel, x, u, v) -> np.ndarray:
     return model.g(x, u) + v
 
 
-def sample_noise(cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sample_noise(cov: np.ndarray, rng: np.random.Generator,
+                 factor: np.ndarray | None = None) -> np.ndarray:
     """Zero-mean Gaussian draw with the given covariance.
 
-    Uses a Cholesky factor when the covariance is positive definite and an
-    eigen-decomposition otherwise (singular covariances, e.g. a zero row,
-    are legal).  Deterministic given the generator state.
+    ``factor`` is ``noise_factor(cov)`` when the caller already has it, as
+    a model does for its own covariances; otherwise it is computed here.
+    Deterministic given the generator state.
     """
-    cov = np.asarray(cov, float)
-    n = cov.shape[0]
-    if not np.any(cov):
-        return np.zeros(n)
-    z = rng.standard_normal(n)
-    try:
-        L = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh((cov + cov.T) / 2.0)
-        if w.min() < -1e-9 * max(1.0, abs(w.max())):
-            raise ValueError("covariance is not positive semi-definite")
-        L = V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    return L @ z
+    L = noise_factor(cov) if factor is None else factor
+    return L @ rng.standard_normal(L.shape[1])
 
 
 def finite_difference_jacobian(fn, x, u, rel_h: float = 1e-6) -> np.ndarray:
@@ -143,6 +176,6 @@ def euler_discretize(deriv, jac_deriv, dt: float):
 
     def jac_A(x, u):
         J = np.asarray(jac_deriv(x, u), float)
-        return np.eye(J.shape[0]) + J * dt
+        return identity(J.shape[0]) + J * dt
 
     return f, jac_A

@@ -158,7 +158,8 @@ def run_scenario(cfg: dict, track_optimal_shadow: bool = False) -> SimResult:
 
     # ground truth; Sigma0 is zero by default so this is the configured mean
     x_true = {sid: models[sid].mu0
-              + sample_noise(models[sid].Sigma0, rngs[(sid, "init")])
+              + sample_noise(models[sid].Sigma0, rngs[(sid, "init")],
+                             models[sid].Sigma0_factor)
               for sid in cfgmod.SUBSYSTEMS}
 
     wheel_refs = [robot.wheel_transform(np.zeros(2), params)]
@@ -204,9 +205,10 @@ def run_scenario(cfg: dict, track_optimal_shadow: bool = False) -> SimResult:
             # plant advances one loop period with the previously applied
             # input before the sensors are read, so the measurement and the
             # estimator's predict step refer to the same instant
-            w = sample_noise(model.Q, rngs[(sid, "process")])
+            w = sample_noise(model.Q, rngs[(sid, "process")], model.Q_factor)
             x_true[sid] = step_dynamics(model, x_true[sid], rt.last_u, w)
-            v = sample_noise(model.R, rngs[(sid, "measurement")])
+            v = sample_noise(model.R, rngs[(sid, "measurement")],
+                             model.R_factor)
             y = measure(model, x_true[sid], rt.last_u, v)
             y = inject_anomaly(y, schedules[sid], t)
 

@@ -1,15 +1,35 @@
 """Append-only, integrity-tagged logs of checkpoints and control inputs.
 
-Each sub-system owns three coupled logs: checkpoints, their save times and
-the applied control inputs.  Every appended record extends a keyed-hash
-chain (HMAC-SHA256 over the canonical payload concatenated with the
-previous tag), so any in-place mutation of a stored record is detected by
-:func:`SecureStore.verify_integrity`.  Truncating a suffix of a log is NOT
-detected by the chain alone; only the in-memory record counts reveal it.
+Each sub-system owns two logs: its checkpoints, whose times are the save
+times, and the control inputs it applied.  Every appended record extends
+a keyed-hash chain: its tag is HMAC-SHA256 over the previous record's tag
+followed by the canonical payload.  So any in-place change to a stored
+payload or tag is detected by :meth:`SecureStore.verify_integrity`.
+Truncating a suffix of a log is NOT detected by the chain alone; only the
+in-memory record counts reveal it.
+
+:meth:`SecureStore.retrieve` verifies the whole store, every chain of
+every sub-system, before it returns anything, so recovery never proceeds
+from a store holding a corrupt record, even one outside the requested
+range.  The check is incremental but content-based.  Once a chain has
+passed a full walk, it keeps a keyed MAC, its *seal*, over the exact bytes
+of the records walked, with every payload and tag length framed in.  A
+later check recomputes that MAC over the chain's first records in one
+pass and walks the chain only over the records appended since.  A changed
+payload byte, tag or record boundary breaks the seal, and so does a
+truncation below the sealed count; either forces a full walk.  The verdict
+is therefore always the full walk's.
+
+Each chain also keeps an integer-microsecond index of its record times,
+so ``retrieve`` finds its range by bisection and decodes only the records
+it returns.
 
 The store is in-memory first.  ``save``/``load`` provide an optional binary
 persistence format for post-run analysis: per record
-``[u32 length][payload][32-byte tag]``, little-endian, IEEE-754 doubles.
+``[u32 length][subsystem NUL payload][32-byte tag]``, little-endian,
+IEEE-754 doubles.  ``load`` recomputes every record's tag and raises
+:class:`IntegrityError` when it differs from the stored one, which catches
+a changed payload byte and a wrong key alike.
 
 The integrity key comes from the ``CPSRECOVER_STORE_KEY`` environment
 variable or the constructor; the built-in default key is for simulation
@@ -22,7 +42,9 @@ import hmac
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +52,8 @@ from .timebase import to_us
 
 DEFAULT_KEY = b"cpsrecover-insecure-default-key"
 _TAG_LEN = 32
+_ZERO_TAG = b"\x00" * _TAG_LEN
+_TIME = struct.Struct("<d")  # every payload's time, after its kind byte
 
 
 class IntegrityError(RuntimeError):
@@ -90,112 +114,151 @@ def _unpack_control(payload: bytes) -> ControlRecord:
     return ControlRecord(t, np.frombuffer(payload, "<f8", nu, off).copy())
 
 
-class _Chain:
-    """One append-only log with a keyed hash chain."""
+def _time_of(payload: bytes) -> float:
+    return _TIME.unpack_from(payload, 1)[0]
 
-    def __init__(self, key: bytes):
-        self._key = key
+
+class _Chain:
+    """One append-only log with a keyed hash chain and a time index.
+
+    ``times_us`` and ``last_t`` are set by :meth:`append` and never re-read
+    from the payloads.  :meth:`verify` checks the payload and tag lists
+    themselves, so a record changed in place fails it before ``retrieve``
+    consults the index.
+    """
+
+    def __init__(self, mac):
+        self._mac = mac                # keyed HMAC-SHA256 holding no data
         self.payloads: list[bytes] = []
         self.tags: list[bytes] = []
+        self.times_us = array("q")     # record times, integer microseconds
+        self.last_t: float | None = None
+        self._sealed = 0               # records covered by the seal
+        self._seal = self._seal_of(0)
 
     def _tag(self, payload: bytes, prev: bytes) -> bytes:
-        return hmac.new(self._key, prev + payload, hashlib.sha256).digest()
+        h = self._mac.copy()
+        h.update(prev)
+        h.update(payload)
+        return h.digest()
 
-    def append(self, payload: bytes) -> None:
-        prev = self.tags[-1] if self.tags else b"\x00" * _TAG_LEN
+    def next_tag(self, payload: bytes) -> bytes:
+        """The tag ``payload`` gets when appended now."""
+        return self._tag(payload, self.tags[-1] if self.tags else _ZERO_TAG)
+
+    def append(self, payload: bytes, t: float) -> None:
+        self.tags.append(self.next_tag(payload))
         self.payloads.append(payload)
-        self.tags.append(self._tag(payload, prev))
+        self.times_us.append(to_us(t))
+        self.last_t = t
+
+    def between(self, lo_us: int, hi_us: int) -> list[bytes]:
+        """Payloads with ``lo_us <= t < hi_us``, in append order."""
+        i = bisect_left(self.times_us, lo_us)
+        return self.payloads[i:bisect_left(self.times_us, hi_us, i)]
+
+    def times(self) -> list[float]:
+        """Every record's time, read from its payload."""
+        return [_time_of(p) for p in self.payloads]
+
+    def _seal_of(self, n: int) -> bytes:
+        """Keyed MAC over the exact bytes of the first ``n`` records."""
+        payloads, tags = self.payloads[:n], self.tags[:n]
+        h = self._mac.copy()
+        h.update(struct.pack(f"<{2 * n}Q", *map(len, payloads),
+                             *map(len, tags)))
+        h.update(b"".join(payloads))
+        h.update(b"".join(tags))
+        return h.digest()
 
     def verify(self) -> bool:
-        prev = b"\x00" * _TAG_LEN
-        for payload, tag in zip(self.payloads, self.tags):
+        """True iff every record's tag matches its chain position."""
+        k = min(len(self.payloads), len(self.tags))  # the pairs a walk sees
+        start = self._sealed if (
+            self._sealed <= k
+            and hmac.compare_digest(self._seal_of(self._sealed), self._seal)
+        ) else 0
+        prev = self.tags[start - 1] if start else _ZERO_TAG
+        for payload, tag in zip(self.payloads[start:k], self.tags[start:k]):
             if not hmac.compare_digest(self._tag(payload, prev), tag):
                 return False
             prev = tag
+        if start < k or self._sealed != k:
+            self._sealed, self._seal = k, self._seal_of(k)
         return True
 
 
 class SecureStore:
-    """Per-subsystem checkpoint, save-time and control logs."""
+    """Per-subsystem checkpoint and control logs."""
 
     def __init__(self, key: bytes | None = None):
         if key is None:
             key = os.environb.get(b"CPSRECOVER_STORE_KEY", DEFAULT_KEY)
-        self._key = key
+        self._mac = hmac.new(key, digestmod=hashlib.sha256)
         self._checkpoints: dict[str, _Chain] = {}
         self._controls: dict[str, _Chain] = {}
-        self._busy = False  # internal exclusion contract, single writer
 
     def _chains(self, subsystem: str) -> tuple[_Chain, _Chain]:
         if subsystem not in self._checkpoints:
-            self._checkpoints[subsystem] = _Chain(self._key)
-            self._controls[subsystem] = _Chain(self._key)
+            self._checkpoints[subsystem] = _Chain(self._mac)
+            self._controls[subsystem] = _Chain(self._mac)
         return self._checkpoints[subsystem], self._controls[subsystem]
 
     # -- writes ---------------------------------------------------------
 
+    @staticmethod
+    def _append(chain: _Chain, subsystem: str, kind: str, t: float,
+                payload: bytes) -> None:
+        if chain.last_t is not None and t <= chain.last_t:
+            raise MonotonicityError(
+                f"{subsystem}: {kind} time {t} not after {chain.last_t}")
+        chain.append(payload, t)
+
     def append_checkpoint(self, subsystem: str, cp: Checkpoint) -> None:
-        """Append a checkpoint; its save time is recorded with it."""
-        if self._busy:
-            raise RuntimeError("interleaved store write")
-        self._busy = True
-        try:
-            ckpts, _ = self._chains(subsystem)
-            last = self.save_times(subsystem)
-            if last and cp.t <= last[-1]:
-                raise MonotonicityError(
-                    f"{subsystem}: checkpoint time {cp.t} not after {last[-1]}")
-            ckpts.append(_pack_checkpoint(cp))
-        finally:
-            self._busy = False
+        """Append a checkpoint; its time is the save time."""
+        self._append(self._chains(subsystem)[0], subsystem, "checkpoint",
+                     cp.t, _pack_checkpoint(cp))
 
     def append_control(self, subsystem: str, rec: ControlRecord) -> None:
-        if self._busy:
-            raise RuntimeError("interleaved store write")
-        self._busy = True
-        try:
-            _, ctrls = self._chains(subsystem)
-            if ctrls.payloads:
-                last_t = _unpack_control(ctrls.payloads[-1]).t
-                if rec.t <= last_t:
-                    raise MonotonicityError(
-                        f"{subsystem}: control time {rec.t} not after {last_t}")
-            ctrls.append(_pack_control(rec))
-        finally:
-            self._busy = False
+        self._append(self._chains(subsystem)[1], subsystem, "control",
+                     rec.t, _pack_control(rec))
 
     # -- reads ----------------------------------------------------------
+    # Reads never create chains: an unknown sub-system has empty logs.
 
     def subsystems(self) -> list[str]:
         return list(self._checkpoints)
 
     def save_times(self, subsystem: str) -> list[float]:
-        ckpts, _ = self._chains(subsystem)
-        return [_unpack_checkpoint(p).t for p in ckpts.payloads]
+        chain = self._checkpoints.get(subsystem)
+        return chain.times() if chain else []
 
     def checkpoints(self, subsystem: str) -> list[Checkpoint]:
-        ckpts, _ = self._chains(subsystem)
-        return [_unpack_checkpoint(p) for p in ckpts.payloads]
+        chain = self._checkpoints.get(subsystem)
+        return [_unpack_checkpoint(p) for p in chain.payloads] if chain else []
 
     def controls(self, subsystem: str) -> list[ControlRecord]:
-        _, ctrls = self._chains(subsystem)
-        return [_unpack_control(p) for p in ctrls.payloads]
+        chain = self._controls.get(subsystem)
+        return [_unpack_control(p) for p in chain.payloads] if chain else []
 
     def retrieve(self, subsystem: str, t_from: float, t_to: float):
         """Records with ``t in [t_from, t_to)``; verifies integrity first.
 
-        Returns ``(checkpoints, save_times, controls)``.  Recovery must not
-        proceed on corrupt data, so an integrity failure is a hard error.
+        Returns ``(checkpoints, save_times, controls)``.  The whole store is
+        verified, not just the range, because recovery must not proceed
+        from a corrupt store; an integrity failure is a hard error.
         """
         if t_from > t_to:
             raise ValueError("t_from must be <= t_to")
         if not self.verify_integrity():
             raise IntegrityError("store integrity check failed")
+        if subsystem not in self._checkpoints:
+            return [], [], []
         lo, hi = to_us(t_from), to_us(t_to)
-        cps = [c for c in self.checkpoints(subsystem)
-               if lo <= to_us(c.t) < hi]
-        ctl = [c for c in self.controls(subsystem)
-               if lo <= to_us(c.t) < hi]
+        cps = [_unpack_checkpoint(p)
+               for p in self._checkpoints[subsystem].between(lo, hi)]
+        ctl = [_unpack_control(p)
+               for p in self._controls[subsystem].between(lo, hi)]
         return cps, [c.t for c in cps], ctl
 
     def verify_integrity(self) -> bool:
@@ -206,21 +269,6 @@ class SecureStore:
             if not self._controls[sub].verify():
                 return False
         return True
-
-    def prune_controls(self, subsystem: str, keep_from: float) -> None:
-        """Drop control records older than ``keep_from`` seconds.
-
-        The caller is responsible for keeping at least the history any live
-        recovery could still roll forward from (oldest usable checkpoint).
-        The chain is rebuilt over the surviving records.
-        """
-        _, ctrls = self._chains(subsystem)
-        keep = [p for p in ctrls.payloads
-                if _unpack_control(p).t >= keep_from]
-        fresh = _Chain(self._key)
-        for p in keep:
-            fresh.append(p)
-        self._controls[subsystem] = fresh
 
     # -- persistence ----------------------------------------------------
 
@@ -237,21 +285,31 @@ class SecureStore:
 
     @classmethod
     def load(cls, path, key: bytes | None = None) -> "SecureStore":
+        """Read a file written by :meth:`save`, checking every stored tag.
+
+        Raises :class:`IntegrityError` if a record is cut short or its tag
+        differs from the one recomputed under ``key``.
+        """
         store = cls(key=key)
         with open(path, "rb") as fh:
             while True:
                 hdr = fh.read(4)
                 if not hdr:
                     break
-                (length,) = struct.unpack("<I", hdr)
-                rec = fh.read(length)
-                fh.read(_TAG_LEN)  # tags are recomputed on append
-                sub, payload = rec.split(b"\x00", 1)
+                length = int.from_bytes(hdr, "little")
+                rec, tag = fh.read(length), fh.read(_TAG_LEN)
+                if len(hdr) != 4 or len(rec) != length or len(tag) != _TAG_LEN:
+                    raise IntegrityError(f"{path}: truncated record")
+                sub, _, payload = rec.partition(b"\x00")
                 subsystem = sub.decode()
-                if payload[:1] == b"C":
-                    store.append_checkpoint(subsystem, _unpack_checkpoint(payload))
-                else:
-                    store.append_control(subsystem, _unpack_control(payload))
+                ckpts, ctrls = store._chains(subsystem)
+                kind, chain = (("checkpoint", ckpts) if payload[:1] == b"C"
+                               else ("control", ctrls))
+                if not hmac.compare_digest(chain.next_tag(payload), tag):
+                    raise IntegrityError(
+                        f"{path}: a {subsystem} {kind} record fails its tag")
+                store._append(chain, subsystem, kind, _time_of(payload),
+                              payload)
         return store
 
     # test hook: deliberately corrupt a stored payload

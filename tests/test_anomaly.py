@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpsrecover.anomaly import (AdsConfig, AnomalySchedule, AnomalyWindow,
                                 ads_evaluate, anomaly_detected, inject_anomaly)
+from cpsrecover.timebase import to_us
 
 
 def outer_schedule():
@@ -119,3 +121,38 @@ def test_window_validation():
     with pytest.raises(ValueError):
         AnomalySchedule((AnomalyWindow(0.0, 2.0, [1.0], [1]),
                          AnomalyWindow(1.0, 3.0, [1.0], [1])))
+
+
+# windows as (gap before, length) in 10 ms ticks; a zero gap makes the
+# window touch the previous one
+_windows = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(1, 30),
+              st.lists(st.integers(0, 1), min_size=3, max_size=3)),
+    max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_windows, detection_ticks=st.integers(0, 12),
+       probe_ticks=st.lists(st.integers(-2, 500), min_size=1, max_size=40))
+def test_bisect_lookup_matches_linear_scan(spec, detection_ticks, probe_ticks):
+    windows, end = [], 0
+    for gap, length, gamma in spec:
+        start = end + gap
+        end = start + length
+        windows.append(AnomalyWindow(start / 100, end / 100,
+                                     [1.0, 2.0, 3.0], gamma))
+    sched = AnomalySchedule(tuple(reversed(windows)))
+    detection_time = detection_ticks / 100
+    for tick in probe_ticks:
+        t = tick / 100
+        t_us = to_us(t)
+        want = next((w for w in windows if w.start_us <= t_us < w.end_us),
+                    None)
+        assert sched.active_window(t) is want
+        flags = np.zeros(3, dtype=int)
+        for w in windows:
+            if w.start_us + to_us(detection_time) <= t_us < w.end_us:
+                flags |= w.gamma.astype(int)
+        out = ads_evaluate(AdsConfig(detection_time=detection_time), [],
+                           sched, t, n_y=3)
+        np.testing.assert_array_equal(out.flags, flags)

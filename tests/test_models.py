@@ -4,7 +4,7 @@ import pytest
 from cpsrecover import robot
 from cpsrecover.models import (DimensionError, SubsystemModel,
                                finite_difference_jacobian, measure,
-                               sample_noise, step_dynamics)
+                               noise_factor, sample_noise, step_dynamics)
 from cpsrecover.timebase import SimClock, base_resolution_us, to_s, to_us
 
 
@@ -88,6 +88,58 @@ def test_sample_noise_singular_cov():
     rng = np.random.default_rng(1)
     w = sample_noise(cov, rng)
     assert w[1] == 0.0 and w[0] != 0.0
+
+
+def _reference_draw(cov, rng):
+    """The draw as a fresh factorisation per call computes it."""
+    if not np.any(cov):
+        return np.zeros(cov.shape[0])
+    z = rng.standard_normal(cov.shape[0])
+    try:
+        L = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        w, V = np.linalg.eigh((cov + cov.T) / 2.0)
+        L = V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    return L @ z
+
+
+@pytest.mark.parametrize("cov", [0.01 * np.eye(3), np.diag([0.01, 0.0]),
+                                 np.zeros((2, 2)), [[2.0, 0.5], [0.5, 1.0]]])
+def test_model_factor_draws_are_bit_identical(cov):
+    cov = np.asarray(cov, float)
+    n = cov.shape[0]
+    m = SubsystemModel(id="m", n_x=n, n_y=n, n_u=1, f=lambda x, u: x,
+                       g=lambda x, u: x, jac_A=lambda x, u: np.eye(n),
+                       jac_C=lambda x, u: np.eye(n), Q=cov, R=cov, dt=1.0,
+                       Sigma0=cov)
+    a, b, c = (np.random.default_rng(5) for _ in range(3))
+    for _ in range(20):
+        want = _reference_draw(cov, a)
+        assert sample_noise(m.Q, b, m.Q_factor).tobytes() == want.tobytes()
+        assert sample_noise(cov, c).tobytes() == want.tobytes()
+    assert b.bit_generator.state == a.bit_generator.state
+
+
+def test_zero_covariance_draws_nothing():
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    sample_noise(np.zeros((3, 3)), rng)
+    sample_noise(np.zeros((3, 3)), rng, noise_factor(np.zeros((3, 3))))
+    assert rng.bit_generator.state == state
+
+
+def test_non_psd_covariance_raises():
+    with pytest.raises(ValueError):
+        sample_noise(np.diag([1.0, -1.0]), np.random.default_rng(0))
+
+
+def test_model_covariances_are_read_only_copies():
+    q = 0.01 * np.eye(3)
+    m = robot.bicycle_model(0.1, q, q)
+    assert q.flags.writeable
+    for cov in (m.Q, m.R, m.Sigma0):
+        with pytest.raises(ValueError):
+            cov[0, 0] = 1.0
 
 
 def test_jacobians_match_finite_differences():

@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpsrecover.store import (Checkpoint, ControlRecord, IntegrityError,
                               MonotonicityError, SecureStore)
@@ -93,6 +96,18 @@ def test_truncation_not_detected_by_chain():
     assert s.verify_integrity()
 
 
+def test_truncation_after_verify_not_detected_by_chain():
+    # truncating below the sealed count falls back to a full walk
+    s = small_store()
+    assert s.verify_integrity()
+    chain = s._controls["outer"]
+    del chain.payloads[-3:]
+    del chain.tags[-3:]
+    assert s.verify_integrity()
+    _, _, ctl = s.retrieve("outer", 3.0, 4.0)
+    assert [round(c.t, 10) for c in ctl] == [3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6]
+
+
 def test_persistence_roundtrip(tmp_path):
     s = small_store()
     path = tmp_path / "store.bin"
@@ -104,12 +119,138 @@ def test_persistence_roundtrip(tmp_path):
                                   s.controls("outer")[7].u)
 
 
-def test_prune_controls():
+def _flip_payload_byte(path, record: int) -> None:
+    """Flip the last payload byte of the ``record``-th record of a file."""
+    data = bytearray(path.read_bytes())
+    off = 0
+    for _ in range(record):
+        off += 4 + struct.unpack_from("<I", data, off)[0] + 32
+    (length,) = struct.unpack_from("<I", data, off)
+    data[off + 4 + length - 1] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("record", [0, 3, 20, 43])
+def test_load_rejects_flipped_payload_byte(tmp_path, record):
+    path = tmp_path / "store.bin"
+    small_store().save(path)
+    _flip_payload_byte(path, record)
+    with pytest.raises(IntegrityError):
+        SecureStore.load(path)
+
+
+def test_load_rejects_wrong_key(tmp_path):
+    path = tmp_path / "store.bin"
+    s = SecureStore(key=b"the key that wrote it")
+    s.append_control("outer", ControlRecord(0.0, [1.0]))
+    s.save(path)
+    loaded = SecureStore.load(path, key=b"the key that wrote it")
+    assert loaded.controls("outer")[0].u[0] == 1.0
+    with pytest.raises(IntegrityError):
+        SecureStore.load(path, key=b"some other key")
+
+
+def test_load_rejects_truncated_file(tmp_path):
+    path = tmp_path / "store.bin"
+    small_store().save(path)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(IntegrityError):
+        SecureStore.load(path)
+
+
+def test_reads_of_unknown_subsystem_have_no_side_effect():
     s = small_store()
-    s.prune_controls("outer", 2.0)
-    ctl = s.controls("outer")
-    assert min(c.t for c in ctl) >= 2.0
+    before = s.subsystems()
+    assert s.save_times("nope") == []
+    assert s.checkpoints("nope") == []
+    assert s.controls("nope") == []
+    assert s.retrieve("nope", 0.0, 4.0) == ([], [], [])
+    assert s.subsystems() == before
+
+
+def test_verify_after_appends_past_the_seal():
+    s = small_store()
     assert s.verify_integrity()
+    s.append_control("outer", ControlRecord(4.0, [40.0]))
+    assert s.verify_integrity()
+    s._tamper("outer", which="control", index=40)
+    assert not s.verify_integrity()
+
+
+# -- properties -----------------------------------------------------------
+
+# record times in nanoseconds, so distinct times can share a microsecond
+_times_ns = st.lists(st.integers(0, 5_000_000), max_size=30, unique=True)
+
+
+def _store_from(cp_ns, ctl_ns) -> SecureStore:
+    s = SecureStore()
+    for i, ns in enumerate(sorted(cp_ns)):
+        s.append_checkpoint("a", Checkpoint(ns / 1e9, [i, -i], [i % 2]))
+    for i, ns in enumerate(sorted(ctl_ns)):
+        s.append_control("a", ControlRecord(ns / 1e9, [float(i)]))
+    s.append_control("b", ControlRecord(0.0, [0.0]))
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(cp_ns=_times_ns, ctl_ns=_times_ns,
+       ends=st.tuples(st.integers(-10, 5_000_010), st.integers(-10, 5_000_010)))
+def test_retrieve_matches_brute_force_filter(cp_ns, ctl_ns, ends):
+    s = _store_from(cp_ns, ctl_ns)
+    t_from, t_to = sorted(e / 1e9 for e in ends)
+    lo, hi = to_us(t_from), to_us(t_to)
+    cps, times, ctl = s.retrieve("a", t_from, t_to)
+    want_cps = [c for c in s.checkpoints("a") if lo <= to_us(c.t) < hi]
+    want_ctl = [c for c in s.controls("a") if lo <= to_us(c.t) < hi]
+    assert times == [c.t for c in want_cps] == [c.t for c in cps]
+    for got, want in zip(cps, want_cps):
+        np.testing.assert_array_equal(got.x_hat, want.x_hat)
+        np.testing.assert_array_equal(got.ads_flags, want.ads_flags)
+    assert [c.t for c in ctl] == [c.t for c in want_ctl]
+    for got, want in zip(ctl, want_ctl):
+        np.testing.assert_array_equal(got.u, want.u)
+
+
+def _tamper_payload(chain, i, byte):
+    p = bytearray(chain.payloads[i])
+    p[byte % len(p)] ^= 0x01
+    chain.payloads[i] = bytes(p)
+
+
+def _tamper_tag(chain, i, byte):
+    t = bytearray(chain.tags[i])
+    t[byte % len(t)] ^= 0x80
+    chain.tags[i] = bytes(t)
+
+
+def _shift_boundary(chain, i, _):
+    """Move the last byte of record ``i`` to the front of the next one."""
+    j = min(i, len(chain.payloads) - 2)
+    a, b = chain.payloads[j], chain.payloads[j + 1]
+    chain.payloads[j], chain.payloads[j + 1] = a[:-1], a[-1:] + b
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_sealed=st.integers(2, 25), n_new=st.integers(0, 10),
+       which=st.sampled_from(["checkpoint", "control"]),
+       how=st.sampled_from([_tamper_payload, _tamper_tag, _shift_boundary]),
+       where=st.integers(0, 10_000), byte=st.integers(0, 255))
+def test_tamper_after_verify_is_detected(n_sealed, n_new, which, how, where,
+                                         byte):
+    s = SecureStore()
+    for k in range(n_sealed + n_new):
+        if k == n_sealed:
+            assert s.verify_integrity()  # seals the first n_sealed records
+        s.append_checkpoint("a", Checkpoint(k * 0.5, [k, 2.0 * k], [0]))
+        s.append_control("a", ControlRecord(k * 0.5, [k / 3]))
+    if n_new == 0:
+        assert s.verify_integrity()
+    chain = (s._checkpoints if which == "checkpoint" else s._controls)["a"]
+    how(chain, where % len(chain.payloads), byte)
+    assert not s.verify_integrity()
+    with pytest.raises(IntegrityError):
+        s.retrieve("a", 0.0, 1.0)
 
 
 def test_case_study_store_invariants(case_result):
