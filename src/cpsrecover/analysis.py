@@ -13,11 +13,24 @@ All bounds work on per-element absolute values.  Conventions:
   first), which upper-bounds ``|A_bar^n|`` element-wise and keeps the
   bound monotone.
 
+The bound over a chain of ``n`` predict steps is
+``D_n + S_n + phi_bar`` with ``D_n = |A|^n eps_delta`` and
+``S_n = sum_{p=1..n} |A|^p eps_omega``.  It depends on ``k`` and ``k1``
+only through ``n = k - k1 + 1``, so each :class:`BoundParams` caches the
+sums ``D_n + S_n`` for every ``n`` evaluated so far and extends them on
+demand: a bound costs the same deep into an episode as at its start, and
+a duration search over ``T`` ticks costs ``O(T)``.  ``BoundParams`` is
+immutable, with read-only arrays, so the cache can never go stale; derive
+a variant with :func:`dataclasses.replace`, which starts a fresh cache.
+Every bound returned is a new array that the caller may modify.
+
 ``checkpoint_time_before_anomaly`` maps an anomaly start time to the
 checkpoint the recovery will roll forward from; its definition beyond the
 every-tick-checkpointing regime is a documented interpretation: the
-largest checkpoint-grid time strictly before the anomaly start that also
-clears the detection-window exclusion used by the coordinator.
+largest checkpoint-grid time strictly before the anomaly start.  A
+checkpoint before the start is also older than the detection window at
+the moment of detection, so that exclusion, which the coordinator
+applies, removes nothing more.
 """
 
 from __future__ import annotations
@@ -26,8 +39,44 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .timebase import to_s, to_us
 
-@dataclass
+
+class _ChainSums:
+    """``D_n + S_n`` for ``n = 0, 1, ...``, grown on demand.
+
+    Rows live in one 2-D array whose capacity doubles, so ``n`` rows cost
+    ``O(n)`` time and memory in total.  Row ``n + 1`` follows from row
+    ``n`` by ``|A| (row_n + eps_omega)``.
+    """
+
+    def __init__(self, A_abs: np.ndarray, eps_delta: np.ndarray,
+                 eps_omega: np.ndarray):
+        self._A_abs = A_abs
+        self._eps_omega = eps_omega
+        self._rows = np.empty((16, len(eps_delta)))
+        self._rows[0] = eps_delta
+        self._len = 1
+
+    def at(self, n: int) -> np.ndarray:
+        """Row ``n``, a view into the cache."""
+        if n >= self._len:
+            self._grow(n)
+        return self._rows[n]
+
+    def _grow(self, n: int) -> None:
+        if n >= len(self._rows):
+            rows = np.empty((max(2 * len(self._rows), n + 1),
+                             self._rows.shape[1]))
+            rows[:self._len] = self._rows[:self._len]
+            self._rows = rows
+        rows, A_abs, w = self._rows, self._A_abs, self._eps_omega
+        for i in range(self._len, n + 1):
+            np.matmul(A_abs, rows[i - 1] + w, out=rows[i])
+        self._len = n + 1
+
+
+@dataclass(frozen=True)
 class BoundParams:
     """Inputs shared by all bound formulas.
 
@@ -37,6 +86,9 @@ class BoundParams:
     LTI loops).  ``E_max`` is the maximum permissible error, ``delta_s`` the
     minimum time between anomalies, ``mu`` the checkpointing frequency and
     ``tick`` the sub-system loop period in seconds.
+
+    Instances are immutable and their arrays read-only; use
+    :func:`dataclasses.replace` for a variant.
     """
 
     A_bar: np.ndarray
@@ -49,23 +101,30 @@ class BoundParams:
     tick: float = 1.0
     q_indices: tuple | None = None    # recovered element indices; None = all
     t_search_max: float = 1000.0      # grid-search horizon cap, seconds
+    _sums: _ChainSums = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.A_bar = np.atleast_2d(np.asarray(self.A_bar, float))
-        n = self.A_bar.shape[0]
-        self.eps_delta = np.broadcast_to(
-            np.asarray(self.eps_delta, float), (n,)).copy()
-        self.eps_omega = np.broadcast_to(
-            np.asarray(self.eps_omega, float), (n,)).copy()
-        self.phi_bar = (np.zeros(n) if self.phi_bar is None
-                        else np.broadcast_to(np.asarray(self.phi_bar, float), (n,)).copy())
+        A_bar = np.array(np.atleast_2d(np.asarray(self.A_bar, float)))
+        n = A_bar.shape[0]
+
+        def vector(value):
+            return np.broadcast_to(np.asarray(value, float), (n,)).copy()
+
+        fields = {"A_bar": A_bar,
+                  "eps_delta": vector(self.eps_delta),
+                  "eps_omega": vector(self.eps_omega),
+                  "phi_bar": (np.zeros(n) if self.phi_bar is None
+                              else vector(self.phi_bar))}
         if self.E_max is not None:
-            self.E_max = np.broadcast_to(np.asarray(self.E_max, float), (n,)).copy()
-        for name, v in (("eps_delta", self.eps_delta),
-                        ("eps_omega", self.eps_omega),
-                        ("phi_bar", self.phi_bar)):
-            if np.any(v < 0):
+            fields["E_max"] = vector(self.E_max)
+        for name in ("eps_delta", "eps_omega", "phi_bar"):
+            if np.any(fields[name] < 0):
                 raise ValueError(f"{name} must be element-wise nonnegative")
+        for name, value in fields.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_sums", _ChainSums(
+            np.abs(A_bar), self.eps_delta, self.eps_omega))
 
     def restrict(self, vec: np.ndarray) -> np.ndarray:
         if self.q_indices is None:
@@ -78,11 +137,9 @@ def estimation_error_bound(params: BoundParams, healthy_indices) -> np.ndarray:
     return params.eps_delta[list(healthy_indices)]
 
 
-def _abs_powers(A_abs: np.ndarray, max_pow: int) -> list:
-    powers = [np.eye(A_abs.shape[0])]
-    for _ in range(max_pow):
-        powers.append(powers[-1] @ A_abs)
-    return powers
+def _chain_bound(params: BoundParams, n: int) -> np.ndarray:
+    """``D_n + S_n + phi_bar`` restricted: the bound after ``n`` steps."""
+    return params.restrict(params._sums.at(n) + params.phi_bar)
 
 
 def rsee_bound(params: BoundParams, k: int, k1: int) -> np.ndarray:
@@ -94,24 +151,7 @@ def rsee_bound(params: BoundParams, k: int, k1: int) -> np.ndarray:
     k, k1 = int(round(k)), int(round(k1))
     if k < k1:
         raise ValueError("k must be >= k1")
-    A_abs = np.abs(params.A_bar)
-    n = k - k1 + 1
-    powers = _abs_powers(A_abs, n)
-    total = powers[n] @ params.eps_delta
-    for p in range(1, n + 1):
-        total = total + powers[p] @ params.eps_omega
-    total = total + params.phi_bar
-    return params.restrict(total)
-
-
-def rsee_bound_lti(params: BoundParams, k: int, k1: int) -> np.ndarray:
-    """LTI variant: the nonlinear remainder term is dropped."""
-    saved = params.phi_bar
-    try:
-        params.phi_bar = np.zeros_like(saved)
-        return rsee_bound(params, k, k1)
-    finally:
-        params.phi_bar = saved
+    return _chain_bound(params, k - k1 + 1)
 
 
 def recovery_error_bound_at(params: BoundParams, k: int, k1: int) -> np.ndarray:
@@ -127,29 +167,23 @@ def checkpoint_time_before_anomaly(s: float, delta_s: float, mu: float,
     """Checkpoint time the recovery rolls forward from, for anomaly start ``s``.
 
     Largest multiple of ``1/mu`` (or of ``tick`` when checkpointing every
-    tick) strictly before ``s`` whose age at detection exceeds the detection
-    window.  Falls back to the t=0 checkpoint.
+    tick) strictly before ``s``, computed on the integer-microsecond grid;
+    falls back to the t=0 checkpoint.  Such a checkpoint is older than the
+    detection window when the anomaly is detected ``detection_time`` after
+    ``s``, so neither ``detection_time`` nor ``delta_s`` changes the result.
     """
     if s <= 0:
         raise ValueError("anomaly start must be positive")
-    grid = 1.0 / mu
-    if tick is not None and grid < tick:
-        grid = tick
-    # largest grid multiple strictly below s
-    n = int(np.ceil(s / grid)) - 1
-    detect_at = s + detection_time
-    while n > 0:
-        k1 = n * grid
-        if k1 < s and detect_at - k1 > detection_time:
-            return k1
-        n -= 1
-    return 0.0
+    grid_us = to_us(1.0 / mu)
+    if tick is not None:
+        grid_us = max(grid_us, to_us(tick))
+    return to_s((to_us(s) - 1) // grid_us * grid_us)
 
 
 def max_tolerable_duration(params: BoundParams, s: float):
     """Largest anomaly duration whose error bound stays within ``E_max``.
 
-    Grid search over tick-aligned durations.  Returns
+    Search over tick-aligned durations.  Returns
     ``(T_max_seconds, warning)`` where the warning flags the degenerate case
     of ``E_max`` already violated at the smallest duration.  Use
     :func:`max_duration_certificate` for the bracketing values.
@@ -165,29 +199,29 @@ def max_duration_certificate(params: BoundParams, s: float):
 
 
 def _max_duration_search(params: BoundParams, s: float):
+    """First exceedance of ``E_max`` over durations of 1, 2, ... ticks.
+
+    A scan, not a bisection: when ``|A|`` contracts, ``D_n`` shrinks while
+    ``S_n`` grows, so the bound need not be monotone in the duration.
+    """
     if params.E_max is None:
         raise ValueError("E_max required")
     tick = params.tick
     k1 = checkpoint_time_before_anomaly(s, params.delta_s, params.mu, tick)
-    s_t = round(s / tick)
-    k1_t = round(k1 / tick)
+    # an anomaly lasting T ticks ends a chain of n0 + T predict steps
+    n0 = round(s / tick) - round(k1 / tick)
     E = params.restrict(params.E_max)
-
-    def bound_at(T_ticks: int) -> np.ndarray:
-        return recovery_error_bound_at(params, s_t + T_ticks, k1_t)
-
     max_ticks = int(params.t_search_max / tick)
-    if np.any(bound_at(1) > E):
-        return 0.0, bound_at(1), bound_at(1), True
-    lo = 1
-    prev = bound_at(1)
+    prev = _chain_bound(params, n0 + 1)
+    if np.any(prev > E):
+        return 0.0, prev, prev.copy(), True
     for T in range(2, max_ticks + 1):
-        b = bound_at(T)
+        b = _chain_bound(params, n0 + T)
         if np.any(b > E):
             return (T - 1) * tick, prev, b, False
         prev = b
-        lo = T
-    return lo * tick, prev, bound_at(lo + 1), False
+    lo = max(max_ticks, 1)
+    return lo * tick, prev, _chain_bound(params, n0 + lo + 1), False
 
 
 def accuracy_resource_gap_bound(params: BoundParams, k: int, s: float) -> np.ndarray:
@@ -253,21 +287,26 @@ def calibrate_bound_params(model, records, tick: float, mu: float,
     err_samples = []
     phi_bar = np.zeros(n)
     for rec in records:
-        x_true = rec["x_true"]
-        x_hat = rec["x_hat"]
+        x_true = np.asarray(rec["x_true"], float)
+        if not len(x_true):
+            continue
+        x_hat = np.asarray(rec["x_hat"], float)
         x_rec = rec["x_rec"]
         u = rec["u"]
-        mask = rec["recovered"]
-        for k in range(len(x_true)):
-            A_bar = np.maximum(A_bar, np.abs(model.jac_A(x_hat[k], u[k])))
-            healthy = ~mask[k]
-            if np.any(healthy):
-                e = np.where(healthy, x_true[k] - x_hat[k], np.nan)
-                err_samples.append(e)
+        mask = np.asarray(rec["recovered"], bool)
+        jac = np.array([model.jac_A(x_hat[k], u[k])
+                        for k in range(len(x_true))])
+        A_bar = np.maximum(A_bar, np.abs(jac).max(axis=0))
+        healthy = ~mask
+        rows = healthy.any(axis=1)
+        err_samples.append(np.where(healthy[rows],
+                                    x_true[rows] - x_hat[rows], np.nan))
         if not lti:
             phi_bar = np.maximum(
                 phi_bar, _episode_remainders(model, x_true, x_rec, u, mask))
-    errs = np.asarray(err_samples)
+    errs = np.concatenate([np.empty((0, n))] + err_samples)
+    if not len(errs):
+        raise ValueError("calibration needs at least one healthy sample")
     sigma = np.sqrt(np.nanmean(errs ** 2, axis=0))
     eps_delta = sigma_factor * sigma
     eps_omega = sigma_factor * np.sqrt(np.diag(model.Q))

@@ -94,18 +94,21 @@ class AdsOutput:
     detection_time: float
 
 
+DETECTOR_KINDS = ("specific", "generic")
+DETECTOR_MODES = ("oracle", "residual-threshold")
+
+
 @dataclass
 class AdsConfig:
     kind: str = "specific"           # "specific" | "generic"
     mode: str = "oracle"             # "oracle" | "residual-threshold"
     detection_time: float = 0.0      # seconds, multiple of the loop period
     threshold: float = 0.0           # residual-threshold mode only
-    zeta: int | None = None          # minimum healthy-sensor capability, unused by oracle
 
     def __post_init__(self):
-        if self.kind not in ("specific", "generic"):
+        if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
-        if self.mode not in ("oracle", "residual-threshold"):
+        if self.mode not in DETECTOR_MODES:
             raise ValueError(f"unknown detector mode {self.mode!r}")
         if self.detection_time < 0:
             raise ValueError("detection_time must be >= 0")

@@ -180,7 +180,7 @@ def main(argv=None) -> int:
         cfg = _load(args)
     except SystemExit as exc:
         return exc.code or 0
-    except (cfgmod.ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # ConfigError, JSON decoding
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
     try:

@@ -24,13 +24,17 @@ A scenario is a plain JSON-compatible dict.  Top-level keys:
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import math
+import numbers
 
 import numpy as np
 
 from . import robot
 from .analysis import BoundParams
-from .anomaly import AdsConfig, AnomalySchedule, AnomalyWindow
+from .anomaly import (DETECTOR_KINDS, DETECTOR_MODES, AdsConfig,
+                      AnomalySchedule, AnomalyWindow)
 from .timebase import base_resolution_us, to_us
 
 SUBSYSTEMS = (robot.OUTER, robot.INNER_1, robot.INNER_2)
@@ -102,7 +106,10 @@ def build_case_study(**overrides) -> dict:
 
 def load_config(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError("a scenario must be a JSON object")
+    return cfg
 
 
 def save_config(cfg: dict, path) -> None:
@@ -112,26 +119,38 @@ def save_config(cfg: dict, path) -> None:
 
 
 def validate_config(cfg: dict) -> None:
-    """Raise :class:`ConfigError` listing every violated invariant."""
+    """Raise :class:`ConfigError` listing every violated invariant.
+
+    One pass over every key the simulation and the bound analysis read:
+    types, shapes, ranges and the tick grid.  Builds no models, so it is
+    cheap enough to run before every simulation.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError("a scenario must be a JSON object")
     errors = []
-    merged = default_config()
+    defaults = default_config()
     for k in cfg:
-        if k not in merged:
+        if k not in defaults:
             errors.append(f"unknown key {k!r}")
-    params = robot.RobotParams(**cfg.get("robot", {}))
+    params = _check_robot(cfg.get("robot", {}), errors)
     dt_o = 1.0 / params.outer_rate
     dt_i = 1.0 / params.inner_rate
     base = base_resolution_us([dt_o, dt_i])
     horizon = cfg.get("horizon", 10.0)
-    if horizon <= 0:
-        errors.append("horizon must be positive")
+    if not _seconds(horizon) or horizon <= 0:
+        errors.append("horizon must be a positive number of seconds")
     elif to_us(horizon) % base != 0:
         errors.append("horizon must be a multiple of the base tick")
+    seed = cfg.get("seed", 0)
+    if (isinstance(seed, (bool, np.bool_))
+            or not isinstance(seed, numbers.Integral) or seed < 0):
+        errors.append("seed must be a nonnegative integer")
     mu = cfg.get("checkpoint_freq_hz", 1.0)
-    if mu <= 0:
-        errors.append("checkpoint_freq_hz must be positive")
+    period_us = _period_us(mu)
+    if period_us is None:
+        errors.append("checkpoint_freq_hz must be a frequency whose period "
+                      "is at least 1 microsecond")
     else:
-        period_us = to_us(1.0 / mu)
         for name, dt in ((robot.OUTER, dt_o), (robot.INNER_1, dt_i)):
             if period_us % to_us(dt) != 0:
                 errors.append(
@@ -139,24 +158,201 @@ def validate_config(cfg: dict) -> None:
                     f"{name} loop period {dt}")
     if cfg.get("plant_mode", "ideal") not in ("ideal", "coupled"):
         errors.append("plant_mode must be 'ideal' or 'coupled'")
-    if cfg.get("t_max", 1.0) <= 0:
-        errors.append("t_max must be positive")
-    for sid, spec in cfg.get("ads", {}).items():
-        # detection windows must land on the shared tick grid (the case
-        # study uses 0.25 s against a 0.1 s outer period, so the base tick
-        # is the right granularity, not the per-loop period)
-        d_us = to_us(spec.get("detection_time", 0.0))
-        if d_us % base != 0:
-            errors.append(
-                f"{sid}: detection_time must be an integer multiple of the "
-                f"base tick {base / 1e6}")
-    for sid, windows in cfg.get("anomalies", {}).items():
+    t_max = cfg.get("t_max", 1.0)
+    if not _seconds(t_max) or t_max <= 0:
+        errors.append("t_max must be a positive number of seconds")
+    if not isinstance(cfg.get("out_dir", "."), str):
+        errors.append("out_dir must be a string")
+    noise = cfg.get("noise", {})
+    if _check_keys(noise, "noise", defaults["noise"], errors):
+        for k, v in noise.items():
+            if k in defaults["noise"] and not (_number(v) and v >= 0):
+                errors.append(f"noise.{k} must be a nonnegative number")
+    init = cfg.get("init", {})
+    if _check_keys(init, "init", defaults["init"], errors):
+        for k, sid in (("outer", robot.OUTER), ("inner", robot.INNER_1)):
+            n_x = robot.DIMS[sid][0]
+            if k in init and not _vector(init[k], n_x):
+                errors.append(f"init.{k} must be a list of {n_x} numbers")
+    anomalies = cfg.get("anomalies", {})
+    if _check_keys(anomalies, "anomalies", SUBSYSTEMS, errors, "loop id"):
+        for sid, windows in anomalies.items():
+            if sid in SUBSYSTEMS:
+                _check_windows(sid, windows, errors)
+    ads = cfg.get("ads", {})
+    if _check_keys(ads, "ads", SUBSYSTEMS, errors, "loop id"):
+        for sid, spec in ads.items():
+            if sid in SUBSYSTEMS:
+                _check_ads(sid, spec, base, errors)
+    bounds = cfg.get("bounds", {})
+    if _check_keys(bounds, "bounds", SUBSYSTEMS, errors, "loop id"):
+        for sid, spec in bounds.items():
+            if sid in SUBSYSTEMS:
+                _check_bounds(sid, spec, errors)
+                _check_bounded_windows(sid, anomalies, errors)
+    if errors:
+        raise ConfigError("; ".join(errors))
+
+
+def _number(v) -> bool:
+    """A finite real number; Booleans do not count."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:   # an integer too large for a float
+        return False
+
+
+_MAX_SECONDS = 1e9   # keeps every time an exact integer of microseconds
+
+
+def _seconds(v) -> bool:
+    """A number of seconds that converts to integer microseconds."""
+    return _number(v) and abs(v) <= _MAX_SECONDS
+
+
+def _period_us(freq) -> int | None:
+    """The period of ``freq`` Hz in microseconds, or None unless it is a
+    positive frequency whose period is at least 1 microsecond."""
+    if not (_number(freq) and freq > 0 and _seconds(1.0 / freq)):
+        return None
+    return to_us(1.0 / freq) or None
+
+
+def _vector(v, n: int, nonnegative: bool = False) -> bool:
+    """A sequence of ``n`` finite (and optionally nonnegative) numbers."""
+    return (isinstance(v, (list, tuple, np.ndarray))
+            and getattr(v, "ndim", 1) == 1 and len(v) == n
+            and all(_number(x) and (x >= 0 or not nonnegative) for x in v))
+
+
+def _check_keys(value, where: str, allowed, errors: list,
+                what: str = "key") -> bool:
+    """Whether ``value`` is an object; report keys outside ``allowed``."""
+    if not isinstance(value, dict):
+        errors.append(f"{where} must be an object")
+        return False
+    for k in value:
+        if k not in allowed:
+            errors.append(f"{where}: unknown {what} {k!r}")
+    return True
+
+
+_ROBOT_FIELDS = tuple(f.name for f in dataclasses.fields(robot.RobotParams))
+
+
+def _check_robot(spec, errors: list) -> robot.RobotParams:
+    """The configured robot parameters, or the defaults when invalid, so
+    that the remaining checks still run."""
+    if not _check_keys(spec, "robot", _ROBOT_FIELDS, errors):
+        return robot.RobotParams()
+    bad = [k for k, v in spec.items() if k in _ROBOT_FIELDS and not _number(v)]
+    errors.extend(f"robot.{k} must be a finite number" for k in bad)
+    if bad or any(k not in _ROBOT_FIELDS for k in spec):
+        return robot.RobotParams()
+    try:
+        params = robot.RobotParams(**spec)
+    except ValueError as exc:
+        errors.append(f"robot: {exc}")
+        return robot.RobotParams()
+    rates = [name for name in ("outer_rate", "inner_rate")
+             if _period_us(getattr(params, name)) is None]
+    errors.extend(f"robot.{name} must be a frequency whose period is at "
+                  "least 1 microsecond" for name in rates)
+    return robot.RobotParams() if rates else params
+
+
+_WINDOW_KEYS = ("t_start", "t_end", "y_a", "gamma")
+
+
+def _check_windows(sid: str, windows, errors: list) -> None:
+    if not isinstance(windows, list):
+        errors.append(f"anomalies.{sid} must be a list of windows")
+        return
+    n_y = robot.DIMS[sid][1]
+    n_errors = len(errors)
+    for i, w in enumerate(windows):
+        where = f"anomalies.{sid}[{i}]"
+        if not _check_keys(w, where, _WINDOW_KEYS, errors):
+            continue
+        errors.extend(f"{where}: missing {k!r}" for k in _WINDOW_KEYS
+                      if k not in w)
+        errors.extend(f"{where}: {k} must be a number of seconds"
+                      for k in ("t_start", "t_end")
+                      if k in w and not _seconds(w[k]))
+        errors.extend(f"{where}: {k} must be a list of {n_y} numbers"
+                      for k in ("y_a", "gamma")
+                      if k in w and not _vector(w[k], n_y))
+    if len(errors) == n_errors:
         try:
             _schedule_from(windows)
         except ValueError as exc:
             errors.append(f"{sid}: {exc}")
-    if errors:
-        raise ConfigError("; ".join(errors))
+
+
+_ADS_KEYS = tuple(f.name for f in dataclasses.fields(AdsConfig))
+
+
+def _check_ads(sid: str, spec, base: int, errors: list) -> None:
+    where = f"ads.{sid}"
+    if not _check_keys(spec, where, _ADS_KEYS, errors):
+        return
+    if spec.get("kind", "specific") not in DETECTOR_KINDS:
+        errors.append(f"{where}: kind must be one of {DETECTOR_KINDS}")
+    if spec.get("mode", "oracle") not in DETECTOR_MODES:
+        errors.append(f"{where}: mode must be one of {DETECTOR_MODES}")
+    if not _number(spec.get("threshold", 0.0)):
+        errors.append(f"{where}: threshold must be a number")
+    detection_time = spec.get("detection_time", 0.0)
+    if not _seconds(detection_time) or detection_time < 0:
+        errors.append(f"{where}: detection_time must be a nonnegative "
+                      "number of seconds")
+    elif to_us(detection_time) % base != 0:
+        # detection windows must land on the shared tick grid (the case
+        # study uses 0.25 s against a 0.1 s outer period, so the base tick
+        # is the right granularity, not the per-loop period)
+        errors.append(
+            f"{sid}: detection_time must be an integer multiple of the "
+            f"base tick {base / 1e6}")
+
+
+_BOUND_VECTORS = ("eps_delta", "eps_omega", "phi_bar", "E_max")
+_BOUND_REQUIRED = ("A_bar", "eps_delta", "eps_omega")
+
+
+def _check_bounded_windows(sid: str, anomalies, errors: list) -> None:
+    """The bounds anchor at a checkpoint strictly before each anomaly."""
+    windows = anomalies.get(sid) if isinstance(anomalies, dict) else None
+    if isinstance(windows, list) and any(
+            isinstance(w, dict) and _seconds(w.get("t_start"))
+            and w["t_start"] <= 0 for w in windows):
+        errors.append(f"bounds.{sid}: every anomaly window of a loop with "
+                      "bounds must start after t = 0")
+
+
+def _check_bounds(sid: str, spec, errors: list) -> None:
+    where = f"bounds.{sid}"
+    if not _check_keys(spec, where, ("A_bar", "delta_s") + _BOUND_VECTORS,
+                       errors):
+        return
+    errors.extend(f"{where}: missing {k!r}" for k in _BOUND_REQUIRED
+                  if k not in spec)
+    n_x = robot.DIMS[sid][0]
+    A_bar = spec.get("A_bar")
+    if "A_bar" in spec and not (
+            isinstance(A_bar, (list, tuple, np.ndarray))
+            and getattr(A_bar, "ndim", 2) == 2 and len(A_bar) == n_x
+            and all(_vector(row, n_x, nonnegative=True) for row in A_bar)):
+        errors.append(f"{where}: A_bar must be a {n_x} x {n_x} matrix of "
+                      "finite nonnegative numbers")
+    for k in _BOUND_VECTORS:
+        if k in spec and not _vector(spec[k], n_x, nonnegative=True):
+            errors.append(f"{where}: {k} must be a list of {n_x} finite "
+                          "nonnegative numbers")
+    delta_s = spec.get("delta_s", 0.0)
+    if not (_number(delta_s) and delta_s >= 0):
+        errors.append(f"{where}: delta_s must be a nonnegative number")
 
 
 def _schedule_from(windows) -> AnomalySchedule:

@@ -23,6 +23,10 @@ OUTER = "outer"
 INNER_1 = "inner-1"
 INNER_2 = "inner-2"
 
+# (state, measurement) sizes of each loop's model, for checks that must not
+# build the models
+DIMS = {OUTER: (3, 3), INNER_1: (2, 1), INNER_2: (2, 1)}
+
 
 @dataclass
 class RobotParams:

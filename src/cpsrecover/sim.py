@@ -247,10 +247,7 @@ def run_scenario(cfg: dict, track_optimal_shadow: bool = False) -> SimResult:
                 if res.detected and episode_k1[sid] is not None:
                     k_t = t_us // dt_us[sid]
                     k1_t = to_us(episode_k1[sid]) // dt_us[sid]
-                    saved_q = bp.q_indices
-                    bp.q_indices = None
                     rsee_b = recovery_error_bound_at(bp, k_t, k1_t)
-                    bp.q_indices = saved_q
 
             x_rf_opt = np.full(model.n_x, np.nan)
             if shadows is not None:

@@ -9,7 +9,6 @@ as ``microseconds / 1e6`` so equal instants are bit-identical floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 US_PER_S = 1_000_000
 
@@ -35,26 +34,3 @@ def base_resolution_us(periods_s) -> int:
         raise ValueError("loop periods must be positive")
     return math.gcd(*periods)
 
-
-@dataclass
-class SimClock:
-    """Simulation clock counting integer ticks at the base resolution."""
-
-    base_us: int
-    tick: int = 0
-
-    def __post_init__(self):
-        if self.base_us <= 0:
-            raise ValueError("base resolution must be positive")
-
-    @property
-    def t_us(self) -> int:
-        return self.tick * self.base_us
-
-    @property
-    def t(self) -> float:
-        """Current time in seconds (derived, never accumulated)."""
-        return to_s(self.t_us)
-
-    def advance(self, n: int = 1) -> None:
-        self.tick += n

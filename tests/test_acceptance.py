@@ -19,6 +19,7 @@ Criteria (summarized; numbers match the test names):
 10. byte-identical reruns and a sub-second full run
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -259,16 +260,12 @@ def test_criterion_07_accuracy_resource_gap(calibrated_bounds):
     assert compared > 100
     # at the every-tick checkpoint frequency the bound collapses to zero
     for sid in cfgmod.SUBSYSTEMS:
-        bp = calibrated_bounds[sid]
-        saved = bp.mu
-        try:
-            bp.mu = 1.0 / bp.tick
-            s = 3.25
-            k = round(s / bp.tick) + 10
-            np.testing.assert_array_equal(
-                accuracy_resource_gap_bound(bp, k, s), np.zeros(len(bp.eps_delta)))
-        finally:
-            bp.mu = saved
+        bp = dataclasses.replace(calibrated_bounds[sid],
+                                 mu=1.0 / calibrated_bounds[sid].tick)
+        s = 3.25
+        k = round(s / bp.tick) + 10
+        np.testing.assert_array_equal(
+            accuracy_resource_gap_bound(bp, k, s), np.zeros(len(bp.eps_delta)))
 
 
 def test_criterion_08_consistency_classification(case_result):

@@ -1,14 +1,20 @@
+import tracemalloc
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cpsrecover.analysis import (BoundParams, accuracy_resource_gap_bound,
+from cpsrecover.analysis import (BoundParams, _episode_remainders,
+                                 accuracy_resource_gap_bound,
+                                 calibrate_bound_params,
                                  checkpoint_time_before_anomaly,
                                  delta_from_measurements,
                                  estimation_error_bound,
                                  max_duration_certificate,
                                  max_tolerable_duration,
-                                 recovery_error_bound_at, rsee_bound,
-                                 rsee_bound_lti)
+                                 recovery_error_bound_at, rsee_bound)
+from cpsrecover.timebase import US_PER_S, to_s, to_us
 
 
 def scalar_params(**kw):
@@ -61,14 +67,17 @@ def test_rsee_monotone_for_expansive_A():
 
 def test_rsee_lti_drops_remainder():
     p = scalar_params(phi_bar=np.array([0.3]))
-    assert rsee_bound_lti(p, 2, 0)[0] == pytest.approx(0.25)
+    assert rsee_bound(replace(p, phi_bar=None), 2, 0)[0] == \
+        pytest.approx(0.25)
     # original params untouched
     assert p.phi_bar[0] == 0.3
+    assert rsee_bound(p, 2, 0)[0] == pytest.approx(0.55)
     rng = np.random.default_rng(1)
     q = BoundParams(A_bar=rng.uniform(0, 1, (2, 2)),
                     eps_delta=rng.uniform(0, 1, 2),
                     eps_omega=rng.uniform(0, 1, 2))
-    np.testing.assert_array_equal(rsee_bound_lti(q, 4, 1), rsee_bound(q, 4, 1))
+    np.testing.assert_array_equal(rsee_bound(replace(q, phi_bar=None), 4, 1),
+                                  rsee_bound(q, 4, 1))
 
 
 def test_rsee_zero_dynamics_degenerate():
@@ -209,3 +218,273 @@ def test_delta_zero_residual(case_models):
                                        models["outer"].g(x, np.zeros(2)),
                                        x, np.zeros(2))
     np.testing.assert_allclose(delta, np.zeros(3), atol=1e-12)
+
+
+# -- cached sums, closed forms and calibration against the loop versions --
+#
+# The oracles below are the straightforward per-step implementations the
+# module used before it cached running sums; the cached versions must agree
+# with them (to rounding where the summation order changed, exactly where it
+# did not).
+
+
+def _rsee_loop(params, k, k1):
+    """``|A|^n eps_delta + sum_{p=1..n} |A|^p eps_omega + phi_bar`` with
+    every power rebuilt, ``n = k - k1 + 1``."""
+    A_abs = np.abs(params.A_bar)
+    n = k - k1 + 1
+    powers = [np.eye(A_abs.shape[0])]
+    for _ in range(n):
+        powers.append(powers[-1] @ A_abs)
+    total = powers[n] @ params.eps_delta
+    for p in range(1, n + 1):
+        total = total + powers[p] @ params.eps_omega
+    return params.restrict(total + params.phi_bar)
+
+
+def _checkpoint_loop_us(s_us, grid_us, detection_us):
+    """The search loop of ``checkpoint_time_before_anomaly``, on integers."""
+    n = -(-s_us // grid_us) - 1
+    detect_at = s_us + detection_us
+    while n > 0:
+        k1 = n * grid_us
+        if k1 < s_us and detect_at - k1 > detection_us:
+            return k1
+        n -= 1
+    return 0
+
+
+def _duration_scan(params, s):
+    """Brute force: every bound up to the search cap, first exceedance."""
+    tick = params.tick
+    k1_t = round(checkpoint_time_before_anomaly(s, 0.0, params.mu, tick)
+                 / tick)
+    s_t = round(s / tick)
+    max_ticks = int(params.t_search_max / tick)
+    bounds = [_rsee_loop(params, s_t + T - 1, k1_t)
+              for T in range(1, max(max_ticks, 1) + 2)]
+    over = [bool(np.any(b > params.E_max)) for b in bounds]
+    if over[0]:
+        return 0.0, bounds[0], bounds[0]
+    T = next((T for T in range(2, max_ticks + 1) if over[T - 1]), None)
+    if T is None:
+        lo = max(max_ticks, 1)
+        return lo * tick, bounds[lo - 1], bounds[lo]
+    return (T - 1) * tick, bounds[T - 2], bounds[T - 1]
+
+
+def _calibrate_per_tick(model, records, tick, mu, sigma_factor=6.0,
+                        lti=False):
+    n = model.n_x
+    A_bar = np.zeros((n, n))
+    err_samples = []
+    phi_bar = np.zeros(n)
+    for rec in records:
+        for k in range(len(rec["x_true"])):
+            A_bar = np.maximum(
+                A_bar, np.abs(model.jac_A(rec["x_hat"][k], rec["u"][k])))
+            healthy = ~rec["recovered"][k]
+            if np.any(healthy):
+                err_samples.append(np.where(
+                    healthy, rec["x_true"][k] - rec["x_hat"][k], np.nan))
+        if not lti:
+            phi_bar = np.maximum(phi_bar, _episode_remainders(
+                model, rec["x_true"], rec["x_rec"], rec["u"],
+                rec["recovered"]))
+    sigma = np.sqrt(np.nanmean(np.asarray(err_samples) ** 2, axis=0))
+    return BoundParams(A_bar=A_bar, eps_delta=sigma_factor * sigma,
+                       eps_omega=sigma_factor * np.sqrt(np.diag(model.Q)),
+                       phi_bar=phi_bar, tick=tick, mu=mu)
+
+
+def _random_params(rng, kind, n, **kw):
+    if kind == "zero":
+        A = np.zeros((n, n))
+    else:
+        A = rng.uniform(-1.0, 1.0, (n, n))
+        radius = np.max(np.abs(np.linalg.eigvals(np.abs(A)))) or 1.0
+        # spectral radius of |A|: 0.5 (contractive) or 1.02 (expansive)
+        A *= (0.5 if kind == "contractive" else 1.02) / radius
+    return BoundParams(A_bar=A, eps_delta=rng.uniform(0, 1, n),
+                       eps_omega=rng.uniform(0, 1, n),
+                       phi_bar=rng.uniform(0, 1, n), **kw)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["contractive", "expansive", "zero"]),
+       n=st.integers(1, 4))
+def test_cached_rsee_matches_loop_in_any_order(seed, kind, n):
+    rng = np.random.default_rng(seed)
+    p = _random_params(rng, kind, n)
+    k1 = int(rng.integers(0, 50))
+    for k in k1 + rng.permutation(300)[:40]:
+        got = rsee_bound(p, int(k), k1)
+        np.testing.assert_allclose(got, _rsee_loop(p, int(k), k1),
+                                   rtol=1e-12, atol=0)
+    np.testing.assert_allclose(
+        recovery_error_bound_at(p, k1 + 300, k1),
+        _rsee_loop(p, k1 + 299, k1), rtol=1e-12, atol=0)
+
+
+def test_cached_rsee_restricts_to_q_indices():
+    rng = np.random.default_rng(5)
+    p = _random_params(rng, "contractive", 3, q_indices=(0, 2))
+    for k in (7, 2, 11):
+        got = rsee_bound(p, k, 0)
+        assert got.shape == (2,)
+        np.testing.assert_allclose(got, _rsee_loop(p, k, 0), rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["contractive", "expansive", "zero"]),
+       n=st.integers(1, 3), max_ticks=st.integers(0, 30),
+       s_ticks=st.integers(1, 12), mu=st.sampled_from([1.0, 0.5, 0.25]))
+def test_max_duration_matches_brute_force_scan(seed, kind, n, max_ticks,
+                                               s_ticks, mu):
+    rng = np.random.default_rng(seed)
+    p = _random_params(rng, kind, n, mu=mu, tick=1.0,
+                       t_search_max=float(max_ticks))
+    # E_max around the bounds the scan visits, so every branch occurs
+    probe = _rsee_loop(p, s_ticks + max_ticks // 2, 0)
+    p = replace(p, E_max=probe * rng.uniform(0.8, 1.3, n))
+    T, lo, hi = max_duration_certificate(p, float(s_ticks))
+    T_ref, lo_ref, hi_ref = _duration_scan(p, float(s_ticks))
+    assert T == T_ref
+    np.testing.assert_allclose(lo, lo_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(hi, hi_ref, rtol=1e-12, atol=0)
+    assert max_tolerable_duration(p, float(s_ticks)) == \
+        (T, bool(np.any(lo_ref > p.E_max)))
+
+
+def test_max_duration_search_memory_is_linear():
+    # a list of small arrays per tick costs ~300 B/tick; the cache stores
+    # one float row per tick in a doubling array
+    p = BoundParams(A_bar=[[0.99, 0.01, 0.0], [0.0, 0.98, 0.0],
+                           [0.0, 0.0, 0.5]],
+                    eps_delta=[0.1] * 3, eps_omega=[0.01] * 3,
+                    E_max=[1e9] * 3, tick=0.01, t_search_max=200.0)
+    tracemalloc.start()
+    try:
+        T, _, _ = max_duration_certificate(p, 3.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T == 200.0
+    assert peak < 20_000 * 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(s_us=st.integers(1, 10**7), grid_us=st.integers(1, 2 * 10**6),
+       tick_us=st.one_of(st.none(), st.integers(1, 10**6)),
+       detection_us=st.integers(0, 10**6))
+def test_checkpoint_closed_form_matches_loop(s_us, grid_us, tick_us,
+                                             detection_us):
+    mu = US_PER_S / grid_us
+    tick = None if tick_us is None else tick_us / US_PER_S
+    got = checkpoint_time_before_anomaly(s_us / US_PER_S, 0.0, mu, tick,
+                                         detection_us / US_PER_S)
+    effective = max(to_us(1.0 / mu), tick_us or 0)
+    assert to_us(got) == _checkpoint_loop_us(s_us, effective, detection_us)
+    assert got == to_s(to_us(got))     # exactly on the microsecond grid
+
+
+def test_checkpoint_before_anomaly_strictly_before_on_float_grid():
+    # 3 * 0.7 rounds below 2.1 in floats; the grid point is the start
+    # itself, so the checkpoint is the one before it
+    assert checkpoint_time_before_anomaly(2.1, 0.0, 10.0, 0.7) == 1.4
+
+
+def test_checkpoint_before_anomaly_rejects_nonpositive_start():
+    with pytest.raises(ValueError):
+        checkpoint_time_before_anomaly(0.0, 0.0, 1.0, 0.1)
+
+
+def _random_records(rng, n_x, n_u, n_records):
+    records = []
+    for _ in range(n_records):
+        T = int(rng.integers(0, 25))
+        mask = rng.random((T, n_x)) < 0.4
+        x_rec = np.where(mask.any(axis=1, keepdims=True),
+                         rng.normal(size=(T, n_x)), np.nan)
+        records.append({"x_true": rng.normal(size=(T, n_x)),
+                        "x_hat": rng.normal(size=(T, n_x)),
+                        "x_rec": x_rec, "u": rng.normal(size=(T, n_u)),
+                        "recovered": mask})
+    return records
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_records=st.integers(1, 4),
+       lti=st.booleans())
+def test_calibration_bit_identical_to_per_tick(seed, n_records, lti):
+    from cpsrecover import robot
+    rng = np.random.default_rng(seed)
+    model = robot.bicycle_model(0.1, 0.01 * np.eye(3), 0.01 * np.eye(3))
+    records = _random_records(rng, 3, 2, n_records)
+    records.append({"x_true": np.ones((1, 3)), "x_hat": np.zeros((1, 3)),
+                    "x_rec": np.full((1, 3), np.nan), "u": np.ones((1, 2)),
+                    "recovered": np.zeros((1, 3), bool)})
+    got = calibrate_bound_params(model, records, tick=0.1, mu=1.0, lti=lti)
+    want = _calibrate_per_tick(model, records, tick=0.1, mu=1.0, lti=lti)
+    for name in ("A_bar", "eps_delta", "eps_omega", "phi_bar"):
+        np.testing.assert_array_equal(getattr(got, name),
+                                      getattr(want, name), err_msg=name)
+
+
+def test_calibration_reads_integer_masks_as_booleans(case_models):
+    _, models = case_models
+    rec = {"x_true": np.array([[9.0, 9.0], [1.0, 1.0]]),
+           "x_hat": np.zeros((2, 2)), "x_rec": np.zeros((2, 2)),
+           "u": np.zeros((2, 1)), "recovered": np.array([[1, 1], [0, 0]])}
+    as_int = calibrate_bound_params(models["inner-1"], [rec], tick=0.01,
+                                    mu=1.0, lti=True)
+    np.testing.assert_array_equal(as_int.eps_delta, [6.0, 6.0])
+
+
+def test_calibration_needs_a_healthy_sample(case_models):
+    _, models = case_models
+    rec = {"x_true": np.zeros((3, 2)), "x_hat": np.zeros((3, 2)),
+           "x_rec": np.zeros((3, 2)), "u": np.zeros((3, 1)),
+           "recovered": np.ones((3, 2), bool)}
+    with pytest.raises(ValueError, match="healthy"):
+        calibrate_bound_params(models["inner-1"], [rec], tick=0.01, mu=1.0)
+
+
+# -- immutability -------------------------------------------------------
+
+
+def test_bound_params_frozen_and_read_only():
+    src = np.array([[0.5]])
+    p = scalar_params(A_bar=src)
+    with pytest.raises(FrozenInstanceError):
+        p.mu = 2.0
+    with pytest.raises(FrozenInstanceError):
+        p.phi_bar = np.array([0.3])
+    for name in ("A_bar", "eps_delta", "eps_omega", "phi_bar", "E_max"):
+        with pytest.raises(ValueError):
+            getattr(p, name)[0] = 1.0
+    # the caller's array stays writable and is not shared
+    src[0, 0] = 0.9
+    assert p.A_bar[0, 0] == 0.5
+
+
+def test_returned_bounds_are_fresh_arrays():
+    p = scalar_params(A_bar=np.array([[0.5]]))
+    first = rsee_bound(p, 4, 0)
+    want = first.copy()
+    first += 100.0
+    np.testing.assert_array_equal(rsee_bound(p, 4, 0), want)
+    T, lo, hi = max_duration_certificate(scalar_params(E_max=[0.01]), 8.0)
+    lo += 1.0
+    assert hi[0] < lo[0]
+
+
+def test_replace_starts_a_fresh_cache():
+    p = scalar_params(A_bar=np.array([[0.5]]))
+    rsee_bound(p, 50, 0)                       # warm the cache
+    q = replace(p, A_bar=np.array([[2.0]]), eps_omega=[0.0])
+    assert rsee_bound(q, 2, 0)[0] == pytest.approx(0.1 * 2.0 ** 3)
+    assert rsee_bound(p, 2, 0)[0] == pytest.approx(
+        0.1 * 0.5 ** 3 + 0.05 * (0.5 + 0.25 + 0.125))

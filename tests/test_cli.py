@@ -109,3 +109,51 @@ def test_compare_subcommand(tmp_path):
 def test_plant_mode_override(tmp_path):
     path = write_cfg(tmp_path, out_dir=str(tmp_path))
     assert cli.main(["run", path, "--plant-mode", "coupled"]) == 0
+
+
+_OUTER_BOUNDS = {"A_bar": [[1.0, 0.0, 0.2], [0.0, 1.0, 0.2], [0.0, 0.0, 1.0]],
+                 "eps_delta": [0.3, 0.3, 0.3], "eps_omega": [0.6, 0.6, 0.6]}
+
+
+@pytest.mark.parametrize("bounds, message", [
+    # a 2-state bound set for the 3-state outer loop
+    ({"outer": {"A_bar": [[1.0, 0.0], [0.0, 1.0]], "eps_delta": [0.3, 0.3],
+                "eps_omega": [0.6, 0.6]}}, "A_bar must be a 3 x 3"),
+    ({"outer": dict(_OUTER_BOUNDS, E_max=[1.0, 1.0])}, "E_max must be a list of 3"),
+    ({"middle": _OUTER_BOUNDS}, "unknown loop id 'middle'"),
+    ({"outer": {k: v for k, v in _OUTER_BOUNDS.items() if k != "eps_delta"}},
+     "missing 'eps_delta'"),
+    ({"outer": dict(_OUTER_BOUNDS, eps_omega=[0.6, -0.1, 0.6])},
+     "eps_omega must be a list of 3 finite nonnegative"),
+    ({"outer": dict(_OUTER_BOUNDS, phi_bar=[0.1, float("nan"), 0.0])},
+     "phi_bar must be"),
+    ({"outer": dict(_OUTER_BOUNDS, delta_s=-1.0)}, "delta_s must be"),
+    ({"outer": dict(_OUTER_BOUNDS, q_indices=[0])}, "unknown key 'q_indices'"),
+])
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_bad_bounds_section_rejected_up_front(tmp_path, capsys, command,
+                                              bounds, message):
+    path = write_cfg(tmp_path, out_dir=str(tmp_path), bounds=bounds)
+    assert cli.main([command, path]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and message in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["run", "bounds", "compare"])
+def test_bounds_need_anomalies_after_time_zero(tmp_path, capsys, command):
+    cfg = cfgmod.build_case_study(out_dir=str(tmp_path),
+                                  bounds={"outer": _OUTER_BOUNDS})
+    cfg["anomalies"]["outer"][0]["t_start"] = 0.0
+    path = tmp_path / "scenario.json"
+    cfgmod.save_config(cfg, path)
+    assert cli.main([command, str(path)]) == 1
+    assert "bounds.outer: every anomaly window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"run"', "{", "\xff"])
+def test_malformed_config_file_exit_1(tmp_path, capsys, text):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(text.encode("latin-1"))
+    assert cli.main(["run", str(path)]) == 1
+    assert "invalid configuration" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from cpsrecover import robot
 from cpsrecover.models import (DimensionError, SubsystemModel,
                                finite_difference_jacobian, measure,
                                noise_factor, sample_noise, step_dynamics)
-from cpsrecover.timebase import SimClock, base_resolution_us, to_s, to_us
+from cpsrecover.timebase import base_resolution_us
 
 
 def _outer(dt=0.1):
@@ -172,14 +172,6 @@ def test_psd_validation():
 def test_base_resolution_gcd():
     assert base_resolution_us([0.1, 0.01]) == 10_000
     assert base_resolution_us([0.1, 0.1]) == 100_000
-
-
-def test_tick_time_exact():
-    clock = SimClock(base_resolution_us([0.1, 0.01]))
-    for n in range(1, 2000):
-        clock.advance()
-        assert clock.t == to_s(n * 10_000)
-        assert to_us(clock.t) == n * 10_000
 
 
 def test_bad_periods():

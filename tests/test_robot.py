@@ -134,3 +134,9 @@ def test_params_validation():
         robot.RobotParams(wheel_radius=0.0)
     with pytest.raises(ValueError):
         robot.RobotParams(inversion_offset=-0.1)
+
+
+def test_dims_match_models(case_models):
+    _, models = case_models
+    for sid, model in models.items():
+        assert robot.DIMS[sid] == (model.n_x, model.n_y)

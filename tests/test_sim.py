@@ -1,11 +1,13 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpsrecover import config as cfgmod
-from cpsrecover import sim
+from cpsrecover import robot, sim
 from cpsrecover.config import ConfigError
 
 
@@ -169,3 +171,95 @@ def test_validate_collects_multiple_errors():
         cfgmod.validate_config(cfg)
     msg = str(exc_info.value)
     assert "horizon" in msg and "t_max" in msg
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"robot": {"bogus": 1}}, "robot: unknown key 'bogus'"),
+    ({"robot": {"wheel_radius": "big"}}, "robot.wheel_radius"),
+    ({"robot": {"wheel_radius": -1.0}}, "wheel_radius must be positive"),
+    ({"robot": {"outer_rate": 0.0}}, "robot.outer_rate"),
+    ({"horizon": "10"}, "horizon"),
+    ({"horizon": float("inf")}, "horizon"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"checkpoint_freq_hz": 1e-310}, "checkpoint_freq_hz"),
+    ({"t_max": None}, "t_max"),
+    ({"out_dir": 3}, "out_dir"),
+    ({"ads": {"outer": {"kind": "psychic"}}}, "ads.outer: kind"),
+    ({"ads": {"outer": {"mode": "guess"}}}, "ads.outer: mode"),
+    ({"ads": {"outer": {"detection_time": -0.25}}},
+     "ads.outer: detection_time"),
+    ({"ads": {"outer": {"detection_time": "soon"}}}, "detection_time"),
+    ({"ads": {"outer": {"zeta": 2}}}, "ads.outer: unknown key 'zeta'"),
+    ({"ads": {"middle": {}}}, "ads: unknown loop id 'middle'"),
+    ({"anomalies": {"middle": []}}, "anomalies: unknown loop id 'middle'"),
+    ({"anomalies": {"outer": [{"t_start": 1.0, "t_end": 2.0, "y_a": [5.0],
+                               "gamma": [1, 1, 0]}]}},
+     "anomalies.outer[0]: y_a must be a list of 3"),
+    ({"anomalies": {"inner-1": [{"t_start": 1.0, "t_end": 2.0,
+                                 "y_a": [5.0]}]}},
+     "anomalies.inner-1[0]: missing 'gamma'"),
+    ({"anomalies": {"inner-1": [{"t_start": 1.0, "t_end": 2.0, "y_a": [5.0],
+                                 "gamma": [2]}]}}, "gamma"),
+    ({"anomalies": {"outer": {}}}, "anomalies.outer must be a list"),
+    ({"noise": {"outer_q_std": -0.1}}, "noise.outer_q_std"),
+    ({"noise": {"bogus_std": 0.1}}, "noise: unknown key 'bogus_std'"),
+    ({"init": {"outer": [0.0, 0.0]}}, "init.outer"),
+    ({"bounds": []}, "bounds must be an object"),
+])
+def test_validate_rejects_bad_values(overrides, message):
+    cfg = cfgmod.default_config()
+    cfg.update(overrides)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfgmod.validate_config(cfg)
+
+
+def test_validate_builds_no_models(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("validate_config built a model")
+    for name in ("bicycle_model", "dc_motor_model"):
+        monkeypatch.setattr(robot, name, fail)
+    cfg = cfgmod.default_config()
+    cfg["bounds"] = {"inner-1": {"A_bar": [[1.0, 0.0], [0.0, 1.0]],
+                                 "eps_delta": [0.1, 0.1],
+                                 "eps_omega": [0.1, 0.1]}}
+    cfgmod.validate_config(cfg)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=5),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=5), children,
+                                        max_size=4)),
+    max_leaves=12)
+
+
+@st.composite
+def _near_default(draw, values):
+    """The default config with one value, at any depth, replaced or added."""
+    cfg = cfgmod.default_config()
+    node = cfg
+    while True:
+        if isinstance(node, dict):
+            # an empty section (robot, bounds) gets a loop id or a new key
+            key = draw(st.sampled_from(sorted(node) or cfgmod.SUBSYSTEMS)
+                       | st.text(max_size=5))
+        else:
+            key = draw(st.integers(0, len(node) - 1))
+        child = node.get(key) if isinstance(node, dict) else node[key]
+        if not isinstance(child, (dict, list)) or draw(st.booleans()):
+            node[key] = draw(values)
+            return cfg
+        node = child
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=st.dictionaries(
+    st.sampled_from(sorted(cfgmod.default_config())) | st.text(max_size=5),
+    _json, max_size=5) | _near_default(_json))
+def test_validate_accepts_or_raises_config_error(cfg):
+    try:
+        cfgmod.validate_config(cfg)
+    except ConfigError:
+        pass
