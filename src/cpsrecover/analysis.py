@@ -99,7 +99,6 @@ class BoundParams:
     delta_s: float = 0.0
     mu: float = 1.0
     tick: float = 1.0
-    q_indices: tuple | None = None    # recovered element indices; None = all
     t_search_max: float = 1000.0      # grid-search horizon cap, seconds
     _sums: _ChainSums = field(init=False, repr=False, compare=False)
 
@@ -126,11 +125,6 @@ class BoundParams:
         object.__setattr__(self, "_sums", _ChainSums(
             np.abs(A_bar), self.eps_delta, self.eps_omega))
 
-    def restrict(self, vec: np.ndarray) -> np.ndarray:
-        if self.q_indices is None:
-            return vec
-        return vec[list(self.q_indices)]
-
 
 def estimation_error_bound(params: BoundParams, healthy_indices) -> np.ndarray:
     """Healthy-element estimation-error bound: ``eps_delta`` projected."""
@@ -138,15 +132,15 @@ def estimation_error_bound(params: BoundParams, healthy_indices) -> np.ndarray:
 
 
 def _chain_bound(params: BoundParams, n: int) -> np.ndarray:
-    """``D_n + S_n + phi_bar`` restricted: the bound after ``n`` steps."""
-    return params.restrict(params._sums.at(n) + params.phi_bar)
+    """``D_n + S_n + phi_bar``: the bound after ``n`` steps."""
+    return params._sums.at(n) + params.phi_bar
 
 
 def rsee_bound(params: BoundParams, k: int, k1: int) -> np.ndarray:
     """Recovered-error bound anchored at checkpoint tick ``k1``.
 
     ``|A|^(k-k1+1) eps_delta + sum_{l=k1}^{k} |A|^(k-l+1) eps_omega + phi_bar``
-    restricted to the recovered indices.
+    for every element; callers index it with the recovery mask.
     """
     k, k1 = int(round(k)), int(round(k1))
     if k < k1:
@@ -210,7 +204,7 @@ def _max_duration_search(params: BoundParams, s: float):
     k1 = checkpoint_time_before_anomaly(s, params.delta_s, params.mu, tick)
     # an anomaly lasting T ticks ends a chain of n0 + T predict steps
     n0 = round(s / tick) - round(k1 / tick)
-    E = params.restrict(params.E_max)
+    E = params.E_max
     max_ticks = int(params.t_search_max / tick)
     prev = _chain_bound(params, n0 + 1)
     if np.any(prev > E):
@@ -237,7 +231,7 @@ def accuracy_resource_gap_bound(params: BoundParams, k: int, s: float) -> np.nda
     s_t = round(s / tick)
     opt_t = s_t - 1
     if k1_t >= opt_t:
-        return np.zeros_like(params.restrict(params.eps_delta))
+        return np.zeros_like(params.eps_delta)
     gap = (recovery_error_bound_at(params, k, k1_t)
            - recovery_error_bound_at(params, k, opt_t))
     return np.clip(gap, 0.0, None)

@@ -38,7 +38,7 @@ class EstimatorStepResult:
     x_hat: np.ndarray
     P: np.ndarray
     K: np.ndarray
-    x_pred: np.ndarray
+    innovation: np.ndarray       # y_now - g(x_pred, u_prev)
 
 
 def ekf_predict(model: SubsystemModel, est: EstimatorState, u):
@@ -62,8 +62,12 @@ def ekf_gain(model: SubsystemModel, P_pred, x_pred, u) -> np.ndarray:
     return K
 
 
-def ekf_update(model: SubsystemModel, x_pred, P_pred, K, y_meas, u) -> EstimatorState:
-    """Measurement update; covariance ``(I - K C) P`` then symmetrized."""
+def ekf_update(model: SubsystemModel, x_pred, P_pred, K, y_meas, u):
+    """Measurement update; covariance ``(I - K C) P`` then symmetrized.
+
+    Returns the posterior :class:`EstimatorState` and the innovation
+    ``y_meas - g(x_pred, u)``.
+    """
     u = np.asarray(u, float)
     y_meas = np.asarray(y_meas, float)
     C = np.atleast_2d(model.jac_C(x_pred, u))
@@ -71,7 +75,7 @@ def ekf_update(model: SubsystemModel, x_pred, P_pred, K, y_meas, u) -> Estimator
     x_hat = x_pred + K @ innov
     P = (identity(model.n_x) - K @ C) @ P_pred
     P = (P + P.T) / 2.0
-    return EstimatorState(x_hat, P)
+    return EstimatorState(x_hat, P), innov
 
 
 def estimator_step(model: SubsystemModel, est: EstimatorState,
@@ -79,5 +83,5 @@ def estimator_step(model: SubsystemModel, est: EstimatorState,
     """Predict with the previous input, then gain and update with ``y_now``."""
     x_pred, P_pred = ekf_predict(model, est, u_prev)
     K = ekf_gain(model, P_pred, x_pred, u_prev)
-    new = ekf_update(model, x_pred, P_pred, K, y_now, u_prev)
-    return EstimatorStepResult(new.x_hat, new.P, K, x_pred)
+    new, innov = ekf_update(model, x_pred, P_pred, K, y_now, u_prev)
+    return EstimatorStepResult(new.x_hat, new.P, K, innov)

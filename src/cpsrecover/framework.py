@@ -124,6 +124,15 @@ def safe_stop_check(episode_start: float, k: float, t_max: float) -> bool:
 
 
 @dataclass
+class Episode:
+    """An anomaly episode in progress on one loop."""
+
+    start: float                      # first detected tick
+    k1: float                         # consistent checkpoint rolled from
+    x_rec: np.ndarray                 # latest roll-forward value
+
+
+@dataclass
 class SubsystemRuntime:
     """Mutable per-loop state threaded through the tick function."""
 
@@ -134,9 +143,7 @@ class SubsystemRuntime:
     schedule: AnomalySchedule
     t_max: float                      # maximum tolerable anomaly duration, s
     last_u: np.ndarray = None         # input applied at the previous tick
-    prev_detected: bool = False
-    x_rec_prev: np.ndarray = None     # cached roll-forward value, episodes only
-    episode_start: float = None
+    episode: Episode | None = None    # None while healthy
     innovations: deque = field(default_factory=lambda: deque(maxlen=64))
     # set by the scheduler when the logged input differs from h()'s output
     # (coupled plant mode logs the input actually applied to the plant)
@@ -161,8 +168,7 @@ class TickResult:
     flags: object                # detector output flags
     detected: bool
     ckpt_event: bool
-    k1: float | None             # checkpoint time used at first detection
-    K: np.ndarray
+    k1: float | None             # the episode's checkpoint time, if recovering
 
 
 def element_mask(K: np.ndarray, ads_out: AdsOutput, n_x: int) -> np.ndarray:
@@ -177,6 +183,13 @@ def element_mask(K: np.ndarray, ads_out: AdsOutput, n_x: int) -> np.ndarray:
     return g > GAIN_ZERO_TOL
 
 
+def replay(model: SubsystemModel, x: np.ndarray, controls) -> np.ndarray:
+    """Roll ``x`` forward through the predict step, one logged control each."""
+    for c in controls:
+        x = model.f(x, c.u)
+    return x
+
+
 def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
                          x_hat: np.ndarray, K: np.ndarray, ads_out: AdsOutput,
                          detection_times: dict, t: float):
@@ -184,13 +197,14 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
 
     On the first detected tick of an episode the estimate is re-rolled from
     the most recent consistent checkpoint through the logged controls; on
-    later ticks a single predict step extends the cached roll-forward value.
-    Returns ``(x_hat_updated, x_rec, mask, k1)``.
+    later ticks a single predict step extends the episode's roll-forward
+    value.  Returns ``(x_hat_updated, x_rec, mask, k1)``; ``k1`` is ``None``
+    unless this call re-rolled.
     """
     model = rt.model
     dt_us = to_us(model.dt)
     k1 = None
-    if not rt.prev_detected or rt.x_rec_prev is None:
+    if rt.episode is None:
         save_times = {sid: store.save_times(sid) for sid in store.subsystems()}
         k1 = most_recent_consistent_checkpoint(save_times, detection_times, t)
         cps, _, controls = store.retrieve(model.id, k1, t)
@@ -198,16 +212,14 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
         if base is None:
             raise UnrecoverableError(f"{model.id}: checkpoint at {k1} missing")
         expected = (to_us(t) - to_us(k1)) // dt_us
-        chain = [c for c in controls if to_us(c.t) >= to_us(k1)]
-        if len(chain) != expected or any(
-                to_us(c.t) != to_us(k1) + i * dt_us for i, c in enumerate(chain)):
+        if len(controls) != expected or any(
+                to_us(c.t) != to_us(k1) + i * dt_us
+                for i, c in enumerate(controls)):
             raise UnrecoverableError(
                 f"{model.id}: control log has gaps in [{k1}, {t})")
-        x_rec = base.x_hat.copy()
-        for c in chain:
-            x_rec = model.f(x_rec, c.u)
+        x_rec = replay(model, base.x_hat, controls)
     else:
-        x_rec = model.f(rt.x_rec_prev, rt.last_u)
+        x_rec = model.f(rt.episode.x_rec, rt.last_u)
 
     mask = element_mask(K, ads_out, model.n_x)
     x_new = x_hat.copy()
@@ -227,7 +239,7 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     """
     model = rt.model
     step = estimator_step(model, rt.est, rt.last_u, y_now)
-    rt.innovations.append(np.atleast_1d(y_now - model.g(step.x_pred, rt.last_u)))
+    rt.innovations.append(np.atleast_1d(step.innovation))
 
     ads_out = ads_evaluate(rt.ads, list(rt.innovations), rt.schedule, t,
                            n_y=model.n_y)
@@ -236,7 +248,6 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     x_hat = step.x_hat
     x_rec = None
     mask = np.zeros(model.n_x, dtype=bool)
-    k1 = None
     if detected:
         if detection_times is None:
             detection_times = {model.id: rt.ads.detection_time}
@@ -258,19 +269,18 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     # commit runtime state
     rt.est = EstimatorState(x_hat.copy(), step.P)
     rt.last_u = u_logged
-    if detected:
-        if not rt.prev_detected:
-            rt.episode_start = t
-        rt.x_rec_prev = x_rec
+    if not detected:
+        rt.episode = None
+    elif rt.episode is None:
+        rt.episode = Episode(t, k1, x_rec)
     else:
-        rt.episode_start = None
-        rt.x_rec_prev = None
-    rt.prev_detected = detected
+        rt.episode.x_rec = x_rec
 
+    ep = rt.episode
     result = TickResult(u, step.x_hat, x_hat, x_rec, mask, ads_out.flags,
-                        detected, ckpt_event, k1, step.K)
-    if detected and safe_stop_check(rt.episode_start, t, rt.t_max):
-        stop = SafeStop(model.id, t, rt.episode_start,
+                        detected, ckpt_event, None if ep is None else ep.k1)
+    if ep is not None and safe_stop_check(ep.start, t, rt.t_max):
+        stop = SafeStop(model.id, t, ep.start,
                         "anomaly duration exceeded maximum tolerable duration")
         stop.result = result
         raise stop

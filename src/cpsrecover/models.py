@@ -105,11 +105,6 @@ class SubsystemModel:
             object.__setattr__(self, name, cov)
             object.__setattr__(self, name + "_factor", noise_factor(cov))
 
-    @property
-    def rate(self) -> float:
-        """Loop rate in Hz."""
-        return 1.0 / self.dt
-
 
 def step_dynamics(model: SubsystemModel, x, u, w) -> np.ndarray:
     """One plant step: ``f(x, u) + w``."""

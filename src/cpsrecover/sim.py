@@ -21,7 +21,9 @@ from .analysis import recovery_error_bound_at
 from .anomaly import inject_anomaly
 from .estimator import EstimatorState
 from .framework import (CoordinatorState, SafeStop, SubsystemRuntime,
-                        UnrecoverableError, coordinator_tick, subsystem_tick)
+                        UnrecoverableError, coordinator_tick,
+                        most_recent_consistent_checkpoint, replay,
+                        subsystem_tick)
 from .models import measure, sample_noise, step_dynamics
 from .store import SecureStore
 from .timebase import base_resolution_us, to_s, to_us
@@ -77,13 +79,12 @@ class SubsystemTrace:
     rsee_bound: list = field(default_factory=list)
     ee_bound: list = field(default_factory=list)
     safe_stop: list = field(default_factory=list)
-    x_rf_opt: list = field(default_factory=list)   # every-tick-checkpoint shadow
 
     def as_arrays(self) -> dict:
         return {name: np.asarray(getattr(self, name))
                 for name in ("t", "x_true", "y_meas", "x_hat", "x_rf", "x_rec",
                              "recovered", "u", "ads_flags", "ckpt_event", "k1",
-                             "rsee_bound", "ee_bound", "safe_stop", "x_rf_opt")}
+                             "rsee_bound", "ee_bound", "safe_stop")}
 
 
 @dataclass
@@ -95,47 +96,7 @@ class SimResult:
     config: dict
 
 
-class _OptimalShadow:
-    """Parallel recovery that behaves as if a checkpoint existed every tick.
-
-    Keeps the loop's healthy estimator posteriors as virtual checkpoints and
-    replays the same logged controls, so the shadow shares the plant, noise
-    and control history with the real recovery and differs only in the
-    checkpoint it rolls forward from.
-    """
-
-    def __init__(self, model, max_detection: float):
-        self.model = model
-        self.keep_us = to_us(max_detection) + to_us(2.0)
-        self.healthy: dict = {}
-        self.x_prev = None
-
-    def note_healthy(self, t_us: int, x_hat: np.ndarray) -> None:
-        self.healthy[t_us] = x_hat.copy()
-        for old in [k for k in self.healthy if k < t_us - self.keep_us]:
-            del self.healthy[old]
-        self.x_prev = None
-
-    def recover(self, store, t: float, u_prev, max_detection: float):
-        dt_us = to_us(self.model.dt)
-        if self.x_prev is not None:
-            self.x_prev = self.model.f(self.x_prev, u_prev)
-            return self.x_prev
-        t_us = to_us(t)
-        margin = to_us(max_detection)
-        usable = [k for k in self.healthy if t_us - k > margin]
-        if not usable:
-            return None
-        k1_us = max(usable)
-        x = self.healthy[k1_us].copy()
-        _, _, controls = store.retrieve(self.model.id, to_s(k1_us), t)
-        for c in controls:
-            x = self.model.f(x, c.u)
-        self.x_prev = x
-        return x
-
-
-def run_scenario(cfg: dict, track_optimal_shadow: bool = False) -> SimResult:
+def run_scenario(cfg: dict) -> SimResult:
     """Simulate a scenario; deterministic for a given (config, seed)."""
     cfgmod.validate_config(cfg)
     params, models = cfgmod.build_models(cfg)
@@ -154,7 +115,6 @@ def run_scenario(cfg: dict, track_optimal_shadow: bool = False) -> SimResult:
     coord = CoordinatorState(1.0 / cfg.get("checkpoint_freq_hz", 1.0),
                              cfgmod.SUBSYSTEMS, base_us)
     detection_times = {sid: ads[sid].detection_time for sid in cfgmod.SUBSYSTEMS}
-    max_detection = max(detection_times.values())
 
     # ground truth; Sigma0 is zero by default so this is the configured mean
     x_true = {sid: models[sid].mu0
@@ -181,12 +141,8 @@ def run_scenario(cfg: dict, track_optimal_shadow: bool = False) -> SimResult:
         runtimes[robot.OUTER].applied_input = lambda u: robot.wheel_transform_inverse(
             [x_true[robot.INNER_1][1], x_true[robot.INNER_2][1]], params)
 
-    shadows = {sid: _OptimalShadow(models[sid], max_detection)
-               for sid in cfgmod.SUBSYSTEMS} if track_optimal_shadow else None
-
     traces = {sid: SubsystemTrace() for sid in cfgmod.SUBSYSTEMS}
     events = []
-    episode_k1 = {sid: None for sid in cfgmod.SUBSYSTEMS}
     stopped = False
 
     n_ticks = horizon_us // base_us
@@ -201,7 +157,6 @@ def run_scenario(cfg: dict, track_optimal_shadow: bool = False) -> SimResult:
                 continue
             model = models[sid]
             rt = runtimes[sid]
-            u_prev = rt.last_u
             # plant advances one loop period with the previously applied
             # input before the sensors are read, so the measurement and the
             # estimator's predict step refer to the same instant
@@ -232,31 +187,15 @@ def run_scenario(cfg: dict, track_optimal_shadow: bool = False) -> SimResult:
             if sid == robot.OUTER:
                 wheel_refs[0] = robot.wheel_transform(res.u, params)
 
-            # track the episode's checkpoint for the online bound columns
-            if res.detected:
-                if res.k1 is not None:
-                    episode_k1[sid] = res.k1
-            else:
-                episode_k1[sid] = None
-
             rsee_b = np.full(model.n_x, np.nan)
             ee_b = np.full(model.n_x, np.nan)
             if sid in bounds:
                 bp = bounds[sid]
                 ee_b = bp.eps_delta.copy()
-                if res.detected and episode_k1[sid] is not None:
+                if res.k1 is not None:
                     k_t = t_us // dt_us[sid]
-                    k1_t = to_us(episode_k1[sid]) // dt_us[sid]
+                    k1_t = to_us(res.k1) // dt_us[sid]
                     rsee_b = recovery_error_bound_at(bp, k_t, k1_t)
-
-            x_rf_opt = np.full(model.n_x, np.nan)
-            if shadows is not None:
-                if res.detected:
-                    got = shadows[sid].recover(store, t, u_prev, max_detection)
-                    if got is not None:
-                        x_rf_opt = got
-                else:
-                    shadows[sid].note_healthy(t_us, res.x_hat)
 
             tr = traces[sid]
             tr.t.append(t)
@@ -270,11 +209,10 @@ def run_scenario(cfg: dict, track_optimal_shadow: bool = False) -> SimResult:
             tr.u.append(res.u.copy())
             tr.ads_flags.append(np.atleast_1d(np.asarray(res.flags, int)).copy())
             tr.ckpt_event.append(res.ckpt_event)
-            tr.k1.append(np.nan if episode_k1[sid] is None else episode_k1[sid])
+            tr.k1.append(np.nan if res.k1 is None else res.k1)
             tr.rsee_bound.append(rsee_b)
             tr.ee_bound.append(ee_b)
             tr.safe_stop.append(safe_stop_here)
-            tr.x_rf_opt.append(x_rf_opt)
 
             if safe_stop_here:
                 stopped = True
@@ -350,3 +288,40 @@ def emit_csv(result: SimResult, out_dir) -> list:
             raise OSError(f"failed writing trace CSV {path}: {exc}") from exc
         paths.append(path)
     return paths
+
+
+def every_tick_shadow(result: SimResult) -> dict:
+    """Per-loop recovery of a finished run as if every tick were checkpointed.
+
+    Each healthy tick's final estimate is a virtual checkpoint.  At the
+    first recovering tick of an episode the newest one older than the
+    largest detection time is chosen, as real recovery chooses among the
+    consistent checkpoints, and the logged controls are replayed from it;
+    each later tick of the episode extends the replay by one control.  The
+    shadow shares the run's plant, noise and control history and differs
+    only in the checkpoint it rolls forward from.  Returns
+    ``{loop id: (ticks, n_x) array}``, NaN on healthy ticks.
+    """
+    ads = cfgmod.build_ads(result.config)
+    detection_times = {sid: a.detection_time for sid, a in ads.items()}
+    _, models = cfgmod.build_models(result.config)
+    shadows = {}
+    for sid, tr in result.traces.items():
+        model = models[sid]
+        t = tr["t"]
+        shadow = shadows[sid] = np.full((len(t), model.n_x), np.nan)
+        if not len(t):
+            continue
+        healthy = ~tr["ads_flags"].any(axis=1)
+        edges = np.flatnonzero(np.diff(np.r_[True, healthy, True]))
+        for a, b in edges.reshape(-1, 2):     # an episode is ticks a..b-1
+            k1 = most_recent_consistent_checkpoint(
+                {sid: t[:a][healthy[:a]].tolist()}, detection_times, t[a])
+            _, _, controls = result.store.retrieve(sid, k1, t[b - 1])
+            n = len(controls) - (b - 1 - a)   # controls in [k1, t[a])
+            x = replay(model, tr["x_rf"][a - n], controls[:n])
+            shadow[a] = x
+            for k, c in zip(range(a + 1, b), controls[n:]):
+                x = model.f(x, c.u)
+                shadow[k] = x
+    return shadows

@@ -240,7 +240,8 @@ def test_criterion_06_max_duration_bracketing():
 def test_criterion_07_accuracy_resource_gap(calibrated_bounds):
     cfg = cfgmod.build_case_study(seed=11)
     _, models = cfgmod.build_models(cfg)
-    res = sim.run_scenario(cfg, track_optimal_shadow=True)
+    res = sim.run_scenario(cfg)
+    shadows = sim.every_tick_shadow(res)
     compared = 0
     for sid in cfgmod.SUBSYSTEMS:
         bp = calibrated_bounds[sid]
@@ -248,11 +249,11 @@ def test_criterion_07_accuracy_resource_gap(calibrated_bounds):
         tr = res.traces[sid]
         starts = [a for a, _ in _windows(cfg, sid)]
         for k in range(len(tr["t"])):
-            if not tr["recovered"][k].any() or np.any(np.isnan(tr["x_rf_opt"][k])):
+            if not tr["recovered"][k].any():
                 continue
             t = tr["t"][k]
             s = max(a for a in starts if a <= t)
-            gap = np.abs(tr["x_rf_opt"][k] - tr["x_rec"][k])
+            gap = np.abs(shadows[sid][k] - tr["x_rec"][k])
             bound = accuracy_resource_gap_bound(bp, round(t / dt), s)
             assert np.all(gap <= bound + 1e-9), \
                 f"{sid} t={t}: gap {gap} > bound {bound}"

@@ -46,15 +46,15 @@ def test_gain_limits():
 def test_update_cases():
     m = scalar_lti_model()
     # zero gain: posterior is the prior
-    est = ekf_update(m, np.array([3.0]), np.array([[2.0]]),
+    est, _ = ekf_update(m, np.array([3.0]), np.array([[2.0]]),
                      np.array([[0.0]]), np.array([5.0]), [0.0])
     assert est.x_hat[0] == 3.0 and est.P[0, 0] == 2.0
     # K=0.5, y=5, x_pred=3 -> 4
-    est = ekf_update(m, np.array([3.0]), np.array([[2.0]]),
+    est, _ = ekf_update(m, np.array([3.0]), np.array([[2.0]]),
                      np.array([[0.5]]), np.array([5.0]), [0.0])
     assert est.x_hat[0] == 4.0
     # K=I, g=identity -> x_hat = y
-    est = ekf_update(m, np.array([3.0]), np.array([[2.0]]),
+    est, _ = ekf_update(m, np.array([3.0]), np.array([[2.0]]),
                      np.array([[1.0]]), np.array([5.0]), [0.0])
     assert est.x_hat[0] == 5.0
 
@@ -65,6 +65,7 @@ def test_zero_innovation_keeps_prior():
     x_pred, _ = ekf_predict(m, est, [1.0])
     res = estimator_step(m, est, [1.0], m.g(x_pred, [1.0]))
     np.testing.assert_allclose(res.x_hat, x_pred, atol=1e-12)
+    np.testing.assert_array_equal(res.innovation, [0.0])
 
 
 def test_lti_reduces_to_standard_kf():

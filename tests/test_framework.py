@@ -236,6 +236,10 @@ def test_detected_tick_recovers_and_skips_checkpoint():
     assert not res.ckpt_event
     assert 5.0 not in store.save_times(m.id)
     assert res.k1 == 3.0  # newest save with 5 - k1 > detection_time 1.0
+    # later ticks of the episode extend it and report its checkpoint
+    res = subsystem_tick(rt, store, True, np.array([50.0]), 6.0)
+    assert res.k1 == 3.0 and rt.episode.start == 5.0
+    np.testing.assert_array_equal(rt.episode.x_rec, res.x_rec)
 
 
 def test_episode_exceeding_t_max_raises_safe_stop():

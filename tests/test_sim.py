@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpsrecover import config as cfgmod
-from cpsrecover import robot, sim
+from cpsrecover import cli, robot, sim
 from cpsrecover.config import ConfigError
+from cpsrecover.timebase import to_us
 
 
 def test_determinism_byte_identical_csv(tmp_path):
@@ -130,6 +131,95 @@ def test_safe_stop_truncates_trace():
     assert 3.5 < stop_t < 5.0
     for sid in cfgmod.SUBSYSTEMS:
         assert res.traces[sid]["t"].max() <= stop_t
+
+
+# -- every-tick-checkpoint shadow ----------------------------------------
+
+
+def _ads(mode, kind="specific", outer_threshold=0.0, inner_threshold=0.0):
+    return {sid: {"kind": kind, "mode": mode, "detection_time": 0.25,
+                  "threshold": outer_threshold if sid == robot.OUTER
+                  else inner_threshold}
+            for sid in cfgmod.SUBSYSTEMS}
+
+
+SHADOW_CONFIGS = {
+    "default": dict(seed=5),
+    "coupled": dict(seed=3, plant_mode="coupled"),
+    "generic": dict(seed=7, ads=_ads("oracle", kind="generic")),
+    "residual-threshold": dict(seed=9, ads=_ads(
+        "residual-threshold", outer_threshold=1.0, inner_threshold=1000.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHADOW_CONFIGS))
+def test_every_tick_shadow_equals_from_scratch_replay(name):
+    """On every recovering tick the shadow equals a replay, through
+    ``store.retrieve``, from the latest healthy tick that is older than the
+    largest detection time at its episode's first tick; healthy ticks have
+    no shadow."""
+    cfg = cfgmod.build_case_study(**SHADOW_CONFIGS[name])
+    res = sim.run_scenario(cfg)
+    shadows = sim.every_tick_shadow(res)
+    _, models = cfgmod.build_models(cfg)
+    margin_us = to_us(max(a.detection_time
+                          for a in cfgmod.build_ads(cfg).values()))
+    checked = 0
+    for sid, tr in res.traces.items():
+        t_us = np.round(tr["t"] * 1e6).astype(np.int64)
+        healthy = ~tr["ads_flags"].any(axis=1)
+        assert np.isnan(shadows[sid][healthy]).all()
+        first = 0
+        for k in np.flatnonzero(~healthy):
+            if healthy[k - 1]:
+                first = k                       # an episode starts
+            j1 = np.flatnonzero(healthy[:first]
+                                & (t_us[first] - t_us[:first] > margin_us))[-1]
+            _, _, controls = res.store.retrieve(sid, tr["t"][j1], tr["t"][k])
+            x = tr["x_rf"][j1].copy()
+            for c in controls:
+                x = models[sid].f(x, c.u)
+            np.testing.assert_allclose(shadows[sid][k], x,
+                                       rtol=1e-12, atol=1e-12)
+            checked += 1
+    assert checked > 100
+
+
+def test_every_tick_shadow_reaches_past_a_short_healthy_gap(tmp_path):
+    """Outer bursts in [1.25, 4.5) and [5.0, 6.0) with the largest detection
+    time 1.0 s: the shadow of the second episode rolls forward from the
+    healthy tick at 1.2 s, since 4.5-4.9 are too recent; the gap CSV has a
+    row for each of its ticks."""
+    cfg = cfgmod.build_case_study(seed=1, t_max=9.0)
+    burst = cfg["anomalies"][robot.OUTER][0]
+    cfg["anomalies"] = {
+        robot.OUTER: [dict(burst, t_start=1.25, t_end=4.5),
+                      dict(burst, t_start=5.0, t_end=6.0)],
+        robot.INNER_1: [], robot.INNER_2: []}
+    cfg["ads"] = {sid: {"detection_time": 0.0 if sid == robot.OUTER else 1.0}
+                  for sid in cfgmod.SUBSYSTEMS}
+    episode = [round(5.0 + 0.1 * i, 1) for i in range(10)]
+
+    res = sim.run_scenario(cfg)
+    tr = res.traces[robot.OUTER]
+    shadow = sim.every_tick_shadow(res)[robot.OUTER]
+    model = cfgmod.build_models(cfg)[1][robot.OUTER]
+    _, _, controls = res.store.retrieve(robot.OUTER, 1.2, 5.9)
+    x = tr["x_rf"][12]
+    for k, c in enumerate(controls, start=13):
+        x = model.f(x, c.u)
+        if k >= 50:
+            np.testing.assert_array_equal(shadow[k], x)
+    np.testing.assert_array_equal(tr["t"][50:60], episode)
+    assert not tr["ads_flags"][[12, 45, 46, 47, 48, 49]].any()
+    assert tr["ads_flags"][[13, 44] + list(range(50, 60))].any(axis=1).all()
+
+    path = tmp_path / "cfg.json"
+    cfgmod.save_config(cfg, path)
+    assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "outer_gap.csv") as fh:
+        rows = {float(r["t"]) for r in csv.DictReader(fh)}
+    assert set(episode) <= rows
 
 
 # -- config validation ---------------------------------------------------
