@@ -19,8 +19,9 @@ for analysis; recovery itself always uses consistent checkpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -80,25 +81,32 @@ def coordinator_tick(coord: CoordinatorState, t: float) -> dict:
     return {sid: fire for sid in coord.subsystem_ids}
 
 
+def _holds_us(times: list, t_us: int) -> bool:
+    """Whether the ascending ``times`` hold a time of ``t_us`` microseconds."""
+    j = bisect_left(times, t_us, key=to_us)
+    return j < len(times) and to_us(times[j]) == t_us
+
+
 def most_recent_consistent_checkpoint(save_times: dict, detection_times: dict,
                                       k: float) -> float:
     """Largest save time common to all sub-systems outside detection windows.
 
     The returned time ``k1`` satisfies ``k - k1 > max(detection_times)``,
     which guarantees the checkpoint predates the (possibly still undetected)
-    onset of the anomaly flagged at ``k``.
+    onset of the anomaly flagged at ``k``.  Times are compared in integer
+    microseconds.  Each list of ``save_times`` must be in ascending order,
+    as the store keeps them: the search bisects the lists.
     """
     if not save_times:
         raise UnrecoverableError("no save times")
-    sets = [set(to_us(t) for t in ts) for ts in save_times.values()]
-    common = set.intersection(*sets)
-    k_us = to_us(k)
-    margin_us = to_us(max(detection_times.values()))
-    candidates = [t for t in common if k_us - t > margin_us]
-    if not candidates:
-        raise UnrecoverableError(
-            f"no consistent checkpoint older than detection window before k={k}")
-    return to_s(max(candidates))
+    first, *others = save_times.values()
+    cutoff_us = to_us(k) - to_us(max(detection_times.values()))
+    for i in range(bisect_left(first, cutoff_us, key=to_us) - 1, -1, -1):
+        t_us = to_us(first[i])
+        if all(_holds_us(ts, t_us) for ts in others):
+            return to_s(t_us)
+    raise UnrecoverableError(
+        f"no consistent checkpoint older than detection window before k={k}")
 
 
 def classify_checkpoint_set(snapshots: dict) -> str:
@@ -267,7 +275,7 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
         ckpt_event = True
 
     # commit runtime state
-    rt.est = EstimatorState(x_hat.copy(), step.P)
+    rt.est = EstimatorState(x_hat.copy(), step.P, step.fixed_point)
     rt.last_u = u_logged
     if not detected:
         rt.episode = None

@@ -11,7 +11,7 @@ and identical (config, seed) pairs yield byte-identical CSVs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,30 +61,32 @@ def make_rngs(seed: int) -> dict:
     return rngs
 
 
-@dataclass
-class SubsystemTrace:
-    """Per-tick record columns for one loop (lists while recording)."""
+def _trace_columns(model, flag_width: int, rows: int, eps_delta) -> dict:
+    """One loop's trace columns with room for ``rows`` ticks.
 
-    t: list = field(default_factory=list)
-    x_true: list = field(default_factory=list)
-    y_meas: list = field(default_factory=list)
-    x_hat: list = field(default_factory=list)      # estimator posterior
-    x_rf: list = field(default_factory=list)       # final (recovered) estimate
-    x_rec: list = field(default_factory=list)      # raw roll-forward vector
-    recovered: list = field(default_factory=list)  # per-element mask
-    u: list = field(default_factory=list)
-    ads_flags: list = field(default_factory=list)
-    ckpt_event: list = field(default_factory=list)
-    k1: list = field(default_factory=list)         # checkpoint in use (or nan)
-    rsee_bound: list = field(default_factory=list)
-    ee_bound: list = field(default_factory=list)
-    safe_stop: list = field(default_factory=list)
-
-    def as_arrays(self) -> dict:
-        return {name: np.asarray(getattr(self, name))
-                for name in ("t", "x_true", "y_meas", "x_hat", "x_rf", "x_rec",
-                             "recovered", "u", "ads_flags", "ckpt_event", "k1",
-                             "rsee_bound", "ee_bound", "safe_stop")}
+    Columns without a value on a tick (``x_rec`` while healthy, ``k1`` and
+    ``rsee_bound`` outside recovery, ``ee_bound`` without bounds) are NaN.
+    """
+    n_x = model.n_x
+    ee_bound = np.full((rows, n_x), np.nan)
+    if eps_delta is not None:
+        ee_bound[:] = eps_delta
+    return {
+        "t": np.empty(rows),
+        "x_true": np.empty((rows, n_x)),
+        "y_meas": np.empty((rows, model.n_y)),
+        "x_hat": np.empty((rows, n_x)),           # estimator posterior
+        "x_rf": np.empty((rows, n_x)),            # final (recovered) estimate
+        "x_rec": np.full((rows, n_x), np.nan),    # raw roll-forward vector
+        "recovered": np.empty((rows, n_x), bool),  # per-element mask
+        "u": np.empty((rows, model.n_u)),
+        "ads_flags": np.empty((rows, flag_width), int),
+        "ckpt_event": np.empty(rows, bool),
+        "k1": np.full(rows, np.nan),              # checkpoint in use
+        "rsee_bound": np.full((rows, n_x), np.nan),
+        "ee_bound": ee_bound,
+        "safe_stop": np.empty(rows, bool),
+    }
 
 
 @dataclass
@@ -141,11 +143,17 @@ def run_scenario(cfg: dict) -> SimResult:
         runtimes[robot.OUTER].applied_input = lambda u: robot.wheel_transform_inverse(
             [x_true[robot.INNER_1][1], x_true[robot.INNER_2][1]], params)
 
-    traces = {sid: SubsystemTrace() for sid in cfgmod.SUBSYSTEMS}
+    n_ticks = horizon_us // base_us
+    # a loop ticks at 0, dt, 2 dt, ... below n_ticks * base_us
+    traces = {sid: _trace_columns(
+        models[sid], 1 if ads[sid].kind == "generic" else models[sid].n_y,
+        -(-(n_ticks * base_us) // dt_us[sid]),
+        bounds[sid].eps_delta if sid in bounds else None)
+        for sid in cfgmod.SUBSYSTEMS}
+    recorded = dict.fromkeys(cfgmod.SUBSYSTEMS, 0)
     events = []
     stopped = False
 
-    n_ticks = horizon_us // base_us
     for i in range(n_ticks):
         if stopped:
             break
@@ -187,39 +195,35 @@ def run_scenario(cfg: dict) -> SimResult:
             if sid == robot.OUTER:
                 wheel_refs[0] = robot.wheel_transform(res.u, params)
 
-            rsee_b = np.full(model.n_x, np.nan)
-            ee_b = np.full(model.n_x, np.nan)
-            if sid in bounds:
-                bp = bounds[sid]
-                ee_b = bp.eps_delta.copy()
-                if res.k1 is not None:
-                    k_t = t_us // dt_us[sid]
-                    k1_t = to_us(res.k1) // dt_us[sid]
-                    rsee_b = recovery_error_bound_at(bp, k_t, k1_t)
-
-            tr = traces[sid]
-            tr.t.append(t)
-            tr.x_true.append(x_true[sid].copy())
-            tr.y_meas.append(np.atleast_1d(y).copy())
-            tr.x_hat.append(res.x_hat_est.copy())
-            tr.x_rf.append(res.x_hat.copy())
-            tr.x_rec.append(res.x_rec.copy() if res.x_rec is not None
-                            else np.full(model.n_x, np.nan))
-            tr.recovered.append(res.mask.copy())
-            tr.u.append(res.u.copy())
-            tr.ads_flags.append(np.atleast_1d(np.asarray(res.flags, int)).copy())
-            tr.ckpt_event.append(res.ckpt_event)
-            tr.k1.append(np.nan if res.k1 is None else res.k1)
-            tr.rsee_bound.append(rsee_b)
-            tr.ee_bound.append(ee_b)
-            tr.safe_stop.append(safe_stop_here)
+            tr, n = traces[sid], recorded[sid]
+            recorded[sid] = n + 1
+            tr["t"][n] = t
+            tr["x_true"][n] = x_true[sid]
+            tr["y_meas"][n] = y
+            tr["x_hat"][n] = res.x_hat_est
+            tr["x_rf"][n] = res.x_hat
+            if res.x_rec is not None:
+                tr["x_rec"][n] = res.x_rec
+            tr["recovered"][n] = res.mask
+            tr["u"][n] = res.u
+            tr["ads_flags"][n] = res.flags
+            tr["ckpt_event"][n] = res.ckpt_event
+            if res.k1 is not None:
+                tr["k1"][n] = res.k1
+                if sid in bounds:
+                    tr["rsee_bound"][n] = recovery_error_bound_at(
+                        bounds[sid], t_us // dt_us[sid],
+                        to_us(res.k1) // dt_us[sid])
+            tr["safe_stop"][n] = safe_stop_here
 
             if safe_stop_here:
                 stopped = True
                 break
 
     safe_stopped = any(e["type"] == "safe-stop" for e in events)
-    return SimResult({sid: tr.as_arrays() for sid, tr in traces.items()},
+    return SimResult({sid: {name: col[:recorded[sid]]
+                            for name, col in tr.items()}
+                      for sid, tr in traces.items()},
                      store, events, safe_stopped, cfg)
 
 
@@ -234,32 +238,52 @@ def _fmt(value) -> str:
     return repr(f)
 
 
+_CSV_BLOCK = 1024     # rows formatted and written at a time
+
+
+def _names(known, n: int) -> tuple:
+    """``known`` column names, or ``0 .. n-1`` when they do not fit ``n``."""
+    return known if known is not None and len(known) == n else tuple(
+        str(j) for j in range(n))
+
+
+def _joined(block: np.ndarray, as_int: bool) -> list:
+    """Each row of a 2-D block as comma-joined fields: ``repr`` of floats,
+    NaN as ``nan``, or the integers of an integer or Boolean block."""
+    if as_int:
+        return [",".join(map(str, row)) for row in block.astype(int).tolist()]
+    return [",".join(map(repr, row)) for row in block.tolist()]
+
+
 def emit_csv(result: SimResult, out_dir) -> list:
     """Write one CSV per subsystem; returns the written paths.
 
     Floats are rendered with Python's shortest round-trip repr, so
     re-parsing reproduces the trace bit-exactly and identical runs yield
-    byte-identical files.
+    byte-identical files.  NaN is written as an empty field, and so is
+    ``x_rf`` on a tick without recovery.  Each field is what :func:`_fmt`
+    makes of the value; the rows are formatted column by column, a block
+    of rows at a time.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for sid, tr in result.traces.items():
-        sn = STATE_NAMES.get(sid)
-        mn = MEAS_NAMES.get(sid)
-        un = INPUT_NAMES.get(sid)
-        n_x = tr["x_true"].shape[1] if len(tr["t"]) else len(sn)
-        n_y = tr["y_meas"].shape[1] if len(tr["t"]) else len(mn)
-        n_u = tr["u"].shape[1] if len(tr["t"]) else len(un)
-        if sn is None or len(sn) != n_x:
-            sn = tuple(str(j) for j in range(n_x))
+        n_x = tr["x_true"].shape[1]
+        n_y = tr["y_meas"].shape[1]
+        sn = _names(STATE_NAMES.get(sid), n_x)
+        mn = _names(MEAS_NAMES.get(sid), n_y)
+        un = _names(INPUT_NAMES.get(sid), tr["u"].shape[1])
+        # a generic detector flags the loop as a whole: one column
+        flags = ([f"ads_flag_{c}" for c in mn]
+                 if tr["ads_flags"].shape[1] == n_y else ["ads_flag"])
         header = (["t"]
                   + [f"x_true_{c}" for c in sn]
-                  + [f"y_meas_{c}" for c in mn[:n_y]]
+                  + [f"y_meas_{c}" for c in mn]
                   + [f"x_hat_{c}" for c in sn]
                   + [f"x_rf_{c}" for c in sn]
                   + [f"recovered_mask_{c}" for c in sn]
-                  + [f"u_{c}" for c in un[:n_u]]
-                  + [f"ads_flag_{c}" for c in mn[:n_y]]
+                  + [f"u_{c}" for c in un]
+                  + flags
                   + ["ckpt_event"]
                   + [f"rsee_bound_{c}" for c in sn]
                   + [f"ee_bound_{c}" for c in sn]
@@ -268,22 +292,26 @@ def emit_csv(result: SimResult, out_dir) -> list:
         try:
             with open(path, "w", newline="") as fh:
                 fh.write(",".join(header) + "\n")
-                for k in range(len(tr["t"])):
-                    recovering = bool(np.any(tr["recovered"][k]))
-                    row = [_fmt(tr["t"][k])]
-                    row += [_fmt(v) for v in tr["x_true"][k]]
-                    row += [_fmt(v) for v in tr["y_meas"][k]]
-                    row += [_fmt(v) for v in tr["x_hat"][k]]
-                    row += [_fmt(v) if recovering else ""
-                            for v in tr["x_rf"][k]]
-                    row += [_fmt(int(v)) for v in tr["recovered"][k]]
-                    row += [_fmt(v) for v in tr["u"][k]]
-                    row += [_fmt(int(v)) for v in tr["ads_flags"][k]]
-                    row += [_fmt(bool(tr["ckpt_event"][k]))]
-                    row += [_fmt(v) for v in tr["rsee_bound"][k]]
-                    row += [_fmt(v) for v in tr["ee_bound"][k]]
-                    row += [_fmt(bool(tr["safe_stop"][k]))]
-                    fh.write(",".join(row) + "\n")
+                for lo in range(0, len(tr["t"]), _CSV_BLOCK):
+                    c = {name: col[lo:lo + _CSV_BLOCK]
+                         for name, col in tr.items()}
+                    x_rf = np.where(c["recovered"].any(axis=1)[:, None],
+                                    c["x_rf"], np.nan)
+                    parts = [
+                        _joined(np.column_stack(
+                            (c["t"], c["x_true"], c["y_meas"], c["x_hat"],
+                             x_rf)), False),
+                        _joined(c["recovered"], True),
+                        _joined(c["u"], False),
+                        _joined(np.column_stack(
+                            (c["ads_flags"], c["ckpt_event"])), True),
+                        _joined(np.column_stack(
+                            (c["rsee_bound"], c["ee_bound"])), False),
+                        _joined(c["safe_stop"][:, None], True),
+                    ]
+                    text = "\n".join(map(",".join, zip(*parts))) + "\n"
+                    # repr writes NaN as "nan", which no other field holds
+                    fh.write(text.replace("nan", ""))
         except OSError as exc:
             raise OSError(f"failed writing trace CSV {path}: {exc}") from exc
         paths.append(path)

@@ -14,11 +14,12 @@ from a store holding a corrupt record, even one outside the requested
 range.  The check is incremental but content-based.  Once a chain has
 passed a full walk, it keeps a keyed MAC, its *seal*, over the exact bytes
 of the records walked, with every payload and tag length framed in.  A
-later check recomputes that MAC over the chain's first records in one
-pass and walks the chain only over the records appended since.  A changed
-payload byte, tag or record boundary breaks the seal, and so does a
-truncation below the sealed count; either forces a full walk.  The verdict
-is therefore always the full walk's.
+later check recomputes that MAC over the chain's first records and walks
+the chain only over the records appended since; the same pass, continued
+over those records, gives the new seal.  A changed payload byte, tag or
+record boundary breaks the seal, and so does a truncation below the sealed
+count; either forces a full walk.  The verdict is therefore always the full
+walk's.
 
 Each chain also keeps an integer-microsecond index of its record times,
 so ``retrieve`` finds its range by bisection and decodes only the records
@@ -134,7 +135,7 @@ class _Chain:
         self.times_us = array("q")     # record times, integer microseconds
         self.last_t: float | None = None
         self._sealed = 0               # records covered by the seal
-        self._seal = self._seal_of(0)
+        self._seal = self._seal_of(self._seal_streams(0, 0))
 
     def _tag(self, payload: bytes, prev: bytes) -> bytes:
         h = self._mac.copy()
@@ -161,30 +162,48 @@ class _Chain:
         """Every record's time, read from its payload."""
         return [_time_of(p) for p in self.payloads]
 
-    def _seal_of(self, n: int) -> bytes:
-        """Keyed MAC over the exact bytes of the first ``n`` records."""
-        payloads, tags = self.payloads[:n], self.tags[:n]
-        h = self._mac.copy()
-        h.update(struct.pack(f"<{2 * n}Q", *map(len, payloads),
-                             *map(len, tags)))
-        h.update(b"".join(payloads))
-        h.update(b"".join(tags))
-        return h.digest()
+    def _seal_streams(self, lo: int, hi: int, streams=None) -> list:
+        """The seal's keyed MAC streams, extended over records ``lo..hi-1``.
+
+        Payload lengths, tag lengths, payloads and tags each go to their own
+        stream, so the streams over ``n`` records can be continued over the
+        records after them.
+        """
+        if streams is None:
+            streams = [self._mac.copy() for _ in range(4)]
+        payloads, tags = self.payloads[lo:hi], self.tags[lo:hi]
+        payload_lengths, tag_lengths, payload_bytes, tag_bytes = streams
+        payload_lengths.update(struct.pack(f"<{len(payloads)}Q",
+                                           *map(len, payloads)))
+        tag_lengths.update(struct.pack(f"<{len(tags)}Q", *map(len, tags)))
+        payload_bytes.update(b"".join(payloads))
+        tag_bytes.update(b"".join(tags))
+        return streams
+
+    @staticmethod
+    def _seal_of(streams) -> bytes:
+        return b"".join(h.digest() for h in streams)
 
     def verify(self) -> bool:
-        """True iff every record's tag matches its chain position."""
+        """True iff every record's tag matches its chain position.
+
+        One pass over the sealed records checks the seal and, continued
+        over the records after them, yields the new seal.
+        """
         k = min(len(self.payloads), len(self.tags))  # the pairs a walk sees
-        start = self._sealed if (
-            self._sealed <= k
-            and hmac.compare_digest(self._seal_of(self._sealed), self._seal)
-        ) else 0
+        start = self._sealed
+        streams = self._seal_streams(0, start) if start <= k else None
+        if streams is None or not hmac.compare_digest(
+                self._seal_of(streams), self._seal):
+            start, streams = 0, None
         prev = self.tags[start - 1] if start else _ZERO_TAG
         for payload, tag in zip(self.payloads[start:k], self.tags[start:k]):
             if not hmac.compare_digest(self._tag(payload, prev), tag):
                 return False
             prev = tag
         if start < k or self._sealed != k:
-            self._sealed, self._seal = k, self._seal_of(k)
+            self._sealed = k
+            self._seal = self._seal_of(self._seal_streams(start, k, streams))
         return True
 
 

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
-from cpsrecover import robot
+from cpsrecover import estimator, robot
 from cpsrecover.estimator import (EstimatorState, ekf_gain, ekf_predict,
                                   ekf_update, estimator_step)
+from cpsrecover.models import SubsystemModel
 from helpers import scalar_lti_model
 
 
@@ -156,3 +158,106 @@ def test_case_study_healthy_tracking(case_result):
     healthy = (tr["t"] < 3.25)
     err = np.abs(tr["x_rf"][healthy] - tr["x_true"][healthy])
     assert err.max() < 3 * 0.1 * 3  # 3 sigma with slack for feedback coupling
+
+
+# -- fixed-point gain reuse -------------------------------------------------
+
+
+def _bitwise(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class _Twin:
+    """``estimator_step`` beside the three-stage reference chain."""
+
+    def __init__(self, model):
+        self.model = model
+        self.est = self.ref = EstimatorState.initial(model)
+
+    def step(self, u, y):
+        """One step of each; asserts they agree bit for bit and returns the
+        step's fixed point."""
+        m = self.model
+        step = estimator_step(m, self.est, u, y)
+        x_pred, P_pred = ekf_predict(m, self.ref, u)
+        K = ekf_gain(m, P_pred, x_pred, u)
+        self.ref, innov = ekf_update(m, x_pred, P_pred, K, y, u)
+        for got, want in ((step.x_hat, self.ref.x_hat), (step.P, self.ref.P),
+                          (step.K, K), (step.innovation, innov)):
+            assert _bitwise(got, want)
+        self.est = EstimatorState(step.x_hat, step.P, step.fixed_point)
+        return step.fixed_point
+
+
+def test_step_equals_three_stage_chain_past_the_fixed_point(case_models):
+    """The linear motor loop reaches a bitwise covariance fixed point and
+    then reuses its gain; the nonlinear outer loop never does.  Every
+    estimate, covariance, gain and innovation equals the reference."""
+    _, models = case_models
+    rng = np.random.default_rng(11)
+    motor = _Twin(models[robot.INNER_1])
+    fps = [motor.step(rng.normal(0, 5, 1), rng.normal(0, 5, 1))
+           for _ in range(1200)]
+    first = next(i for i, fp in enumerate(fps) if fp is not None)
+    assert first < 1000
+    assert all(fp is fps[first] for fp in fps[first:])
+
+    outer = _Twin(models[robot.OUTER])
+    for k in range(1200):
+        u = np.array([1.0 + 0.5 * np.sin(0.01 * k), rng.normal(0, 0.3)])
+        assert outer.step(u, rng.normal(0, 1, 3)) is None
+
+
+def _switchable_model():
+    """A linear 2-state model whose Jacobians the test can swap."""
+    jac = {"A": np.array([[0.9, 0.0], [0.1, 0.8]]),
+           "C": np.array([[1.0, 0.0]])}
+    model = SubsystemModel(
+        id="switch", n_x=2, n_y=1, n_u=1,
+        f=lambda x, u: jac["A"] @ x + u[0], g=lambda x, u: jac["C"] @ x,
+        jac_A=lambda x, u: jac["A"], jac_C=lambda x, u: jac["C"],
+        Q=0.01 * np.eye(2), R=np.array([[0.04]]), dt=1.0)
+    return model, jac
+
+
+@pytest.mark.parametrize("name, value", [
+    ("A", [[0.9, 0.0], [0.1, 0.7]]),
+    ("A", [[0.9, -0.0], [0.1, 0.8]]),
+    ("C", [[1.0, -0.0]]),
+    ("C", [[0.5, 0.0]]),
+])
+def test_reuse_stops_when_a_jacobian_changes(monkeypatch, name, value):
+    """Once a Jacobian differs from the fixed point's, bitwise (a signed
+    zero included), the next step is a full one; every step still equals
+    the reference."""
+    full_steps = []
+
+    def counting_gain(*args):
+        full_steps.append(1)
+        return ekf_gain(*args)
+
+    monkeypatch.setattr(estimator, "ekf_gain", counting_gain)
+    model, jac = _switchable_model()
+    twin = _Twin(model)
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        if twin.step(rng.normal(size=1), rng.normal(size=1)) is not None:
+            break
+    assert twin.est.fixed_point is not None
+    before = len(full_steps)
+    for _ in range(20):
+        twin.step(rng.normal(size=1), rng.normal(size=1))
+    assert len(full_steps) == before          # the gain was reused
+
+    jac[name] = np.array(value)
+    twin.step(rng.normal(size=1), rng.normal(size=1))
+    assert len(full_steps) == before + 1
+    for _ in range(20):
+        twin.step(rng.normal(size=1), rng.normal(size=1))
+
+    # a state whose P is not the fixed point's takes the full step
+    est = twin.est
+    before = len(full_steps)
+    estimator_step(model, EstimatorState(est.x_hat, 2 * est.P,
+                                         est.fixed_point), [0.0], [0.0])
+    assert len(full_steps) == before + 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpsrecover.anomaly import (AdsConfig, AdsOutput, AnomalySchedule,
                                 AnomalyWindow)
@@ -102,6 +103,30 @@ def test_selection_matches_brute_force_randomized():
             assert k - got > max(det.values())
             assert all(any(abs(got - t) < 1e-9 for t in ts)
                        for ts in save_times.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(ns=st.lists(st.integers(0, 3_000_000), min_size=1, max_size=40),
+       n_sub=st.integers(1, 3), keep=st.randoms(use_true_random=False),
+       k_ns=st.integers(0, 3_500_000), margin_us=st.integers(0, 500_000))
+def test_selection_matches_brute_force_on_microseconds(ns, n_sub, keep, k_ns,
+                                                       margin_us):
+    """Save times in nanoseconds, so distinct times can share a microsecond:
+    the bisecting search equals a scan of the common microseconds."""
+    times = sorted(set(n / 1e9 for n in ns))
+    save_times = {f"s{j}": [t for t in times if keep.random() < 0.7]
+                  for j in range(n_sub)}
+    det = {"s0": margin_us / 1e6}
+    k = k_ns / 1e9
+    common = set.intersection(*({to_us(t) for t in ts}
+                                for ts in save_times.values()))
+    cands = [t for t in common if to_us(k) - t > to_us(det["s0"])]
+    if not cands:
+        with pytest.raises(UnrecoverableError):
+            most_recent_consistent_checkpoint(save_times, det, k)
+    else:
+        assert most_recent_consistent_checkpoint(save_times, det, k) == \
+            max(cands) / 1e6
 
 
 # -- classification -----------------------------------------------------

@@ -133,6 +133,128 @@ def test_safe_stop_truncates_trace():
         assert res.traces[sid]["t"].max() <= stop_t
 
 
+# -- trace columns and CSV writer ----------------------------------------
+
+_OUTER_BOUNDS = {"A_bar": [[1.0, 0.0, 0.2], [0.0, 1.0, 0.2], [0.0, 0.0, 1.0]],
+                 "eps_delta": [0.3, 0.3, 0.3], "eps_omega": [0.6, 0.6, 0.6],
+                 "phi_bar": [0.1, 0.1, 0.0], "E_max": [50.0, 50.0, 50.0]}
+_GENERIC = {sid: {"kind": "generic"} for sid in cfgmod.SUBSYSTEMS}
+
+CSV_CONFIGS = {
+    "generic": dict(seed=3, ads=_GENERIC),
+    "bounds": dict(seed=2, bounds={robot.OUTER: _OUTER_BOUNDS}),
+    "coupled": dict(seed=3, plant_mode="coupled"),
+    "safe-stop": dict(seed=0, t_max=0.5),
+}
+
+
+def _per_value_rows(tr) -> str:
+    """The rows of a trace CSV, one ``sim._fmt`` call per field."""
+    lines = []
+    for k in range(len(tr["t"])):
+        recovering = bool(np.any(tr["recovered"][k]))
+        row = [sim._fmt(tr["t"][k])]
+        row += [sim._fmt(v) for v in tr["x_true"][k]]
+        row += [sim._fmt(v) for v in tr["y_meas"][k]]
+        row += [sim._fmt(v) for v in tr["x_hat"][k]]
+        row += [sim._fmt(v) if recovering else "" for v in tr["x_rf"][k]]
+        row += [sim._fmt(int(v)) for v in tr["recovered"][k]]
+        row += [sim._fmt(v) for v in tr["u"][k]]
+        row += [sim._fmt(int(v)) for v in tr["ads_flags"][k]]
+        row += [sim._fmt(bool(tr["ckpt_event"][k]))]
+        row += [sim._fmt(v) for v in tr["rsee_bound"][k]]
+        row += [sim._fmt(v) for v in tr["ee_bound"][k]]
+        row += [sim._fmt(bool(tr["safe_stop"][k]))]
+        lines.append(",".join(row) + "\n")
+    return "".join(lines)
+
+
+def _synthetic_trace(rows: int) -> dict:
+    """A trace of random values, a fifth of its floats NaN, +-inf, signed
+    zeros or extremes, with a generic detector's one flag column."""
+    rng = np.random.default_rng(23)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+               1.7976931348623157e308, 0.1, -1e-300]
+
+    def floats(*width):
+        a = rng.standard_normal((rows, *width)) * 10.0 ** rng.integers(
+            -12, 13, (rows, *width))
+        pick = rng.random(a.shape) < 0.2
+        a[pick] = rng.choice(special, int(pick.sum()))
+        return a
+
+    return {"t": floats(), "x_true": floats(3), "y_meas": floats(3),
+            "x_hat": floats(3), "x_rf": floats(3), "x_rec": floats(3),
+            "recovered": rng.random((rows, 3)) < 0.3, "u": floats(2),
+            "ads_flags": rng.integers(0, 2, (rows, 1)),
+            "ckpt_event": rng.random(rows) < 0.1, "k1": floats(),
+            "rsee_bound": floats(3), "ee_bound": floats(3),
+            "safe_stop": rng.random(rows) < 0.05}
+
+
+@pytest.mark.parametrize("name", ["default", *CSV_CONFIGS, "synthetic"])
+def test_emit_csv_equals_per_value_writer(tmp_path, case_result, name):
+    """The column-wise writer writes the bytes the per-value writer
+    would, across several row blocks on the synthetic trace."""
+    if name == "default":
+        res = case_result
+    elif name == "synthetic":
+        res = sim.SimResult({robot.OUTER: _synthetic_trace(2500)}, None, [],
+                            False, {})
+    else:
+        res = sim.run_scenario(cfgmod.build_case_study(**CSV_CONFIGS[name]))
+    for path in sim.emit_csv(res, tmp_path):
+        sid = path.rsplit("/", 1)[-1][:-len(".csv")]
+        with open(path, newline="") as fh:
+            fh.readline()
+            assert fh.read() == _per_value_rows(res.traces[sid])
+
+
+@pytest.mark.parametrize("name", ["default", "generic"])
+def test_csv_rows_have_as_many_fields_as_the_header(tmp_path, name):
+    """A generic detector's single flag has a single ``ads_flag`` column."""
+    cfg = cfgmod.build_case_study(**CSV_CONFIGS.get(name, dict(seed=3)))
+    sim.emit_csv(sim.run_scenario(cfg), tmp_path)
+    for sid in cfgmod.SUBSYSTEMS:
+        with open(tmp_path / f"{sid}.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(r) == len(header) for r in rows)
+        flags = [c for c in header if c.startswith("ads_flag")]
+        if name == "generic" and sid == robot.OUTER:
+            assert flags == ["ads_flag"]
+        else:
+            assert flags == [f"ads_flag_{c}" for c in sim.MEAS_NAMES[sid]]
+
+
+# name: (dtype, per-tick shape: state, measurement, input, flag or scalar)
+TRACE_COLUMNS = {
+    "t": ("<f8", ""), "x_true": ("<f8", "x"), "y_meas": ("<f8", "y"),
+    "x_hat": ("<f8", "x"), "x_rf": ("<f8", "x"), "x_rec": ("<f8", "x"),
+    "recovered": ("|b1", "x"), "u": ("<f8", "u"), "ads_flags": ("<i8", "f"),
+    "ckpt_event": ("|b1", ""), "k1": ("<f8", ""), "rsee_bound": ("<f8", "x"),
+    "ee_bound": ("<f8", "x"), "safe_stop": ("|b1", ""),
+}
+
+
+@pytest.mark.parametrize("overrides, rows", [
+    (dict(seed=0, t_max=0.5), (41, 402, 401)),       # safe stop at 4.01 s
+    (dict(seed=4, horizon=10.05), (101, 1005, 1005)),
+    (dict(seed=3, ads=_GENERIC), (100, 1000, 1000)),
+])
+def test_trace_column_dtypes_and_shapes(overrides, rows):
+    res = sim.run_scenario(cfgmod.build_case_study(**overrides))
+    generic = "ads" in overrides
+    for sid, n in zip(cfgmod.SUBSYSTEMS, rows):
+        n_x, n_y = robot.DIMS[sid]
+        width = {"x": (n_x,), "y": (n_y,), "u": (len(sim.INPUT_NAMES[sid]),),
+                 "f": (1 if generic else n_y,), "": ()}
+        tr = res.traces[sid]
+        assert sorted(tr) == sorted(TRACE_COLUMNS)
+        for name, (dtype, per_tick) in TRACE_COLUMNS.items():
+            assert (tr[name].dtype.str, tr[name].shape) == (
+                dtype, (n, *width[per_tick])), name
+
+
 # -- every-tick-checkpoint shadow ----------------------------------------
 
 

@@ -253,6 +253,34 @@ def test_tamper_after_verify_is_detected(n_sealed, n_new, which, how, where,
         s.retrieve("a", 0.0, 1.0)
 
 
+def _shift_tag_boundary(chain, i, _):
+    """Move the last byte of tag ``i`` to the front of the next one."""
+    j = min(i, len(chain.tags) - 2)
+    a, b = chain.tags[j], chain.tags[j + 1]
+    chain.tags[j], chain.tags[j + 1] = a[:-1], a[-1:] + b
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_first=st.integers(2, 15), n_more=st.integers(1, 10),
+       which=st.sampled_from(["checkpoint", "control"]),
+       how=st.sampled_from([_tamper_payload, _tamper_tag, _shift_boundary,
+                            _shift_tag_boundary]),
+       where=st.integers(0, 10_000), byte=st.integers(0, 255))
+def test_tamper_under_a_continued_seal_is_detected(n_first, n_more, which,
+                                                   how, where, byte):
+    """A seal extended over newer records still covers every record."""
+    s = SecureStore()
+    for k in range(n_first + n_more):
+        if k == n_first:
+            assert s.verify_integrity()  # seals the first n_first records
+        s.append_checkpoint("a", Checkpoint(k * 0.5, [k, 2.0 * k], [0]))
+        s.append_control("a", ControlRecord(k * 0.5, [k / 3]))
+    assert s.verify_integrity()          # extends the seal over the rest
+    chain = (s._checkpoints if which == "checkpoint" else s._controls)["a"]
+    how(chain, where % len(chain.payloads), byte)
+    assert not s.verify_integrity()
+
+
 def test_case_study_store_invariants(case_result):
     store = case_result.store
     cfg = case_result.config
