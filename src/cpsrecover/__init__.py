@@ -7,14 +7,15 @@ Modules:
 * ``estimator`` - extended Kalman filter (predict / gain / update)
 * ``anomaly`` - anomaly injection and the detector abstraction
 * ``store`` - append-only integrity-tagged checkpoint and control logs
-* ``framework`` - the checkpointing/recovery loop and the coordinator
+* ``framework`` - the per-tick checkpoint/recovery step and checkpoint
+  selection
 * ``analysis`` - recovered-error bounds, tolerable duration, gap bound
 * ``robot`` - differential-drive ground-robot case study
 * ``config``/``sim``/``cli`` - scenario schema, scheduler, command line
 """
 
 from .estimator import EstimatorState, EstimatorStepResult, estimator_step
-from .framework import (SafeStop, SubsystemRuntime, UnrecoverableError,
+from .framework import (SubsystemRuntime, UnrecoverableError,
                         classify_checkpoint_set,
                         most_recent_consistent_checkpoint,
                         roll_forward_recover, subsystem_tick)
@@ -23,7 +24,7 @@ from .store import Checkpoint, ControlRecord, SecureStore
 
 __all__ = [
     "Checkpoint", "ControlRecord", "EstimatorState", "EstimatorStepResult",
-    "SafeStop", "SecureStore", "SubsystemModel", "SubsystemRuntime",
+    "SecureStore", "SubsystemModel", "SubsystemRuntime",
     "UnrecoverableError", "classify_checkpoint_set", "estimator_step",
     "measure", "most_recent_consistent_checkpoint", "roll_forward_recover",
     "sample_noise", "step_dynamics", "subsystem_tick",

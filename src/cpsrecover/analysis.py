@@ -29,7 +29,7 @@ checkpoint the recovery will roll forward from; its definition beyond the
 every-tick-checkpointing regime is a documented interpretation: the
 largest checkpoint-grid time strictly before the anomaly start.  A
 checkpoint before the start is also older than the detection window at
-the moment of detection, so that exclusion, which the coordinator
+the moment of detection, so that exclusion, which checkpoint selection
 applies, removes nothing more.
 """
 
@@ -126,11 +126,6 @@ class BoundParams:
             np.abs(A_bar), self.eps_delta, self.eps_omega))
 
 
-def estimation_error_bound(params: BoundParams, healthy_indices) -> np.ndarray:
-    """Healthy-element estimation-error bound: ``eps_delta`` projected."""
-    return params.eps_delta[list(healthy_indices)]
-
-
 def _chain_bound(params: BoundParams, n: int) -> np.ndarray:
     """``D_n + S_n + phi_bar``: the bound after ``n`` steps."""
     return params._sums.at(n) + params.phi_bar
@@ -174,29 +169,16 @@ def checkpoint_time_before_anomaly(s: float, delta_s: float, mu: float,
     return to_s((to_us(s) - 1) // grid_us * grid_us)
 
 
-def max_tolerable_duration(params: BoundParams, s: float):
+def max_duration_certificate(params: BoundParams, s: float):
     """Largest anomaly duration whose error bound stays within ``E_max``.
 
-    Search over tick-aligned durations.  Returns
-    ``(T_max_seconds, warning)`` where the warning flags the degenerate case
-    of ``E_max`` already violated at the smallest duration.  Use
-    :func:`max_duration_certificate` for the bracketing values.
-    """
-    T, lo, hi, warn = _max_duration_search(params, s)
-    return T, warn
-
-
-def max_duration_certificate(params: BoundParams, s: float):
-    """``(T_max, bound_at_T, bound_at_T_plus_tick)`` bracketing certificate."""
-    T, lo, hi, _ = _max_duration_search(params, s)
-    return T, lo, hi
-
-
-def _max_duration_search(params: BoundParams, s: float):
-    """First exceedance of ``E_max`` over durations of 1, 2, ... ticks.
-
-    A scan, not a bisection: when ``|A|`` contracts, ``D_n`` shrinks while
-    ``S_n`` grows, so the bound need not be monotone in the duration.
+    Returns ``(T_max, bound_at_T, bound_at_T_plus_tick)``, a bracketing
+    certificate over tick-aligned durations.  In the degenerate case,
+    ``E_max`` already violated at the smallest duration, ``T_max`` is 0 and
+    ``np.any(bound_at_T > E_max)`` holds.  The first exceedance is found by
+    a scan over durations of 1, 2, ... ticks, not a bisection: when ``|A|``
+    contracts, ``D_n`` shrinks while ``S_n`` grows, so the bound need not
+    be monotone in the duration.
     """
     if params.E_max is None:
         raise ValueError("E_max required")
@@ -208,14 +190,14 @@ def _max_duration_search(params: BoundParams, s: float):
     max_ticks = int(params.t_search_max / tick)
     prev = _chain_bound(params, n0 + 1)
     if np.any(prev > E):
-        return 0.0, prev, prev.copy(), True
+        return 0.0, prev, prev.copy()
     for T in range(2, max_ticks + 1):
         b = _chain_bound(params, n0 + T)
         if np.any(b > E):
-            return (T - 1) * tick, prev, b, False
+            return (T - 1) * tick, prev, b
         prev = b
     lo = max(max_ticks, 1)
-    return lo * tick, prev, _chain_bound(params, n0 + lo + 1), False
+    return lo * tick, prev, _chain_bound(params, n0 + lo + 1)
 
 
 def accuracy_resource_gap_bound(params: BoundParams, k: int, s: float) -> np.ndarray:
@@ -235,28 +217,6 @@ def accuracy_resource_gap_bound(params: BoundParams, k: int, s: float) -> np.nda
     gap = (recovery_error_bound_at(params, k, k1_t)
            - recovery_error_bound_at(params, k, opt_t))
     return np.clip(gap, 0.0, None)
-
-
-def delta_from_measurements(model, y, x_hat, u, eps_delta_config=None):
-    """Estimator-error estimate from the measurement residual.
-
-    For linear-in-state measurement maps, ``delta = pinv(C) (y - g(x_hat, u))``
-    on the components the sensors observe; unobserved components fall back
-    to the configured bound.  Returns ``(delta, from_measurement_mask)``.
-    """
-    y = np.atleast_1d(np.asarray(y, float))
-    x_hat = np.asarray(x_hat, float)
-    C = np.atleast_2d(model.jac_C(x_hat, np.asarray(u, float)))
-    resid = y - np.atleast_1d(model.g(x_hat, u))
-    observable = np.any(np.abs(C) > 1e-12, axis=0)
-    delta = np.zeros(model.n_x)
-    delta[observable] = (np.linalg.pinv(C[:, observable]) @ resid)
-    mask = observable.copy()
-    if eps_delta_config is not None:
-        fallback = np.broadcast_to(np.asarray(eps_delta_config, float),
-                                   (model.n_x,))
-        delta[~observable] = fallback[~observable]
-    return delta, mask
 
 
 def calibrate_bound_params(model, records, tick: float, mu: float,

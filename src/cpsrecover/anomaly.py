@@ -2,9 +2,9 @@
 
 Anomalies are additive: inside a scheduled window the measurement becomes
 ``y + Gamma @ y_a`` where ``Gamma`` is a diagonal 0/1 sensor-selection
-matrix.  Detection is abstracted behind :func:`ads_evaluate`, which supports
-two detector kinds ("specific" names the flagged sensors, "generic" only
-signals presence) and two modes:
+matrix.  Detection is abstracted behind :func:`ads_evaluate`, which returns an
+integer flag array.  It supports two detector kinds ("specific" flags each
+sensor, "generic" gives one flag for the loop) and two modes:
 
 * ``oracle`` - flags follow the ground-truth schedule delayed by the
   configured detection time; a window's flag latches from
@@ -85,15 +85,6 @@ class AnomalySchedule:
         return None
 
 
-@dataclass
-class AdsOutput:
-    """Detector output: per-sensor flags or one presence Boolean."""
-
-    kind: str  # "specific" | "generic"
-    flags: np.ndarray | bool
-    detection_time: float
-
-
 DETECTOR_KINDS = ("specific", "generic")
 DETECTOR_MODES = ("oracle", "residual-threshold")
 
@@ -137,12 +128,14 @@ def _oracle_flags(n_y: int, schedule: AnomalySchedule, t: float,
 
 def ads_evaluate(config: AdsConfig, window: Sequence[np.ndarray],
                  schedule: AnomalySchedule, t: float,
-                 n_y: int | None = None) -> AdsOutput:
-    """Run the detector at time ``t``.
+                 n_y: int | None = None) -> np.ndarray:
+    """Run the detector at time ``t``; returns its 0/1 integer flags.
 
-    ``window`` holds the most recent innovation vectors (used only in
-    residual-threshold mode; at most ``detection_time / dt`` of them).
-    ``n_y`` gives the sensor count when the window may be empty.
+    A specific detector returns one flag per sensor, a generic one a single
+    flag for the whole loop.  ``window`` holds the most recent innovation
+    vectors (read only in residual-threshold mode; at most
+    ``detection_time / dt`` of them).  ``n_y`` gives the sensor count when
+    the window may be empty.
     """
     if config.mode == "oracle":
         if n_y is None:
@@ -155,12 +148,5 @@ def ads_evaluate(config: AdsConfig, window: Sequence[np.ndarray],
             mean_abs = np.mean(np.abs(np.asarray(window, float)), axis=0)
             flags = (mean_abs > config.threshold).astype(int)
     if config.kind == "generic":
-        return AdsOutput("generic", bool(np.any(flags)), config.detection_time)
-    return AdsOutput("specific", flags, config.detection_time)
-
-
-def anomaly_detected(out: AdsOutput) -> bool:
-    """Union of the flags (specific) or the flag itself (generic)."""
-    if out.kind == "generic":
-        return bool(out.flags)
-    return bool(np.any(out.flags))
+        return np.array([int(flags.any())])
+    return flags

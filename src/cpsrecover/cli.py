@@ -26,8 +26,8 @@ import numpy as np
 
 from . import config as cfgmod
 from . import sim
-from .analysis import (accuracy_resource_gap_bound, estimation_error_bound,
-                       max_duration_certificate, recovery_error_bound_at)
+from .analysis import (accuracy_resource_gap_bound, max_duration_certificate,
+                       recovery_error_bound_at)
 from .timebase import to_us
 
 
@@ -87,7 +87,7 @@ def _cmd_bounds(cfg: dict) -> int:
         windows = cfg.get("anomalies", {}).get(sid, [])
         s = windows[0]["t_start"] if windows else 1.0
         entry = {
-            "ee_bound": list(estimation_error_bound(bp, range(len(bp.eps_delta)))),
+            "ee_bound": list(bp.eps_delta),
             "single_step_rsee_bound": list(recovery_error_bound_at(
                 bp, round(s / bp.tick) + 1, round(s / bp.tick))),
         }

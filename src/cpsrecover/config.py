@@ -4,8 +4,8 @@ A scenario is a plain JSON-compatible dict.  Top-level keys:
 
 ``horizon``            simulation length, seconds
 ``seed``               master RNG seed
-``checkpoint_freq_hz`` checkpointing frequency (the coordinator interval is
-                       its reciprocal)
+``checkpoint_freq_hz`` checkpointing frequency (every loop checkpoints on
+                       multiples of its reciprocal)
 ``t_max``              maximum tolerable anomaly duration, seconds
 ``plant_mode``         "ideal" (outer plant driven by the commanded body
                        velocity) or "coupled" (driven by the velocity
@@ -38,6 +38,7 @@ from .anomaly import (DETECTOR_KINDS, DETECTOR_MODES, AdsConfig,
 from .timebase import base_resolution_us, to_us
 
 SUBSYSTEMS = (robot.OUTER, robot.INNER_1, robot.INNER_2)
+T_MAX_DEFAULT = 5.0   # seconds; used when a config leaves ``t_max`` out
 
 
 class ConfigError(ValueError):
@@ -53,7 +54,7 @@ def default_config() -> dict:
         "horizon": 10.0,
         "seed": 0,
         "checkpoint_freq_hz": 1.0,
-        "t_max": 5.0,
+        "t_max": T_MAX_DEFAULT,
         "plant_mode": "ideal",
         "out_dir": ".",
         "robot": {},  # overrides for RobotParams fields
@@ -158,7 +159,7 @@ def validate_config(cfg: dict) -> None:
                     f"{name} loop period {dt}")
     if cfg.get("plant_mode", "ideal") not in ("ideal", "coupled"):
         errors.append("plant_mode must be 'ideal' or 'coupled'")
-    t_max = cfg.get("t_max", 1.0)
+    t_max = cfg.get("t_max", T_MAX_DEFAULT)
     if not _seconds(t_max) or t_max <= 0:
         errors.append("t_max must be a positive number of seconds")
     if not isinstance(cfg.get("out_dir", "."), str):

@@ -1,4 +1,4 @@
-"""Checkpointing, roll-forward recovery and the hierarchy coordinator.
+"""Checkpointing, roll-forward recovery and consistent-checkpoint selection.
 
 Three cooperating pieces:
 
@@ -8,9 +8,10 @@ Three cooperating pieces:
   the dynamics predict step from the most recent consistent checkpoint
   using the logged control inputs, then overwrite exactly the estimate
   elements implicated by the detector.
-* the coordinator - issues synchronized checkpoint triggers to every loop
-  and locates the most recent checkpoint time common to all loops that
-  lies outside every detector's detection window.
+* :func:`most_recent_consistent_checkpoint` - the most recent checkpoint
+  time common to all loops that lies outside every detector's detection
+  window.  The scheduler hands every loop the same checkpoint Boolean on
+  each tick, so healthy loops save at the same instants.
 
 Consistency classification of checkpoint sets (all elements from one
 instant / per-loop uniform but cross-loop different / mixed) is provided
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .anomaly import AdsConfig, AdsOutput, AnomalySchedule, ads_evaluate, anomaly_detected
+from .anomaly import AdsConfig, AnomalySchedule, ads_evaluate
 from .estimator import EstimatorState, estimator_step
 from .models import SubsystemModel
 from .store import Checkpoint, ControlRecord, SecureStore
@@ -41,44 +42,8 @@ PARTLY_INCONSISTENT = "partly-inconsistent"
 FULLY_INCONSISTENT = "fully-inconsistent"
 
 
-class SafeStop(RuntimeError):
-    """An anomaly episode outlasted the maximum tolerable duration."""
-
-    def __init__(self, subsystem: str, t: float, episode_start: float, reason: str):
-        super().__init__(f"{subsystem}: safe stop at t={t} ({reason})")
-        self.subsystem = subsystem
-        self.t = t
-        self.episode_start = episode_start
-        self.reason = reason
-
-
 class UnrecoverableError(RuntimeError):
     """Recovery cannot proceed (no usable checkpoint or missing controls)."""
-
-
-@dataclass
-class CoordinatorState:
-    """Checkpoint trigger source shared by the whole hierarchy."""
-
-    dt_c: float                   # checkpoint interval, seconds
-    subsystem_ids: tuple
-    base_us: int                  # base tick resolution
-
-    def __post_init__(self):
-        dtc_us = to_us(self.dt_c)
-        if dtc_us <= 0 or dtc_us % self.base_us != 0:
-            raise ValueError("checkpoint interval must be a positive multiple "
-                             "of the base tick")
-        self.dt_c_us = dtc_us
-
-
-def coordinator_tick(coord: CoordinatorState, t: float) -> dict:
-    """Checkpoint Booleans for every sub-system at base-grid time ``t``."""
-    t_us = to_us(t)
-    if t_us % coord.base_us != 0:
-        raise ValueError(f"t={t} is not on the base tick grid")
-    fire = t_us % coord.dt_c_us == 0
-    return {sid: fire for sid in coord.subsystem_ids}
 
 
 def _holds_us(times: list, t_us: int) -> bool:
@@ -152,16 +117,19 @@ class SubsystemRuntime:
     t_max: float                      # maximum tolerable anomaly duration, s
     last_u: np.ndarray = None         # input applied at the previous tick
     episode: Episode | None = None    # None while healthy
-    innovations: deque = field(default_factory=lambda: deque(maxlen=64))
     # set by the scheduler when the logged input differs from h()'s output
     # (coupled plant mode logs the input actually applied to the plant)
     applied_input: Callable[[np.ndarray], np.ndarray] = None
+    # the recent innovations a residual-threshold detector averages; an
+    # oracle detector reads none, so it keeps None
+    innovations: deque | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.last_u is None:
             self.last_u = np.zeros(self.model.n_u)
-        win = max(1, round(self.ads.detection_time / self.model.dt))
-        self.innovations = deque(self.innovations, maxlen=win)
+        if self.ads.mode == "residual-threshold":
+            self.innovations = deque(maxlen=max(
+                1, round(self.ads.detection_time / self.model.dt)))
 
 
 @dataclass
@@ -173,21 +141,22 @@ class TickResult:
     x_hat: np.ndarray            # final estimate handed to the controller
     x_rec: np.ndarray | None     # full roll-forward vector, if recovering
     mask: np.ndarray             # per-element recovery mask
-    flags: object                # detector output flags
+    flags: np.ndarray            # detector output flags
     detected: bool
     ckpt_event: bool
     k1: float | None             # the episode's checkpoint time, if recovering
+    safe_stop: bool              # the episode outlasted the tolerable duration
 
 
-def element_mask(K: np.ndarray, ads_out: AdsOutput, n_x: int) -> np.ndarray:
-    """Map sensor flags to the estimate elements that depend on them.
+def element_mask(K: np.ndarray, flags: np.ndarray, kind: str) -> np.ndarray:
+    """Map detector flags to the estimate elements that depend on them.
 
     Specific detector: nonzero pattern of ``K @ flags``.  Generic detector:
     every element.
     """
-    if ads_out.kind == "generic":
-        return np.ones(n_x, dtype=bool)
-    g = np.abs(K @ np.asarray(ads_out.flags, float))
+    if kind == "generic":
+        return np.ones(K.shape[0], dtype=bool)
+    g = np.abs(K @ np.asarray(flags, float))
     return g > GAIN_ZERO_TOL
 
 
@@ -199,7 +168,7 @@ def replay(model: SubsystemModel, x: np.ndarray, controls) -> np.ndarray:
 
 
 def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
-                         x_hat: np.ndarray, K: np.ndarray, ads_out: AdsOutput,
+                         x_hat: np.ndarray, K: np.ndarray, flags: np.ndarray,
                          detection_times: dict, t: float):
     """Recovery step at time ``t`` for a detected anomaly.
 
@@ -229,7 +198,7 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
     else:
         x_rec = model.f(rt.episode.x_rec, rt.last_u)
 
-    mask = element_mask(K, ads_out, model.n_x)
+    mask = element_mask(K, flags, rt.ads.kind)
     x_new = x_hat.copy()
     x_new[mask] = x_rec[mask]
     return x_new, x_rec, mask, k1
@@ -241,17 +210,20 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     """One loop iteration at time ``t`` with measurement ``y_now``.
 
     Order: estimate, detect, recover (if flagged), control, log control,
-    checkpoint (healthy tick with coordinator Boolean set), safe-stop check.
-    Raises :class:`SafeStop` when the episode outlasts the tolerable
-    duration and :class:`UnrecoverableError` when recovery is impossible.
+    checkpoint (healthy tick with checkpoint Boolean ``c_k`` set), safe-stop
+    check.  The result's ``safe_stop`` is set when the episode outlasts the
+    tolerable duration; raises :class:`UnrecoverableError` when recovery is
+    impossible.
     """
     model = rt.model
     step = estimator_step(model, rt.est, rt.last_u, y_now)
-    rt.innovations.append(np.atleast_1d(step.innovation))
+    window = ()
+    if rt.innovations is not None:
+        rt.innovations.append(np.atleast_1d(step.innovation))
+        window = rt.innovations
 
-    ads_out = ads_evaluate(rt.ads, list(rt.innovations), rt.schedule, t,
-                           n_y=model.n_y)
-    detected = anomaly_detected(ads_out)
+    flags = ads_evaluate(rt.ads, window, rt.schedule, t, n_y=model.n_y)
+    detected = bool(flags.any())
 
     x_hat = step.x_hat
     x_rec = None
@@ -260,7 +232,7 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
         if detection_times is None:
             detection_times = {model.id: rt.ads.detection_time}
         x_hat, x_rec, mask, k1 = roll_forward_recover(
-            rt, store, step.x_hat, step.K, ads_out, detection_times, t)
+            rt, store, step.x_hat, step.K, flags, detection_times, t)
 
     u = np.atleast_1d(np.asarray(rt.controller(x_hat, t), float))
     u_logged = u if rt.applied_input is None else np.atleast_1d(
@@ -269,8 +241,6 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
 
     ckpt_event = False
     if not detected and c_k:
-        flags = (np.asarray(ads_out.flags, int) if ads_out.kind == "specific"
-                 else np.array([int(ads_out.flags)]))
         store.append_checkpoint(model.id, Checkpoint(t, x_hat, flags))
         ckpt_event = True
 
@@ -285,11 +255,6 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
         rt.episode.x_rec = x_rec
 
     ep = rt.episode
-    result = TickResult(u, step.x_hat, x_hat, x_rec, mask, ads_out.flags,
-                        detected, ckpt_event, None if ep is None else ep.k1)
-    if ep is not None and safe_stop_check(ep.start, t, rt.t_max):
-        stop = SafeStop(model.id, t, ep.start,
-                        "anomaly duration exceeded maximum tolerable duration")
-        stop.result = result
-        raise stop
-    return result
+    return TickResult(u, step.x_hat, x_hat, x_rec, mask, flags, detected,
+                      ckpt_event, None if ep is None else ep.k1,
+                      ep is not None and safe_stop_check(ep.start, t, rt.t_max))

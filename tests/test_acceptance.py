@@ -31,7 +31,7 @@ from cpsrecover.analysis import (accuracy_resource_gap_bound, BoundParams,
                                  calibrate_bound_params,
                                  max_duration_certificate,
                                  recovery_error_bound_at)
-from cpsrecover.anomaly import AdsConfig, AdsOutput, AnomalySchedule
+from cpsrecover.anomaly import AdsConfig, AnomalySchedule
 from cpsrecover.estimator import EstimatorState
 from cpsrecover.framework import (CONSISTENT, FULLY_INCONSISTENT,
                                   PARTLY_INCONSISTENT, SubsystemRuntime,
@@ -145,7 +145,7 @@ def test_criterion_03_lti_closed_form_equivalence():
                               controller=lambda x, t: np.zeros(model.n_u),
                               ads=ads, schedule=AnomalySchedule(()),
                               t_max=1e9)
-        out = AdsOutput("generic", True, 1.0)
+        out = np.array([1])
         _, x_iter, _, _ = roll_forward_recover(
             rt, store, np.zeros(model.n_x), np.zeros((model.n_x, model.n_y)),
             out, {model.id: 0.5}, float(N))

@@ -9,10 +9,7 @@ from cpsrecover.analysis import (BoundParams, _episode_remainders,
                                  accuracy_resource_gap_bound,
                                  calibrate_bound_params,
                                  checkpoint_time_before_anomaly,
-                                 delta_from_measurements,
-                                 estimation_error_bound,
                                  max_duration_certificate,
-                                 max_tolerable_duration,
                                  recovery_error_bound_at, rsee_bound)
 from cpsrecover.timebase import US_PER_S, to_s, to_us
 
@@ -23,17 +20,6 @@ def scalar_params(**kw):
                     E_max=np.array([0.5]), delta_s=0.0, mu=1.0, tick=1.0)
     defaults.update(kw)
     return BoundParams(**defaults)
-
-
-# -- estimation error bound ---------------------------------------------
-
-
-def test_ee_bound_projection():
-    p = BoundParams(A_bar=np.eye(3), eps_delta=[0.1, 0.1, 0.05],
-                    eps_omega=np.zeros(3))
-    np.testing.assert_array_equal(estimation_error_bound(p, [2]), [0.05])
-    np.testing.assert_array_equal(estimation_error_bound(p, [0, 1, 2]),
-                                  [0.1, 0.1, 0.05])
 
 
 # -- recovered error bound ----------------------------------------------
@@ -113,8 +99,9 @@ def test_checkpoint_before_anomaly_fallback_to_origin():
 
 def test_max_duration_scalar_hand_case():
     # 0.1 + 8*0.05 = 0.5 at T=7 ticks; exceeds E at T=8
-    T, warn = max_tolerable_duration(scalar_params(mu=1.0, tick=1.0), 8.0)
-    assert T == 7.0 and not warn
+    p = scalar_params(mu=1.0, tick=1.0)
+    T, lo, _ = max_duration_certificate(p, 8.0)
+    assert T == 7.0 and not np.any(lo > p.E_max)
 
 
 def test_max_duration_bracketing_certificate():
@@ -126,13 +113,13 @@ def test_max_duration_bracketing_certificate():
 def test_max_duration_zero_at_boundary():
     # E equals the bound at the smallest duration: degenerate warning case
     p = scalar_params(E_max=np.array([0.14]))
-    T, warn = max_tolerable_duration(p, 8.0)
-    assert T == 0.0 and warn
+    T, lo, _ = max_duration_certificate(p, 8.0)
+    assert T == 0.0 and np.any(lo > p.E_max)
 
 
 def test_max_duration_decreases_with_noise():
-    T1, _ = max_tolerable_duration(scalar_params(), 8.0)
-    T2, _ = max_tolerable_duration(
+    T1, _, _ = max_duration_certificate(scalar_params(), 8.0)
+    T2, _, _ = max_duration_certificate(
         scalar_params(eps_omega=np.array([0.1])), 8.0)
     assert T2 < T1
 
@@ -187,37 +174,6 @@ def test_gap_bound_nonnegative_random():
         k = s + float(rng.integers(1, 10))
         gap = accuracy_resource_gap_bound(p, k, s)
         assert np.all(gap >= 0.0)
-
-
-# -- residual-based delta -----------------------------------------------
-
-
-def test_delta_identity_measurement(case_models):
-    _, models = case_models
-    delta, mask = delta_from_measurements(
-        models["outer"], [1.1, 2.0, 0.5], np.array([1.0, 2.0, 0.5]),
-        np.zeros(2))
-    np.testing.assert_allclose(delta, [0.1, 0.0, 0.0], atol=1e-12)
-    assert mask.all()
-
-
-def test_delta_partial_observability(case_models):
-    _, models = case_models
-    delta, mask = delta_from_measurements(
-        models["inner-1"], [7.5], np.array([3.0, 7.0]), np.zeros(1),
-        eps_delta_config=[9.9, 9.9])
-    assert delta[1] == pytest.approx(0.5)
-    assert delta[0] == 9.9          # current unobservable, config fallback
-    np.testing.assert_array_equal(mask, [False, True])
-
-
-def test_delta_zero_residual(case_models):
-    _, models = case_models
-    x = np.array([1.0, 2.0, 0.3])
-    delta, _ = delta_from_measurements(models["outer"],
-                                       models["outer"].g(x, np.zeros(2)),
-                                       x, np.zeros(2))
-    np.testing.assert_allclose(delta, np.zeros(3), atol=1e-12)
 
 
 # -- cached sums, closed forms and calibration against the loop versions --
@@ -345,8 +301,8 @@ def test_max_duration_matches_brute_force_scan(seed, kind, n, max_ticks,
     assert T == T_ref
     np.testing.assert_allclose(lo, lo_ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(hi, hi_ref, rtol=1e-12, atol=0)
-    assert max_tolerable_duration(p, float(s_ticks)) == \
-        (T, bool(np.any(lo_ref > p.E_max)))
+    # the degenerate warning: E_max exceeded at the smallest duration
+    assert (T == 0.0) == bool(np.any(lo_ref > p.E_max))
 
 
 def test_max_duration_search_memory_is_linear():

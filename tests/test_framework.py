@@ -2,45 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpsrecover.anomaly import (AdsConfig, AdsOutput, AnomalySchedule,
-                                AnomalyWindow)
+from cpsrecover.anomaly import AdsConfig, AnomalySchedule, AnomalyWindow
 from cpsrecover.estimator import EstimatorState
 from cpsrecover.framework import (CONSISTENT, FULLY_INCONSISTENT,
-                                  PARTLY_INCONSISTENT, CoordinatorState,
-                                  SafeStop, SubsystemRuntime,
+                                  PARTLY_INCONSISTENT, SubsystemRuntime,
                                   UnrecoverableError, classify_checkpoint_set,
-                                  coordinator_tick, element_mask,
+                                  element_mask,
                                   most_recent_consistent_checkpoint,
                                   roll_forward_recover, safe_stop_check,
                                   subsystem_tick)
 from cpsrecover.store import Checkpoint, ControlRecord, SecureStore
 from helpers import scalar_lti_model
 from cpsrecover.timebase import to_us
-
-
-# -- coordinator --------------------------------------------------------
-
-
-def test_coordinator_fires_on_grid():
-    coord = CoordinatorState(1.0, ("outer", "inner-1", "inner-2"), 10_000)
-    assert coordinator_tick(coord, 3.0) == {
-        "outer": True, "inner-1": True, "inner-2": True}
-    assert coordinator_tick(coord, 3.1) == {
-        "outer": False, "inner-1": False, "inner-2": False}
-
-
-def test_coordinator_every_tick_regime():
-    coord = CoordinatorState(0.01, ("a",), 10_000)
-    for k in range(100):
-        assert coordinator_tick(coord, k * 0.01)["a"]
-
-
-def test_coordinator_interval_validation():
-    with pytest.raises(ValueError):
-        CoordinatorState(0.015, ("a",), 10_000)
-    coord = CoordinatorState(1.0, ("a",), 10_000)
-    with pytest.raises(ValueError):
-        coordinator_tick(coord, 0.005)
 
 
 # -- consistent checkpoint selection ------------------------------------
@@ -167,25 +140,24 @@ def test_element_mask_specific_gain_pattern():
     K = np.array([[0.5, 0.0, 0.0],
                   [0.0, 0.5, 0.0],
                   [0.0, 0.0, 0.5]])
-    out = AdsOutput("specific", np.array([1, 1, 0]), 0.25)
-    np.testing.assert_array_equal(element_mask(K, out, 3),
-                                  [True, True, False])
+    np.testing.assert_array_equal(
+        element_mask(K, np.array([1, 1, 0]), "specific"), [True, True, False])
 
 
 def test_element_mask_generic_all():
-    out = AdsOutput("generic", True, 0.25)
-    np.testing.assert_array_equal(element_mask(np.zeros((3, 3)), out, 3),
-                                  [True, True, True])
+    np.testing.assert_array_equal(
+        element_mask(np.zeros((3, 3)), np.array([1]), "generic"),
+        [True, True, True])
 
 
 # -- roll-forward recovery ----------------------------------------------
 
 
-def lti_runtime(model, t_max=100.0, detection_time=1.0, schedule=None):
+def lti_runtime(model, t_max=100.0, detection_time=1.0, schedule=None,
+                kind="specific", mode="oracle"):
     if schedule is None:
         schedule = AnomalySchedule(())
-    ads = AdsConfig(kind="specific", mode="oracle",
-                    detection_time=detection_time)
+    ads = AdsConfig(kind=kind, mode=mode, detection_time=detection_time)
     return SubsystemRuntime(model=model, est=EstimatorState.initial(model),
                             controller=lambda x, t: np.zeros(model.n_u),
                             ads=ads, schedule=schedule, t_max=t_max)
@@ -199,9 +171,8 @@ def test_roll_forward_equals_lti_closed_form():
     store.append_control(m.id, ControlRecord(0.0, [0.5]))
     store.append_control(m.id, ControlRecord(1.0, [0.5]))
     rt = lti_runtime(m, detection_time=1.0)
-    out = AdsOutput("specific", np.array([1]), 1.0)
     x_new, x_rec, mask, k1 = roll_forward_recover(
-        rt, store, np.array([99.0]), np.array([[1.0]]), out,
+        rt, store, np.array([99.0]), np.array([[1.0]]), np.array([1]),
         {m.id: 1.0}, 2.0)
     assert x_rec[0] == 2.0
     assert k1 == 0.0
@@ -214,10 +185,10 @@ def test_roll_forward_generic_replaces_everything():
     store.append_checkpoint(m.id, Checkpoint(0.0, [1.0], [0]))
     store.append_control(m.id, ControlRecord(0.0, [0.0]))
     store.append_control(m.id, ControlRecord(1.0, [0.0]))
-    rt = lti_runtime(m)
-    out = AdsOutput("generic", True, 1.0)
+    rt = lti_runtime(m, kind="generic")
     x_new, x_rec, mask, _ = roll_forward_recover(
-        rt, store, np.array([42.0]), np.zeros((1, 1)), out, {m.id: 1.0}, 2.0)
+        rt, store, np.array([42.0]), np.zeros((1, 1)), np.array([1]),
+        {m.id: 1.0}, 2.0)
     assert x_new[0] == x_rec[0] == 1.0
 
 
@@ -227,10 +198,9 @@ def test_roll_forward_missing_controls_unrecoverable():
     store.append_checkpoint(m.id, Checkpoint(0.0, [1.0], [0]))
     store.append_control(m.id, ControlRecord(0.0, [0.5]))  # gap at t=1
     rt = lti_runtime(m)
-    out = AdsOutput("specific", np.array([1]), 1.0)
     with pytest.raises(UnrecoverableError):
-        roll_forward_recover(rt, store, np.array([0.0]), np.eye(1), out,
-                             {m.id: 1.0}, 2.0)
+        roll_forward_recover(rt, store, np.array([0.0]), np.eye(1),
+                             np.array([1]), {m.id: 1.0}, 2.0)
 
 
 # -- the full tick ------------------------------------------------------
@@ -267,19 +237,30 @@ def test_detected_tick_recovers_and_skips_checkpoint():
     np.testing.assert_array_equal(rt.episode.x_rec, res.x_rec)
 
 
-def test_episode_exceeding_t_max_raises_safe_stop():
+def test_episode_exceeding_t_max_flags_safe_stop():
     sched = AnomalySchedule((AnomalyWindow(4.0, 30.0, [50.0], [1]),))
     m, rt, store = tick_scenario(sched, t_max=2.0)
-    t = 0.0
-    with pytest.raises(SafeStop) as exc_info:
-        for k in range(30):
-            t = float(k)
-            subsystem_tick(rt, store, True, np.array([0.0]), t)
-    stop = exc_info.value
-    # detection at 5.0, strict exceedance of 2.0 at t=7.0... +1 tick
-    assert stop.episode_start == 5.0
-    assert stop.t - stop.episode_start > 2.0
-    assert stop.result.detected
+    stops = []
+    for k in range(10):
+        res = subsystem_tick(rt, store, True, np.array([0.0]), float(k))
+        stops.append(res.safe_stop)
+    # detection at 5.0; the episode strictly exceeds 2.0 s from t=8.0
+    assert rt.episode.start == 5.0
+    assert stops == [False] * 8 + [True] * 2
+    assert res.detected
+
+
+def test_only_residual_threshold_keeps_an_innovation_window():
+    m = scalar_lti_model(dt=0.1)
+    assert lti_runtime(m, detection_time=0.25).innovations is None
+    rt = lti_runtime(m, detection_time=0.25, mode="residual-threshold")
+    assert rt.innovations.maxlen == 2          # round(0.25 / 0.1)
+    rt = lti_runtime(m, detection_time=0.0, mode="residual-threshold")
+    assert rt.innovations.maxlen == 1
+    # a residual-threshold tick appends its innovation to the window
+    for k in range(3):
+        subsystem_tick(rt, SecureStore(), False, np.array([0.0]), k * 0.1)
+    assert len(rt.innovations) == 1
 
 
 def test_zero_noise_recovery_matches_truth():

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from cpsrecover import config as cfgmod
 from cpsrecover import cli, robot, sim
+from cpsrecover.anomaly import DETECTOR_KINDS, DETECTOR_MODES
 from cpsrecover.config import ConfigError
-from cpsrecover.timebase import to_us
+from cpsrecover.timebase import to_s, to_us
+
+PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / \
+    "pinned_digests.json"
 
 
 def test_determinism_byte_identical_csv(tmp_path):
@@ -21,6 +27,13 @@ def test_determinism_byte_identical_csv(tmp_path):
     for sid in cfgmod.SUBSYSTEMS:
         assert (out_a / f"{sid}.csv").read_bytes() == \
             (out_b / f"{sid}.csv").read_bytes()
+
+
+def test_default_seed_42_csvs_match_pinned_digests(tmp_path):
+    pinned = json.loads(PINNED_DIGESTS.read_text())["default-seed-42"]
+    sim.emit_csv(sim.run_scenario(cfgmod.build_case_study(seed=42)), tmp_path)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in pinned} == pinned
 
 
 def test_tick_counts(case_result):
@@ -90,6 +103,21 @@ def test_case_study_save_times(case_result):
     for sid in cfgmod.SUBSYSTEMS:
         assert case_result.store.save_times(sid) == \
             [0.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0]
+
+
+@pytest.mark.parametrize("mu", [1.0, 10.0])
+def test_healthy_loops_save_on_every_checkpoint_period(mu):
+    # every loop gets the same checkpoint Boolean on each base tick
+    horizon = 2.5
+    cfg = cfgmod.build_case_study(
+        seed=0, horizon=horizon, checkpoint_freq_hz=mu,
+        anomalies={sid: [] for sid in cfgmod.SUBSYSTEMS})
+    res = sim.run_scenario(cfg)
+    period_us = to_us(1.0 / mu)
+    want = [to_s(k * period_us)
+            for k in range(-(-to_us(horizon) // period_us))]
+    for sid in cfgmod.SUBSYSTEMS:
+        assert res.store.save_times(sid) == want
 
 
 def test_recovery_window_timing(case_result):
@@ -475,3 +503,52 @@ def test_validate_accepts_or_raises_config_error(cfg):
         cfgmod.validate_config(cfg)
     except ConfigError:
         pass
+
+
+@st.composite
+def _mutated_default(draw):
+    """The default config on a horizon of at most 1 s, with its detectors,
+    first anomaly windows, checkpoint frequency, ``t_max`` and plant mode
+    drawn."""
+    cfg = cfgmod.default_config()
+    cfg["seed"] = draw(st.integers(0, 1000))
+    cfg["horizon"] = draw(st.integers(1, 100)) / 100
+    # mostly periods of 0.1 s to 10 s on the outer loop's grid; otherwise
+    # any frequency in 0.1-10 Hz, which validation mostly rejects
+    cfg["checkpoint_freq_hz"] = (10 / draw(st.integers(1, 100))
+                                 if draw(st.integers(0, 3))
+                                 else draw(st.floats(0.1, 10.0)))
+    cfg["t_max"] = draw(st.integers(1, 100).map(lambda k: k / 100)
+                        | st.floats(0.001, 2.0))
+    cfg["plant_mode"] = draw(st.sampled_from(["ideal", "coupled"]))
+    for sid in cfgmod.SUBSYSTEMS:
+        cfg["ads"][sid] = {
+            "kind": draw(st.sampled_from(DETECTOR_KINDS)),
+            "mode": draw(st.sampled_from(DETECTOR_MODES)),
+            "detection_time": draw(st.integers(0, 50)) / 100,
+            "threshold": draw(st.sampled_from([1.0, 1000.0])
+                              | st.floats(0.0, 2000.0)),
+        }
+        if draw(st.booleans()):
+            start = draw(st.integers(0, 20)) / 100
+            windows = cfg["anomalies"][sid]
+            windows[0] = dict(windows[0], t_start=start,
+                              t_end=start + draw(st.integers(1, 80)) / 100)
+    return cfg
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=_mutated_default())
+def test_accepted_config_runs_to_the_end_or_a_safe_stop(cfg):
+    try:
+        cfgmod.validate_config(cfg)
+    except ConfigError:
+        return
+    res = sim.run_scenario(cfg)
+    if res.safe_stop:
+        assert res.events[-1]["type"] == "safe-stop"
+        return
+    _, models = cfgmod.build_models(cfg)
+    for sid, model in models.items():
+        ticks = -(-to_us(cfg["horizon"]) // to_us(model.dt))
+        assert len(res.traces[sid]["t"]) == ticks
