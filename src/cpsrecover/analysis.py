@@ -4,11 +4,9 @@ All bounds work on per-element absolute values.  Conventions:
 
 * ``k`` and ``k1`` are sub-system tick indices (integers); one tick is
   ``params.tick`` seconds.
-* ``rsee_bound(params, k, k1)`` evaluates the recovered-state-estimate
-  error (RSEE) bound expression with the predict chain anchored at the
-  checkpoint tick ``k1``; it bounds the error of the estimate produced for
-  tick ``k + 1``.  Use :func:`recovery_error_bound_at` to bound the error
-  *at* a tick directly.
+* ``recovery_error_bound_at(params, k, k1)`` bounds the recovered-state-
+  estimate error (RSEE) *at* tick ``k``, with the predict chain anchored
+  at the checkpoint tick ``k1``: ``k - k1`` predict steps.
 * matrix powers are taken of ``|A_bar|`` (element-wise absolute value
   first), which upper-bounds ``|A_bar^n|`` element-wise and keeps the
   bound monotone.
@@ -16,7 +14,7 @@ All bounds work on per-element absolute values.  Conventions:
 The bound over a chain of ``n`` predict steps is
 ``D_n + S_n + phi_bar`` with ``D_n = |A|^n eps_delta`` and
 ``S_n = sum_{p=1..n} |A|^p eps_omega``.  It depends on ``k`` and ``k1``
-only through ``n = k - k1 + 1``, so each :class:`BoundParams` caches the
+only through ``n = k - k1``, so each :class:`BoundParams` caches the
 sums ``D_n + S_n`` for every ``n`` evaluated so far and extends them on
 demand: a bound costs the same deep into an episode as at its start, and
 a duration search over ``T`` ticks costs ``O(T)``.  ``BoundParams`` is
@@ -131,23 +129,16 @@ def _chain_bound(params: BoundParams, n: int) -> np.ndarray:
     return params._sums.at(n) + params.phi_bar
 
 
-def rsee_bound(params: BoundParams, k: int, k1: int) -> np.ndarray:
-    """Recovered-error bound anchored at checkpoint tick ``k1``.
-
-    ``|A|^(k-k1+1) eps_delta + sum_{l=k1}^{k} |A|^(k-l+1) eps_omega + phi_bar``
-    for every element; callers index it with the recovery mask.
-    """
-    k, k1 = int(round(k)), int(round(k1))
-    if k < k1:
-        raise ValueError("k must be >= k1")
-    return _chain_bound(params, k - k1 + 1)
-
-
 def recovery_error_bound_at(params: BoundParams, k: int, k1: int) -> np.ndarray:
-    """Bound on the recovered-estimate error at tick ``k`` (chain from ``k1``)."""
+    """Bound on the recovered-estimate error at tick ``k`` (chain from ``k1``).
+
+    ``|A|^(k-k1) eps_delta + sum_{p=1}^{k-k1} |A|^p eps_omega + phi_bar``
+    for every element; callers index it with the recovery mask.  The tick
+    indices may be integer-valued floats.
+    """
     if k <= k1:
         raise ValueError("error bound requires k > k1")
-    return rsee_bound(params, k - 1, k1)
+    return _chain_bound(params, round(k - k1))
 
 
 def checkpoint_time_before_anomaly(s: float, delta_s: float, mu: float,
@@ -235,6 +226,9 @@ def calibrate_bound_params(model, records, tick: float, mu: float,
       estimation errors,
     * ``phi_bar``: element-wise max accumulated Taylor remainder over the
       recovery episodes (zero for LTI loops).
+
+    With ``lti=True`` the Jacobian is constant, so it is evaluated once per
+    record, at the first tick, instead of on every tick.
     """
     n = model.n_x
     A_bar = np.zeros((n, n))
@@ -248,8 +242,8 @@ def calibrate_bound_params(model, records, tick: float, mu: float,
         x_rec = rec["x_rec"]
         u = rec["u"]
         mask = np.asarray(rec["recovered"], bool)
-        jac = np.array([model.jac_A(x_hat[k], u[k])
-                        for k in range(len(x_true))])
+        ticks = range(1 if lti else len(x_true))
+        jac = np.array([model.jac_A(x_hat[k], u[k]) for k in ticks])
         A_bar = np.maximum(A_bar, np.abs(jac).max(axis=0))
         healthy = ~mask
         rows = healthy.any(axis=1)

@@ -185,8 +185,8 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
         save_times = {sid: store.save_times(sid) for sid in store.subsystems()}
         k1 = most_recent_consistent_checkpoint(save_times, detection_times, t)
         cps, _, controls = store.retrieve(model.id, k1, t)
-        base = next((c for c in cps if to_us(c.t) == to_us(k1)), None)
-        if base is None:
+        # cps is ascending from k1, so the base checkpoint can only be first
+        if not cps or to_us(cps[0].t) != to_us(k1):
             raise UnrecoverableError(f"{model.id}: checkpoint at {k1} missing")
         expected = (to_us(t) - to_us(k1)) // dt_us
         if len(controls) != expected or any(
@@ -194,7 +194,7 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
                 for i, c in enumerate(controls)):
             raise UnrecoverableError(
                 f"{model.id}: control log has gaps in [{k1}, {t})")
-        x_rec = replay(model, base.x_hat, controls)
+        x_rec = replay(model, cps[0].x_hat, controls)
     else:
         x_rec = model.f(rt.episode.x_rec, rt.last_u)
 

@@ -12,18 +12,17 @@ in-memory record counts reveal it.
 every sub-system, before it returns anything, so recovery never proceeds
 from a store holding a corrupt record, even one outside the requested
 range.  The check is incremental but content-based.  Once a chain has
-passed a full walk, it keeps a keyed MAC, its *seal*, over the exact bytes
-of the records walked, with every payload and tag length framed in.  A
-later check recomputes that MAC over the chain's first records and walks
-the chain only over the records appended since; the same pass, continued
-over those records, gives the new seal.  A changed payload byte, tag or
-record boundary breaks the seal, and so does a truncation below the sealed
-count; either forces a full walk.  The verdict is therefore always the full
-walk's.
+passed a walk, it keeps the *walked copy*: the payload and tag ``bytes``
+that walk hashed.  A later check compares the chain's first records with
+that copy, a plain list comparison with no hashing, and walks the chain
+only over the records appended since.  A changed payload byte, tag or
+record boundary, or a truncation below the copy's length, fails the
+comparison and forces a walk from the first record.  The verdict is
+therefore always the full walk's.  The copy needs no key: code that can
+edit the records in place can also reach the key beside them.
 
-Each chain also keeps an integer-microsecond index of its record times,
-so ``retrieve`` finds its range by bisection and decodes only the records
-it returns.
+Each chain also keeps its record times in append order, so ``retrieve``
+finds its range by bisection and decodes only the records it returns.
 
 The store is in-memory first.  ``save``/``load`` provide an optional binary
 persistence format for post-run analysis: per record
@@ -43,7 +42,6 @@ import hmac
 import hashlib
 import os
 import struct
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -120,22 +118,21 @@ def _time_of(payload: bytes) -> float:
 
 
 class _Chain:
-    """One append-only log with a keyed hash chain and a time index.
+    """One append-only log with a keyed hash chain and its record times.
 
-    ``times_us`` and ``last_t`` are set by :meth:`append` and never re-read
-    from the payloads.  :meth:`verify` checks the payload and tag lists
-    themselves, so a record changed in place fails it before ``retrieve``
-    consults the index.
+    ``times`` is set by :meth:`append` and never re-read from the payloads.
+    :meth:`verify` checks the payload and tag lists themselves, so a record
+    changed in place fails it before ``retrieve`` consults ``times``.
     """
 
     def __init__(self, mac):
         self._mac = mac                # keyed HMAC-SHA256 holding no data
         self.payloads: list[bytes] = []
         self.tags: list[bytes] = []
-        self.times_us = array("q")     # record times, integer microseconds
-        self.last_t: float | None = None
-        self._sealed = 0               # records covered by the seal
-        self._seal = self._seal_of(self._seal_streams(0, 0))
+        self.times: list[float] = []   # record times, in append order
+        # the bytes of the records the last passing walk hashed
+        self._walked_payloads: list[bytes] = []
+        self._walked_tags: list[bytes] = []
 
     def _tag(self, payload: bytes, prev: bytes) -> bytes:
         h = self._mac.copy()
@@ -150,60 +147,34 @@ class _Chain:
     def append(self, payload: bytes, t: float) -> None:
         self.tags.append(self.next_tag(payload))
         self.payloads.append(payload)
-        self.times_us.append(to_us(t))
-        self.last_t = t
+        self.times.append(float(t))
 
     def between(self, lo_us: int, hi_us: int) -> list[bytes]:
         """Payloads with ``lo_us <= t < hi_us``, in append order."""
-        i = bisect_left(self.times_us, lo_us)
-        return self.payloads[i:bisect_left(self.times_us, hi_us, i)]
-
-    def times(self) -> list[float]:
-        """Every record's time, read from its payload."""
-        return [_time_of(p) for p in self.payloads]
-
-    def _seal_streams(self, lo: int, hi: int, streams=None) -> list:
-        """The seal's keyed MAC streams, extended over records ``lo..hi-1``.
-
-        Payload lengths, tag lengths, payloads and tags each go to their own
-        stream, so the streams over ``n`` records can be continued over the
-        records after them.
-        """
-        if streams is None:
-            streams = [self._mac.copy() for _ in range(4)]
-        payloads, tags = self.payloads[lo:hi], self.tags[lo:hi]
-        payload_lengths, tag_lengths, payload_bytes, tag_bytes = streams
-        payload_lengths.update(struct.pack(f"<{len(payloads)}Q",
-                                           *map(len, payloads)))
-        tag_lengths.update(struct.pack(f"<{len(tags)}Q", *map(len, tags)))
-        payload_bytes.update(b"".join(payloads))
-        tag_bytes.update(b"".join(tags))
-        return streams
-
-    @staticmethod
-    def _seal_of(streams) -> bytes:
-        return b"".join(h.digest() for h in streams)
+        i = bisect_left(self.times, lo_us, key=to_us)
+        return self.payloads[i:bisect_left(self.times, hi_us, i, key=to_us)]
 
     def verify(self) -> bool:
         """True iff every record's tag matches its chain position.
 
-        One pass over the sealed records checks the seal and, continued
-        over the records after them, yields the new seal.
+        Records equal to the walked copy are not hashed again; the walk
+        starts after them, or from the first record when they differ.
         """
         k = min(len(self.payloads), len(self.tags))  # the pairs a walk sees
-        start = self._sealed
-        streams = self._seal_streams(0, start) if start <= k else None
-        if streams is None or not hmac.compare_digest(
-                self._seal_of(streams), self._seal):
-            start, streams = 0, None
-        prev = self.tags[start - 1] if start else _ZERO_TAG
-        for payload, tag in zip(self.payloads[start:k], self.tags[start:k]):
+        n = len(self._walked_tags)
+        if (self.payloads[:n] != self._walked_payloads
+                or self.tags[:n] != self._walked_tags):
+            n = 0
+            self._walked_payloads, self._walked_tags = [], []
+        prev = self._walked_tags[-1] if n else _ZERO_TAG
+        payloads = [bytes(p) for p in self.payloads[n:k]]
+        tags = [bytes(t) for t in self.tags[n:k]]
+        for payload, tag in zip(payloads, tags):
             if not hmac.compare_digest(self._tag(payload, prev), tag):
                 return False
             prev = tag
-        if start < k or self._sealed != k:
-            self._sealed = k
-            self._seal = self._seal_of(self._seal_streams(start, k, streams))
+        self._walked_payloads += payloads
+        self._walked_tags += tags
         return True
 
 
@@ -228,9 +199,9 @@ class SecureStore:
     @staticmethod
     def _append(chain: _Chain, subsystem: str, kind: str, t: float,
                 payload: bytes) -> None:
-        if chain.last_t is not None and t <= chain.last_t:
+        if chain.times and t <= chain.times[-1]:
             raise MonotonicityError(
-                f"{subsystem}: {kind} time {t} not after {chain.last_t}")
+                f"{subsystem}: {kind} time {t} not after {chain.times[-1]}")
         chain.append(payload, t)
 
     def append_checkpoint(self, subsystem: str, cp: Checkpoint) -> None:
@@ -250,7 +221,7 @@ class SecureStore:
 
     def save_times(self, subsystem: str) -> list[float]:
         chain = self._checkpoints.get(subsystem)
-        return chain.times() if chain else []
+        return list(chain.times) if chain else []
 
     def checkpoints(self, subsystem: str) -> list[Checkpoint]:
         chain = self._checkpoints.get(subsystem)

@@ -10,7 +10,7 @@ from cpsrecover.analysis import (BoundParams, _episode_remainders,
                                  calibrate_bound_params,
                                  checkpoint_time_before_anomaly,
                                  max_duration_certificate,
-                                 recovery_error_bound_at, rsee_bound)
+                                 recovery_error_bound_at)
 from cpsrecover.timebase import US_PER_S, to_s, to_us
 
 
@@ -26,14 +26,16 @@ def scalar_params(**kw):
 
 
 def test_rsee_scalar_hand_case():
-    # A=1, k=2, k1=0: delta term + 3 omega terms = 0.1 + 3*0.05
-    assert rsee_bound(scalar_params(), 2, 0)[0] == pytest.approx(0.25)
+    # A=1, k=3, k1=0: delta term + 3 omega terms = 0.1 + 3*0.05
+    assert recovery_error_bound_at(scalar_params(), 3, 0)[0] == \
+        pytest.approx(0.25)
 
 
 def test_rsee_single_step():
-    # k = k1: |A| eps_delta + |A| eps_omega + phi
+    # k = k1 + 1: |A| eps_delta + |A| eps_omega + phi
     p = scalar_params(phi_bar=np.array([0.02]))
-    assert rsee_bound(p, 5, 5)[0] == pytest.approx(0.1 + 0.05 + 0.02)
+    assert recovery_error_bound_at(p, 6, 5)[0] == \
+        pytest.approx(0.1 + 0.05 + 0.02)
 
 
 def test_rsee_monotone_for_expansive_A():
@@ -44,36 +46,37 @@ def test_rsee_monotone_for_expansive_A():
         p = BoundParams(A_bar=A, eps_delta=rng.uniform(0, 1, n),
                         eps_omega=rng.uniform(0, 1, n),
                         phi_bar=rng.uniform(0, 1, n))
-        prev = rsee_bound(p, 0, 0)
+        prev = recovery_error_bound_at(p, 1, 0)
         for k in range(1, 10):
-            cur = rsee_bound(p, k, 0)
+            cur = recovery_error_bound_at(p, k + 1, 0)
             assert np.all(cur >= prev - 1e-12)
             prev = cur
 
 
 def test_rsee_lti_drops_remainder():
     p = scalar_params(phi_bar=np.array([0.3]))
-    assert rsee_bound(replace(p, phi_bar=None), 2, 0)[0] == \
+    assert recovery_error_bound_at(replace(p, phi_bar=None), 3, 0)[0] == \
         pytest.approx(0.25)
     # original params untouched
     assert p.phi_bar[0] == 0.3
-    assert rsee_bound(p, 2, 0)[0] == pytest.approx(0.55)
+    assert recovery_error_bound_at(p, 3, 0)[0] == pytest.approx(0.55)
     rng = np.random.default_rng(1)
     q = BoundParams(A_bar=rng.uniform(0, 1, (2, 2)),
                     eps_delta=rng.uniform(0, 1, 2),
                     eps_omega=rng.uniform(0, 1, 2))
-    np.testing.assert_array_equal(rsee_bound(replace(q, phi_bar=None), 4, 1),
-                                  rsee_bound(q, 4, 1))
+    np.testing.assert_array_equal(
+        recovery_error_bound_at(replace(q, phi_bar=None), 5, 1),
+        recovery_error_bound_at(q, 5, 1))
 
 
 def test_rsee_zero_dynamics_degenerate():
     p = scalar_params(A_bar=np.array([[0.0]]))
-    np.testing.assert_array_equal(rsee_bound(p, 3, 0), [0.0])
+    np.testing.assert_array_equal(recovery_error_bound_at(p, 4, 0), [0.0])
 
 
 def test_rsee_validation():
     with pytest.raises(ValueError):
-        rsee_bound(scalar_params(), 0, 1)
+        recovery_error_bound_at(scalar_params(), 1, 1)
     with pytest.raises(ValueError):
         BoundParams(A_bar=np.eye(1), eps_delta=[-0.1], eps_omega=[0.0])
 
@@ -275,7 +278,7 @@ def test_cached_rsee_matches_loop_in_any_order(seed, kind, n):
     p = _random_params(rng, kind, n)
     k1 = int(rng.integers(0, 50))
     for k in k1 + rng.permutation(300)[:40]:
-        got = rsee_bound(p, int(k), k1)
+        got = recovery_error_bound_at(p, int(k) + 1, k1)
         np.testing.assert_allclose(got, _rsee_loop(p, int(k), k1),
                                    rtol=1e-12, atol=0)
     np.testing.assert_allclose(
@@ -368,11 +371,17 @@ def _random_records(rng, n_x, n_u, n_records):
 def test_calibration_bit_identical_to_per_tick(seed, n_records, lti):
     from cpsrecover import robot
     rng = np.random.default_rng(seed)
-    model = robot.bicycle_model(0.1, 0.01 * np.eye(3), 0.01 * np.eye(3))
-    records = _random_records(rng, 3, 2, n_records)
-    records.append({"x_true": np.ones((1, 3)), "x_hat": np.zeros((1, 3)),
-                    "x_rec": np.full((1, 3), np.nan), "u": np.ones((1, 2)),
-                    "recovered": np.zeros((1, 3), bool)})
+    if lti:  # lti=True declares a constant Jacobian
+        model = robot.dc_motor_model("inner-1", 0.1, robot.RobotParams(),
+                                     0.01 * np.eye(2), [[0.01]])
+    else:
+        model = robot.bicycle_model(0.1, 0.01 * np.eye(3), 0.01 * np.eye(3))
+    n_x, n_u = model.n_x, model.n_u
+    records = _random_records(rng, n_x, n_u, n_records)
+    records.append({"x_true": np.ones((1, n_x)), "x_hat": np.zeros((1, n_x)),
+                    "x_rec": np.full((1, n_x), np.nan),
+                    "u": np.ones((1, n_u)),
+                    "recovered": np.zeros((1, n_x), bool)})
     got = calibrate_bound_params(model, records, tick=0.1, mu=1.0, lti=lti)
     want = _calibrate_per_tick(model, records, tick=0.1, mu=1.0, lti=lti)
     for name in ("A_bar", "eps_delta", "eps_omega", "phi_bar"):
@@ -419,10 +428,10 @@ def test_bound_params_frozen_and_read_only():
 
 def test_returned_bounds_are_fresh_arrays():
     p = scalar_params(A_bar=np.array([[0.5]]))
-    first = rsee_bound(p, 4, 0)
+    first = recovery_error_bound_at(p, 5, 0)
     want = first.copy()
     first += 100.0
-    np.testing.assert_array_equal(rsee_bound(p, 4, 0), want)
+    np.testing.assert_array_equal(recovery_error_bound_at(p, 5, 0), want)
     T, lo, hi = max_duration_certificate(scalar_params(E_max=[0.01]), 8.0)
     lo += 1.0
     assert hi[0] < lo[0]
@@ -430,8 +439,9 @@ def test_returned_bounds_are_fresh_arrays():
 
 def test_replace_starts_a_fresh_cache():
     p = scalar_params(A_bar=np.array([[0.5]]))
-    rsee_bound(p, 50, 0)                       # warm the cache
+    recovery_error_bound_at(p, 51, 0)          # warm the cache
     q = replace(p, A_bar=np.array([[2.0]]), eps_omega=[0.0])
-    assert rsee_bound(q, 2, 0)[0] == pytest.approx(0.1 * 2.0 ** 3)
-    assert rsee_bound(p, 2, 0)[0] == pytest.approx(
+    assert recovery_error_bound_at(q, 3, 0)[0] == \
+        pytest.approx(0.1 * 2.0 ** 3)
+    assert recovery_error_bound_at(p, 3, 0)[0] == pytest.approx(
         0.1 * 0.5 ** 3 + 0.05 * (0.5 + 0.25 + 0.125))

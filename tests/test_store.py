@@ -1,9 +1,13 @@
+import hashlib
+import hmac
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cpsrecover import config as cfgmod
+from cpsrecover import sim
 from cpsrecover.store import (Checkpoint, ControlRecord, IntegrityError,
                               MonotonicityError, SecureStore)
 from cpsrecover.timebase import to_us
@@ -279,6 +283,109 @@ def test_tamper_under_a_continued_seal_is_detected(n_first, n_more, which,
     chain = (s._checkpoints if which == "checkpoint" else s._controls)["a"]
     how(chain, where % len(chain.payloads), byte)
     assert not s.verify_integrity()
+
+
+_KEY = b"property key"
+
+
+def _full_walk(store) -> bool:
+    """Every chain checked from its first record, with nothing remembered."""
+    for chain in [*store._checkpoints.values(), *store._controls.values()]:
+        prev = b"\x00" * 32
+        for payload, tag in zip(chain.payloads, chain.tags):
+            want = hmac.new(_KEY, bytes(prev) + bytes(payload),
+                            hashlib.sha256).digest()
+            if not hmac.compare_digest(want, bytes(tag)):
+                return False
+            prev = tag
+    return True
+
+
+_edits = ["flip_payload", "flip_tag", "restore", "to_bytearray", "poke",
+          "truncate", "shift"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(st.tuples(
+    st.sampled_from(["append", "verify", "to_bytearray", "poke"] * 2
+                    + _edits),
+    st.sampled_from(["checkpoint", "control"]),
+    st.integers(0, 20), st.integers(0, 255)), max_size=40))
+@example(ops=[("append", "control", 0, 2), ("to_bytearray", "control", 0, 0),
+              ("verify", "control", 0, 0), ("poke", "control", 0, 0),
+              ("verify", "control", 0, 0)])
+@example(ops=[("append", "control", 0, 2), ("to_bytearray", "control", 0, 1),
+              ("verify", "control", 0, 0), ("poke", "control", 0, 1),
+              ("verify", "control", 0, 0)])
+def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
+    """Whatever was appended, edited, restored or cut between checks,
+    ``verify_integrity`` gives the verdict of a walk over every record.
+
+    Edits count records from the newest, where the walked copy ends.
+    """
+    s = SecureStore(key=_KEY)
+    s.append_checkpoint("a", Checkpoint(0.0, [0.0, 0.0], [0]))
+    s.append_control("a", ControlRecord(0.0, [0.0]))
+    s.append_control("b", ControlRecord(0.0, [0.0]))
+    chains = {"checkpoint": s._checkpoints["a"], "control": s._controls["a"]}
+    originals = {kind: list(zip(chain.payloads, chain.tags))
+                 for kind, chain in chains.items()}   # records as appended
+    clock = 0
+    for op, kind, back, byte in ops:
+        if op == "verify":
+            assert s.verify_integrity() == _full_walk(s)
+            continue
+        chain = chains[kind]
+        if op == "append":
+            for _ in range(1 + byte % 4):
+                clock += 1
+                if kind == "checkpoint":
+                    s.append_checkpoint("a", Checkpoint(clock / 8,
+                                                        [clock, -clock], [1]))
+                else:
+                    s.append_control("a", ControlRecord(clock / 8,
+                                                        [clock / 3]))
+                originals[kind].append((chain.payloads[-1], chain.tags[-1]))
+            continue
+        if len(chain.payloads) < 2:
+            continue
+        i = len(chain.payloads) - 1 - back % len(chain.payloads)
+        records = chain.tags if byte % 2 else chain.payloads
+        if op == "flip_payload" and chain.payloads[i]:
+            _tamper_payload(chain, i, byte)
+        elif op == "flip_tag":
+            _tamper_tag(chain, i, byte)
+        elif op == "restore":   # equal bytes, but new objects
+            chain.payloads[:] = [bytes(bytearray(p))
+                                 for p, _ in originals[kind]]
+            chain.tags[:] = [bytes(bytearray(t)) for _, t in originals[kind]]
+        elif op == "to_bytearray":   # equal content, but mutable
+            records[i:] = map(bytearray, records[i:])
+        elif op == "poke":      # change a bytearray record in place
+            mutable = [r for r in chain.payloads + chain.tags
+                       if isinstance(r, bytearray) and r]
+            if mutable:
+                r = mutable[back % len(mutable)]
+                r[byte % len(r)] ^= 0x04
+        elif op == "truncate":
+            cut = 1 + back % (len(chain.payloads) - 1)
+            del chain.payloads[-cut:]
+            del chain.tags[-cut:]
+            del originals[kind][-cut:]
+        elif op == "shift":
+            _shift_boundary(chain, i, byte)
+    assert s.verify_integrity() == _full_walk(s)
+
+
+def test_saved_store_format_is_pinned(tmp_path, monkeypatch):
+    """The default seed-42 store saves to the same bytes as before."""
+    monkeypatch.delenv("CPSRECOVER_STORE_KEY", raising=False)
+    path = tmp_path / "store.bin"
+    sim.run_scenario(cfgmod.build_case_study(seed=42)).store.save(path)
+    data = path.read_bytes()
+    assert len(data) == 139_036
+    assert hashlib.sha256(data).hexdigest() == \
+        "aa2a9f17e513f497c1c33525b6c16b202aff572e1e3a8d969191621d80dd1cc4"
 
 
 def test_case_study_store_invariants(case_result):
