@@ -4,7 +4,7 @@ for hierarchical control loops under sensor anomalies.
 Modules:
 
 * ``models`` - sub-system dynamics/measurement models and noise sampling
-* ``estimator`` - extended Kalman filter (predict / gain / update)
+* ``estimator`` - extended Kalman filter step with converged-gain reuse
 * ``anomaly`` - anomaly injection and the detector abstraction
 * ``store`` - append-only integrity-tagged checkpoint and control logs
 * ``framework`` - the per-tick checkpoint/recovery step and checkpoint
@@ -14,7 +14,7 @@ Modules:
 * ``config``/``sim``/``cli`` - scenario schema, scheduler, command line
 """
 
-from .estimator import EstimatorState, EstimatorStepResult, estimator_step
+from .estimator import EstimatorState, estimator_step
 from .framework import (SubsystemRuntime, UnrecoverableError,
                         classify_checkpoint_set,
                         most_recent_consistent_checkpoint,
@@ -23,10 +23,10 @@ from .models import SubsystemModel, measure, sample_noise, step_dynamics
 from .store import Checkpoint, ControlRecord, SecureStore
 
 __all__ = [
-    "Checkpoint", "ControlRecord", "EstimatorState", "EstimatorStepResult",
-    "SecureStore", "SubsystemModel", "SubsystemRuntime",
-    "UnrecoverableError", "classify_checkpoint_set", "estimator_step",
-    "measure", "most_recent_consistent_checkpoint", "roll_forward_recover",
+    "Checkpoint", "ControlRecord", "EstimatorState", "SecureStore",
+    "SubsystemModel", "SubsystemRuntime", "UnrecoverableError",
+    "classify_checkpoint_set", "estimator_step", "measure",
+    "most_recent_consistent_checkpoint", "roll_forward_recover",
     "sample_noise", "step_dynamics", "subsystem_tick",
 ]
 

@@ -142,15 +142,14 @@ def recovery_error_bound_at(params: BoundParams, k: int, k1: int) -> np.ndarray:
 
 
 def checkpoint_time_before_anomaly(s: float, delta_s: float, mu: float,
-                                   tick: float = None,
-                                   detection_time: float = 0.0) -> float:
+                                   tick: float = None) -> float:
     """Checkpoint time the recovery rolls forward from, for anomaly start ``s``.
 
     Largest multiple of ``1/mu`` (or of ``tick`` when checkpointing every
     tick) strictly before ``s``, computed on the integer-microsecond grid;
     falls back to the t=0 checkpoint.  Such a checkpoint is older than the
-    detection window when the anomaly is detected ``detection_time`` after
-    ``s``, so neither ``detection_time`` nor ``delta_s`` changes the result.
+    detection window however long after ``s`` the anomaly is detected, so
+    ``delta_s`` does not change the result.
     """
     if s <= 0:
         raise ValueError("anomaly start must be positive")

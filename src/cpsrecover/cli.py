@@ -85,7 +85,7 @@ def _cmd_bounds(cfg: dict) -> int:
     report = {}
     for sid, bp in bounds.items():
         windows = cfg.get("anomalies", {}).get(sid, [])
-        s = windows[0]["t_start"] if windows else 1.0
+        s = min((w["t_start"] for w in windows), default=1.0)
         entry = {
             "ee_bound": list(bp.eps_delta),
             "single_step_rsee_bound": list(recovery_error_bound_at(

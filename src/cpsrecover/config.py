@@ -334,8 +334,7 @@ def _check_bounded_windows(sid: str, anomalies, errors: list) -> None:
 
 def _check_bounds(sid: str, spec, errors: list) -> None:
     where = f"bounds.{sid}"
-    if not _check_keys(spec, where, ("A_bar", "delta_s") + _BOUND_VECTORS,
-                       errors):
+    if not _check_keys(spec, where, ("A_bar",) + _BOUND_VECTORS, errors):
         return
     errors.extend(f"{where}: missing {k!r}" for k in _BOUND_REQUIRED
                   if k not in spec)
@@ -351,9 +350,6 @@ def _check_bounds(sid: str, spec, errors: list) -> None:
         if k in spec and not _vector(spec[k], n_x, nonnegative=True):
             errors.append(f"{where}: {k} must be a list of {n_x} finite "
                           "nonnegative numbers")
-    delta_s = spec.get("delta_s", 0.0)
-    if not (_number(delta_s) and delta_s >= 0):
-        errors.append(f"{where}: delta_s must be a nonnegative number")
 
 
 def _schedule_from(windows) -> AnomalySchedule:
@@ -412,7 +408,6 @@ def build_bound_params(cfg: dict, models) -> dict:
             eps_omega=np.asarray(spec["eps_omega"], float),
             phi_bar=np.asarray(spec["phi_bar"], float) if "phi_bar" in spec else None,
             E_max=np.asarray(spec["E_max"], float) if "E_max" in spec else None,
-            delta_s=spec.get("delta_s", 0.0),
             mu=mu,
             tick=models[sid].dt,
         )

@@ -216,23 +216,23 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     impossible.
     """
     model = rt.model
-    step = estimator_step(model, rt.est, rt.last_u, y_now)
+    est, K, innovation = estimator_step(model, rt.est, rt.last_u, y_now)
     window = ()
     if rt.innovations is not None:
-        rt.innovations.append(np.atleast_1d(step.innovation))
+        rt.innovations.append(np.atleast_1d(innovation))
         window = rt.innovations
 
     flags = ads_evaluate(rt.ads, window, rt.schedule, t, n_y=model.n_y)
     detected = bool(flags.any())
 
-    x_hat = step.x_hat
+    x_hat = est.x_hat
     x_rec = None
     mask = np.zeros(model.n_x, dtype=bool)
     if detected:
         if detection_times is None:
             detection_times = {model.id: rt.ads.detection_time}
         x_hat, x_rec, mask, k1 = roll_forward_recover(
-            rt, store, step.x_hat, step.K, flags, detection_times, t)
+            rt, store, est.x_hat, K, flags, detection_times, t)
 
     u = np.atleast_1d(np.asarray(rt.controller(x_hat, t), float))
     u_logged = u if rt.applied_input is None else np.atleast_1d(
@@ -245,7 +245,7 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
         ckpt_event = True
 
     # commit runtime state
-    rt.est = EstimatorState(x_hat.copy(), step.P, step.fixed_point)
+    rt.est = EstimatorState(x_hat.copy(), est.P, est.fixed_point)
     rt.last_u = u_logged
     if not detected:
         rt.episode = None
@@ -255,6 +255,6 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
         rt.episode.x_rec = x_rec
 
     ep = rt.episode
-    return TickResult(u, step.x_hat, x_hat, x_rec, mask, flags, detected,
+    return TickResult(u, est.x_hat, x_hat, x_rec, mask, flags, detected,
                       ckpt_event, None if ep is None else ep.k1,
                       ep is not None and safe_stop_check(ep.start, t, rt.t_max))

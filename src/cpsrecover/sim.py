@@ -12,6 +12,7 @@ byte-identical CSVs.
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass
 
@@ -222,7 +223,7 @@ def run_scenario(cfg: dict) -> SimResult:
     return SimResult({sid: {name: col[:recorded[sid]]
                             for name, col in tr.items()}
                       for sid, tr in traces.items()},
-                     store, events, safe_stopped, cfg)
+                     store, events, safe_stopped, copy.deepcopy(cfg))
 
 
 def _fmt(value) -> str:

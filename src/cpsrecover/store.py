@@ -29,7 +29,8 @@ persistence format for post-run analysis: per record
 ``[u32 length][subsystem NUL payload][32-byte tag]``, little-endian,
 IEEE-754 doubles.  ``load`` recomputes every record's tag and raises
 :class:`IntegrityError` when it differs from the stored one, which catches
-a changed payload byte and a wrong key alike.
+a changed payload byte and a wrong key alike, or when a correctly tagged
+payload is not a checkpoint or control record of its header's length.
 
 The integrity key comes from the ``CPSRECOVER_STORE_KEY`` environment
 variable or the constructor; the built-in default key is for simulation
@@ -115,6 +116,19 @@ def _unpack_control(payload: bytes) -> ControlRecord:
 
 def _time_of(payload: bytes) -> float:
     return _TIME.unpack_from(payload, 1)[0]
+
+
+def _well_formed(payload: bytes) -> bool:
+    """True iff ``payload`` is a checkpoint or control record whose length
+    matches the sizes in its header."""
+    kind, n = payload[:1], len(payload)
+    if kind == b"C" and n >= 17:
+        _, nx, nf = struct.unpack_from("<dII", payload, 1)
+        return n == 17 + 8 * nx + nf
+    if kind == b"U" and n >= 13:
+        _, nu = struct.unpack_from("<dI", payload, 1)
+        return n == 13 + 8 * nu
+    return False
 
 
 class _Chain:
@@ -277,8 +291,9 @@ class SecureStore:
     def load(cls, path, key: bytes | None = None) -> "SecureStore":
         """Read a file written by :meth:`save`, checking every stored tag.
 
-        Raises :class:`IntegrityError` if a record is cut short or its tag
-        differs from the one recomputed under ``key``.
+        Raises :class:`IntegrityError` if a record is cut short, its tag
+        differs from the one recomputed under ``key``, or its payload is not
+        a checkpoint or control record of the length its header gives.
         """
         store = cls(key=key)
         with open(path, "rb") as fh:
@@ -298,6 +313,9 @@ class SecureStore:
                 if not hmac.compare_digest(chain.next_tag(payload), tag):
                     raise IntegrityError(
                         f"{path}: a {subsystem} {kind} record fails its tag")
+                if not _well_formed(payload):
+                    raise IntegrityError(
+                        f"{path}: a {subsystem} record is malformed")
                 store._append(chain, subsystem, kind, _time_of(payload),
                               payload)
         return store

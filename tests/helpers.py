@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from cpsrecover.models import SubsystemModel
+from cpsrecover.estimator import _REG, EstimatorState
+from cpsrecover.models import SubsystemModel, identity
 
 
 def scalar_lti_model(a=1.0, b=1.0, c=1.0, q=0.0, r=0.0, dt=1.0, x0=0.0,
@@ -33,3 +34,45 @@ def random_lti_model(rng, n=None, dt=1.0):
         jac_A=lambda x, u: A, jac_C=lambda x, u: C,
         Q=np.zeros((n, n)), R=np.zeros((n, n)), dt=dt)
     return model, A, B
+
+
+# -- reference EKF stages ----------------------------------------------------
+# The predict / gain / update chain that ``estimator_step`` must equal bit for
+# bit, kept here as the reference the estimator tests compare against.
+
+
+def ekf_predict(model: SubsystemModel, est: EstimatorState, u):
+    """Prior mean ``f(x_hat, u)`` and covariance ``A P A^T + Q``."""
+    u = np.asarray(u, float)
+    A = model.jac_A(est.x_hat, u)
+    x_pred = model.f(est.x_hat, u)
+    P_pred = A @ est.P @ A.T + model.Q
+    return x_pred, P_pred
+
+
+def ekf_gain(model: SubsystemModel, P_pred, x_pred, u) -> np.ndarray:
+    """Kalman gain ``P C^T (C P C^T + R)^-1`` with C evaluated at the prior."""
+    C = np.atleast_2d(model.jac_C(x_pred, np.asarray(u, float)))
+    S = C @ P_pred @ C.T + model.R + _REG * identity(model.n_y)
+    try:
+        K = np.linalg.solve(S.T, (P_pred @ C.T).T).T
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"{model.id}: singular innovation covariance") from exc
+    return K
+
+
+def ekf_update(model: SubsystemModel, x_pred, P_pred, K, y_meas, u):
+    """Measurement update; covariance ``(I - K C) P`` then symmetrized.
+
+    Returns the posterior :class:`EstimatorState` and the innovation
+    ``y_meas - g(x_pred, u)``.
+    """
+    u = np.asarray(u, float)
+    y_meas = np.asarray(y_meas, float)
+    C = np.atleast_2d(model.jac_C(x_pred, u))
+    innov = y_meas - model.g(x_pred, u)
+    x_hat = x_pred + K @ innov
+    P = (identity(model.n_x) - K @ C) @ P_pred
+    P = (P + P.T) / 2.0
+    return EstimatorState(x_hat, P), innov

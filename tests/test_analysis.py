@@ -85,7 +85,7 @@ def test_rsee_validation():
 
 
 def test_checkpoint_before_anomaly_case_study():
-    assert checkpoint_time_before_anomaly(3.25, 0.0, 1.0, 0.1, 0.25) == 3.0
+    assert checkpoint_time_before_anomaly(3.25, 0.0, 1.0, 0.1) == 3.0
 
 
 def test_checkpoint_before_anomaly_every_tick():
@@ -333,8 +333,7 @@ def test_checkpoint_closed_form_matches_loop(s_us, grid_us, tick_us,
                                              detection_us):
     mu = US_PER_S / grid_us
     tick = None if tick_us is None else tick_us / US_PER_S
-    got = checkpoint_time_before_anomaly(s_us / US_PER_S, 0.0, mu, tick,
-                                         detection_us / US_PER_S)
+    got = checkpoint_time_before_anomaly(s_us / US_PER_S, 0.0, mu, tick)
     effective = max(to_us(1.0 / mu), tick_us or 0)
     assert to_us(got) == _checkpoint_loop_us(s_us, effective, detection_us)
     assert got == to_s(to_us(got))     # exactly on the microsecond grid

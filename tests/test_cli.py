@@ -76,6 +76,27 @@ def test_bounds_subcommand(tmp_path):
     assert len(entry["ee_bound"]) == 3
 
 
+def test_bounds_anchor_at_the_earliest_window(tmp_path):
+    """Windows may be listed in any order; ``bounds`` anchors at the one
+    that starts first, as the schedule does.  The bounds depend on how far
+    the start lies past the checkpoint before it, so the later window
+    starts 0.5 s past one and the earliest 0.25 s."""
+    written = []
+    for order in ("listed", "reversed"):
+        out = tmp_path / order
+        cfg = cfgmod.build_case_study(out_dir=str(out))
+        cfg["bounds"] = {"outer": dict(_OUTER_BOUNDS, E_max=[50.0] * 3)}
+        windows = cfg["anomalies"]["outer"]
+        windows[1]["t_start"] = 8.5
+        if order == "reversed":
+            windows.reverse()
+        path = tmp_path / f"{order}.json"
+        cfgmod.save_config(cfg, path)
+        assert cli.main(["bounds", str(path)]) == 0
+        written.append((out / "bounds.json").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_bounds_without_params_fails(tmp_path):
     path = write_cfg(tmp_path, out_dir=str(tmp_path))
     assert cli.main(["bounds", path]) == 1
@@ -127,7 +148,7 @@ _OUTER_BOUNDS = {"A_bar": [[1.0, 0.0, 0.2], [0.0, 1.0, 0.2], [0.0, 0.0, 1.0]],
      "eps_omega must be a list of 3 finite nonnegative"),
     ({"outer": dict(_OUTER_BOUNDS, phi_bar=[0.1, float("nan"), 0.0])},
      "phi_bar must be"),
-    ({"outer": dict(_OUTER_BOUNDS, delta_s=-1.0)}, "delta_s must be"),
+    ({"outer": dict(_OUTER_BOUNDS, delta_s=-1.0)}, "unknown key 'delta_s'"),
     ({"outer": dict(_OUTER_BOUNDS, q_indices=[0])}, "unknown key 'q_indices'"),
 ])
 @pytest.mark.parametrize("command", ["run", "bounds"])

@@ -36,6 +36,36 @@ def test_default_seed_42_csvs_match_pinned_digests(tmp_path):
             for name in pinned} == pinned
 
 
+def test_long_periodic_csvs_match_pinned_digests(tmp_path):
+    """The 160 s case with a 1.75 s burst every 5 s on every loop, built as
+    the benchmark's long-periodic workload builds it; its motor loops spend
+    most steps reusing the converged gain."""
+    pinned = json.loads(PINNED_DIGESTS.read_text())["long-periodic"]
+    cfg = cfgmod.default_config()
+    cfg["seed"], cfg["horizon"] = 1, 160.0
+    n = int((160.0 - 3.25 - 1.75) // 5.0) + 1
+    for sid, (first, second) in cfg["anomalies"].items():
+        cfg["anomalies"][sid] = [
+            dict(first if i % 2 == 0 else second,
+                 t_start=3.25 + 5.0 * i, t_end=3.25 + 5.0 * i + 1.75)
+            for i in range(n)]
+    sim.emit_csv(sim.run_scenario(cfg), tmp_path)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in pinned} == pinned
+
+
+def test_result_keeps_its_own_config():
+    """Editing the caller's config after the run changes nothing the result
+    computes from its config."""
+    cfg = cfgmod.build_case_study(seed=3)
+    res = sim.run_scenario(cfg)
+    shadow = sim.every_tick_shadow(res)[robot.OUTER]
+    cfg["ads"][robot.OUTER]["detection_time"] = 1.0
+    np.testing.assert_array_equal(sim.every_tick_shadow(res)[robot.OUTER],
+                                  shadow)
+    assert res.config is not cfg
+
+
 def test_tick_counts(case_result):
     assert len(case_result.traces["outer"]["t"]) == 100
     assert len(case_result.traces["inner-1"]["t"]) == 1000

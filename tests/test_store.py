@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cpsrecover import config as cfgmod
 from cpsrecover import sim
-from cpsrecover.store import (Checkpoint, ControlRecord, IntegrityError,
-                              MonotonicityError, SecureStore)
+from cpsrecover.store import (DEFAULT_KEY, Checkpoint, ControlRecord,
+                              IntegrityError, MonotonicityError, SecureStore)
 from cpsrecover.timebase import to_us
 
 
@@ -160,6 +160,27 @@ def test_load_rejects_truncated_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(IntegrityError):
         SecureStore.load(path)
+
+
+# a control record's body after its kind byte: time 0, one input of 1.0
+_ONE_INPUT = struct.pack("<dI", 0.0, 1) + struct.pack("<d", 1.0)
+
+
+@pytest.mark.parametrize("payload", [
+    b"U\x01",                           # shorter than its kind and time
+    b"X" + _ONE_INPUT,                  # neither checkpoint nor control
+    b"C" + struct.pack("<d", 0.0),      # a checkpoint holding only its time
+    b"U" + _ONE_INPUT + b"\x00",        # a control with one extra byte
+], ids=["short", "kind-X", "time-only-checkpoint", "extra-byte"])
+def test_load_rejects_malformed_records(tmp_path, payload):
+    """A record with a valid tag but a payload that is not a checkpoint or
+    control of the length its header gives fails the load."""
+    rec = b"outer\x00" + payload
+    tag = hmac.new(DEFAULT_KEY, b"\x00" * 32 + payload, hashlib.sha256)
+    path = tmp_path / "store.bin"
+    path.write_bytes(struct.pack("<I", len(rec)) + rec + tag.digest())
+    with pytest.raises(IntegrityError, match=r"store\.bin: .*outer"):
+        SecureStore.load(path, key=DEFAULT_KEY)
 
 
 def test_reads_of_unknown_subsystem_have_no_side_effect():
