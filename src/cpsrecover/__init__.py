@@ -4,7 +4,8 @@ for hierarchical control loops under sensor anomalies.
 Modules:
 
 * ``models`` - sub-system dynamics/measurement models and noise sampling
-* ``estimator`` - extended Kalman filter step with converged-gain reuse
+* ``estimator`` - extended Kalman filter step; linear models share
+  their covariance recursion through a gain table
 * ``anomaly`` - anomaly injection and the detector abstraction
 * ``store`` - append-only integrity-tagged checkpoint and control logs
 * ``framework`` - the per-tick checkpoint/recovery step and checkpoint

@@ -4,57 +4,47 @@ The innovation covariance is regularized with ``1e-12 * I`` before
 inversion so degenerate ``R = 0`` configurations remain usable, and the
 posterior covariance is symmetrized.
 
-For a linear loop the covariance and gain depend only on the model, and
-they can reach a bitwise fixed point (the case study's motor loops do,
-after 745 ticks); from then on :func:`estimator_step` reuses the gain and
-skips the covariance lines, with the same result bit for bit.
+A linear model's ``P`` and ``K`` depend on its matrices alone, not on
+the data.  A model declared ``lti`` steps through a *gain table*, shared
+by every model with the same ``A``, ``C``, ``Q`` and ``R``: it maps the
+bytes of an incoming ``P`` to the read-only ``(P, K)`` a full step
+computed from it.  The case study's two motor loops fill one table of
+746 entries, the last a bitwise fixed point that maps ``P`` to itself,
+and read it for every later step of every run in the process.  Any
+other step is a full step, so results are the same bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import SubsystemModel, identity
 
 _REG = 1e-12
+_TABLES = 8              # gain tables kept for models built later
+_TABLE_STEPS = 4096      # entries a table takes; later steps are full steps
 
 
-@dataclass(frozen=True)
-class _FixedPoint:
-    """A step of ``model`` whose posterior covariance equalled its prior.
-
-    ``key`` holds the exact bytes of that step's ``A``, ``C`` and ``P``.
-    The prior covariance, the gain and the posterior covariance are
-    functions of these and of the model's read-only ``Q`` and ``R`` alone,
-    so a later step with the same model and the same key computes the same
-    gain ``K`` and leaves ``P`` unchanged.
+@functools.lru_cache(maxsize=_TABLES)
+def _gain_table(A: bytes, C: bytes, Q: bytes, R: bytes,
+                layout: tuple) -> tuple:
+    """``(A, C, steps)``, shared by linear models with these matrices:
+    ``steps`` maps ``P.tobytes()`` to the read-only ``(P_next, K)`` of a
+    full step from ``P``.  Matrices come as bytes, so ``-0.0`` cannot stand
+    in for ``0.0``; ``layout`` holds the dtypes and shapes of ``A``, ``C``.
     """
-
-    model: SubsystemModel
-    key: tuple
-    K: np.ndarray
-
-
-def _key(A, C, P) -> tuple:
-    # bytes, not ==, so that -0.0 cannot stand in for 0.0, nor NaN pass
-    return (A.tobytes(), C.tobytes(), P.tobytes())
+    return A, C, {}
 
 
 @dataclass
 class EstimatorState:
-    """State estimate and its covariance.
-
-    ``fixed_point`` is derived, never set by hand: :func:`estimator_step`
-    returns it, and a caller that builds the next state from a step passes
-    it on along with the step's ``P``.
-    """
+    """State estimate and its covariance."""
 
     x_hat: np.ndarray
     P: np.ndarray
-    fixed_point: _FixedPoint | None = field(default=None, repr=False,
-                                            compare=False)
 
     @classmethod
     def initial(cls, model: SubsystemModel) -> "EstimatorState":
@@ -67,20 +57,29 @@ def estimator_step(model: SubsystemModel, est: EstimatorState,
     """Predict with the previous input, then update with ``y_now``.
 
     Returns the posterior :class:`EstimatorState`, the gain ``K`` (kept for
-    recovery) and the innovation ``y_now - g(x_pred, u_prev)``.  When
-    ``est`` carries a fixed point of ``model`` and this step's ``A``, ``C``
-    and ``P`` are bitwise those of the fixed point, only the mean is
-    updated, with the fixed point's gain.  A full step that leaves ``P``
-    bitwise unchanged returns a new fixed point.
+    recovery) and the innovation ``y_now - g(x_pred, u_prev)``.  For a
+    model declared ``lti``, ``P`` and ``K`` come from its gain table when
+    this step's ``A`` and ``C`` are the table's and ``est.P`` is a key;
+    they are then read-only and shared.
     """
     u = np.asarray(u_prev, float)
     A = model.jac_A(est.x_hat, u)
     x_pred = model.f(est.x_hat, u)
     C = np.atleast_2d(model.jac_C(x_pred, u))
     innov = np.asarray(y_now, float) - model.g(x_pred, u)
-    fp = est.fixed_point
-    if fp is not None and fp.model is model and _key(A, C, est.P) == fp.key:
-        return EstimatorState(x_pred + fp.K @ innov, est.P, fp), fp.K, innov
+    steps = None
+    if model.lti:
+        if model.gain_table is None:       # resolved on the first step
+            object.__setattr__(model, "gain_table", _gain_table(
+                A.tobytes(), C.tobytes(), model.Q.tobytes(),
+                model.R.tobytes(), (A.dtype, A.shape, C.dtype, C.shape)))
+        A_key, C_key, table = model.gain_table
+        if A.tobytes() == A_key and C.tobytes() == C_key:
+            steps, P_key = table, est.P.tobytes()
+            hit = steps.get(P_key)
+            if hit is not None:
+                P, K = hit
+                return EstimatorState(x_pred + K @ innov, P), K, innov
 
     P_pred = A @ est.P @ A.T + model.Q
     S = C @ P_pred @ C.T + model.R + _REG * identity(model.n_y)
@@ -91,8 +90,7 @@ def estimator_step(model: SubsystemModel, est: EstimatorState,
             f"{model.id}: singular innovation covariance") from exc
     P = (identity(model.n_x) - K @ C) @ P_pred
     P = (P + P.T) / 2.0
-    fp = None
-    if P.tobytes() == est.P.tobytes():
-        K.flags.writeable = False          # shared by every reusing step
-        fp = _FixedPoint(model, _key(A, C, est.P), K)
-    return EstimatorState(x_pred + K @ innov, P, fp), K, innov
+    if steps is not None and len(steps) < _TABLE_STEPS:
+        P.flags.writeable = K.flags.writeable = False
+        steps[P_key] = P, K
+    return EstimatorState(x_pred + K @ innov, P), K, innov

@@ -245,7 +245,7 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
         ckpt_event = True
 
     # commit runtime state
-    rt.est = EstimatorState(x_hat.copy(), est.P, est.fixed_point)
+    rt.est = EstimatorState(x_hat.copy(), est.P)
     rt.last_u = u_logged
     if not detected:
         rt.episode = None

@@ -72,6 +72,10 @@ class SubsystemModel:
     ``Q``, ``R`` and ``Sigma0`` are stored as read-only float copies, each
     with its :func:`noise_factor` in ``Q_factor``, ``R_factor`` and
     ``Sigma0_factor``.
+
+    ``lti`` declares ``jac_A`` and ``jac_C`` constant, so the estimator
+    shares ``P`` and ``K`` through ``gain_table``; declared falsely, it
+    costs speed, never accuracy.
     """
 
     id: str
@@ -87,13 +91,16 @@ class SubsystemModel:
     dt: float
     mu0: np.ndarray = None
     Sigma0: np.ndarray = None
+    lti: bool = False
     Q_factor: np.ndarray = field(init=False, repr=False, compare=False)
     R_factor: np.ndarray = field(init=False, repr=False, compare=False)
     Sigma0_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    gain_table: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        object.__setattr__(self, "gain_table", None)
         if self.mu0 is None:
             object.__setattr__(self, "mu0", np.zeros(self.n_x))
         if self.Sigma0 is None:

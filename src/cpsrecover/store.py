@@ -39,8 +39,9 @@ convenience only and offers no security.
 
 from __future__ import annotations
 
-import hmac
 import hashlib
+import hmac
+import math
 import os
 import struct
 from bisect import bisect_left
@@ -213,6 +214,8 @@ class SecureStore:
     @staticmethod
     def _append(chain: _Chain, subsystem: str, kind: str, t: float,
                 payload: bytes) -> None:
+        if not math.isfinite(t):
+            raise MonotonicityError(f"{subsystem}: {kind} time {t} not finite")
         if chain.times and t <= chain.times[-1]:
             raise MonotonicityError(
                 f"{subsystem}: {kind} time {t} not after {chain.times[-1]}")
@@ -292,8 +295,10 @@ class SecureStore:
         """Read a file written by :meth:`save`, checking every stored tag.
 
         Raises :class:`IntegrityError` if a record is cut short, its tag
-        differs from the one recomputed under ``key``, or its payload is not
-        a checkpoint or control record of the length its header gives.
+        differs from the one recomputed under ``key``, its payload is not a
+        checkpoint or control record of the length its header gives, its
+        time is not finite or not after the log's last, or its sub-system id
+        is not UTF-8.
         """
         store = cls(key=key)
         with open(path, "rb") as fh:
@@ -306,7 +311,11 @@ class SecureStore:
                 if len(hdr) != 4 or len(rec) != length or len(tag) != _TAG_LEN:
                     raise IntegrityError(f"{path}: truncated record")
                 sub, _, payload = rec.partition(b"\x00")
-                subsystem = sub.decode()
+                try:
+                    subsystem = sub.decode()
+                except UnicodeDecodeError:
+                    raise IntegrityError(
+                        f"{path}: a sub-system id is not UTF-8") from None
                 ckpts, ctrls = store._chains(subsystem)
                 kind, chain = (("checkpoint", ckpts) if payload[:1] == b"C"
                                else ("control", ctrls))
@@ -316,8 +325,11 @@ class SecureStore:
                 if not _well_formed(payload):
                     raise IntegrityError(
                         f"{path}: a {subsystem} record is malformed")
-                store._append(chain, subsystem, kind, _time_of(payload),
-                              payload)
+                try:
+                    store._append(chain, subsystem, kind, _time_of(payload),
+                                  payload)
+                except MonotonicityError as exc:
+                    raise IntegrityError(f"{path}: {exc}") from None
         return store
 
     # test hook: deliberately corrupt a stored payload

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cpsrecover import robot
+from cpsrecover import config as cfgmod
+from cpsrecover import estimator, robot
 from cpsrecover.estimator import EstimatorState, estimator_step
 from cpsrecover.models import SubsystemModel
 from helpers import ekf_gain, ekf_predict, ekf_update, scalar_lti_model
@@ -170,11 +171,45 @@ def test_case_study_healthy_tracking(case_result):
     assert err.max() < 3 * 0.1 * 3  # 3 sigma with slack for feedback coupling
 
 
-# -- fixed-point gain reuse -------------------------------------------------
+# -- gain tables --------------------------------------------------------------
 
 
 def _bitwise(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _steps(model) -> dict:
+    """The entries of ``model``'s gain table; empty before its first step."""
+    return model.gain_table[2] if model.gain_table else {}
+
+
+@pytest.fixture
+def cold_models():
+    """The case-study models built anew, with no gain table filled yet."""
+    estimator._gain_table.cache_clear()
+    return cfgmod.build_models(cfgmod.default_config())[1]
+
+
+_solves = [0]
+
+
+@pytest.fixture(autouse=True)
+def _count_solves(monkeypatch):
+    """Count ``np.linalg.solve`` calls into ``_solves``."""
+    solve = np.linalg.solve
+
+    def counting(*args):
+        _solves[0] += 1
+        return solve(*args)
+    monkeypatch.setattr(np.linalg, "solve", counting)
+
+
+def _counted_step(model, est, u, y):
+    """``estimator_step``'s result and whether it was a full step: a step
+    that missed the gain table, or has none, and so solved for ``K``."""
+    before = _solves[0]
+    out = estimator_step(model, est, u, y)
+    return out, _solves[0] == before + 1
 
 
 class _Twin:
@@ -186,13 +221,12 @@ class _Twin:
         self.full_steps = 0
 
     def step(self, u, y):
-        """One step of each; asserts they agree bit for bit and returns the
-        step's fixed point.  A step that does not return the incoming fixed
-        point's gain object counts as a full step."""
+        """One step of each; asserts they agree bit for bit and returns
+        whether the step left ``P`` as it found it, the very object."""
         m = self.model
-        fp = self.est.fixed_point
-        est, K_step, innov_step = estimator_step(m, self.est, u, y)
-        self.full_steps += fp is None or K_step is not fp.K
+        P_in = self.est.P
+        (est, K_step, innov_step), full = _counted_step(m, self.est, u, y)
+        self.full_steps += full
         x_pred, P_pred = ekf_predict(m, self.ref, u)
         K = ekf_gain(m, P_pred, x_pred, u)
         self.ref, innov = ekf_update(m, x_pred, P_pred, K, y, u)
@@ -200,26 +234,43 @@ class _Twin:
                           (K_step, K), (innov_step, innov)):
             assert _bitwise(got, want)
         self.est = est
-        return est.fixed_point
+        return est.P is P_in
 
 
-def test_step_equals_three_stage_chain_past_the_fixed_point(case_models):
-    """The linear motor loop reaches a bitwise covariance fixed point and
-    then reuses its gain; the nonlinear outer loop never does.  Every
-    estimate, covariance, gain and innovation equals the reference."""
-    _, models = case_models
+def test_step_equals_three_stage_chain_past_the_fixed_point(cold_models):
+    """The linear motor loop reaches a bitwise covariance fixed point, the
+    table entry that maps ``P`` to itself, and from then on every step is a
+    table hit; the nonlinear outer loop keeps no table.  Every estimate,
+    covariance, gain and innovation equals the reference."""
     rng = np.random.default_rng(11)
-    motor = _Twin(models[robot.INNER_1])
-    fps = [motor.step(rng.normal(0, 5, 1), rng.normal(0, 5, 1))
-           for _ in range(1200)]
-    first = next(i for i, fp in enumerate(fps) if fp is not None)
-    assert first < 1000
-    assert all(fp is fps[first] for fp in fps[first:])
+    motor = _Twin(cold_models[robot.INNER_1])
+    fixed = [motor.step(rng.normal(0, 5, 1), rng.normal(0, 5, 1))
+             for _ in range(1200)]
+    first = fixed.index(True)
+    assert first < 1000 and all(fixed[first:])
+    assert motor.full_steps == first == len(_steps(motor.model))
 
-    outer = _Twin(models[robot.OUTER])
+    outer = _Twin(cold_models[robot.OUTER])
     for k in range(1200):
         u = np.array([1.0 + 0.5 * np.sin(0.01 * k), rng.normal(0, 0.3)])
-        assert outer.step(u, rng.normal(0, 1, 3)) is None
+        assert not outer.step(u, rng.normal(0, 1, 3))
+    assert outer.full_steps == 1200 and outer.model.gain_table is None
+
+
+def test_motor_loops_share_one_table(cold_models):
+    """``inner-1`` and ``inner-2``, built apart and fed different data, step
+    through one table: the loop that steps first fills it, the other only
+    reads it, and both equal the reference bit for bit."""
+    first, second = (_Twin(cold_models[sid])
+                     for sid in (robot.INNER_1, robot.INNER_2))
+    assert first.model is not second.model
+    rng = np.random.default_rng(4)
+    for _ in range(1200):
+        first.step(rng.normal(0, 5, 1), rng.normal(0, 5, 1))
+        second.step(rng.normal(0, 50, 1), rng.normal(0, 50, 1))
+    assert first.model.gain_table is second.model.gain_table
+    assert 0 < first.full_steps == len(_steps(first.model)) < 1200
+    assert second.full_steps == 0
 
 
 def _counted(model):
@@ -239,35 +290,36 @@ def _counted(model):
 
 
 @pytest.mark.parametrize("loop", [robot.OUTER, robot.INNER_1])
-def test_each_model_function_runs_once_per_step(case_models, loop):
-    """Full steps, the step that finds the fixed point and reusing steps
-    each evaluate every model function once."""
-    _, models = case_models
-    model, calls = _counted(models[loop])
+def test_each_model_function_runs_once_per_step(cold_models, loop):
+    """Full steps, the step that resolves the gain table, the steps that
+    fill it and the steps that read it each evaluate every model function
+    once."""
+    model, calls = _counted(cold_models[loop])
     rng = np.random.default_rng(3)
     est = EstimatorState.initial(model)
     reused = 0
     for _ in range(1000):
-        fp = est.fixed_point
-        est, K, _ = estimator_step(model, est, rng.normal(0, 1, model.n_u),
-                                   rng.normal(0, 1, model.n_y))
-        reused += fp is not None and K is fp.K
+        (est, _, _), full = _counted_step(model, est,
+                                          rng.normal(0, 1, model.n_u),
+                                          rng.normal(0, 1, model.n_y))
+        reused += not full
     assert calls == dict.fromkeys(calls, 1000)
     if loop == robot.OUTER:
-        assert est.fixed_point is None
+        assert model.gain_table is None
     else:
         assert 0 < reused < 999
 
 
 def _switchable_model():
-    """A linear 2-state model whose Jacobians the test can swap."""
+    """A linear 2-state model, declared so, whose Jacobians the test can
+    swap."""
     jac = {"A": np.array([[0.9, 0.0], [0.1, 0.8]]),
            "C": np.array([[1.0, 0.0]])}
     model = SubsystemModel(
         id="switch", n_x=2, n_y=1, n_u=1,
         f=lambda x, u: jac["A"] @ x + u[0], g=lambda x, u: jac["C"] @ x,
         jac_A=lambda x, u: jac["A"], jac_C=lambda x, u: jac["C"],
-        Q=0.01 * np.eye(2), R=np.array([[0.04]]), dt=1.0)
+        Q=0.01 * np.eye(2), R=np.array([[0.04]]), dt=1.0, lti=True)
     return model, jac
 
 
@@ -278,29 +330,61 @@ def _switchable_model():
     ("C", [[0.5, 0.0]]),
 ])
 def test_reuse_stops_when_a_jacobian_changes(name, value):
-    """Once a Jacobian differs from the fixed point's, bitwise (a signed
-    zero included), the next step is a full one; every step still equals
-    the reference."""
+    """Once a Jacobian differs from the table's, bitwise (a signed zero
+    included), the next step is a full one; every step still equals the
+    reference."""
+    estimator._gain_table.cache_clear()
     model, jac = _switchable_model()
     twin = _Twin(model)
     rng = np.random.default_rng(5)
     for _ in range(2000):
-        if twin.step(rng.normal(size=1), rng.normal(size=1)) is not None:
+        if twin.step(rng.normal(size=1), rng.normal(size=1)):
             break
-    assert twin.est.fixed_point is not None
+    assert len(_steps(model)) < 2000
     before = twin.full_steps
     for _ in range(20):
         twin.step(rng.normal(size=1), rng.normal(size=1))
-    assert twin.full_steps == before          # the gain was reused
+    assert twin.full_steps == before          # the table was read
 
-    jac[name] = np.array(value)
+    original, jac[name] = jac[name], np.array(value)
     twin.step(rng.normal(size=1), rng.normal(size=1))
     assert twin.full_steps == before + 1
     for _ in range(20):
         twin.step(rng.normal(size=1), rng.normal(size=1))
 
-    # a state whose P is not the fixed point's takes the full step
-    est, fp = twin.est, twin.est.fixed_point
-    _, K, _ = estimator_step(model, EstimatorState(est.x_hat, 2 * est.P, fp),
-                             [0.0], [0.0])
-    assert fp is None or K is not fp.K
+    # under the table's own Jacobians, a P the table lacks is a full step
+    jac[name] = original
+    twin.est = EstimatorState(twin.est.x_hat, 2 * twin.est.P)
+    twin.ref = EstimatorState(twin.ref.x_hat, 2 * twin.ref.P)
+    before = twin.full_steps
+    twin.step([0.0], [0.0])
+    assert twin.full_steps == before + 1
+
+
+def test_falsely_declared_lti_model_stays_exact():
+    """A model declared ``lti`` whose Jacobian changes on every step never
+    reads its table after the first step, and equals the reference."""
+    estimator._gain_table.cache_clear()
+    model, jac = _switchable_model()
+    twin = _Twin(model)
+    rng = np.random.default_rng(8)
+    for k in range(300):
+        if k >= 100:
+            jac["A"] = np.array([[0.9, 0.001 * k], [0.1, 0.8]])
+        twin.step(rng.normal(size=1), rng.normal(size=1))
+    assert twin.full_steps > 200
+    assert len(_steps(model)) <= 100
+
+
+def test_a_table_that_never_converges_stops_at_its_cap():
+    """``a = 1, c = 0, q > 0`` grows ``P`` on every step, so no entry is
+    read again: the table fills to its cap, later steps are full steps that
+    add nothing, and every step equals the reference."""
+    estimator._gain_table.cache_clear()
+    model = scalar_lti_model(a=1.0, c=0.0, q=1.0, lti=True)
+    twin = _Twin(model)
+    n = estimator._TABLE_STEPS + 50
+    for _ in range(n):
+        twin.step([0.0], [0.0])
+    assert len(_steps(model)) == estimator._TABLE_STEPS
+    assert twin.full_steps == n

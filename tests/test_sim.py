@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpsrecover import config as cfgmod
-from cpsrecover import cli, robot, sim
+from cpsrecover import cli, estimator, robot, sim
 from cpsrecover.anomaly import DETECTOR_KINDS, DETECTOR_MODES
 from cpsrecover.config import ConfigError
 from cpsrecover.timebase import to_s, to_us
@@ -36,10 +36,42 @@ def test_default_seed_42_csvs_match_pinned_digests(tmp_path):
             for name in pinned} == pinned
 
 
+def _csv_digests(cfg, out_dir) -> dict:
+    sim.emit_csv(sim.run_scenario(cfg), out_dir)
+    return {f"{sid}.csv": hashlib.sha256(
+        (out_dir / f"{sid}.csv").read_bytes()).hexdigest()
+        for sid in cfgmod.SUBSYSTEMS}
+
+
+def test_cold_and_warm_gain_tables_give_the_pinned_csvs(tmp_path):
+    """Seed 42 run twice in one process, first filling the motor loops'
+    gain table and then reading it, writes the pinned CSVs both times."""
+    pinned = json.loads(PINNED_DIGESTS.read_text())["default-seed-42"]
+    estimator._gain_table.cache_clear()
+    for run in ("cold", "warm"):
+        cfg = cfgmod.build_case_study(seed=42)
+        assert _csv_digests(cfg, tmp_path / run) == pinned
+
+
+def test_another_models_table_leaves_a_run_unchanged(tmp_path):
+    """A run whose motor noise differs fills a table of its own; seed 42
+    after it still writes the pinned CSVs, and the other run repeated after
+    seed 42 writes what it wrote cold."""
+    pinned = json.loads(PINNED_DIGESTS.read_text())["default-seed-42"]
+    noisy = cfgmod.build_case_study(seed=7)
+    noisy["noise"] = dict(noisy["noise"], inner_q_std=5.0, inner_r_std=2.0)
+    estimator._gain_table.cache_clear()
+    cold = _csv_digests(noisy, tmp_path / "cold")
+    assert _csv_digests(cfgmod.build_case_study(seed=42),
+                        tmp_path / "default") == pinned
+    assert _csv_digests(noisy, tmp_path / "warm") == cold
+    assert estimator._gain_table.cache_info().currsize == 2
+
+
 def test_long_periodic_csvs_match_pinned_digests(tmp_path):
     """The 160 s case with a 1.75 s burst every 5 s on every loop, built as
     the benchmark's long-periodic workload builds it; its motor loops spend
-    most steps reusing the converged gain."""
+    most steps reading their gain table's fixed point."""
     pinned = json.loads(PINNED_DIGESTS.read_text())["long-periodic"]
     cfg = cfgmod.default_config()
     cfg["seed"], cfg["horizon"] = 1, 160.0

@@ -39,6 +39,20 @@ def test_monotonicity_enforced():
         s.append_control("o", ControlRecord(0.5, [0.0]))
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_times_are_rejected(t):
+    """A NaN or infinite time is refused by both logs, naming the sub-system
+    and the log, and leaves the store as it was."""
+    s = SecureStore()
+    with pytest.raises(MonotonicityError, match="outer: control time"):
+        s.append_control("outer", ControlRecord(t, [0.0]))
+    s.append_control("outer", ControlRecord(0.5, [1.0]))
+    with pytest.raises(MonotonicityError, match="outer: checkpoint time"):
+        s.append_checkpoint("outer", Checkpoint(t, [0.0], [0]))
+    assert s.save_times("outer") == []
+    assert [c.t for c in s.retrieve("outer", 0.0, 1.0)[2]] == [0.5]
+
+
 def test_save_times_match_checkpoint_times():
     s = small_store()
     assert s.save_times("outer") == [c.t for c in s.checkpoints("outer")]
@@ -181,6 +195,41 @@ def test_load_rejects_malformed_records(tmp_path, payload):
     path.write_bytes(struct.pack("<I", len(rec)) + rec + tag.digest())
     with pytest.raises(IntegrityError, match=r"store\.bin: .*outer"):
         SecureStore.load(path, key=DEFAULT_KEY)
+
+
+def _tagged_controls(path, times):
+    """Write one ``outer`` control record per time, each correctly tagged
+    under the default key, as ``save`` would."""
+    prev, data = b"\x00" * 32, b""
+    for t in times:
+        payload = b"U" + struct.pack("<dI", t, 1) + struct.pack("<d", 1.0)
+        prev = hmac.new(DEFAULT_KEY, prev + payload, hashlib.sha256).digest()
+        rec = b"outer\x00" + payload
+        data += struct.pack("<I", len(rec)) + rec + prev
+    path.write_bytes(data)
+
+
+@pytest.mark.parametrize("times", [
+    [float("inf")], [0.0, float("nan")], [1.0, 0.5],
+], ids=["inf", "nan", "out-of-order"])
+def test_load_rejects_bad_times(tmp_path, times):
+    """A correctly tagged record whose time is not finite, or not after its
+    log's last, fails the load with the file named."""
+    path = tmp_path / "store.bin"
+    _tagged_controls(path, times)
+    with pytest.raises(IntegrityError, match=r"store\.bin: outer: control"):
+        SecureStore.load(path, key=DEFAULT_KEY)
+
+
+def test_load_rejects_a_non_utf8_subsystem_id(tmp_path):
+    path = tmp_path / "store.bin"
+    small_store().save(path)
+    data = bytearray(path.read_bytes())
+    assert data[4:10] == b"outer\x00"
+    data[4] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(IntegrityError, match=r"store\.bin: .*UTF-8"):
+        SecureStore.load(path)
 
 
 def test_reads_of_unknown_subsystem_have_no_side_effect():
