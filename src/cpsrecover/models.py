@@ -71,11 +71,8 @@ class SubsystemModel:
     ``jac_A``/``jac_C`` evaluate the state Jacobians of ``f``/``g``.
     ``Q``, ``R`` and ``Sigma0`` are stored as read-only float copies, each
     with its :func:`noise_factor` in ``Q_factor``, ``R_factor`` and
-    ``Sigma0_factor``.
-
-    ``lti`` declares ``jac_A`` and ``jac_C`` constant, so the estimator
-    shares ``P`` and ``K`` through ``gain_table``; declared falsely, it
-    costs speed, never accuracy.
+    ``Sigma0_factor``.  ``gain_table`` is set by the estimator on the first
+    step; models with the same Jacobians and noise share it.
     """
 
     id: str
@@ -91,7 +88,6 @@ class SubsystemModel:
     dt: float
     mu0: np.ndarray = None
     Sigma0: np.ndarray = None
-    lti: bool = False
     Q_factor: np.ndarray = field(init=False, repr=False, compare=False)
     R_factor: np.ndarray = field(init=False, repr=False, compare=False)
     Sigma0_factor: np.ndarray = field(init=False, repr=False, compare=False)

@@ -104,7 +104,7 @@ def dc_motor_model(motor_id: str, dt: float, params: RobotParams,
         id=motor_id, n_x=2, n_y=1, n_u=1,
         f=f, g=lambda x, u: C @ x, jac_A=jac_A, jac_C=lambda x, u: C,
         Q=np.asarray(Q, float), R=np.atleast_2d(np.asarray(R, float)), dt=dt,
-        mu0=mu0, Sigma0=Sigma0, lti=True)
+        mu0=mu0, Sigma0=Sigma0)
 
 
 def reference_trajectory(t: float, position, prev_heading: float = 0.0):

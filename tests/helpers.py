@@ -7,7 +7,7 @@ from cpsrecover.models import SubsystemModel, identity
 
 
 def scalar_lti_model(a=1.0, b=1.0, c=1.0, q=0.0, r=0.0, dt=1.0, x0=0.0,
-                     p0=1.0, model_id="lti", lti=False):
+                     p0=1.0, model_id="lti"):
     """x_{k+1} = a x + b u, y = c x; handy scalar test system."""
     A = np.array([[a]])
     C = np.array([[c]])
@@ -17,7 +17,7 @@ def scalar_lti_model(a=1.0, b=1.0, c=1.0, q=0.0, r=0.0, dt=1.0, x0=0.0,
         g=lambda x, u: C @ x,
         jac_A=lambda x, u: A, jac_C=lambda x, u: C,
         Q=np.array([[q]]), R=np.array([[r]]), dt=dt,
-        mu0=np.array([x0]), Sigma0=np.array([[p0]]), lti=lti)
+        mu0=np.array([x0]), Sigma0=np.array([[p0]]))
 
 
 def random_lti_model(rng, n=None, dt=1.0):

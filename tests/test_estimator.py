@@ -240,7 +240,8 @@ class _Twin:
 def test_step_equals_three_stage_chain_past_the_fixed_point(cold_models):
     """The linear motor loop reaches a bitwise covariance fixed point, the
     table entry that maps ``P`` to itself, and from then on every step is a
-    table hit; the nonlinear outer loop keeps no table.  Every estimate,
+    table hit; the nonlinear outer loop's Jacobian leaves its table after
+    the first step, so every step is a full one.  Every estimate,
     covariance, gain and innovation equals the reference."""
     rng = np.random.default_rng(11)
     motor = _Twin(cold_models[robot.INNER_1])
@@ -254,7 +255,7 @@ def test_step_equals_three_stage_chain_past_the_fixed_point(cold_models):
     for k in range(1200):
         u = np.array([1.0 + 0.5 * np.sin(0.01 * k), rng.normal(0, 0.3)])
         assert not outer.step(u, rng.normal(0, 1, 3))
-    assert outer.full_steps == 1200 and outer.model.gain_table is None
+    assert outer.full_steps == 1200 and len(_steps(outer.model)) == 1
 
 
 def test_motor_loops_share_one_table(cold_models):
@@ -305,21 +306,20 @@ def test_each_model_function_runs_once_per_step(cold_models, loop):
         reused += not full
     assert calls == dict.fromkeys(calls, 1000)
     if loop == robot.OUTER:
-        assert model.gain_table is None
+        assert reused == 0
     else:
         assert 0 < reused < 999
 
 
 def _switchable_model():
-    """A linear 2-state model, declared so, whose Jacobians the test can
-    swap."""
+    """A linear 2-state model whose Jacobians the test can swap."""
     jac = {"A": np.array([[0.9, 0.0], [0.1, 0.8]]),
            "C": np.array([[1.0, 0.0]])}
     model = SubsystemModel(
         id="switch", n_x=2, n_y=1, n_u=1,
         f=lambda x, u: jac["A"] @ x + u[0], g=lambda x, u: jac["C"] @ x,
         jac_A=lambda x, u: jac["A"], jac_C=lambda x, u: jac["C"],
-        Q=0.01 * np.eye(2), R=np.array([[0.04]]), dt=1.0, lti=True)
+        Q=0.01 * np.eye(2), R=np.array([[0.04]]), dt=1.0)
     return model, jac
 
 
@@ -361,9 +361,9 @@ def test_reuse_stops_when_a_jacobian_changes(name, value):
     assert twin.full_steps == before + 1
 
 
-def test_falsely_declared_lti_model_stays_exact():
-    """A model declared ``lti`` whose Jacobian changes on every step never
-    reads its table after the first step, and equals the reference."""
+def test_a_varying_jacobian_model_stays_exact():
+    """A model whose Jacobian changes on every step from step 100 on never
+    reads its table again, and equals the reference."""
     estimator._gain_table.cache_clear()
     model, jac = _switchable_model()
     twin = _Twin(model)
@@ -376,15 +376,26 @@ def test_falsely_declared_lti_model_stays_exact():
     assert len(_steps(model)) <= 100
 
 
-def test_a_table_that_never_converges_stops_at_its_cap():
+def test_a_table_stops_at_its_cap_except_for_a_fixed_point():
     """``a = 1, c = 0, q > 0`` grows ``P`` on every step, so no entry is
-    read again: the table fills to its cap, later steps are full steps that
-    add nothing, and every step equals the reference."""
+    read again: the table fills to its cap and later steps are full steps
+    that add nothing.  ``a = c = 1`` with ``q`` small against ``r``
+    converges slowly: its bitwise fixed point comes after the cap and is
+    stored all the same, so every later step reads it.  Every step equals
+    the reference."""
     estimator._gain_table.cache_clear()
-    model = scalar_lti_model(a=1.0, c=0.0, q=1.0, lti=True)
+    model = scalar_lti_model(a=1.0, c=0.0, q=1.0)
     twin = _Twin(model)
     n = estimator._TABLE_STEPS + 50
     for _ in range(n):
         twin.step([0.0], [0.0])
     assert len(_steps(model)) == estimator._TABLE_STEPS
     assert twin.full_steps == n
+
+    model = scalar_lti_model(a=1.0, c=1.0, q=1e-5, r=1.0)
+    twin = _Twin(model)
+    fixed = [twin.step([0.0], [0.0]) for _ in range(6000)]
+    first = fixed.index(True)
+    assert first > estimator._TABLE_STEPS and all(fixed[first:])
+    assert len(_steps(model)) == estimator._TABLE_STEPS + 1
+    assert twin.full_steps == first

@@ -54,9 +54,10 @@ def test_cold_and_warm_gain_tables_give_the_pinned_csvs(tmp_path):
 
 
 def test_another_models_table_leaves_a_run_unchanged(tmp_path):
-    """A run whose motor noise differs fills a table of its own; seed 42
-    after it still writes the pinned CSVs, and the other run repeated after
-    seed 42 writes what it wrote cold."""
+    """A run whose motor noise differs fills a motor table of its own; seed
+    42 after it still writes the pinned CSVs, and the other run repeated
+    after seed 42 writes what it wrote cold.  The two configurations share
+    the outer loop's table."""
     pinned = json.loads(PINNED_DIGESTS.read_text())["default-seed-42"]
     noisy = cfgmod.build_case_study(seed=7)
     noisy["noise"] = dict(noisy["noise"], inner_q_std=5.0, inner_r_std=2.0)
@@ -65,7 +66,7 @@ def test_another_models_table_leaves_a_run_unchanged(tmp_path):
     assert _csv_digests(cfgmod.build_case_study(seed=42),
                         tmp_path / "default") == pinned
     assert _csv_digests(noisy, tmp_path / "warm") == cold
-    assert estimator._gain_table.cache_info().currsize == 2
+    assert estimator._gain_table.cache_info().currsize == 3
 
 
 def test_long_periodic_csvs_match_pinned_digests(tmp_path):
