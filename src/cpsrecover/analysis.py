@@ -39,6 +39,8 @@ import numpy as np
 
 from .timebase import to_s, to_us
 
+_SIGMA_FACTOR = 6.0   # calibrated bounds sit this many std devs out
+
 
 class _ChainSums:
     """``D_n + S_n`` for ``n = 0, 1, ...``, grown on demand.
@@ -142,20 +144,18 @@ def recovery_error_bound_at(params: BoundParams, k: int, k1: int) -> np.ndarray:
 
 
 def checkpoint_time_before_anomaly(s: float, delta_s: float, mu: float,
-                                   tick: float = None) -> float:
+                                   tick: float) -> float:
     """Checkpoint time the recovery rolls forward from, for anomaly start ``s``.
 
-    Largest multiple of ``1/mu`` (or of ``tick`` when checkpointing every
-    tick) strictly before ``s``, computed on the integer-microsecond grid;
-    falls back to the t=0 checkpoint.  Such a checkpoint is older than the
+    Largest multiple of ``1/mu``, or of the loop period ``tick`` if that is
+    longer, strictly before ``s``, on the integer-microsecond grid; falls
+    back to the t=0 checkpoint.  Such a checkpoint is older than the
     detection window however long after ``s`` the anomaly is detected, so
     ``delta_s`` does not change the result.
     """
     if s <= 0:
         raise ValueError("anomaly start must be positive")
-    grid_us = to_us(1.0 / mu)
-    if tick is not None:
-        grid_us = max(grid_us, to_us(tick))
+    grid_us = max(to_us(1.0 / mu), to_us(tick))
     return to_s((to_us(s) - 1) // grid_us * grid_us)
 
 
@@ -210,8 +210,7 @@ def accuracy_resource_gap_bound(params: BoundParams, k: int, s: float) -> np.nda
 
 
 def calibrate_bound_params(model, records, tick: float, mu: float,
-                           sigma_factor: float = 6.0,
-                           lti: bool = False) -> BoundParams:
+                           lti: bool) -> BoundParams:
     """Calibrate bound parameters from simulation traces.
 
     ``records`` is an iterable of per-run dicts with arrays ``x_true``,
@@ -220,14 +219,14 @@ def calibrate_bound_params(model, records, tick: float, mu: float,
     masks), all indexed by tick.  Calibration:
 
     * ``A_bar``: element-wise max ``|Jacobian|`` along the trace,
-    * ``eps_omega``: ``sigma_factor`` times the process-noise std,
-    * ``eps_delta``: ``sigma_factor`` times the std of healthy-element
-      estimation errors,
+    * ``eps_omega``: six times the process-noise std,
+    * ``eps_delta``: six times the std of healthy-element estimation
+      errors,
     * ``phi_bar``: element-wise max accumulated Taylor remainder over the
       recovery episodes (zero for LTI loops).
 
-    With ``lti=True`` the Jacobian is constant, so it is evaluated once per
-    record, at the first tick, instead of on every tick.
+    ``lti=True`` declares a constant Jacobian, evaluated once per record, at
+    the first tick, instead of on every tick, and a zero ``phi_bar``.
     """
     n = model.n_x
     A_bar = np.zeros((n, n))
@@ -255,9 +254,8 @@ def calibrate_bound_params(model, records, tick: float, mu: float,
     if not len(errs):
         raise ValueError("calibration needs at least one healthy sample")
     sigma = np.sqrt(np.nanmean(errs ** 2, axis=0))
-    eps_delta = sigma_factor * sigma
-    eps_omega = sigma_factor * np.sqrt(np.diag(model.Q))
-    return BoundParams(A_bar=A_bar, eps_delta=eps_delta, eps_omega=eps_omega,
+    return BoundParams(A_bar=A_bar, eps_delta=_SIGMA_FACTOR * sigma,
+                       eps_omega=_SIGMA_FACTOR * np.sqrt(np.diag(model.Q)),
                        phi_bar=phi_bar, tick=tick, mu=mu)
 
 

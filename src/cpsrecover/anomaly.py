@@ -127,26 +127,22 @@ def _oracle_flags(n_y: int, schedule: AnomalySchedule, t: float,
 
 
 def ads_evaluate(config: AdsConfig, window: Sequence[np.ndarray],
-                 schedule: AnomalySchedule, t: float,
-                 n_y: int | None = None) -> np.ndarray:
+                 schedule: AnomalySchedule, t: float, n_y: int) -> np.ndarray:
     """Run the detector at time ``t``; returns its 0/1 integer flags.
 
     A specific detector returns one flag per sensor, a generic one a single
     flag for the whole loop.  ``window`` holds the most recent innovation
     vectors (read only in residual-threshold mode; at most
-    ``detection_time / dt`` of them).  ``n_y`` gives the sensor count when
-    the window may be empty.
+    ``detection_time / dt`` of them).  ``n_y`` is the loop's sensor count,
+    the width of the oracle's flags and of an empty window's.
     """
     if config.mode == "oracle":
-        if n_y is None:
-            n_y = len(window[-1]) if window else 0
         flags = _oracle_flags(n_y, schedule, t, config.detection_time)
+    elif not window:
+        flags = np.zeros(n_y, dtype=int)
     else:
-        if not window:
-            flags = np.zeros(0 if n_y is None else n_y, dtype=int)
-        else:
-            mean_abs = np.mean(np.abs(np.asarray(window, float)), axis=0)
-            flags = (mean_abs > config.threshold).astype(int)
+        mean_abs = np.mean(np.abs(np.asarray(window, float)), axis=0)
+        flags = (mean_abs > config.threshold).astype(int)
     if config.kind == "generic":
         return np.array([int(flags.any())])
     return flags

@@ -19,6 +19,11 @@ A scenario is a plain JSON-compatible dict.  Top-level keys:
                        ``{kind, mode, detection_time, threshold}``
 ``bounds``             optional per-loop bound parameters for the online
                        bound columns
+
+``noise``, ``init`` and ``robot`` merge key by key into the case study's
+values, but an ``ads.<loop>`` entry replaces that loop's entry as a whole:
+a field it leaves out takes the ``AdsConfig`` default, so ``{"kind":
+"generic"}`` alone gets a ``detection_time`` of 0, not the case study's 0.25.
 """
 
 from __future__ import annotations

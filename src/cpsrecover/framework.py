@@ -142,7 +142,6 @@ class TickResult:
     x_rec: np.ndarray | None     # full roll-forward vector, if recovering
     mask: np.ndarray             # per-element recovery mask
     flags: np.ndarray            # detector output flags
-    detected: bool
     ckpt_event: bool
     k1: float | None             # the episode's checkpoint time, if recovering
     safe_stop: bool              # the episode outlasted the tolerable duration
@@ -206,12 +205,13 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
 
 def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
                    y_now: np.ndarray, t: float,
-                   detection_times: dict | None = None) -> TickResult:
+                   detection_times: dict) -> TickResult:
     """One loop iteration at time ``t`` with measurement ``y_now``.
 
     Order: estimate, detect, recover (if flagged), control, log control,
     checkpoint (healthy tick with checkpoint Boolean ``c_k`` set), safe-stop
-    check.  The result's ``safe_stop`` is set when the episode outlasts the
+    check; ``detection_times`` maps every loop id to its detection time.
+    The result's ``safe_stop`` is set when the episode outlasts the
     tolerable duration; raises :class:`UnrecoverableError` when recovery is
     impossible.
     """
@@ -229,8 +229,6 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     x_rec = None
     mask = np.zeros(model.n_x, dtype=bool)
     if detected:
-        if detection_times is None:
-            detection_times = {model.id: rt.ads.detection_time}
         x_hat, x_rec, mask, k1 = roll_forward_recover(
             rt, store, est.x_hat, K, flags, detection_times, t)
 
@@ -255,6 +253,6 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
         rt.episode.x_rec = x_rec
 
     ep = rt.episode
-    return TickResult(u, est.x_hat, x_hat, x_rec, mask, flags, detected,
-                      ckpt_event, None if ep is None else ep.k1,
+    return TickResult(u, est.x_hat, x_hat, x_rec, mask, flags, ckpt_event,
+                      None if ep is None else ep.k1,
                       ep is not None and safe_stop_check(ep.start, t, rt.t_max))

@@ -24,8 +24,6 @@ class DimensionError(ValueError):
 
 
 def _check_psd(name: str, m: np.ndarray) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square")
     if not np.allclose(m, m.T, atol=1e-10):
         raise ValueError(f"{name} must be symmetric")
     w = np.linalg.eigvalsh((m + m.T) / 2.0)
@@ -101,6 +99,13 @@ class SubsystemModel:
             object.__setattr__(self, "mu0", np.zeros(self.n_x))
         if self.Sigma0 is None:
             object.__setattr__(self, "Sigma0", np.eye(self.n_x))
+        n_x, n_y = self.n_x, self.n_y
+        for name, shape in (("mu0", (n_x,)), ("Q", (n_x, n_x)),
+                            ("R", (n_y, n_y)), ("Sigma0", (n_x, n_x))):
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise DimensionError(
+                    f"{self.id}: {name} has shape {got}, expected {shape}")
         for name in ("Q", "R", "Sigma0"):
             cov = np.array(getattr(self, name), float)
             _check_psd(name, cov)
@@ -135,31 +140,13 @@ def measure(model: SubsystemModel, x, u, v) -> np.ndarray:
     return model.g(x, u) + v
 
 
-def sample_noise(cov: np.ndarray, rng: np.random.Generator,
-                 factor: np.ndarray | None = None) -> np.ndarray:
-    """Zero-mean Gaussian draw with the given covariance.
+def sample_noise(factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Zero-mean Gaussian draw with covariance ``factor @ factor.T``.
 
-    ``factor`` is ``noise_factor(cov)`` when the caller already has it, as
-    a model does for its own covariances; otherwise it is computed here.
-    Deterministic given the generator state.
+    ``factor`` comes from :func:`noise_factor`, as a model's ``*_factor``
+    fields do.  Deterministic given the generator state.
     """
-    L = noise_factor(cov) if factor is None else factor
-    return L @ rng.standard_normal(L.shape[1])
-
-
-def finite_difference_jacobian(fn, x, u, rel_h: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Jacobian of ``fn(x, u)`` w.r.t. ``x``."""
-    x = np.asarray(x, float)
-    f0 = np.asarray(fn(x, u), float)
-    J = np.zeros((f0.size, x.size))
-    for i in range(x.size):
-        h = rel_h * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        J[:, i] = (np.asarray(fn(xp, u), float) - np.asarray(fn(xm, u), float)) / (2 * h)
-    return J
+    return factor @ rng.standard_normal(factor.shape[1])
 
 
 def euler_discretize(deriv, jac_deriv, dt: float):

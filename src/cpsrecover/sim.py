@@ -122,8 +122,7 @@ def run_scenario(cfg: dict) -> SimResult:
 
     # ground truth; Sigma0 is zero by default so this is the configured mean
     x_true = {sid: models[sid].mu0
-              + sample_noise(models[sid].Sigma0, rngs[(sid, "init")],
-                             models[sid].Sigma0_factor)
+              + sample_noise(models[sid].Sigma0_factor, rngs[(sid, "init")])
               for sid in cfgmod.SUBSYSTEMS}
 
     wheel_refs = [robot.wheel_transform(np.zeros(2), params)]
@@ -170,10 +169,9 @@ def run_scenario(cfg: dict) -> SimResult:
             # plant advances one loop period with the previously applied
             # input before the sensors are read, so the measurement and the
             # estimator's predict step refer to the same instant
-            w = sample_noise(model.Q, rngs[(sid, "process")], model.Q_factor)
+            w = sample_noise(model.Q_factor, rngs[(sid, "process")])
             x_true[sid] = step_dynamics(model, x_true[sid], rt.last_u, w)
-            v = sample_noise(model.R, rngs[(sid, "measurement")],
-                             model.R_factor)
+            v = sample_noise(model.R_factor, rngs[(sid, "measurement")])
             y = measure(model, x_true[sid], rt.last_u, v)
             y = inject_anomaly(y, schedules[sid], t)
 
@@ -240,12 +238,6 @@ def _fmt(value) -> str:
 _CSV_BLOCK = 1024     # rows formatted and written at a time
 
 
-def _names(known, n: int) -> tuple:
-    """``known`` column names, or ``0 .. n-1`` when they do not fit ``n``."""
-    return known if known is not None and len(known) == n else tuple(
-        str(j) for j in range(n))
-
-
 def _joined(block: np.ndarray, as_int: bool) -> list:
     """Each row of a 2-D block as comma-joined fields: ``repr`` of floats,
     NaN as ``nan``, or the integers of an integer or Boolean block."""
@@ -267,14 +259,10 @@ def emit_csv(result: SimResult, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for sid, tr in result.traces.items():
-        n_x = tr["x_true"].shape[1]
-        n_y = tr["y_meas"].shape[1]
-        sn = _names(STATE_NAMES.get(sid), n_x)
-        mn = _names(MEAS_NAMES.get(sid), n_y)
-        un = _names(INPUT_NAMES.get(sid), tr["u"].shape[1])
+        sn, mn, un = STATE_NAMES[sid], MEAS_NAMES[sid], INPUT_NAMES[sid]
         # a generic detector flags the loop as a whole: one column
         flags = ([f"ads_flag_{c}" for c in mn]
-                 if tr["ads_flags"].shape[1] == n_y else ["ads_flag"])
+                 if tr["ads_flags"].shape[1] == len(mn) else ["ads_flag"])
         header = (["t"]
                   + [f"x_true_{c}" for c in sn]
                   + [f"y_meas_{c}" for c in mn]

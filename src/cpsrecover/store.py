@@ -30,7 +30,7 @@ persistence format for post-run analysis: per record
 IEEE-754 doubles.  ``load`` recomputes every record's tag and raises
 :class:`IntegrityError` when it differs from the stored one, which catches
 a changed payload byte and a wrong key alike, or when a correctly tagged
-payload is not a checkpoint or control record of its header's length.
+payload does not decode to a record that packs back to the same bytes.
 
 The integrity key comes from the ``CPSRECOVER_STORE_KEY`` environment
 variable or the constructor; the built-in default key is for simulation
@@ -54,7 +54,6 @@ from .timebase import to_us
 DEFAULT_KEY = b"cpsrecover-insecure-default-key"
 _TAG_LEN = 32
 _ZERO_TAG = b"\x00" * _TAG_LEN
-_TIME = struct.Struct("<d")  # every payload's time, after its kind byte
 
 
 class IntegrityError(RuntimeError):
@@ -113,23 +112,6 @@ def _unpack_control(payload: bytes) -> ControlRecord:
     t, nu = struct.unpack_from("<dI", payload, 1)
     off = 1 + struct.calcsize("<dI")
     return ControlRecord(t, np.frombuffer(payload, "<f8", nu, off).copy())
-
-
-def _time_of(payload: bytes) -> float:
-    return _TIME.unpack_from(payload, 1)[0]
-
-
-def _well_formed(payload: bytes) -> bool:
-    """True iff ``payload`` is a checkpoint or control record whose length
-    matches the sizes in its header."""
-    kind, n = payload[:1], len(payload)
-    if kind == b"C" and n >= 17:
-        _, nx, nf = struct.unpack_from("<dII", payload, 1)
-        return n == 17 + 8 * nx + nf
-    if kind == b"U" and n >= 13:
-        _, nu = struct.unpack_from("<dI", payload, 1)
-        return n == 13 + 8 * nu
-    return False
 
 
 class _Chain:
@@ -294,11 +276,11 @@ class SecureStore:
     def load(cls, path, key: bytes | None = None) -> "SecureStore":
         """Read a file written by :meth:`save`, checking every stored tag.
 
-        Raises :class:`IntegrityError` if a record is cut short, its tag
-        differs from the one recomputed under ``key``, its payload is not a
-        checkpoint or control record of the length its header gives, its
-        time is not finite or not after the log's last, or its sub-system id
-        is not UTF-8.
+        Raises :class:`IntegrityError` if a record is cut short, its
+        sub-system id is not UTF-8, its tag differs from the one recomputed
+        under ``key``, its payload does not decode to a record that packs
+        back to the same bytes, or its time is not finite or not after the
+        log's last.
         """
         store = cls(key=key)
         with open(path, "rb") as fh:
@@ -317,17 +299,22 @@ class SecureStore:
                     raise IntegrityError(
                         f"{path}: a sub-system id is not UTF-8") from None
                 ckpts, ctrls = store._chains(subsystem)
-                kind, chain = (("checkpoint", ckpts) if payload[:1] == b"C"
-                               else ("control", ctrls))
+                kind, chain, pack, unpack = (
+                    ("checkpoint", ckpts, _pack_checkpoint, _unpack_checkpoint)
+                    if payload[:1] == b"C"
+                    else ("control", ctrls, _pack_control, _unpack_control))
                 if not hmac.compare_digest(chain.next_tag(payload), tag):
                     raise IntegrityError(
                         f"{path}: a {subsystem} {kind} record fails its tag")
-                if not _well_formed(payload):
+                try:
+                    record = unpack(payload)
+                except (struct.error, ValueError):
+                    record = None
+                if record is None or pack(record) != payload:
                     raise IntegrityError(
                         f"{path}: a {subsystem} record is malformed")
                 try:
-                    store._append(chain, subsystem, kind, _time_of(payload),
-                                  payload)
+                    store._append(chain, subsystem, kind, record.t, payload)
                 except MonotonicityError as exc:
                     raise IntegrityError(f"{path}: {exc}") from None
         return store

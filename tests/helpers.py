@@ -1,4 +1,4 @@
-"""Shared model builders for the test suite."""
+"""Shared model builders and reference computations for the test suite."""
 
 import numpy as np
 
@@ -34,6 +34,21 @@ def random_lti_model(rng, n=None, dt=1.0):
         jac_A=lambda x, u: A, jac_C=lambda x, u: C,
         Q=np.zeros((n, n)), R=np.zeros((n, n)), dt=dt)
     return model, A, B
+
+
+def finite_difference_jacobian(fn, x, u, rel_h: float = 1e-6) -> np.ndarray:
+    """Central finite-difference Jacobian of ``fn(x, u)`` w.r.t. ``x``."""
+    x = np.asarray(x, float)
+    f0 = np.asarray(fn(x, u), float)
+    J = np.zeros((f0.size, x.size))
+    for i in range(x.size):
+        h = rel_h * (1.0 + abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        J[:, i] = (np.asarray(fn(xp, u), float) - np.asarray(fn(xm, u), float)) / (2 * h)
+    return J
 
 
 # -- reference EKF stages ----------------------------------------------------

@@ -327,14 +327,13 @@ def test_max_duration_search_memory_is_linear():
 
 @settings(max_examples=300, deadline=None)
 @given(s_us=st.integers(1, 10**7), grid_us=st.integers(1, 2 * 10**6),
-       tick_us=st.one_of(st.none(), st.integers(1, 10**6)),
-       detection_us=st.integers(0, 10**6))
+       tick_us=st.integers(1, 10**6), detection_us=st.integers(0, 10**6))
 def test_checkpoint_closed_form_matches_loop(s_us, grid_us, tick_us,
                                              detection_us):
     mu = US_PER_S / grid_us
-    tick = None if tick_us is None else tick_us / US_PER_S
-    got = checkpoint_time_before_anomaly(s_us / US_PER_S, 0.0, mu, tick)
-    effective = max(to_us(1.0 / mu), tick_us or 0)
+    got = checkpoint_time_before_anomaly(s_us / US_PER_S, 0.0, mu,
+                                         tick_us / US_PER_S)
+    effective = max(to_us(1.0 / mu), tick_us)
     assert to_us(got) == _checkpoint_loop_us(s_us, effective, detection_us)
     assert got == to_s(to_us(got))     # exactly on the microsecond grid
 
@@ -404,7 +403,8 @@ def test_calibration_needs_a_healthy_sample(case_models):
            "x_rec": np.zeros((3, 2)), "u": np.zeros((3, 1)),
            "recovered": np.ones((3, 2), bool)}
     with pytest.raises(ValueError, match="healthy"):
-        calibrate_bound_params(models["inner-1"], [rec], tick=0.01, mu=1.0)
+        calibrate_bound_params(models["inner-1"], [rec], tick=0.01, mu=1.0,
+                               lti=False)
 
 
 # -- immutability -------------------------------------------------------

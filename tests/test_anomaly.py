@@ -96,7 +96,7 @@ def test_generic_collapses_to_boolean():
     res = AdsConfig(kind="generic", mode="residual-threshold", threshold=1.0)
     loud = [np.array([0.1, 5.0])] * 2
     np.testing.assert_array_equal(
-        ads_evaluate(res, loud, AnomalySchedule(()), 0.0), [1])
+        ads_evaluate(res, loud, AnomalySchedule(()), 0.0, n_y=2), [1])
     np.testing.assert_array_equal(
         ads_evaluate(res, [], AnomalySchedule(()), 0.0, n_y=2), [0])
 
@@ -108,9 +108,9 @@ def test_residual_threshold_mode():
     quiet = [np.array([0.1, 0.2])] * 3
     loud = [np.array([5.0, 0.2])] * 3
     np.testing.assert_array_equal(
-        ads_evaluate(cfg, quiet, sched, 0.0), [0, 0])
+        ads_evaluate(cfg, quiet, sched, 0.0, n_y=2), [0, 0])
     np.testing.assert_array_equal(
-        ads_evaluate(cfg, loud, sched, 0.0), [1, 0])
+        ads_evaluate(cfg, loud, sched, 0.0, n_y=2), [1, 0])
 
 
 def test_window_validation():

@@ -215,8 +215,9 @@ def tick_scenario(schedule, t_max=100.0, q=0.0, r=0.1):
 
 def test_healthy_tick_checkpoints_and_logs():
     m, rt, store = tick_scenario(AnomalySchedule(()))
-    res = subsystem_tick(rt, store, True, np.array([0.0]), 0.0)
-    assert res.ckpt_event and not res.detected and res.x_rec is None
+    res = subsystem_tick(rt, store, True, np.array([0.0]), 0.0,
+                         {m.id: rt.ads.detection_time})
+    assert res.ckpt_event and not res.flags.any() and res.x_rec is None
     assert store.save_times(m.id) == [0.0]
     assert len(store.controls(m.id)) == 1
 
@@ -224,15 +225,19 @@ def test_healthy_tick_checkpoints_and_logs():
 def test_detected_tick_recovers_and_skips_checkpoint():
     sched = AnomalySchedule((AnomalyWindow(4.0, 8.0, [50.0], [1]),))
     m, rt, store = tick_scenario(sched)
+    detection_times = {m.id: rt.ads.detection_time}
     for k in range(5):
-        subsystem_tick(rt, store, True, np.array([0.0]), float(k))
-    res = subsystem_tick(rt, store, True, np.array([50.0]), 5.0)
-    assert res.detected and res.x_rec is not None
+        subsystem_tick(rt, store, True, np.array([0.0]), float(k),
+                       detection_times)
+    res = subsystem_tick(rt, store, True, np.array([50.0]), 5.0,
+                         detection_times)
+    assert res.flags.any() and res.x_rec is not None
     assert not res.ckpt_event
     assert 5.0 not in store.save_times(m.id)
     assert res.k1 == 3.0  # newest save with 5 - k1 > detection_time 1.0
     # later ticks of the episode extend it and report its checkpoint
-    res = subsystem_tick(rt, store, True, np.array([50.0]), 6.0)
+    res = subsystem_tick(rt, store, True, np.array([50.0]), 6.0,
+                         detection_times)
     assert res.k1 == 3.0 and rt.episode.start == 5.0
     np.testing.assert_array_equal(rt.episode.x_rec, res.x_rec)
 
@@ -242,12 +247,13 @@ def test_episode_exceeding_t_max_flags_safe_stop():
     m, rt, store = tick_scenario(sched, t_max=2.0)
     stops = []
     for k in range(10):
-        res = subsystem_tick(rt, store, True, np.array([0.0]), float(k))
+        res = subsystem_tick(rt, store, True, np.array([0.0]), float(k),
+                             {m.id: rt.ads.detection_time})
         stops.append(res.safe_stop)
     # detection at 5.0; the episode strictly exceeds 2.0 s from t=8.0
     assert rt.episode.start == 5.0
     assert stops == [False] * 8 + [True] * 2
-    assert res.detected
+    assert res.flags.any()
 
 
 def test_only_residual_threshold_keeps_an_innovation_window():
@@ -259,7 +265,8 @@ def test_only_residual_threshold_keeps_an_innovation_window():
     assert rt.innovations.maxlen == 1
     # a residual-threshold tick appends its innovation to the window
     for k in range(3):
-        subsystem_tick(rt, SecureStore(), False, np.array([0.0]), k * 0.1)
+        subsystem_tick(rt, SecureStore(), False, np.array([0.0]), k * 0.1,
+                       {m.id: rt.ads.detection_time})
     assert len(rt.innovations) == 1
 
 
@@ -271,8 +278,9 @@ def test_zero_noise_recovery_matches_truth():
     for k in range(12):
         t = float(k)
         y = m.g(x_true, None) + (50.0 if 4.0 <= t < 9.0 else 0.0)
-        res = subsystem_tick(rt, store, True, np.atleast_1d(y), t)
-        if res.detected:
+        res = subsystem_tick(rt, store, True, np.atleast_1d(y), t,
+                             {m.id: rt.ads.detection_time})
+        if res.flags.any():
             np.testing.assert_allclose(res.x_rec, x_true, atol=1e-9)
         x_true = m.f(x_true, rt.last_u)
 
@@ -296,7 +304,8 @@ def test_healthy_elements_untouched_by_recovery():
     for k in range(8):
         t = float(k)
         y = np.array([50.0, 0.0]) if 4.0 <= t < 9.0 else np.zeros(2)
-        res = subsystem_tick(rt, store, True, y, t)
-        if res.detected:
+        res = subsystem_tick(rt, store, True, y, t,
+                             {m.id: rt.ads.detection_time})
+        if res.flags.any():
             np.testing.assert_array_equal(res.mask, [True, False])
             assert res.x_hat[1] == res.x_hat_est[1]

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from cpsrecover import robot
-from cpsrecover.models import (DimensionError, SubsystemModel,
-                               finite_difference_jacobian, measure,
+from cpsrecover.models import (DimensionError, SubsystemModel, measure,
                                noise_factor, sample_noise, step_dynamics)
 from cpsrecover.timebase import base_resolution_us
+
+from helpers import finite_difference_jacobian
 
 
 def _outer(dt=0.1):
@@ -64,21 +65,22 @@ def test_dimension_checks():
 
 def test_sample_noise_zero_cov():
     rng = np.random.default_rng(0)
-    np.testing.assert_array_equal(sample_noise(np.zeros((3, 3)), rng),
-                                  np.zeros(3))
+    np.testing.assert_array_equal(
+        sample_noise(noise_factor(np.zeros((3, 3))), rng), np.zeros(3))
 
 
 def test_sample_noise_covariance_montecarlo():
     rng = np.random.default_rng(7)
-    cov = 0.01 * np.eye(3)
-    draws = np.array([sample_noise(cov, rng) for _ in range(100_000)])
+    L = noise_factor(0.01 * np.eye(3))
+    draws = np.array([sample_noise(L, rng) for _ in range(100_000)])
     emp = draws.T @ draws / len(draws)
     assert np.all(np.abs(np.diag(emp) - 0.01) < 0.0005)  # within 5%
 
 
 def test_sample_noise_deterministic():
-    a = [sample_noise(np.eye(2), np.random.default_rng(3)) for _ in range(5)]
-    b = [sample_noise(np.eye(2), np.random.default_rng(3)) for _ in range(5)]
+    L = noise_factor(np.eye(2))
+    a = [sample_noise(L, np.random.default_rng(3)) for _ in range(5)]
+    b = [sample_noise(L, np.random.default_rng(3)) for _ in range(5)]
     np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
 
 
@@ -86,7 +88,7 @@ def test_sample_noise_singular_cov():
     # zero row/column is legal and must not raise
     cov = np.diag([0.01, 0.0])
     rng = np.random.default_rng(1)
-    w = sample_noise(cov, rng)
+    w = sample_noise(noise_factor(cov), rng)
     assert w[1] == 0.0 and w[0] != 0.0
 
 
@@ -115,22 +117,21 @@ def test_model_factor_draws_are_bit_identical(cov):
     a, b, c = (np.random.default_rng(5) for _ in range(3))
     for _ in range(20):
         want = _reference_draw(cov, a)
-        assert sample_noise(m.Q, b, m.Q_factor).tobytes() == want.tobytes()
-        assert sample_noise(cov, c).tobytes() == want.tobytes()
+        assert sample_noise(m.Q_factor, b).tobytes() == want.tobytes()
+        assert sample_noise(noise_factor(cov), c).tobytes() == want.tobytes()
     assert b.bit_generator.state == a.bit_generator.state
 
 
 def test_zero_covariance_draws_nothing():
     rng = np.random.default_rng(2)
     state = rng.bit_generator.state
-    sample_noise(np.zeros((3, 3)), rng)
-    sample_noise(np.zeros((3, 3)), rng, noise_factor(np.zeros((3, 3))))
+    sample_noise(noise_factor(np.zeros((3, 3))), rng)
     assert rng.bit_generator.state == state
 
 
 def test_non_psd_covariance_raises():
     with pytest.raises(ValueError):
-        sample_noise(np.diag([1.0, -1.0]), np.random.default_rng(0))
+        noise_factor(np.diag([1.0, -1.0]))
 
 
 def test_model_covariances_are_read_only_copies():
@@ -164,6 +165,20 @@ def test_psd_validation():
                        jac_A=lambda x, u: np.eye(1),
                        jac_C=lambda x, u: np.eye(1),
                        Q=np.array([[-1.0]]), R=np.zeros((1, 1)), dt=1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("Q", np.eye(3)), ("R", np.eye(2)), ("Sigma0", np.eye(3)),
+    ("mu0", np.zeros(3))])
+def test_model_rejects_shapes_that_contradict_its_dims(field, value):
+    # n_x = 2, n_y = 1: each field is checked against those, up front
+    kw = dict(Q=np.eye(2), R=np.eye(1), mu0=np.zeros(2), Sigma0=np.eye(2))
+    kw[field] = value
+    with pytest.raises(DimensionError, match=f"shaped: {field} has shape"):
+        SubsystemModel(id="shaped", n_x=2, n_y=1, n_u=1,
+                       f=lambda x, u: x, g=lambda x, u: x[:1],
+                       jac_A=lambda x, u: np.eye(2),
+                       jac_C=lambda x, u: np.eye(1, 2), dt=1.0, **kw)
 
 
 # -- time base ----------------------------------------------------------

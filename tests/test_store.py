@@ -178,6 +178,8 @@ def test_load_rejects_truncated_file(tmp_path):
 
 # a control record's body after its kind byte: time 0, one input of 1.0
 _ONE_INPUT = struct.pack("<dI", 0.0, 1) + struct.pack("<d", 1.0)
+# the two doubles of a two-state estimate
+_TWO_STATES = struct.pack("<2d", 1.0, 2.0)
 
 
 @pytest.mark.parametrize("payload", [
@@ -185,7 +187,14 @@ _ONE_INPUT = struct.pack("<dI", 0.0, 1) + struct.pack("<d", 1.0)
     b"X" + _ONE_INPUT,                  # neither checkpoint nor control
     b"C" + struct.pack("<d", 0.0),      # a checkpoint holding only its time
     b"U" + _ONE_INPUT + b"\x00",        # a control with one extra byte
-], ids=["short", "kind-X", "time-only-checkpoint", "extra-byte"])
+    # a checkpoint whose header claims 1000 states but holds two
+    b"C" + struct.pack("<dII", 0.0, 1000, 0) + _TWO_STATES,
+    # a control whose header claims 2**32 - 1 inputs but holds one
+    b"U" + struct.pack("<dI", 0.0, 2**32 - 1) + struct.pack("<d", 1.0),
+    # a well-formed checkpoint (two states, one flag) and one byte more
+    b"C" + struct.pack("<dII", 0.0, 2, 1) + _TWO_STATES + b"\x00" + b"\x00",
+], ids=["short", "kind-X", "time-only-checkpoint", "extra-byte",
+        "nx-1000", "nu-max", "checkpoint-extra-byte"])
 def test_load_rejects_malformed_records(tmp_path, payload):
     """A record with a valid tag but a payload that is not a checkpoint or
     control of the length its header gives fails the load."""
