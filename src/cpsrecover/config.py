@@ -2,7 +2,8 @@
 
 A scenario is a plain JSON-compatible dict.  Top-level keys:
 
-``horizon``            simulation length, seconds
+``horizon``            simulation length, seconds; at most
+                       ``MAX_TRACE_ROWS`` ticks of the fastest loop
 ``seed``               master RNG seed
 ``checkpoint_freq_hz`` checkpointing frequency (every loop checkpoints on
                        multiples of its reciprocal)
@@ -44,6 +45,9 @@ from .timebase import base_resolution_us, to_us
 
 SUBSYSTEMS = (robot.OUTER, robot.INNER_1, robot.INNER_2)
 T_MAX_DEFAULT = 5.0   # seconds; used when a config leaves ``t_max`` out
+# a run preallocates each loop's trace: 10**7 rows of a motor loop take
+# about 1.4 GB
+MAX_TRACE_ROWS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -147,6 +151,9 @@ def validate_config(cfg: dict) -> None:
         errors.append("horizon must be a positive number of seconds")
     elif to_us(horizon) % base != 0:
         errors.append("horizon must be a multiple of the base tick")
+    elif -(-to_us(horizon) // min(to_us(dt_o), to_us(dt_i))) > MAX_TRACE_ROWS:
+        errors.append(f"horizon {horizon} s needs more than the cap of "
+                      f"{MAX_TRACE_ROWS} trace rows per loop")
     seed = cfg.get("seed", 0)
     if (isinstance(seed, (bool, np.bool_))
             or not isinstance(seed, numbers.Integral) or seed < 0):

@@ -7,7 +7,10 @@ Dynamics given as continuous-time derivatives are discretized with an
 explicit Euler step (``x + deriv(x, u) * dt``).
 
 A model's covariances are constant: it keeps read-only copies of them and
-factors each once, when it is built, for :func:`sample_noise`.
+factors each once, when it is built, for :func:`sample_noise`.  Noise comes
+in blocks of rows, each row one draw: a block draws its rows from the
+generator in order, so it equals, bit for bit, as many one-row draws and
+leaves the generator in the same state.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ class SubsystemModel:
 
     ``f(x, u)`` returns the next state, ``g(x, u)`` the measurement.
     ``jac_A``/``jac_C`` evaluate the state Jacobians of ``f``/``g``.
+    ``mu0``/``Sigma0`` are the initial state's mean and covariance.
     ``Q``, ``R`` and ``Sigma0`` are stored as read-only float copies, each
     with its :func:`noise_factor` in ``Q_factor``, ``R_factor`` and
     ``Sigma0_factor``.  ``gain_table`` is set by the estimator on the first
@@ -84,8 +88,8 @@ class SubsystemModel:
     Q: np.ndarray
     R: np.ndarray
     dt: float
-    mu0: np.ndarray = None
-    Sigma0: np.ndarray = None
+    mu0: np.ndarray
+    Sigma0: np.ndarray
     Q_factor: np.ndarray = field(init=False, repr=False, compare=False)
     R_factor: np.ndarray = field(init=False, repr=False, compare=False)
     Sigma0_factor: np.ndarray = field(init=False, repr=False, compare=False)
@@ -95,10 +99,6 @@ class SubsystemModel:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         object.__setattr__(self, "gain_table", None)
-        if self.mu0 is None:
-            object.__setattr__(self, "mu0", np.zeros(self.n_x))
-        if self.Sigma0 is None:
-            object.__setattr__(self, "Sigma0", np.eye(self.n_x))
         n_x, n_y = self.n_x, self.n_y
         for name, shape in (("mu0", (n_x,)), ("Q", (n_x, n_x)),
                             ("R", (n_y, n_y)), ("Sigma0", (n_x, n_x))):
@@ -140,13 +140,19 @@ def measure(model: SubsystemModel, x, u, v) -> np.ndarray:
     return model.g(x, u) + v
 
 
-def sample_noise(factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Zero-mean Gaussian draw with covariance ``factor @ factor.T``.
+def sample_noise(factor: np.ndarray, rng: np.random.Generator,
+                 rows: int) -> np.ndarray:
+    """``rows`` zero-mean Gaussian draws with covariance ``factor @ factor.T``,
+    as a ``(rows, n)`` array.
 
     ``factor`` comes from :func:`noise_factor`, as a model's ``*_factor``
-    fields do.  Deterministic given the generator state.
+    fields do.  Row ``i`` is bit for bit the ``i``-th of ``rows`` successive
+    draws ``factor @ rng.standard_normal(k)``: the stacked product multiplies
+    each row on its own, where ``z @ factor.T`` would not round alike.
+    Deterministic given the generator state.
     """
-    return factor @ rng.standard_normal(factor.shape[1])
+    z = rng.standard_normal((rows, factor.shape[1]))
+    return np.matmul(factor, z[:, :, None])[:, :, 0]
 
 
 def euler_discretize(deriv, jac_deriv, dt: float):

@@ -63,7 +63,7 @@ class RobotParams:
 
 
 def bicycle_model(dt: float, Q: np.ndarray, R: np.ndarray,
-                  mu0=None, Sigma0=None) -> SubsystemModel:
+                  mu0: np.ndarray, Sigma0: np.ndarray) -> SubsystemModel:
     """Outer-loop kinematics: state [x, y, theta], input [v, omega]."""
 
     def deriv(x, u):
@@ -87,8 +87,12 @@ def bicycle_model(dt: float, Q: np.ndarray, R: np.ndarray,
 
 def dc_motor_model(motor_id: str, dt: float, params: RobotParams,
                    Q: np.ndarray, R: np.ndarray,
-                   mu0=None, Sigma0=None) -> SubsystemModel:
-    """Inner-loop DC motor: state [current, angular velocity], input voltage."""
+                   mu0: np.ndarray, Sigma0: np.ndarray) -> SubsystemModel:
+    """Inner-loop DC motor: state [current, angular velocity], input voltage.
+
+    The dynamics are linear, so ``jac_A`` returns one read-only Jacobian
+    built with the model.
+    """
     Rm, L = params.motor_resistance, params.motor_inductance
     A_c = np.array([[-Rm / L, -params.k_emf / L],
                     [params.k_torque / params.inertia,
@@ -99,10 +103,12 @@ def dc_motor_model(motor_id: str, dt: float, params: RobotParams,
         return A_c @ x + B_c * u[0]
 
     f, jac_A = euler_discretize(deriv, lambda x, u: A_c, dt)
+    A = jac_A(None, None)          # constant, so built once and shared
+    A.flags.writeable = False
     C = np.array([[0.0, 1.0]])
     return SubsystemModel(
         id=motor_id, n_x=2, n_y=1, n_u=1,
-        f=f, g=lambda x, u: C @ x, jac_A=jac_A, jac_C=lambda x, u: C,
+        f=f, g=lambda x, u: C @ x, jac_A=lambda x, u: A, jac_C=lambda x, u: C,
         Q=np.asarray(Q, float), R=np.atleast_2d(np.asarray(R, float)), dt=dt,
         mu0=mu0, Sigma0=Sigma0)
 

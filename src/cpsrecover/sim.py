@@ -7,13 +7,16 @@ fixed order (outer, inner-1, inner-2) so the outer loop's wheel references
 are fresh for the inner loops.  All randomness flows from one master seed
 through per-(loop, noise kind) child streams, so adding a loop never
 perturbs another loop's draws and identical (config, seed) pairs yield
-byte-identical CSVs.
+byte-identical CSVs.  A loop's process and measurement noise is drawn
+``_NOISE_BLOCK`` ticks at a time, one row per tick; a block holds the same
+values as that many one-tick draws, so the block size changes no output.
 """
 
 from __future__ import annotations
 
 import copy
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,7 @@ from .timebase import base_resolution_us, to_s, to_us
 
 # fixed stream-split order; adding streams at the end preserves old draws
 _STREAMS = ("process", "measurement", "init")
+_NOISE_BLOCK = 1024   # noise rows drawn at a time per stream
 
 STATE_NAMES = {
     robot.OUTER: ("x", "y", "theta"),
@@ -61,6 +65,13 @@ def make_rngs(seed: int) -> dict:
             rngs[(sid, kind)] = np.random.default_rng(children[idx])
             idx += 1
     return rngs
+
+
+def _noise_rows(factor: np.ndarray, rng: np.random.Generator):
+    """Successive one-tick draws of :func:`sample_noise`, taken from blocks
+    of ``_NOISE_BLOCK`` rows."""
+    while True:
+        yield from sample_noise(factor, rng, _NOISE_BLOCK)
 
 
 def _trace_columns(model, flag_width: int, rows: int, eps_delta) -> dict:
@@ -120,10 +131,16 @@ def run_scenario(cfg: dict) -> SimResult:
     ckpt_us = to_us(1.0 / cfg.get("checkpoint_freq_hz", 1.0))
     detection_times = {sid: ads[sid].detection_time for sid in cfgmod.SUBSYSTEMS}
 
-    # ground truth; Sigma0 is zero by default so this is the configured mean
-    x_true = {sid: models[sid].mu0
-              + sample_noise(models[sid].Sigma0_factor, rngs[(sid, "init")])
+    # ground truth; the case study's Sigma0 is zero, so this is the
+    # configured mean
+    x_true = {sid: models[sid].mu0 + sample_noise(
+                  models[sid].Sigma0_factor, rngs[(sid, "init")], 1)[0]
               for sid in cfgmod.SUBSYSTEMS}
+    noise = {(sid, kind): _noise_rows(getattr(models[sid], factor),
+                                      rngs[(sid, kind)])
+             for sid in cfgmod.SUBSYSTEMS
+             for kind, factor in (("process", "Q_factor"),
+                                  ("measurement", "R_factor"))}
 
     wheel_refs = [robot.wheel_transform(np.zeros(2), params)]
     inner_index = {robot.INNER_1: 0, robot.INNER_2: 1}
@@ -169,9 +186,9 @@ def run_scenario(cfg: dict) -> SimResult:
             # plant advances one loop period with the previously applied
             # input before the sensors are read, so the measurement and the
             # estimator's predict step refer to the same instant
-            w = sample_noise(model.Q_factor, rngs[(sid, "process")])
+            w = next(noise[sid, "process"])
             x_true[sid] = step_dynamics(model, x_true[sid], rt.last_u, w)
-            v = sample_noise(model.R_factor, rngs[(sid, "measurement")])
+            v = next(noise[sid, "measurement"])
             y = measure(model, x_true[sid], rt.last_u, v)
             y = inject_anomaly(y, schedules[sid], t)
 
@@ -316,6 +333,9 @@ def every_tick_shadow(result: SimResult) -> dict:
     shadow shares the run's plant, noise and control history and differs
     only in the checkpoint it rolls forward from.  Returns
     ``{loop id: (ticks, n_x) array}``, NaN on healthy ticks.
+
+    Each loop's controls are retrieved once, over the whole run, and sliced
+    by time for each episode.
     """
     ads = cfgmod.build_ads(result.config)
     detection_times = {sid: a.detection_time for sid, a in ads.items()}
@@ -329,14 +349,20 @@ def every_tick_shadow(result: SimResult) -> dict:
             continue
         healthy = ~tr["ads_flags"].any(axis=1)
         edges = np.flatnonzero(np.diff(np.r_[True, healthy, True]))
+        # the search bisects at each episode's cutoff, so the healthy ticks
+        # after an episode's start never match
+        healthy_times = {sid: t[healthy].tolist()}
+        _, _, controls = result.store.retrieve(sid, t[0], t[-1])
+        control_us = [to_us(c.t) for c in controls]
         for a, b in edges.reshape(-1, 2):     # an episode is ticks a..b-1
             k1 = most_recent_consistent_checkpoint(
-                {sid: t[:a][healthy[:a]].tolist()}, detection_times, t[a])
-            _, _, controls = result.store.retrieve(sid, k1, t[b - 1])
-            n = len(controls) - (b - 1 - a)   # controls in [k1, t[a])
-            x = replay(model, tr["x_rf"][a - n], controls[:n])
+                healthy_times, detection_times, t[a])
+            lo, mid, hi = (bisect_left(control_us, to_us(s))
+                           for s in (k1, t[a], t[b - 1]))
+            n = mid - lo                      # controls in [k1, t[a])
+            x = replay(model, tr["x_rf"][a - n], controls[lo:mid])
             shadow[a] = x
-            for k, c in zip(range(a + 1, b), controls[n:]):
+            for k, c in zip(range(a + 1, b), controls[mid:hi]):
                 x = model.f(x, c.u)
                 shadow[k] = x
     return shadows

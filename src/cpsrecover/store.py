@@ -21,6 +21,12 @@ comparison and forces a walk from the first record.  The verdict is
 therefore always the full walk's.  The copy needs no key: code that can
 edit the records in place can also reach the key beside them.
 
+An appended record joins the walked copy too, when the copy covers every
+record of the chain and the chain's last tag is the copy's own last tag
+object: its tag was just computed from that tag, so the copy stays a chain
+that passes a walk, and each record is hashed once.  Otherwise it waits
+for the next check's walk.
+
 Each chain also keeps its record times in append order, so ``retrieve``
 finds its range by bisection and decodes only the records it returns.
 
@@ -54,6 +60,20 @@ from .timebase import to_us
 DEFAULT_KEY = b"cpsrecover-insecure-default-key"
 _TAG_LEN = 32
 _ZERO_TAG = b"\x00" * _TAG_LEN
+_BLOCK = 64                                   # SHA-256 block size, bytes
+_IPAD = bytes(b ^ 0x36 for b in range(256))   # byte translation tables
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+def _keyed_sha256(key: bytes) -> tuple:
+    """HMAC-SHA256's inner and outer hashes with the padded key absorbed
+    (RFC 2104).  A tag copies both, which costs less than copying an
+    ``hmac`` object, and equals ``hmac.new(key, msg, sha256).digest()``."""
+    if len(key) > _BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\x00")
+    return (hashlib.sha256(key.translate(_IPAD)),
+            hashlib.sha256(key.translate(_OPAD)))
 
 
 class IntegrityError(RuntimeError):
@@ -122,8 +142,8 @@ class _Chain:
     changed in place fails it before ``retrieve`` consults ``times``.
     """
 
-    def __init__(self, mac):
-        self._mac = mac                # keyed HMAC-SHA256 holding no data
+    def __init__(self, mac: tuple):
+        self._mac = mac                # from _keyed_sha256, holding no data
         self.payloads: list[bytes] = []
         self.tags: list[bytes] = []
         self.times: list[float] = []   # record times, in append order
@@ -132,17 +152,27 @@ class _Chain:
         self._walked_tags: list[bytes] = []
 
     def _tag(self, payload: bytes, prev: bytes) -> bytes:
-        h = self._mac.copy()
-        h.update(prev)
-        h.update(payload)
-        return h.digest()
+        inner, outer = self._mac[0].copy(), self._mac[1].copy()
+        inner.update(prev)
+        inner.update(payload)
+        outer.update(inner.digest())
+        return outer.digest()
 
     def next_tag(self, payload: bytes) -> bytes:
         """The tag ``payload`` gets when appended now."""
         return self._tag(payload, self.tags[-1] if self.tags else _ZERO_TAG)
 
     def append(self, payload: bytes, t: float) -> None:
-        self.tags.append(self.next_tag(payload))
+        tag = self.next_tag(payload)
+        walked = self._walked_tags
+        # the copy stays a chain that passes a walk only when the new tag is
+        # computed from the copy's own last tag; an edited tag is another
+        # object, since the copy holds immutable bytes
+        if (len(walked) == len(self.tags) == len(self.payloads)
+                and (not walked or self.tags[-1] is walked[-1])):
+            self._walked_payloads.append(bytes(payload))
+            walked.append(tag)
+        self.tags.append(tag)
         self.payloads.append(payload)
         self.times.append(float(t))
 
@@ -155,7 +185,9 @@ class _Chain:
         """True iff every record's tag matches its chain position.
 
         Records equal to the walked copy are not hashed again; the walk
-        starts after them, or from the first record when they differ.
+        starts after them, or from the first record when they differ.  When
+        the copy holds every record, as after appends alone, this only
+        compares.
         """
         k = min(len(self.payloads), len(self.tags))  # the pairs a walk sees
         n = len(self._walked_tags)
@@ -181,7 +213,7 @@ class SecureStore:
     def __init__(self, key: bytes | None = None):
         if key is None:
             key = os.environb.get(b"CPSRECOVER_STORE_KEY", DEFAULT_KEY)
-        self._mac = hmac.new(key, digestmod=hashlib.sha256)
+        self._mac = _keyed_sha256(key)
         self._checkpoints: dict[str, _Chain] = {}
         self._controls: dict[str, _Chain] = {}
 

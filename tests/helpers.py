@@ -6,6 +6,12 @@ from cpsrecover.estimator import _REG, EstimatorState
 from cpsrecover.models import SubsystemModel, identity
 
 
+def prior(n: int) -> dict:
+    """``mu0``/``Sigma0`` keywords for an ``n``-state model: zero mean and
+    identity covariance."""
+    return {"mu0": np.zeros(n), "Sigma0": np.eye(n)}
+
+
 def scalar_lti_model(a=1.0, b=1.0, c=1.0, q=0.0, r=0.0, dt=1.0, x0=0.0,
                      p0=1.0, model_id="lti"):
     """x_{k+1} = a x + b u, y = c x; handy scalar test system."""
@@ -32,7 +38,7 @@ def random_lti_model(rng, n=None, dt=1.0):
         f=lambda x, u: A @ x + B @ u,
         g=lambda x, u: C @ x,
         jac_A=lambda x, u: A, jac_C=lambda x, u: C,
-        Q=np.zeros((n, n)), R=np.zeros((n, n)), dt=dt)
+        Q=np.zeros((n, n)), R=np.zeros((n, n)), dt=dt, **prior(n))
     return model, A, B
 
 

@@ -12,6 +12,7 @@ from cpsrecover.analysis import (BoundParams, _episode_remainders,
                                  max_duration_certificate,
                                  recovery_error_bound_at)
 from cpsrecover.timebase import US_PER_S, to_s, to_us
+from helpers import prior
 
 
 def scalar_params(**kw):
@@ -371,9 +372,10 @@ def test_calibration_bit_identical_to_per_tick(seed, n_records, lti):
     rng = np.random.default_rng(seed)
     if lti:  # lti=True declares a constant Jacobian
         model = robot.dc_motor_model("inner-1", 0.1, robot.RobotParams(),
-                                     0.01 * np.eye(2), [[0.01]])
+                                     0.01 * np.eye(2), [[0.01]], **prior(2))
     else:
-        model = robot.bicycle_model(0.1, 0.01 * np.eye(3), 0.01 * np.eye(3))
+        model = robot.bicycle_model(0.1, 0.01 * np.eye(3), 0.01 * np.eye(3),
+                                    **prior(3))
     n_x, n_u = model.n_x, model.n_u
     records = _random_records(rng, n_x, n_u, n_records)
     records.append({"x_true": np.ones((1, n_x)), "x_hat": np.zeros((1, n_x)),

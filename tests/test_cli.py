@@ -31,6 +31,15 @@ def test_run_invalid_config_exit_1(tmp_path, capsys):
     assert "checkpoint period" in capsys.readouterr().err
 
 
+def test_run_rejects_a_horizon_past_the_row_cap(tmp_path, capsys):
+    path = write_cfg(tmp_path, horizon=1e9, out_dir=str(tmp_path))
+    assert cli.main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert f"cap of {cfgmod.MAX_TRACE_ROWS} trace rows" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_run_missing_file_exit_1(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.json")]) == 1
 

@@ -7,7 +7,8 @@ from cpsrecover import config as cfgmod
 from cpsrecover import estimator, robot
 from cpsrecover.estimator import EstimatorState, estimator_step
 from cpsrecover.models import SubsystemModel
-from helpers import ekf_gain, ekf_predict, ekf_update, scalar_lti_model
+from helpers import (ekf_gain, ekf_predict, ekf_update, prior,
+                     scalar_lti_model)
 
 
 def test_predict_scalar_hand_case():
@@ -28,7 +29,7 @@ def test_predict_identity_propagation():
 
 
 def test_bicycle_jacobian_zero_heading_entry():
-    m = robot.bicycle_model(0.1, np.eye(3), np.eye(3))
+    m = robot.bicycle_model(0.1, np.eye(3), np.eye(3), **prior(3))
     A = m.jac_A(np.zeros(3), np.array([1.0, 0.0]))
     # d(x-row)/d theta = -v sin(theta) dt = 0 at theta=0
     assert A[0, 2] == 0.0
@@ -98,7 +99,7 @@ def test_lti_reduces_to_standard_kf():
             f=lambda x, u, A=A, B=B: A @ x + B @ u,
             g=lambda x, u, C=C: C @ x,
             jac_A=lambda x, u, A=A: A, jac_C=lambda x, u, C=C: C,
-            Q=Q, R=R, dt=1.0)
+            Q=Q, R=R, dt=1.0, **prior(n))
         x = rng.standard_normal(n)
         P = np.eye(n)
         est = EstimatorState(x.copy(), P.copy())
@@ -319,7 +320,7 @@ def _switchable_model():
         id="switch", n_x=2, n_y=1, n_u=1,
         f=lambda x, u: jac["A"] @ x + u[0], g=lambda x, u: jac["C"] @ x,
         jac_A=lambda x, u: jac["A"], jac_C=lambda x, u: jac["C"],
-        Q=0.01 * np.eye(2), R=np.array([[0.04]]), dt=1.0)
+        Q=0.01 * np.eye(2), R=np.array([[0.04]]), dt=1.0, **prior(2))
     return model, jac
 
 

@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpsrecover import robot
 from cpsrecover.models import (DimensionError, SubsystemModel, measure,
                                noise_factor, sample_noise, step_dynamics)
 from cpsrecover.timebase import base_resolution_us
 
-from helpers import finite_difference_jacobian
+from helpers import finite_difference_jacobian, prior
 
 
 def _outer(dt=0.1):
-    return robot.bicycle_model(dt, 0.01 * np.eye(3), 0.01 * np.eye(3))
+    return robot.bicycle_model(dt, 0.01 * np.eye(3), 0.01 * np.eye(3),
+                               **prior(3))
 
 
 def _motor(dt=0.01):
     p = robot.RobotParams()
-    return robot.dc_motor_model(robot.INNER_1, dt, p, np.eye(2), [[1.0]])
+    return robot.dc_motor_model(robot.INNER_1, dt, p, np.eye(2), [[1.0]],
+                                **prior(2))
 
 
 def test_bicycle_euler_step():
@@ -29,7 +32,7 @@ def test_zero_dynamics_identity():
         id="static", n_x=2, n_y=2, n_u=1,
         f=lambda x, u: x, g=lambda x, u: x,
         jac_A=lambda x, u: np.eye(2), jac_C=lambda x, u: np.eye(2),
-        Q=np.zeros((2, 2)), R=np.zeros((2, 2)), dt=1.0)
+        Q=np.zeros((2, 2)), R=np.zeros((2, 2)), dt=1.0, **prior(2))
     x0 = np.array([3.0, -1.0])
     np.testing.assert_array_equal(step_dynamics(m, x0, [0.0], np.zeros(2)), x0)
 
@@ -66,29 +69,29 @@ def test_dimension_checks():
 def test_sample_noise_zero_cov():
     rng = np.random.default_rng(0)
     np.testing.assert_array_equal(
-        sample_noise(noise_factor(np.zeros((3, 3))), rng), np.zeros(3))
+        sample_noise(noise_factor(np.zeros((3, 3))), rng, 2), np.zeros((2, 3)))
 
 
 def test_sample_noise_covariance_montecarlo():
     rng = np.random.default_rng(7)
     L = noise_factor(0.01 * np.eye(3))
-    draws = np.array([sample_noise(L, rng) for _ in range(100_000)])
+    draws = sample_noise(L, rng, 100_000)
     emp = draws.T @ draws / len(draws)
     assert np.all(np.abs(np.diag(emp) - 0.01) < 0.0005)  # within 5%
 
 
 def test_sample_noise_deterministic():
     L = noise_factor(np.eye(2))
-    a = [sample_noise(L, np.random.default_rng(3)) for _ in range(5)]
-    b = [sample_noise(L, np.random.default_rng(3)) for _ in range(5)]
-    np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+    a = sample_noise(L, np.random.default_rng(3), 5)
+    b = sample_noise(L, np.random.default_rng(3), 5)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_sample_noise_singular_cov():
     # zero row/column is legal and must not raise
     cov = np.diag([0.01, 0.0])
     rng = np.random.default_rng(1)
-    w = sample_noise(noise_factor(cov), rng)
+    (w,) = sample_noise(noise_factor(cov), rng, 1)
     assert w[1] == 0.0 and w[0] != 0.0
 
 
@@ -113,19 +116,37 @@ def test_model_factor_draws_are_bit_identical(cov):
     m = SubsystemModel(id="m", n_x=n, n_y=n, n_u=1, f=lambda x, u: x,
                        g=lambda x, u: x, jac_A=lambda x, u: np.eye(n),
                        jac_C=lambda x, u: np.eye(n), Q=cov, R=cov, dt=1.0,
-                       Sigma0=cov)
+                       mu0=np.zeros(n), Sigma0=cov)
     a, b, c = (np.random.default_rng(5) for _ in range(3))
     for _ in range(20):
         want = _reference_draw(cov, a)
-        assert sample_noise(m.Q_factor, b).tobytes() == want.tobytes()
-        assert sample_noise(noise_factor(cov), c).tobytes() == want.tobytes()
+        assert sample_noise(m.Q_factor, b, 1)[0].tobytes() == want.tobytes()
+        assert (sample_noise(noise_factor(cov), c, 1)[0].tobytes()
+                == want.tobytes())
     assert b.bit_generator.state == a.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), rank=st.integers(0, 3),
+       rows=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+def test_block_draw_equals_one_draw_per_row(n, rank, rows, seed):
+    """A block of ``rows`` draws is, bit for bit, ``rows`` single draws,
+    and leaves the generator where they leave it.  The covariance has rank
+    ``min(rank, n)``: positive definite, singular or zero."""
+    F = np.random.default_rng(seed).standard_normal((n, min(rank, n)))
+    cov = F @ F.T
+    a, b = (np.random.default_rng(seed) for _ in range(2))
+    block = sample_noise(noise_factor(cov), a, rows)
+    want = np.array([_reference_draw(cov, b) for _ in range(rows)])
+    assert block.shape == (rows, n)
+    assert block.tobytes() == want.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_zero_covariance_draws_nothing():
     rng = np.random.default_rng(2)
     state = rng.bit_generator.state
-    sample_noise(noise_factor(np.zeros((3, 3))), rng)
+    sample_noise(noise_factor(np.zeros((3, 3))), rng, 4)
     assert rng.bit_generator.state == state
 
 
@@ -136,7 +157,7 @@ def test_non_psd_covariance_raises():
 
 def test_model_covariances_are_read_only_copies():
     q = 0.01 * np.eye(3)
-    m = robot.bicycle_model(0.1, q, q)
+    m = robot.bicycle_model(0.1, q, q, **prior(3))
     assert q.flags.writeable
     for cov in (m.Q, m.R, m.Sigma0):
         with pytest.raises(ValueError):
@@ -158,13 +179,22 @@ def test_jacobians_match_finite_differences():
             np.testing.assert_allclose(C, C_fd, rtol=1e-4, atol=1e-6)
 
 
+def test_motor_jacobian_is_built_once_and_read_only():
+    m = _motor()
+    A = m.jac_A(np.zeros(2), np.zeros(1))
+    assert m.jac_A(np.ones(2), np.ones(1)) is A
+    with pytest.raises(ValueError):
+        A[0, 0] = 0.0
+
+
 def test_psd_validation():
     with pytest.raises(ValueError):
         SubsystemModel(id="bad", n_x=1, n_y=1, n_u=1,
                        f=lambda x, u: x, g=lambda x, u: x,
                        jac_A=lambda x, u: np.eye(1),
                        jac_C=lambda x, u: np.eye(1),
-                       Q=np.array([[-1.0]]), R=np.zeros((1, 1)), dt=1.0)
+                       Q=np.array([[-1.0]]), R=np.zeros((1, 1)), dt=1.0,
+                       **prior(1))
 
 
 @pytest.mark.parametrize("field, value", [

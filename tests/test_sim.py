@@ -69,11 +69,9 @@ def test_another_models_table_leaves_a_run_unchanged(tmp_path):
     assert estimator._gain_table.cache_info().currsize == 3
 
 
-def test_long_periodic_csvs_match_pinned_digests(tmp_path):
+def _long_periodic_config() -> dict:
     """The 160 s case with a 1.75 s burst every 5 s on every loop, built as
-    the benchmark's long-periodic workload builds it; its motor loops spend
-    most steps reading their gain table's fixed point."""
-    pinned = json.loads(PINNED_DIGESTS.read_text())["long-periodic"]
+    the benchmark's long-periodic workload builds it."""
     cfg = cfgmod.default_config()
     cfg["seed"], cfg["horizon"] = 1, 160.0
     n = int((160.0 - 3.25 - 1.75) // 5.0) + 1
@@ -82,7 +80,14 @@ def test_long_periodic_csvs_match_pinned_digests(tmp_path):
             dict(first if i % 2 == 0 else second,
                  t_start=3.25 + 5.0 * i, t_end=3.25 + 5.0 * i + 1.75)
             for i in range(n)]
-    sim.emit_csv(sim.run_scenario(cfg), tmp_path)
+    return cfg
+
+
+def test_long_periodic_csvs_match_pinned_digests(tmp_path):
+    """The long-periodic case; its motor loops spend most steps reading
+    their gain table's fixed point."""
+    pinned = json.loads(PINNED_DIGESTS.read_text())["long-periodic"]
+    sim.emit_csv(sim.run_scenario(_long_periodic_config()), tmp_path)
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in pinned} == pinned
 
@@ -515,6 +520,19 @@ def test_validate_rejects_bad_values(overrides, message):
     cfg.update(overrides)
     with pytest.raises(ConfigError, match=re.escape(message)):
         cfgmod.validate_config(cfg)
+
+
+def test_validate_caps_the_trace_rows_per_loop():
+    cap = f"cap of {cfgmod.MAX_TRACE_ROWS} trace rows"
+    with pytest.raises(ConfigError, match=cap):
+        cfgmod.validate_config(cfgmod.build_case_study(horizon=1e9))
+    # the 100 Hz motor loops fill the cap exactly at 1e5 s, and pass it a
+    # tick later
+    cfgmod.validate_config(cfgmod.build_case_study(horizon=1e5))
+    with pytest.raises(ConfigError, match=cap):
+        cfgmod.validate_config(cfgmod.build_case_study(horizon=1e5 + 0.01))
+    cfgmod.validate_config(cfgmod.default_config())
+    cfgmod.validate_config(_long_periodic_config())
 
 
 def test_validate_builds_no_models(monkeypatch):

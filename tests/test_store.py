@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cpsrecover import config as cfgmod
-from cpsrecover import sim
+from cpsrecover import sim, store as storemod
 from cpsrecover.store import (DEFAULT_KEY, Checkpoint, ControlRecord,
                               IntegrityError, MonotonicityError, SecureStore)
 from cpsrecover.timebase import to_us
@@ -396,6 +396,11 @@ _edits = ["flip_payload", "flip_tag", "restore", "to_bytearray", "poke",
 @example(ops=[("append", "control", 0, 2), ("to_bytearray", "control", 0, 1),
               ("verify", "control", 0, 0), ("poke", "control", 0, 1),
               ("verify", "control", 0, 0)])
+# a record appended after a tag edit is tagged from the edited tag, so it
+# must not join the walked copy: restoring the edit would then pass
+@example(ops=[("append", "control", 0, 0), ("flip_tag", "control", 0, 0),
+              ("append", "control", 0, 0), ("restore", "control", 0, 0),
+              ("verify", "control", 0, 0)])
 def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
     """Whatever was appended, edited, restored or cut between checks,
     ``verify_integrity`` gives the verdict of a walk over every record.
@@ -465,6 +470,37 @@ def test_saved_store_format_is_pinned(tmp_path, monkeypatch):
     assert len(data) == 139_036
     assert hashlib.sha256(data).hexdigest() == \
         "aa2a9f17e513f497c1c33525b6c16b202aff572e1e3a8d969191621d80dd1cc4"
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.binary(max_size=200), prev=st.binary(min_size=32, max_size=32),
+       payload=st.binary(max_size=100))
+@example(key=b"k" * 64, prev=b"\x00" * 32, payload=b"")
+@example(key=b"k" * 65, prev=b"\x00" * 32, payload=b"U")
+def test_chain_tags_are_hmac_sha256(key, prev, payload):
+    chain = storemod._Chain(storemod._keyed_sha256(key))
+    assert chain._tag(payload, prev) == hmac.new(
+        key, prev + payload, hashlib.sha256).digest()
+
+
+def test_a_default_run_hashes_each_record_once(monkeypatch):
+    """Appends join the walked copy, so the checks before each recovery
+    only compare: one MAC per appended record over the whole run."""
+    macs = [0]
+    tag = storemod._Chain._tag
+
+    def counting_tag(chain, payload, prev):
+        macs[0] += 1
+        return tag(chain, payload, prev)
+
+    monkeypatch.setattr(storemod._Chain, "_tag", counting_tag)
+    result = sim.run_scenario(cfgmod.build_case_study(seed=42))
+    assert np.isfinite(result.traces["outer"]["k1"]).any()   # it recovered
+    chains = [*result.store._checkpoints.values(),
+              *result.store._controls.values()]
+    assert macs[0] == sum(len(c.payloads) for c in chains) > 0
+    assert result.store.verify_integrity()
+    assert macs[0] == sum(len(c.payloads) for c in chains)
 
 
 def test_case_study_store_invariants(case_result):
