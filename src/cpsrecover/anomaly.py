@@ -9,7 +9,8 @@ sensor, "generic" gives one flag for the loop) and two modes:
 * ``oracle`` - flags follow the ground-truth schedule delayed by the
   configured detection time; a window's flag latches from
   ``t_start + detection_time`` until ``t_end``.  A window that ends before
-  its detection completes is never flagged.
+  its detection completes is never flagged.  :func:`oracle_flags` gives
+  them for an array of tick times at once.
 * ``residual-threshold`` - flags sensors whose windowed mean absolute
   innovation exceeds a threshold.  This detector can miss anomalies and is
   excluded from the bound-related guarantees.
@@ -17,7 +18,6 @@ sensor, "generic" gives one flag for the loop) and two modes:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,7 +58,7 @@ class AnomalySchedule:
     """Non-overlapping anomaly windows for one sub-system.
 
     Windows are kept sorted with their start and end times in integer
-    microseconds, so :meth:`active_window` is a bisection.
+    microseconds, so :meth:`window_index` is a bisection.
     """
 
     windows: tuple = ()
@@ -69,20 +69,22 @@ class AnomalySchedule:
             if a.t_end > b.t_start:
                 raise ValueError("anomaly windows must not overlap")
         object.__setattr__(self, "windows", ws)
-        object.__setattr__(self, "_starts_us", tuple(w.start_us for w in ws))
-        object.__setattr__(self, "_ends_us", tuple(w.end_us for w in ws))
+        object.__setattr__(self, "_starts_us",
+                           np.array([w.start_us for w in ws], np.int64))
+        # one end more, below every time: the one index -1 reads
+        object.__setattr__(self, "_ends_us", np.array(
+            [*(w.end_us for w in ws), np.iinfo(np.int64).min], np.int64))
+
+    def window_index(self, t_us, delay_us: int):
+        """Index of the window with ``start_us + delay_us <= t < end_us`` for
+        each (integer µs) time of ``t_us``, or -1: windows never overlap."""
+        i = np.searchsorted(self._starts_us + delay_us, t_us, side="right") - 1
+        return np.where(t_us < self._ends_us[i], i, -1)
 
     def active_window(self, t: float) -> AnomalyWindow | None:
-        """The window with ``t_start <= t < t_end``, if any.
-
-        Half-open, non-overlapping windows hold ``t`` in at most one: the
-        last to start at or before ``t``, when it has not yet ended.
-        """
-        t_us = to_us(t)
-        i = bisect_right(self._starts_us, t_us) - 1
-        if i >= 0 and t_us < self._ends_us[i]:
-            return self.windows[i]
-        return None
+        """The window with ``t_start <= t < t_end``, if any."""
+        i = self.window_index(to_us(t), 0)
+        return self.windows[i] if i >= 0 else None
 
 
 DETECTOR_KINDS = ("specific", "generic")
@@ -116,14 +118,21 @@ def inject_anomaly(y_healthy, schedule: AnomalySchedule, t: float) -> np.ndarray
     return np.asarray(y_healthy, float) + w.gamma * w.y_a
 
 
-def _oracle_flags(n_y: int, schedule: AnomalySchedule, t: float,
-                  detection_time: float) -> np.ndarray:
-    # only the window active at t can raise flags; windows never overlap
-    flags = np.zeros(n_y, dtype=int)
-    w = schedule.active_window(t)
-    if w is not None and w.start_us + to_us(detection_time) <= to_us(t):
-        flags |= w.gamma.astype(int)
-    return flags
+def _by_kind(kind: str, flags: np.ndarray) -> np.ndarray:
+    """Per-sensor flags (last axis) as a ``kind`` detector gives them."""
+    return (flags.any(axis=-1, keepdims=True).astype(int)
+            if kind == "generic" else flags)
+
+
+def oracle_flags(config: AdsConfig, schedule: AnomalySchedule, t_us,
+                 n_y: int) -> np.ndarray:
+    """The oracle's 0/1 integer flags, a row per (integer µs) time of
+    ``t_us``: the active window's ``gamma`` from its start + detection
+    time."""
+    gammas = np.array([*(w.gamma for w in schedule.windows), np.zeros(n_y)],
+                      dtype=int)     # the last row is the one -1 picks
+    return _by_kind(config.kind, gammas[schedule.window_index(
+        t_us, to_us(config.detection_time))])
 
 
 def ads_evaluate(config: AdsConfig, window: Sequence[np.ndarray],
@@ -137,12 +146,10 @@ def ads_evaluate(config: AdsConfig, window: Sequence[np.ndarray],
     the width of the oracle's flags and of an empty window's.
     """
     if config.mode == "oracle":
-        flags = _oracle_flags(n_y, schedule, t, config.detection_time)
-    elif not window:
+        return oracle_flags(config, schedule, to_us(t), n_y)
+    if not window:
         flags = np.zeros(n_y, dtype=int)
     else:
         mean_abs = np.mean(np.abs(np.asarray(window, float)), axis=0)
         flags = (mean_abs > config.threshold).astype(int)
-    if config.kind == "generic":
-        return np.array([int(flags.any())])
-    return flags
+    return _by_kind(config.kind, flags)

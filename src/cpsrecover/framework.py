@@ -3,7 +3,8 @@
 Three cooperating pieces:
 
 * :func:`subsystem_tick` - one loop iteration of a sub-system: estimate,
-  detect, recover if needed, control, log, checkpoint.
+  detect, recover if needed, control, log, checkpoint.  It reads the
+  flags its :class:`SubsystemRuntime` resolved once per run.
 * :func:`roll_forward_recover` - rebuild the current estimate by replaying
   the dynamics predict step from the most recent consistent checkpoint
   using the logged control inputs, then overwrite exactly the estimate
@@ -27,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .anomaly import AdsConfig, AnomalySchedule, ads_evaluate
+from .anomaly import AdsConfig, AnomalySchedule, ads_evaluate, oracle_flags
 from .estimator import EstimatorState, estimator_step
 from .models import SubsystemModel
 from .store import Checkpoint, ControlRecord, SecureStore
@@ -107,7 +108,11 @@ class Episode:
 
 @dataclass
 class SubsystemRuntime:
-    """Mutable per-loop state threaded through the tick function."""
+    """Mutable per-loop state threaded through the tick function.
+
+    ``flags`` and ``detected`` (0/1) resolve the detector for each tick
+    ``0, dt, ...``; residual-threshold ticks fill their own rows.
+    """
 
     model: SubsystemModel
     est: EstimatorState
@@ -115,6 +120,7 @@ class SubsystemRuntime:
     ads: AdsConfig
     schedule: AnomalySchedule
     t_max: float                      # maximum tolerable anomaly duration, s
+    ticks: int                        # ticks the resolved flags cover
     last_u: np.ndarray = None         # input applied at the previous tick
     episode: Episode | None = None    # None while healthy
     # set by the scheduler when the logged input differs from h()'s output
@@ -123,13 +129,20 @@ class SubsystemRuntime:
     # the recent innovations a residual-threshold detector averages; an
     # oracle detector reads none, so it keeps None
     innovations: deque | None = field(init=False, default=None)
+    flags: np.ndarray = field(init=False, repr=False)
+    detected: bytearray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.last_u is None:
             self.last_u = np.zeros(self.model.n_u)
+        t_us = np.arange(self.ticks) * to_us(self.model.dt)
+        self.flags = oracle_flags(self.ads, self.schedule, t_us,
+                                  self.model.n_y)
         if self.ads.mode == "residual-threshold":
+            self.flags[:] = 0
             self.innovations = deque(maxlen=max(
                 1, round(self.ads.detection_time / self.model.dt)))
+        self.detected = bytearray(self.flags.any(axis=1))
 
 
 @dataclass
@@ -211,19 +224,19 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     Order: estimate, detect, recover (if flagged), control, log control,
     checkpoint (healthy tick with checkpoint Boolean ``c_k`` set), safe-stop
     check; ``detection_times`` maps every loop id to its detection time.
-    The result's ``safe_stop`` is set when the episode outlasts the
-    tolerable duration; raises :class:`UnrecoverableError` when recovery is
-    impossible.
+    The tick reads its flags from ``rt``.  The result's ``safe_stop`` is set
+    when the episode outlasts the tolerable duration; raises
+    :class:`UnrecoverableError` when recovery is impossible.
     """
     model = rt.model
+    n = round(t / model.dt)          # the tick's row of the resolved tables
     est, K, innovation = estimator_step(model, rt.est, rt.last_u, y_now)
-    window = ()
     if rt.innovations is not None:
         rt.innovations.append(np.atleast_1d(innovation))
-        window = rt.innovations
-
-    flags = ads_evaluate(rt.ads, window, rt.schedule, t, n_y=model.n_y)
-    detected = bool(flags.any())
+        rt.flags[n] = ads_evaluate(rt.ads, rt.innovations, rt.schedule, t,
+                                   model.n_y)
+        rt.detected[n] = bool(rt.flags[n].any())
+    flags, detected = rt.flags[n], rt.detected[n]
 
     x_hat = est.x_hat
     x_rec = None
@@ -242,8 +255,8 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
         store.append_checkpoint(model.id, Checkpoint(t, x_hat, flags))
         ckpt_event = True
 
-    # commit runtime state
-    rt.est = EstimatorState(x_hat.copy(), est.P)
+    # commit runtime state; no step changes an estimate in place
+    rt.est = EstimatorState(x_hat, est.P) if detected else est
     rt.last_u = u_logged
     if not detected:
         rt.episode = None

@@ -10,6 +10,8 @@ perturbs another loop's draws and identical (config, seed) pairs yield
 byte-identical CSVs.  A loop's process and measurement noise is drawn
 ``_NOISE_BLOCK`` ticks at a time, one row per tick; a block holds the same
 values as that many one-tick draws, so the block size changes no output.
+A loop resolves its anomaly schedule once per run: a tick takes its offset
+from a cursor over the windows and its flags from the ``ads_flags`` column.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import copy
 import os
 from bisect import bisect_left
+from itertools import repeat
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +27,11 @@ import numpy as np
 from . import config as cfgmod
 from . import robot
 from .analysis import recovery_error_bound_at
-from .anomaly import inject_anomaly
 from .estimator import EstimatorState
 from .framework import (SubsystemRuntime, UnrecoverableError,
                         most_recent_consistent_checkpoint, replay,
                         subsystem_tick)
-from .models import measure, sample_noise, step_dynamics
+from .models import sample_noise
 from .store import SecureStore
 from .timebase import base_resolution_us, to_s, to_us
 
@@ -74,13 +76,28 @@ def _noise_rows(factor: np.ndarray, rng: np.random.Generator):
         yield from sample_noise(factor, rng, _NOISE_BLOCK)
 
 
-def _trace_columns(model, flag_width: int, rows: int, eps_delta) -> dict:
-    """One loop's trace columns with room for ``rows`` ticks.
+def _offset_rows(schedule, dt_us: int):
+    """Each tick's measurement offset in turn, for ticks at ``0, dt, ...``:
+    ``gamma * y_a`` of the window holding it, else None."""
+    n = 0
+    for w in schedule.windows:
+        # the first ticks at or after the window's start and end
+        lo = max(n, -(-w.start_us // dt_us))
+        hi = max(lo, -(-w.end_us // dt_us))
+        yield from repeat(None, lo - n)
+        yield from repeat(w.gamma * w.y_a, hi - lo)
+        n = hi
+    yield from repeat(None)
+
+
+def _trace_columns(model, flags: np.ndarray, eps_delta) -> dict:
+    """One loop's trace columns with room for the ticks of its ``flags``
+    table, which is the ``ads_flags`` column.
 
     Columns without a value on a tick (``x_rec`` while healthy, ``k1`` and
     ``rsee_bound`` outside recovery, ``ee_bound`` without bounds) are NaN.
     """
-    n_x = model.n_x
+    n_x, rows = model.n_x, len(flags)
     ee_bound = np.full((rows, n_x), np.nan)
     if eps_delta is not None:
         ee_bound[:] = eps_delta
@@ -93,7 +110,7 @@ def _trace_columns(model, flag_width: int, rows: int, eps_delta) -> dict:
         "x_rec": np.full((rows, n_x), np.nan),    # raw roll-forward vector
         "recovered": np.empty((rows, n_x), bool),  # per-element mask
         "u": np.empty((rows, model.n_u)),
-        "ads_flags": np.empty((rows, flag_width), int),
+        "ads_flags": flags,
         "ckpt_event": np.empty(rows, bool),
         "k1": np.full(rows, np.nan),              # checkpoint in use
         "rsee_bound": np.full((rows, n_x), np.nan),
@@ -141,10 +158,13 @@ def run_scenario(cfg: dict) -> SimResult:
              for sid in cfgmod.SUBSYSTEMS
              for kind, factor in (("process", "Q_factor"),
                                   ("measurement", "R_factor"))}
+    offsets = {sid: _offset_rows(schedules[sid], dt_us[sid])
+               for sid in cfgmod.SUBSYSTEMS}
 
     wheel_refs = [robot.wheel_transform(np.zeros(2), params)]
     inner_index = {robot.INNER_1: 0, robot.INNER_2: 1}
 
+    n_ticks = horizon_us // base_us
     runtimes = {}
     for sid in cfgmod.SUBSYSTEMS:
         model = models[sid]
@@ -153,19 +173,17 @@ def run_scenario(cfg: dict) -> SimResult:
         else:
             controller = robot.make_inner_controller(
                 params, wheel_refs, inner_index[sid], model.dt)
+        # a loop ticks at 0, dt, 2 dt, ... below n_ticks * base_us
         runtimes[sid] = SubsystemRuntime(
             model=model, est=EstimatorState.initial(model),
             controller=controller, ads=ads[sid], schedule=schedules[sid],
-            t_max=t_max)
+            t_max=t_max, ticks=-(-(n_ticks * base_us) // dt_us[sid]))
     if plant_mode == "coupled":
         runtimes[robot.OUTER].applied_input = lambda u: robot.wheel_transform_inverse(
             [x_true[robot.INNER_1][1], x_true[robot.INNER_2][1]], params)
 
-    n_ticks = horizon_us // base_us
-    # a loop ticks at 0, dt, 2 dt, ... below n_ticks * base_us
     traces = {sid: _trace_columns(
-        models[sid], 1 if ads[sid].kind == "generic" else models[sid].n_y,
-        -(-(n_ticks * base_us) // dt_us[sid]),
+        models[sid], runtimes[sid].flags,
         bounds[sid].eps_delta if sid in bounds else None)
         for sid in cfgmod.SUBSYSTEMS}
     recorded = dict.fromkeys(cfgmod.SUBSYSTEMS, 0)
@@ -186,11 +204,12 @@ def run_scenario(cfg: dict) -> SimResult:
             # plant advances one loop period with the previously applied
             # input before the sensors are read, so the measurement and the
             # estimator's predict step refer to the same instant
-            w = next(noise[sid, "process"])
-            x_true[sid] = step_dynamics(model, x_true[sid], rt.last_u, w)
-            v = next(noise[sid, "measurement"])
-            y = measure(model, x_true[sid], rt.last_u, v)
-            y = inject_anomaly(y, schedules[sid], t)
+            w, v = next(noise[sid, "process"]), next(noise[sid, "measurement"])
+            x_true[sid] = model.f(x_true[sid], rt.last_u) + w
+            y = model.g(x_true[sid], rt.last_u) + v
+            offset = next(offsets[sid])
+            if offset is not None:
+                y = y + offset
 
             try:
                 res = subsystem_tick(rt, store, c_k, y, t, detection_times)
@@ -220,7 +239,6 @@ def run_scenario(cfg: dict) -> SimResult:
                 tr["x_rec"][n] = res.x_rec
             tr["recovered"][n] = res.mask
             tr["u"][n] = res.u
-            tr["ads_flags"][n] = res.flags
             tr["ckpt_event"][n] = res.ckpt_event
             if res.k1 is not None:
                 tr["k1"][n] = res.k1

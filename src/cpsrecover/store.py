@@ -4,9 +4,9 @@ Each sub-system owns two logs: its checkpoints, whose times are the save
 times, and the control inputs it applied.  Every appended record extends
 a keyed-hash chain: its tag is HMAC-SHA256 over the previous record's tag
 followed by the canonical payload.  So any in-place change to a stored
-payload or tag is detected by :meth:`SecureStore.verify_integrity`.
-Truncating a suffix of a log is NOT detected by the chain alone; only the
-in-memory record counts reveal it.
+payload or tag is detected by :meth:`SecureStore.verify_integrity`, as is a
+record without its tag or time.  Truncating a suffix of all three alike is
+NOT detected by the chain alone.
 
 :meth:`SecureStore.retrieve` verifies the whole store, every chain of
 every sub-system, before it returns anything, so recovery never proceeds
@@ -106,7 +106,8 @@ class ControlRecord:
     u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u", np.asarray(self.u, float))
+        # little-endian, as it is packed: the native float64 on most hosts
+        object.__setattr__(self, "u", np.asarray(self.u, "<f8"))
 
 
 def _pack_checkpoint(cp: Checkpoint) -> bytes:
@@ -124,8 +125,7 @@ def _unpack_checkpoint(payload: bytes) -> Checkpoint:
 
 
 def _pack_control(rec: ControlRecord) -> bytes:
-    return (b"U" + struct.pack("<dI", rec.t, rec.u.size)
-            + rec.u.astype("<f8").tobytes())
+    return b"U" + struct.pack("<dI", rec.t, rec.u.size) + rec.u.tobytes()
 
 
 def _unpack_control(payload: bytes) -> ControlRecord:
@@ -176,28 +176,33 @@ class _Chain:
         self.payloads.append(payload)
         self.times.append(float(t))
 
+    def complete(self) -> bool:   # every record has a tag and a time
+        return len(self.payloads) == len(self.tags) == len(self.times)
+
     def between(self, lo_us: int, hi_us: int) -> list[bytes]:
         """Payloads with ``lo_us <= t < hi_us``, in append order."""
         i = bisect_left(self.times, lo_us, key=to_us)
         return self.payloads[i:bisect_left(self.times, hi_us, i, key=to_us)]
 
     def verify(self) -> bool:
-        """True iff every record's tag matches its chain position.
+        """True iff every record has a tag and a time, and every tag
+        matches its chain position.
 
         Records equal to the walked copy are not hashed again; the walk
         starts after them, or from the first record when they differ.  When
         the copy holds every record, as after appends alone, this only
         compares.
         """
-        k = min(len(self.payloads), len(self.tags))  # the pairs a walk sees
+        if not self.complete():
+            return False
         n = len(self._walked_tags)
         if (self.payloads[:n] != self._walked_payloads
                 or self.tags[:n] != self._walked_tags):
             n = 0
             self._walked_payloads, self._walked_tags = [], []
         prev = self._walked_tags[-1] if n else _ZERO_TAG
-        payloads = [bytes(p) for p in self.payloads[n:k]]
-        tags = [bytes(t) for t in self.tags[n:k]]
+        payloads = [bytes(p) for p in self.payloads[n:]]
+        tags = [bytes(t) for t in self.tags[n:]]
         for payload, tag in zip(payloads, tags):
             if not hmac.compare_digest(self._tag(payload, prev), tag):
                 return False
@@ -254,14 +259,6 @@ class SecureStore:
         chain = self._checkpoints.get(subsystem)
         return list(chain.times) if chain else []
 
-    def checkpoints(self, subsystem: str) -> list[Checkpoint]:
-        chain = self._checkpoints.get(subsystem)
-        return [_unpack_checkpoint(p) for p in chain.payloads] if chain else []
-
-    def controls(self, subsystem: str) -> list[ControlRecord]:
-        chain = self._controls.get(subsystem)
-        return [_unpack_control(p) for p in chain.payloads] if chain else []
-
     def retrieve(self, subsystem: str, t_from: float, t_to: float):
         """Records with ``t in [t_from, t_to)``; verifies integrity first.
 
@@ -294,7 +291,12 @@ class SecureStore:
     # -- persistence ----------------------------------------------------
 
     def save(self, path) -> None:
-        """Write all logs as length-prefixed tagged records."""
+        """Write all logs as length-prefixed tagged records; raises
+        :class:`IntegrityError` if a log's record and tag counts differ."""
+        if not all(c.complete() for c in [*self._checkpoints.values(),
+                                          *self._controls.values()]):
+            raise IntegrityError(
+                f"{path}: a log's record, tag and time counts differ")
         with open(path, "wb") as fh:
             for sub in sorted(self._checkpoints):
                 for chain in (self._checkpoints[sub], self._controls[sub]):

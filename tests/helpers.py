@@ -4,6 +4,8 @@ import numpy as np
 
 from cpsrecover.estimator import _REG, EstimatorState
 from cpsrecover.models import SubsystemModel, identity
+from cpsrecover.store import _unpack_checkpoint, _unpack_control
+from cpsrecover.timebase import to_us
 
 
 def prior(n: int) -> dict:
@@ -40,6 +42,23 @@ def random_lti_model(rng, n=None, dt=1.0):
         jac_A=lambda x, u: A, jac_C=lambda x, u: C,
         Q=np.zeros((n, n)), R=np.zeros((n, n)), dt=dt, **prior(n))
     return model, A, B
+
+
+def _decoded(logs: dict, subsystem: str, unpack) -> list:
+    chain = logs.get(subsystem)
+    return [unpack(p) for p in chain.payloads] if chain else []
+
+
+def checkpoints_of(store, subsystem: str) -> list:
+    """A loop's checkpoint records, decoded in append order (none for an
+    unknown loop); the store is not verified."""
+    return _decoded(store._checkpoints, subsystem, _unpack_checkpoint)
+
+
+def controls_of(store, subsystem: str) -> list:
+    """A loop's control records, decoded in append order (none for an
+    unknown loop); the store is not verified."""
+    return _decoded(store._controls, subsystem, _unpack_control)
 
 
 def finite_difference_jacobian(fn, x, u, rel_h: float = 1e-6) -> np.ndarray:
@@ -97,3 +116,34 @@ def ekf_update(model: SubsystemModel, x_pred, P_pred, K, y_meas, u):
     P = (identity(model.n_x) - K @ C) @ P_pred
     P = (P + P.T) / 2.0
     return EstimatorState(x_hat, P), innov
+
+
+# -- reference anomaly schedule ----------------------------------------------
+# The injection and oracle detector as a run once evaluated them on every
+# tick, with the active window found by a scan; the schedule a run resolves
+# once per loop must equal them tick by tick.
+
+
+def reference_active_window(schedule, t: float):
+    """The window with ``t_start <= t < t_end`` in integer µs, if any."""
+    t_us = to_us(t)
+    return next((w for w in schedule.windows
+                 if w.start_us <= t_us < w.end_us), None)
+
+
+def reference_inject_anomaly(y_healthy, schedule, t: float) -> np.ndarray:
+    """``y + gamma * y_a`` inside a window; outside, ``y_healthy`` itself."""
+    w = reference_active_window(schedule, t)
+    if w is None:
+        return y_healthy
+    return np.asarray(y_healthy, float) + w.gamma * w.y_a
+
+
+def reference_oracle_flags(n_y: int, schedule, t: float,
+                           detection_time: float) -> np.ndarray:
+    """A specific oracle detector's flags at ``t``."""
+    flags = np.zeros(n_y, dtype=int)
+    w = reference_active_window(schedule, t)
+    if w is not None and w.start_us + to_us(detection_time) <= to_us(t):
+        flags |= w.gamma.astype(int)
+    return flags

@@ -144,7 +144,7 @@ def test_criterion_03_lti_closed_form_equivalence():
         rt = SubsystemRuntime(model=model, est=EstimatorState.initial(model),
                               controller=lambda x, t: np.zeros(model.n_u),
                               ads=ads, schedule=AnomalySchedule(()),
-                              t_max=1e9)
+                              t_max=1e9, ticks=0)     # it never ticks
         out = np.array([1])
         _, x_iter, _, _ = roll_forward_recover(
             rt, store, np.zeros(model.n_x), np.zeros((model.n_x, model.n_y)),

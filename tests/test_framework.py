@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cpsrecover.anomaly import AdsConfig, AnomalySchedule, AnomalyWindow
+from cpsrecover import sim
+from cpsrecover.anomaly import (DETECTOR_KINDS, AdsConfig, AnomalySchedule,
+                                AnomalyWindow, ads_evaluate)
 from cpsrecover.estimator import EstimatorState
 from cpsrecover.framework import (CONSISTENT, FULLY_INCONSISTENT,
                                   PARTLY_INCONSISTENT, SubsystemRuntime,
@@ -12,8 +14,10 @@ from cpsrecover.framework import (CONSISTENT, FULLY_INCONSISTENT,
                                   roll_forward_recover, safe_stop_check,
                                   subsystem_tick)
 from cpsrecover.store import Checkpoint, ControlRecord, SecureStore
-from helpers import scalar_lti_model
-from cpsrecover.timebase import to_us
+from cpsrecover.models import SubsystemModel
+from cpsrecover.timebase import to_s, to_us
+from helpers import (controls_of, prior, reference_inject_anomaly,
+                     reference_oracle_flags, scalar_lti_model)
 
 
 # -- consistent checkpoint selection ------------------------------------
@@ -154,13 +158,78 @@ def test_element_mask_generic_all():
 
 
 def lti_runtime(model, t_max=100.0, detection_time=1.0, schedule=None,
-                kind="specific", mode="oracle"):
+                kind="specific", mode="oracle", ticks=20):
     if schedule is None:
         schedule = AnomalySchedule(())
     ads = AdsConfig(kind=kind, mode=mode, detection_time=detection_time)
     return SubsystemRuntime(model=model, est=EstimatorState.initial(model),
                             controller=lambda x, t: np.zeros(model.n_u),
-                            ads=ads, schedule=schedule, t_max=t_max)
+                            ads=ads, schedule=schedule, t_max=t_max,
+                            ticks=ticks)
+
+
+# window edges in µs: consecutive pairs of sorted distinct points, so the
+# windows never overlap and may touch; most edges are off the tick grid
+_edges_us = st.lists(st.integers(-300_000, 2_000_000), unique=True,
+                     max_size=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edges=_edges_us, n_y=st.integers(1, 3),
+       dt_us=st.sampled_from([10_000, 30_000, 100_000]),
+       detection_us=st.integers(0, 400_000),
+       kind=st.sampled_from(DETECTOR_KINDS), data=st.data())
+@example(edges=[], n_y=2, dt_us=10_000, detection_us=0, kind="generic",
+         data=None)
+# a window that ends before its detection completes is never flagged
+@example(edges=[250_000, 400_000, 1_000_000, 1_500_000], n_y=1,
+         dt_us=10_000, detection_us=250_000, kind="specific", data=None)
+# a window that starts before the first tick
+@example(edges=[-250_000, 150_000], n_y=1, dt_us=30_000, detection_us=0,
+         kind="specific", data=None)
+def test_resolved_schedule_equals_the_per_tick_reference(
+        edges, n_y, dt_us, detection_us, kind, data):
+    """On every tick the run's offset, and a runtime's resolved flag row and
+    ``detected``, equal the per-tick injection and oracle, and so does
+    ``ads_evaluate``; a residual-threshold runtime starts with every row
+    clear."""
+    draw = data.draw if data else (lambda s: [1] * n_y)
+    points = sorted(edges)
+    windows = [AnomalyWindow(to_s(a), to_s(b), draw(st.lists(
+        st.floats(-1e3, 1e3), min_size=n_y, max_size=n_y)), draw(st.lists(
+        st.integers(0, 1), min_size=n_y, max_size=n_y)))
+        for a, b in zip(points[::2], points[1::2])]
+    sched = AnomalySchedule(tuple(windows))
+    model = SubsystemModel(
+        id="m", n_x=n_y, n_y=n_y, n_u=1, f=lambda x, u: x,
+        g=lambda x, u: x, jac_A=lambda x, u: np.eye(n_y),
+        jac_C=lambda x, u: np.eye(n_y), Q=np.zeros((n_y, n_y)),
+        R=np.zeros((n_y, n_y)), dt=to_s(dt_us), **prior(n_y))
+    ticks = 2_100_000 // dt_us
+    ads = AdsConfig(kind=kind, detection_time=to_s(detection_us))
+    rt = lti_runtime(model, detection_time=ads.detection_time,
+                     schedule=sched, kind=kind, ticks=ticks)
+    y = np.array([-0.0, 1.5, -2.25][:n_y])
+    offsets = sim._offset_rows(sched, dt_us)
+    for n in range(ticks):
+        t = to_s(n * dt_us)
+        want_y = reference_inject_anomaly(y, sched, t)
+        offset = next(offsets)
+        got_y = y if offset is None else y + offset
+        assert (got_y is y) == (want_y is y)
+        assert got_y.tobytes() == want_y.tobytes()
+        want = reference_oracle_flags(n_y, sched, t, ads.detection_time)
+        if kind == "generic":
+            want = np.array([int(want.any())])
+        for got in (rt.flags[n], ads_evaluate(ads, (), sched, t, n_y)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert rt.detected[n] == int(want.any())
+    residual = lti_runtime(model, detection_time=ads.detection_time,
+                           schedule=sched, kind=kind,
+                           mode="residual-threshold", ticks=ticks)
+    assert residual.flags.shape == rt.flags.shape
+    assert not residual.flags.any() and not any(residual.detected)
 
 
 def test_roll_forward_equals_lti_closed_form():
@@ -219,7 +288,7 @@ def test_healthy_tick_checkpoints_and_logs():
                          {m.id: rt.ads.detection_time})
     assert res.ckpt_event and not res.flags.any() and res.x_rec is None
     assert store.save_times(m.id) == [0.0]
-    assert len(store.controls(m.id)) == 1
+    assert len(controls_of(store, m.id)) == 1
 
 
 def test_detected_tick_recovers_and_skips_checkpoint():
@@ -299,7 +368,7 @@ def test_healthy_elements_untouched_by_recovery():
     ads = AdsConfig(kind="specific", mode="oracle", detection_time=1.0)
     rt = SubsystemRuntime(model=m, est=EstimatorState.initial(m),
                           controller=lambda x, t: np.zeros(1), ads=ads,
-                          schedule=sched, t_max=100.0)
+                          schedule=sched, t_max=100.0, ticks=8)
     store = SecureStore()
     for k in range(8):
         t = float(k)

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpsrecover import config as cfgmod
-from cpsrecover import cli, estimator, robot, sim
-from cpsrecover.anomaly import DETECTOR_KINDS, DETECTOR_MODES
+from cpsrecover import cli, estimator, models, robot, sim
+from cpsrecover.anomaly import (DETECTOR_KINDS, DETECTOR_MODES,
+                                AnomalySchedule)
 from cpsrecover.config import ConfigError
 from cpsrecover.timebase import to_s, to_us
 
@@ -90,6 +93,75 @@ def test_long_periodic_csvs_match_pinned_digests(tmp_path):
     sim.emit_csv(sim.run_scenario(_long_periodic_config()), tmp_path)
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in pinned} == pinned
+
+
+# sha256 of each loop's CSV, pinned with Python 3.11.7 and numpy 2.4.6;
+# the residual-threshold case is SHADOW_CONFIGS' own
+PINNED_CSV_CONFIGS = {
+    "generic": {
+        "outer.csv": "938ef42a4acec1c0981084e67a64d9412053c6bf97edfff3834a9cbd843a6c2e",
+        "inner-1.csv": "15b520c16bbc38330a89c2cf49223d532080d9d333a02fc9795fa633940f2df4",
+        "inner-2.csv": "a272fcf08f1a5c9ff1cfe7ef6201f42afaf32e5b54077dc47ab30c4cfce681a4",
+    },
+    "bounds": {
+        "outer.csv": "40ef7108fa6881e2dd2bb1c224c77b6fbf45726450a216bea5bca1bfe74ac74d",
+        "inner-1.csv": "5cacf3fda68f499fcc3760e6e04ab59dffc2e327168633c41fea2578a8690c06",
+        "inner-2.csv": "22506b776c10fad7aeac82a811ce2ce924af69cb74242b2d67c5736d7b29059b",
+    },
+    "coupled": {
+        "outer.csv": "0182d38655edafaaf6bc99191486e715f0f57b2148e8a6024d3ea3e526cdc804",
+        "inner-1.csv": "36980ad781346d7ddfdfabd6da37cecc79c444d2f553eb2cab95cec06c9fabd6",
+        "inner-2.csv": "464848fb1777e039eae130b3fb4acdcc00dd65097232fe7d6c5423667bb84d75",
+    },
+    "safe-stop": {
+        "outer.csv": "989c635be91b42fb6981b32f9307c03802d138b26948e90767e7d96aa3d66e50",
+        "inner-1.csv": "965cf0db7ffcae9dd8207641a353053b3f0472d125a16f028e36bf3b6a516481",
+        "inner-2.csv": "a1bf5387c2473b12230f0e90dd13b60e9cad4beee19a5572437cfb4c2354b763",
+    },
+    "residual-threshold": {
+        "outer.csv": "61de1f0b3208dfa87bf16a8e7f472eb5e8fd69c71c0e19ff4603ec93dd4cba36",
+        "inner-1.csv": "641752e12004d211e88f396dcaa9d1d807ea387b7e4f24e20182482782e71b2f",
+        "inner-2.csv": "249b08edec6c23235298c5a61584dde6547646cf6fc299a5548e4b27e09d8570",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSV_CONFIGS))
+def test_csv_configs_match_pinned_digests(tmp_path, name):
+    """The generic-detector, bounds, coupled-plant, safe-stop and
+    all-loops residual-threshold cases write the CSVs they were pinned
+    with."""
+    overrides = {**CSV_CONFIGS, "residual-threshold":
+                 SHADOW_CONFIGS["residual-threshold"]}[name]
+    assert _csv_digests(cfgmod.build_case_study(**overrides),
+                        tmp_path) == PINNED_CSV_CONFIGS[name]
+
+
+def test_a_run_resolves_its_schedule_once_per_loop(monkeypatch):
+    """A default run looks up no active window and calls neither
+    ``step_dynamics`` nor ``measure``: each loop resolves its schedule
+    once, and the tick steps the model itself."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("active_window", "window_index"):
+        monkeypatch.setattr(AnomalySchedule, name,
+                            counting(name, getattr(AnomalySchedule, name)))
+    for name in ("step_dynamics", "measure"):
+        fn = getattr(models, name)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("cpsrecover") \
+                    and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    res = sim.run_scenario(cfgmod.build_case_study(seed=42))
+    assert len(res.traces[robot.INNER_1]["t"]) == 1000
+    assert res.traces[robot.OUTER]["ads_flags"].any()
+    assert calls == {"window_index": len(cfgmod.SUBSYSTEMS)}
 
 
 def test_result_keeps_its_own_config():

@@ -11,6 +11,7 @@ from cpsrecover import sim, store as storemod
 from cpsrecover.store import (DEFAULT_KEY, Checkpoint, ControlRecord,
                               IntegrityError, MonotonicityError, SecureStore)
 from cpsrecover.timebase import to_us
+from helpers import checkpoints_of, controls_of
 
 
 def small_store():
@@ -26,7 +27,7 @@ def test_first_append():
     s = SecureStore()
     s.append_checkpoint("outer", Checkpoint(0.0, [1.0], [0]))
     assert s.save_times("outer") == [0.0]
-    assert len(s.checkpoints("outer")) == 1
+    assert len(checkpoints_of(s, "outer")) == 1
 
 
 def test_monotonicity_enforced():
@@ -55,16 +56,16 @@ def test_non_finite_times_are_rejected(t):
 
 def test_save_times_match_checkpoint_times():
     s = small_store()
-    assert s.save_times("outer") == [c.t for c in s.checkpoints("outer")]
+    assert s.save_times("outer") == [c.t for c in checkpoints_of(s, "outer")]
 
 
 def test_roundtrip_preserves_payloads():
     s = small_store()
-    cp = s.checkpoints("outer")[2]
+    cp = checkpoints_of(s, "outer")[2]
     assert cp.t == 2.0
     np.testing.assert_array_equal(cp.x_hat, [2.0, -2.0])
     np.testing.assert_array_equal(cp.ads_flags, [0, 0])
-    rec = s.controls("outer")[13]
+    rec = controls_of(s, "outer")[13]
     assert rec.t == 1.3 and rec.u[0] == 13.0
 
 
@@ -106,11 +107,13 @@ def test_tamper_checkpoint_payload():
 
 
 def test_truncation_not_detected_by_chain():
-    # suffix removal keeps a valid chain prefix; documented semantics
+    # removing a suffix of records, tags and times alike keeps a valid
+    # chain prefix; documented semantics
     s = small_store()
     chain = s._controls["outer"]
     chain.payloads.pop()
     chain.tags.pop()
+    chain.times.pop()
     assert s.verify_integrity()
 
 
@@ -121,9 +124,29 @@ def test_truncation_after_verify_not_detected_by_chain():
     chain = s._controls["outer"]
     del chain.payloads[-3:]
     del chain.tags[-3:]
+    del chain.times[-3:]
     assert s.verify_integrity()
     _, _, ctl = s.retrieve("outer", 3.0, 4.0)
     assert [round(c.t, 10) for c in ctl] == [3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6]
+
+
+def test_a_record_without_its_tag_fails_verification(tmp_path):
+    """A rewritten last payload whose tag is dropped is not served: the
+    chain's payload and tag counts differ, so the check fails and
+    ``save`` refuses the store, writing nothing."""
+    s = SecureStore()
+    for k in range(5):
+        s.append_control("outer", ControlRecord(k * 0.1, [float(k)]))
+    chain = s._controls["outer"]
+    chain.payloads[-1] = storemod._pack_control(ControlRecord(0.4, [99.0]))
+    chain.tags.pop()
+    assert not s.verify_integrity()
+    with pytest.raises(IntegrityError):
+        s.retrieve("outer", 0.0, 1.0)
+    path = tmp_path / "store.bin"
+    with pytest.raises(IntegrityError, match="counts differ"):
+        s.save(path)
+    assert not path.exists()
 
 
 def test_persistence_roundtrip(tmp_path):
@@ -133,8 +156,8 @@ def test_persistence_roundtrip(tmp_path):
     loaded = SecureStore.load(path)
     assert loaded.verify_integrity()
     assert loaded.save_times("outer") == s.save_times("outer")
-    np.testing.assert_array_equal(loaded.controls("outer")[7].u,
-                                  s.controls("outer")[7].u)
+    np.testing.assert_array_equal(controls_of(loaded, "outer")[7].u,
+                                  controls_of(s, "outer")[7].u)
 
 
 def _flip_payload_byte(path, record: int) -> None:
@@ -163,7 +186,7 @@ def test_load_rejects_wrong_key(tmp_path):
     s.append_control("outer", ControlRecord(0.0, [1.0]))
     s.save(path)
     loaded = SecureStore.load(path, key=b"the key that wrote it")
-    assert loaded.controls("outer")[0].u[0] == 1.0
+    assert controls_of(loaded, "outer")[0].u[0] == 1.0
     with pytest.raises(IntegrityError):
         SecureStore.load(path, key=b"some other key")
 
@@ -245,8 +268,6 @@ def test_reads_of_unknown_subsystem_have_no_side_effect():
     s = small_store()
     before = s.subsystems()
     assert s.save_times("nope") == []
-    assert s.checkpoints("nope") == []
-    assert s.controls("nope") == []
     assert s.retrieve("nope", 0.0, 4.0) == ([], [], [])
     assert s.subsystems() == before
 
@@ -284,8 +305,8 @@ def test_retrieve_matches_brute_force_filter(cp_ns, ctl_ns, ends):
     t_from, t_to = sorted(e / 1e9 for e in ends)
     lo, hi = to_us(t_from), to_us(t_to)
     cps, times, ctl = s.retrieve("a", t_from, t_to)
-    want_cps = [c for c in s.checkpoints("a") if lo <= to_us(c.t) < hi]
-    want_ctl = [c for c in s.controls("a") if lo <= to_us(c.t) < hi]
+    want_cps = [c for c in checkpoints_of(s, "a") if lo <= to_us(c.t) < hi]
+    want_ctl = [c for c in controls_of(s, "a") if lo <= to_us(c.t) < hi]
     assert times == [c.t for c in want_cps] == [c.t for c in cps]
     for got, want in zip(cps, want_cps):
         np.testing.assert_array_equal(got.x_hat, want.x_hat)
@@ -368,8 +389,11 @@ _KEY = b"property key"
 
 
 def _full_walk(store) -> bool:
-    """Every chain checked from its first record, with nothing remembered."""
+    """Every chain checked from its first record, with nothing remembered;
+    a chain whose record, tag and time counts differ fails."""
     for chain in [*store._checkpoints.values(), *store._controls.values()]:
+        if not len(chain.payloads) == len(chain.tags) == len(chain.times):
+            return False
         prev = b"\x00" * 32
         for payload, tag in zip(chain.payloads, chain.tags):
             want = hmac.new(_KEY, bytes(prev) + bytes(payload),
@@ -381,7 +405,7 @@ def _full_walk(store) -> bool:
 
 
 _edits = ["flip_payload", "flip_tag", "restore", "to_bytearray", "poke",
-          "truncate", "shift"]
+          "truncate", "shift", "drop_tag"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -401,11 +425,18 @@ _edits = ["flip_payload", "flip_tag", "restore", "to_bytearray", "poke",
 @example(ops=[("append", "control", 0, 0), ("flip_tag", "control", 0, 0),
               ("append", "control", 0, 0), ("restore", "control", 0, 0),
               ("verify", "control", 0, 0)])
+# a rewritten last payload whose tag is dropped: the walk must not stop at
+# the shorter list
+@example(ops=[("append", "control", 0, 3), ("verify", "control", 0, 0),
+              ("flip_payload", "control", 0, 0), ("drop_tag", "control", 0, 0),
+              ("verify", "control", 0, 0)])
 def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
     """Whatever was appended, edited, restored or cut between checks,
     ``verify_integrity`` gives the verdict of a walk over every record.
 
     Edits count records from the newest, where the walked copy ends.
+    ``truncate`` cuts records and tags but not times, so from then on both
+    verdicts are False.
     """
     s = SecureStore(key=_KEY)
     s.append_checkpoint("a", Checkpoint(0.0, [0.0, 0.0], [0]))
@@ -437,7 +468,7 @@ def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
         records = chain.tags if byte % 2 else chain.payloads
         if op == "flip_payload" and chain.payloads[i]:
             _tamper_payload(chain, i, byte)
-        elif op == "flip_tag":
+        elif op == "flip_tag" and i < len(chain.tags):
             _tamper_tag(chain, i, byte)
         elif op == "restore":   # equal bytes, but new objects
             chain.payloads[:] = [bytes(bytearray(p))
@@ -458,6 +489,8 @@ def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
             del originals[kind][-cut:]
         elif op == "shift":
             _shift_boundary(chain, i, byte)
+        elif op == "drop_tag" and i < len(chain.tags):
+            del chain.tags[i]
     assert s.verify_integrity() == _full_walk(s)
 
 
@@ -510,12 +543,12 @@ def test_case_study_store_invariants(case_result):
     detected = [(3.5, 5.0), (8.5, 10.0)]
     for sid in ("outer", "inner-1", "inner-2"):
         times = store.save_times(sid)
-        assert times == [c.t for c in store.checkpoints(sid)]
+        assert times == [c.t for c in checkpoints_of(store, sid)]
         assert times == [0.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0]
         for t in times:
             assert not any(a <= t < b for a, b in detected)
         # control log has a record at every tick with no gaps
-        ctl = store.controls(sid)
+        ctl = controls_of(store, sid)
         dt_us = 100_000 if sid == "outer" else 10_000
         ts = [to_us(c.t) for c in ctl]
         assert ts == list(range(0, to_us(cfg["horizon"]), dt_us))
@@ -523,6 +556,6 @@ def test_case_study_store_invariants(case_result):
 
 def test_tick_counts(case_result):
     store = case_result.store
-    assert len(store.controls("outer")) == 100
-    assert len(store.controls("inner-1")) == 1000
-    assert len(store.controls("inner-2")) == 1000
+    assert len(controls_of(store, "outer")) == 100
+    assert len(controls_of(store, "inner-1")) == 1000
+    assert len(controls_of(store, "inner-2")) == 1000
