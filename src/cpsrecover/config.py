@@ -41,7 +41,7 @@ from . import robot
 from .analysis import BoundParams
 from .anomaly import (DETECTOR_KINDS, DETECTOR_MODES, AdsConfig,
                       AnomalySchedule, AnomalyWindow)
-from .timebase import base_resolution_us, to_us
+from .timebase import US_PER_S, base_resolution_us, to_us
 
 SUBSYSTEMS = (robot.OUTER, robot.INNER_1, robot.INNER_2)
 T_MAX_DEFAULT = 5.0   # seconds; used when a config leaves ``t_max`` out
@@ -269,11 +269,19 @@ def _check_robot(spec, errors: list) -> robot.RobotParams:
     except ValueError as exc:
         errors.append(f"robot: {exc}")
         return robot.RobotParams()
-    rates = [name for name in ("outer_rate", "inner_rate")
-             if _period_us(getattr(params, name)) is None]
-    errors.extend(f"robot.{name} must be a frequency whose period is at "
-                  "least 1 microsecond" for name in rates)
-    return robot.RobotParams() if rates else params
+    # a loop ticks every to_us(period) microseconds while its model steps
+    # by the period itself, so the two must agree
+    n_errors = len(errors)
+    for name in ("outer_rate", "inner_rate"):
+        rate = getattr(params, name)
+        period = US_PER_S / rate if _period_us(rate) else None
+        if period is None:
+            errors.append(f"robot.{name} must be a frequency whose period is "
+                          "at least 1 microsecond")
+        elif abs(period - round(period)) > 1e-9 * period:
+            errors.append(f"robot.{name} {rate} Hz has a period of {period} "
+                          "microseconds, which is not a whole number")
+    return robot.RobotParams() if len(errors) > n_errors else params
 
 
 _WINDOW_KEYS = ("t_start", "t_end", "y_a", "gamma")

@@ -59,16 +59,19 @@ def estimator_step(model: SubsystemModel, est: EstimatorState,
     """Predict with the previous input, then update with ``y_now``.
 
     Returns the posterior :class:`EstimatorState`, the gain ``K`` (kept for
-    recovery) and the innovation ``y_now - g(x_pred, u_prev)``.  ``P`` and
-    ``K`` come from the model's gain table when this step's ``A`` and ``C``
-    are the table's and ``est.P`` is a key; they are then read-only and
-    shared.
+    recovery), the innovation ``y_now - g(x_pred, u_prev)`` and the prior
+    mean ``x_pred = f(x_hat, u_prev)``.  ``P`` and ``K`` come from the
+    model's gain table when this step's ``A`` and ``C`` are the table's and
+    ``est.P`` is a key; they are then read-only and shared.
     """
     u = np.asarray(u_prev, float)
     A = model.jac_A(est.x_hat, u)
     x_pred = model.f(est.x_hat, u)
-    C = np.atleast_2d(model.jac_C(x_pred, u))
-    innov = np.asarray(y_now, float) - model.g(x_pred, u)
+    C = model.jac_C(x_pred, u)
+    if C.ndim != 2:
+        C = np.atleast_2d(C)
+    # numpy converts a list operand as asarray(y_now, float) would
+    innov = y_now - model.g(x_pred, u)
     if model.gain_table is None:           # resolved on the first step
         object.__setattr__(model, "gain_table", _gain_table(
             A.tobytes(), C.tobytes(), model.Q.tobytes(), model.R.tobytes(),
@@ -79,7 +82,7 @@ def estimator_step(model: SubsystemModel, est: EstimatorState,
         hit = steps.get(P_key)
         if hit is not None:
             P, K = hit
-            return EstimatorState(x_pred + K @ innov, P), K, innov
+            return EstimatorState(x_pred + K @ innov, P), K, innov, x_pred
     else:
         steps = None
 
@@ -97,4 +100,4 @@ def estimator_step(model: SubsystemModel, est: EstimatorState,
                               or P.tobytes() == P_key):
         P.flags.writeable = K.flags.writeable = False
         steps[P_key] = P, K
-    return EstimatorState(x_pred + K @ innov, P), K, innov
+    return EstimatorState(x_pred + K @ innov, P), K, innov, x_pred

@@ -4,7 +4,8 @@ Three cooperating pieces:
 
 * :func:`subsystem_tick` - one loop iteration of a sub-system: estimate,
   detect, recover if needed, control, log, checkpoint.  It reads the
-  flags its :class:`SubsystemRuntime` resolved once per run.
+  flags its :class:`SubsystemRuntime` resolved once per run and writes
+  its trace row there.
 * :func:`roll_forward_recover` - rebuild the current estimate by replaying
   the dynamics predict step from the most recent consistent checkpoint
   using the logged control inputs, then overwrite exactly the estimate
@@ -24,14 +25,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
+from .analysis import BoundParams, recovery_error_bound_at
 from .anomaly import AdsConfig, AnomalySchedule, ads_evaluate, oracle_flags
 from .estimator import EstimatorState, estimator_step
 from .models import SubsystemModel
-from .store import Checkpoint, ControlRecord, SecureStore
+from .store import Checkpoint, SecureStore
 from .timebase import to_us, to_s
 
 # Gain entries below this are treated as structurally zero when mapping
@@ -92,11 +94,6 @@ def classify_checkpoint_set(snapshots: dict) -> str:
     return CONSISTENT if len(stamps) == 1 else PARTLY_INCONSISTENT
 
 
-def safe_stop_check(episode_start: float, k: float, t_max: float) -> bool:
-    """True iff the episode duration strictly exceeds ``t_max``."""
-    return to_us(k) - to_us(episode_start) > to_us(t_max)
-
-
 @dataclass
 class Episode:
     """An anomaly episode in progress on one loop."""
@@ -104,14 +101,23 @@ class Episode:
     start: float                      # first detected tick
     k1: float                         # consistent checkpoint rolled from
     x_rec: np.ndarray                 # latest roll-forward value
+    # start + t_max in µs: a tick after it safe-stops, so an episode of
+    # exactly t_max does not
+    deadline_us: int
 
 
 @dataclass
 class SubsystemRuntime:
     """Mutable per-loop state threaded through the tick function.
 
-    ``flags`` and ``detected`` (0/1) resolve the detector for each tick
-    ``0, dt, ...``; residual-threshold ticks fill their own rows.
+    The loop ticks at ``0, dt, 2 dt, ...``; ``rows`` counts its ticks so
+    far, so it is the row the next tick reads and writes.  ``flags`` and
+    ``detected`` (0/1) resolve the detector for each of ``ticks`` rows;
+    residual-threshold ticks fill their own rows.  ``trace`` holds the
+    loop's trace columns, ``flags`` among them as ``ads_flags``, and each
+    tick writes its row.  The scheduler steps the plant: it keeps its state
+    in ``x_true``, which the tick records, and draws each tick's process
+    noise, measurement noise and anomaly offset from the ``noise`` cursor.
     """
 
     model: SubsystemModel
@@ -120,21 +126,28 @@ class SubsystemRuntime:
     ads: AdsConfig
     schedule: AnomalySchedule
     t_max: float                      # maximum tolerable anomaly duration, s
-    ticks: int                        # ticks the resolved flags cover
+    ticks: int                        # ticks the flags and trace cover
     last_u: np.ndarray = None         # input applied at the previous tick
     episode: Episode | None = None    # None while healthy
     # set by the scheduler when the logged input differs from h()'s output
     # (coupled plant mode logs the input actually applied to the plant)
     applied_input: Callable[[np.ndarray], np.ndarray] = None
+    bounds: BoundParams | None = None  # fills the bound columns
+    x_true: np.ndarray = None         # plant state; mu0 unless given
+    noise: Iterator | None = None     # (w, v, offset or None) per tick
     # the recent innovations a residual-threshold detector averages; an
     # oracle detector reads none, so it keeps None
     innovations: deque | None = field(init=False, default=None)
     flags: np.ndarray = field(init=False, repr=False)
     detected: bytearray = field(init=False, repr=False)
+    trace: dict = field(init=False, repr=False)
+    rows: int = field(init=False, default=0)
 
     def __post_init__(self):
         if self.last_u is None:
             self.last_u = np.zeros(self.model.n_u)
+        if self.x_true is None:
+            self.x_true = np.asarray(self.model.mu0, float)
         t_us = np.arange(self.ticks) * to_us(self.model.dt)
         self.flags = oracle_flags(self.ads, self.schedule, t_us,
                                   self.model.n_y)
@@ -143,21 +156,26 @@ class SubsystemRuntime:
             self.innovations = deque(maxlen=max(
                 1, round(self.ads.detection_time / self.model.dt)))
         self.detected = bytearray(self.flags.any(axis=1))
-
-
-@dataclass
-class TickResult:
-    """Everything one tick produces, for the trace recorder."""
-
-    u: np.ndarray
-    x_hat_est: np.ndarray        # estimator posterior before any recovery
-    x_hat: np.ndarray            # final estimate handed to the controller
-    x_rec: np.ndarray | None     # full roll-forward vector, if recovering
-    mask: np.ndarray             # per-element recovery mask
-    flags: np.ndarray            # detector output flags
-    ckpt_event: bool
-    k1: float | None             # the episode's checkpoint time, if recovering
-    safe_stop: bool              # the episode outlasted the tolerable duration
+        # a column without a value on a tick (x_rec while healthy, k1 and
+        # rsee_bound outside recovery, ee_bound without bounds) is NaN there
+        rows, n_x = self.ticks, self.model.n_x
+        self.trace = {
+            "t": np.empty(rows),
+            "x_true": np.empty((rows, n_x)),
+            "y_meas": np.empty((rows, self.model.n_y)),
+            "x_hat": np.empty((rows, n_x)),         # estimator posterior
+            "x_rf": np.empty((rows, n_x)),          # final estimate
+            "x_rec": np.full((rows, n_x), np.nan),  # raw roll-forward vector
+            "recovered": np.zeros((rows, n_x), bool),  # per-element mask
+            "u": np.empty((rows, self.model.n_u)),
+            "ads_flags": self.flags,
+            "ckpt_event": np.zeros(rows, bool),
+            "k1": np.full(rows, np.nan),            # checkpoint in use
+            "rsee_bound": np.full((rows, n_x), np.nan),
+            "ee_bound": np.full((rows, n_x), np.nan if self.bounds is None
+                                else self.bounds.eps_delta),
+            "safe_stop": np.zeros(rows, bool),
+        }
 
 
 def element_mask(K: np.ndarray, flags: np.ndarray, kind: str) -> np.ndarray:
@@ -181,19 +199,24 @@ def replay(model: SubsystemModel, x: np.ndarray, controls) -> np.ndarray:
 
 def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
                          x_hat: np.ndarray, K: np.ndarray, flags: np.ndarray,
-                         detection_times: dict, t: float):
+                         detection_times: dict, t: float, prior):
     """Recovery step at time ``t`` for a detected anomaly.
 
     On the first detected tick of an episode the estimate is re-rolled from
     the most recent consistent checkpoint through the logged controls; on
     later ticks a single predict step extends the episode's roll-forward
-    value.  Returns ``(x_hat_updated, x_rec, mask, k1)``; ``k1`` is ``None``
-    unless this call re-rolled.
+    value.  ``prior`` is the estimator's prior mean on this tick, ``f`` of
+    the current estimate and the last input: when the previous tick took
+    every element from the roll-forward, the estimate *is* that value, so
+    ``prior`` is its predict step.  Returns ``(x_hat_updated, x_rec, mask,
+    k1)``; ``k1`` is ``None`` unless this call re-rolled, and a full mask
+    returns ``x_rec`` itself as the updated estimate.
     """
     model = rt.model
-    dt_us = to_us(model.dt)
+    ep = rt.episode
     k1 = None
-    if rt.episode is None:
+    if ep is None:
+        dt_us = to_us(model.dt)
         save_times = {sid: store.save_times(sid) for sid in store.subsystems()}
         k1 = most_recent_consistent_checkpoint(save_times, detection_times, t)
         cps, _, controls = store.retrieve(model.id, k1, t)
@@ -207,10 +230,14 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
             raise UnrecoverableError(
                 f"{model.id}: control log has gaps in [{k1}, {t})")
         x_rec = replay(model, cps[0].x_hat, controls)
+    elif rt.est.x_hat is ep.x_rec:
+        x_rec = prior
     else:
-        x_rec = model.f(rt.episode.x_rec, rt.last_u)
+        x_rec = model.f(ep.x_rec, rt.last_u)
 
     mask = element_mask(K, flags, rt.ads.kind)
+    if np.count_nonzero(mask) == mask.size:
+        return x_rec, x_rec, mask, k1
     x_new = x_hat.copy()
     x_new[mask] = x_rec[mask]
     return x_new, x_rec, mask, k1
@@ -218,19 +245,22 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
 
 def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
                    y_now: np.ndarray, t: float,
-                   detection_times: dict) -> TickResult:
+                   detection_times: dict) -> bool:
     """One loop iteration at time ``t`` with measurement ``y_now``.
 
     Order: estimate, detect, recover (if flagged), control, log control,
     checkpoint (healthy tick with checkpoint Boolean ``c_k`` set), safe-stop
     check; ``detection_times`` maps every loop id to its detection time.
-    The tick reads its flags from ``rt``.  The result's ``safe_stop`` is set
-    when the episode outlasts the tolerable duration; raises
-    :class:`UnrecoverableError` when recovery is impossible.
+    The tick reads its flags from, and writes its trace row to, row
+    ``rt.rows`` of ``rt``, then counts itself.  Returns whether the episode
+    outlasted the tolerable duration (the row's ``safe_stop``); raises
+    :class:`UnrecoverableError`, writing no row, when recovery is
+    impossible.
     """
     model = rt.model
-    n = round(t / model.dt)          # the tick's row of the resolved tables
-    est, K, innovation = estimator_step(model, rt.est, rt.last_u, y_now)
+    n = rt.rows
+    est, K, innovation, prior = estimator_step(model, rt.est, rt.last_u,
+                                               y_now)
     if rt.innovations is not None:
         rt.innovations.append(np.atleast_1d(innovation))
         rt.flags[n] = ads_evaluate(rt.ads, rt.innovations, rt.schedule, t,
@@ -239,33 +269,45 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     flags, detected = rt.flags[n], rt.detected[n]
 
     x_hat = est.x_hat
-    x_rec = None
-    mask = np.zeros(model.n_x, dtype=bool)
     if detected:
         x_hat, x_rec, mask, k1 = roll_forward_recover(
-            rt, store, est.x_hat, K, flags, detection_times, t)
+            rt, store, x_hat, K, flags, detection_times, t, prior)
 
     u = np.atleast_1d(np.asarray(rt.controller(x_hat, t), float))
     u_logged = u if rt.applied_input is None else np.atleast_1d(
         np.asarray(rt.applied_input(u), float))
-    store.append_control(model.id, ControlRecord(t, u_logged))
+    store.append_control(model.id, t, u_logged)
 
-    ckpt_event = False
-    if not detected and c_k:
-        store.append_checkpoint(model.id, Checkpoint(t, x_hat, flags))
-        ckpt_event = True
-
+    tr = rt.trace
+    tr["t"][n] = t
+    tr["x_true"][n] = rt.x_true
+    tr["y_meas"][n] = y_now
+    tr["x_hat"][n] = est.x_hat
+    tr["x_rf"][n] = x_hat
+    tr["u"][n] = u
     # commit runtime state; no step changes an estimate in place
-    rt.est = EstimatorState(x_hat, est.P) if detected else est
+    rt.rows = n + 1
     rt.last_u = u_logged
     if not detected:
+        if c_k:
+            store.append_checkpoint(model.id, Checkpoint(t, x_hat, flags))
+            tr["ckpt_event"][n] = True
+        rt.est = est
         rt.episode = None
-    elif rt.episode is None:
-        rt.episode = Episode(t, k1, x_rec)
-    else:
-        rt.episode.x_rec = x_rec
+        return False
 
+    rt.est = EstimatorState(x_hat, est.P)
     ep = rt.episode
-    return TickResult(u, est.x_hat, x_hat, x_rec, mask, flags, ckpt_event,
-                      None if ep is None else ep.k1,
-                      ep is not None and safe_stop_check(ep.start, t, rt.t_max))
+    if ep is None:
+        ep = rt.episode = Episode(t, k1, x_rec, to_us(t) + to_us(rt.t_max))
+    else:
+        ep.x_rec = x_rec
+    tr["x_rec"][n] = x_rec
+    tr["recovered"][n] = mask
+    tr["k1"][n] = ep.k1
+    if rt.bounds is not None:
+        tr["rsee_bound"][n] = recovery_error_bound_at(
+            rt.bounds, n, to_us(ep.k1) // to_us(model.dt))
+    stop = to_us(t) > ep.deadline_us
+    tr["safe_stop"][n] = stop
+    return stop

@@ -1,10 +1,15 @@
 """Deterministic multi-rate scheduler, trace recording and CSV emission.
 
-The scheduler is single-threaded and owns all mutable state.  On each
-base tick it computes one checkpoint Boolean, true on multiples of the
-checkpoint period, and hands it to every due loop; due loops fire in a
-fixed order (outer, inner-1, inner-2) so the outer loop's wheel references
-are fresh for the inner loops.  All randomness flows from one master seed
+The scheduler is single-threaded.  Each loop ticks at the multiples of its
+own period, a whole number of microseconds, and the scheduler walks the
+ticks of all loops merged in time order, not every tick of a common base
+grid.  At each instant it computes one checkpoint Boolean, true on
+multiples of the checkpoint period, and hands it to every loop due then;
+those fire in a fixed order (outer, inner-1, inner-2) so the outer loop's
+wheel references are fresh for the inner loops.  On a loop tick the
+scheduler steps the plant, calls :func:`subsystem_tick`, which writes the
+loop's trace row into its :class:`SubsystemRuntime`, and publishes the
+outer loop's wheel references.  All randomness flows from one master seed
 through per-(loop, noise kind) child streams, so adding a loop never
 perturbs another loop's draws and identical (config, seed) pairs yield
 byte-identical CSVs.  A loop's process and measurement noise is drawn
@@ -26,14 +31,13 @@ import numpy as np
 
 from . import config as cfgmod
 from . import robot
-from .analysis import recovery_error_bound_at
 from .estimator import EstimatorState
 from .framework import (SubsystemRuntime, UnrecoverableError,
                         most_recent_consistent_checkpoint, replay,
                         subsystem_tick)
 from .models import sample_noise
 from .store import SecureStore
-from .timebase import base_resolution_us, to_s, to_us
+from .timebase import to_s, to_us
 
 # fixed stream-split order; adding streams at the end preserves old draws
 _STREAMS = ("process", "measurement", "init")
@@ -90,33 +94,21 @@ def _offset_rows(schedule, dt_us: int):
     yield from repeat(None)
 
 
-def _trace_columns(model, flags: np.ndarray, eps_delta) -> dict:
-    """One loop's trace columns with room for the ticks of its ``flags``
-    table, which is the ``ads_flags`` column.
-
-    Columns without a value on a tick (``x_rec`` while healthy, ``k1`` and
-    ``rsee_bound`` outside recovery, ``ee_bound`` without bounds) are NaN.
-    """
-    n_x, rows = model.n_x, len(flags)
-    ee_bound = np.full((rows, n_x), np.nan)
-    if eps_delta is not None:
-        ee_bound[:] = eps_delta
-    return {
-        "t": np.empty(rows),
-        "x_true": np.empty((rows, n_x)),
-        "y_meas": np.empty((rows, model.n_y)),
-        "x_hat": np.empty((rows, n_x)),           # estimator posterior
-        "x_rf": np.empty((rows, n_x)),            # final (recovered) estimate
-        "x_rec": np.full((rows, n_x), np.nan),    # raw roll-forward vector
-        "recovered": np.empty((rows, n_x), bool),  # per-element mask
-        "u": np.empty((rows, model.n_u)),
-        "ads_flags": flags,
-        "ckpt_event": np.empty(rows, bool),
-        "k1": np.full(rows, np.nan),              # checkpoint in use
-        "rsee_bound": np.full((rows, n_x), np.nan),
-        "ee_bound": ee_bound,
-        "safe_stop": np.empty(rows, bool),
-    }
+def _loop_ticks(periods_us: list, horizon_us: int, ckpt_us: int):
+    """``(t, loop, c_k)`` for every tick below ``horizon_us`` of the loops
+    ticking every ``periods_us[loop]`` microseconds from 0, in time order,
+    with ``t`` in seconds.  Loops due at one instant fire in the order of
+    ``periods_us`` and share its ``t``, one float, and its checkpoint
+    Boolean ``c_k``, true on the multiples of ``ckpt_us``."""
+    due = [0] * len(periods_us)        # each loop's next tick, µs
+    t_us = 0
+    while t_us < horizon_us:
+        t, c_k = to_s(t_us), t_us % ckpt_us == 0
+        for i, p in enumerate(periods_us):
+            if due[i] == t_us:
+                yield t, i, c_k
+                due[i] += p
+        t_us = min(due)
 
 
 @dataclass
@@ -140,123 +132,73 @@ def run_scenario(cfg: dict) -> SimResult:
     plant_mode = cfg.get("plant_mode", "ideal")
     t_max = cfg.get("t_max", cfgmod.T_MAX_DEFAULT)
 
-    base_us = base_resolution_us([m.dt for m in models.values()])
-    dt_us = {sid: to_us(m.dt) for sid, m in models.items()}
     rngs = make_rngs(seed)
     store = SecureStore()
     # validate_config has checked that this is a multiple of every loop period
     ckpt_us = to_us(1.0 / cfg.get("checkpoint_freq_hz", 1.0))
     detection_times = {sid: ads[sid].detection_time for sid in cfgmod.SUBSYSTEMS}
-
-    # ground truth; the case study's Sigma0 is zero, so this is the
-    # configured mean
-    x_true = {sid: models[sid].mu0 + sample_noise(
-                  models[sid].Sigma0_factor, rngs[(sid, "init")], 1)[0]
-              for sid in cfgmod.SUBSYSTEMS}
-    noise = {(sid, kind): _noise_rows(getattr(models[sid], factor),
-                                      rngs[(sid, kind)])
-             for sid in cfgmod.SUBSYSTEMS
-             for kind, factor in (("process", "Q_factor"),
-                                  ("measurement", "R_factor"))}
-    offsets = {sid: _offset_rows(schedules[sid], dt_us[sid])
-               for sid in cfgmod.SUBSYSTEMS}
-
     wheel_refs = [robot.wheel_transform(np.zeros(2), params)]
     inner_index = {robot.INNER_1: 0, robot.INNER_2: 1}
 
-    n_ticks = horizon_us // base_us
-    runtimes = {}
+    runtimes = []
     for sid in cfgmod.SUBSYSTEMS:
         model = models[sid]
+        dt_us = to_us(model.dt)
         if sid == robot.OUTER:
             controller = robot.make_outer_controller(params)
         else:
             controller = robot.make_inner_controller(
                 params, wheel_refs, inner_index[sid], model.dt)
-        # a loop ticks at 0, dt, 2 dt, ... below n_ticks * base_us
-        runtimes[sid] = SubsystemRuntime(
+        runtimes.append(SubsystemRuntime(
             model=model, est=EstimatorState.initial(model),
             controller=controller, ads=ads[sid], schedule=schedules[sid],
-            t_max=t_max, ticks=-(-(n_ticks * base_us) // dt_us[sid]))
+            t_max=t_max, ticks=-(-horizon_us // dt_us), bounds=bounds.get(sid),
+            # ground truth; the case study's Sigma0 is zero, so this is the
+            # configured mean
+            x_true=model.mu0 + sample_noise(
+                model.Sigma0_factor, rngs[(sid, "init")], 1)[0],
+            noise=zip(_noise_rows(model.Q_factor, rngs[(sid, "process")]),
+                      _noise_rows(model.R_factor, rngs[(sid, "measurement")]),
+                      _offset_rows(schedules[sid], dt_us))))
+    outer, inner_1, inner_2 = runtimes
     if plant_mode == "coupled":
-        runtimes[robot.OUTER].applied_input = lambda u: robot.wheel_transform_inverse(
-            [x_true[robot.INNER_1][1], x_true[robot.INNER_2][1]], params)
+        outer.applied_input = lambda u: robot.wheel_transform_inverse(
+            [inner_1.x_true[1], inner_2.x_true[1]], params)
 
-    traces = {sid: _trace_columns(
-        models[sid], runtimes[sid].flags,
-        bounds[sid].eps_delta if sid in bounds else None)
-        for sid in cfgmod.SUBSYSTEMS}
-    recorded = dict.fromkeys(cfgmod.SUBSYSTEMS, 0)
     events = []
-    stopped = False
-
-    for i in range(n_ticks):
-        if stopped:
+    for t, i, c_k in _loop_ticks([to_us(rt.model.dt) for rt in runtimes],
+                                 horizon_us, ckpt_us):
+        rt = runtimes[i]
+        model = rt.model
+        # plant advances one loop period with the previously applied input
+        # before the sensors are read, so the measurement and the
+        # estimator's predict step refer to the same instant
+        w, v, offset = next(rt.noise)
+        rt.x_true = model.f(rt.x_true, rt.last_u) + w
+        y = model.g(rt.x_true, rt.last_u) + v
+        if offset is not None:
+            y = y + offset
+        try:
+            stop = subsystem_tick(rt, store, c_k, y, t, detection_times)
+        except UnrecoverableError as exc:
+            events.append({"type": "safe-stop", "subsystem": model.id, "t": t,
+                           "episode_start": None,
+                           "reason": f"unrecoverable: {exc}"})
             break
-        t_us = i * base_us
-        t = to_s(t_us)
-        c_k = t_us % ckpt_us == 0
-        for sid in cfgmod.SUBSYSTEMS:
-            if t_us % dt_us[sid] != 0:
-                continue
-            model = models[sid]
-            rt = runtimes[sid]
-            # plant advances one loop period with the previously applied
-            # input before the sensors are read, so the measurement and the
-            # estimator's predict step refer to the same instant
-            w, v = next(noise[sid, "process"]), next(noise[sid, "measurement"])
-            x_true[sid] = model.f(x_true[sid], rt.last_u) + w
-            y = model.g(x_true[sid], rt.last_u) + v
-            offset = next(offsets[sid])
-            if offset is not None:
-                y = y + offset
+        if rt is outer:
+            wheel_refs[0] = robot.wheel_transform(
+                outer.trace["u"][outer.rows - 1], params)
+        if stop:
+            events.append({"type": "safe-stop", "subsystem": model.id, "t": t,
+                           "episode_start": rt.episode.start,
+                           "reason": "anomaly duration exceeded maximum "
+                                     "tolerable duration"})
+            break
 
-            try:
-                res = subsystem_tick(rt, store, c_k, y, t, detection_times)
-            except UnrecoverableError as exc:
-                events.append({"type": "safe-stop", "subsystem": sid, "t": t,
-                               "episode_start": None,
-                               "reason": f"unrecoverable: {exc}"})
-                stopped = True
-                break
-            if res.safe_stop:
-                events.append({"type": "safe-stop", "subsystem": sid, "t": t,
-                               "episode_start": rt.episode.start,
-                               "reason": "anomaly duration exceeded maximum "
-                                         "tolerable duration"})
-
-            if sid == robot.OUTER:
-                wheel_refs[0] = robot.wheel_transform(res.u, params)
-
-            tr, n = traces[sid], recorded[sid]
-            recorded[sid] = n + 1
-            tr["t"][n] = t
-            tr["x_true"][n] = x_true[sid]
-            tr["y_meas"][n] = y
-            tr["x_hat"][n] = res.x_hat_est
-            tr["x_rf"][n] = res.x_hat
-            if res.x_rec is not None:
-                tr["x_rec"][n] = res.x_rec
-            tr["recovered"][n] = res.mask
-            tr["u"][n] = res.u
-            tr["ckpt_event"][n] = res.ckpt_event
-            if res.k1 is not None:
-                tr["k1"][n] = res.k1
-                if sid in bounds:
-                    tr["rsee_bound"][n] = recovery_error_bound_at(
-                        bounds[sid], t_us // dt_us[sid],
-                        to_us(res.k1) // dt_us[sid])
-            tr["safe_stop"][n] = res.safe_stop
-
-            if res.safe_stop:
-                stopped = True
-                break
-
-    safe_stopped = any(e["type"] == "safe-stop" for e in events)
-    return SimResult({sid: {name: col[:recorded[sid]]
-                            for name, col in tr.items()}
-                      for sid, tr in traces.items()},
-                     store, events, safe_stopped, copy.deepcopy(cfg))
+    return SimResult({rt.model.id: {name: col[:rt.rows]
+                                    for name, col in rt.trace.items()}
+                      for rt in runtimes},
+                     store, events, bool(events), copy.deepcopy(cfg))
 
 
 def _fmt(value) -> str:

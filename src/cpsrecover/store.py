@@ -124,8 +124,9 @@ def _unpack_checkpoint(payload: bytes) -> Checkpoint:
     return Checkpoint(t, x.copy(), flags)
 
 
-def _pack_control(rec: ControlRecord) -> bytes:
-    return b"U" + struct.pack("<dI", rec.t, rec.u.size) + rec.u.tobytes()
+def _pack_control(t: float, u) -> bytes:
+    u = np.asarray(u, "<f8")
+    return b"U" + struct.pack("<dI", t, u.size) + u.tobytes()
 
 
 def _unpack_control(payload: bytes) -> ControlRecord:
@@ -245,9 +246,11 @@ class SecureStore:
         self._append(self._chains(subsystem)[0], subsystem, "checkpoint",
                      cp.t, _pack_checkpoint(cp))
 
-    def append_control(self, subsystem: str, rec: ControlRecord) -> None:
+    def append_control(self, subsystem: str, t: float, u) -> None:
+        """Append the control input ``u`` applied at time ``t``; it is read
+        back as a :class:`ControlRecord`."""
         self._append(self._chains(subsystem)[1], subsystem, "control",
-                     rec.t, _pack_control(rec))
+                     t, _pack_control(t, u))
 
     # -- reads ----------------------------------------------------------
     # Reads never create chains: an unknown sub-system has empty logs.
@@ -336,7 +339,8 @@ class SecureStore:
                 kind, chain, pack, unpack = (
                     ("checkpoint", ckpts, _pack_checkpoint, _unpack_checkpoint)
                     if payload[:1] == b"C"
-                    else ("control", ctrls, _pack_control, _unpack_control))
+                    else ("control", ctrls, lambda r: _pack_control(r.t, r.u),
+                          _unpack_control))
                 if not hmac.compare_digest(chain.next_tag(payload), tag):
                     raise IntegrityError(
                         f"{path}: a {subsystem} {kind} record fails its tag")

@@ -147,3 +147,35 @@ def reference_oracle_flags(n_y: int, schedule, t: float,
     if w is not None and w.start_us + to_us(detection_time) <= to_us(t):
         flags |= w.gamma.astype(int)
     return flags
+
+
+# -- reference roll-forward --------------------------------------------------
+# Recovery as a tick once computed it, with ``model.f`` called for every
+# roll-forward step; a tick that reuses the estimator's prior must equal it.
+
+
+def reference_roll_forward(model: SubsystemModel, store, trace) -> np.ndarray:
+    """Each recovering row's roll-forward value, NaN on the other rows.
+
+    A row recovers when its ``k1`` is set.  The first row of an episode
+    replays the logged controls in ``[k1, t)`` from the checkpoint at
+    ``k1``; each later row is one predict step of the row before, with that
+    row's logged control.  Controls are logged one per tick, so control
+    ``n`` is row ``n``'s.
+    """
+    controls = controls_of(store, model.id)
+    saved = {to_us(cp.t): cp.x_hat for cp in checkpoints_of(store, model.id)}
+    out = np.full(trace["x_rec"].shape, np.nan)
+    recovering = ~np.isnan(trace["k1"])
+    x = None
+    for n in np.flatnonzero(recovering):
+        if n and recovering[n - 1]:
+            x = model.f(x, controls[n - 1].u)
+        else:
+            k1_us, t_us = to_us(trace["k1"][n]), to_us(trace["t"][n])
+            x = saved[k1_us]
+            for c in controls:
+                if k1_us <= to_us(c.t) < t_us:
+                    x = model.f(x, c.u)
+        out[n] = x
+    return out

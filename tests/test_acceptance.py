@@ -38,7 +38,7 @@ from cpsrecover.framework import (CONSISTENT, FULLY_INCONSISTENT,
                                   UnrecoverableError, classify_checkpoint_set,
                                   most_recent_consistent_checkpoint,
                                   roll_forward_recover)
-from cpsrecover.store import Checkpoint, ControlRecord, SecureStore
+from cpsrecover.store import Checkpoint, SecureStore
 from cpsrecover.timebase import to_us
 from helpers import random_lti_model
 
@@ -139,7 +139,7 @@ def test_criterion_03_lti_closed_form_equivalence():
         store = SecureStore()
         store.append_checkpoint(model.id, Checkpoint(0.0, x_bar, [0]))
         for k in range(N):
-            store.append_control(model.id, ControlRecord(float(k), us[k]))
+            store.append_control(model.id, float(k), us[k])
         ads = AdsConfig(kind="generic", mode="oracle", detection_time=1.0)
         rt = SubsystemRuntime(model=model, est=EstimatorState.initial(model),
                               controller=lambda x, t: np.zeros(model.n_u),
@@ -148,7 +148,7 @@ def test_criterion_03_lti_closed_form_equivalence():
         out = np.array([1])
         _, x_iter, _, _ = roll_forward_recover(
             rt, store, np.zeros(model.n_x), np.zeros((model.n_x, model.n_y)),
-            out, {model.id: 0.5}, float(N))
+            out, {model.id: 0.5}, float(N), None)
         # closed form: A^N x_bar + sum_{i=1..N} A^{i-1} B u_{N-i}
         x_closed = np.linalg.matrix_power(A, N) @ x_bar
         for i in range(1, N + 1):

@@ -40,6 +40,15 @@ def test_run_rejects_a_horizon_past_the_row_cap(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_run_rejects_a_rate_off_the_microsecond_grid(tmp_path, capsys):
+    path = write_cfg(tmp_path, robot={"inner_rate": 128},
+                     out_dir=str(tmp_path))
+    assert cli.main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert "robot.inner_rate 128 Hz has a period of 7812.5 microseconds" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_run_missing_file_exit_1(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.json")]) == 1
 

@@ -16,7 +16,7 @@ def test_predict_scalar_hand_case():
     # C=0 the measurement carries nothing, so K=0 and the step is the
     # prediction
     m = scalar_lti_model(a=1.0, b=1.0, c=0.0, q=0.5, x0=2.0, p0=1.0)
-    est, K, _ = estimator_step(m, EstimatorState.initial(m), [1.0], [7.0])
+    est, K, _, _ = estimator_step(m, EstimatorState.initial(m), [1.0], [7.0])
     assert K[0, 0] == 0.0
     assert est.x_hat[0] == 3.0
     assert est.P[0, 0] == 1.5
@@ -24,7 +24,7 @@ def test_predict_scalar_hand_case():
 
 def test_predict_identity_propagation():
     m = scalar_lti_model(a=1.0, b=0.0, c=0.0, q=0.0, x0=4.0, p0=2.0)
-    est, _, _ = estimator_step(m, EstimatorState.initial(m), [0.0], [7.0])
+    est, _, _, _ = estimator_step(m, EstimatorState.initial(m), [0.0], [7.0])
     assert est.x_hat[0] == 4.0 and est.P[0, 0] == 2.0
 
 
@@ -39,17 +39,17 @@ def test_bicycle_jacobian_zero_heading_entry():
 def test_gain_scalar():
     # P_pred = 1 from the initial P = 1, A = 1, Q = 0
     m = scalar_lti_model(r=1.0)
-    _, K, _ = estimator_step(m, EstimatorState.initial(m), [0.0], [0.0])
+    _, K, _, _ = estimator_step(m, EstimatorState.initial(m), [0.0], [0.0])
     assert abs(K[0, 0] - 0.5) < 1e-12
 
 
 def test_gain_limits():
     m_inf = scalar_lti_model(r=1e12)
-    _, K, _ = estimator_step(m_inf, EstimatorState.initial(m_inf), [0.0],
+    _, K, _, _ = estimator_step(m_inf, EstimatorState.initial(m_inf), [0.0],
                              [0.0])
     assert abs(K[0, 0]) <= 1e-11
     m0 = scalar_lti_model(r=0.0)
-    _, K0, _ = estimator_step(m0, EstimatorState.initial(m0), [0.0], [0.0])
+    _, K0, _, _ = estimator_step(m0, EstimatorState.initial(m0), [0.0], [0.0])
     assert abs(K0[0, 0] - 1.0) < 1e-6
 
 
@@ -60,15 +60,15 @@ def test_update_cases():
         return estimator_step(m, EstimatorState.initial(m), [0.0], [5.0])
 
     # zero gain: posterior is the prior
-    est, K, _ = step(c=0.0, r=0.0)
+    est, K, _, _ = step(c=0.0, r=0.0)
     assert K[0, 0] == 0.0
     assert est.x_hat[0] == 3.0 and est.P[0, 0] == 2.0
     # K=0.5, y=5, x_pred=3 -> 4
-    est, K, _ = step(c=1.0, r=2.0)
+    est, K, _, _ = step(c=1.0, r=2.0)
     assert abs(K[0, 0] - 0.5) < 1e-12
     assert abs(est.x_hat[0] - 4.0) < 1e-12
     # K=I, g=identity -> x_hat = y
-    est, K, _ = step(c=1.0, r=0.0)
+    est, K, _, _ = step(c=1.0, r=0.0)
     assert abs(K[0, 0] - 1.0) < 1e-12
     assert abs(est.x_hat[0] - 5.0) < 1e-11
 
@@ -77,7 +77,9 @@ def test_zero_innovation_keeps_prior():
     m = scalar_lti_model(a=1.0, b=1.0, q=0.1, r=0.5, x0=2.0)
     est = EstimatorState.initial(m)
     x_pred = m.f(est.x_hat, [1.0])
-    est, _, innovation = estimator_step(m, est, [1.0], m.g(x_pred, [1.0]))
+    est, _, innovation, prior = estimator_step(m, est, [1.0],
+                                               m.g(x_pred, [1.0]))
+    np.testing.assert_array_equal(prior, x_pred)
     np.testing.assert_allclose(est.x_hat, x_pred, atol=1e-12)
     np.testing.assert_array_equal(innovation, [0.0])
 
@@ -106,7 +108,7 @@ def test_lti_reduces_to_standard_kf():
         for _ in range(10):
             u = rng.standard_normal(1)
             y = rng.standard_normal(n)
-            res, _, _ = estimator_step(m, est, u, y)
+            res, _, _, _ = estimator_step(m, est, u, y)
             # hand-rolled KF (with matching regularization)
             x_p = A @ est.x_hat + B @ u
             P_p = A @ est.P @ A.T + Q
@@ -129,7 +131,7 @@ def test_covariance_stays_psd_long_run(case_models):
         for _ in range(1000):
             u = rng.standard_normal(m.n_u)
             y = rng.standard_normal(m.n_y)
-            res, _, _ = estimator_step(m, est, u, y)
+            res, _, _, _ = estimator_step(m, est, u, y)
             w = np.linalg.eigvalsh(res.P)
             assert w.min() >= -1e-9
             np.testing.assert_allclose(res.P, res.P.T, atol=1e-12)
@@ -143,7 +145,7 @@ def test_zero_gain_is_dead_reckoning():
     rng = np.random.default_rng(2)
     for _ in range(30):
         u = rng.standard_normal(1)
-        res, _, _ = estimator_step(m, est, u, rng.standard_normal(1))
+        res, _, _, _ = estimator_step(m, est, u, rng.standard_normal(1))
         x_dr = m.f(x_dr, u)
         est = EstimatorState(res.x_hat, res.P)
     np.testing.assert_allclose(est.x_hat, x_dr, atol=1e-9)
@@ -156,7 +158,7 @@ def test_error_nonincreasing_noise_free_scalar():
     prev = abs(est.x_hat[0] - x_true[0])
     for _ in range(50):
         x_true = m.f(x_true, [0.0])
-        res, _, _ = estimator_step(m, est, [0.0], m.g(x_true, [0.0]))
+        res, _, _, _ = estimator_step(m, est, [0.0], m.g(x_true, [0.0]))
         err = abs(res.x_hat[0] - x_true[0])
         assert err <= prev + 1e-12
         prev = err
@@ -226,13 +228,14 @@ class _Twin:
         whether the step left ``P`` as it found it, the very object."""
         m = self.model
         P_in = self.est.P
-        (est, K_step, innov_step), full = _counted_step(m, self.est, u, y)
+        (est, K_step, innov_step, prior), full = _counted_step(
+            m, self.est, u, y)
         self.full_steps += full
         x_pred, P_pred = ekf_predict(m, self.ref, u)
         K = ekf_gain(m, P_pred, x_pred, u)
         self.ref, innov = ekf_update(m, x_pred, P_pred, K, y, u)
         for got, want in ((est.x_hat, self.ref.x_hat), (est.P, self.ref.P),
-                          (K_step, K), (innov_step, innov)):
+                          (K_step, K), (innov_step, innov), (prior, x_pred)):
             assert _bitwise(got, want)
         self.est = est
         return est.P is P_in
@@ -301,7 +304,7 @@ def test_each_model_function_runs_once_per_step(cold_models, loop):
     est = EstimatorState.initial(model)
     reused = 0
     for _ in range(1000):
-        (est, _, _), full = _counted_step(model, est,
+        (est, _, _, _), full = _counted_step(model, est,
                                           rng.normal(0, 1, model.n_u),
                                           rng.normal(0, 1, model.n_y))
         reused += not full

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cpsrecover import sim
+from cpsrecover import robot, sim
 from cpsrecover.anomaly import (DETECTOR_KINDS, AdsConfig, AnomalySchedule,
                                 AnomalyWindow, ads_evaluate)
 from cpsrecover.estimator import EstimatorState
@@ -11,13 +11,13 @@ from cpsrecover.framework import (CONSISTENT, FULLY_INCONSISTENT,
                                   UnrecoverableError, classify_checkpoint_set,
                                   element_mask,
                                   most_recent_consistent_checkpoint,
-                                  roll_forward_recover, safe_stop_check,
-                                  subsystem_tick)
-from cpsrecover.store import Checkpoint, ControlRecord, SecureStore
+                                  roll_forward_recover, subsystem_tick)
+from cpsrecover.store import Checkpoint, SecureStore
 from cpsrecover.models import SubsystemModel
 from cpsrecover.timebase import to_s, to_us
-from helpers import (controls_of, prior, reference_inject_anomaly,
-                     reference_oracle_flags, scalar_lti_model)
+from helpers import (controls_of, prior, random_lti_model,
+                     reference_inject_anomaly, reference_oracle_flags,
+                     reference_roll_forward, scalar_lti_model)
 
 
 # -- consistent checkpoint selection ------------------------------------
@@ -132,9 +132,17 @@ def test_classify_empty_raises():
 
 
 def test_safe_stop_strict_inequality():
-    assert not safe_stop_check(3.25, 3.5, 5.0)
-    assert not safe_stop_check(0.0, 5.0, 5.0)
-    assert safe_stop_check(0.0, 5.1, 5.0)
+    """An episode safe-stops on its first tick past start + ``t_max``, in
+    integer µs: one lasting exactly ``t_max`` does not, though in floats
+    ``0.4 - 0.1 > 0.3``."""
+    sched = AnomalySchedule((AnomalyWindow(0.1, 5.0, [50.0], [1]),))
+    m = scalar_lti_model(dt=0.1)
+    rt = lti_runtime(m, t_max=0.3, detection_time=0.0, schedule=sched)
+    store = SecureStore()
+    stops = [subsystem_tick(rt, store, True, np.array([0.0]),
+                            to_s(k * 100_000), {m.id: 0.0}) for k in range(8)]
+    assert rt.episode.start == 0.1 and 0.4 - 0.1 > 0.3
+    assert stops == [False] * 5 + [True] * 3
 
 
 # -- element mask -------------------------------------------------------
@@ -237,12 +245,12 @@ def test_roll_forward_equals_lti_closed_form():
     m = scalar_lti_model(a=1.0, b=1.0, dt=1.0, x0=1.0)
     store = SecureStore()
     store.append_checkpoint(m.id, Checkpoint(0.0, [1.0], [0]))
-    store.append_control(m.id, ControlRecord(0.0, [0.5]))
-    store.append_control(m.id, ControlRecord(1.0, [0.5]))
+    store.append_control(m.id, 0.0, [0.5])
+    store.append_control(m.id, 1.0, [0.5])
     rt = lti_runtime(m, detection_time=1.0)
     x_new, x_rec, mask, k1 = roll_forward_recover(
         rt, store, np.array([99.0]), np.array([[1.0]]), np.array([1]),
-        {m.id: 1.0}, 2.0)
+        {m.id: 1.0}, 2.0, None)
     assert x_rec[0] == 2.0
     assert k1 == 0.0
     assert x_new[0] == 2.0 and mask[0]
@@ -252,12 +260,12 @@ def test_roll_forward_generic_replaces_everything():
     m = scalar_lti_model(a=1.0, b=1.0, dt=1.0)
     store = SecureStore()
     store.append_checkpoint(m.id, Checkpoint(0.0, [1.0], [0]))
-    store.append_control(m.id, ControlRecord(0.0, [0.0]))
-    store.append_control(m.id, ControlRecord(1.0, [0.0]))
+    store.append_control(m.id, 0.0, [0.0])
+    store.append_control(m.id, 1.0, [0.0])
     rt = lti_runtime(m, kind="generic")
     x_new, x_rec, mask, _ = roll_forward_recover(
         rt, store, np.array([42.0]), np.zeros((1, 1)), np.array([1]),
-        {m.id: 1.0}, 2.0)
+        {m.id: 1.0}, 2.0, None)
     assert x_new[0] == x_rec[0] == 1.0
 
 
@@ -265,11 +273,11 @@ def test_roll_forward_missing_controls_unrecoverable():
     m = scalar_lti_model(a=1.0, b=1.0, dt=1.0)
     store = SecureStore()
     store.append_checkpoint(m.id, Checkpoint(0.0, [1.0], [0]))
-    store.append_control(m.id, ControlRecord(0.0, [0.5]))  # gap at t=1
+    store.append_control(m.id, 0.0, [0.5])  # gap at t=1
     rt = lti_runtime(m)
     with pytest.raises(UnrecoverableError):
         roll_forward_recover(rt, store, np.array([0.0]), np.eye(1),
-                             np.array([1]), {m.id: 1.0}, 2.0)
+                             np.array([1]), {m.id: 1.0}, 2.0, None)
 
 
 # -- the full tick ------------------------------------------------------
@@ -284,9 +292,12 @@ def tick_scenario(schedule, t_max=100.0, q=0.0, r=0.1):
 
 def test_healthy_tick_checkpoints_and_logs():
     m, rt, store = tick_scenario(AnomalySchedule(()))
-    res = subsystem_tick(rt, store, True, np.array([0.0]), 0.0,
-                         {m.id: rt.ads.detection_time})
-    assert res.ckpt_event and not res.flags.any() and res.x_rec is None
+    stop = subsystem_tick(rt, store, True, np.array([0.0]), 0.0,
+                          {m.id: rt.ads.detection_time})
+    tr = rt.trace
+    assert not stop and rt.rows == 1
+    assert tr["ckpt_event"][0] and not tr["ads_flags"][0].any()
+    assert np.isnan(tr["x_rec"][0]).all() and not tr["recovered"][0].any()
     assert store.save_times(m.id) == [0.0]
     assert len(controls_of(store, m.id)) == 1
 
@@ -298,17 +309,16 @@ def test_detected_tick_recovers_and_skips_checkpoint():
     for k in range(5):
         subsystem_tick(rt, store, True, np.array([0.0]), float(k),
                        detection_times)
-    res = subsystem_tick(rt, store, True, np.array([50.0]), 5.0,
-                         detection_times)
-    assert res.flags.any() and res.x_rec is not None
-    assert not res.ckpt_event
+    subsystem_tick(rt, store, True, np.array([50.0]), 5.0, detection_times)
+    tr = rt.trace
+    assert tr["ads_flags"][5].any() and not np.isnan(tr["x_rec"][5]).any()
+    assert not tr["ckpt_event"][5]
     assert 5.0 not in store.save_times(m.id)
-    assert res.k1 == 3.0  # newest save with 5 - k1 > detection_time 1.0
+    assert tr["k1"][5] == 3.0  # newest save with 5 - k1 > detection_time 1.0
     # later ticks of the episode extend it and report its checkpoint
-    res = subsystem_tick(rt, store, True, np.array([50.0]), 6.0,
-                         detection_times)
-    assert res.k1 == 3.0 and rt.episode.start == 5.0
-    np.testing.assert_array_equal(rt.episode.x_rec, res.x_rec)
+    subsystem_tick(rt, store, True, np.array([50.0]), 6.0, detection_times)
+    assert tr["k1"][6] == 3.0 and rt.episode.start == 5.0
+    np.testing.assert_array_equal(rt.episode.x_rec, tr["x_rec"][6])
 
 
 def test_episode_exceeding_t_max_flags_safe_stop():
@@ -316,13 +326,13 @@ def test_episode_exceeding_t_max_flags_safe_stop():
     m, rt, store = tick_scenario(sched, t_max=2.0)
     stops = []
     for k in range(10):
-        res = subsystem_tick(rt, store, True, np.array([0.0]), float(k),
-                             {m.id: rt.ads.detection_time})
-        stops.append(res.safe_stop)
+        stops.append(subsystem_tick(rt, store, True, np.array([0.0]),
+                                    float(k), {m.id: rt.ads.detection_time}))
     # detection at 5.0; the episode strictly exceeds 2.0 s from t=8.0
     assert rt.episode.start == 5.0
     assert stops == [False] * 8 + [True] * 2
-    assert res.flags.any()
+    assert rt.trace["safe_stop"][:10].tolist() == stops
+    assert rt.trace["ads_flags"][9].any()
 
 
 def test_only_residual_threshold_keeps_an_innovation_window():
@@ -347,10 +357,11 @@ def test_zero_noise_recovery_matches_truth():
     for k in range(12):
         t = float(k)
         y = m.g(x_true, None) + (50.0 if 4.0 <= t < 9.0 else 0.0)
-        res = subsystem_tick(rt, store, True, np.atleast_1d(y), t,
-                             {m.id: rt.ads.detection_time})
-        if res.flags.any():
-            np.testing.assert_allclose(res.x_rec, x_true, atol=1e-9)
+        subsystem_tick(rt, store, True, np.atleast_1d(y), t,
+                       {m.id: rt.ads.detection_time})
+        if rt.trace["ads_flags"][k].any():
+            np.testing.assert_allclose(rt.trace["x_rec"][k], x_true,
+                                       atol=1e-9)
         x_true = m.f(x_true, rt.last_u)
 
 
@@ -373,8 +384,109 @@ def test_healthy_elements_untouched_by_recovery():
     for k in range(8):
         t = float(k)
         y = np.array([50.0, 0.0]) if 4.0 <= t < 9.0 else np.zeros(2)
-        res = subsystem_tick(rt, store, True, y, t,
-                             {m.id: rt.ads.detection_time})
-        if res.flags.any():
-            np.testing.assert_array_equal(res.mask, [True, False])
-            assert res.x_hat[1] == res.x_hat_est[1]
+        subsystem_tick(rt, store, True, y, t, {m.id: rt.ads.detection_time})
+        tr = rt.trace
+        if tr["ads_flags"][k].any():
+            np.testing.assert_array_equal(tr["recovered"][k], [True, False])
+            assert tr["x_rf"][k, 1] == tr["x_hat"][k, 1]
+
+
+def test_a_tick_reads_the_row_of_its_count_not_of_t_over_dt():
+    """A model whose period is not a whole number of microseconds (2.5 µs
+    here) ticks every ``to_us(dt)`` = 2 µs, and its flags are resolved on
+    that grid: the n-th tick reads and writes row n, where ``round(t / dt)``
+    would fall behind."""
+    m = scalar_lti_model(dt=2.5e-6)
+    dt_us = to_us(m.dt)
+    window = AnomalyWindow(to_s(10 * dt_us), to_s(15 * dt_us), [50.0], [1])
+    rt = lti_runtime(m, detection_time=0.0,
+                     schedule=AnomalySchedule((window,)), ticks=20)
+    store = SecureStore()
+    t = [to_s(n * dt_us) for n in range(20)]
+    for n in range(20):
+        subsystem_tick(rt, store, True, np.array([0.0]), t[n], {m.id: 0.0})
+    assert any(round(t[n] / m.dt) != n for n in range(10, 15))
+    inside = [10 <= n < 15 for n in range(20)]
+    assert rt.rows == 20 and rt.trace["t"].tolist() == t
+    assert rt.trace["ads_flags"][:, 0].astype(bool).tolist() == inside
+    assert rt.trace["recovered"][:, 0].tolist() == inside
+    assert store.save_times(m.id) == t[:10] + t[15:]
+
+
+# -- predicting each state once ------------------------------------------
+
+
+def _drive(model, kind, gamma, edges, controller, rng):
+    """Tick ``model``'s runtime on random measurements with a checkpoint on
+    every healthy tick, through anomaly windows over the rows between
+    consecutive ``edges`` and three ticks past the last; returns its trace
+    and store."""
+    dt_us, ticks = to_us(model.dt), edges[-1] + 3
+    windows = tuple(
+        AnomalyWindow(to_s(a * dt_us), to_s(b * dt_us),
+                      np.zeros(model.n_y), gamma)
+        for a, b in zip(edges[::2], edges[1::2]))
+    rt = lti_runtime(model, detection_time=0.0,
+                     schedule=AnomalySchedule(windows), kind=kind,
+                     ticks=ticks)
+    rt.controller = controller
+    store = SecureStore()
+    for n in range(ticks):
+        subsystem_tick(rt, store, True, rng.normal(0.0, 1.0, model.n_y),
+                       to_s(n * dt_us), {model.id: 0.0})
+    return rt.trace, store
+
+
+def _assert_equals_reference_roll_forward(model, trace, store):
+    want = reference_roll_forward(model, store, trace)
+    assert (~np.isnan(want)).any()
+    assert want.tobytes() == trace["x_rec"].tobytes()
+    recovering = ~np.isnan(trace["k1"])
+    x_rf = np.where(trace["recovered"], want, trace["x_hat"])
+    assert x_rf[recovering].tobytes() == trace["x_rf"][recovering].tobytes()
+
+
+# edges of the anomaly windows, in rows: after the first tick, so that a
+# checkpoint precedes every window
+_rows = st.lists(st.integers(1, 40), min_size=2, max_size=6,
+                 unique=True).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), edges=_rows)
+def test_reusing_the_prior_is_exact_on_full_masks(seed, edges):
+    """Random LTI models under a generic detector take every element from
+    the roll-forward, so each episode tick after the first reuses the
+    estimator's prior; the trace equals, bit for bit, a roll-forward that
+    calls ``f`` for every step."""
+    rng = np.random.default_rng(seed)
+    model, _, _ = random_lti_model(rng)
+    trace, store = _drive(model, "generic", np.ones(model.n_y), edges,
+                          lambda x, t: -0.5 * x[:model.n_u], rng)
+    assert trace["recovered"][~np.isnan(trace["k1"])].all()
+    _assert_equals_reference_roll_forward(model, trace, store)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), edges=_rows,
+       gamma=st.lists(st.integers(0, 1), min_size=3, max_size=3),
+       speed=st.sampled_from([0.0, 0.5]))
+@example(seed=0, edges=[3, 9], gamma=[1, 1, 0], speed=0.0)
+def test_partial_masks_keep_their_own_predict(seed, edges, gamma, speed):
+    """The bicycle model under a specific detector equals the same
+    reference.  At rest its covariance and gains stay diagonal, so a mask
+    holds the flagged elements alone and the others keep the estimator's
+    value; moving, the gains couple every element."""
+    model = robot.bicycle_model(0.1, 0.01 * np.eye(3), 0.01 * np.eye(3),
+                                mu0=np.array([2.0, 0.0, 1.5]),
+                                Sigma0=np.eye(3))
+    rng = np.random.default_rng(seed)
+    trace, store = _drive(model, "specific", np.array(gamma, float), edges,
+                          lambda x, t: np.array([speed, -0.5 * x[2]]), rng)
+    recovering = ~np.isnan(trace["k1"])
+    if not any(gamma):
+        assert not recovering.any()
+        return
+    if speed == 0.0:
+        assert (trace["recovered"][recovering] == np.array(gamma, bool)).all()
+    _assert_equals_reference_roll_forward(model, trace, store)

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import math
 import re
 import sys
 from collections import Counter
@@ -162,6 +164,72 @@ def test_a_run_resolves_its_schedule_once_per_loop(monkeypatch):
     assert len(res.traces[robot.INNER_1]["t"]) == 1000
     assert res.traces[robot.OUTER]["ads_flags"].any()
     assert calls == {"window_index": len(cfgmod.SUBSYSTEMS)}
+
+
+def test_a_default_run_predicts_each_motor_state_once(monkeypatch):
+    """Each motor model's ``f`` runs twice per tick, for the plant and for
+    the estimator's prior, plus once per control an episode's first tick
+    replays: every later tick of an episode takes its roll-forward value
+    from the prior."""
+    calls = Counter()
+    build_models = cfgmod.build_models
+
+    def counting_models(cfg):
+        params, built = build_models(cfg)
+        for sid in (robot.INNER_1, robot.INNER_2):
+            def f(x, u, sid=sid, f=built[sid].f):
+                calls[sid] += 1
+                return f(x, u)
+            built[sid] = dataclasses.replace(built[sid], f=f)
+        return params, built
+
+    monkeypatch.setattr(cfgmod, "build_models", counting_models)
+    res = sim.run_scenario(cfgmod.default_config())
+    for sid in (robot.INNER_1, robot.INNER_2):
+        tr = res.traces[sid]
+        dt_us = to_us(1.0 / robot.RobotParams().inner_rate)
+        recovering = ~np.isnan(tr["k1"])
+        first = recovering & ~np.r_[False, recovering[:-1]]
+        replayed = sum((to_us(t) - to_us(k1)) // dt_us
+                       for t, k1 in zip(tr["t"][first], tr["k1"][first]))
+        assert first.sum() == 2 and recovering.sum() > 2 * first.sum()
+        assert calls[sid] == 2 * len(tr["t"]) + replayed
+
+
+# the reference scheduler: every base tick, each loop due on it in order
+def _base_tick_filter(periods_us, horizon_us, ckpt_us):
+    base = math.gcd(*periods_us)
+    return [(to_s(t), i, t % ckpt_us == 0) for t in range(0, horizon_us, base)
+            for i, p in enumerate(periods_us) if t % p == 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(periods=st.lists(st.integers(1, 60), min_size=1, max_size=3),
+       horizon_us=st.integers(1, 700), ckpt_us=st.integers(1, 120))
+def test_loop_ticks_equal_the_base_tick_filter(periods, horizon_us, ckpt_us):
+    ticks = list(sim._loop_ticks(periods, horizon_us, ckpt_us))
+    assert ticks == _base_tick_filter(periods, horizon_us, ckpt_us)
+    # loops due at one instant share its time, one float
+    for (t, _, _), (s, _, _) in zip(ticks, ticks[1:]):
+        assert t < s or t is s
+
+
+def test_loops_off_each_others_grid_tick_at_their_own_periods():
+    """A 99,999 µs outer loop beside 10,000 µs motor loops shares a base
+    tick of 1 µs with them; each loop's rows fall at the multiples of its
+    own period, and a checkpoint period past the horizon saves at t = 0
+    alone."""
+    cfg = cfgmod.build_case_study(
+        horizon=2.0, robot={"outer_rate": 1e6 / 99_999},
+        checkpoint_freq_hz=1e6 / 999_990_000,
+        anomalies={sid: [] for sid in cfgmod.SUBSYSTEMS})
+    res = sim.run_scenario(cfg)
+    assert not res.events
+    for sid, period in ((robot.OUTER, 99_999), (robot.INNER_1, 10_000),
+                        (robot.INNER_2, 10_000)):
+        assert [to_us(t) for t in res.traces[sid]["t"]] == \
+            list(range(0, 2_000_000, period))
+        assert res.store.save_times(sid) == [0.0]
 
 
 def test_result_keeps_its_own_config():
@@ -592,6 +660,22 @@ def test_validate_rejects_bad_values(overrides, message):
     cfg.update(overrides)
     with pytest.raises(ConfigError, match=re.escape(message)):
         cfgmod.validate_config(cfg)
+
+
+@pytest.mark.parametrize("rate", ["outer_rate", "inner_rate"])
+def test_validate_rejects_a_rate_off_the_microsecond_grid(rate):
+    """A 128 Hz loop would tick every 7,812 µs while its model steps by
+    7,812.5 µs; a rate whose period is a whole number of microseconds in
+    floating point passes."""
+    cfg = cfgmod.build_case_study(robot={rate: 128})
+    with pytest.raises(ConfigError, match=re.escape(
+            f"robot.{rate} 128 Hz has a period of 7812.5 microseconds")):
+        cfgmod.validate_config(cfg)
+    for ok, period_us in ((1e6 / 99_999, 99_999), (100 / 3, 30_000)):
+        # a checkpoint period on the grid of both loops
+        ckpt_us = math.lcm(period_us, 100_000)
+        cfgmod.validate_config(cfgmod.build_case_study(
+            robot={rate: ok}, checkpoint_freq_hz=1e6 / ckpt_us))
 
 
 def test_validate_caps_the_trace_rows_per_loop():

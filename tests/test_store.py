@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cpsrecover import config as cfgmod
 from cpsrecover import sim, store as storemod
-from cpsrecover.store import (DEFAULT_KEY, Checkpoint, ControlRecord,
-                              IntegrityError, MonotonicityError, SecureStore)
+from cpsrecover.store import (DEFAULT_KEY, Checkpoint, IntegrityError,
+                              MonotonicityError, SecureStore)
 from cpsrecover.timebase import to_us
 from helpers import checkpoints_of, controls_of
 
@@ -19,7 +19,7 @@ def small_store():
     for t in (0.0, 1.0, 2.0, 3.0):
         s.append_checkpoint("outer", Checkpoint(t, [t, -t], [0, 0]))
     for k in range(40):
-        s.append_control("outer", ControlRecord(k * 0.1, [float(k)]))
+        s.append_control("outer", k * 0.1, [float(k)])
     return s
 
 
@@ -35,9 +35,9 @@ def test_monotonicity_enforced():
     s.append_checkpoint("o", Checkpoint(1.0, [0.0], [0]))
     with pytest.raises(MonotonicityError):
         s.append_checkpoint("o", Checkpoint(1.0, [0.0], [0]))
-    s.append_control("o", ControlRecord(1.0, [0.0]))
+    s.append_control("o", 1.0, [0.0])
     with pytest.raises(MonotonicityError):
-        s.append_control("o", ControlRecord(0.5, [0.0]))
+        s.append_control("o", 0.5, [0.0])
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
@@ -46,8 +46,8 @@ def test_non_finite_times_are_rejected(t):
     and the log, and leaves the store as it was."""
     s = SecureStore()
     with pytest.raises(MonotonicityError, match="outer: control time"):
-        s.append_control("outer", ControlRecord(t, [0.0]))
-    s.append_control("outer", ControlRecord(0.5, [1.0]))
+        s.append_control("outer", t, [0.0])
+    s.append_control("outer", 0.5, [1.0])
     with pytest.raises(MonotonicityError, match="outer: checkpoint time"):
         s.append_checkpoint("outer", Checkpoint(t, [0.0], [0]))
     assert s.save_times("outer") == []
@@ -136,9 +136,9 @@ def test_a_record_without_its_tag_fails_verification(tmp_path):
     ``save`` refuses the store, writing nothing."""
     s = SecureStore()
     for k in range(5):
-        s.append_control("outer", ControlRecord(k * 0.1, [float(k)]))
+        s.append_control("outer", k * 0.1, [float(k)])
     chain = s._controls["outer"]
-    chain.payloads[-1] = storemod._pack_control(ControlRecord(0.4, [99.0]))
+    chain.payloads[-1] = storemod._pack_control(0.4, [99.0])
     chain.tags.pop()
     assert not s.verify_integrity()
     with pytest.raises(IntegrityError):
@@ -183,7 +183,7 @@ def test_load_rejects_flipped_payload_byte(tmp_path, record):
 def test_load_rejects_wrong_key(tmp_path):
     path = tmp_path / "store.bin"
     s = SecureStore(key=b"the key that wrote it")
-    s.append_control("outer", ControlRecord(0.0, [1.0]))
+    s.append_control("outer", 0.0, [1.0])
     s.save(path)
     loaded = SecureStore.load(path, key=b"the key that wrote it")
     assert controls_of(loaded, "outer")[0].u[0] == 1.0
@@ -275,7 +275,7 @@ def test_reads_of_unknown_subsystem_have_no_side_effect():
 def test_verify_after_appends_past_the_seal():
     s = small_store()
     assert s.verify_integrity()
-    s.append_control("outer", ControlRecord(4.0, [40.0]))
+    s.append_control("outer", 4.0, [40.0])
     assert s.verify_integrity()
     s._tamper("outer", which="control", index=40)
     assert not s.verify_integrity()
@@ -292,8 +292,8 @@ def _store_from(cp_ns, ctl_ns) -> SecureStore:
     for i, ns in enumerate(sorted(cp_ns)):
         s.append_checkpoint("a", Checkpoint(ns / 1e9, [i, -i], [i % 2]))
     for i, ns in enumerate(sorted(ctl_ns)):
-        s.append_control("a", ControlRecord(ns / 1e9, [float(i)]))
-    s.append_control("b", ControlRecord(0.0, [0.0]))
+        s.append_control("a", ns / 1e9, [float(i)])
+    s.append_control("b", 0.0, [0.0])
     return s
 
 
@@ -347,7 +347,7 @@ def test_tamper_after_verify_is_detected(n_sealed, n_new, which, how, where,
         if k == n_sealed:
             assert s.verify_integrity()  # seals the first n_sealed records
         s.append_checkpoint("a", Checkpoint(k * 0.5, [k, 2.0 * k], [0]))
-        s.append_control("a", ControlRecord(k * 0.5, [k / 3]))
+        s.append_control("a", k * 0.5, [k / 3])
     if n_new == 0:
         assert s.verify_integrity()
     chain = (s._checkpoints if which == "checkpoint" else s._controls)["a"]
@@ -378,7 +378,7 @@ def test_tamper_under_a_continued_seal_is_detected(n_first, n_more, which,
         if k == n_first:
             assert s.verify_integrity()  # seals the first n_first records
         s.append_checkpoint("a", Checkpoint(k * 0.5, [k, 2.0 * k], [0]))
-        s.append_control("a", ControlRecord(k * 0.5, [k / 3]))
+        s.append_control("a", k * 0.5, [k / 3])
     assert s.verify_integrity()          # extends the seal over the rest
     chain = (s._checkpoints if which == "checkpoint" else s._controls)["a"]
     how(chain, where % len(chain.payloads), byte)
@@ -440,8 +440,8 @@ def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
     """
     s = SecureStore(key=_KEY)
     s.append_checkpoint("a", Checkpoint(0.0, [0.0, 0.0], [0]))
-    s.append_control("a", ControlRecord(0.0, [0.0]))
-    s.append_control("b", ControlRecord(0.0, [0.0]))
+    s.append_control("a", 0.0, [0.0])
+    s.append_control("b", 0.0, [0.0])
     chains = {"checkpoint": s._checkpoints["a"], "control": s._controls["a"]}
     originals = {kind: list(zip(chain.payloads, chain.tags))
                  for kind, chain in chains.items()}   # records as appended
@@ -458,8 +458,7 @@ def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
                     s.append_checkpoint("a", Checkpoint(clock / 8,
                                                         [clock, -clock], [1]))
                 else:
-                    s.append_control("a", ControlRecord(clock / 8,
-                                                        [clock / 3]))
+                    s.append_control("a", clock / 8, [clock / 3])
                 originals[kind].append((chain.payloads[-1], chain.tags[-1]))
             continue
         if len(chain.payloads) < 2:
