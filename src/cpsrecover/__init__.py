@@ -11,8 +11,10 @@ Modules:
 * ``framework`` - the per-tick checkpoint/recovery step and checkpoint
   selection
 * ``analysis`` - recovered-error bounds, tolerable duration, gap bound
-* ``robot`` - differential-drive ground-robot case study
-* ``config``/``sim``/``cli`` - scenario schema, scheduler, command line
+* ``robot`` - differential-drive ground-robot case study; the one
+  description of its loops, their trace columns and their wiring
+* ``config``/``sim``/``cli`` - scenario schema, a scheduler that runs the
+  loops ``robot`` describes, command line
 """
 
 from .estimator import EstimatorState, estimator_step
@@ -20,13 +22,13 @@ from .framework import (SubsystemRuntime, UnrecoverableError,
                         classify_checkpoint_set,
                         most_recent_consistent_checkpoint,
                         roll_forward_recover, subsystem_tick)
-from .models import SubsystemModel, measure, sample_noise, step_dynamics
+from .models import SubsystemModel, sample_noise, step_dynamics
 from .store import Checkpoint, ControlRecord, SecureStore
 
 __all__ = [
     "Checkpoint", "ControlRecord", "EstimatorState", "SecureStore",
     "SubsystemModel", "SubsystemRuntime", "UnrecoverableError",
-    "classify_checkpoint_set", "estimator_step", "measure",
+    "classify_checkpoint_set", "estimator_step",
     "most_recent_consistent_checkpoint", "roll_forward_recover",
     "sample_noise", "step_dynamics", "subsystem_tick",
 ]

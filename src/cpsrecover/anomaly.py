@@ -2,18 +2,19 @@
 
 Anomalies are additive: inside a scheduled window the measurement becomes
 ``y + Gamma @ y_a`` where ``Gamma`` is a diagonal 0/1 sensor-selection
-matrix.  Detection is abstracted behind :func:`ads_evaluate`, which returns an
-integer flag array.  It supports two detector kinds ("specific" flags each
-sensor, "generic" gives one flag for the loop) and two modes:
+matrix.  A detector returns an integer flag array.  It comes in two kinds
+("specific" flags each sensor, "generic" gives one flag for the loop) and
+two modes:
 
 * ``oracle`` - flags follow the ground-truth schedule delayed by the
   configured detection time; a window's flag latches from
   ``t_start + detection_time`` until ``t_end``.  A window that ends before
   its detection completes is never flagged.  :func:`oracle_flags` gives
-  them for an array of tick times at once.
-* ``residual-threshold`` - flags sensors whose windowed mean absolute
-  innovation exceeds a threshold.  This detector can miss anomalies and is
-  excluded from the bound-related guarantees.
+  them for an array of tick times at once, so a run resolves them once.
+* ``residual-threshold`` - :func:`ads_evaluate` flags sensors whose
+  windowed mean absolute innovation exceeds a threshold, one tick at a
+  time.  This detector can miss anomalies and is excluded from the
+  bound-related guarantees.
 """
 
 from __future__ import annotations
@@ -136,17 +137,14 @@ def oracle_flags(config: AdsConfig, schedule: AnomalySchedule, t_us,
 
 
 def ads_evaluate(config: AdsConfig, window: Sequence[np.ndarray],
-                 schedule: AnomalySchedule, t: float, n_y: int) -> np.ndarray:
-    """Run the detector at time ``t``; returns its 0/1 integer flags.
+                 n_y: int) -> np.ndarray:
+    """Run the residual-threshold detector; returns its 0/1 integer flags.
 
     A specific detector returns one flag per sensor, a generic one a single
     flag for the whole loop.  ``window`` holds the most recent innovation
-    vectors (read only in residual-threshold mode; at most
-    ``detection_time / dt`` of them).  ``n_y`` is the loop's sensor count,
-    the width of the oracle's flags and of an empty window's.
+    vectors, at most ``detection_time / dt`` of them.  ``n_y`` is the
+    loop's sensor count, the width of an empty window's flags.
     """
-    if config.mode == "oracle":
-        return oracle_flags(config, schedule, to_us(t), n_y)
     if not window:
         flags = np.zeros(n_y, dtype=int)
     else:

@@ -43,7 +43,7 @@ from .anomaly import (DETECTOR_KINDS, DETECTOR_MODES, AdsConfig,
                       AnomalySchedule, AnomalyWindow)
 from .timebase import US_PER_S, base_resolution_us, to_us
 
-SUBSYSTEMS = (robot.OUTER, robot.INNER_1, robot.INNER_2)
+SUBSYSTEMS = tuple(robot.LOOPS)
 T_MAX_DEFAULT = 5.0   # seconds; used when a config leaves ``t_max`` out
 # a run preallocates each loop's trace: 10**7 rows of a motor loop take
 # about 1.4 GB
@@ -184,7 +184,7 @@ def validate_config(cfg: dict) -> None:
     init = cfg.get("init", {})
     if _check_keys(init, "init", defaults["init"], errors):
         for k, sid in (("outer", robot.OUTER), ("inner", robot.INNER_1)):
-            n_x = robot.DIMS[sid][0]
+            n_x = len(robot.LOOPS[sid].state)
             if k in init and not _vector(init[k], n_x):
                 errors.append(f"init.{k} must be a list of {n_x} numbers")
     anomalies = cfg.get("anomalies", {})
@@ -291,7 +291,7 @@ def _check_windows(sid: str, windows, errors: list) -> None:
     if not isinstance(windows, list):
         errors.append(f"anomalies.{sid} must be a list of windows")
         return
-    n_y = robot.DIMS[sid][1]
+    n_y = len(robot.LOOPS[sid].meas)
     n_errors = len(errors)
     for i, w in enumerate(windows):
         where = f"anomalies.{sid}[{i}]"
@@ -358,7 +358,7 @@ def _check_bounds(sid: str, spec, errors: list) -> None:
         return
     errors.extend(f"{where}: missing {k!r}" for k in _BOUND_REQUIRED
                   if k not in spec)
-    n_x = robot.DIMS[sid][0]
+    n_x = len(robot.LOOPS[sid].state)
     A_bar = spec.get("A_bar")
     if "A_bar" in spec and not (
             isinstance(A_bar, (list, tuple, np.ndarray))

@@ -122,7 +122,8 @@ class SubsystemRuntime:
 
     model: SubsystemModel
     est: EstimatorState
-    controller: Callable[[np.ndarray, float], np.ndarray]  # (x_hat, t) -> u
+    # (x_hat, t) -> u, a 1-D float array of the model's n_u inputs
+    controller: Callable[[np.ndarray, float], np.ndarray]
     ads: AdsConfig
     schedule: AnomalySchedule
     t_max: float                      # maximum tolerable anomaly duration, s
@@ -130,7 +131,8 @@ class SubsystemRuntime:
     last_u: np.ndarray = None         # input applied at the previous tick
     episode: Episode | None = None    # None while healthy
     # set by the scheduler when the logged input differs from h()'s output
-    # (coupled plant mode logs the input actually applied to the plant)
+    # (coupled plant mode logs the input actually applied to the plant);
+    # u -> the applied input, an array like u
     applied_input: Callable[[np.ndarray], np.ndarray] = None
     bounds: BoundParams | None = None  # fills the bound columns
     x_true: np.ndarray = None         # plant state; mu0 unless given
@@ -263,8 +265,7 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
                                                y_now)
     if rt.innovations is not None:
         rt.innovations.append(np.atleast_1d(innovation))
-        rt.flags[n] = ads_evaluate(rt.ads, rt.innovations, rt.schedule, t,
-                                   model.n_y)
+        rt.flags[n] = ads_evaluate(rt.ads, rt.innovations, model.n_y)
         rt.detected[n] = bool(rt.flags[n].any())
     flags, detected = rt.flags[n], rt.detected[n]
 
@@ -273,9 +274,8 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
         x_hat, x_rec, mask, k1 = roll_forward_recover(
             rt, store, x_hat, K, flags, detection_times, t, prior)
 
-    u = np.atleast_1d(np.asarray(rt.controller(x_hat, t), float))
-    u_logged = u if rt.applied_input is None else np.atleast_1d(
-        np.asarray(rt.applied_input(u), float))
+    u = rt.controller(x_hat, t)
+    u_logged = u if rt.applied_input is None else rt.applied_input(u)
     store.append_control(model.id, t, u_logged)
 
     tr = rt.trace

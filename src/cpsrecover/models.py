@@ -127,19 +127,6 @@ def step_dynamics(model: SubsystemModel, x, u, w) -> np.ndarray:
     return model.f(x, u) + w
 
 
-def measure(model: SubsystemModel, x, u, v) -> np.ndarray:
-    """One sensor reading: ``g(x, u) + v``."""
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    if x.shape != (model.n_x,) or v.shape != (model.n_y,):
-        raise DimensionError(
-            f"{model.id}: expected dims x={model.n_x}, v={model.n_y}, "
-            f"got {x.shape}, {v.shape}"
-        )
-    return model.g(x, u) + v
-
-
 def sample_noise(factor: np.ndarray, rng: np.random.Generator,
                  rows: int) -> np.ndarray:
     """``rows`` zero-mean Gaussian draws with covariance ``factor @ factor.T``,

@@ -6,6 +6,11 @@ references to two inner DC-motor loops with PID controllers.  All default
 parameters are exposed through :class:`RobotParams`; the scenario builder
 in :mod:`cpsrecover.config` uses them to assemble the full configuration.
 
+The module is the one description of the case study's loops: :data:`LOOPS`
+names each loop, in fire order, with its trace columns, :data:`LINEAR`
+names the linear loops, and :func:`make_controllers` wires the loops'
+controllers together.  The simulator runs whatever loops it is given.
+
 The continuous-time dynamics are discretized with an explicit Euler step.
 The outer loop runs at 10 Hz, the inner loops at 100 Hz.
 """
@@ -13,7 +18,8 @@ The outer loop runs at 10 Hz, the inner loops at 100 Hz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,9 +29,25 @@ OUTER = "outer"
 INNER_1 = "inner-1"
 INNER_2 = "inner-2"
 
-# (state, measurement) sizes of each loop's model, for checks that must not
-# build the models
-DIMS = {OUTER: (3, 3), INNER_1: (2, 1), INNER_2: (2, 1)}
+
+class Columns(NamedTuple):
+    """A loop's trace column names: one per state, sensor and input."""
+
+    state: tuple
+    meas: tuple
+    input: tuple
+
+
+# every loop, in fire order: loops due at one instant fire in this order, so
+# the outer loop's wheel references are fresh for the inner loops.  Checks
+# that must not build the models read a loop's sizes from its columns.
+LOOPS = {
+    OUTER: Columns(("x", "y", "theta"), ("x", "y", "theta"), ("v", "omega")),
+    INNER_1: Columns(("i", "w"), ("w",), ("V",)),
+    INNER_2: Columns(("i", "w"), ("w",), ("V",)),
+}
+# the loops whose models are linear
+LINEAR = (INNER_1, INNER_2)
 
 
 @dataclass
@@ -187,28 +209,42 @@ def pid_control(state: PidState, error: float, dt: float,
     return out
 
 
-def make_outer_controller(params: RobotParams):
-    """Controller closure for the outer loop: (x_hat, t) -> [v, omega]."""
-    prev_heading = [0.0]
+def make_controllers(params: RobotParams,
+                     plant_state: Callable[[str], np.ndarray]):
+    """Each loop's controller, ``(x_hat, t) -> u``, and the input the outer
+    plant takes in coupled mode.
 
-    def control(x_hat, t):
-        ref = reference_trajectory(t, x_hat[:2], prev_heading[0])
-        prev_heading[0] = ref[2]
-        return dynamic_inversion_control(x_hat, ref, reference_rate(t), params)
-
-    return control
-
-
-def make_inner_controller(params: RobotParams, ref_box, index: int, dt: float):
-    """Controller closure for an inner loop: tracks the shared wheel reference.
-
-    ``ref_box`` is a one-element list holding the latest wheel-speed
-    reference pair published by the outer loop.
+    The outer controller publishes the wheel-speed references of its
+    command, which the motor loops' PID controllers track at the inner
+    period ``1 / params.inner_rate``.  In coupled mode the outer plant is
+    driven by the body velocity of the motors' achieved wheel speeds;
+    ``plant_state(loop id)`` reads a motor's plant state.  Returns
+    ``({loop id: controller}, {loop id: applied input})``.
     """
-    pid = PidState()
+    dt = 1.0 / params.inner_rate
+    wheel_refs = wheel_transform(np.zeros(2), params)
+    prev_heading = 0.0
 
-    def control(x_hat, t):
-        error = ref_box[0][index] - x_hat[1]
-        return np.array([pid_control(pid, error, dt, params)])
+    def outer(x_hat, t):
+        nonlocal wheel_refs, prev_heading
+        ref = reference_trajectory(t, x_hat[:2], prev_heading)
+        prev_heading = ref[2]
+        u = dynamic_inversion_control(x_hat, ref, reference_rate(t), params)
+        wheel_refs = wheel_transform(u, params)
+        return u
 
-    return control
+    def inner(index):
+        pid = PidState()
+
+        def control(x_hat, t):
+            error = wheel_refs[index] - x_hat[1]
+            return np.array([pid_control(pid, error, dt, params)])
+
+        return control
+
+    def achieved(u):
+        return wheel_transform_inverse(
+            [plant_state(INNER_1)[1], plant_state(INNER_2)[1]], params)
+
+    controllers = {OUTER: outer, INNER_1: inner(0), INNER_2: inner(1)}
+    return controllers, {OUTER: achieved}

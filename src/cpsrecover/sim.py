@@ -1,18 +1,19 @@
 """Deterministic multi-rate scheduler, trace recording and CSV emission.
 
-The scheduler is single-threaded.  Each loop ticks at the multiples of its
-own period, a whole number of microseconds, and the scheduler walks the
-ticks of all loops merged in time order, not every tick of a common base
-grid.  At each instant it computes one checkpoint Boolean, true on
-multiples of the checkpoint period, and hands it to every loop due then;
-those fire in a fixed order (outer, inner-1, inner-2) so the outer loop's
-wheel references are fresh for the inner loops.  On a loop tick the
-scheduler steps the plant, calls :func:`subsystem_tick`, which writes the
-loop's trace row into its :class:`SubsystemRuntime`, and publishes the
-outer loop's wheel references.  All randomness flows from one master seed
-through per-(loop, noise kind) child streams, so adding a loop never
-perturbs another loop's draws and identical (config, seed) pairs yield
-byte-identical CSVs.  A loop's process and measurement noise is drawn
+The scheduler runs whatever loops :mod:`cpsrecover.robot` describes: it
+names none of them.  It is single-threaded.  Each loop ticks at the
+multiples of its own period, a whole number of microseconds, and the
+scheduler walks the ticks of all loops merged in time order, not every
+tick of a common base grid.  At each instant it computes one checkpoint
+Boolean, true on multiples of the checkpoint period, and hands it to every
+loop due then; those fire in the order of ``robot.LOOPS``.  On a loop tick
+the scheduler steps the plant and calls :func:`subsystem_tick`, which
+writes the loop's trace row into its :class:`SubsystemRuntime`; a signal
+between loops passes through the controllers that
+``robot.make_controllers`` wires together.  All randomness flows from one
+master seed through per-(loop, noise kind) child streams, so adding a loop
+never perturbs another loop's draws and identical (config, seed) pairs
+yield byte-identical CSVs.  A loop's process and measurement noise is drawn
 ``_NOISE_BLOCK`` ticks at a time, one row per tick; a block holds the same
 values as that many one-tick draws, so the block size changes no output.
 A loop resolves its anomaly schedule once per run: a tick takes its offset
@@ -42,23 +43,6 @@ from .timebase import to_s, to_us
 # fixed stream-split order; adding streams at the end preserves old draws
 _STREAMS = ("process", "measurement", "init")
 _NOISE_BLOCK = 1024   # noise rows drawn at a time per stream
-
-STATE_NAMES = {
-    robot.OUTER: ("x", "y", "theta"),
-    robot.INNER_1: ("i", "w"),
-    robot.INNER_2: ("i", "w"),
-}
-MEAS_NAMES = {
-    robot.OUTER: ("x", "y", "theta"),
-    robot.INNER_1: ("w",),
-    robot.INNER_2: ("w",),
-}
-INPUT_NAMES = {
-    robot.OUTER: ("v", "omega"),
-    robot.INNER_1: ("V",),
-    robot.INNER_2: ("V",),
-}
-
 
 def make_rngs(seed: int) -> dict:
     """Per-(subsystem, kind) generators split from the master seed."""
@@ -129,7 +113,6 @@ def run_scenario(cfg: dict) -> SimResult:
     bounds = cfgmod.build_bound_params(cfg, models)
     seed = cfg.get("seed", 0)
     horizon_us = to_us(cfg.get("horizon", 10.0))
-    plant_mode = cfg.get("plant_mode", "ideal")
     t_max = cfg.get("t_max", cfgmod.T_MAX_DEFAULT)
 
     rngs = make_rngs(seed)
@@ -137,21 +120,17 @@ def run_scenario(cfg: dict) -> SimResult:
     # validate_config has checked that this is a multiple of every loop period
     ckpt_us = to_us(1.0 / cfg.get("checkpoint_freq_hz", 1.0))
     detection_times = {sid: ads[sid].detection_time for sid in cfgmod.SUBSYSTEMS}
-    wheel_refs = [robot.wheel_transform(np.zeros(2), params)]
-    inner_index = {robot.INNER_1: 0, robot.INNER_2: 1}
-
-    runtimes = []
+    runtimes = {}                    # loop id -> runtime, in fire order
+    controllers, coupled = robot.make_controllers(
+        params, lambda sid: runtimes[sid].x_true)
+    applied = coupled if cfg.get("plant_mode", "ideal") == "coupled" else {}
     for sid in cfgmod.SUBSYSTEMS:
         model = models[sid]
         dt_us = to_us(model.dt)
-        if sid == robot.OUTER:
-            controller = robot.make_outer_controller(params)
-        else:
-            controller = robot.make_inner_controller(
-                params, wheel_refs, inner_index[sid], model.dt)
-        runtimes.append(SubsystemRuntime(
+        runtimes[sid] = SubsystemRuntime(
             model=model, est=EstimatorState.initial(model),
-            controller=controller, ads=ads[sid], schedule=schedules[sid],
+            controller=controllers[sid], applied_input=applied.get(sid),
+            ads=ads[sid], schedule=schedules[sid],
             t_max=t_max, ticks=-(-horizon_us // dt_us), bounds=bounds.get(sid),
             # ground truth; the case study's Sigma0 is zero, so this is the
             # configured mean
@@ -159,16 +138,13 @@ def run_scenario(cfg: dict) -> SimResult:
                 model.Sigma0_factor, rngs[(sid, "init")], 1)[0],
             noise=zip(_noise_rows(model.Q_factor, rngs[(sid, "process")]),
                       _noise_rows(model.R_factor, rngs[(sid, "measurement")]),
-                      _offset_rows(schedules[sid], dt_us))))
-    outer, inner_1, inner_2 = runtimes
-    if plant_mode == "coupled":
-        outer.applied_input = lambda u: robot.wheel_transform_inverse(
-            [inner_1.x_true[1], inner_2.x_true[1]], params)
+                      _offset_rows(schedules[sid], dt_us)))
+    loops = list(runtimes.values())
 
     events = []
-    for t, i, c_k in _loop_ticks([to_us(rt.model.dt) for rt in runtimes],
+    for t, i, c_k in _loop_ticks([to_us(rt.model.dt) for rt in loops],
                                  horizon_us, ckpt_us):
-        rt = runtimes[i]
+        rt = loops[i]
         model = rt.model
         # plant advances one loop period with the previously applied input
         # before the sensors are read, so the measurement and the
@@ -185,9 +161,6 @@ def run_scenario(cfg: dict) -> SimResult:
                            "episode_start": None,
                            "reason": f"unrecoverable: {exc}"})
             break
-        if rt is outer:
-            wheel_refs[0] = robot.wheel_transform(
-                outer.trace["u"][outer.rows - 1], params)
         if stop:
             events.append({"type": "safe-stop", "subsystem": model.id, "t": t,
                            "episode_start": rt.episode.start,
@@ -197,7 +170,7 @@ def run_scenario(cfg: dict) -> SimResult:
 
     return SimResult({rt.model.id: {name: col[:rt.rows]
                                     for name, col in rt.trace.items()}
-                      for rt in runtimes},
+                      for rt in loops},
                      store, events, bool(events), copy.deepcopy(cfg))
 
 
@@ -236,7 +209,7 @@ def emit_csv(result: SimResult, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for sid, tr in result.traces.items():
-        sn, mn, un = STATE_NAMES[sid], MEAS_NAMES[sid], INPUT_NAMES[sid]
+        sn, mn, un = robot.LOOPS[sid]
         # a generic detector flags the loop as a whole: one column
         flags = ([f"ads_flag_{c}" for c in mn]
                  if tr["ads_flags"].shape[1] == len(mn) else ["ads_flag"])

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from cpsrecover import config as cfgmod
-from cpsrecover import sim
+from cpsrecover import robot, sim
 from cpsrecover.analysis import (accuracy_resource_gap_bound, BoundParams,
                                  calibrate_bound_params,
                                  max_duration_certificate,
@@ -74,7 +74,7 @@ def calibrated_bounds():
     return {
         sid: calibrate_bound_params(models[sid], recs[sid],
                                     tick=models[sid].dt, mu=1.0,
-                                    lti=(sid != "outer"))
+                                    lti=sid in robot.LINEAR)
         for sid in cfgmod.SUBSYSTEMS}
 
 

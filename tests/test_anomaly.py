@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpsrecover.anomaly import (AdsConfig, AnomalySchedule, AnomalyWindow,
-                                ads_evaluate, inject_anomaly)
+                                ads_evaluate, inject_anomaly, oracle_flags)
 from cpsrecover.timebase import to_us
 
 
@@ -47,9 +47,9 @@ def test_identity_outside_windows_bit_exact():
 
 def test_oracle_flags_delay():
     cfg = AdsConfig(kind="specific", mode="oracle", detection_time=0.25)
-    out = ads_evaluate(cfg, [], outer_schedule(), 3.6, n_y=3)
+    out = oracle_flags(cfg, outer_schedule(), to_us(3.6), n_y=3)
     np.testing.assert_array_equal(out, [1, 1, 0])
-    out = ads_evaluate(cfg, [], outer_schedule(), 3.3, n_y=3)
+    out = oracle_flags(cfg, outer_schedule(), to_us(3.3), n_y=3)
     np.testing.assert_array_equal(out, [0, 0, 0])
 
 
@@ -58,7 +58,7 @@ def test_oracle_flag_latch_interval():
     sched = outer_schedule()
     grid = np.round(np.arange(0, 10, 0.1), 10)
     for t in grid:
-        flags = ads_evaluate(cfg, [], sched, float(t), n_y=3)
+        flags = oracle_flags(cfg, sched, to_us(float(t)), n_y=3)
         expect = 1 if (3.5 <= t < 5.0 or 8.5 <= t < 10.0) else 0
         assert flags[0] == expect and flags[1] == expect and flags[2] == 0
 
@@ -68,7 +68,7 @@ def test_oracle_no_false_positives_and_gamma_subset():
     sched = outer_schedule()
     windows = sched.windows
     for t in np.round(np.arange(0, 10, 0.05), 10):
-        flags = ads_evaluate(cfg, [], sched, float(t), n_y=3)
+        flags = oracle_flags(cfg, sched, to_us(float(t)), n_y=3)
         inside = any(w.t_start + 0.25 <= t < w.t_end for w in windows)
         if not inside:
             assert not flags.any()
@@ -83,34 +83,30 @@ def test_short_window_never_flags():
     sched = AnomalySchedule((AnomalyWindow(3.25, 3.45, [5.0], [1]),))
     cfg = AdsConfig(kind="specific", mode="oracle", detection_time=0.25)
     for t in np.round(np.arange(0, 5, 0.01), 10):
-        assert not ads_evaluate(cfg, [], sched, float(t), n_y=1).any()
+        assert not oracle_flags(cfg, sched, to_us(float(t)), n_y=1).any()
 
 
 def test_generic_collapses_to_boolean():
     # one 0/1 flag for the whole loop, whichever sensors are flagged
     cfg = AdsConfig(kind="generic", mode="oracle", detection_time=0.25)
     for t, want in ((4.0, 1), (3.3, 0), (6.0, 0)):
-        out = ads_evaluate(cfg, [], outer_schedule(), t, n_y=3)
+        out = oracle_flags(cfg, outer_schedule(), to_us(t), n_y=3)
         assert out.shape == (1,) and out.dtype.kind == "i"
         assert out[0] == want
     res = AdsConfig(kind="generic", mode="residual-threshold", threshold=1.0)
     loud = [np.array([0.1, 5.0])] * 2
     np.testing.assert_array_equal(
-        ads_evaluate(res, loud, AnomalySchedule(()), 0.0, n_y=2), [1])
-    np.testing.assert_array_equal(
-        ads_evaluate(res, [], AnomalySchedule(()), 0.0, n_y=2), [0])
+        ads_evaluate(res, loud, n_y=2), [1])
+    np.testing.assert_array_equal(ads_evaluate(res, [], n_y=2), [0])
 
 
 def test_residual_threshold_mode():
     cfg = AdsConfig(kind="specific", mode="residual-threshold",
                     detection_time=0.0, threshold=1.0)
-    sched = AnomalySchedule(())
     quiet = [np.array([0.1, 0.2])] * 3
     loud = [np.array([5.0, 0.2])] * 3
-    np.testing.assert_array_equal(
-        ads_evaluate(cfg, quiet, sched, 0.0, n_y=2), [0, 0])
-    np.testing.assert_array_equal(
-        ads_evaluate(cfg, loud, sched, 0.0, n_y=2), [1, 0])
+    np.testing.assert_array_equal(ads_evaluate(cfg, quiet, n_y=2), [0, 0])
+    np.testing.assert_array_equal(ads_evaluate(cfg, loud, n_y=2), [1, 0])
 
 
 def test_window_validation():
@@ -153,6 +149,6 @@ def test_bisect_lookup_matches_linear_scan(spec, detection_ticks, probe_ticks):
         for w in windows:
             if w.start_us + to_us(detection_time) <= t_us < w.end_us:
                 flags |= w.gamma.astype(int)
-        out = ads_evaluate(AdsConfig(detection_time=detection_time), [],
-                           sched, t, n_y=3)
+        out = oracle_flags(AdsConfig(detection_time=detection_time), sched,
+                           t_us, n_y=3)
         np.testing.assert_array_equal(out, flags)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cpsrecover import robot, sim
 from cpsrecover.anomaly import (DETECTOR_KINDS, AdsConfig, AnomalySchedule,
-                                AnomalyWindow, ads_evaluate)
+                                AnomalyWindow, oracle_flags)
 from cpsrecover.estimator import EstimatorState
 from cpsrecover.framework import (CONSISTENT, FULLY_INCONSISTENT,
                                   PARTLY_INCONSISTENT, SubsystemRuntime,
@@ -198,9 +198,9 @@ _edges_us = st.lists(st.integers(-300_000, 2_000_000), unique=True,
 def test_resolved_schedule_equals_the_per_tick_reference(
         edges, n_y, dt_us, detection_us, kind, data):
     """On every tick the run's offset, and a runtime's resolved flag row and
-    ``detected``, equal the per-tick injection and oracle, and so does
-    ``ads_evaluate``; a residual-threshold runtime starts with every row
-    clear."""
+    ``detected``, equal the per-tick injection and oracle, and so do
+    ``oracle_flags`` of the tick alone; a residual-threshold runtime starts
+    with every row clear."""
     draw = data.draw if data else (lambda s: [1] * n_y)
     points = sorted(edges)
     windows = [AnomalyWindow(to_s(a), to_s(b), draw(st.lists(
@@ -229,7 +229,7 @@ def test_resolved_schedule_equals_the_per_tick_reference(
         want = reference_oracle_flags(n_y, sched, t, ads.detection_time)
         if kind == "generic":
             want = np.array([int(want.any())])
-        for got in (rt.flags[n], ads_evaluate(ads, (), sched, t, n_y)):
+        for got in (rt.flags[n], oracle_flags(ads, sched, to_us(t), n_y)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
         assert rt.detected[n] == int(want.any())

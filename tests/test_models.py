@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpsrecover import robot
-from cpsrecover.models import (DimensionError, SubsystemModel, measure,
-                               noise_factor, sample_noise, step_dynamics)
+from cpsrecover.models import (DimensionError, SubsystemModel, noise_factor,
+                               sample_noise, step_dynamics)
 from cpsrecover.timebase import base_resolution_us
 
 from helpers import finite_difference_jacobian, prior
@@ -44,26 +44,10 @@ def test_dc_motor_voltage_row():
     np.testing.assert_allclose(x, [0.02, 0.0], atol=1e-15)
 
 
-def test_measure_outer_identity():
-    m = _outer()
-    y = measure(m, [1, 2, 0.5], [0.0, 0.0], np.zeros(3))
-    np.testing.assert_array_equal(y, [1, 2, 0.5])
-    y2 = measure(m, [1, 2, 0.5], [0.0, 0.0], [0.1, 0, 0])
-    np.testing.assert_allclose(y2, [1.1, 2, 0.5])
-
-
-def test_measure_inner_speed_only():
-    m = _motor()
-    y = measure(m, [3.0, 7.0], [0.0], np.zeros(1))
-    np.testing.assert_array_equal(y, [7.0])
-
-
 def test_dimension_checks():
     m = _outer()
     with pytest.raises(DimensionError):
         step_dynamics(m, [0, 0], [1.0, 0.0], np.zeros(3))
-    with pytest.raises(DimensionError):
-        measure(m, [0, 0, 0], [0, 0], np.zeros(2))
 
 
 def test_sample_noise_zero_cov():

@@ -96,6 +96,33 @@ def test_pid_output_clamped_with_anti_windup():
     assert pid.integral == 0.0  # not advanced while saturated
 
 
+def test_inner_controllers_track_the_outer_command():
+    """A motor controller's PID tracks its wheel of ``wheel_transform`` of
+    the latest outer command, zero before the first; in coupled mode the
+    outer plant takes the body velocity of the motors' plant states."""
+    p = robot.RobotParams()
+    plants = {robot.INNER_1: np.array([0.5, 30.0]),
+              robot.INNER_2: np.array([0.5, 34.0])}
+    controllers, coupled = robot.make_controllers(p, plants.__getitem__)
+    dt = 1.0 / p.inner_rate
+    pids = [robot.PidState(), robot.PidState()]
+    motors = (robot.INNER_1, robot.INNER_2)
+    refs = np.zeros(2)
+    for t, x_outer in ((0.0, [2.0, 0.0, 1.5]), (0.1, [1.9, 0.2, 1.6])):
+        for i, sid in enumerate(motors):
+            x_hat = np.array([0.1, 12.0 + i])
+            want = robot.pid_control(pids[i], refs[i] - x_hat[1], dt, p)
+            u = controllers[sid](x_hat, t)
+            assert u.dtype == float and u.shape == (1,) and u[0] == want
+        u = controllers[robot.OUTER](np.array(x_outer), t)
+        assert u.dtype == float and u.shape == (2,)
+        refs = robot.wheel_transform(u, p)
+        assert refs.tobytes() != np.zeros(2).tobytes()
+    assert list(coupled) == [robot.OUTER]
+    assert coupled[robot.OUTER](u).tobytes() == robot.wheel_transform_inverse(
+        [30.0, 34.0], p).tobytes()
+
+
 def test_case_study_rates():
     cfg = cfgmod.default_config()
     params, models = cfgmod.build_models(cfg)
@@ -138,5 +165,8 @@ def test_params_validation():
 
 def test_dims_match_models(case_models):
     _, models = case_models
+    assert tuple(models) == tuple(robot.LOOPS)
     for sid, model in models.items():
-        assert robot.DIMS[sid] == (model.n_x, model.n_y)
+        cols = robot.LOOPS[sid]
+        assert (len(cols.state), len(cols.meas), len(cols.input)) == (
+            model.n_x, model.n_y, model.n_u)

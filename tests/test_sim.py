@@ -18,6 +18,7 @@ from cpsrecover.anomaly import (DETECTOR_KINDS, DETECTOR_MODES,
                                 AnomalySchedule)
 from cpsrecover.config import ConfigError
 from cpsrecover.timebase import to_s, to_us
+from helpers import controls_of
 
 PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / \
     "pinned_digests.json"
@@ -140,9 +141,9 @@ def test_csv_configs_match_pinned_digests(tmp_path, name):
 
 
 def test_a_run_resolves_its_schedule_once_per_loop(monkeypatch):
-    """A default run looks up no active window and calls neither
-    ``step_dynamics`` nor ``measure``: each loop resolves its schedule
-    once, and the tick steps the model itself."""
+    """A default run looks up no active window and never calls
+    ``step_dynamics``: each loop resolves its schedule once, and the
+    tick steps the model itself."""
     calls = Counter()
 
     def counting(name, fn):
@@ -154,7 +155,7 @@ def test_a_run_resolves_its_schedule_once_per_loop(monkeypatch):
     for name in ("active_window", "window_index"):
         monkeypatch.setattr(AnomalySchedule, name,
                             counting(name, getattr(AnomalySchedule, name)))
-    for name in ("step_dynamics", "measure"):
+    for name in ("step_dynamics",):
         fn = getattr(models, name)
         for mod in list(sys.modules.values()):
             if getattr(mod, "__name__", "").startswith("cpsrecover") \
@@ -350,11 +351,27 @@ def test_rng_streams_independent_of_other_subsystems():
 
 
 def test_coupled_plant_mode_runs():
+    """Each outer control record is, bit for bit, the body velocity of the
+    motors' wheel speeds as the outer loop fires, and never the commanded
+    ``u`` of the trace.  The outer loop fires first at a shared instant, so
+    a motor's speed then is its plant state after its previous tick, or its
+    initial state."""
     cfg = cfgmod.build_case_study(seed=3, plant_mode="coupled")
     res = sim.run_scenario(cfg)
-    assert len(res.traces["outer"]["t"]) == 100
-    # the outer input column logs the reconstructed wheel velocity
-    assert np.all(np.isfinite(res.traces["outer"]["x_true"]))
+    params, built = cfgmod.build_models(cfg)
+    tr = res.traces[robot.OUTER]
+    controls = controls_of(res.store, robot.OUTER)
+    assert len(tr["t"]) == 100
+    assert [c.t for c in controls] == tr["t"].tolist()
+    motors = (robot.INNER_1, robot.INNER_2)
+    speeds = [np.r_[built[sid].mu0[1], res.traces[sid]["x_true"][:, 1]]
+              for sid in motors]
+    ratio = to_us(built[robot.OUTER].dt) // to_us(built[robot.INNER_1].dt)
+    for k, c in enumerate(controls):
+        want = robot.wheel_transform_inverse(
+            [speeds[0][ratio * k], speeds[1][ratio * k]], params)
+        assert np.asarray(c.u).tobytes() == want.tobytes()
+        assert not np.array_equal(c.u, tr["u"][k])
 
 
 def test_safe_stop_truncates_trace():
@@ -459,7 +476,7 @@ def test_csv_rows_have_as_many_fields_as_the_header(tmp_path, name):
         if name == "generic" and sid == robot.OUTER:
             assert flags == ["ads_flag"]
         else:
-            assert flags == [f"ads_flag_{c}" for c in sim.MEAS_NAMES[sid]]
+            assert flags == [f"ads_flag_{c}" for c in robot.LOOPS[sid].meas]
 
 
 # name: (dtype, per-tick shape: state, measurement, input, flag or scalar)
@@ -481,9 +498,9 @@ def test_trace_column_dtypes_and_shapes(overrides, rows):
     res = sim.run_scenario(cfgmod.build_case_study(**overrides))
     generic = "ads" in overrides
     for sid, n in zip(cfgmod.SUBSYSTEMS, rows):
-        n_x, n_y = robot.DIMS[sid]
-        width = {"x": (n_x,), "y": (n_y,), "u": (len(sim.INPUT_NAMES[sid]),),
-                 "f": (1 if generic else n_y,), "": ()}
+        sn, mn, un = robot.LOOPS[sid]
+        width = {"x": (len(sn),), "y": (len(mn),), "u": (len(un),),
+                 "f": (1 if generic else len(mn),), "": ()}
         tr = res.traces[sid]
         assert sorted(tr) == sorted(TRACE_COLUMNS)
         for name, (dtype, per_tick) in TRACE_COLUMNS.items():
