@@ -104,6 +104,12 @@ class Episode:
     # start + t_max in µs: a tick after it safe-stops, so an episode of
     # exactly t_max does not
     deadline_us: int
+    # the read-only element mask of the last recovering tick, with the gain
+    # object and the flag-row bytes it was built from; the flags can change
+    # within an episode, and so can the gain
+    mask: np.ndarray | None = None
+    mask_gain: np.ndarray | None = None
+    mask_flags: bytes = b""
 
 
 @dataclass
@@ -212,7 +218,9 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
     every element from the roll-forward, the estimate *is* that value, so
     ``prior`` is its predict step.  Returns ``(x_hat_updated, x_rec, mask,
     k1)``; ``k1`` is ``None`` unless this call re-rolled, and a full mask
-    returns ``x_rec`` itself as the updated estimate.
+    returns ``x_rec`` itself as the updated estimate.  The mask is
+    read-only: an open episode keeps it for later ticks with the same gain
+    object ``K`` and the same flags.
     """
     model = rt.model
     ep = rt.episode
@@ -237,7 +245,14 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
     else:
         x_rec = model.f(ep.x_rec, rt.last_u)
 
-    mask = element_mask(K, flags, rt.ads.kind)
+    flag_bytes = flags.tobytes()
+    if ep is not None and ep.mask_gain is K and ep.mask_flags == flag_bytes:
+        mask = ep.mask
+    else:
+        mask = element_mask(K, flags, rt.ads.kind)
+        mask.flags.writeable = False
+        if ep is not None:
+            ep.mask, ep.mask_gain, ep.mask_flags = mask, K, flag_bytes
     if np.count_nonzero(mask) == mask.size:
         return x_rec, x_rec, mask, k1
     x_new = x_hat.copy()

@@ -145,12 +145,15 @@ def sample_noise(factor: np.ndarray, rng: np.random.Generator,
 def euler_discretize(deriv, jac_deriv, dt: float):
     """Build discrete ``f`` and its Jacobian from a continuous derivative.
 
-    ``f(x, u) = x + deriv(x, u) * dt``; the Jacobian is
+    ``f(x, u) = x + deriv(x, u) * dt``, in float64; the Jacobian is
     ``I + jac_deriv(x, u) * dt``.
     """
+    dt0 = np.array(dt, float)   # multiplies as the float64 dt would
 
     def f(x, u):
-        return x + np.asarray(deriv(x, u), float) * dt
+        # x first: where both addends are NaN the sum keeps the first one's
+        # sign and payload, so the reversed sum would differ in those bits
+        return x + np.multiply(deriv(x, u), dt0)
 
     def jac_A(x, u):
         J = np.asarray(jac_deriv(x, u), float)

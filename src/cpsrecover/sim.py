@@ -23,6 +23,7 @@ from a cursor over the windows and its flags from the ``ads_flags`` column.
 from __future__ import annotations
 
 import copy
+import math
 import os
 from bisect import bisect_left
 from itertools import repeat
@@ -57,11 +58,16 @@ def make_rngs(seed: int) -> dict:
     return rngs
 
 
-def _noise_rows(factor: np.ndarray, rng: np.random.Generator):
-    """Successive one-tick draws of :func:`sample_noise`, taken from blocks
-    of ``_NOISE_BLOCK`` rows."""
+def _noise_rows(model, process: np.random.Generator,
+                measurement: np.random.Generator, offsets):
+    """Each tick's ``(w, v, offset)`` in turn: successive one-tick draws of
+    :func:`sample_noise` from the ``process`` and ``measurement`` streams,
+    taken ``_NOISE_BLOCK`` rows at a time, and the next of ``offsets``."""
     while True:
-        yield from sample_noise(factor, rng, _NOISE_BLOCK)
+        # the blocks run out first, so each takes _NOISE_BLOCK offsets
+        yield from zip(sample_noise(model.Q_factor, process, _NOISE_BLOCK),
+                       sample_noise(model.R_factor, measurement, _NOISE_BLOCK),
+                       offsets)
 
 
 def _offset_rows(schedule, dt_us: int):
@@ -136,9 +142,9 @@ def run_scenario(cfg: dict) -> SimResult:
             # configured mean
             x_true=model.mu0 + sample_noise(
                 model.Sigma0_factor, rngs[(sid, "init")], 1)[0],
-            noise=zip(_noise_rows(model.Q_factor, rngs[(sid, "process")]),
-                      _noise_rows(model.R_factor, rngs[(sid, "measurement")]),
-                      _offset_rows(schedules[sid], dt_us)))
+            noise=_noise_rows(model, rngs[(sid, "process")],
+                              rngs[(sid, "measurement")],
+                              _offset_rows(schedules[sid], dt_us)))
     loops = list(runtimes.values())
 
     events = []
@@ -186,25 +192,23 @@ def _fmt(value) -> str:
 
 
 _CSV_BLOCK = 1024     # rows formatted and written at a time
-
-
-def _joined(block: np.ndarray, as_int: bool) -> list:
-    """Each row of a 2-D block as comma-joined fields: ``repr`` of floats,
-    NaN as ``nan``, or the integers of an integer or Boolean block."""
-    if as_int:
-        return [",".join(map(str, row)) for row in block.astype(int).tolist()]
-    return [",".join(map(repr, row)) for row in block.tolist()]
+# the trace columns a CSV holds, in its column order
+_CSV_COLUMNS = ("t", "x_true", "y_meas", "x_hat", "x_rf", "recovered", "u",
+                "ads_flags", "ckpt_event", "rsee_bound", "ee_bound",
+                "safe_stop")
 
 
 def emit_csv(result: SimResult, out_dir) -> list:
     """Write one CSV per subsystem; returns the written paths.
 
-    Floats are rendered with Python's shortest round-trip repr, so
-    re-parsing reproduces the trace bit-exactly and identical runs yield
-    byte-identical files.  NaN is written as an empty field, and so is
-    ``x_rf`` on a tick without recovery.  Each field is what :func:`_fmt`
-    makes of the value; the rows are formatted column by column, a block
-    of rows at a time.
+    Each field is what :func:`_fmt` makes of the value: floats in Python's
+    shortest round-trip repr, so re-parsing reproduces the trace bit-exactly
+    and identical runs yield byte-identical files; Booleans and integers as
+    integers; NaN, and ``x_rf`` on a tick without recovery, as an empty
+    field.  A block of ``_CSV_BLOCK`` rows is one float table formatted
+    through one ``%`` template, ``%r`` for a float column and ``%d`` for an
+    integer or Boolean one.  A column that is NaN on every row of the block
+    is written as empty fields and never formatted.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -225,28 +229,24 @@ def emit_csv(result: SimResult, out_dir) -> list:
                   + [f"rsee_bound_{c}" for c in sn]
                   + [f"ee_bound_{c}" for c in sn]
                   + ["safe_stop"])
+        # each column's format, repeated over its width
+        fields = np.array([fmt for name in _CSV_COLUMNS for fmt in (
+            ["%d" if tr[name].dtype.kind in "biu" else "%r"]
+            * math.prod(tr[name].shape[1:]))], dtype=object)
         path = os.path.join(out_dir, f"{sid}.csv")
         try:
             with open(path, "w", newline="") as fh:
                 fh.write(",".join(header) + "\n")
                 for lo in range(0, len(tr["t"]), _CSV_BLOCK):
-                    c = {name: col[lo:lo + _CSV_BLOCK]
-                         for name, col in tr.items()}
-                    x_rf = np.where(c["recovered"].any(axis=1)[:, None],
-                                    c["x_rf"], np.nan)
-                    parts = [
-                        _joined(np.column_stack(
-                            (c["t"], c["x_true"], c["y_meas"], c["x_hat"],
-                             x_rf)), False),
-                        _joined(c["recovered"], True),
-                        _joined(c["u"], False),
-                        _joined(np.column_stack(
-                            (c["ads_flags"], c["ckpt_event"])), True),
-                        _joined(np.column_stack(
-                            (c["rsee_bound"], c["ee_bound"])), False),
-                        _joined(c["safe_stop"][:, None], True),
-                    ]
-                    text = "\n".join(map(",".join, zip(*parts))) + "\n"
+                    c = {name: tr[name][lo:lo + _CSV_BLOCK]
+                         for name in _CSV_COLUMNS}
+                    c["x_rf"] = np.where(c["recovered"].any(axis=1)[:, None],
+                                         c["x_rf"], np.nan)
+                    table = np.column_stack([c[n] for n in _CSV_COLUMNS])
+                    blank = np.isnan(table).all(axis=0)
+                    row = ",".join(np.where(blank, "", fields)) + "\n"
+                    text = (row * len(table)) % tuple(
+                        table[:, ~blank].ravel().tolist())
                     # repr writes NaN as "nan", which no other field holds
                     fh.write(text.replace("nan", ""))
         except OSError as exc:

@@ -124,14 +124,17 @@ def _unpack_checkpoint(payload: bytes) -> Checkpoint:
     return Checkpoint(t, x.copy(), flags)
 
 
+_CONTROL_HEAD = struct.Struct("<dI")      # a control record's t and size
+
+
 def _pack_control(t: float, u) -> bytes:
     u = np.asarray(u, "<f8")
-    return b"U" + struct.pack("<dI", t, u.size) + u.tobytes()
+    return b"U" + _CONTROL_HEAD.pack(t, u.size) + u.tobytes()
 
 
 def _unpack_control(payload: bytes) -> ControlRecord:
-    t, nu = struct.unpack_from("<dI", payload, 1)
-    off = 1 + struct.calcsize("<dI")
+    t, nu = _CONTROL_HEAD.unpack_from(payload, 1)
+    off = 1 + _CONTROL_HEAD.size
     return ControlRecord(t, np.frombuffer(payload, "<f8", nu, off).copy())
 
 
@@ -164,7 +167,7 @@ class _Chain:
         return self._tag(payload, self.tags[-1] if self.tags else _ZERO_TAG)
 
     def append(self, payload: bytes, t: float) -> None:
-        tag = self.next_tag(payload)
+        tag = self._tag(payload, self.tags[-1] if self.tags else _ZERO_TAG)
         walked = self._walked_tags
         # the copy stays a chain that passes a walk only when the new tag is
         # computed from the copy's own last tag; an edited tag is another
@@ -248,9 +251,20 @@ class SecureStore:
 
     def append_control(self, subsystem: str, t: float, u) -> None:
         """Append the control input ``u`` applied at time ``t``; it is read
-        back as a :class:`ControlRecord`."""
-        self._append(self._chains(subsystem)[1], subsystem, "control",
-                     t, _pack_control(t, u))
+        back as a :class:`ControlRecord`.
+
+        One call per control, the most frequent append: it checks the time
+        as :meth:`_append` does and packs as :func:`_pack_control` does.
+        """
+        u = np.asarray(u, "<f8")
+        chain = self._controls.get(subsystem) or self._chains(subsystem)[1]
+        times = chain.times
+        if not math.isfinite(t):
+            raise MonotonicityError(f"{subsystem}: control time {t} not finite")
+        if times and t <= times[-1]:
+            raise MonotonicityError(
+                f"{subsystem}: control time {t} not after {times[-1]}")
+        chain.append(b"U" + _CONTROL_HEAD.pack(t, u.size) + u.tobytes(), t)
 
     # -- reads ----------------------------------------------------------
     # Reads never create chains: an unknown sub-system has empty logs.

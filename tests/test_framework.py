@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cpsrecover import robot, sim
+from cpsrecover import framework, robot, sim
 from cpsrecover.anomaly import (DETECTOR_KINDS, AdsConfig, AnomalySchedule,
                                 AnomalyWindow, oracle_flags)
-from cpsrecover.estimator import EstimatorState
+from cpsrecover.estimator import EstimatorState, estimator_step
 from cpsrecover.framework import (CONSISTENT, FULLY_INCONSISTENT,
                                   PARTLY_INCONSISTENT, SubsystemRuntime,
                                   UnrecoverableError, classify_checkpoint_set,
@@ -490,3 +490,49 @@ def test_partial_masks_keep_their_own_predict(seed, edges, gamma, speed):
     if speed == 0.0:
         assert (trace["recovered"][recovering] == np.array(gamma, bool)).all()
     _assert_equals_reference_roll_forward(model, trace, store)
+
+
+def test_the_cached_mask_follows_the_flags_and_the_gain(monkeypatch):
+    """In one outer-loop episode the flag row changes from [1, 1, 0] to
+    [1, 0, 0] while the gain object stays, and the gain object changes
+    while the flags stay; each recovering row's mask is ``element_mask`` of
+    that tick's gain and flags, and the mask the episode keeps is
+    read-only."""
+    model = robot.bicycle_model(0.1, 0.01 * np.eye(3), 0.01 * np.eye(3),
+                                mu0=np.array([2.0, 0.0, 1.5]),
+                                Sigma0=np.eye(3))
+    gains = [np.eye(3), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                  [0.0, 1.0, 1.0]])]
+    for K in gains:
+        K.flags.writeable = False
+    used = []                          # each tick's gain, by row
+
+    def step(*args):
+        est, _, innovation, prior = estimator_step(*args)
+        used.append(gains[len(used) // 4 % 2])
+        return est, used[-1], innovation, prior
+
+    monkeypatch.setattr(framework, "estimator_step", step)
+    dt_us = to_us(model.dt)
+    windows = tuple(AnomalyWindow(to_s(a * dt_us), to_s(b * dt_us),
+                                  np.zeros(3), gamma)
+                    for a, b, gamma in ((3, 9, [1, 1, 0]), (9, 15, [1, 0, 0])))
+    rt = lti_runtime(model, detection_time=0.0,
+                     schedule=AnomalySchedule(windows), ticks=15)
+    rt.controller = lambda x, t: np.array([0.0, -0.5 * x[2]])
+    store = SecureStore()
+    rng = np.random.default_rng(5)
+    for n in range(15):
+        subsystem_tick(rt, store, True, rng.normal(0.0, 1.0, 3),
+                       to_s(n * dt_us), {model.id: 0.0})
+    tr = rt.trace
+    recovering = np.flatnonzero(~np.isnan(tr["k1"]))
+    assert recovering.tolist() == list(range(3, 15))
+    for n in recovering:
+        np.testing.assert_array_equal(
+            tr["recovered"][n],
+            element_mask(used[n], tr["ads_flags"][n], "specific"))
+    # [1, 1, 0] under each gain and [1, 0, 0]: three distinct masks
+    assert len({tr["recovered"][n].tobytes() for n in recovering}) == 3
+    assert rt.episode.start == to_s(3 * dt_us)
+    assert not rt.episode.mask.flags.writeable

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cpsrecover import robot
-from cpsrecover.models import (DimensionError, SubsystemModel, noise_factor,
-                               sample_noise, step_dynamics)
+from cpsrecover.models import (DimensionError, SubsystemModel,
+                               euler_discretize, noise_factor, sample_noise,
+                               step_dynamics)
 from cpsrecover.timebase import base_resolution_us
 
 from helpers import finite_difference_jacobian, prior
@@ -208,3 +210,39 @@ def test_bad_periods():
         base_resolution_us([])
     with pytest.raises(ValueError):
         base_resolution_us([0.0])
+
+
+_any_floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=arrays(np.float64, st.integers(1, 4), elements=_any_floats),
+       u=arrays(np.float64, 2, elements=_any_floats),
+       held=arrays(np.float64, 4, elements=_any_floats),
+       dt=_any_floats,
+       returns=st.sampled_from(["fresh", "held", "list", "scalar", "ints",
+                                "float32"]))
+# two NaNs of opposite sign: the sum keeps the first addend's
+@example(x=np.array([-np.nan]), u=np.zeros(2), held=np.full(4, np.nan),
+         dt=1.0, returns="held")
+def test_euler_step_is_x_plus_deriv_times_dt(x, u, held, dt, returns):
+    """``f`` equals ``x + asarray(deriv(x, u), float) * dt`` bit for bit,
+    whatever ``deriv`` returns, and writes into none of ``x``, ``u`` or an
+    array ``deriv`` holds and returns by reference."""
+    n = x.size
+    held = held[:n]
+    deriv = {"fresh": lambda x, u: x * u[0] - u[1],
+             "held": lambda x, u: held,
+             "list": lambda x, u: [u[0]] * n,
+             "scalar": lambda x, u: u[1],
+             "ints": lambda x, u: list(range(-1, n - 1)),
+             "float32": lambda x, u: held.astype(np.float32)}[returns]
+    before = [a.copy() for a in (x, u, held)]
+    f, _ = euler_discretize(deriv, None, dt)
+    with np.errstate(all="ignore"):   # inf * 0, inf - inf
+        got = f(x, u)
+        want = x + np.asarray(deriv(x, u), float) * dt
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    for a, b in zip((x, u, held), before):
+        assert a.tobytes() == b.tobytes()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from cpsrecover import config as cfgmod
 from cpsrecover import cli, estimator, models, robot, sim
@@ -422,38 +422,12 @@ def _per_value_rows(tr) -> str:
     return "".join(lines)
 
 
-def _synthetic_trace(rows: int) -> dict:
-    """A trace of random values, a fifth of its floats NaN, +-inf, signed
-    zeros or extremes, with a generic detector's one flag column."""
-    rng = np.random.default_rng(23)
-    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
-               1.7976931348623157e308, 0.1, -1e-300]
-
-    def floats(*width):
-        a = rng.standard_normal((rows, *width)) * 10.0 ** rng.integers(
-            -12, 13, (rows, *width))
-        pick = rng.random(a.shape) < 0.2
-        a[pick] = rng.choice(special, int(pick.sum()))
-        return a
-
-    return {"t": floats(), "x_true": floats(3), "y_meas": floats(3),
-            "x_hat": floats(3), "x_rf": floats(3), "x_rec": floats(3),
-            "recovered": rng.random((rows, 3)) < 0.3, "u": floats(2),
-            "ads_flags": rng.integers(0, 2, (rows, 1)),
-            "ckpt_event": rng.random(rows) < 0.1, "k1": floats(),
-            "rsee_bound": floats(3), "ee_bound": floats(3),
-            "safe_stop": rng.random(rows) < 0.05}
-
-
-@pytest.mark.parametrize("name", ["default", *CSV_CONFIGS, "synthetic"])
+@pytest.mark.parametrize("name", ["default", *CSV_CONFIGS])
 def test_emit_csv_equals_per_value_writer(tmp_path, case_result, name):
-    """The column-wise writer writes the bytes the per-value writer
-    would, across several row blocks on the synthetic trace."""
+    """The block writer writes the bytes the per-value writer would on
+    simulated traces; random ones are the property below."""
     if name == "default":
         res = case_result
-    elif name == "synthetic":
-        res = sim.SimResult({robot.OUTER: _synthetic_trace(2500)}, None, [],
-                            False, {})
     else:
         res = sim.run_scenario(cfgmod.build_case_study(**CSV_CONFIGS[name]))
     for path in sim.emit_csv(res, tmp_path):
@@ -461,6 +435,64 @@ def test_emit_csv_equals_per_value_writer(tmp_path, case_result, name):
         with open(path, newline="") as fh:
             fh.readline()
             assert fh.read() == _per_value_rows(res.traces[sid])
+
+
+_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+             1.7976931348623157e308, 0.1, -1e-300]
+
+
+def _random_trace(rng, loop: str, rows: int, generic: bool,
+                  palette: list) -> dict:
+    """A trace of ``loop`` of random floats, a fifth of them from
+    ``palette``, with NaN on a tenth of the rows of each float column and
+    on every row of some of its ``sim._CSV_BLOCK``-row blocks; a generic
+    detector has one flag column."""
+    sn, mn, un = robot.LOOPS[loop]
+
+    def floats(*width):
+        a = rng.standard_normal((rows, *width)) * 10.0 ** rng.integers(
+            -300, 300, (rows, *width))
+        pick = rng.random(a.shape) < 0.2
+        a[pick] = rng.choice(palette, int(pick.sum()))
+        a[rng.random(a.shape) < 0.1] = np.nan
+        for lo in range(0, rows, sim._CSV_BLOCK):
+            blank = rng.random(a.shape[1:]) < 0.3
+            a[lo:lo + sim._CSV_BLOCK][..., blank] = np.nan
+        return a
+
+    n_x = len(sn)
+    return {"t": floats(), "x_true": floats(n_x), "y_meas": floats(len(mn)),
+            "x_hat": floats(n_x), "x_rf": floats(n_x), "x_rec": floats(n_x),
+            "recovered": rng.random((rows, n_x)) < 0.3,
+            "u": floats(len(un)),
+            "ads_flags": rng.integers(0, 2, (rows, 1 if generic else len(mn))),
+            "ckpt_event": rng.random(rows) < 0.1, "k1": floats(),
+            "rsee_bound": floats(n_x), "ee_bound": floats(n_x),
+            "safe_stop": rng.random(rows) < 0.05}
+
+
+# no shrinking: every example is a fresh random trace, and shrinking a
+# failing 2,049-row one took minutes
+@settings(max_examples=30, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(rows=st.sampled_from([0, 1, 1023, 1024, 1025, 2049]),
+       loop=st.sampled_from(list(robot.LOOPS)), generic=st.booleans(),
+       palette=st.lists(st.floats(width=64) | st.sampled_from(_SPECIALS),
+                        min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_emit_csv_writes_the_per_value_rendering(tmp_path_factory, rows, loop,
+                                                 generic, palette, seed):
+    """Random traces, with signed zeros, infinities, extremes and columns
+    NaN on some rows or on every row of a block, are written as the
+    row-by-row ``sim._fmt`` rendering: NaN as an empty field and ``x_rf``
+    blank on rows without recovery."""
+    trace = _random_trace(np.random.default_rng(seed), loop, rows, generic,
+                          palette)
+    res = sim.SimResult({loop: trace}, None, [], False, {})
+    [path] = sim.emit_csv(res, tmp_path_factory.mktemp("csv"))
+    with open(path, newline="") as fh:
+        fh.readline()
+        assert fh.read() == _per_value_rows(trace)
 
 
 @pytest.mark.parametrize("name", ["default", "generic"])
