@@ -28,7 +28,6 @@ from . import config as cfgmod
 from . import sim
 from .analysis import (accuracy_resource_gap_bound, max_duration_certificate,
                        recovery_error_bound_at)
-from .timebase import to_us
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,13 +110,13 @@ def _cmd_bounds(cfg: dict) -> int:
 
 
 def _cmd_compare(cfg: dict) -> int:
-    _, models = cfgmod.build_models(cfg)
-    bounds = cfgmod.build_bound_params(cfg, models)
     result = sim.run_scenario(cfg)
     shadows = sim.every_tick_shadow(result)
     out_dir = cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    for sid, tr in result.traces.items():
+    for rt in result.loops:
+        sid, bp = rt.model.id, rt.bounds
+        tr = result.traces[sid]
         path = os.path.join(out_dir, f"{sid}_gap.csv")
         n_x = tr["x_true"].shape[1]
         opt = shadows[sid]
@@ -125,31 +124,23 @@ def _cmd_compare(cfg: dict) -> int:
             cols = (["t"] + [f"gap_{j}" for j in range(n_x)]
                     + [f"gap_bound_{j}" for j in range(n_x)])
             fh.write(",".join(cols) + "\n")
-            for k in range(len(tr["t"])):
+            for k, t in enumerate(tr["t"]):
                 if not np.any(tr["recovered"][k]):
                     continue
                 gap = np.abs(opt[k] - tr["x_rec"][k])
-                if sid in bounds:
-                    bp = bounds[sid]
-                    s = _episode_start(cfg, sid, tr["t"][k])
-                    k_t = round(tr["t"][k] / bp.tick)
-                    bound = accuracy_resource_gap_bound(bp, k_t, s)
+                if bp is not None:
+                    # anchored at the latest anomaly window started by t
+                    s = max((w.t_start for w in rt.schedule.windows
+                             if w.t_start <= t), default=t)
+                    bound = accuracy_resource_gap_bound(
+                        bp, round(t / bp.tick), s)
                 else:
                     bound = np.full(n_x, np.nan)
-                row = ([sim._fmt(tr["t"][k])] + [sim._fmt(v) for v in gap]
+                row = ([sim._fmt(t)] + [sim._fmt(v) for v in gap]
                        + [sim._fmt(v) for v in np.atleast_1d(bound)])
                 fh.write(",".join(row) + "\n")
         print(f"wrote {path}")
     return 3 if result.safe_stop else 0
-
-
-def _episode_start(cfg: dict, sid: str, t: float) -> float:
-    """Anomaly-window start covering time ``t`` for subsystem ``sid``."""
-    best = None
-    for w in cfg.get("anomalies", {}).get(sid, []):
-        if w["t_start"] <= t and (best is None or w["t_start"] > best):
-            best = w["t_start"]
-    return best if best is not None else t
 
 
 def _cmd_checkpoints(cfg: dict) -> int:

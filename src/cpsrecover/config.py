@@ -25,11 +25,14 @@ A scenario is a plain JSON-compatible dict.  Top-level keys:
 values, but an ``ads.<loop>`` entry replaces that loop's entry as a whole:
 a field it leaves out takes the ``AdsConfig`` default, so ``{"kind":
 "generic"}`` alone gets a ``detection_time`` of 0, not the case study's 0.25.
+
+:func:`build_system` turns a validated config into the loops of one run, for
+:func:`cpsrecover.sim.run_loops`; :func:`build_models` and
+:func:`build_bound_params` build its parts, and serve the bound analysis.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 import math
@@ -41,6 +44,8 @@ from . import robot
 from .analysis import BoundParams
 from .anomaly import (DETECTOR_KINDS, DETECTOR_MODES, AdsConfig,
                       AnomalySchedule, AnomalyWindow)
+from .estimator import EstimatorState
+from .framework import SubsystemRuntime
 from .timebase import US_PER_S, base_resolution_us, to_us
 
 SUBSYSTEMS = tuple(robot.LOOPS)
@@ -181,6 +186,9 @@ def validate_config(cfg: dict) -> None:
         for k, v in noise.items():
             if k in defaults["noise"] and not (_number(v) and v >= 0):
                 errors.append(f"noise.{k} must be a nonnegative number")
+            elif k in defaults["noise"] and not _number(v * v):
+                errors.append(f"noise.{k} is too large: its square, the "
+                              "variance, overflows a float")
     init = cfg.get("init", {})
     if _check_keys(init, "init", defaults["init"], errors):
         for k, sid in (("outer", robot.OUTER), ("inner", robot.INNER_1)):
@@ -408,16 +416,6 @@ def build_models(cfg: dict):
     return params, models
 
 
-def build_schedules(cfg: dict) -> dict:
-    return {sid: _schedule_from(cfg.get("anomalies", {}).get(sid, []))
-            for sid in SUBSYSTEMS}
-
-
-def build_ads(cfg: dict) -> dict:
-    merged = {**default_config()["ads"], **cfg.get("ads", {})}
-    return {sid: AdsConfig(**merged[sid]) for sid in SUBSYSTEMS}
-
-
 def build_bound_params(cfg: dict, models) -> dict:
     out = {}
     mu = cfg.get("checkpoint_freq_hz", 1.0)
@@ -432,3 +430,29 @@ def build_bound_params(cfg: dict, models) -> dict:
             tick=models[sid].dt,
         )
     return out
+
+
+def build_system(cfg: dict) -> list:
+    """The loops of one run of a validated config, in fire order: each a
+    :class:`SubsystemRuntime` with its model, columns, schedule, detector,
+    bounds, controller, coupled-mode applied input, ``t_max`` and tick count.
+    :func:`robot.make_controllers` wires the controllers, which keep state,
+    so each run needs its own build."""
+    params, models = build_models(cfg)
+    bounds = build_bound_params(cfg, models)
+    ads = {**default_config()["ads"], **cfg.get("ads", {})}
+    loops = {}
+    controllers, coupled = robot.make_controllers(
+        params, lambda sid: loops[sid].x_true)
+    applied = coupled if cfg.get("plant_mode", "ideal") == "coupled" else {}
+    for sid, columns in robot.LOOPS.items():
+        model = models[sid]
+        loops[sid] = SubsystemRuntime(
+            model=model, columns=columns, est=EstimatorState.initial(model),
+            controller=controllers[sid], applied_input=applied.get(sid),
+            ads=AdsConfig(**ads[sid]),
+            schedule=_schedule_from(cfg.get("anomalies", {}).get(sid, [])),
+            t_max=cfg.get("t_max", T_MAX_DEFAULT),
+            ticks=-(-to_us(cfg.get("horizon", 10.0)) // to_us(model.dt)),
+            bounds=bounds.get(sid))
+    return list(loops.values())

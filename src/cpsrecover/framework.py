@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -121,9 +121,9 @@ class SubsystemRuntime:
     ``detected`` (0/1) resolve the detector for each of ``ticks`` rows;
     residual-threshold ticks fill their own rows.  ``trace`` holds the
     loop's trace columns, ``flags`` among them as ``ads_flags``, and each
-    tick writes its row.  The scheduler steps the plant: it keeps its state
-    in ``x_true``, which the tick records, and draws each tick's process
-    noise, measurement noise and anomaly offset from the ``noise`` cursor.
+    tick writes its row; ``columns`` names the columns of a state, sensor
+    and input.  The scheduler steps the plant and keeps its state in
+    ``x_true``, which the tick records.
     """
 
     model: SubsystemModel
@@ -142,7 +142,7 @@ class SubsystemRuntime:
     applied_input: Callable[[np.ndarray], np.ndarray] = None
     bounds: BoundParams | None = None  # fills the bound columns
     x_true: np.ndarray = None         # plant state; mu0 unless given
-    noise: Iterator | None = None     # (w, v, offset or None) per tick
+    columns: tuple | None = None      # (state, meas, input) column names
     # the recent innovations a residual-threshold detector averages; an
     # oracle detector reads none, so it keeps None
     innovations: deque | None = field(init=False, default=None)

@@ -29,7 +29,7 @@ class DimensionError(ValueError):
 def _check_psd(name: str, m: np.ndarray) -> None:
     if not np.allclose(m, m.T, atol=1e-10):
         raise ValueError(f"{name} must be symmetric")
-    w = np.linalg.eigvalsh((m + m.T) / 2.0)
+    w = np.linalg.eigvalsh(m / 2.0 + m.T / 2.0)   # halved: cannot overflow
     if w.min() < -1e-9:
         raise ValueError(f"{name} must be positive semi-definite")
 

@@ -1,28 +1,27 @@
 """Deterministic multi-rate scheduler, trace recording and CSV emission.
 
-The scheduler runs whatever loops :mod:`cpsrecover.robot` describes: it
-names none of them.  It is single-threaded.  Each loop ticks at the
-multiples of its own period, a whole number of microseconds, and the
-scheduler walks the ticks of all loops merged in time order, not every
-tick of a common base grid.  At each instant it computes one checkpoint
-Boolean, true on multiples of the checkpoint period, and hands it to every
-loop due then; those fire in the order of ``robot.LOOPS``.  On a loop tick
-the scheduler steps the plant and calls :func:`subsystem_tick`, which
-writes the loop's trace row into its :class:`SubsystemRuntime`; a signal
-between loops passes through the controllers that
-``robot.make_controllers`` wires together.  All randomness flows from one
-master seed through per-(loop, noise kind) child streams, so adding a loop
-never perturbs another loop's draws and identical (config, seed) pairs
-yield byte-identical CSVs.  A loop's process and measurement noise is drawn
-``_NOISE_BLOCK`` ticks at a time, one row per tick; a block holds the same
-values as that many one-tick draws, so the block size changes no output.
-A loop resolves its anomaly schedule once per run: a tick takes its offset
-from a cursor over the windows and its flags from the ``ads_flags`` column.
+:func:`run_loops`, the single-threaded scheduler, runs the loops it is
+given, as :func:`cpsrecover.config.build_system` builds them, and names
+none.  Each loop ticks at the multiples of its own period, a whole number
+of microseconds, and the scheduler walks the ticks of all loops merged in
+time order, not every tick of a common base grid.  At each instant it
+computes one checkpoint Boolean, true on multiples of the checkpoint
+period, and hands it to every loop due then, in list order.  On a loop
+tick the scheduler steps the plant and calls :func:`subsystem_tick`, which
+writes the loop's trace row into its :class:`SubsystemRuntime`; signals
+between loops pass through their controllers.  All randomness flows from
+one master seed through per-(loop, noise kind) child streams, spawned in
+loop order, so a loop appended after the others never perturbs another
+loop's draws and identical (config, seed) pairs yield byte-identical CSVs.
+A loop's process and measurement noise is drawn ``_NOISE_BLOCK`` ticks at
+a time, one row per tick; a block holds the same values as that many
+one-tick draws, so the block size changes no output.  A loop resolves its
+anomaly schedule once per run: a tick takes its offset from a cursor over
+the windows and its flags from the ``ads_flags`` column.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from bisect import bisect_left
@@ -32,11 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as cfgmod
-from . import robot
-from .estimator import EstimatorState
-from .framework import (SubsystemRuntime, UnrecoverableError,
-                        most_recent_consistent_checkpoint, replay,
-                        subsystem_tick)
+from .framework import (UnrecoverableError, most_recent_consistent_checkpoint,
+                        replay, subsystem_tick)
 from .models import sample_noise
 from .store import SecureStore
 from .timebase import to_s, to_us
@@ -45,17 +41,15 @@ from .timebase import to_s, to_us
 _STREAMS = ("process", "measurement", "init")
 _NOISE_BLOCK = 1024   # noise rows drawn at a time per stream
 
-def make_rngs(seed: int) -> dict:
-    """Per-(subsystem, kind) generators split from the master seed."""
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(len(cfgmod.SUBSYSTEMS) * len(_STREAMS))
-    rngs = {}
-    idx = 0
-    for sid in cfgmod.SUBSYSTEMS:
-        for kind in _STREAMS:
-            rngs[(sid, kind)] = np.random.default_rng(children[idx])
-            idx += 1
-    return rngs
+def make_rngs(seed: int, loop_ids: list) -> dict:
+    """Per-(loop, kind) generators split from the master seed, spawned in
+    the order of the distinct ``loop_ids`` and of ``_STREAMS``: ids
+    appended to ``loop_ids`` leave the generators of the others as they
+    were."""
+    children = iter(np.random.SeedSequence(seed).spawn(
+        len(loop_ids) * len(_STREAMS)))
+    return {(sid, kind): np.random.default_rng(next(children))
+            for sid in loop_ids for kind in _STREAMS}
 
 
 def _noise_rows(model, process: np.random.Generator,
@@ -107,45 +101,34 @@ class SimResult:
     store: SecureStore
     events: list
     safe_stop: bool
-    config: dict
+    loops: list        # the runtimes that ran, in fire order
 
 
 def run_scenario(cfg: dict) -> SimResult:
     """Simulate a scenario; deterministic for a given (config, seed)."""
     cfgmod.validate_config(cfg)
-    params, models = cfgmod.build_models(cfg)
-    schedules = cfgmod.build_schedules(cfg)
-    ads = cfgmod.build_ads(cfg)
-    bounds = cfgmod.build_bound_params(cfg, models)
-    seed = cfg.get("seed", 0)
-    horizon_us = to_us(cfg.get("horizon", 10.0))
-    t_max = cfg.get("t_max", cfgmod.T_MAX_DEFAULT)
+    # the checkpoint period is a multiple of every loop period (validated)
+    return run_loops(cfgmod.build_system(cfg), cfg.get("seed", 0),
+                     to_us(cfg.get("horizon", 10.0)),
+                     to_us(1.0 / cfg.get("checkpoint_freq_hz", 1.0)))
 
-    rngs = make_rngs(seed)
+
+def run_loops(loops: list, seed: int, horizon_us: int,
+              ckpt_us: int) -> SimResult:
+    """Run ``loops``, fresh runtimes with distinct ids in fire order, for
+    ``horizon_us`` microseconds, checkpointing every ``ckpt_us``."""
+    rngs = make_rngs(seed, [rt.model.id for rt in loops])
     store = SecureStore()
-    # validate_config has checked that this is a multiple of every loop period
-    ckpt_us = to_us(1.0 / cfg.get("checkpoint_freq_hz", 1.0))
-    detection_times = {sid: ads[sid].detection_time for sid in cfgmod.SUBSYSTEMS}
-    runtimes = {}                    # loop id -> runtime, in fire order
-    controllers, coupled = robot.make_controllers(
-        params, lambda sid: runtimes[sid].x_true)
-    applied = coupled if cfg.get("plant_mode", "ideal") == "coupled" else {}
-    for sid in cfgmod.SUBSYSTEMS:
-        model = models[sid]
-        dt_us = to_us(model.dt)
-        runtimes[sid] = SubsystemRuntime(
-            model=model, est=EstimatorState.initial(model),
-            controller=controllers[sid], applied_input=applied.get(sid),
-            ads=ads[sid], schedule=schedules[sid],
-            t_max=t_max, ticks=-(-horizon_us // dt_us), bounds=bounds.get(sid),
-            # ground truth; the case study's Sigma0 is zero, so this is the
-            # configured mean
-            x_true=model.mu0 + sample_noise(
-                model.Sigma0_factor, rngs[(sid, "init")], 1)[0],
-            noise=_noise_rows(model, rngs[(sid, "process")],
-                              rngs[(sid, "measurement")],
-                              _offset_rows(schedules[sid], dt_us)))
-    loops = list(runtimes.values())
+    detection_times = {rt.model.id: rt.ads.detection_time for rt in loops}
+    noise = []          # each loop's (w, v, offset or None) per tick
+    for rt in loops:
+        model, sid = rt.model, rt.model.id
+        # the plant's initial state, drawn around the model's mu0
+        rt.x_true = model.mu0 + sample_noise(
+            model.Sigma0_factor, rngs[(sid, "init")], 1)[0]
+        noise.append(_noise_rows(model, rngs[(sid, "process")],
+                                 rngs[(sid, "measurement")],
+                                 _offset_rows(rt.schedule, to_us(model.dt))))
 
     events = []
     for t, i, c_k in _loop_ticks([to_us(rt.model.dt) for rt in loops],
@@ -155,7 +138,7 @@ def run_scenario(cfg: dict) -> SimResult:
         # plant advances one loop period with the previously applied input
         # before the sensors are read, so the measurement and the
         # estimator's predict step refer to the same instant
-        w, v, offset = next(rt.noise)
+        w, v, offset = next(noise[i])
         rt.x_true = model.f(rt.x_true, rt.last_u) + w
         y = model.g(rt.x_true, rt.last_u) + v
         if offset is not None:
@@ -177,7 +160,7 @@ def run_scenario(cfg: dict) -> SimResult:
     return SimResult({rt.model.id: {name: col[:rt.rows]
                                     for name, col in rt.trace.items()}
                       for rt in loops},
-                     store, events, bool(events), copy.deepcopy(cfg))
+                     store, events, bool(events), loops)
 
 
 def _fmt(value) -> str:
@@ -212,8 +195,9 @@ def emit_csv(result: SimResult, out_dir) -> list:
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for sid, tr in result.traces.items():
-        sn, mn, un = robot.LOOPS[sid]
+    for rt in result.loops:
+        tr = result.traces[rt.model.id]
+        sn, mn, un = rt.columns
         # a generic detector flags the loop as a whole: one column
         flags = ([f"ads_flag_{c}" for c in mn]
                  if tr["ads_flags"].shape[1] == len(mn) else ["ads_flag"])
@@ -233,7 +217,7 @@ def emit_csv(result: SimResult, out_dir) -> list:
         fields = np.array([fmt for name in _CSV_COLUMNS for fmt in (
             ["%d" if tr[name].dtype.kind in "biu" else "%r"]
             * math.prod(tr[name].shape[1:]))], dtype=object)
-        path = os.path.join(out_dir, f"{sid}.csv")
+        path = os.path.join(out_dir, f"{rt.model.id}.csv")
         try:
             with open(path, "w", newline="") as fh:
                 fh.write(",".join(header) + "\n")
@@ -270,12 +254,12 @@ def every_tick_shadow(result: SimResult) -> dict:
     Each loop's controls are retrieved once, over the whole run, and sliced
     by time for each episode.
     """
-    ads = cfgmod.build_ads(result.config)
-    detection_times = {sid: a.detection_time for sid, a in ads.items()}
-    _, models = cfgmod.build_models(result.config)
+    detection_times = {rt.model.id: rt.ads.detection_time
+                       for rt in result.loops}
     shadows = {}
-    for sid, tr in result.traces.items():
-        model = models[sid]
+    for rt in result.loops:
+        model, sid = rt.model, rt.model.id
+        tr = result.traces[sid]
         t = tr["t"]
         shadow = shadows[sid] = np.full((len(t), model.n_x), np.nan)
         if not len(t):

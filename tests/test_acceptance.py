@@ -271,7 +271,7 @@ def test_criterion_07_accuracy_resource_gap(calibrated_bounds):
 
 def test_criterion_08_consistency_classification(case_result):
     store = case_result.store
-    _, models = cfgmod.build_models(case_result.config)
+    models = {rt.model.id: rt.model for rt in case_result.loops}
     common = set.intersection(
         *(set(store.save_times(sid)) for sid in cfgmod.SUBSYSTEMS))
     assert common  # the coordinator produced shared save instants

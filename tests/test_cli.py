@@ -49,6 +49,18 @@ def test_run_rejects_a_rate_off_the_microsecond_grid(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_run_rejects_a_noise_std_whose_variance_overflows(tmp_path, capsys):
+    """1e200 squared overflows a float: the run is refused up front, with
+    every other problem of the config listed beside it."""
+    path = write_cfg(tmp_path, noise={"outer_r_std": 1e200}, t_max=0.0,
+                     out_dir=str(tmp_path))
+    assert cli.main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ")
+    assert "noise.outer_r_std is too large" in err and "t_max" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_run_missing_file_exit_1(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.json")]) == 1
 

@@ -7,10 +7,11 @@ import re
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from cpsrecover import config as cfgmod
 from cpsrecover import cli, estimator, models, robot, sim
@@ -235,14 +236,40 @@ def test_loops_off_each_others_grid_tick_at_their_own_periods():
 
 def test_result_keeps_its_own_config():
     """Editing the caller's config after the run changes nothing the result
-    computes from its config."""
+    computes from the loops it ran."""
     cfg = cfgmod.build_case_study(seed=3)
     res = sim.run_scenario(cfg)
     shadow = sim.every_tick_shadow(res)[robot.OUTER]
     cfg["ads"][robot.OUTER]["detection_time"] = 1.0
     np.testing.assert_array_equal(sim.every_tick_shadow(res)[robot.OUTER],
                                   shadow)
-    assert res.config is not cfg
+
+
+def test_the_engine_runs_two_copies_of_the_case_study_in_one_store(tmp_path):
+    """Six loops, the case study built twice with the second copy's loops
+    renamed, run in one store: the first copy writes the pinned CSVs, as
+    its streams and its consistent checkpoints are the ones it has alone,
+    and no loop stops."""
+    cfg = cfgmod.build_case_study(seed=42)
+    first, second = cfgmod.build_system(cfg), cfgmod.build_system(cfg)
+    for rt in second:
+        rt.model = dataclasses.replace(rt.model, id=rt.model.id + "#2")
+    res = sim.run_loops(first + second, 42, to_us(cfg["horizon"]),
+                        to_us(1.0 / cfg["checkpoint_freq_hz"]))
+    assert not res.events
+    assert sorted(res.store.subsystems()) == sorted(
+        rt.model.id for rt in first + second)
+    sim.emit_csv(res, tmp_path)
+    pinned = json.loads(PINNED_DIGESTS.read_text())["default-seed-42"]
+    digests = {f"{sid}.csv": hashlib.sha256(
+        (tmp_path / f"{sid}.csv").read_bytes()).hexdigest()
+        for sid in cfgmod.SUBSYSTEMS}
+    assert digests == pinned
+    for sid in cfgmod.SUBSYSTEMS:        # the copies draw their own noise
+        assert res.traces[sid + "#2"]["ckpt_event"].tolist() == \
+            res.traces[sid]["ckpt_event"].tolist()
+        assert not np.array_equal(res.traces[sid + "#2"]["x_true"],
+                                  res.traces[sid]["x_true"])
 
 
 def test_tick_counts(case_result):
@@ -337,17 +364,22 @@ def test_recovery_window_timing(case_result):
     assert np.all(((ts >= 3.5) & (ts < 5.0)) | ((ts >= 8.5) & (ts < 10.0)))
 
 
-def test_rng_streams_independent_of_other_subsystems():
-    rngs_a = sim.make_rngs(7)
-    rngs_b = sim.make_rngs(7)
-    for key in rngs_a:
-        np.testing.assert_array_equal(rngs_a[key].standard_normal(8),
-                                      rngs_b[key].standard_normal(8))
-    # different kinds draw from different streams
-    rngs = sim.make_rngs(7)
-    a = rngs[("outer", "process")].standard_normal(8)
-    b = rngs[("outer", "measurement")].standard_normal(8)
-    assert not np.allclose(a, b)
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       ids=st.lists(st.text(max_size=4), unique=True, max_size=6),
+       split=st.integers(0, 6))
+def test_rng_streams_independent_of_other_subsystems(seed, ids, split):
+    """Loops appended after the others leave every other loop's streams as
+    they were; each stream draws its own values."""
+    ids, more = ids[:split], ids[split:]
+    alone, joined = sim.make_rngs(seed, ids), sim.make_rngs(seed, ids + more)
+    assert list(joined) == [(sid, kind) for sid in ids + more
+                            for kind in ("process", "measurement", "init")]
+    draws = {}
+    for key, rng in alone.items():
+        draws[key] = rng.standard_normal(4).tobytes()
+        assert joined[key].standard_normal(4).tobytes() == draws[key]
+    assert len(set(draws.values())) == len(draws)
 
 
 def test_coupled_plant_mode_runs():
@@ -488,7 +520,9 @@ def test_emit_csv_writes_the_per_value_rendering(tmp_path_factory, rows, loop,
     blank on rows without recovery."""
     trace = _random_trace(np.random.default_rng(seed), loop, rows, generic,
                           palette)
-    res = sim.SimResult({loop: trace}, None, [], False, {})
+    stand_in = SimpleNamespace(model=SimpleNamespace(id=loop),
+                               columns=robot.LOOPS[loop])
+    res = sim.SimResult({loop: trace}, None, [], False, [stand_in])
     [path] = sim.emit_csv(res, tmp_path_factory.mktemp("csv"))
     with open(path, newline="") as fh:
         fh.readline()
@@ -568,9 +602,9 @@ def test_every_tick_shadow_equals_from_scratch_replay(name):
     cfg = cfgmod.build_case_study(**SHADOW_CONFIGS[name])
     res = sim.run_scenario(cfg)
     shadows = sim.every_tick_shadow(res)
-    _, models = cfgmod.build_models(cfg)
-    margin_us = to_us(max(a.detection_time
-                          for a in cfgmod.build_ads(cfg).values()))
+    loops = cfgmod.build_system(cfg)
+    models = {rt.model.id: rt.model for rt in loops}
+    margin_us = to_us(max(rt.ads.detection_time for rt in loops))
     checked = 0
     for sid, tr in res.traces.items():
         t_us = np.round(tr["t"] * 1e6).astype(np.int64)
@@ -703,6 +737,10 @@ def test_validate_collects_multiple_errors():
     ({"noise": {"bogus_std": 0.1}}, "noise: unknown key 'bogus_std'"),
     ({"init": {"outer": [0.0, 0.0]}}, "init.outer"),
     ({"bounds": []}, "bounds must be an object"),
+    ({"noise": {"outer_r_std": 1e200}}, "noise.outer_r_std is too large"),
+    ({"noise": {"inner_q_std": 1e160}}, "noise.inner_q_std is too large"),
+    ({"noise": {"outer_q_std": 1.4e154}}, "noise.outer_q_std is too large"),
+    ({"noise": {"inner_r_std": 10**200}}, "noise.inner_r_std is too large"),
 ])
 def test_validate_rejects_bad_values(overrides, message):
     cfg = cfgmod.default_config()
@@ -789,6 +827,25 @@ def test_validate_accepts_or_raises_config_error(cfg):
         cfgmod.validate_config(cfg)
     except ConfigError:
         pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(cfgmod.default_config()["noise"])),
+       std=st.floats(min_value=0.0, allow_infinity=False)
+       | st.integers(0, 2**1100))
+@example(key="outer_r_std", std=math.sqrt(sys.float_info.max))
+@example(key="outer_q_std", std=1e154)
+@example(key="inner_q_std", std=10**154 * 13)
+def test_a_noise_std_is_rejected_or_builds(key, std):
+    """Each noise std is a nonnegative float or int: either validation
+    rejects it, or the models build, with its square as the variance."""
+    cfg = cfgmod.default_config()
+    cfg["noise"][key] = std
+    try:
+        cfgmod.validate_config(cfg)
+    except ConfigError:
+        return
+    cfgmod.build_models(cfg)
 
 
 @st.composite

@@ -537,7 +537,7 @@ def test_a_default_run_hashes_each_record_once(monkeypatch):
 
 def test_case_study_store_invariants(case_result):
     store = case_result.store
-    cfg = case_result.config
+    horizon_us = to_us(cfgmod.default_config()["horizon"])
     # the detected-anomaly intervals of the default schedule
     detected = [(3.5, 5.0), (8.5, 10.0)]
     for sid in ("outer", "inner-1", "inner-2"):
@@ -550,7 +550,7 @@ def test_case_study_store_invariants(case_result):
         ctl = controls_of(store, sid)
         dt_us = 100_000 if sid == "outer" else 10_000
         ts = [to_us(c.t) for c in ctl]
-        assert ts == list(range(0, to_us(cfg["horizon"]), dt_us))
+        assert ts == list(range(0, horizon_us, dt_us))
 
 
 def test_tick_counts(case_result):
