@@ -61,13 +61,12 @@ def _load(args) -> dict:
         cfg["out_dir"] = args.out_dir
     if args.plant_mode is not None:
         cfg["plant_mode"] = args.plant_mode
-    cfgmod.validate_config(cfg)
-    return cfg
+    return cfgmod.validate_config(cfg)
 
 
 def _cmd_run(cfg: dict) -> int:
     result = sim.run_scenario(cfg)
-    paths = sim.emit_csv(result, cfg.get("out_dir", "."))
+    paths = sim.emit_csv(result, cfg["out_dir"])
     for p in paths:
         print(f"wrote {p}")
     for e in result.events:
@@ -83,7 +82,7 @@ def _cmd_bounds(cfg: dict) -> int:
         return 1
     report = {}
     for sid, bp in bounds.items():
-        windows = cfg.get("anomalies", {}).get(sid, [])
+        windows = cfg["anomalies"].get(sid, [])
         s = min((w["t_start"] for w in windows), default=1.0)
         entry = {
             "ee_bound": list(bp.eps_delta),
@@ -99,7 +98,7 @@ def _cmd_bounds(cfg: dict) -> int:
         entry["gap_bound_half_second_in"] = list(
             accuracy_resource_gap_bound(bp, k, s))
         report[sid] = entry
-    out_dir = cfg.get("out_dir", ".")
+    out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "bounds.json")
     with open(path, "w") as fh:
@@ -112,7 +111,7 @@ def _cmd_bounds(cfg: dict) -> int:
 def _cmd_compare(cfg: dict) -> int:
     result = sim.run_scenario(cfg)
     shadows = sim.every_tick_shadow(result)
-    out_dir = cfg.get("out_dir", ".")
+    out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     for rt in result.loops:
         sid, bp = rt.model.id, rt.bounds
@@ -145,7 +144,7 @@ def _cmd_compare(cfg: dict) -> int:
 
 def _cmd_checkpoints(cfg: dict) -> int:
     result = sim.run_scenario(cfg)
-    out_dir = cfg.get("out_dir", ".")
+    out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "checkpoints.csv")
     with open(path, "w", newline="") as fh:

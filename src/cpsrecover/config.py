@@ -21,14 +21,19 @@ A scenario is a plain JSON-compatible dict.  Top-level keys:
 ``bounds``             optional per-loop bound parameters for the online
                        bound columns
 
+:func:`validate_config` returns the *resolved* scenario, a new dict that
+holds every top-level key.  A key the config leaves out takes the case
+study's value, except ``anomalies`` and ``bounds``, which then hold none.
 ``noise``, ``init`` and ``robot`` merge key by key into the case study's
-values, but an ``ads.<loop>`` entry replaces that loop's entry as a whole:
-a field it leaves out takes the ``AdsConfig`` default, so ``{"kind":
-"generic"}`` alone gets a ``detection_time`` of 0, not the case study's 0.25.
+values, and ``ads`` merges loop by loop: an ``ads.<loop>`` entry replaces
+that loop's entry as a whole, and a field it leaves out takes the
+``AdsConfig`` default, so ``{"kind": "generic"}`` alone gets a
+``detection_time`` of 0, not the case study's 0.25.
 
-:func:`build_system` turns a validated config into the loops of one run, for
-:func:`cpsrecover.sim.run_loops`; :func:`build_models` and
+:func:`build_system` turns a resolved scenario into the loops of one run,
+for :func:`cpsrecover.sim.run_loops`; :func:`build_models` and
 :func:`build_bound_params` build its parts, and serve the bound analysis.
+All three read the resolved scenario by key.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from .framework import SubsystemRuntime
 from .timebase import US_PER_S, base_resolution_us, to_us
 
 SUBSYSTEMS = tuple(robot.LOOPS)
-T_MAX_DEFAULT = 5.0   # seconds; used when a config leaves ``t_max`` out
 # a run preallocates each loop's trace: 10**7 rows of a motor loop take
 # about 1.4 GB
 MAX_TRACE_ROWS = 10_000_000
@@ -68,7 +72,7 @@ def default_config() -> dict:
         "horizon": 10.0,
         "seed": 0,
         "checkpoint_freq_hz": 1.0,
-        "t_max": T_MAX_DEFAULT,
+        "t_max": 5.0,
         "plant_mode": "ideal",
         "out_dir": ".",
         "robot": {},  # overrides for RobotParams fields
@@ -133,8 +137,9 @@ def save_config(cfg: dict, path) -> None:
         fh.write("\n")
 
 
-def validate_config(cfg: dict) -> None:
-    """Raise :class:`ConfigError` listing every violated invariant.
+def validate_config(cfg: dict) -> dict:
+    """The resolved scenario of ``cfg``, which is left unchanged; raises
+    :class:`ConfigError` listing every violated invariant.
 
     One pass over every key the simulation and the bound analysis read:
     types, shapes, ranges and the tick grid.  Builds no models, so it is
@@ -144,14 +149,16 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("a scenario must be a JSON object")
     errors = []
     defaults = default_config()
+    # the resolved top level: a copy, so the argument is left unchanged
+    cfg = {**defaults, "anomalies": {}, "bounds": {}, **cfg}
     for k in cfg:
         if k not in defaults:
             errors.append(f"unknown key {k!r}")
-    params = _check_robot(cfg.get("robot", {}), errors)
+    params = _check_robot(cfg["robot"], errors)
     dt_o = 1.0 / params.outer_rate
     dt_i = 1.0 / params.inner_rate
     base = base_resolution_us([dt_o, dt_i])
-    horizon = cfg.get("horizon", 10.0)
+    horizon = cfg["horizon"]
     if not _seconds(horizon) or horizon <= 0:
         errors.append("horizon must be a positive number of seconds")
     elif to_us(horizon) % base != 0:
@@ -159,11 +166,11 @@ def validate_config(cfg: dict) -> None:
     elif -(-to_us(horizon) // min(to_us(dt_o), to_us(dt_i))) > MAX_TRACE_ROWS:
         errors.append(f"horizon {horizon} s needs more than the cap of "
                       f"{MAX_TRACE_ROWS} trace rows per loop")
-    seed = cfg.get("seed", 0)
+    seed = cfg["seed"]
     if (isinstance(seed, (bool, np.bool_))
             or not isinstance(seed, numbers.Integral) or seed < 0):
         errors.append("seed must be a nonnegative integer")
-    mu = cfg.get("checkpoint_freq_hz", 1.0)
+    mu = cfg["checkpoint_freq_hz"]
     period_us = _period_us(mu)
     if period_us is None:
         errors.append("checkpoint_freq_hz must be a frequency whose period "
@@ -174,14 +181,14 @@ def validate_config(cfg: dict) -> None:
                 errors.append(
                     f"checkpoint period 1/{mu} Hz is not a multiple of the "
                     f"{name} loop period {dt}")
-    if cfg.get("plant_mode", "ideal") not in ("ideal", "coupled"):
+    if cfg["plant_mode"] not in ("ideal", "coupled"):
         errors.append("plant_mode must be 'ideal' or 'coupled'")
-    t_max = cfg.get("t_max", T_MAX_DEFAULT)
+    t_max = cfg["t_max"]
     if not _seconds(t_max) or t_max <= 0:
         errors.append("t_max must be a positive number of seconds")
-    if not isinstance(cfg.get("out_dir", "."), str):
+    if not isinstance(cfg["out_dir"], str):
         errors.append("out_dir must be a string")
-    noise = cfg.get("noise", {})
+    noise = cfg["noise"]
     if _check_keys(noise, "noise", defaults["noise"], errors):
         for k, v in noise.items():
             if k in defaults["noise"] and not (_number(v) and v >= 0):
@@ -189,23 +196,23 @@ def validate_config(cfg: dict) -> None:
             elif k in defaults["noise"] and not _number(v * v):
                 errors.append(f"noise.{k} is too large: its square, the "
                               "variance, overflows a float")
-    init = cfg.get("init", {})
+    init = cfg["init"]
     if _check_keys(init, "init", defaults["init"], errors):
         for k, sid in (("outer", robot.OUTER), ("inner", robot.INNER_1)):
             n_x = len(robot.LOOPS[sid].state)
             if k in init and not _vector(init[k], n_x):
                 errors.append(f"init.{k} must be a list of {n_x} numbers")
-    anomalies = cfg.get("anomalies", {})
+    anomalies = cfg["anomalies"]
     if _check_keys(anomalies, "anomalies", SUBSYSTEMS, errors, "loop id"):
         for sid, windows in anomalies.items():
             if sid in SUBSYSTEMS:
                 _check_windows(sid, windows, errors)
-    ads = cfg.get("ads", {})
+    ads = cfg["ads"]
     if _check_keys(ads, "ads", SUBSYSTEMS, errors, "loop id"):
         for sid, spec in ads.items():
             if sid in SUBSYSTEMS:
                 _check_ads(sid, spec, base, errors)
-    bounds = cfg.get("bounds", {})
+    bounds = cfg["bounds"]
     if _check_keys(bounds, "bounds", SUBSYSTEMS, errors, "loop id"):
         for sid, spec in bounds.items():
             if sid in SUBSYSTEMS:
@@ -213,6 +220,9 @@ def validate_config(cfg: dict) -> None:
                 _check_bounded_windows(sid, anomalies, errors)
     if errors:
         raise ConfigError("; ".join(errors))
+    for k in ("robot", "noise", "init", "ads"):
+        cfg[k] = {**defaults[k], **cfg[k]}
+    return cfg
 
 
 def _number(v) -> bool:
@@ -389,10 +399,9 @@ def _schedule_from(windows) -> AnomalySchedule:
 
 
 def build_models(cfg: dict):
-    """Instantiate the three sub-system models from a validated config."""
-    params = robot.RobotParams(**cfg.get("robot", {}))
-    noise = {**default_config()["noise"], **cfg.get("noise", {})}
-    init = {**default_config()["init"], **cfg.get("init", {})}
+    """Instantiate the three sub-system models from a resolved scenario."""
+    params = robot.RobotParams(**cfg["robot"])
+    noise, init = cfg["noise"], cfg["init"]
     dt_o = 1.0 / params.outer_rate
     dt_i = 1.0 / params.inner_rate
 
@@ -417,42 +426,32 @@ def build_models(cfg: dict):
 
 
 def build_bound_params(cfg: dict, models) -> dict:
-    out = {}
-    mu = cfg.get("checkpoint_freq_hz", 1.0)
-    for sid, spec in cfg.get("bounds", {}).items():
-        out[sid] = BoundParams(
-            A_bar=np.asarray(spec["A_bar"], float),
-            eps_delta=np.asarray(spec["eps_delta"], float),
-            eps_omega=np.asarray(spec["eps_omega"], float),
-            phi_bar=np.asarray(spec["phi_bar"], float) if "phi_bar" in spec else None,
-            E_max=np.asarray(spec["E_max"], float) if "E_max" in spec else None,
-            mu=mu,
-            tick=models[sid].dt,
-        )
-    return out
+    """Each bounded loop's :class:`BoundParams`, from a resolved scenario."""
+    return {sid: BoundParams(**spec, mu=cfg["checkpoint_freq_hz"],
+                             tick=models[sid].dt)
+            for sid, spec in cfg["bounds"].items()}
 
 
 def build_system(cfg: dict) -> list:
-    """The loops of one run of a validated config, in fire order: each a
+    """The loops of one run of a resolved scenario, in fire order: each a
     :class:`SubsystemRuntime` with its model, columns, schedule, detector,
     bounds, controller, coupled-mode applied input, ``t_max`` and tick count.
     :func:`robot.make_controllers` wires the controllers, which keep state,
     so each run needs its own build."""
     params, models = build_models(cfg)
     bounds = build_bound_params(cfg, models)
-    ads = {**default_config()["ads"], **cfg.get("ads", {})}
     loops = {}
     controllers, coupled = robot.make_controllers(
         params, lambda sid: loops[sid].x_true)
-    applied = coupled if cfg.get("plant_mode", "ideal") == "coupled" else {}
+    applied = coupled if cfg["plant_mode"] == "coupled" else {}
     for sid, columns in robot.LOOPS.items():
         model = models[sid]
         loops[sid] = SubsystemRuntime(
             model=model, columns=columns, est=EstimatorState.initial(model),
             controller=controllers[sid], applied_input=applied.get(sid),
-            ads=AdsConfig(**ads[sid]),
-            schedule=_schedule_from(cfg.get("anomalies", {}).get(sid, [])),
-            t_max=cfg.get("t_max", T_MAX_DEFAULT),
-            ticks=-(-to_us(cfg.get("horizon", 10.0)) // to_us(model.dt)),
+            ads=AdsConfig(**cfg["ads"][sid]),
+            schedule=_schedule_from(cfg["anomalies"].get(sid, [])),
+            t_max=cfg["t_max"],
+            ticks=-(-to_us(cfg["horizon"]) // to_us(model.dt)),
             bounds=bounds.get(sid))
     return list(loops.values())

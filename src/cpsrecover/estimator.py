@@ -5,14 +5,16 @@ inversion so degenerate ``R = 0`` configurations remain usable, and the
 posterior covariance is symmetrized.
 
 A linear model's ``P`` and ``K`` depend on its matrices alone, not on
-the data.  Each model steps through a *gain table*, resolved on its first
-step and shared by every model with the same ``A``, ``C``, ``Q`` and ``R``
-then: it maps the bytes of an incoming ``P`` to the read-only ``(P, K)`` a
-full step computed from it.  The case study's two motor loops fill one
-table of 746 entries, the last a bitwise fixed point that maps ``P`` to
-itself, and read it for every later step of every run in the process.
-Any other step, as each of a nonlinear loop's after its first, is a full
-step, so results are the same bit for bit.
+the data.  An estimate steps through a *gain table*: the first step
+resolves it, shared by every model with the same ``A``, ``C``, ``Q`` and
+``R`` then, and each :class:`EstimatorState` a step returns passes it on,
+so the frozen model is never written.  The table maps the bytes of an
+incoming ``P`` to the read-only ``(P, K)`` a full step computed from it.
+The case study's two motor loops fill one table of 746 entries, the last a
+bitwise fixed point that maps ``P`` to itself, and read it for every later
+step of every run in the process.  Any other step, as each of a nonlinear
+loop's after its first, is a full step, so results are the same bit for
+bit.
 """
 
 from __future__ import annotations
@@ -43,10 +45,12 @@ def _gain_table(A: bytes, C: bytes, Q: bytes, R: bytes,
 
 @dataclass
 class EstimatorState:
-    """State estimate and its covariance."""
+    """State estimate, its covariance and the gain table of its steps;
+    None before the first."""
 
     x_hat: np.ndarray
     P: np.ndarray
+    gain_table: tuple | None = None
 
     @classmethod
     def initial(cls, model: SubsystemModel) -> "EstimatorState":
@@ -61,8 +65,8 @@ def estimator_step(model: SubsystemModel, est: EstimatorState,
     Returns the posterior :class:`EstimatorState`, the gain ``K`` (kept for
     recovery), the innovation ``y_now - g(x_pred, u_prev)`` and the prior
     mean ``x_pred = f(x_hat, u_prev)``.  ``P`` and ``K`` come from the
-    model's gain table when this step's ``A`` and ``C`` are the table's and
-    ``est.P`` is a key; they are then read-only and shared.
+    gain table of ``est`` when this step's ``A`` and ``C`` are the table's
+    and ``est.P`` is a key; they are then read-only and shared.
     """
     u = np.asarray(u_prev, float)
     A = model.jac_A(est.x_hat, u)
@@ -72,17 +76,17 @@ def estimator_step(model: SubsystemModel, est: EstimatorState,
         C = np.atleast_2d(C)
     # numpy converts a list operand as asarray(y_now, float) would
     innov = y_now - model.g(x_pred, u)
-    if model.gain_table is None:           # resolved on the first step
-        object.__setattr__(model, "gain_table", _gain_table(
-            A.tobytes(), C.tobytes(), model.Q.tobytes(), model.R.tobytes(),
-            (A.dtype, C.dtype)))
-    A_key, C_key, steps = model.gain_table
+    table = est.gain_table or _gain_table(       # resolved on the first step
+        A.tobytes(), C.tobytes(), model.Q.tobytes(), model.R.tobytes(),
+        (A.dtype, C.dtype))
+    A_key, C_key, steps = table
     if A.tobytes() == A_key and C.tobytes() == C_key:
         P_key = est.P.tobytes()
         hit = steps.get(P_key)
         if hit is not None:
             P, K = hit
-            return EstimatorState(x_pred + K @ innov, P), K, innov, x_pred
+            x_hat = x_pred + K @ innov
+            return EstimatorState(x_hat, P, table), K, innov, x_pred
     else:
         steps = None
 
@@ -100,4 +104,4 @@ def estimator_step(model: SubsystemModel, est: EstimatorState,
                               or P.tobytes() == P_key):
         P.flags.writeable = K.flags.writeable = False
         steps[P_key] = P, K
-    return EstimatorState(x_pred + K @ innov, P), K, innov, x_pred
+    return EstimatorState(x_pred + K @ innov, P, table), K, innov, x_pred

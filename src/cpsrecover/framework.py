@@ -311,7 +311,7 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
         rt.episode = None
         return False
 
-    rt.est = EstimatorState(x_hat, est.P)
+    rt.est = EstimatorState(x_hat, est.P, est.gain_table)
     ep = rt.episode
     if ep is None:
         ep = rt.episode = Episode(t, k1, x_rec, to_us(t) + to_us(rt.t_max))

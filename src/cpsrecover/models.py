@@ -73,8 +73,7 @@ class SubsystemModel:
     ``mu0``/``Sigma0`` are the initial state's mean and covariance.
     ``Q``, ``R`` and ``Sigma0`` are stored as read-only float copies, each
     with its :func:`noise_factor` in ``Q_factor``, ``R_factor`` and
-    ``Sigma0_factor``.  ``gain_table`` is set by the estimator on the first
-    step; models with the same Jacobians and noise share it.
+    ``Sigma0_factor``.
     """
 
     id: str
@@ -93,12 +92,10 @@ class SubsystemModel:
     Q_factor: np.ndarray = field(init=False, repr=False, compare=False)
     R_factor: np.ndarray = field(init=False, repr=False, compare=False)
     Sigma0_factor: np.ndarray = field(init=False, repr=False, compare=False)
-    gain_table: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        object.__setattr__(self, "gain_table", None)
         n_x, n_y = self.n_x, self.n_y
         for name, shape in (("mu0", (n_x,)), ("Q", (n_x, n_x)),
                             ("R", (n_y, n_y)), ("Sigma0", (n_x, n_x))):

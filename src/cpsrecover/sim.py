@@ -106,11 +106,11 @@ class SimResult:
 
 def run_scenario(cfg: dict) -> SimResult:
     """Simulate a scenario; deterministic for a given (config, seed)."""
-    cfgmod.validate_config(cfg)
+    cfg = cfgmod.validate_config(cfg)
     # the checkpoint period is a multiple of every loop period (validated)
-    return run_loops(cfgmod.build_system(cfg), cfg.get("seed", 0),
-                     to_us(cfg.get("horizon", 10.0)),
-                     to_us(1.0 / cfg.get("checkpoint_freq_hz", 1.0)))
+    return run_loops(cfgmod.build_system(cfg), cfg["seed"],
+                     to_us(cfg["horizon"]),
+                     to_us(1.0 / cfg["checkpoint_freq_hz"]))
 
 
 def run_loops(loops: list, seed: int, horizon_us: int,
@@ -145,16 +145,14 @@ def run_loops(loops: list, seed: int, horizon_us: int,
             y = y + offset
         try:
             stop = subsystem_tick(rt, store, c_k, y, t, detection_times)
+            reason = "anomaly duration exceeded maximum tolerable duration"
         except UnrecoverableError as exc:
+            stop, reason = True, f"unrecoverable: {exc}"
+        if stop:     # no episode opens on a tick that finds no checkpoint
+            ep = rt.episode
             events.append({"type": "safe-stop", "subsystem": model.id, "t": t,
-                           "episode_start": None,
-                           "reason": f"unrecoverable: {exc}"})
-            break
-        if stop:
-            events.append({"type": "safe-stop", "subsystem": model.id, "t": t,
-                           "episode_start": rt.episode.start,
-                           "reason": "anomaly duration exceeded maximum "
-                                     "tolerable duration"})
+                           "episode_start": ep.start if ep else None,
+                           "reason": reason})
             break
 
     return SimResult({rt.model.id: {name: col[:rt.rows]

@@ -30,13 +30,18 @@ for the next check's walk.
 Each chain also keeps its record times in append order, so ``retrieve``
 finds its range by bisection and decodes only the records it returns.
 
+Every record enters a chain through ``_Chain.append``, which checks its
+time, finite and after the chain's last, and computes and returns its tag.
+The writes pack a record and append it; so does ``load``.
+
 The store is in-memory first.  ``save``/``load`` provide an optional binary
 persistence format for post-run analysis: per record
 ``[u32 length][subsystem NUL payload][32-byte tag]``, little-endian,
-IEEE-754 doubles.  ``load`` recomputes every record's tag and raises
-:class:`IntegrityError` when it differs from the stored one, which catches
-a changed payload byte and a wrong key alike, or when a correctly tagged
-payload does not decode to a record that packs back to the same bytes.
+IEEE-754 doubles.  ``load`` decodes each payload, reading only inside it,
+checks that it packs back to the same bytes, appends it and compares the
+tag the append computed with the stored one, so it hashes each record once.
+A malformed record, a bad time or a differing tag, as after a changed byte
+or under a wrong key, raises :class:`IntegrityError`; the store is dropped.
 
 The integrity key comes from the ``CPSRECOVER_STORE_KEY`` environment
 variable or the constructor; the built-in default key is for simulation
@@ -146,8 +151,9 @@ class _Chain:
     changed in place fails it before ``retrieve`` consults ``times``.
     """
 
-    def __init__(self, mac: tuple):
+    def __init__(self, mac: tuple, label: str):
         self._mac = mac                # from _keyed_sha256, holding no data
+        self.label = label             # "<sub-system>: <kind>", for errors
         self.payloads: list[bytes] = []
         self.tags: list[bytes] = []
         self.times: list[float] = []   # record times, in append order
@@ -162,11 +168,15 @@ class _Chain:
         outer.update(inner.digest())
         return outer.digest()
 
-    def next_tag(self, payload: bytes) -> bytes:
-        """The tag ``payload`` gets when appended now."""
-        return self._tag(payload, self.tags[-1] if self.tags else _ZERO_TAG)
-
-    def append(self, payload: bytes, t: float) -> None:
+    def append(self, payload: bytes, t: float) -> bytes:
+        """Append ``payload`` at ``t``, finite and after the last time, and
+        return its tag; else raise :class:`MonotonicityError`."""
+        times = self.times
+        if not math.isfinite(t):
+            raise MonotonicityError(f"{self.label} time {t} not finite")
+        if times and t <= times[-1]:
+            raise MonotonicityError(
+                f"{self.label} time {t} not after {times[-1]}")
         tag = self._tag(payload, self.tags[-1] if self.tags else _ZERO_TAG)
         walked = self._walked_tags
         # the copy stays a chain that passes a walk only when the new tag is
@@ -178,7 +188,8 @@ class _Chain:
             walked.append(tag)
         self.tags.append(tag)
         self.payloads.append(payload)
-        self.times.append(float(t))
+        times.append(float(t))
+        return tag
 
     def complete(self) -> bool:   # every record has a tag and a time
         return len(self.payloads) == len(self.tags) == len(self.times)
@@ -228,43 +239,23 @@ class SecureStore:
 
     def _chains(self, subsystem: str) -> tuple[_Chain, _Chain]:
         if subsystem not in self._checkpoints:
-            self._checkpoints[subsystem] = _Chain(self._mac)
-            self._controls[subsystem] = _Chain(self._mac)
+            self._checkpoints[subsystem] = _Chain(
+                self._mac, f"{subsystem}: checkpoint")
+            self._controls[subsystem] = _Chain(
+                self._mac, f"{subsystem}: control")
         return self._checkpoints[subsystem], self._controls[subsystem]
 
     # -- writes ---------------------------------------------------------
 
-    @staticmethod
-    def _append(chain: _Chain, subsystem: str, kind: str, t: float,
-                payload: bytes) -> None:
-        if not math.isfinite(t):
-            raise MonotonicityError(f"{subsystem}: {kind} time {t} not finite")
-        if chain.times and t <= chain.times[-1]:
-            raise MonotonicityError(
-                f"{subsystem}: {kind} time {t} not after {chain.times[-1]}")
-        chain.append(payload, t)
-
     def append_checkpoint(self, subsystem: str, cp: Checkpoint) -> None:
         """Append a checkpoint; its time is the save time."""
-        self._append(self._chains(subsystem)[0], subsystem, "checkpoint",
-                     cp.t, _pack_checkpoint(cp))
+        self._chains(subsystem)[0].append(_pack_checkpoint(cp), cp.t)
 
     def append_control(self, subsystem: str, t: float, u) -> None:
         """Append the control input ``u`` applied at time ``t``; it is read
-        back as a :class:`ControlRecord`.
-
-        One call per control, the most frequent append: it checks the time
-        as :meth:`_append` does and packs as :func:`_pack_control` does.
-        """
-        u = np.asarray(u, "<f8")
+        back as a :class:`ControlRecord`."""
         chain = self._controls.get(subsystem) or self._chains(subsystem)[1]
-        times = chain.times
-        if not math.isfinite(t):
-            raise MonotonicityError(f"{subsystem}: control time {t} not finite")
-        if times and t <= times[-1]:
-            raise MonotonicityError(
-                f"{subsystem}: control time {t} not after {times[-1]}")
-        chain.append(b"U" + _CONTROL_HEAD.pack(t, u.size) + u.tobytes(), t)
+        chain.append(_pack_control(t, u), t)
 
     # -- reads ----------------------------------------------------------
     # Reads never create chains: an unknown sub-system has empty logs.
@@ -328,10 +319,9 @@ class SecureStore:
         """Read a file written by :meth:`save`, checking every stored tag.
 
         Raises :class:`IntegrityError` if a record is cut short, its
-        sub-system id is not UTF-8, its tag differs from the one recomputed
-        under ``key``, its payload does not decode to a record that packs
-        back to the same bytes, or its time is not finite or not after the
-        log's last.
+        sub-system id is not UTF-8, its payload does not decode to a record
+        that packs back to the same bytes, its append fails, or the tag its
+        append computed under ``key`` differs from the stored one.
         """
         store = cls(key=key)
         with open(path, "rb") as fh:
@@ -350,14 +340,11 @@ class SecureStore:
                     raise IntegrityError(
                         f"{path}: a sub-system id is not UTF-8") from None
                 ckpts, ctrls = store._chains(subsystem)
-                kind, chain, pack, unpack = (
-                    ("checkpoint", ckpts, _pack_checkpoint, _unpack_checkpoint)
+                chain, pack, unpack = (
+                    (ckpts, _pack_checkpoint, _unpack_checkpoint)
                     if payload[:1] == b"C"
-                    else ("control", ctrls, lambda r: _pack_control(r.t, r.u),
+                    else (ctrls, lambda r: _pack_control(r.t, r.u),
                           _unpack_control))
-                if not hmac.compare_digest(chain.next_tag(payload), tag):
-                    raise IntegrityError(
-                        f"{path}: a {subsystem} {kind} record fails its tag")
                 try:
                     record = unpack(payload)
                 except (struct.error, ValueError):
@@ -366,9 +353,12 @@ class SecureStore:
                     raise IntegrityError(
                         f"{path}: a {subsystem} record is malformed")
                 try:
-                    store._append(chain, subsystem, kind, record.t, payload)
+                    appended = chain.append(payload, record.t)
                 except MonotonicityError as exc:
                     raise IntegrityError(f"{path}: {exc}") from None
+                if not hmac.compare_digest(appended, tag):
+                    raise IntegrityError(
+                        f"{path}: {chain.label} record fails its tag")
         return store
 
     # test hook: deliberately corrupt a stored payload

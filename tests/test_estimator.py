@@ -181,9 +181,9 @@ def _bitwise(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _steps(model) -> dict:
-    """The entries of ``model``'s gain table; empty before its first step."""
-    return model.gain_table[2] if model.gain_table else {}
+def _steps(est) -> dict:
+    """The entries of ``est``'s gain table; empty before its first step."""
+    return est.gain_table[2] if est.gain_table else {}
 
 
 @pytest.fixture
@@ -253,13 +253,13 @@ def test_step_equals_three_stage_chain_past_the_fixed_point(cold_models):
              for _ in range(1200)]
     first = fixed.index(True)
     assert first < 1000 and all(fixed[first:])
-    assert motor.full_steps == first == len(_steps(motor.model))
+    assert motor.full_steps == first == len(_steps(motor.est))
 
     outer = _Twin(cold_models[robot.OUTER])
     for k in range(1200):
         u = np.array([1.0 + 0.5 * np.sin(0.01 * k), rng.normal(0, 0.3)])
         assert not outer.step(u, rng.normal(0, 1, 3))
-    assert outer.full_steps == 1200 and len(_steps(outer.model)) == 1
+    assert outer.full_steps == 1200 and len(_steps(outer.est)) == 1
 
 
 def test_motor_loops_share_one_table(cold_models):
@@ -273,8 +273,8 @@ def test_motor_loops_share_one_table(cold_models):
     for _ in range(1200):
         first.step(rng.normal(0, 5, 1), rng.normal(0, 5, 1))
         second.step(rng.normal(0, 50, 1), rng.normal(0, 50, 1))
-    assert first.model.gain_table is second.model.gain_table
-    assert 0 < first.full_steps == len(_steps(first.model)) < 1200
+    assert first.est.gain_table is second.est.gain_table
+    assert 0 < first.full_steps == len(_steps(first.est)) < 1200
     assert second.full_steps == 0
 
 
@@ -344,7 +344,7 @@ def test_reuse_stops_when_a_jacobian_changes(name, value):
     for _ in range(2000):
         if twin.step(rng.normal(size=1), rng.normal(size=1)):
             break
-    assert len(_steps(model)) < 2000
+    assert len(_steps(twin.est)) < 2000
     before = twin.full_steps
     for _ in range(20):
         twin.step(rng.normal(size=1), rng.normal(size=1))
@@ -377,7 +377,7 @@ def test_a_varying_jacobian_model_stays_exact():
             jac["A"] = np.array([[0.9, 0.001 * k], [0.1, 0.8]])
         twin.step(rng.normal(size=1), rng.normal(size=1))
     assert twin.full_steps > 200
-    assert len(_steps(model)) <= 100
+    assert len(_steps(twin.est)) <= 100
 
 
 def test_a_table_stops_at_its_cap_except_for_a_fixed_point():
@@ -393,7 +393,7 @@ def test_a_table_stops_at_its_cap_except_for_a_fixed_point():
     n = estimator._TABLE_STEPS + 50
     for _ in range(n):
         twin.step([0.0], [0.0])
-    assert len(_steps(model)) == estimator._TABLE_STEPS
+    assert len(_steps(twin.est)) == estimator._TABLE_STEPS
     assert twin.full_steps == n
 
     model = scalar_lti_model(a=1.0, c=1.0, q=1e-5, r=1.0)
@@ -401,5 +401,5 @@ def test_a_table_stops_at_its_cap_except_for_a_fixed_point():
     fixed = [twin.step([0.0], [0.0]) for _ in range(6000)]
     first = fixed.index(True)
     assert first > estimator._TABLE_STEPS and all(fixed[first:])
-    assert len(_steps(model)) == estimator._TABLE_STEPS + 1
+    assert len(_steps(twin.est)) == estimator._TABLE_STEPS + 1
     assert twin.full_steps == first

@@ -76,6 +76,20 @@ def test_another_models_table_leaves_a_run_unchanged(tmp_path):
     assert estimator._gain_table.cache_info().currsize == 3
 
 
+def test_a_run_writes_no_model():
+    """After a run that recovered, every field of every model it ran is the
+    object it was built with: the gain tables live in the estimates."""
+    cfg = cfgmod.build_case_study(seed=42)
+    loops = cfgmod.build_system(cfg)
+    built = [{f.name: getattr(rt.model, f.name)
+              for f in dataclasses.fields(rt.model)} for rt in loops]
+    res = sim.run_loops(loops, 42, to_us(cfg["horizon"]), 1_000_000)
+    assert np.isfinite(res.traces[robot.OUTER]["k1"]).any()
+    for rt, fields in zip(res.loops, built):
+        for name, value in fields.items():
+            assert getattr(rt.model, name) is value, (rt.model.id, name)
+
+
 def _long_periodic_config() -> dict:
     """The 160 s case with a 1.75 s burst every 5 s on every loop, built as
     the benchmark's long-periodic workload builds it."""
@@ -671,6 +685,23 @@ def test_config_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     cfgmod.save_config(cfg, path)
     assert cfgmod.load_config(path) == cfg
+
+
+def test_validate_returns_the_resolved_scenario():
+    """A key left out takes the case study's value, but ``anomalies`` and
+    ``bounds`` then hold none; ``noise`` merges key by key and ``ads`` loop
+    by loop, a given entry whole.  The argument is left as it was."""
+    default = cfgmod.default_config()
+    empty = dict(default, anomalies={}, bounds={})
+    assert cfgmod.validate_config({}) == empty
+    assert cfgmod.validate_config(default) == default
+    partial = {"noise": {"outer_q_std": 0.2},
+               "ads": {robot.OUTER: {"kind": "generic"}}}
+    given = json.loads(json.dumps(partial))
+    assert cfgmod.validate_config(partial) == dict(
+        empty, noise=dict(default["noise"], outer_q_std=0.2),
+        ads=dict(default["ads"], outer={"kind": "generic"}))
+    assert partial == given
 
 
 def test_validate_rejects_unknown_key():

@@ -510,7 +510,7 @@ def test_saved_store_format_is_pinned(tmp_path, monkeypatch):
 @example(key=b"k" * 64, prev=b"\x00" * 32, payload=b"")
 @example(key=b"k" * 65, prev=b"\x00" * 32, payload=b"U")
 def test_chain_tags_are_hmac_sha256(key, prev, payload):
-    chain = storemod._Chain(storemod._keyed_sha256(key))
+    chain = storemod._Chain(storemod._keyed_sha256(key), "a: control")
     assert chain._tag(payload, prev) == hmac.new(
         key, prev + payload, hashlib.sha256).digest()
 
@@ -532,6 +532,27 @@ def test_a_default_run_hashes_each_record_once(monkeypatch):
               *result.store._controls.values()]
     assert macs[0] == sum(len(c.payloads) for c in chains) > 0
     assert result.store.verify_integrity()
+    assert macs[0] == sum(len(c.payloads) for c in chains)
+
+
+def test_load_hashes_each_record_once(case_result, tmp_path, monkeypatch):
+    """``load`` appends each record as a write does and compares the tag
+    that append computed: one MAC per record, and the loaded store's first
+    check only compares."""
+    path = tmp_path / "store.bin"
+    case_result.store.save(path)
+    macs = [0]
+    tag = storemod._Chain._tag
+
+    def counting_tag(chain, payload, prev):
+        macs[0] += 1
+        return tag(chain, payload, prev)
+
+    monkeypatch.setattr(storemod._Chain, "_tag", counting_tag)
+    loaded = SecureStore.load(path)
+    chains = [*loaded._checkpoints.values(), *loaded._controls.values()]
+    assert macs[0] == sum(len(c.payloads) for c in chains) > 0
+    assert loaded.verify_integrity()
     assert macs[0] == sum(len(c.payloads) for c in chains)
 
 
