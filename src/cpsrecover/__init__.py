@@ -13,8 +13,9 @@ Modules:
 * ``analysis`` - recovered-error bounds, tolerable duration, gap bound
 * ``robot`` - differential-drive ground-robot case study; the one
   description of its loops, their trace columns and their wiring
-* ``config``/``sim``/``cli`` - scenario schema, a scheduler that runs the
-  loops ``robot`` describes, command line
+* ``config``/``sim``/``cli`` - scenario schema and the builder of a run's
+  loops, a scheduler that runs the loops it is given and the CSV writer,
+  command line
 """
 
 from .estimator import EstimatorState, estimator_step

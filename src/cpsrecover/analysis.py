@@ -20,7 +20,9 @@ demand: a bound costs the same deep into an episode as at its start, and
 a duration search over ``T`` ticks costs ``O(T)``.  ``BoundParams`` is
 immutable, with read-only arrays, so the cache can never go stale; derive
 a variant with :func:`dataclasses.replace`, which starts a fresh cache.
-Every bound returned is a new array that the caller may modify.
+Every bound returned is a new array that the caller may modify.  An
+element that overflows a float is +inf, a valid but vacuous bound, and
+so is every element of every longer chain; no bound is ever NaN.
 
 ``checkpoint_time_before_anomaly`` maps an anomaly start time to the
 checkpoint the recovery will roll forward from; its definition beyond the
@@ -40,14 +42,17 @@ import numpy as np
 from .timebase import to_s, to_us
 
 _SIGMA_FACTOR = 6.0   # calibrated bounds sit this many std devs out
+_FLOAT_MAX = np.finfo(float).max
 
 
 class _ChainSums:
     """``D_n + S_n`` for ``n = 0, 1, ...``, grown on demand.
 
-    Rows live in one 2-D array whose capacity doubles, so ``n`` rows cost
-    ``O(n)`` time and memory in total.  Row ``n + 1`` follows from row
-    ``n`` by ``|A| (row_n + eps_omega)``.
+    Rows live in one 2-D array whose capacity doubles, and each growth
+    fills it to capacity, so ``n`` rows cost ``O(n)`` time and memory in
+    total and a scan asking for one more row at a time grows the cache
+    once per doubling.  Row ``n + 1`` follows from row ``n`` by
+    ``|A| (row_n + eps_omega)``.
     """
 
     def __init__(self, A_abs: np.ndarray, eps_delta: np.ndarray,
@@ -71,9 +76,14 @@ class _ChainSums:
             rows[:self._len] = self._rows[:self._len]
             self._rows = rows
         rows, A_abs, w = self._rows, self._A_abs, self._eps_omega
-        for i in range(self._len, n + 1):
-            np.matmul(A_abs, rows[i - 1] + w, out=rows[i])
-        self._len = n + 1
+        # a row that overflows holds +inf; the 0 * inf it makes in the next
+        # is NaN, which becomes +inf too
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(self._len, len(rows)):
+                np.matmul(A_abs, rows[i - 1] + w, out=rows[i])
+        grown = rows[self._len:]
+        grown[np.isnan(grown)] = np.inf
+        self._len = len(rows)
 
 
 @dataclass(frozen=True)
@@ -204,9 +214,10 @@ def accuracy_resource_gap_bound(params: BoundParams, k: int, s: float) -> np.nda
     opt_t = s_t - 1
     if k1_t >= opt_t:
         return np.zeros_like(params.eps_delta)
-    gap = (recovery_error_bound_at(params, k, k1_t)
-           - recovery_error_bound_at(params, k, opt_t))
-    return np.clip(gap, 0.0, None)
+    # the shorter chain overflows only where the longer one does, so its
+    # capped bound turns inf - inf into +inf rather than NaN
+    lo = np.minimum(recovery_error_bound_at(params, k, opt_t), _FLOAT_MAX)
+    return np.maximum(recovery_error_bound_at(params, k, k1_t) - lo, 0.0)
 
 
 def calibrate_bound_params(model, records, tick: float, mu: float,

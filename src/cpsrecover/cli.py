@@ -12,7 +12,8 @@ Subcommands:
 * ``checkpoints <config>`` - emit the checkpoint creation/usage table.
 
 Exit codes: 0 success, 1 validation error, 2 runtime error, 3 simulation
-ended in a safe stop (the truncated trace is still emitted).
+ended in a safe stop, on a ``t_max`` overrun or an unrecoverable tick (the
+truncated trace is still emitted).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from . import config as cfgmod
 from . import sim
 from .analysis import (accuracy_resource_gap_bound, max_duration_certificate,
                        recovery_error_bound_at)
+from .timebase import to_us
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,9 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> dict:
-    if args.print_default:
-        print(json.dumps(cfgmod.default_config(), indent=2))
-        raise SystemExit(0)
     if args.config is None:
         raise cfgmod.ConfigError("a config file is required")
     cfg = cfgmod.load_config(args.config)
@@ -64,14 +63,9 @@ def _load(args) -> dict:
     return cfgmod.validate_config(cfg)
 
 
-def _cmd_run(cfg: dict) -> int:
-    result = sim.run_scenario(cfg)
-    paths = sim.emit_csv(result, cfg["out_dir"])
-    for p in paths:
-        print(f"wrote {p}")
-    for e in result.events:
-        print(f"event: {e}")
-    return 3 if result.safe_stop else 0
+def _json_list(bound: np.ndarray) -> list:
+    """``bound`` as a JSON list, +inf (an overflowed bound) as null."""
+    return [None if v == np.inf else v for v in bound.tolist()]
 
 
 def _cmd_bounds(cfg: dict) -> int:
@@ -85,80 +79,81 @@ def _cmd_bounds(cfg: dict) -> int:
         windows = cfg["anomalies"].get(sid, [])
         s = min((w["t_start"] for w in windows), default=1.0)
         entry = {
-            "ee_bound": list(bp.eps_delta),
-            "single_step_rsee_bound": list(recovery_error_bound_at(
+            "ee_bound": _json_list(bp.eps_delta),
+            "single_step_rsee_bound": _json_list(recovery_error_bound_at(
                 bp, round(s / bp.tick) + 1, round(s / bp.tick))),
         }
         if bp.E_max is not None:
             t_max, lo, hi = max_duration_certificate(bp, s)
             entry["max_tolerable_duration"] = t_max
-            entry["bound_at_t_max"] = list(np.atleast_1d(lo))
-            entry["bound_past_t_max"] = list(np.atleast_1d(hi))
+            entry["bound_at_t_max"] = _json_list(lo)
+            entry["bound_past_t_max"] = _json_list(hi)
         k = round(s / bp.tick) + max(1, round(0.5 / bp.tick))
-        entry["gap_bound_half_second_in"] = list(
+        entry["gap_bound_half_second_in"] = _json_list(
             accuracy_resource_gap_bound(bp, k, s))
         report[sid] = entry
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "bounds.json")
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_compare(cfg: dict) -> int:
-    result = sim.run_scenario(cfg)
+def _cmd_run(result: sim.SimResult, out_dir: str) -> None:
+    for p in sim.emit_csv(result, out_dir):
+        print(f"wrote {p}")
+    for e in result.events:
+        print(f"event: {e}")
+
+
+def _cmd_compare(result: sim.SimResult, out_dir: str) -> None:
     shadows = sim.every_tick_shadow(result)
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     for rt in result.loops:
         sid, bp = rt.model.id, rt.bounds
         tr = result.traces[sid]
+        rows = tr["recovered"].any(axis=1)
+        t = tr["t"][rows]
+        gap = np.abs(shadows[sid][rows] - tr["x_rec"][rows])
+        bound = np.full(gap.shape, np.nan)
+        if bp is not None:
+            for i, tk in enumerate(t):
+                # anchored at the latest anomaly window started by t
+                s = max((w.t_start for w in rt.schedule.windows
+                         if w.t_start <= tk), default=tk)
+                bound[i] = accuracy_resource_gap_bound(
+                    bp, round(tk / bp.tick), s)
+        states = range(gap.shape[1])
         path = os.path.join(out_dir, f"{sid}_gap.csv")
-        n_x = tr["x_true"].shape[1]
-        opt = shadows[sid]
-        with open(path, "w", newline="") as fh:
-            cols = (["t"] + [f"gap_{j}" for j in range(n_x)]
-                    + [f"gap_bound_{j}" for j in range(n_x)])
-            fh.write(",".join(cols) + "\n")
-            for k, t in enumerate(tr["t"]):
-                if not np.any(tr["recovered"][k]):
-                    continue
-                gap = np.abs(opt[k] - tr["x_rec"][k])
-                if bp is not None:
-                    # anchored at the latest anomaly window started by t
-                    s = max((w.t_start for w in rt.schedule.windows
-                             if w.t_start <= t), default=t)
-                    bound = accuracy_resource_gap_bound(
-                        bp, round(t / bp.tick), s)
-                else:
-                    bound = np.full(n_x, np.nan)
-                row = ([sim._fmt(t)] + [sim._fmt(v) for v in gap]
-                       + [sim._fmt(v) for v in np.atleast_1d(bound)])
-                fh.write(",".join(row) + "\n")
+        sim.write_csv(path, ["t", *(f"gap_{j}" for j in states),
+                             *(f"gap_bound_{j}" for j in states)],
+                      [t, gap, bound])
         print(f"wrote {path}")
-    return 3 if result.safe_stop else 0
 
 
-def _cmd_checkpoints(cfg: dict) -> int:
-    result = sim.run_scenario(cfg)
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+def _cmd_checkpoints(result: sim.SimResult, out_dir: str) -> None:
     path = os.path.join(out_dir, "checkpoints.csv")
     with open(path, "w", newline="") as fh:
         fh.write("subsystem,t,event,checkpoint_t\n")
         for sid, tr in result.traces.items():
-            for k in range(len(tr["t"])):
-                if tr["ckpt_event"][k]:
-                    fh.write(f"{sid},{sim._fmt(tr['t'][k])},created,"
-                             f"{sim._fmt(tr['t'][k])}\n")
-                if np.any(tr["recovered"][k]) and not np.isnan(tr["k1"][k]):
-                    fh.write(f"{sid},{sim._fmt(tr['t'][k])},used,"
-                             f"{sim._fmt(tr['k1'][k])}\n")
+            t, k1 = tr["t"].tolist(), tr["k1"].tolist()
+            created = tr["ckpt_event"]
+            used = tr["recovered"].any(axis=1) & ~np.isnan(tr["k1"])
+            fields = []      # a tick's created row, then its used row
+            for k in np.flatnonzero(created | used):
+                if created[k]:
+                    fields += (t[k], "created", t[k])
+                if used[k]:
+                    fields += (t[k], "used", k1[k])
+            row = sid.replace("%", "%%") + ",%r,%s,%r\n"
+            fh.write(row * (len(fields) // 3) % tuple(fields))
     print(f"wrote {path}")
-    return 3 if result.safe_stop else 0
+
+
+_SIMULATING = {"run": _cmd_run, "compare": _cmd_compare,
+               "checkpoints": _cmd_checkpoints}
 
 
 def main(argv=None) -> int:
@@ -167,18 +162,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    if args.print_default:
+        print(json.dumps(cfgmod.default_config(), indent=2))
+        return 0
     try:
         cfg = _load(args)
-    except SystemExit as exc:
-        return exc.code or 0
     except (OSError, ValueError) as exc:   # ConfigError, JSON decoding
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
     try:
-        handler = {"run": _cmd_run, "bounds": _cmd_bounds,
-                   "compare": _cmd_compare,
-                   "checkpoints": _cmd_checkpoints}[args.command]
-        return handler(cfg)
+        if args.command == "bounds":
+            return _cmd_bounds(cfg)
+        result = sim.run_loops(cfgmod.build_system(cfg), cfg["seed"],
+                               to_us(cfg["horizon"]),
+                               to_us(1.0 / cfg["checkpoint_freq_hz"]))
+        os.makedirs(cfg["out_dir"], exist_ok=True)
+        _SIMULATING[args.command](result, cfg["out_dir"])
+        return 3 if result.safe_stop else 0
     except cfgmod.ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1

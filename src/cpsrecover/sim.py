@@ -161,17 +161,6 @@ def run_loops(loops: list, seed: int, horizon_us: int,
                      store, events, bool(events), loops)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    f = float(value)
-    if np.isnan(f):
-        return ""
-    return repr(f)
-
-
 _CSV_BLOCK = 1024     # rows formatted and written at a time
 # the trace columns a CSV holds, in its column order
 _CSV_COLUMNS = ("t", "x_true", "y_meas", "x_hat", "x_rf", "recovered", "u",
@@ -179,17 +168,37 @@ _CSV_COLUMNS = ("t", "x_true", "y_meas", "x_hat", "x_rf", "recovered", "u",
                 "safe_stop")
 
 
-def emit_csv(result: SimResult, out_dir) -> list:
-    """Write one CSV per subsystem; returns the written paths.
+def write_csv(path, header: list, columns: list) -> None:
+    """Write a CSV of ``header`` and the rows of ``columns``, arrays of one
+    row per CSV row and one CSV field per element of a row.
 
-    Each field is what :func:`_fmt` makes of the value: floats in Python's
-    shortest round-trip repr, so re-parsing reproduces the trace bit-exactly
-    and identical runs yield byte-identical files; Booleans and integers as
-    integers; NaN, and ``x_rf`` on a tick without recovery, as an empty
-    field.  A block of ``_CSV_BLOCK`` rows is one float table formatted
-    through one ``%`` template, ``%r`` for a float column and ``%d`` for an
-    integer or Boolean one.  A column that is NaN on every row of the block
-    is written as empty fields and never formatted.
+    A float is written in Python's shortest round-trip repr, so re-parsing
+    reproduces it bit-exactly and identical tables yield byte-identical
+    files; a Boolean or an integer as an integer; NaN as an empty field.
+    A block of ``_CSV_BLOCK`` rows is one float table formatted through one
+    ``%`` template, ``%r`` for a float column and ``%d`` for an integer or
+    Boolean one.  A column that is NaN on every row of the block is written
+    as empty fields and never formatted.
+    """
+    # each column's format, repeated over its width
+    fields = np.array([fmt for col in columns for fmt in (
+        ["%d" if col.dtype.kind in "biu" else "%r"]
+        * math.prod(col.shape[1:]))], dtype=object)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            table = np.column_stack([c[lo:lo + _CSV_BLOCK] for c in columns])
+            blank = np.isnan(table).all(axis=0)
+            row = ",".join(np.where(blank, "", fields)) + "\n"
+            text = (row * len(table)) % tuple(
+                table[:, ~blank].ravel().tolist())
+            # repr writes NaN as "nan", which no other field holds
+            fh.write(text.replace("nan", ""))
+
+
+def emit_csv(result: SimResult, out_dir) -> list:
+    """Write one CSV per subsystem through :func:`write_csv`; returns the
+    written paths.  ``x_rf`` on a tick without recovery is an empty field.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -211,26 +220,11 @@ def emit_csv(result: SimResult, out_dir) -> list:
                   + [f"rsee_bound_{c}" for c in sn]
                   + [f"ee_bound_{c}" for c in sn]
                   + ["safe_stop"])
-        # each column's format, repeated over its width
-        fields = np.array([fmt for name in _CSV_COLUMNS for fmt in (
-            ["%d" if tr[name].dtype.kind in "biu" else "%r"]
-            * math.prod(tr[name].shape[1:]))], dtype=object)
+        columns = dict(tr, x_rf=np.where(tr["recovered"].any(axis=1)[:, None],
+                                         tr["x_rf"], np.nan))
         path = os.path.join(out_dir, f"{rt.model.id}.csv")
         try:
-            with open(path, "w", newline="") as fh:
-                fh.write(",".join(header) + "\n")
-                for lo in range(0, len(tr["t"]), _CSV_BLOCK):
-                    c = {name: tr[name][lo:lo + _CSV_BLOCK]
-                         for name in _CSV_COLUMNS}
-                    c["x_rf"] = np.where(c["recovered"].any(axis=1)[:, None],
-                                         c["x_rf"], np.nan)
-                    table = np.column_stack([c[n] for n in _CSV_COLUMNS])
-                    blank = np.isnan(table).all(axis=0)
-                    row = ",".join(np.where(blank, "", fields)) + "\n"
-                    text = (row * len(table)) % tuple(
-                        table[:, ~blank].ravel().tolist())
-                    # repr writes NaN as "nan", which no other field holds
-                    fh.write(text.replace("nan", ""))
+            write_csv(path, header, [columns[n] for n in _CSV_COLUMNS])
         except OSError as exc:
             raise OSError(f"failed writing trace CSV {path}: {exc}") from exc
         paths.append(path)

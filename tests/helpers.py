@@ -118,6 +118,23 @@ def ekf_update(model: SubsystemModel, x_pred, P_pred, K, y_meas, u):
     return EstimatorState(x_hat, P), innov
 
 
+# -- reference CSV field ------------------------------------------------------
+
+
+def reference_fmt(value) -> str:
+    """One CSV field, rendered on its own: the rule ``sim.write_csv`` must
+    keep.  Booleans and integers as integers, NaN as an empty field, any
+    other float in Python's shortest round-trip repr."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    f = float(value)
+    if np.isnan(f):
+        return ""
+    return repr(f)
+
+
 # -- reference anomaly schedule ----------------------------------------------
 # The injection and oracle detector as a run once evaluated them on every
 # tick, with the active window found by a scan; the schedule a run resolves

@@ -446,3 +446,20 @@ def test_replace_starts_a_fresh_cache():
         pytest.approx(0.1 * 2.0 ** 3)
     assert recovery_error_bound_at(p, 3, 0)[0] == pytest.approx(
         0.1 * 0.5 ** 3 + 0.05 * (0.5 + 0.25 + 0.125))
+
+
+def test_an_overflowing_bound_is_inf_never_nan():
+    """Once ``|A|^n`` overflows a float, the bound is +inf on every element
+    and every longer chain, and a gap between two such bounds is +inf;
+    no warning is raised (warnings fail a test)."""
+    p = BoundParams(A_bar=np.diag([1e200, 1.0]), eps_delta=[1.0, 1.0],
+                    eps_omega=[1.0, 1.0], mu=0.2, tick=1.0, E_max=[1e300, 5])
+    np.testing.assert_array_equal(recovery_error_bound_at(p, 2, 0),
+                                  [np.inf, 3.0])
+    for n in (3, 4, 40):
+        np.testing.assert_array_equal(recovery_error_bound_at(p, n, 0),
+                                      [np.inf, np.inf])
+    np.testing.assert_array_equal(accuracy_resource_gap_bound(p, 12, 10.0),
+                                  [np.inf, np.inf])
+    T, lo, hi = max_duration_certificate(p, 10.0)
+    assert T == 0.0 and np.isinf(hi).all()

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -208,3 +210,99 @@ def test_malformed_config_file_exit_1(tmp_path, capsys, text):
     path.write_bytes(text.encode("latin-1"))
     assert cli.main(["run", str(path)]) == 1
     assert "invalid configuration" in capsys.readouterr().err
+
+
+# CI's outer bounds section
+_CI_OUTER_BOUNDS = {"A_bar": [[1, 0, 0.1], [0, 1, 0.1], [0, 0, 1]],
+                    "eps_delta": [0.5, 0.5, 0.1],
+                    "eps_omega": [0.05, 0.05, 0.05], "E_max": [5, 5, 1]}
+
+# sha256 of each file `compare` and `checkpoints` write, pinned with
+# Python 3.11.7 and numpy 2.4.6; a loop without bounds has the same gap
+# table either way
+_GAP_DIGESTS = {
+    "inner-1_gap.csv": "f453aaae46ad9917580612d8e14d34dc74959074e43348a20b4637232e07758c",
+    "inner-2_gap.csv": "1c882c3d1e0fe49ebd43c0f02e7d67460201bddba081266c1d2f993124b30fcf",
+    "checkpoints.csv": "a58fa6024d11e9aaab5f9b56a5019bf82c0263abd98fe780b2df332de5f08455",
+}
+PINNED_TABLES = {
+    "default": dict(_GAP_DIGESTS, **{
+        "outer_gap.csv": "45b6b7ee678d91edcefdd41d20715f695684e5489267bd3ffec94a7d169f4c79"}),
+    "bounded": dict(_GAP_DIGESTS, **{
+        "outer_gap.csv": "82040c7a53545df52b2e548252ee09b759a2f01a6e05c7db145ec652cf151903"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+def test_compare_and_checkpoints_tables_are_pinned(tmp_path, name):
+    """The seed-42 default, and the same with CI's outer bounds section."""
+    bounds = {"outer": _CI_OUTER_BOUNDS} if name == "bounded" else {}
+    path = write_cfg(tmp_path, seed=42, out_dir=str(tmp_path / "out"),
+                     bounds=bounds)
+    assert cli.main(["compare", path]) == 0
+    assert cli.main(["checkpoints", path]) == 0
+    assert {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
+            for f in PINNED_TABLES[name]} == PINNED_TABLES[name]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "checkpoints",
+                                     "bounds"])
+def test_a_command_validates_its_scenario_once(tmp_path, monkeypatch,
+                                               command):
+    path = write_cfg(tmp_path, out_dir=str(tmp_path),
+                     bounds={"outer": _CI_OUTER_BOUNDS})
+    calls = []
+    validate = cfgmod.validate_config
+    monkeypatch.setattr(cfgmod, "validate_config",
+                        lambda cfg: calls.append(1) or validate(cfg))
+    assert cli.main([command, path]) == 0
+    assert len(calls) == 1
+
+
+def test_checkpoints_escapes_percent_in_a_loop_id(tmp_path):
+    trace = {"t": np.array([0.0, 0.5, 1.0]),
+             "ckpt_event": np.array([True, False, True]),
+             "recovered": np.array([[False], [True], [True]]),
+             "k1": np.array([np.nan, 0.0, 0.0])}
+    result = SimpleNamespace(traces={"50%d": trace})
+    cli._cmd_checkpoints(result, str(tmp_path))
+    assert (tmp_path / "checkpoints.csv").read_text() == (
+        "subsystem,t,event,checkpoint_t\n"
+        "50%d,0.0,created,0.0\n50%d,0.5,used,0.0\n"
+        "50%d,1.0,created,1.0\n50%d,1.0,used,0.0\n")
+
+
+_OUTER_STATES = ("x", "y", "theta")
+# |A_bar|^n overflows a float after two steps on the first state
+_OVERFLOWING_BOUNDS = {"A_bar": [[1e200, 0, 0], [0, 1, 0], [0, 0, 1]],
+                       "eps_delta": [1, 1, 1], "eps_omega": [1, 1, 1]}
+
+
+def test_an_overflowing_bound_is_written_inf(tmp_path):
+    """An overflowed recovered-error bound is +inf, never NaN, and raises
+    no warning (warnings fail a test): no recovering row has a blank
+    bound field."""
+    path = write_cfg(tmp_path, out_dir=str(tmp_path),
+                     bounds={"outer": _OVERFLOWING_BOUNDS})
+    assert cli.main(["run", path]) == 0
+    with open(tmp_path / "outer.csv") as fh:
+        rows = [r for r in csv.DictReader(fh)
+                if any(r[f"recovered_mask_{c}"] == "1" for c in _OUTER_STATES)]
+    assert rows
+    fields = [r[f"rsee_bound_{c}"] for r in rows for c in _OUTER_STATES]
+    assert all(fields) and "inf" in fields
+
+
+def test_bounds_json_writes_an_overflowed_bound_as_null(tmp_path):
+    """``bounds.json`` is RFC 8259 JSON: no NaN or Infinity constants."""
+    path = write_cfg(tmp_path, out_dir=str(tmp_path), bounds={
+        "outer": dict(_OVERFLOWING_BOUNDS, E_max=[1e300, 5, 5])})
+    assert cli.main(["bounds", path]) == 0
+
+    def refuse(name):
+        raise AssertionError(f"bounds.json holds {name}")
+
+    entry = json.loads((tmp_path / "bounds.json").read_text(),
+                       parse_constant=refuse)["outer"]
+    assert None in entry["bound_past_t_max"]
+    assert None in entry["gap_bound_half_second_in"]

@@ -19,7 +19,7 @@ from cpsrecover.anomaly import (DETECTOR_KINDS, DETECTOR_MODES,
                                 AnomalySchedule)
 from cpsrecover.config import ConfigError
 from cpsrecover.timebase import to_s, to_us
-from helpers import controls_of
+from helpers import controls_of, reference_fmt
 
 PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / \
     "pinned_digests.json"
@@ -448,22 +448,22 @@ CSV_CONFIGS = {
 
 
 def _per_value_rows(tr) -> str:
-    """The rows of a trace CSV, one ``sim._fmt`` call per field."""
+    """The rows of a trace CSV, one ``reference_fmt`` call per field."""
     lines = []
     for k in range(len(tr["t"])):
         recovering = bool(np.any(tr["recovered"][k]))
-        row = [sim._fmt(tr["t"][k])]
-        row += [sim._fmt(v) for v in tr["x_true"][k]]
-        row += [sim._fmt(v) for v in tr["y_meas"][k]]
-        row += [sim._fmt(v) for v in tr["x_hat"][k]]
-        row += [sim._fmt(v) if recovering else "" for v in tr["x_rf"][k]]
-        row += [sim._fmt(int(v)) for v in tr["recovered"][k]]
-        row += [sim._fmt(v) for v in tr["u"][k]]
-        row += [sim._fmt(int(v)) for v in tr["ads_flags"][k]]
-        row += [sim._fmt(bool(tr["ckpt_event"][k]))]
-        row += [sim._fmt(v) for v in tr["rsee_bound"][k]]
-        row += [sim._fmt(v) for v in tr["ee_bound"][k]]
-        row += [sim._fmt(bool(tr["safe_stop"][k]))]
+        row = [reference_fmt(tr["t"][k])]
+        row += [reference_fmt(v) for v in tr["x_true"][k]]
+        row += [reference_fmt(v) for v in tr["y_meas"][k]]
+        row += [reference_fmt(v) for v in tr["x_hat"][k]]
+        row += [reference_fmt(v) if recovering else "" for v in tr["x_rf"][k]]
+        row += [reference_fmt(int(v)) for v in tr["recovered"][k]]
+        row += [reference_fmt(v) for v in tr["u"][k]]
+        row += [reference_fmt(int(v)) for v in tr["ads_flags"][k]]
+        row += [reference_fmt(bool(tr["ckpt_event"][k]))]
+        row += [reference_fmt(v) for v in tr["rsee_bound"][k]]
+        row += [reference_fmt(v) for v in tr["ee_bound"][k]]
+        row += [reference_fmt(bool(tr["safe_stop"][k]))]
         lines.append(",".join(row) + "\n")
     return "".join(lines)
 
@@ -530,7 +530,7 @@ def test_emit_csv_writes_the_per_value_rendering(tmp_path_factory, rows, loop,
                                                  generic, palette, seed):
     """Random traces, with signed zeros, infinities, extremes and columns
     NaN on some rows or on every row of a block, are written as the
-    row-by-row ``sim._fmt`` rendering: NaN as an empty field and ``x_rf``
+    row-by-row ``reference_fmt`` rendering: NaN as an empty field and ``x_rf``
     blank on rows without recovery."""
     trace = _random_trace(np.random.default_rng(seed), loop, rows, generic,
                           palette)
