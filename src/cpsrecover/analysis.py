@@ -22,7 +22,9 @@ immutable, with read-only arrays, so the cache can never go stale; derive
 a variant with :func:`dataclasses.replace`, which starts a fresh cache.
 Every bound returned is a new array that the caller may modify.  An
 element that overflows a float is +inf, a valid but vacuous bound, and
-so is every element of every longer chain; no bound is ever NaN.
+so is every element that ``|A|`` couples to it in a longer chain; an
+element it never couples to keeps its finite value, and no bound is ever
+NaN.
 
 ``checkpoint_time_before_anomaly`` maps an anomaly start time to the
 checkpoint the recovery will roll forward from; its definition beyond the
@@ -76,13 +78,17 @@ class _ChainSums:
             rows[:self._len] = self._rows[:self._len]
             self._rows = rows
         rows, A_abs, w = self._rows, self._A_abs, self._eps_omega
-        # a row that overflows holds +inf; the 0 * inf it makes in the next
-        # is NaN, which becomes +inf too
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(self._len, len(rows)):
                 np.matmul(A_abs, rows[i - 1] + w, out=rows[i])
-        grown = rows[self._len:]
-        grown[np.isnan(grown)] = np.inf
+            # an element that overflows holds +inf, and a zero of |A| times
+            # it makes NaN in the next row; that product of 0 and a finite
+            # value is 0, so from the first NaN row on the rows are summed
+            # without it (no inf - inf: every operand is nonnegative)
+            nan = np.isnan(rows[self._len:]).any(axis=1)
+            if nan.any():
+                for i in range(self._len + nan.argmax(), len(rows)):
+                    np.nansum(A_abs * (rows[i - 1] + w), axis=1, out=rows[i])
         self._len = len(rows)
 
 
@@ -214,8 +220,8 @@ def accuracy_resource_gap_bound(params: BoundParams, k: int, s: float) -> np.nda
     opt_t = s_t - 1
     if k1_t >= opt_t:
         return np.zeros_like(params.eps_delta)
-    # the shorter chain overflows only where the longer one does, so its
-    # capped bound turns inf - inf into +inf rather than NaN
+    # capping the shorter chain's bound turns inf - inf into +inf rather
+    # than NaN; where only the shorter chain overflows, the gap clamps to 0
     lo = np.minimum(recovery_error_bound_at(params, k, opt_t), _FLOAT_MAX)
     return np.maximum(recovery_error_bound_at(params, k, k1_t) - lo, 0.0)
 

@@ -92,9 +92,7 @@ def _cmd_bounds(cfg: dict) -> int:
         entry["gap_bound_half_second_in"] = _json_list(
             accuracy_resource_gap_bound(bp, k, s))
         report[sid] = entry
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "bounds.json")
+    path = os.path.join(cfg["out_dir"], "bounds.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
@@ -167,7 +165,8 @@ def main(argv=None) -> int:
         return 0
     try:
         cfg = _load(args)
-    except (OSError, ValueError) as exc:   # ConfigError, JSON decoding
+        os.makedirs(cfg["out_dir"], exist_ok=True)
+    except (OSError, ValueError) as exc:   # ConfigError, JSON, out_dir
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
     try:
@@ -176,7 +175,6 @@ def main(argv=None) -> int:
         result = sim.run_loops(cfgmod.build_system(cfg), cfg["seed"],
                                to_us(cfg["horizon"]),
                                to_us(1.0 / cfg["checkpoint_freq_hz"]))
-        os.makedirs(cfg["out_dir"], exist_ok=True)
         _SIMULATING[args.command](result, cfg["out_dir"])
         return 3 if result.safe_stop else 0
     except cfgmod.ConfigError as exc:

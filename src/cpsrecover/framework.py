@@ -117,13 +117,14 @@ class SubsystemRuntime:
     """Mutable per-loop state threaded through the tick function.
 
     The loop ticks at ``0, dt, 2 dt, ...``; ``rows`` counts its ticks so
-    far, so it is the row the next tick reads and writes.  ``flags`` and
-    ``detected`` (0/1) resolve the detector for each of ``ticks`` rows;
-    residual-threshold ticks fill their own rows.  ``trace`` holds the
-    loop's trace columns, ``flags`` among them as ``ads_flags``, and each
-    tick writes its row; ``columns`` names the columns of a state, sensor
-    and input.  The scheduler steps the plant and keeps its state in
-    ``x_true``, which the tick records.
+    far, so it is the row the next tick reads and writes.  ``window``
+    holds each of ``ticks`` rows' anomaly window, an index into
+    ``schedule.windows``, or -1.  ``flags`` and ``detected`` (0/1)
+    resolve the detector for each row; residual-threshold ticks fill their
+    own rows.  ``trace`` holds the loop's trace columns, ``flags`` among
+    them as ``ads_flags``, and each tick writes its row; ``columns`` names
+    the columns of a state, sensor and input.  The scheduler steps the
+    plant and keeps its state in ``x_true``, which the tick records.
     """
 
     model: SubsystemModel
@@ -146,6 +147,7 @@ class SubsystemRuntime:
     # the recent innovations a residual-threshold detector averages; an
     # oracle detector reads none, so it keeps None
     innovations: deque | None = field(init=False, default=None)
+    window: np.ndarray = field(init=False, repr=False)
     flags: np.ndarray = field(init=False, repr=False)
     detected: bytearray = field(init=False, repr=False)
     trace: dict = field(init=False, repr=False)
@@ -157,6 +159,7 @@ class SubsystemRuntime:
         if self.x_true is None:
             self.x_true = np.asarray(self.model.mu0, float)
         t_us = np.arange(self.ticks) * to_us(self.model.dt)
+        self.window = self.schedule.window_index(t_us, 0)
         self.flags = oracle_flags(self.ads, self.schedule, t_us,
                                   self.model.n_y)
         if self.ads.mode == "residual-threshold":

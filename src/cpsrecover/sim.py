@@ -13,11 +13,8 @@ between loops pass through their controllers.  All randomness flows from
 one master seed through per-(loop, noise kind) child streams, spawned in
 loop order, so a loop appended after the others never perturbs another
 loop's draws and identical (config, seed) pairs yield byte-identical CSVs.
-A loop's process and measurement noise is drawn ``_NOISE_BLOCK`` ticks at
-a time, one row per tick; a block holds the same values as that many
-one-tick draws, so the block size changes no output.  A loop resolves its
-anomaly schedule once per run: a tick takes its offset from a cursor over
-the windows and its flags from the ``ads_flags`` column.
+Before its first tick a loop draws its noise for the whole run, one row
+per tick and one call per stream, and a tick reads its row.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left
-from itertools import repeat
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +35,7 @@ from .timebase import to_s, to_us
 
 # fixed stream-split order; adding streams at the end preserves old draws
 _STREAMS = ("process", "measurement", "init")
-_NOISE_BLOCK = 1024   # noise rows drawn at a time per stream
+
 
 def make_rngs(seed: int, loop_ids: list) -> dict:
     """Per-(loop, kind) generators split from the master seed, spawned in
@@ -50,32 +46,6 @@ def make_rngs(seed: int, loop_ids: list) -> dict:
         len(loop_ids) * len(_STREAMS)))
     return {(sid, kind): np.random.default_rng(next(children))
             for sid in loop_ids for kind in _STREAMS}
-
-
-def _noise_rows(model, process: np.random.Generator,
-                measurement: np.random.Generator, offsets):
-    """Each tick's ``(w, v, offset)`` in turn: successive one-tick draws of
-    :func:`sample_noise` from the ``process`` and ``measurement`` streams,
-    taken ``_NOISE_BLOCK`` rows at a time, and the next of ``offsets``."""
-    while True:
-        # the blocks run out first, so each takes _NOISE_BLOCK offsets
-        yield from zip(sample_noise(model.Q_factor, process, _NOISE_BLOCK),
-                       sample_noise(model.R_factor, measurement, _NOISE_BLOCK),
-                       offsets)
-
-
-def _offset_rows(schedule, dt_us: int):
-    """Each tick's measurement offset in turn, for ticks at ``0, dt, ...``:
-    ``gamma * y_a`` of the window holding it, else None."""
-    n = 0
-    for w in schedule.windows:
-        # the first ticks at or after the window's start and end
-        lo = max(n, -(-w.start_us // dt_us))
-        hi = max(lo, -(-w.end_us // dt_us))
-        yield from repeat(None, lo - n)
-        yield from repeat(w.gamma * w.y_a, hi - lo)
-        n = hi
-    yield from repeat(None)
 
 
 def _loop_ticks(periods_us: list, horizon_us: int, ckpt_us: int):
@@ -120,15 +90,17 @@ def run_loops(loops: list, seed: int, horizon_us: int,
     rngs = make_rngs(seed, [rt.model.id for rt in loops])
     store = SecureStore()
     detection_times = {rt.model.id: rt.ads.detection_time for rt in loops}
-    noise = []          # each loop's (w, v, offset or None) per tick
+    inputs = []     # each loop's (w, v) rows and its windows' offsets
     for rt in loops:
         model, sid = rt.model, rt.model.id
         # the plant's initial state, drawn around the model's mu0
         rt.x_true = model.mu0 + sample_noise(
             model.Sigma0_factor, rngs[(sid, "init")], 1)[0]
-        noise.append(_noise_rows(model, rngs[(sid, "process")],
-                                 rngs[(sid, "measurement")],
-                                 _offset_rows(rt.schedule, to_us(model.dt))))
+        inputs.append((
+            sample_noise(model.Q_factor, rngs[(sid, "process")], rt.ticks),
+            sample_noise(model.R_factor, rngs[(sid, "measurement")],
+                         rt.ticks),
+            [w.gamma * w.y_a for w in rt.schedule.windows]))
 
     events = []
     for t, i, c_k in _loop_ticks([to_us(rt.model.dt) for rt in loops],
@@ -138,11 +110,12 @@ def run_loops(loops: list, seed: int, horizon_us: int,
         # plant advances one loop period with the previously applied input
         # before the sensors are read, so the measurement and the
         # estimator's predict step refer to the same instant
-        w, v, offset = next(noise[i])
-        rt.x_true = model.f(rt.x_true, rt.last_u) + w
-        y = model.g(rt.x_true, rt.last_u) + v
-        if offset is not None:
-            y = y + offset
+        w, v, offsets = inputs[i]
+        n = rt.rows
+        rt.x_true = model.f(rt.x_true, rt.last_u) + w[n]
+        y = model.g(rt.x_true, rt.last_u) + v[n]
+        if rt.window[n] >= 0:
+            y = y + offsets[rt.window[n]]
         try:
             stop = subsystem_tick(rt, store, c_k, y, t, detection_times)
             reason = "anomaly duration exceeded maximum tolerable duration"

@@ -449,17 +449,25 @@ def test_replace_starts_a_fresh_cache():
 
 
 def test_an_overflowing_bound_is_inf_never_nan():
-    """Once ``|A|^n`` overflows a float, the bound is +inf on every element
-    and every longer chain, and a gap between two such bounds is +inf;
-    no warning is raised (warnings fail a test)."""
+    """Once ``|A|^n`` overflows a float, the bound is +inf on the element
+    that overflows in every longer chain, and a gap between two such
+    bounds is +inf; an element ``|A|`` never couples to it keeps its exact
+    value, and no warning is raised (warnings fail a test)."""
     p = BoundParams(A_bar=np.diag([1e200, 1.0]), eps_delta=[1.0, 1.0],
                     eps_omega=[1.0, 1.0], mu=0.2, tick=1.0, E_max=[1e300, 5])
-    np.testing.assert_array_equal(recovery_error_bound_at(p, 2, 0),
-                                  [np.inf, 3.0])
-    for n in (3, 4, 40):
+    for n in (2, 3, 4, 40, 5000):
         np.testing.assert_array_equal(recovery_error_bound_at(p, n, 0),
-                                      [np.inf, np.inf])
+                                      [np.inf, n + 1.0])
     np.testing.assert_array_equal(accuracy_resource_gap_bound(p, 12, 10.0),
-                                  [np.inf, np.inf])
+                                  [np.inf, 4.0])
     T, lo, hi = max_duration_certificate(p, 10.0)
-    assert T == 0.0 and np.isinf(hi).all()
+    assert T == 0.0
+    for b in (lo, hi):
+        np.testing.assert_array_equal(b, [np.inf, 7.0])
+    # coupled to the first element, the second overflows a step later
+    q = replace(p, A_bar=[[1e200, 0.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(recovery_error_bound_at(q, 2, 0),
+                                  [np.inf, 2e200 + 5.0])
+    for n in (3, 4, 40):
+        np.testing.assert_array_equal(recovery_error_bound_at(q, n, 0),
+                                      [np.inf, np.inf])

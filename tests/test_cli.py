@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cpsrecover import cli
+from cpsrecover import cli, sim
 from cpsrecover import config as cfgmod
 
 
@@ -257,6 +257,24 @@ def test_a_command_validates_its_scenario_once(tmp_path, monkeypatch,
                         lambda cfg: calls.append(1) or validate(cfg))
     assert cli.main([command, path]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "checkpoints",
+                                     "bounds"])
+def test_an_out_dir_that_cannot_be_made_is_refused_up_front(
+        tmp_path, monkeypatch, capsys, command):
+    """An ``--out-dir`` below a regular file fails before any simulation,
+    as an invalid configuration."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = write_cfg(tmp_path, bounds={"outer": _CI_OUTER_BOUNDS})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scenario was simulated")
+
+    monkeypatch.setattr(sim, "run_loops", refuse)
+    assert cli.main([command, path, "--out-dir", str(blocker / "sub")]) == 1
+    assert capsys.readouterr().err.startswith("invalid configuration: ")
 
 
 def test_checkpoints_escapes_percent_in_a_loop_id(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cpsrecover import framework, robot, sim
+from cpsrecover import framework, robot
 from cpsrecover.anomaly import (DETECTOR_KINDS, AdsConfig, AnomalySchedule,
                                 AnomalyWindow, oracle_flags)
 from cpsrecover.estimator import EstimatorState, estimator_step
@@ -16,8 +16,9 @@ from cpsrecover.store import Checkpoint, SecureStore
 from cpsrecover.models import SubsystemModel
 from cpsrecover.timebase import to_s, to_us
 from helpers import (controls_of, prior, random_lti_model,
-                     reference_inject_anomaly, reference_oracle_flags,
-                     reference_roll_forward, scalar_lti_model)
+                     reference_active_window, reference_inject_anomaly,
+                     reference_oracle_flags, reference_roll_forward,
+                     scalar_lti_model)
 
 
 # -- consistent checkpoint selection ------------------------------------
@@ -197,10 +198,10 @@ _edges_us = st.lists(st.integers(-300_000, 2_000_000), unique=True,
          kind="specific", data=None)
 def test_resolved_schedule_equals_the_per_tick_reference(
         edges, n_y, dt_us, detection_us, kind, data):
-    """On every tick the run's offset, and a runtime's resolved flag row and
-    ``detected``, equal the per-tick injection and oracle, and so do
-    ``oracle_flags`` of the tick alone; a residual-threshold runtime starts
-    with every row clear."""
+    """On every tick a runtime's resolved window, the measurement it
+    offsets, its flag row and ``detected`` equal the per-tick reference
+    window, injection and oracle, and so do ``oracle_flags`` of the tick
+    alone; a residual-threshold runtime starts with every row clear."""
     draw = data.draw if data else (lambda s: [1] * n_y)
     points = sorted(edges)
     windows = [AnomalyWindow(to_s(a), to_s(b), draw(st.lists(
@@ -218,12 +219,15 @@ def test_resolved_schedule_equals_the_per_tick_reference(
     rt = lti_runtime(model, detection_time=ads.detection_time,
                      schedule=sched, kind=kind, ticks=ticks)
     y = np.array([-0.0, 1.5, -2.25][:n_y])
-    offsets = sim._offset_rows(sched, dt_us)
+    assert rt.window.shape == (ticks,) and rt.window.dtype.kind == "i"
     for n in range(ticks):
         t = to_s(n * dt_us)
+        j = rt.window[n]
+        w = sched.windows[j] if j >= 0 else None
+        assert w is reference_active_window(sched, t)
+        # the offset a run adds, as sim.run_loops computes it per window
+        got_y = y if w is None else y + w.gamma * w.y_a
         want_y = reference_inject_anomaly(y, sched, t)
-        offset = next(offsets)
-        got_y = y if offset is None else y + offset
         assert (got_y is y) == (want_y is y)
         assert got_y.tobytes() == want_y.tobytes()
         want = reference_oracle_flags(n_y, sched, t, ads.detection_time)

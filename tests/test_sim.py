@@ -157,9 +157,17 @@ def test_csv_configs_match_pinned_digests(tmp_path, name):
 
 def test_a_run_resolves_its_schedule_once_per_loop(monkeypatch):
     """A default run looks up no active window and never calls
-    ``step_dynamics``: each loop resolves its schedule once, and the
-    tick steps the model itself."""
+    ``step_dynamics``: each loop resolves its schedule before its first
+    tick, with two lookups over its whole tick grid (the window of each
+    row and the oracle's delayed one), and the tick steps the model
+    itself."""
     calls = Counter()
+    grids = Counter()      # the number of times looked up in one call
+    window_index = AnomalySchedule.window_index
+
+    def lookup(self, t_us, delay_us):
+        grids[np.size(t_us)] += 1
+        return window_index(self, t_us, delay_us)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -167,9 +175,9 @@ def test_a_run_resolves_its_schedule_once_per_loop(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("active_window", "window_index"):
-        monkeypatch.setattr(AnomalySchedule, name,
-                            counting(name, getattr(AnomalySchedule, name)))
+    monkeypatch.setattr(AnomalySchedule, "active_window", counting(
+        "active_window", AnomalySchedule.active_window))
+    monkeypatch.setattr(AnomalySchedule, "window_index", lookup)
     for name in ("step_dynamics",):
         fn = getattr(models, name)
         for mod in list(sys.modules.values()):
@@ -179,7 +187,9 @@ def test_a_run_resolves_its_schedule_once_per_loop(monkeypatch):
     res = sim.run_scenario(cfgmod.build_case_study(seed=42))
     assert len(res.traces[robot.INNER_1]["t"]) == 1000
     assert res.traces[robot.OUTER]["ads_flags"].any()
-    assert calls == {"window_index": len(cfgmod.SUBSYSTEMS)}
+    assert not calls
+    assert grids == Counter(len(res.traces[rt.model.id]["t"])
+                            for rt in res.loops for _ in range(2))
 
 
 def test_a_default_run_predicts_each_motor_state_once(monkeypatch):
