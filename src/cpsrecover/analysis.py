@@ -290,8 +290,8 @@ def _episode_remainders(model, x_true, x_rec, u, mask) -> np.ndarray:
                 acc = np.zeros(model.n_x)
             A = model.jac_A(x_rec[k], u[k])
             resid = np.abs(model.f(x_true[k], u[k]) - model.f(x_rec[k], u[k])
-                           - A @ (x_true[k] - x_rec[k]))
-            acc = np.abs(A) @ acc + resid
+                           - A.dot(x_true[k] - x_rec[k]))
+            acc = np.abs(A).dot(acc) + resid
             worst = np.maximum(worst, acc)
         else:
             acc = None

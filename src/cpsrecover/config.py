@@ -55,8 +55,9 @@ from .timebase import US_PER_S, base_resolution_us, to_us
 
 SUBSYSTEMS = tuple(robot.LOOPS)
 # a run allocates each loop's rows before its first tick: its trace
-# columns, anomaly window index and noise take 173 bytes per row of a motor
-# loop (about 1.7 GB for 10**7 rows) and 286 per row of the pose loop
+# columns, anomaly window index (an array and a list) and noise take 181
+# bytes per row of a motor loop (about 1.8 GB for 10**7 rows) and 294 per
+# row of the pose loop
 MAX_TRACE_ROWS = 10_000_000
 
 

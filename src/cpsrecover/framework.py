@@ -104,10 +104,12 @@ class Episode:
     # start + t_max in µs: a tick after it safe-stops, so an episode of
     # exactly t_max does not
     deadline_us: int
-    # the read-only element mask of the last recovering tick, with the gain
-    # object and the flag-row bytes it was built from; the flags can change
-    # within an episode, and so can the gain
+    # the read-only element mask of the last recovering tick, whether it
+    # selects every element, and the gain object and the flag-row bytes it
+    # was built from; the flags can change within an episode, and so can
+    # the gain
     mask: np.ndarray | None = None
+    mask_full: bool = False
     mask_gain: np.ndarray | None = None
     mask_flags: bytes = b""
 
@@ -197,7 +199,7 @@ def element_mask(K: np.ndarray, flags: np.ndarray, kind: str) -> np.ndarray:
     """
     if kind == "generic":
         return np.ones(K.shape[0], dtype=bool)
-    g = np.abs(K @ np.asarray(flags, float))
+    g = np.abs(K.dot(np.asarray(flags, float)))
     return g > GAIN_ZERO_TOL
 
 
@@ -250,13 +252,15 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
 
     flag_bytes = flags.tobytes()
     if ep is not None and ep.mask_gain is K and ep.mask_flags == flag_bytes:
-        mask = ep.mask
+        mask, full = ep.mask, ep.mask_full
     else:
         mask = element_mask(K, flags, rt.ads.kind)
         mask.flags.writeable = False
+        full = np.count_nonzero(mask) == mask.size
         if ep is not None:
-            ep.mask, ep.mask_gain, ep.mask_flags = mask, K, flag_bytes
-    if np.count_nonzero(mask) == mask.size:
+            ep.mask, ep.mask_full = mask, full
+            ep.mask_gain, ep.mask_flags = K, flag_bytes
+    if full:
         return x_rec, x_rec, mask, k1
     x_new = x_hat.copy()
     x_new[mask] = x_rec[mask]
@@ -273,9 +277,10 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     check; ``detection_times`` maps every loop id to its detection time.
     The tick reads its flags from, and writes its trace row to, row
     ``rt.rows`` of ``rt``, then counts itself.  Returns whether the episode
-    outlasted the tolerable duration (the row's ``safe_stop``); raises
-    :class:`UnrecoverableError`, writing no row, when recovery is
-    impossible.
+    outlasted the tolerable duration (the row's ``safe_stop``).  When
+    recovery is impossible it raises :class:`UnrecoverableError` after
+    writing its row: the estimate and flags, ``u`` NaN (no control was
+    computed or logged), nothing recovered and ``safe_stop`` set.
     """
     model = rt.model
     n = rt.rows
@@ -285,22 +290,28 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
         rt.innovations.append(np.atleast_1d(innovation))
         rt.flags[n] = ads_evaluate(rt.ads, rt.innovations, model.n_y)
         rt.detected[n] = bool(rt.flags[n].any())
-    flags, detected = rt.flags[n], rt.detected[n]
-
-    x_hat = est.x_hat
-    if detected:
-        x_hat, x_rec, mask, k1 = roll_forward_recover(
-            rt, store, x_hat, K, flags, detection_times, t, prior)
-
-    u = rt.controller(x_hat, t)
-    u_logged = u if rt.applied_input is None else rt.applied_input(u)
-    store.append_control(model.id, t, u_logged)
+    detected = rt.detected[n]
 
     tr = rt.trace
     tr["t"][n] = t
     tr["x_true"][n] = rt.x_true
     tr["y_meas"][n] = y_now
-    tr["x_hat"][n] = est.x_hat
+    tr["x_hat"][n] = x_hat = est.x_hat
+    if detected:
+        try:
+            x_hat, x_rec, mask, k1 = roll_forward_recover(
+                rt, store, x_hat, K, rt.flags[n], detection_times, t, prior)
+        except UnrecoverableError:
+            tr["x_rf"][n] = x_hat
+            tr["u"][n] = np.nan
+            tr["safe_stop"][n] = True
+            rt.rows = n + 1
+            raise
+
+    u = rt.controller(x_hat, t)
+    u_logged = u if rt.applied_input is None else rt.applied_input(u)
+    store.append_control(model.id, t, u_logged)
+
     tr["x_rf"][n] = x_hat
     tr["u"][n] = u
     # commit runtime state; no step changes an estimate in place
@@ -308,7 +319,8 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     rt.last_u = u_logged
     if not detected:
         if c_k:
-            store.append_checkpoint(model.id, Checkpoint(t, x_hat, flags))
+            store.append_checkpoint(model.id,
+                                    Checkpoint(t, x_hat, rt.flags[n]))
             tr["ckpt_event"][n] = True
         rt.est = est
         rt.episode = None

@@ -12,7 +12,9 @@ names the linear loops, and :func:`make_controllers` wires the loops'
 controllers together.  The simulator runs whatever loops it is given.
 
 The continuous-time dynamics are discretized with an explicit Euler step.
-The outer loop runs at 10 Hz, the inner loops at 100 Hz.
+The outer loop runs at 10 Hz, the inner loops at 100 Hz.  The models and
+controllers run every tick, so their matrix products are written
+``a.dot(b)``, as :mod:`cpsrecover.estimator` explains.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def dc_motor_model(motor_id: str, dt: float, params: RobotParams,
     B_c = np.array([1.0 / L, 0.0])
 
     def deriv(x, u):
-        return A_c @ x + B_c * u[0]
+        return A_c.dot(x) + B_c * u[0]
 
     f, jac_A = euler_discretize(deriv, lambda x, u: A_c, dt)
     A = jac_A(None, None)          # constant, so built once and shared
@@ -130,7 +132,8 @@ def dc_motor_model(motor_id: str, dt: float, params: RobotParams,
     C = np.array([[0.0, 1.0]])
     return SubsystemModel(
         id=motor_id, n_x=2, n_y=1, n_u=1,
-        f=f, g=lambda x, u: C @ x, jac_A=lambda x, u: A, jac_C=lambda x, u: C,
+        f=f, g=lambda x, u: C.dot(x), jac_A=lambda x, u: A,
+        jac_C=lambda x, u: C,
         Q=np.asarray(Q, float), R=np.atleast_2d(np.asarray(R, float)), dt=dt,
         mu0=mu0, Sigma0=Sigma0)
 
@@ -164,7 +167,7 @@ def dynamic_inversion_control(x_hat, ref, ref_rate, params: RobotParams):
                   [-math.sin(theta) / l, math.cos(theta) / l]])
     e = np.array([ref_rate[0] + params.k1_gain * (ref[0] - x_hat[0]),
                   ref_rate[1] + params.k2_gain * (ref[1] - x_hat[1])])
-    return M @ e
+    return M.dot(e)
 
 
 def wheel_transform(u_outer, params: RobotParams):

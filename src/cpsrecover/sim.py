@@ -86,11 +86,17 @@ def run_scenario(cfg: dict) -> SimResult:
 def run_loops(loops: list, seed: int, horizon_us: int,
               ckpt_us: int) -> SimResult:
     """Run ``loops``, fresh runtimes with distinct ids in fire order, for
-    ``horizon_us`` microseconds, checkpointing every ``ckpt_us``."""
+    ``horizon_us`` microseconds, checkpointing every ``ckpt_us``.
+
+    When the run ends each runtime keeps what a finished run is read for,
+    its model, columns, detector, schedule, bounds and trace; its
+    ``window``, ``detected``, ``innovations``, ``episode``, ``controller``
+    and ``applied_input`` are set to None."""
     rngs = make_rngs(seed, [rt.model.id for rt in loops])
     store = SecureStore()
     detection_times = {rt.model.id: rt.ads.detection_time for rt in loops}
-    inputs = []     # each loop's (w, v) rows and its windows' offsets
+    # each loop's (w, v) rows, its windows' offsets and each row's window
+    inputs = []
     for rt in loops:
         model, sid = rt.model, rt.model.id
         # the plant's initial state, drawn around the model's mu0
@@ -100,7 +106,8 @@ def run_loops(loops: list, seed: int, horizon_us: int,
             sample_noise(model.Q_factor, rngs[(sid, "process")], rt.ticks),
             sample_noise(model.R_factor, rngs[(sid, "measurement")],
                          rt.ticks),
-            [w.gamma * w.y_a for w in rt.schedule.windows]))
+            [w.gamma * w.y_a for w in rt.schedule.windows],
+            rt.window.tolist()))
 
     events = []
     for t, i, c_k in _loop_ticks([to_us(rt.model.dt) for rt in loops],
@@ -110,12 +117,12 @@ def run_loops(loops: list, seed: int, horizon_us: int,
         # plant advances one loop period with the previously applied input
         # before the sensors are read, so the measurement and the
         # estimator's predict step refer to the same instant
-        w, v, offsets = inputs[i]
+        w, v, offsets, window = inputs[i]
         n = rt.rows
         rt.x_true = model.f(rt.x_true, rt.last_u) + w[n]
         y = model.g(rt.x_true, rt.last_u) + v[n]
-        if rt.window[n] >= 0:
-            y = y + offsets[rt.window[n]]
+        if window[n] >= 0:
+            y = y + offsets[window[n]]
         try:
             stop = subsystem_tick(rt, store, c_k, y, t, detection_times)
             reason = "anomaly duration exceeded maximum tolerable duration"
@@ -128,6 +135,9 @@ def run_loops(loops: list, seed: int, horizon_us: int,
                            "reason": reason})
             break
 
+    for rt in loops:     # release what only the ticks read
+        rt.window = rt.detected = rt.innovations = rt.episode = None
+        rt.controller = rt.applied_input = None
     return SimResult({rt.model.id: {name: col[:rt.rows]
                                     for name, col in rt.trace.items()}
                       for rt in loops},
@@ -214,7 +224,8 @@ def every_tick_shadow(result: SimResult) -> dict:
     each later tick of the episode extends the replay by one control.  The
     shadow shares the run's plant, noise and control history and differs
     only in the checkpoint it rolls forward from.  Returns
-    ``{loop id: (ticks, n_x) array}``, NaN on healthy ticks.
+    ``{loop id: (ticks, n_x) array}``, NaN on healthy ticks and on an
+    episode the run could not recover, whose first tick has no ``k1``.
 
     Each loop's controls are retrieved once, over the whole run, and sliced
     by time for each episode.
@@ -237,6 +248,8 @@ def every_tick_shadow(result: SimResult) -> dict:
         _, _, controls = result.store.retrieve(sid, t[0], t[-1])
         control_us = [to_us(c.t) for c in controls]
         for a, b in edges.reshape(-1, 2):     # an episode is ticks a..b-1
+            if np.isnan(tr["k1"][a]):         # an unrecoverable stop
+                continue
             k1 = most_recent_consistent_checkpoint(
                 healthy_times, detection_times, t[a])
             lo, mid, hi = (bisect_left(control_us, to_us(s))

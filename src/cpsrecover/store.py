@@ -130,10 +130,11 @@ def _unpack_checkpoint(payload: bytes) -> Checkpoint:
 
 
 _CONTROL_HEAD = struct.Struct("<dI")      # a control record's t and size
+_F8 = np.dtype("<f8")                     # parsed once, not per record
 
 
 def _pack_control(t: float, u) -> bytes:
-    u = np.asarray(u, "<f8")
+    u = np.asarray(u, _F8)
     return b"U" + _CONTROL_HEAD.pack(t, u.size) + u.tobytes()
 
 

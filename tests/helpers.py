@@ -8,6 +8,17 @@ from cpsrecover.store import _unpack_checkpoint, _unpack_control
 from cpsrecover.timebase import to_us
 
 
+# build_case_study overrides: an inner-1 window from t = 0 that its detector
+# flags at once, so the first inner-1 tick finds no checkpoint to recover from
+UNRECOVERABLE = {
+    "horizon": 2.0,
+    "anomalies": {"inner-1": [{"t_start": 0.0, "t_end": 1.0,
+                               "y_a": [20000.0], "gamma": [1]}]},
+    "ads": {"inner-1": {"kind": "specific", "mode": "oracle",
+                        "detection_time": 0.0, "threshold": 0.0}},
+}
+
+
 def prior(n: int) -> dict:
     """``mu0``/``Sigma0`` keywords for an ``n``-state model: zero mean and
     identity covariance."""

@@ -10,10 +10,12 @@ is read with ``ast``: importing ``layers`` needs ``bench/`` on the path.
 import ast
 import importlib
 import inspect
+import sys
+from collections import Counter
 from pathlib import Path
 
 from cpsrecover import config as cfgmod
-from cpsrecover import framework, sim
+from cpsrecover import estimator, framework, sim, store
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
@@ -59,3 +61,33 @@ def test_roll_forward_recover_keeps_its_call_shape(monkeypatch):
     rerolls = [(t, k1) for t, k1 in seen if k1 is not None]
     assert len(seen) > len(rerolls) == 6
     assert all(isinstance(t, float) and k1 < t for t, k1 in rerolls)
+
+
+def test_traced_layers_run_once_per_tick(monkeypatch):
+    """A default run calls ``estimator_step``, ``subsystem_tick`` and
+    ``SecureStore.append_control`` once per loop tick through the names
+    the traced run wraps: a class attribute, or every ``cpsrecover``
+    module bound to the function.  A tick that inlined one of them would
+    read 0 calls in the traced run."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for owner, attr in ((estimator, "estimator_step"),
+                        (framework, "subsystem_tick")):
+        fn = getattr(owner, attr)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("cpsrecover")
+                    and getattr(module, attr, None) is fn):
+                monkeypatch.setattr(module, attr, counting(attr, fn))
+    monkeypatch.setattr(store.SecureStore, "append_control", counting(
+        "append_control", store.SecureStore.append_control))
+    res = sim.run_scenario(cfgmod.default_config())
+    ticks = sum(len(tr["t"]) for tr in res.traces.values())
+    assert ticks == 2100 and not res.safe_stop
+    assert calls == {"estimator_step": ticks, "subsystem_tick": ticks,
+                     "append_control": ticks}

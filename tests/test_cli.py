@@ -9,6 +9,7 @@ import pytest
 
 from cpsrecover import cli, sim
 from cpsrecover import config as cfgmod
+from helpers import UNRECOVERABLE
 
 
 def write_cfg(tmp_path, **overrides):
@@ -82,6 +83,33 @@ def test_run_safe_stop_exit_3(tmp_path):
     assert len(rows) < 100                       # truncated at the stop
     assert rows[-1]["safe_stop"] == "1"
     assert float(rows[-1]["t"]) > 3.5
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "checkpoints"])
+def test_an_unrecoverable_stop_exits_3(tmp_path, capsys, command):
+    """A run whose first inner-1 tick finds no checkpoint exits 3 from
+    every simulating command and writes what it has: the trace ends on
+    that tick's safe-stop row, no gap row and no checkpoint use."""
+    path = write_cfg(tmp_path, out_dir=str(tmp_path), **UNRECOVERABLE)
+    assert cli.main([command, path]) == 3
+    out = capsys.readouterr().out
+    if command == "run":
+        assert "event: " in out and "unrecoverable: " in out
+        with open(tmp_path / "inner-1.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        row = rows[0]
+        assert row["t"] == "0.0" and row["safe_stop"] == "1"
+        assert row["ads_flag_w"] == "1" and row["u_V"] == ""
+        assert row["x_rf_i"] == row["x_rf_w"] == ""
+        assert row["recovered_mask_i"] == row["recovered_mask_w"] == "0"
+        assert row["x_hat_w"] != ""
+    elif command == "compare":
+        with open(tmp_path / "inner-1_gap.csv") as fh:
+            assert len(fh.readlines()) == 1      # the header alone
+    else:
+        with open(tmp_path / "checkpoints.csv") as fh:
+            assert not any(r["event"] == "used" for r in csv.DictReader(fh))
 
 
 def test_print_default(capsys):

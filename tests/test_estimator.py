@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cpsrecover import config as cfgmod
 from cpsrecover import estimator, robot
@@ -403,3 +405,41 @@ def test_a_table_stops_at_its_cap_except_for_a_fixed_point():
     assert first > estimator._TABLE_STEPS and all(fixed[first:])
     assert len(_steps(twin.est)) == estimator._TABLE_STEPS + 1
     assert twin.full_steps == first
+
+
+# wide enough to exercise rounding, small enough that no sum overflows
+_elements = st.floats(-1e100, 1e100, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 4), data=st.data())
+def test_dot_is_matmul_bit_for_bit(n, m, data):
+    """``a.dot(b)`` equals ``a @ b`` bit for bit on the operand shapes and
+    layouts the per-tick path multiplies with ``dot``: a square or wide
+    matrix by a vector, a row by a vector, a square matrix by a transposed
+    one, a column by a row, and the estimator's ``C P C^T`` chain.
+
+    Over an inner dimension of 1, each element is one product, and the two
+    may differ in the sign of a zero: ``@`` adds the product to +0.0 where
+    ``dot`` does not, so a -0.0 or negative underflowing product is +0.0
+    from ``@`` and -0.0 from ``dot``.  Every other bit is the same.  The
+    case study meets such products only in a motor loop's ``K.dot(C)``,
+    whose zeros ``I - K C`` makes +0.0 either way, and its
+    ``K.dot(innov)``, which a prior adds to: the sum differs only where
+    that prior element is itself -0.0."""
+    def draw(*shape):
+        return data.draw(arrays(float, shape, elements=_elements))
+
+    a, b, c = draw(n, n), draw(n, m), draw(m, n)
+    products = [(a, draw(n)), (draw(1, n), draw(n)), (b, draw(m)),
+                (a, draw(n, n).T), (a, b), (b, c), (c.dot(a), c.T)]
+    for left, right in products:
+        want = left @ right
+        got = left.dot(right)
+        assert got.shape == want.shape
+        if left.shape[-1] > 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.array_equal(got, want)
+            differ = np.signbit(got) != np.signbit(want)
+            assert not got[differ].any()

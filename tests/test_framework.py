@@ -339,6 +339,28 @@ def test_episode_exceeding_t_max_flags_safe_stop():
     assert rt.trace["ads_flags"][9].any()
 
 
+def test_an_unrecoverable_tick_writes_its_row_and_raises():
+    """Flagged at t = 1 with detection time 1, the tick finds no checkpoint
+    older than t = 0: it writes and counts its row, then raises, with no
+    control logged and no episode opened."""
+    sched = AnomalySchedule((AnomalyWindow(0.0, 30.0, [50.0], [1]),))
+    m, rt, store = tick_scenario(sched)
+    detection_times = {m.id: rt.ads.detection_time}
+    subsystem_tick(rt, store, True, np.array([0.0]), 0.0, detection_times)
+    last_u = rt.last_u
+    with pytest.raises(UnrecoverableError):
+        subsystem_tick(rt, store, True, np.array([50.0]), 1.0,
+                       detection_times)
+    tr = rt.trace
+    assert rt.rows == 2 and rt.episode is None and rt.last_u is last_u
+    assert tr["t"][1] == 1.0 and tr["y_meas"][1, 0] == 50.0
+    assert tr["ads_flags"][1].all() and tr["safe_stop"][1]
+    np.testing.assert_array_equal(tr["x_rf"][1], tr["x_hat"][1])
+    assert np.isnan(tr["u"][1]).all() and np.isnan(tr["k1"][1])
+    assert not tr["recovered"][1].any() and not tr["ckpt_event"][1]
+    assert len(controls_of(store, m.id)) == 1
+
+
 def test_only_residual_threshold_keeps_an_innovation_window():
     m = scalar_lti_model(dt=0.1)
     assert lti_runtime(m, detection_time=0.25).innovations is None

@@ -19,7 +19,7 @@ from cpsrecover.anomaly import (DETECTOR_KINDS, DETECTOR_MODES,
                                 AnomalySchedule)
 from cpsrecover.config import ConfigError
 from cpsrecover.timebase import to_s, to_us
-from helpers import controls_of, reference_fmt
+from helpers import UNRECOVERABLE, controls_of, reference_fmt
 
 PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / \
     "pinned_digests.json"
@@ -88,6 +88,21 @@ def test_a_run_writes_no_model():
     for rt, fields in zip(res.loops, built):
         for name, value in fields.items():
             assert getattr(rt.model, name) is value, (rt.model.id, name)
+
+
+def test_a_finished_run_releases_its_tick_state():
+    """A finished run keeps what its readers use and drops what only the
+    ticks read, whether it ran to the end or stopped."""
+    for cfg in (cfgmod.build_case_study(seed=42),
+                cfgmod.build_case_study(**UNRECOVERABLE)):
+        res = sim.run_scenario(cfg)
+        for rt in res.loops:
+            for name in ("window", "detected", "innovations", "episode",
+                         "controller", "applied_input"):
+                assert getattr(rt, name) is None, (rt.model.id, name)
+            assert rt.trace["ads_flags"] is rt.flags
+            assert rt.columns and rt.schedule is not None
+        sim.every_tick_shadow(res)
 
 
 def _long_periodic_config() -> dict:
@@ -440,6 +455,32 @@ def test_safe_stop_truncates_trace():
     assert 3.5 < stop_t < 5.0
     for sid in cfgmod.SUBSYSTEMS:
         assert res.traces[sid]["t"].max() <= stop_t
+
+
+def test_an_unrecoverable_tick_writes_its_row():
+    """The tick that finds no checkpoint ends the run on its own row: its
+    estimate and flags, no control, nothing recovered and ``safe_stop``.
+    The every-tick shadow skips the episode the run could not recover."""
+    res = sim.run_scenario(cfgmod.build_case_study(**UNRECOVERABLE))
+    assert res.safe_stop and res.events[-1]["t"] == 0.0
+    assert res.events[-1]["reason"].startswith("unrecoverable: ")
+    assert res.events[-1]["episode_start"] is None
+    tr = res.traces[robot.INNER_1]
+    assert len(tr["t"]) == 1 and tr["t"][0] == 0.0
+    assert tr["ads_flags"][0].all() and tr["safe_stop"][0]
+    assert np.isfinite(tr["x_true"][0]).all()
+    assert np.isfinite(tr["y_meas"][0]).all() and tr["y_meas"][0, 0] > 1e4
+    np.testing.assert_array_equal(tr["x_rf"][0], tr["x_hat"][0])
+    assert np.isfinite(tr["x_hat"][0]).all()
+    assert np.isnan(tr["u"][0]).all() and np.isnan(tr["x_rec"][0]).all()
+    assert np.isnan(tr["k1"][0]) and np.isnan(tr["rsee_bound"][0]).all()
+    assert not tr["recovered"][0].any() and not tr["ckpt_event"][0]
+    assert controls_of(res.store, robot.INNER_1) == []
+    # the outer loop fired before it at t = 0; inner-2 after it never did
+    assert len(res.traces[robot.OUTER]["t"]) == 1
+    assert len(res.traces[robot.INNER_2]["t"]) == 0
+    shadows = sim.every_tick_shadow(res)
+    assert np.isnan(shadows[robot.INNER_1]).all()
 
 
 # -- trace columns and CSV writer ----------------------------------------
