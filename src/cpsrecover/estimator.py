@@ -22,11 +22,35 @@ On operands of a few elements ``@`` costs about a microsecond more per
 call than ``dot`` (numpy 2.4), and the two give the same result bit for
 bit, except that a zero from a one-term sum may differ in sign, as
 ``test_dot_is_matmul_bit_for_bit`` states.
+
+The costliest chains of element-wise operations on that path are *float
+kernels*: each runs on Python floats and builds its result array once,
+since numpy spends several hundred nanoseconds dispatching each operation
+on a few elements.  A product that sums two or more terms stays ``dot``:
+BLAS may fuse its multiply-adds, which Python arithmetic would not round
+alike.  A kernel takes its float path only when every input is finite.  Where
+two NaN operands meet in a sum or product, which one's sign and payload
+the result keeps depends on the operand order the compiled code chose: a
+numpy array operation keeps the first one's, a numpy scalar operation the
+second one's, and CPython 3.11 one or the other depending on whether it
+has specialised that operation yet.  From finite inputs every NaN that
+arises is the same default NaN.  So on any other input the kernel
+evaluates the numpy expression it replaces, and either way its result is
+that expression's bit for bit.
+
+Here the kernel is a table hit's update ``x_pred + K.dot(innov)`` of a
+two-state one-sensor loop, as each case-study motor loop is.  A
+matrix-vector ``dot`` over an inner dimension of 1 adds each product to
++0.0, which a BLAS may fuse, so a zero product may come out as either
+zero.  Only a finite nonzero product is sure to be Python's
+``K[i, 0] * innov[0]``, so the float path also needs every product finite
+and nonzero.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +116,13 @@ def estimator_step(model: SubsystemModel, est: EstimatorState,
         hit = steps.get(P_key)
         if hit is not None:
             P, K = hit
+            if K.shape == (2, 1):            # see the module docstring
+                (i0,), (k0, k1) = innov.tolist(), K.ravel().tolist()
+                p0, p1 = k0 * i0, k1 * i0
+                if p0 and p1 and math.isfinite(p0 + p1):
+                    x0, x1 = x_pred.tolist()
+                    x_hat = np.array([x0 + p0, x1 + p1])
+                    return EstimatorState(x_hat, P, table), K, innov, x_pred
             # ndarray.dot, not @: see the module docstring
             x_hat = x_pred + K.dot(innov)
             return EstimatorState(x_hat, P, table), K, innov, x_pred

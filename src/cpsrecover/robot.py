@@ -14,7 +14,13 @@ controllers together.  The simulator runs whatever loops it is given.
 The continuous-time dynamics are discretized with an explicit Euler step.
 The outer loop runs at 10 Hz, the inner loops at 100 Hz.  The models and
 controllers run every tick, so their matrix products are written
-``a.dot(b)``, as :mod:`cpsrecover.estimator` explains.
+``a.dot(b)``, and their element-wise arithmetic is done by float kernels,
+as :mod:`cpsrecover.estimator` explains: the motor's ``f`` around its one
+product ``A_c.dot(x)``, the pose loop's ``f`` and ``jac_A``, and
+:func:`wheel_transform`.  Each runs on Python floats only when every input
+is finite and otherwise evaluates the numpy expression it replaces, so its
+result is that expression's bit for bit.  The outer controller passes its
+estimate to :func:`reference_trajectory` as Python floats too.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .models import SubsystemModel, euler_discretize
+from .models import SubsystemModel, euler_discretize, identity
 
 OUTER = "outer"
 INNER_1 = "inner-1"
@@ -100,8 +106,27 @@ def bicycle_model(dt: float, Q: np.ndarray, R: np.ndarray,
                          [0.0, 0.0, v * math.cos(x[2])],
                          [0.0, 0.0, 0.0]])
 
-    f, jac_A = euler_discretize(deriv, jac_deriv, dt)
-    eye3 = np.eye(3)
+    f_ref, jac_ref = euler_discretize(deriv, jac_deriv, dt)
+
+    # the Euler step and its Jacobian hold no product sums, so each is one
+    # Python-float kernel, falling back on non-finite inputs
+    def f(x, u):
+        x0, x1, x2 = x.tolist()
+        v, w = u.tolist()
+        if not math.isfinite(x0 + x1 + x2 + v + w + dt):
+            return f_ref(x, u)
+        return np.array([x0 + v * math.cos(x2) * dt,
+                         x1 + v * math.sin(x2) * dt, x2 + w * dt])
+
+    def jac_A(x, u):
+        theta, v = x.item(2), u.item(0)
+        if not math.isfinite(theta + v + dt):
+            return jac_ref(x, u)
+        return np.array([1.0, 0.0, 0.0 + -v * math.sin(theta) * dt,
+                         0.0, 1.0, 0.0 + v * math.cos(theta) * dt,
+                         0.0, 0.0, 1.0]).reshape(3, 3)
+
+    eye3 = identity(3)             # read-only, shared
     return SubsystemModel(
         id=OUTER, n_x=3, n_y=3, n_u=2,
         f=f, g=lambda x, u: x.copy(), jac_A=jac_A, jac_C=lambda x, u: eye3,
@@ -114,8 +139,8 @@ def dc_motor_model(motor_id: str, dt: float, params: RobotParams,
                    mu0: np.ndarray, Sigma0: np.ndarray) -> SubsystemModel:
     """Inner-loop DC motor: state [current, angular velocity], input voltage.
 
-    The dynamics are linear, so ``jac_A`` returns one read-only Jacobian
-    built with the model.
+    The dynamics are linear, so ``jac_A`` and ``jac_C`` each return one
+    read-only Jacobian built with the model.
     """
     Rm, L = params.motor_resistance, params.motor_inductance
     A_c = np.array([[-Rm / L, -params.k_emf / L],
@@ -126,10 +151,22 @@ def dc_motor_model(motor_id: str, dt: float, params: RobotParams,
     def deriv(x, u):
         return A_c.dot(x) + B_c * u[0]
 
-    f, jac_A = euler_discretize(deriv, lambda x, u: A_c, dt)
+    f_ref, jac_A = euler_discretize(deriv, lambda x, u: A_c, dt)
     A = jac_A(None, None)          # constant, so built once and shared
-    A.flags.writeable = False
     C = np.array([[0.0, 1.0]])
+    A.flags.writeable = C.flags.writeable = False
+    b0, b1 = B_c.tolist()
+    consts = b0 + b1 + dt          # not finite if one of them is not
+
+    # numpy sums the products of A_c.dot(x); the rest is element-wise
+    def f(x, u):
+        x0, x1 = x.tolist()
+        u0 = u.item(0)
+        if not math.isfinite(x0 + x1 + u0 + consts):
+            return f_ref(x, u)
+        d0, d1 = A_c.dot(x).tolist()
+        return np.array([x0 + (d0 + b0 * u0) * dt, x1 + (d1 + b1 * u0) * dt])
+
     return SubsystemModel(
         id=motor_id, n_x=2, n_y=1, n_u=1,
         f=f, g=lambda x, u: C.dot(x), jac_A=lambda x, u: A,
@@ -146,6 +183,9 @@ def reference_trajectory(t: float, position, prev_heading: float = 0.0):
     reference is held.
     """
     rx, ry = 2.0 * math.cos(t), 2.0 * math.sin(t)
+    # Python and numpy alike keep the first operand's NaN of a difference of
+    # two (only a sum's or product's operands may be swapped), so Python
+    # floats in ``position`` give numpy scalars' result
     dx, dy = rx - position[0], ry - position[1]
     if dx == 0.0 and dy == 0.0:
         heading = prev_heading
@@ -172,9 +212,13 @@ def dynamic_inversion_control(x_hat, ref, ref_rate, params: RobotParams):
 
 def wheel_transform(u_outer, params: RobotParams):
     """Body velocity command [v, omega] to [left, right] wheel speeds."""
-    v, w = u_outer
-    return np.array([(2.0 * v - w * params.wheel_separation),
-                     (2.0 * v + w * params.wheel_separation)]) / (2.0 * params.wheel_radius)
+    v, w = np.asarray(u_outer, float).tolist()
+    sep, r = params.wheel_separation, params.wheel_radius
+    if not math.isfinite(v + w + sep + r):
+        v, w = u_outer
+        return np.array([2.0 * v - w * sep, 2.0 * v + w * sep]) / (2.0 * r)
+    d = 2.0 * r
+    return np.array([(2.0 * v - w * sep) / d, (2.0 * v + w * sep) / d])
 
 
 def wheel_transform_inverse(wheel_speeds, params: RobotParams):
@@ -232,7 +276,7 @@ def make_controllers(params: RobotParams,
 
     def outer(x_hat, t):
         nonlocal wheel_refs, prev_heading
-        ref = reference_trajectory(t, x_hat[:2], prev_heading)
+        ref = reference_trajectory(t, x_hat.tolist(), prev_heading)
         prev_heading = ref[2]
         u = dynamic_inversion_control(x_hat, ref, reference_rate(t), params)
         wheel_refs = wheel_transform(u, params).tolist()

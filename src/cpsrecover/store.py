@@ -134,7 +134,8 @@ _F8 = np.dtype("<f8")                     # parsed once, not per record
 
 
 def _pack_control(t: float, u) -> bytes:
-    u = np.asarray(u, _F8)
+    if u.__class__ is not np.ndarray or u.dtype is not _F8:
+        u = np.asarray(u, _F8)
     return b"U" + _CONTROL_HEAD.pack(t, u.size) + u.tobytes()
 
 
@@ -229,7 +230,11 @@ class _Chain:
 
 
 class SecureStore:
-    """Per-subsystem checkpoint and control logs."""
+    """Per-subsystem checkpoint and control logs.
+
+    A saved record ends its sub-system id at a NUL byte, so the first
+    append under an id holding a NUL character raises ``ValueError``.
+    """
 
     def __init__(self, key: bytes | None = None):
         if key is None:
@@ -240,6 +245,9 @@ class SecureStore:
 
     def _chains(self, subsystem: str) -> tuple[_Chain, _Chain]:
         if subsystem not in self._checkpoints:
+            if "\x00" in subsystem:
+                raise ValueError(
+                    f"sub-system id {subsystem!r} contains a NUL character")
             self._checkpoints[subsystem] = _Chain(
                 self._mac, f"{subsystem}: checkpoint")
             self._controls[subsystem] = _Chain(

@@ -1,6 +1,11 @@
 """Shared model builders and reference computations for the test suite."""
 
+import math
+import struct
+import types
+
 import numpy as np
+from hypothesis import strategies as st
 
 from cpsrecover.estimator import _REG, EstimatorState
 from cpsrecover.models import SubsystemModel, identity
@@ -207,3 +212,90 @@ def reference_roll_forward(model: SubsystemModel, store, trace) -> np.ndarray:
                     x = model.f(x, c.u)
         out[n] = x
     return out
+
+
+# -- reference element-wise arithmetic ---------------------------------------
+# The numpy expressions the per-tick float kernels replace.  A kernel must
+# equal its expression bit for bit on every input, the sign and payload of
+# a NaN and the sign of a zero included.
+
+
+def _from_bits(sign: int, quiet: int, payload: int) -> float:
+    bits = sign << 63 | 0x7FF << 52 | quiet << 51 | payload
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# a NaN of either sign, quiet or signalling, with a random payload (an
+# all-zero signalling payload is an infinity)
+_nans = st.builds(_from_bits, st.integers(0, 1), st.integers(0, 1),
+                  st.integers(0, 2 ** 51 - 1))
+# every IEEE class: finite, +-inf, +-0, subnormals and NaNs
+ieee_floats = st.one_of(
+    st.floats(width=64, allow_nan=False),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                     2.0 ** -1060, 1.5, -2.5]),
+    _nans)
+
+
+def ieee_vectors(n: int):
+    """``(n,)`` float64 arrays of :data:`ieee_floats`, their bits kept."""
+    return st.lists(ieee_floats, min_size=n, max_size=n).map(np.array)
+
+
+def reference_motor_f(params, dt, x, u):
+    """A DC motor model's Euler step."""
+    Rm, L = params.motor_resistance, params.motor_inductance
+    A_c = np.array([[-Rm / L, -params.k_emf / L],
+                    [params.k_torque / params.inertia,
+                     -params.k_friction / params.inertia]])
+    B_c = np.array([1.0 / L, 0.0])
+    return x + np.multiply(A_c.dot(x) + B_c * u[0], np.array(dt, float))
+
+
+def reference_bicycle_f(dt, x, u):
+    """The pose loop's Euler step."""
+    v, w = u
+    deriv = np.array([v * math.cos(x[2]), v * math.sin(x[2]), w])
+    return x + np.multiply(deriv, np.array(dt, float))
+
+
+def reference_bicycle_jac_A(dt, x, u):
+    """The pose loop's Euler-step Jacobian ``I + J dt``."""
+    v = u[0]
+    J = np.array([[0.0, 0.0, -v * math.sin(x[2])],
+                  [0.0, 0.0, v * math.cos(x[2])],
+                  [0.0, 0.0, 0.0]])
+    return identity(3) + J * dt
+
+
+def reference_wheel_transform(u_outer, params):
+    """Body velocity command to wheel speeds."""
+    v, w = u_outer
+    return np.array([(2.0 * v - w * params.wheel_separation),
+                     (2.0 * v + w * params.wheel_separation)]) / (2.0 * params.wheel_radius)
+
+
+def reference_pack_control(t: float, u) -> bytes:
+    """A control record's payload."""
+    u = np.asarray(u, "<f8")
+    return b"U" + struct.pack("<dI", t, u.size) + u.tobytes()
+
+
+def cold(fn):
+    """``fn`` with a fresh copy of its bytecode.  CPython 3.11 specialises a
+    float sum or product after its first few runs, and which of two NaN
+    operands it keeps may change then, so a kernel is checked both warm
+    and cold."""
+    return types.FunctionType(fn.__code__.replace(), fn.__globals__,
+                              fn.__name__, fn.__defaults__, fn.__closure__)
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as its float64 bytes and shape, or the type of what it
+    raised, under numpy's errstate for invalid and overflowing values."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return out.dtype, out.shape, out.tobytes()

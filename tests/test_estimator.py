@@ -2,15 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cpsrecover import config as cfgmod
 from cpsrecover import estimator, robot
 from cpsrecover.estimator import EstimatorState, estimator_step
 from cpsrecover.models import SubsystemModel
-from helpers import (ekf_gain, ekf_predict, ekf_update, prior,
-                     scalar_lti_model)
+from helpers import (cold, ekf_gain, ekf_predict, ekf_update, ieee_vectors,
+                     outcome, prior, scalar_lti_model)
 
 
 def test_predict_scalar_hand_case():
@@ -443,3 +443,41 @@ def test_dot_is_matmul_bit_for_bit(n, m, data):
             assert np.array_equal(got, want)
             differ = np.signbit(got) != np.signbit(want)
             assert not got[differ].any()
+
+
+_A2, _C2 = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([[1.0, 0.0]])
+# f and g pass the drawn prior and measurement through as they are
+_PASS_THROUGH = SubsystemModel(
+    id="pass-through", n_x=2, n_y=1, n_u=1,
+    f=lambda x, u: x, g=lambda x, u: np.zeros(1),
+    jac_A=lambda x, u: _A2, jac_C=lambda x, u: _C2,
+    Q=np.eye(2), R=np.eye(1), dt=1.0, **prior(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=ieee_vectors(2), y=ieee_vectors(1), k=ieee_vectors(2))
+@example(x=np.array([0.25, -3.0]), y=np.array([1.5]),
+         k=np.array([0.5, -0.125]))
+# dot adds a -0.0 product to +0.0, so the sum x + product is +0.0
+@example(x=np.array([-0.0, 0.0]), y=np.array([0.0]), k=np.array([-0.0, 0.0]))
+# a product that underflows keeps its sign through dot
+@example(x=np.array([-0.0, 1.0]), y=np.array([1e-200]),
+         k=np.array([-1e-200, 3e-200]))
+# a NaN prior meets a finite product
+@example(x=np.array([-np.nan, np.inf]), y=np.array([2.0]),
+         k=np.array([1.0, -1.0]))
+def test_one_sensor_table_hit_is_its_numpy_expression(x, y, k):
+    """A table hit of a two-state one-sensor loop, warm or cold, updates
+    its prior to ``x_pred + K.dot(innov)`` as numpy evaluates it, bit for
+    bit, whatever the prior, innovation and gain hold."""
+    P = np.eye(2)
+    K = k.reshape(2, 1)
+    table = (_A2.tobytes(), _C2.tobytes(), {P.tobytes(): (P, K)})
+    est = EstimatorState(x, P, table)
+    for step in (estimator_step, cold(estimator_step)):
+        with np.errstate(all="ignore"):      # y - 0.0 on a signalling NaN
+            got, K_got, innov, x_pred = step(_PASS_THROUGH, est,
+                                             np.zeros(1), y)
+        assert K_got is K and x_pred is x and got.gain_table is table
+        assert (outcome(lambda: got.x_hat)
+                == outcome(lambda: x_pred + K.dot(innov)))

@@ -9,7 +9,9 @@ from cpsrecover.models import (DimensionError, SubsystemModel,
                                step_dynamics)
 from cpsrecover.timebase import base_resolution_us
 
-from helpers import finite_difference_jacobian, prior
+from helpers import (cold, finite_difference_jacobian, ieee_floats,
+                     ieee_vectors, outcome, prior, reference_bicycle_f,
+                     reference_bicycle_jac_A, reference_motor_f)
 
 
 def _outer(dt=0.1):
@@ -173,6 +175,21 @@ def test_motor_jacobian_is_built_once_and_read_only():
         A[0, 0] = 0.0
 
 
+def test_measurement_jacobians_are_read_only():
+    """Each model's ``jac_C`` is shared: a write into it raises, and leaves
+    the Jacobian and the measurement map as they were."""
+    motor, outer = _motor(), _outer()
+    C = motor.jac_C(np.zeros(2), np.zeros(1))
+    with pytest.raises(ValueError):
+        C[0, 1] = 2.0
+    assert C.tolist() == [[0.0, 1.0]]
+    assert motor.g(np.array([1.0, 3.0]), np.zeros(1)).tolist() == [3.0]
+    eye = outer.jac_C(np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError):
+        eye[0, 1] = 2.0
+    assert eye.tolist() == np.eye(3).tolist()
+
+
 def test_psd_validation():
     with pytest.raises(ValueError):
         SubsystemModel(id="bad", n_x=1, n_y=1, n_u=1,
@@ -246,3 +263,46 @@ def test_euler_step_is_x_plus_deriv_times_dt(x, u, held, dt, returns):
     assert got.tobytes() == want.tobytes()
     for a, b in zip((x, u, held), before):
         assert a.tobytes() == b.tobytes()
+
+
+# a model's dt and a motor's inductance: any value the models accept
+_positive = st.one_of(st.sampled_from([0.01, 0.1]),
+                      ieee_floats.filter(lambda v: not v <= 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=ieee_vectors(2), u=ieee_vectors(1), dt=_positive,
+       inductance=_positive)
+# two NaNs meet in the sum x + (A_c x + B_c u) dt
+@example(x=np.array([np.nan, 1.0]), u=np.array([-np.nan]), dt=0.01,
+         inductance=0.5)
+def test_motor_step_is_its_numpy_expression(x, u, dt, inductance):
+    """A motor model's ``f``, warm or cold, equals ``x + (A_c x + B_c u0)
+    dt`` as numpy evaluates it, bit for bit, and writes into neither
+    argument."""
+    params = robot.RobotParams(motor_inductance=inductance)
+    with np.errstate(all="ignore"):        # A = I + A_c dt is built here
+        m = robot.dc_motor_model(robot.INNER_1, dt, params, np.eye(2),
+                                 [[1.0]], **prior(2))
+    before = x.tobytes(), u.tobytes()
+    want = outcome(reference_motor_f, params, dt, x, u)
+    assert outcome(m.f, x, u) == outcome(cold(m.f), x, u) == want
+    assert (x.tobytes(), u.tobytes()) == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=ieee_vectors(3), u=ieee_vectors(2), dt=_positive)
+@example(x=np.array([np.nan, 0.0, 0.0]), u=np.array([-np.nan, 0.0]),
+         dt=0.1)
+def test_pose_step_and_jacobian_are_their_numpy_expressions(x, u, dt):
+    """The pose loop's ``f`` and ``jac_A``, warm or cold, equal the Euler
+    step and ``I + J dt`` as numpy evaluates them, bit for bit, or raise
+    alike."""
+    m = robot.bicycle_model(dt, 0.01 * np.eye(3), 0.01 * np.eye(3),
+                            **prior(3))
+    before = x.tobytes(), u.tobytes()
+    want = outcome(reference_bicycle_f, dt, x, u)
+    assert outcome(m.f, x, u) == outcome(cold(m.f), x, u) == want
+    want = outcome(reference_bicycle_jac_A, dt, x, u)
+    assert outcome(m.jac_A, x, u) == outcome(cold(m.jac_A), x, u) == want
+    assert (x.tobytes(), u.tobytes()) == before

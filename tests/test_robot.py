@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cpsrecover import config as cfgmod
 from cpsrecover import robot, sim
+from helpers import (cold, ieee_floats, ieee_vectors, outcome,
+                     reference_wheel_transform)
 
 
 def test_reference_trajectory_substitutions():
@@ -55,6 +58,36 @@ def test_wheel_transform_values():
     np.testing.assert_allclose(robot.wheel_transform([1.0, 0.0], p), [20, 20])
     np.testing.assert_allclose(robot.wheel_transform([0.0, 1.0], p), [-5, 5])
     np.testing.assert_allclose(robot.wheel_transform([0.0, 0.0], p), [0, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=ieee_vectors(2), as_list=st.booleans())
+# two NaNs meet in the sum 2 v + w s
+@example(u=np.array([np.nan, -np.nan]), as_list=False)
+def test_wheel_transform_is_its_numpy_expression(u, as_list):
+    """``wheel_transform``, warm or cold, equals its numpy expression bit
+    for bit, on an array and on a list of floats.  On a list the
+    expression is Python arithmetic, which keeps one NaN of two warm and
+    the other cold, so a list holds no NaN."""
+    assume(not (as_list and np.isnan(u).any()))
+    p = robot.RobotParams()
+    command = u.tolist() if as_list else u
+    want = outcome(reference_wheel_transform, command, p)
+    assert (outcome(robot.wheel_transform, command, p)
+            == outcome(cold(robot.wheel_transform), command, p) == want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=ieee_floats, x_hat=ieee_vectors(3), heading=ieee_floats)
+@example(t=np.nan, x_hat=np.array([-np.nan, np.nan, 0.0]), heading=0.0)
+def test_reference_trajectory_of_floats_is_that_of_numpy_scalars(
+        t, x_hat, heading):
+    """The outer controller passes its estimate as Python floats; the
+    reference, warm or cold, is the one numpy scalars from ``x_hat[:2]``
+    give, bit for bit, or both raise alike."""
+    want = outcome(robot.reference_trajectory, t, x_hat[:2], heading)
+    for ref in (robot.reference_trajectory, cold(robot.reference_trajectory)):
+        assert outcome(ref, t, x_hat.tolist(), heading) == want
 
 
 def test_wheel_transform_inverse_composition():

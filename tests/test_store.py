@@ -1,5 +1,6 @@
 import hashlib
 import hmac
+import re
 import struct
 
 import numpy as np
@@ -11,7 +12,8 @@ from cpsrecover import sim, store as storemod
 from cpsrecover.store import (DEFAULT_KEY, Checkpoint, IntegrityError,
                               MonotonicityError, SecureStore)
 from cpsrecover.timebase import to_us
-from helpers import checkpoints_of, controls_of
+from helpers import (checkpoints_of, controls_of, ieee_vectors,
+                     reference_pack_control)
 
 
 def small_store():
@@ -579,3 +581,29 @@ def test_tick_counts(case_result):
     assert len(controls_of(store, "outer")) == 100
     assert len(controls_of(store, "inner-1")) == 1000
     assert len(controls_of(store, "inner-2")) == 1000
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.integers(0, 3).flatmap(ieee_vectors),
+       form=st.sampled_from(["<f8", ">f8", "<f4", "list"]))
+def test_a_control_packs_as_its_little_endian_doubles(u, form):
+    """A control record's payload is the same whatever form ``u`` takes:
+    a float64 array is packed without a copy, any other form through
+    ``asarray(u, "<f8")``."""
+    with np.errstate(all="ignore"):     # doubles past float32's range
+        u = u.tolist() if form == "list" else u.astype(form)
+    assert (storemod._pack_control(0.5, u)
+            == reference_pack_control(0.5, u))
+
+
+def test_a_subsystem_id_holding_nul_is_refused():
+    """``save`` ends a record's sub-system id at its first NUL, so such an
+    id is refused on its first append, by name, and the store stays
+    empty."""
+    s = SecureStore()
+    for append in (lambda: s.append_control("a\x00a", 0.0, [1.0]),
+                   lambda: s.append_checkpoint(
+                       "a\x00a", Checkpoint(0.0, [1.0], [0]))):
+        with pytest.raises(ValueError, match=re.escape(repr("a\x00a"))):
+            append()
+    assert s.subsystems() == [] and s.verify_integrity()
