@@ -11,15 +11,19 @@ All bounds work on per-element absolute values.  Conventions:
   first), which upper-bounds ``|A_bar^n|`` element-wise and keeps the
   bound monotone.
 
-The bound over a chain of ``n`` predict steps is
-``D_n + S_n + phi_bar`` with ``D_n = |A|^n eps_delta`` and
+The bound over a chain of ``n`` predict steps is the row
+``B_n = D_n + S_n + phi_bar`` with ``D_n = |A|^n eps_delta`` and
 ``S_n = sum_{p=1..n} |A|^p eps_omega``.  It depends on ``k`` and ``k1``
-only through ``n = k - k1``, so each :class:`BoundParams` caches the
-sums ``D_n + S_n`` for every ``n`` evaluated so far and extends them on
-demand: a bound costs the same deep into an episode as at its start, and
-a duration search over ``T`` ticks costs ``O(T)``.  ``BoundParams`` is
-immutable, with read-only arrays, so the cache can never go stale; derive
-a variant with :func:`dataclasses.replace`, which starts a fresh cache.
+only through ``n = k - k1``, so each :class:`BoundParams` caches the rows
+``B_n`` for every ``n`` evaluated so far and extends them on demand; a
+bound is a copy of one row, and costs the same deep into an episode as at
+its start.  The gap bound reads rows ``max(B_{n+d} - min(B_n, MAX), 0)``
+cached the same way for each chain-length difference ``d`` it has met,
+after mapping each anomaly start to its two chain anchors once, and a
+duration search scans the rows in doubling chunks, so a search over ``T``
+ticks costs ``O(T)``.  ``BoundParams`` is immutable, with read-only
+arrays and finite inputs, so the cache can never go stale; derive a
+variant with :func:`dataclasses.replace`, which starts a fresh cache.
 Every bound returned is a new array that the caller may modify.  An
 element that overflows a float is +inf, a valid but vacuous bound, and
 so is every element that ``|A|`` couples to it in a longer chain; an
@@ -37,6 +41,7 @@ applies, removes nothing more.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,48 +53,82 @@ _FLOAT_MAX = np.finfo(float).max
 
 
 class _ChainSums:
-    """``D_n + S_n`` for ``n = 0, 1, ...``, grown on demand.
+    """Bound rows ``B_n = D_n + S_n + phi_bar`` for ``n = 0, 1, ...``, grown
+    on demand, and the gap rows and anomaly starts the gap bound has met.
 
     Rows live in one 2-D array whose capacity doubles, and each growth
     fills it to capacity, so ``n`` rows cost ``O(n)`` time and memory in
     total and a scan asking for one more row at a time grows the cache
-    once per doubling.  Row ``n + 1`` follows from row ``n`` by
-    ``|A| (row_n + eps_omega)``.
+    once per doubling.  ``D_{n+1} + S_{n+1}`` is ``|A| (D_n + S_n +
+    eps_omega)``; only the last such sum is kept beside the rows.
+    ``gaps[d]`` holds ``max(B_{n+d} - min(B_n, MAX), 0)`` for ``n = 0, 1,
+    ...``, grown the same way, and ``starts`` maps an anomaly start to the
+    ticks of its two chain anchors (None when they coincide).
     """
 
     def __init__(self, A_abs: np.ndarray, eps_delta: np.ndarray,
-                 eps_omega: np.ndarray):
+                 eps_omega: np.ndarray, phi_bar: np.ndarray):
         self._A_abs = A_abs
         self._eps_omega = eps_omega
-        self._rows = np.empty((16, len(eps_delta)))
-        self._rows[0] = eps_delta
+        self._phi_bar = phi_bar
+        self._last = eps_delta          # D_n + S_n of the last row
+        self.rows = np.empty((16, len(eps_delta)))
+        self.rows[0] = eps_delta + phi_bar
         self._len = 1
+        self.gaps = {}
+        self.starts = {}
 
-    def at(self, n: int) -> np.ndarray:
-        """Row ``n``, a view into the cache."""
+    def upto(self, n: int) -> np.ndarray:
+        """The rows, grown to hold row ``n``."""
         if n >= self._len:
             self._grow(n)
-        return self._rows[n]
+        return self.rows
 
     def _grow(self, n: int) -> None:
-        if n >= len(self._rows):
-            rows = np.empty((max(2 * len(self._rows), n + 1),
-                             self._rows.shape[1]))
-            rows[:self._len] = self._rows[:self._len]
-            self._rows = rows
-        rows, A_abs, w = self._rows, self._A_abs, self._eps_omega
+        if n >= len(self.rows):
+            rows = np.empty((max(2 * len(self.rows), n + 1),
+                             self.rows.shape[1]))
+            rows[:self._len] = self.rows[:self._len]
+            self.rows = rows
+        new, A_abs, w = self.rows[self._len:], self._A_abs, self._eps_omega
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(self._len, len(rows)):
-                np.matmul(A_abs, rows[i - 1] + w, out=rows[i])
+            # the new rows hold D + S until phi_bar is added at the end
+            prev = self._last
+            for row in new:
+                np.matmul(A_abs, prev + w, out=row)
+                prev = row
             # an element that overflows holds +inf, and a zero of |A| times
             # it makes NaN in the next row; that product of 0 and a finite
             # value is 0, so from the first NaN row on the rows are summed
             # without it (no inf - inf: every operand is nonnegative)
-            nan = np.isnan(rows[self._len:]).any(axis=1)
+            nan = np.isnan(new).any(axis=1)
             if nan.any():
-                for i in range(self._len + nan.argmax(), len(rows)):
-                    np.nansum(A_abs * (rows[i - 1] + w), axis=1, out=rows[i])
-        self._len = len(rows)
+                first = nan.argmax()
+                prev = new[first - 1] if first else self._last
+                for row in new[first:]:
+                    np.nansum(A_abs * (prev + w), axis=1, out=row)
+                    prev = row
+            self._last = new[-1].copy()
+            new += self._phi_bar
+        self._len = len(self.rows)
+
+    def gap(self, d: int, n: int) -> np.ndarray:
+        """Gap row ``n`` for chain-length difference ``d``, a view into
+        the cache."""
+        rows = self.gaps.get(d)
+        if rows is None or n >= len(rows):
+            rows = self._grow_gaps(d, n)
+        return rows[n]
+
+    def _grow_gaps(self, d: int, n: int) -> np.ndarray:
+        old = self.gaps.get(d)
+        size = max(16 if old is None else 2 * len(old), n + 1)
+        b = self.upto(size + d - 1)
+        # capping the shorter chain's bound turns inf - inf into +inf rather
+        # than NaN; where only the shorter chain overflows, the gap clamps to 0
+        rows = self.gaps[d] = np.maximum(
+            b[d:size + d] - np.minimum(b[:size], _FLOAT_MAX), 0.0)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -132,19 +171,24 @@ class BoundParams:
                               else vector(self.phi_bar))}
         if self.E_max is not None:
             fields["E_max"] = vector(self.E_max)
-        for name in ("eps_delta", "eps_omega", "phi_bar"):
-            if np.any(fields[name] < 0):
+            if np.any(np.isnan(fields["E_max"])):
+                raise ValueError("E_max must not be NaN")
+        for name in ("A_bar", "eps_delta", "eps_omega", "phi_bar"):
+            if not np.all(np.isfinite(fields[name])):
+                raise ValueError(f"{name} must be finite")
+            if name != "A_bar" and np.any(fields[name] < 0):
                 raise ValueError(f"{name} must be element-wise nonnegative")
+        for name in ("tick", "mu"):
+            if not (math.isfinite(getattr(self, name))
+                    and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be positive and finite")
+        if not (math.isfinite(self.t_search_max) and self.t_search_max >= 0):
+            raise ValueError("t_search_max must be finite and nonnegative")
         for name, value in fields.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_sums", _ChainSums(
-            np.abs(A_bar), self.eps_delta, self.eps_omega))
-
-
-def _chain_bound(params: BoundParams, n: int) -> np.ndarray:
-    """``D_n + S_n + phi_bar``: the bound after ``n`` steps."""
-    return params._sums.at(n) + params.phi_bar
+            np.abs(A_bar), self.eps_delta, self.eps_omega, self.phi_bar))
 
 
 def recovery_error_bound_at(params: BoundParams, k: int, k1: int) -> np.ndarray:
@@ -156,7 +200,8 @@ def recovery_error_bound_at(params: BoundParams, k: int, k1: int) -> np.ndarray:
     """
     if k <= k1:
         raise ValueError("error bound requires k > k1")
-    return _chain_bound(params, round(k - k1))
+    n = round(k - k1)
+    return params._sums.upto(n)[n].copy()
 
 
 def checkpoint_time_before_anomaly(s: float, delta_s: float, mu: float,
@@ -194,16 +239,34 @@ def max_duration_certificate(params: BoundParams, s: float):
     n0 = round(s / tick) - round(k1 / tick)
     E = params.E_max
     max_ticks = int(params.t_search_max / tick)
-    prev = _chain_bound(params, n0 + 1)
-    if np.any(prev > E):
-        return 0.0, prev, prev.copy()
-    for T in range(2, max_ticks + 1):
-        b = _chain_bound(params, n0 + T)
-        if np.any(b > E):
-            return (T - 1) * tick, prev, b
-        prev = b
+    sums = params._sums
+    rows = sums.upto(n0 + 1)
+    if np.any(rows[n0 + 1] > E):
+        return 0.0, rows[n0 + 1].copy(), rows[n0 + 1].copy()
+    # durations T, T + 1, ... one chunk at a time, each twice the last
+    T, size = 2, 16
+    while T <= max_ticks:
+        stop = min(T + size, max_ticks + 1)
+        rows = sums.upto(n0 + stop - 1)
+        over = (rows[n0 + T:n0 + stop] > E).any(axis=1)
+        if over.any():
+            T += int(over.argmax())
+            return (T - 1) * tick, rows[n0 + T - 1].copy(), rows[n0 + T].copy()
+        T, size = stop, 2 * size
     lo = max(max_ticks, 1)
-    return lo * tick, prev, _chain_bound(params, n0 + lo + 1)
+    rows = sums.upto(n0 + lo + 1)
+    return lo * tick, rows[n0 + lo].copy(), rows[n0 + lo + 1].copy()
+
+
+def _chain_anchors(params: BoundParams, s: float):
+    """``(k1_t, opt_t)``: the ticks of the frequency-``mu`` checkpoint
+    before anomaly start ``s`` and of the tick just before ``s``; None
+    when the checkpoint is not older."""
+    tick = params.tick
+    k1 = checkpoint_time_before_anomaly(s, params.delta_s, params.mu, tick)
+    k1_t = round(k1 / tick)
+    opt_t = round(s / tick) - 1
+    return (k1_t, opt_t) if k1_t < opt_t else None
 
 
 def accuracy_resource_gap_bound(params: BoundParams, k: int, s: float) -> np.ndarray:
@@ -213,17 +276,25 @@ def accuracy_resource_gap_bound(params: BoundParams, k: int, s: float) -> np.nda
     frequency-``mu`` checkpoint and at the tick just before the anomaly
     start, clamped at zero.  Zero when ``mu`` already checkpoints every tick.
     """
-    tick = params.tick
-    k1 = checkpoint_time_before_anomaly(s, params.delta_s, params.mu, tick)
-    k1_t = round(k1 / tick)
-    s_t = round(s / tick)
-    opt_t = s_t - 1
-    if k1_t >= opt_t:
+    sums = params._sums
+    try:
+        anchors = sums.starts[s]
+    except KeyError:
+        anchors = sums.starts[s] = _chain_anchors(params, s)
+    except TypeError:                       # an unhashable start: 0-d array
+        anchors = _chain_anchors(params, s)
+    if anchors is None:
         return np.zeros_like(params.eps_delta)
-    # capping the shorter chain's bound turns inf - inf into +inf rather
-    # than NaN; where only the shorter chain overflows, the gap clamps to 0
-    lo = np.minimum(recovery_error_bound_at(params, k, opt_t), _FLOAT_MAX)
-    return np.maximum(recovery_error_bound_at(params, k, k1_t) - lo, 0.0)
+    k1_t, opt_t = anchors
+    if k <= opt_t:
+        raise ValueError("error bound requires k > k1")
+    n, n1 = round(k - opt_t), round(k - k1_t)
+    if n1 - n == opt_t - k1_t:
+        return sums.gap(n1 - n, n).copy()
+    # a non-integral k can round the two chain lengths one tick closer or
+    # further apart than the anchors are
+    rows = sums.upto(n1)
+    return np.maximum(rows[n1] - np.minimum(rows[n], _FLOAT_MAX), 0.0)
 
 
 def calibrate_bound_params(model, records, tick: float, mu: float,
@@ -268,8 +339,10 @@ def calibrate_bound_params(model, records, tick: float, mu: float,
             phi_bar = np.maximum(
                 phi_bar, _episode_remainders(model, x_true, x_rec, u, mask))
     errs = np.concatenate([np.empty((0, n))] + err_samples)
-    if not len(errs):
-        raise ValueError("calibration needs at least one healthy sample")
+    never = np.flatnonzero(np.isnan(errs).all(axis=0))
+    if never.size:
+        raise ValueError("calibration needs a healthy sample of every state "
+                         f"element; element(s) {never.tolist()} have none")
     sigma = np.sqrt(np.nanmean(errs ** 2, axis=0))
     return BoundParams(A_bar=A_bar, eps_delta=_SIGMA_FACTOR * sigma,
                        eps_omega=_SIGMA_FACTOR * np.sqrt(np.diag(model.Q)),
@@ -280,19 +353,21 @@ def _episode_remainders(model, x_true, x_rec, u, mask) -> np.ndarray:
     """Max accumulated nonlinear remainder along each recovery episode.
 
     Propagates ``phi_{k+1} = |A| phi_k + |f(x) - f(xr) - A (x - xr)|``
-    with the Jacobian evaluated at the roll-forward value.
+    with the Jacobian evaluated at the roll-forward value, over the rows
+    that recover some element and have a roll-forward value; each run of
+    consecutive such rows is one episode, and ``phi`` starts it at zero.
     """
-    worst = np.zeros(model.n_x)
-    acc = None
-    for k in range(len(x_true)):
-        if np.any(mask[k]) and not np.any(np.isnan(x_rec[k])):
-            if acc is None:
-                acc = np.zeros(model.n_x)
-            A = model.jac_A(x_rec[k], u[k])
-            resid = np.abs(model.f(x_true[k], u[k]) - model.f(x_rec[k], u[k])
-                           - A.dot(x_true[k] - x_rec[k]))
-            acc = np.abs(A).dot(acc) + resid
-            worst = np.maximum(worst, acc)
-        else:
-            acc = None
-    return worst
+    x_rec = np.asarray(x_rec, float)
+    rows = np.flatnonzero(np.any(mask, axis=1)
+                          & ~np.any(np.isnan(x_rec), axis=1))
+    accs = np.empty((len(rows), model.n_x))
+    last = -2
+    for i, k in enumerate(rows.tolist()):
+        if k != last + 1:
+            acc = np.zeros(model.n_x)
+        A = model.jac_A(x_rec[k], u[k])
+        resid = np.abs(model.f(x_true[k], u[k]) - model.f(x_rec[k], u[k])
+                       - A.dot(x_true[k] - x_rec[k]))
+        acc = accs[i] = np.abs(A).dot(acc) + resid
+        last = k
+    return np.max(accs, axis=0, initial=0.0)

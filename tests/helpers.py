@@ -7,6 +7,7 @@ import types
 import numpy as np
 from hypothesis import strategies as st
 
+from cpsrecover.analysis import checkpoint_time_before_anomaly
 from cpsrecover.estimator import _REG, EstimatorState
 from cpsrecover.models import SubsystemModel, identity
 from cpsrecover.store import _unpack_checkpoint, _unpack_control
@@ -299,3 +300,99 @@ def outcome(fn, *args):
     except (ArithmeticError, ValueError) as exc:
         return type(exc)
     return out.dtype, out.shape, out.tobytes()
+
+
+# -- reference bound formulas -------------------------------------------------
+# The bounds as ``analysis`` once evaluated them on every call: a bound adds
+# ``phi_bar`` to a cached chain sum ``D_n + S_n``, a gap subtracts two such
+# bounds, a duration search steps one chain length at a time, and the
+# remainders test every tick.  The cached rows must give the same bytes.
+
+
+class ReferenceBounds:
+    """Per-call bound formulas for one ``analysis.BoundParams``, over chain
+    sums grown with the same recurrence, capacity doubling and NaN rule as
+    the module's cache."""
+
+    def __init__(self, params):
+        self.params = params
+        self._A_abs = np.abs(params.A_bar)
+        self._rows = np.empty((16, len(params.eps_delta)))
+        self._rows[0] = params.eps_delta
+        self._len = 1
+
+    def _at(self, n: int) -> np.ndarray:
+        """``D_n + S_n``, a view into the cache."""
+        if n >= self._len:
+            rows = np.empty((max(2 * len(self._rows), n + 1),
+                             self._rows.shape[1]))
+            rows[:self._len] = self._rows[:self._len]
+            A_abs, w = self._A_abs, self.params.eps_omega
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(self._len, len(rows)):
+                    np.matmul(A_abs, rows[i - 1] + w, out=rows[i])
+                nan = np.isnan(rows[self._len:]).any(axis=1)
+                if nan.any():
+                    for i in range(self._len + nan.argmax(), len(rows)):
+                        np.nansum(A_abs * (rows[i - 1] + w), axis=1,
+                                  out=rows[i])
+            self._rows, self._len = rows, len(rows)
+        return self._rows[n]
+
+    def _chain_bound(self, n: int) -> np.ndarray:
+        return self._at(n) + self.params.phi_bar
+
+    def bound(self, k, k1) -> np.ndarray:
+        """``recovery_error_bound_at``."""
+        if k <= k1:
+            raise ValueError("error bound requires k > k1")
+        return self._chain_bound(round(k - k1))
+
+    def gap(self, k, s) -> np.ndarray:
+        """``accuracy_resource_gap_bound``."""
+        p = self.params
+        k1 = checkpoint_time_before_anomaly(s, p.delta_s, p.mu, p.tick)
+        k1_t = round(k1 / p.tick)
+        opt_t = round(s / p.tick) - 1
+        if k1_t >= opt_t:
+            return np.zeros_like(p.eps_delta)
+        lo = np.minimum(self.bound(k, opt_t), np.finfo(float).max)
+        return np.maximum(self.bound(k, k1_t) - lo, 0.0)
+
+    def certificate(self, s):
+        """``max_duration_certificate``."""
+        p = self.params
+        if p.E_max is None:
+            raise ValueError("E_max required")
+        tick, E = p.tick, p.E_max
+        k1 = checkpoint_time_before_anomaly(s, p.delta_s, p.mu, tick)
+        n0 = round(s / tick) - round(k1 / tick)
+        max_ticks = int(p.t_search_max / tick)
+        prev = self._chain_bound(n0 + 1)
+        if np.any(prev > E):
+            return 0.0, prev, prev.copy()
+        for T in range(2, max_ticks + 1):
+            b = self._chain_bound(n0 + T)
+            if np.any(b > E):
+                return (T - 1) * tick, prev, b
+            prev = b
+        lo = max(max_ticks, 1)
+        return lo * tick, prev, self._chain_bound(n0 + lo + 1)
+
+
+def reference_episode_remainders(model, x_true, x_rec, u, mask) -> np.ndarray:
+    """``analysis._episode_remainders`` with every tick tested in turn."""
+    worst = np.zeros(model.n_x)
+    acc = None
+    for k in range(len(x_true)):
+        if np.any(mask[k]) and not np.any(np.isnan(x_rec[k])):
+            if acc is None:
+                acc = np.zeros(model.n_x)
+            A = model.jac_A(x_rec[k], u[k])
+            resid = np.abs(model.f(x_true[k], u[k]) - model.f(x_rec[k], u[k])
+                           - A.dot(x_true[k] - x_rec[k]))
+            acc = np.abs(A).dot(acc) + resid
+            worst = np.maximum(worst, acc)
+        else:
+            acc = None
+    return worst

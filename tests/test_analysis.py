@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -12,7 +13,8 @@ from cpsrecover.analysis import (BoundParams, _episode_remainders,
                                  max_duration_certificate,
                                  recovery_error_bound_at)
 from cpsrecover.timebase import US_PER_S, to_s, to_us
-from helpers import prior
+from helpers import (ReferenceBounds, outcome, prior,
+                     reference_episode_remainders)
 
 
 def scalar_params(**kw):
@@ -471,3 +473,126 @@ def test_an_overflowing_bound_is_inf_never_nan():
     for n in (3, 4, 40):
         np.testing.assert_array_equal(recovery_error_bound_at(q, n, 0),
                                       [np.inf, np.inf])
+
+
+# -- cached rows against the per-call references -------------------------
+
+
+def _bounds_of_kind(rng, kind, n, **kw):
+    """Bound parameters whose ``|A_bar|`` contracts, expands, is zero, or
+    overflows a float within a few steps on its first element."""
+    if kind == "overflowing":
+        A = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.5)
+        A[0, 0] = 1e200
+        return BoundParams(A_bar=A, eps_delta=rng.uniform(0, 1, n),
+                           eps_omega=rng.uniform(0, 1, n),
+                           phi_bar=rng.uniform(0, 1, n), **kw)
+    return _random_params(rng, kind, n, **kw)
+
+
+_KINDS = ["contractive", "expansive", "zero", "overflowing"]
+# (which, k offset in ticks, k's fractional part, k1 or the start in ticks)
+_QUERIES = st.lists(st.tuples(st.sampled_from(["bound", "gap", "certificate"]),
+                              st.integers(-3, 120),
+                              st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+                              st.integers(0, 30)),
+                    min_size=1, max_size=40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(_KINDS),
+       n=st.integers(1, 3), tick=st.sampled_from([1.0, 0.1, 0.01]),
+       mu=st.sampled_from([1.0, 0.5, 0.2, 0.1]),
+       max_ticks=st.integers(0, 60), cap=st.integers(2, 60),
+       queries=_QUERIES)
+def test_cached_bounds_equal_the_per_call_references(seed, kind, n, tick, mu,
+                                                     max_ticks, cap, queries):
+    rng = np.random.default_rng(seed)
+    p = _bounds_of_kind(rng, kind, n, mu=mu, tick=tick,
+                        t_search_max=max_ticks * tick)
+    # E_max near the bound after `cap` steps, so that a duration search
+    # often ends inside its scan
+    probe = ReferenceBounds(p).bound(cap, 0)
+    p = replace(p, E_max=probe * rng.uniform(0.9, 1.1, n))
+    ref = ReferenceBounds(p)
+    def certificate(fn):
+        return lambda *args: np.hstack(fn(*args))
+
+    for which, offset, frac, anchor in queries:
+        if which == "bound":
+            k = anchor + offset + frac
+            got = outcome(recovery_error_bound_at, p, k, anchor)
+            want = outcome(ref.bound, k, anchor)
+        else:
+            s = (anchor + frac) * tick
+            if which == "gap":
+                k = round(s / tick) + offset + frac
+                got = outcome(accuracy_resource_gap_bound, p, k, s)
+                want = outcome(ref.gap, k, s)
+            else:
+                got = outcome(certificate(max_duration_certificate), p, s)
+                want = outcome(certificate(ref.certificate), s)
+        assert got == want, (which, offset, frac, anchor)
+
+
+def test_bound_and_gap_calls_grow_the_cache_logarithmically():
+    # 2,000 calls in the order a scan makes them, deeper by one tick each;
+    # every anomaly start here has the same chain-length difference
+    p = scalar_params(A_bar=np.array([[0.999]]), mu=0.2, E_max=None)
+    sums = p._sums
+    grew = {"_grow": 0, "_grow_gaps": 0}
+    for name in grew:
+        def counting(*args, _grow=getattr(sums, name), _name=name):
+            grew[_name] += 1
+            return _grow(*args)
+        setattr(sums, name, counting)
+    for k in range(12, 1012):
+        recovery_error_bound_at(p, k, 0)
+        accuracy_resource_gap_bound(p, k, 5.0 + 5.0 * (k % 2))
+    assert len(sums.gaps) == 1
+    # each grew once per doubling of its capacity, not once per call
+    for count in grew.values():
+        assert 1 <= count <= math.log2(1012)
+
+
+def test_episode_remainders_equal_the_per_tick_reference():
+    from cpsrecover import robot
+    model = robot.bicycle_model(0.1, 0.01 * np.eye(3), 0.01 * np.eye(3),
+                                **prior(3))
+    rng = np.random.default_rng(8)
+    for rec in _random_records(rng, model.n_x, model.n_u, 40):
+        args = (model, rec["x_true"], rec["x_rec"], rec["u"],
+                rec["recovered"])
+        got = _episode_remainders(*args)
+        assert got.tobytes() == reference_episode_remainders(*args).tobytes()
+
+
+# -- rejected inputs ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, value", [
+    ("A_bar", [[np.nan]]), ("A_bar", [[np.inf]]),
+    ("eps_delta", [np.nan]), ("eps_delta", [np.inf]),
+    ("eps_omega", [np.inf]), ("phi_bar", [np.nan]),
+    ("E_max", [np.nan]),
+    ("tick", 0.0), ("tick", np.inf), ("mu", 0.0), ("mu", -1.0),
+    ("mu", np.nan), ("t_search_max", np.inf), ("t_search_max", -1.0),
+    ("t_search_max", np.nan)])
+def test_bound_params_reject_inputs_that_bound_nothing(name, value):
+    with pytest.raises(ValueError, match=name):
+        scalar_params(**{name: value})
+
+
+def test_bound_params_accept_an_infinite_error_cap():
+    p = scalar_params(E_max=[np.inf], t_search_max=0.0)
+    assert max_duration_certificate(p, 8.0)[0] == 1.0
+
+
+def test_calibration_names_an_element_never_healthy(case_models):
+    _, models = case_models
+    rec = {"x_true": np.ones((3, 2)), "x_hat": np.zeros((3, 2)),
+           "x_rec": np.zeros((3, 2)), "u": np.zeros((3, 1)),
+           "recovered": np.tile([True, False], (3, 1))}
+    with pytest.raises(ValueError, match=r"healthy.*\[0\]"):
+        calibrate_bound_params(models["inner-1"], [rec], tick=0.01, mu=1.0,
+                               lti=True)

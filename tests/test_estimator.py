@@ -420,11 +420,13 @@ def test_dot_is_matmul_bit_for_bit(n, m, data):
     one, a column by a row, and the estimator's ``C P C^T`` chain.
 
     Over an inner dimension of 1, each element is one product, and the two
-    may differ in the sign of a zero: ``@`` adds the product to +0.0 where
-    ``dot`` does not, so a -0.0 or negative underflowing product is +0.0
-    from ``@`` and -0.0 from ``dot``.  Every other bit is the same.  The
-    case study meets such products only in a motor loop's ``K.dot(C)``,
-    whose zeros ``I - K C`` makes +0.0 either way, and its
+    may differ in the sign of a zero.  A negative product that underflows
+    is +0.0 from ``@`` and -0.0 from ``dot``.  An exact -0.0 product, from
+    a zero operand, is +0.0 from both once the left operand has more than
+    one row (``np.array([[-0.0], [0.0]]).dot(np.array([0.0]))`` is
+    ``[0., 0.]``); a 1 x 1 ``dot`` keeps it.  Every other bit is the
+    same.  The case study meets such products only in a motor loop's
+    ``K.dot(C)``, whose zeros ``I - K C`` makes +0.0 either way, and its
     ``K.dot(innov)``, which a prior adds to: the sum differs only where
     that prior element is itself -0.0."""
     def draw(*shape):
