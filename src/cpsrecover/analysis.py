@@ -17,13 +17,11 @@ The bound over a chain of ``n`` predict steps is the row
 only through ``n = k - k1``, so each :class:`BoundParams` caches the rows
 ``B_n`` for every ``n`` evaluated so far and extends them on demand; a
 bound is a copy of one row, and costs the same deep into an episode as at
-its start.  The gap bound reads rows ``max(B_{n+d} - min(B_n, MAX), 0)``
-cached the same way for each chain-length difference ``d`` it has met,
-after mapping each anomaly start to its two chain anchors once, and a
-duration search scans the rows in doubling chunks, so a search over ``T``
-ticks costs ``O(T)``.  ``BoundParams`` is immutable, with read-only
-arrays and finite inputs, so the cache can never go stale; derive a
-variant with :func:`dataclasses.replace`, which starts a fresh cache.
+its start.  The gap bound reads two rows, and a duration search reads one
+row per duration, so a search over ``T`` ticks costs ``O(T)``.
+``BoundParams`` is immutable, with read-only arrays and finite inputs, so
+the cache can never go stale; derive a variant with
+:func:`dataclasses.replace`, which starts a fresh cache.
 Every bound returned is a new array that the caller may modify.  An
 element that overflows a float is +inf, a valid but vacuous bound, and
 so is every element that ``|A|`` couples to it in a longer chain; an
@@ -54,16 +52,13 @@ _FLOAT_MAX = np.finfo(float).max
 
 class _ChainSums:
     """Bound rows ``B_n = D_n + S_n + phi_bar`` for ``n = 0, 1, ...``, grown
-    on demand, and the gap rows and anomaly starts the gap bound has met.
+    on demand.
 
     Rows live in one 2-D array whose capacity doubles, and each growth
     fills it to capacity, so ``n`` rows cost ``O(n)`` time and memory in
     total and a scan asking for one more row at a time grows the cache
     once per doubling.  ``D_{n+1} + S_{n+1}`` is ``|A| (D_n + S_n +
     eps_omega)``; only the last such sum is kept beside the rows.
-    ``gaps[d]`` holds ``max(B_{n+d} - min(B_n, MAX), 0)`` for ``n = 0, 1,
-    ...``, grown the same way, and ``starts`` maps an anomaly start to the
-    ticks of its two chain anchors (None when they coincide).
     """
 
     def __init__(self, A_abs: np.ndarray, eps_delta: np.ndarray,
@@ -75,8 +70,6 @@ class _ChainSums:
         self.rows = np.empty((16, len(eps_delta)))
         self.rows[0] = eps_delta + phi_bar
         self._len = 1
-        self.gaps = {}
-        self.starts = {}
 
     def upto(self, n: int) -> np.ndarray:
         """The rows, grown to hold row ``n``."""
@@ -111,24 +104,6 @@ class _ChainSums:
             self._last = new[-1].copy()
             new += self._phi_bar
         self._len = len(self.rows)
-
-    def gap(self, d: int, n: int) -> np.ndarray:
-        """Gap row ``n`` for chain-length difference ``d``, a view into
-        the cache."""
-        rows = self.gaps.get(d)
-        if rows is None or n >= len(rows):
-            rows = self._grow_gaps(d, n)
-        return rows[n]
-
-    def _grow_gaps(self, d: int, n: int) -> np.ndarray:
-        old = self.gaps.get(d)
-        size = max(16 if old is None else 2 * len(old), n + 1)
-        b = self.upto(size + d - 1)
-        # capping the shorter chain's bound turns inf - inf into +inf rather
-        # than NaN; where only the shorter chain overflows, the gap clamps to 0
-        rows = self.gaps[d] = np.maximum(
-            b[d:size + d] - np.minimum(b[:size], _FLOAT_MAX), 0.0)
-        return rows
 
 
 @dataclass(frozen=True)
@@ -241,32 +216,15 @@ def max_duration_certificate(params: BoundParams, s: float):
     max_ticks = int(params.t_search_max / tick)
     sums = params._sums
     rows = sums.upto(n0 + 1)
-    if np.any(rows[n0 + 1] > E):
+    if (rows[n0 + 1] > E).any():
         return 0.0, rows[n0 + 1].copy(), rows[n0 + 1].copy()
-    # durations T, T + 1, ... one chunk at a time, each twice the last
-    T, size = 2, 16
-    while T <= max_ticks:
-        stop = min(T + size, max_ticks + 1)
-        rows = sums.upto(n0 + stop - 1)
-        over = (rows[n0 + T:n0 + stop] > E).any(axis=1)
-        if over.any():
-            T += int(over.argmax())
+    for T in range(2, max_ticks + 1):
+        rows = sums.upto(n0 + T)
+        if (rows[n0 + T] > E).any():
             return (T - 1) * tick, rows[n0 + T - 1].copy(), rows[n0 + T].copy()
-        T, size = stop, 2 * size
     lo = max(max_ticks, 1)
     rows = sums.upto(n0 + lo + 1)
     return lo * tick, rows[n0 + lo].copy(), rows[n0 + lo + 1].copy()
-
-
-def _chain_anchors(params: BoundParams, s: float):
-    """``(k1_t, opt_t)``: the ticks of the frequency-``mu`` checkpoint
-    before anomaly start ``s`` and of the tick just before ``s``; None
-    when the checkpoint is not older."""
-    tick = params.tick
-    k1 = checkpoint_time_before_anomaly(s, params.delta_s, params.mu, tick)
-    k1_t = round(k1 / tick)
-    opt_t = round(s / tick) - 1
-    return (k1_t, opt_t) if k1_t < opt_t else None
 
 
 def accuracy_resource_gap_bound(params: BoundParams, k: int, s: float) -> np.ndarray:
@@ -276,24 +234,18 @@ def accuracy_resource_gap_bound(params: BoundParams, k: int, s: float) -> np.nda
     frequency-``mu`` checkpoint and at the tick just before the anomaly
     start, clamped at zero.  Zero when ``mu`` already checkpoints every tick.
     """
-    sums = params._sums
-    try:
-        anchors = sums.starts[s]
-    except KeyError:
-        anchors = sums.starts[s] = _chain_anchors(params, s)
-    except TypeError:                       # an unhashable start: 0-d array
-        anchors = _chain_anchors(params, s)
-    if anchors is None:
+    tick = params.tick
+    k1 = checkpoint_time_before_anomaly(s, params.delta_s, params.mu, tick)
+    k1_t = round(k1 / tick)
+    opt_t = round(s / tick) - 1
+    if k1_t >= opt_t:
         return np.zeros_like(params.eps_delta)
-    k1_t, opt_t = anchors
     if k <= opt_t:
         raise ValueError("error bound requires k > k1")
     n, n1 = round(k - opt_t), round(k - k1_t)
-    if n1 - n == opt_t - k1_t:
-        return sums.gap(n1 - n, n).copy()
-    # a non-integral k can round the two chain lengths one tick closer or
-    # further apart than the anchors are
-    rows = sums.upto(n1)
+    rows = params._sums.upto(n1)
+    # capping the shorter chain's bound turns inf - inf into +inf rather than
+    # NaN; where only the shorter chain overflows, the gap clamps to 0
     return np.maximum(rows[n1] - np.minimum(rows[n], _FLOAT_MAX), 0.0)
 
 

@@ -536,23 +536,22 @@ def test_cached_bounds_equal_the_per_call_references(seed, kind, n, tick, mu,
 
 
 def test_bound_and_gap_calls_grow_the_cache_logarithmically():
-    # 2,000 calls in the order a scan makes them, deeper by one tick each;
-    # every anomaly start here has the same chain-length difference
+    # 2,000 calls in the order a scan makes them, deeper by one tick each,
+    # with a different anomaly start for every gap
     p = scalar_params(A_bar=np.array([[0.999]]), mu=0.2, E_max=None)
     sums = p._sums
-    grew = {"_grow": 0, "_grow_gaps": 0}
-    for name in grew:
-        def counting(*args, _grow=getattr(sums, name), _name=name):
-            grew[_name] += 1
-            return _grow(*args)
-        setattr(sums, name, counting)
+    grown = []
+    def counting(n, _grow=sums._grow):
+        grown.append(n)
+        return _grow(n)
+    sums._grow = counting
     for k in range(12, 1012):
         recovery_error_bound_at(p, k, 0)
-        accuracy_resource_gap_bound(p, k, 5.0 + 5.0 * (k % 2))
-    assert len(sums.gaps) == 1
-    # each grew once per doubling of its capacity, not once per call
-    for count in grew.values():
-        assert 1 <= count <= math.log2(1012)
+        accuracy_resource_gap_bound(p, k, 1.0 + k / 1013)
+    # it grew once per doubling of its capacity, not once per call, and
+    # holds one row per chain length
+    assert 1 <= len(grown) <= math.log2(1012)
+    assert len(sums.rows) < 2 * 1012
 
 
 def test_episode_remainders_equal_the_per_tick_reference():
