@@ -77,6 +77,14 @@ def most_recent_consistent_checkpoint(save_times: dict, detection_times: dict,
         f"no consistent checkpoint older than detection window before k={k}")
 
 
+def consistent_checkpoint(store: SecureStore, detection_times: dict,
+                          k: float) -> float:
+    """:func:`most_recent_consistent_checkpoint` over the save times of
+    every loop in ``store``: the checkpoint recovery at ``k`` rolls from."""
+    save_times = {sid: store.save_times(sid) for sid in store.subsystems()}
+    return most_recent_consistent_checkpoint(save_times, detection_times, k)
+
+
 def classify_checkpoint_set(snapshots: dict) -> str:
     """Classify per-subsystem element timestamps.
 
@@ -125,8 +133,11 @@ class SubsystemRuntime:
     resolve the detector for each row; residual-threshold ticks fill their
     own rows.  ``trace`` holds the loop's trace columns, ``flags`` among
     them as ``ads_flags``, and each tick writes its row; ``columns`` names
-    the columns of a state, sensor and input.  The scheduler steps the
-    plant and keeps its state in ``x_true``, which the tick records.
+    the columns of a state, sensor and input.  ``logged_u`` holds each
+    row's logged input: the ``u`` column itself, or, where
+    ``applied_input`` is set, an array of its own, NaN until a tick logs
+    its row.  The scheduler steps the plant and keeps its state in
+    ``x_true``, which the tick records.
     """
 
     model: SubsystemModel
@@ -153,6 +164,7 @@ class SubsystemRuntime:
     flags: np.ndarray = field(init=False, repr=False)
     detected: bytearray = field(init=False, repr=False)
     trace: dict = field(init=False, repr=False)
+    logged_u: np.ndarray = field(init=False, repr=False)
     rows: int = field(init=False, default=0)
 
     def __post_init__(self):
@@ -189,6 +201,8 @@ class SubsystemRuntime:
                                 else self.bounds.eps_delta),
             "safe_stop": np.zeros(rows, bool),
         }
+        self.logged_u = (self.trace["u"] if self.applied_input is None
+                         else np.full((rows, self.model.n_u), np.nan))
 
 
 def element_mask(K: np.ndarray, flags: np.ndarray, kind: str) -> np.ndarray:
@@ -232,8 +246,7 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
     k1 = None
     if ep is None:
         dt_us = to_us(model.dt)
-        save_times = {sid: store.save_times(sid) for sid in store.subsystems()}
-        k1 = most_recent_consistent_checkpoint(save_times, detection_times, t)
+        k1 = consistent_checkpoint(store, detection_times, t)
         cps, _, controls = store.retrieve(model.id, k1, t)
         # cps is ascending from k1, so the base checkpoint can only be first
         if not cps or to_us(cps[0].t) != to_us(k1):
@@ -309,7 +322,10 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
             raise
 
     u = rt.controller(x_hat, t)
-    u_logged = u if rt.applied_input is None else rt.applied_input(u)
+    if rt.applied_input is None:
+        u_logged = u
+    else:
+        u_logged = rt.logged_u[n] = rt.applied_input(u)
     store.append_control(model.id, t, u_logged)
 
     tr["x_rf"][n] = x_hat

@@ -6,7 +6,11 @@ none.  Each loop ticks at the multiples of its own period, a whole number
 of microseconds, and the scheduler walks the ticks of all loops merged in
 time order, not every tick of a common base grid.  At each instant it
 computes one checkpoint Boolean, true on multiples of the checkpoint
-period, and hands it to every loop due then, in list order.  On a loop
+period, and hands it to every loop due then, in list order.  Before the
+loops of a checkpoint instant fire, it finds that instant's consistent
+checkpoint ``k1``, as recovery would, and drops the store's records older
+than it: no later recovery reads them, so the store holds a bounded
+suffix of the run's logs for any horizon.  On a loop
 tick the scheduler steps the plant and calls :func:`subsystem_tick`, which
 writes the loop's trace row into its :class:`SubsystemRuntime`; signals
 between loops pass through their controllers.  All randomness flows from
@@ -21,14 +25,13 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config as cfgmod
-from .framework import (UnrecoverableError, most_recent_consistent_checkpoint,
-                        replay, subsystem_tick)
+from .framework import (UnrecoverableError, consistent_checkpoint,
+                        most_recent_consistent_checkpoint, subsystem_tick)
 from .models import sample_noise
 from .store import SecureStore
 from .timebase import to_s, to_us
@@ -67,6 +70,10 @@ def _loop_ticks(periods_us: list, horizon_us: int, ckpt_us: int):
 
 @dataclass
 class SimResult:
+    """A finished run.  ``traces`` holds each loop's whole history;
+    ``store`` holds only the records since its last cut, which each log's
+    anchor commits to, and the loops' ``logged_u`` the logged inputs."""
+
     traces: dict
     store: SecureStore
     events: list
@@ -88,8 +95,10 @@ def run_loops(loops: list, seed: int, horizon_us: int,
     """Run ``loops``, fresh runtimes with distinct ids in fire order, for
     ``horizon_us`` microseconds, checkpointing every ``ckpt_us``.
 
-    When the run ends each runtime keeps what a finished run is read for,
-    its model, columns, detector, schedule, bounds and trace; its
+    At each checkpoint instant that has a consistent checkpoint ``k1``
+    the store drops its records older than ``k1``.  When the run ends each
+    runtime keeps what a finished run is read for, its model, columns,
+    detector, schedule, bounds, trace and logged inputs; its
     ``window``, ``detected``, ``innovations``, ``episode``, ``controller``
     and ``applied_input`` are set to None."""
     rngs = make_rngs(seed, [rt.model.id for rt in loops])
@@ -110,8 +119,17 @@ def run_loops(loops: list, seed: int, horizon_us: int,
             rt.window.tolist()))
 
     events = []
+    cut_at = None       # the checkpoint instant the store was last cut at
     for t, i, c_k in _loop_ticks([to_us(rt.model.dt) for rt in loops],
                                  horizon_us, ckpt_us):
+        if c_k and t != cut_at:
+            cut_at = t
+            try:
+                k1 = consistent_checkpoint(store, detection_times, t)
+            except UnrecoverableError:     # no consistent checkpoint yet
+                pass
+            else:
+                store.drop_before(k1)
         rt = loops[i]
         model = rt.model
         # plant advances one loop period with the previously applied input
@@ -227,8 +245,8 @@ def every_tick_shadow(result: SimResult) -> dict:
     ``{loop id: (ticks, n_x) array}``, NaN on healthy ticks and on an
     episode the run could not recover, whose first tick has no ``k1``.
 
-    Each loop's controls are retrieved once, over the whole run, and sliced
-    by time for each episode.
+    The replay reads each loop's logged inputs, ``rt.logged_u``, from the
+    run itself: the store keeps only the records since its last cut.
     """
     detection_times = {rt.model.id: rt.ads.detection_time
                        for rt in result.loops}
@@ -245,19 +263,18 @@ def every_tick_shadow(result: SimResult) -> dict:
         # the search bisects at each episode's cutoff, so the healthy ticks
         # after an episode's start never match
         healthy_times = {sid: t[healthy].tolist()}
-        _, _, controls = result.store.retrieve(sid, t[0], t[-1])
-        control_us = [to_us(c.t) for c in controls]
+        dt_us, logged = to_us(model.dt), rt.logged_u
         for a, b in edges.reshape(-1, 2):     # an episode is ticks a..b-1
             if np.isnan(tr["k1"][a]):         # an unrecoverable stop
                 continue
             k1 = most_recent_consistent_checkpoint(
                 healthy_times, detection_times, t[a])
-            lo, mid, hi = (bisect_left(control_us, to_us(s))
-                           for s in (k1, t[a], t[b - 1]))
-            n = mid - lo                      # controls in [k1, t[a])
-            x = replay(model, tr["x_rf"][a - n], controls[lo:mid])
+            j = to_us(k1) // dt_us            # the row of time k1
+            x = tr["x_rf"][j]
+            for k in range(j, a):
+                x = model.f(x, logged[k])
             shadow[a] = x
-            for k, c in zip(range(a + 1, b), controls[mid:hi]):
-                x = model.f(x, c.u)
+            for k in range(a + 1, b):
+                x = model.f(x, logged[k - 1])
                 shadow[k] = x
     return shadows

@@ -8,40 +8,60 @@ payload or tag is detected by :meth:`SecureStore.verify_integrity`, as is a
 record without its tag or time.  Truncating a suffix of all three alike is
 NOT detected by the chain alone.
 
+A store holds only what recovery can still use.  :meth:`SecureStore.drop_before`
+drops, from every log, the records older than a time, after the store
+passes a check; the engine calls it at each checkpoint instant with the
+consistent checkpoint ``k1`` of that instant, which no later recovery
+precedes.  Each log keeps its dropped prefix as an *anchor*: the prefix's
+record count and its last record's time and tag.  The chain continues from
+the anchor's tag, zero until something is dropped, so every retained tag
+still commits to the whole history (Schneier & Kelsey, "Secure Audit Logs
+to Support Computer Forensics", ACM TISSEC 1999).  A log's times stay after
+its anchor's, and ``retrieve`` refuses a range that starts at or before the
+anchor's time rather than return part of it.
+
 :meth:`SecureStore.retrieve` verifies the whole store, every chain of
 every sub-system, before it returns anything, so recovery never proceeds
 from a store holding a corrupt record, even one outside the requested
 range.  The check is incremental but content-based.  Once a chain has
-passed a walk, it keeps the *walked copy*: the payload and tag ``bytes``
-that walk hashed.  A later check compares the chain's first records with
-that copy, a plain list comparison with no hashing, and walks the chain
-only over the records appended since.  A changed payload byte, tag or
-record boundary, or a truncation below the copy's length, fails the
-comparison and forces a walk from the first record.  The verdict is
-therefore always the full walk's.  The copy needs no key: code that can
-edit the records in place can also reach the key beside them.
+passed a walk, it keeps the *walked copy*: the anchor tag the walk started
+from and the payload and tag ``bytes`` it hashed.  A later check compares
+the chain's anchor and first records with that copy, a plain comparison
+with no hashing, and walks the chain only over the records appended since.
+A changed anchor, payload byte, tag or record boundary, or a truncation
+below the copy's length, fails the comparison and forces a walk from the
+anchor.  The verdict is therefore always the full walk's.  The copy needs
+no key: code that can edit the records in place can also reach the key
+beside them.  A drop trims the copy with the records.
 
 An appended record joins the walked copy too, when the copy covers every
-record of the chain and the chain's last tag is the copy's own last tag
-object: its tag was just computed from that tag, so the copy stays a chain
-that passes a walk, and each record is hashed once.  Otherwise it waits
-for the next check's walk.
+record of the chain and the chain's last tag, or its anchor when it holds
+no record, is the copy's own object: its tag was just computed from that
+tag, so the copy stays a chain that passes a walk, and each record is
+hashed once.  Otherwise it waits for the next check's walk.
 
 Each chain also keeps its record times in append order, so ``retrieve``
 finds its range by bisection and decodes only the records it returns.
 
 Every record enters a chain through ``_Chain.append``, which checks its
-time, finite and after the chain's last, and computes and returns its tag.
-The writes pack a record and append it; so does ``load``.
+time, finite and after the chain's last (or its anchor's), and computes
+and returns its tag.  The writes pack a record and append it; so does
+``load``.
 
 The store is in-memory first.  ``save``/``load`` provide an optional binary
 persistence format for post-run analysis: per record
 ``[u32 length][subsystem NUL payload][32-byte tag]``, little-endian,
-IEEE-754 doubles.  ``load`` decodes each payload, reading only inside it,
-checks that it packs back to the same bytes, appends it and compares the
-tag the append computed with the stored one, so it hashes each record once.
-A malformed record, a bad time or a differing tag, as after a changed byte
-or under a wrong key, raises :class:`IntegrityError`; the store is dropped.
+IEEE-754 doubles.  A log with a dropped prefix is led by an anchor record
+of the same layout: its payload is ``b"A"``, the log's kind byte, the
+dropped count (u64), the last dropped time (double) and the anchor tag, and
+its tag field holds a MAC of that payload and the log's label under the
+key.  A store with nothing dropped has no anchor records.  ``load`` decodes
+each payload, reading only inside it, checks that it packs back to the same
+bytes, appends it and compares the tag the append computed with the stored
+one, so it hashes each record once, and each anchor once.  A malformed
+record, a bad time, a differing tag, or an anchor that fails its MAC or
+does not lead its log, as after a changed byte, a front cut, a moved anchor
+or a wrong key, raises :class:`IntegrityError`; the store is dropped.
 
 The integrity key comes from the ``CPSRECOVER_STORE_KEY`` environment
 variable or the constructor; the built-in default key is for simulation
@@ -130,6 +150,9 @@ def _unpack_checkpoint(payload: bytes) -> Checkpoint:
 
 
 _CONTROL_HEAD = struct.Struct("<dI")      # a control record's t and size
+# an anchor record's kind, log kind, dropped count and last dropped time;
+# its anchor tag follows
+_ANCHOR_HEAD = struct.Struct("<ccQd")
 _F8 = np.dtype("<f8")                     # parsed once, not per record
 
 
@@ -150,7 +173,9 @@ class _Chain:
 
     ``times`` is set by :meth:`append` and never re-read from the payloads.
     :meth:`verify` checks the payload and tag lists themselves, so a record
-    changed in place fails it before ``retrieve`` consults ``times``.
+    changed in place fails it before ``retrieve`` consults ``times``.  The
+    lists hold the records kept since the last :meth:`drop_before`; the
+    anchor stands for the ones dropped before them.
     """
 
     def __init__(self, mac: tuple, label: str):
@@ -159,7 +184,14 @@ class _Chain:
         self.payloads: list[bytes] = []
         self.tags: list[bytes] = []
         self.times: list[float] = []   # record times, in append order
-        # the bytes of the records the last passing walk hashed
+        # the dropped prefix: its record count, and its last record's tag,
+        # from which the chain continues, and time
+        self.dropped = 0
+        self.anchor = _ZERO_TAG
+        self.anchor_t = -math.inf
+        # the anchor and the bytes of the records the last passing walk
+        # hashed
+        self._walked_anchor = _ZERO_TAG
         self._walked_payloads: list[bytes] = []
         self._walked_tags: list[bytes] = []
 
@@ -176,16 +208,17 @@ class _Chain:
         times = self.times
         if not math.isfinite(t):
             raise MonotonicityError(f"{self.label} time {t} not finite")
-        if times and t <= times[-1]:
-            raise MonotonicityError(
-                f"{self.label} time {t} not after {times[-1]}")
-        tag = self._tag(payload, self.tags[-1] if self.tags else _ZERO_TAG)
+        last = times[-1] if times else self.anchor_t
+        if t <= last:
+            raise MonotonicityError(f"{self.label} time {t} not after {last}")
+        tag = self._tag(payload, self.tags[-1] if self.tags else self.anchor)
         walked = self._walked_tags
         # the copy stays a chain that passes a walk only when the new tag is
-        # computed from the copy's own last tag; an edited tag is another
-        # object, since the copy holds immutable bytes
+        # computed from the copy's own last tag, or its anchor; an edited tag
+        # is another object, since the copy holds immutable bytes
         if (len(walked) == len(self.tags) == len(self.payloads)
-                and (not walked or self.tags[-1] is walked[-1])):
+                and (self.tags[-1] is walked[-1] if walked
+                     else self.anchor is self._walked_anchor)):
             self._walked_payloads.append(bytes(payload))
             walked.append(tag)
         self.tags.append(tag)
@@ -196,28 +229,31 @@ class _Chain:
     def complete(self) -> bool:   # every record has a tag and a time
         return len(self.payloads) == len(self.tags) == len(self.times)
 
-    def between(self, lo_us: int, hi_us: int) -> list[bytes]:
-        """Payloads with ``lo_us <= t < hi_us``, in append order."""
+    def between(self, lo_us, hi_us) -> list[bytes]:
+        """Payloads with ``lo_us <= t < hi_us``, in append order; a bound
+        may be an infinity, an open end."""
         i = bisect_left(self.times, lo_us, key=to_us)
         return self.payloads[i:bisect_left(self.times, hi_us, i, key=to_us)]
 
     def verify(self) -> bool:
         """True iff every record has a tag and a time, and every tag
-        matches its chain position.
+        matches its chain position from the anchor.
 
         Records equal to the walked copy are not hashed again; the walk
-        starts after them, or from the first record when they differ.  When
-        the copy holds every record, as after appends alone, this only
-        compares.
+        starts after them, or from the anchor when they or the anchor
+        differ.  When the copy holds every record, as after appends alone,
+        this only compares.
         """
         if not self.complete():
             return False
         n = len(self._walked_tags)
-        if (self.payloads[:n] != self._walked_payloads
+        if (self.anchor != self._walked_anchor
+                or self.payloads[:n] != self._walked_payloads
                 or self.tags[:n] != self._walked_tags):
             n = 0
+            self._walked_anchor = bytes(self.anchor)
             self._walked_payloads, self._walked_tags = [], []
-        prev = self._walked_tags[-1] if n else _ZERO_TAG
+        prev = self._walked_tags[-1] if n else self._walked_anchor
         payloads = [bytes(p) for p in self.payloads[n:]]
         tags = [bytes(t) for t in self.tags[n:]]
         for payload, tag in zip(payloads, tags):
@@ -227,6 +263,26 @@ class _Chain:
         self._walked_payloads += payloads
         self._walked_tags += tags
         return True
+
+    def drop_before(self, t_us: int) -> None:
+        """Drop the records with ``t < t_us`` microseconds; the last one
+        becomes the anchor.  The chain must have just passed
+        :meth:`verify`, so the walked copy holds every record and is
+        trimmed with them."""
+        i = bisect_left(self.times, t_us, key=to_us)
+        if i:
+            self.anchor = self._walked_anchor = self._walked_tags[i - 1]
+            self.anchor_t = self.times[i - 1]
+            self.dropped += i
+            for records in (self.payloads, self.tags, self.times,
+                            self._walked_payloads, self._walked_tags):
+                del records[:i]
+
+    def anchor_mac(self, body: bytes) -> bytes:
+        """The MAC of an anchor record's payload ``body``, bound to this
+        log's label.  ``body`` begins with ``b"A"`` where a record's payload
+        begins with ``b"C"`` or ``b"U"``, so it is never a record's tag."""
+        return self._tag(body + self.label.encode(), _ZERO_TAG)
 
 
 class SecureStore:
@@ -266,6 +322,20 @@ class SecureStore:
         chain = self._controls.get(subsystem) or self._chains(subsystem)[1]
         chain.append(_pack_control(t, u), t)
 
+    def drop_before(self, t: float) -> None:
+        """Drop, from every log, the records older than ``t``; records at
+        ``t`` and after stay.  Each log's last dropped record becomes its
+        anchor.  The store is verified first, so no record is dropped
+        unchecked: an integrity failure raises :class:`IntegrityError` and
+        drops nothing.  A ``t`` that is not finite raises ``ValueError``."""
+        if not math.isfinite(t):
+            raise ValueError(f"drop time {t} is not finite")
+        if not self.verify_integrity():
+            raise IntegrityError("store integrity check failed")
+        t_us = to_us(t)
+        for chain in [*self._checkpoints.values(), *self._controls.values()]:
+            chain.drop_before(t_us)
+
     # -- reads ----------------------------------------------------------
     # Reads never create chains: an unknown sub-system has empty logs.
 
@@ -281,19 +351,29 @@ class SecureStore:
 
         Returns ``(checkpoints, save_times, controls)``.  The whole store is
         verified, not just the range, because recovery must not proceed
-        from a corrupt store; an integrity failure is a hard error.
+        from a corrupt store; an integrity failure is a hard error.  An
+        infinite bound is an open end.  A NaN bound, or a ``t_from`` at or
+        before the time of a record dropped from either log, whose range
+        would lack that record, raises ``ValueError``.
         """
+        for name, bound in (("t_from", t_from), ("t_to", t_to)):
+            if math.isnan(bound):
+                raise ValueError(f"{name} is NaN")
         if t_from > t_to:
             raise ValueError("t_from must be <= t_to")
         if not self.verify_integrity():
             raise IntegrityError("store integrity check failed")
         if subsystem not in self._checkpoints:
             return [], [], []
-        lo, hi = to_us(t_from), to_us(t_to)
-        cps = [_unpack_checkpoint(p)
-               for p in self._checkpoints[subsystem].between(lo, hi)]
-        ctl = [_unpack_control(p)
-               for p in self._controls[subsystem].between(lo, hi)]
+        lo, hi = (b if math.isinf(b) else to_us(b) for b in (t_from, t_to))
+        chains = self._checkpoints[subsystem], self._controls[subsystem]
+        for chain in chains:
+            if chain.dropped and lo <= to_us(chain.anchor_t):
+                raise ValueError(
+                    f"{chain.label}: t_from {t_from} is not after "
+                    f"{chain.anchor_t}, the last dropped record's time")
+        cps = [_unpack_checkpoint(p) for p in chains[0].between(lo, hi)]
+        ctl = [_unpack_control(p) for p in chains[1].between(lo, hi)]
         return cps, [c.t for c in cps], ctl
 
     def verify_integrity(self) -> bool:
@@ -308,7 +388,8 @@ class SecureStore:
     # -- persistence ----------------------------------------------------
 
     def save(self, path) -> None:
-        """Write all logs as length-prefixed tagged records; raises
+        """Write all logs as length-prefixed tagged records, each log with
+        a dropped prefix led by its anchor record; raises
         :class:`IntegrityError` if a log's record and tag counts differ."""
         if not all(c.complete() for c in [*self._checkpoints.values(),
                                           *self._controls.values()]):
@@ -316,8 +397,15 @@ class SecureStore:
                 f"{path}: a log's record, tag and time counts differ")
         with open(path, "wb") as fh:
             for sub in sorted(self._checkpoints):
-                for chain in (self._checkpoints[sub], self._controls[sub]):
-                    for payload, tag in zip(chain.payloads, chain.tags):
+                for kind, chain in ((b"C", self._checkpoints[sub]),
+                                    (b"U", self._controls[sub])):
+                    records = zip(chain.payloads, chain.tags)
+                    if chain.dropped:
+                        body = _ANCHOR_HEAD.pack(
+                            b"A", kind, chain.dropped, chain.anchor_t
+                        ) + bytes(chain.anchor)
+                        records = [(body, chain.anchor_mac(body)), *records]
+                    for payload, tag in records:
                         rec = sub.encode() + b"\x00" + payload
                         fh.write(struct.pack("<I", len(rec)))
                         fh.write(rec)
@@ -330,7 +418,9 @@ class SecureStore:
         Raises :class:`IntegrityError` if a record is cut short, its
         sub-system id is not UTF-8, its payload does not decode to a record
         that packs back to the same bytes, its append fails, or the tag its
-        append computed under ``key`` differs from the stored one.
+        append computed under ``key`` differs from the stored one; or if an
+        anchor record is malformed, follows a record or an anchor of its
+        log, or fails its MAC under ``key``.
         """
         store = cls(key=key)
         with open(path, "rb") as fh:
@@ -349,6 +439,9 @@ class SecureStore:
                     raise IntegrityError(
                         f"{path}: a sub-system id is not UTF-8") from None
                 ckpts, ctrls = store._chains(subsystem)
+                if payload[:1] == b"A":
+                    _anchor(path, ckpts, ctrls, payload, tag)
+                    continue
                 chain, pack, unpack = (
                     (ckpts, _pack_checkpoint, _unpack_checkpoint)
                     if payload[:1] == b"C"
@@ -378,3 +471,25 @@ class SecureStore:
         p = bytearray(chain.payloads[index])
         p[byte] ^= 0x01
         chain.payloads[index] = bytes(p)
+
+
+def _anchor(path, ckpts: _Chain, ctrls: _Chain, body: bytes,
+            mac: bytes) -> None:
+    """Set the anchor an anchor record ``body`` gives its log, one of
+    ``ckpts`` and ``ctrls`` by its kind byte, after checking its layout, its
+    place before every record of the log and its MAC ``mac``."""
+    try:
+        _, kind, dropped, t = _ANCHOR_HEAD.unpack_from(body)
+    except struct.error:
+        kind = None
+    if (kind not in (b"C", b"U") or len(body) != _ANCHOR_HEAD.size + _TAG_LEN
+            or dropped < 1 or not math.isfinite(t)):
+        raise IntegrityError(f"{path}: an anchor record is malformed")
+    chain = ckpts if kind == b"C" else ctrls
+    if chain.dropped or chain.payloads:
+        raise IntegrityError(f"{path}: {chain.label} anchor does not lead "
+                             "its log")
+    if not hmac.compare_digest(chain.anchor_mac(body), mac):
+        raise IntegrityError(f"{path}: {chain.label} anchor fails its MAC")
+    chain.anchor = chain._walked_anchor = body[_ANCHOR_HEAD.size:]
+    chain.anchor_t, chain.dropped = t, dropped

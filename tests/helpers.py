@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from cpsrecover.analysis import checkpoint_time_before_anomaly
 from cpsrecover.estimator import _REG, EstimatorState
 from cpsrecover.models import SubsystemModel, identity
-from cpsrecover.store import _unpack_checkpoint, _unpack_control
+from cpsrecover.store import (Checkpoint, SecureStore, _unpack_checkpoint,
+                              _unpack_control)
 from cpsrecover.timebase import to_us
 
 
@@ -76,6 +77,46 @@ def controls_of(store, subsystem: str) -> list:
     """A loop's control records, decoded in append order (none for an
     unknown loop); the store is not verified."""
     return _decoded(store._controls, subsystem, _unpack_control)
+
+
+def full_store(result) -> SecureStore:
+    """Every record a finished run appended, rebuilt from its trace under
+    its store's key: on each loop's checkpoint log, one checkpoint per
+    ``ckpt_event`` row, of the row's final estimate and flags; on its
+    control log, the logged input of every row but an unrecoverable
+    stop's, which logged none.
+
+    Asserts that the run's own store holds a suffix of each rebuilt log,
+    tag for tag, and that the log's anchor is the rebuilt tag and time just
+    before that suffix, and its dropped count that suffix's offset.  Each
+    tag commits to its whole chain, so the rebuilt history is the one the
+    run hashed.
+    """
+    full = SecureStore()
+    full._mac = result.store._mac
+    unrecoverable = {e["subsystem"] for e in result.events
+                     if e["reason"].startswith("unrecoverable")}
+    for rt in result.loops:
+        sid, tr = rt.model.id, result.traces[rt.model.id]
+        rows = len(tr["t"]) - (sid in unrecoverable)
+        for k in np.flatnonzero(tr["ckpt_event"]):
+            full.append_checkpoint(sid, Checkpoint(
+                tr["t"][k], tr["x_rf"][k], tr["ads_flags"][k]))
+        for k in range(rows):
+            full.append_control(sid, tr["t"][k], rt.logged_u[k])
+    run = result.store
+    assert run.subsystems() == full.subsystems()
+    for logs in ("_checkpoints", "_controls"):
+        for sid, rebuilt in getattr(full, logs).items():
+            chain = getattr(run, logs)[sid]
+            n = chain.dropped
+            assert chain.payloads == rebuilt.payloads[n:], chain.label
+            assert chain.tags == rebuilt.tags[n:], chain.label
+            assert chain.times == rebuilt.times[n:], chain.label
+            assert (chain.anchor, chain.anchor_t) == (
+                (rebuilt.tags[n - 1], rebuilt.times[n - 1]) if n
+                else (b"\x00" * 32, -math.inf)), chain.label
+    return full
 
 
 def finite_difference_jacobian(fn, x, u, rel_h: float = 1e-6) -> np.ndarray:

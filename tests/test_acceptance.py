@@ -40,7 +40,7 @@ from cpsrecover.framework import (CONSISTENT, FULLY_INCONSISTENT,
                                   roll_forward_recover)
 from cpsrecover.store import Checkpoint, SecureStore
 from cpsrecover.timebase import to_us
-from helpers import random_lti_model
+from helpers import full_store, random_lti_model
 
 RECOVERED_ELEMENTS = {"outer": [0, 1], "inner-1": [1], "inner-2": [1]}
 SETTLE = 0.25   # post-anomaly settle margin for the healthy-error check, s
@@ -161,6 +161,7 @@ def test_criterion_03_lti_closed_form_equivalence():
 def test_criterion_04_incremental_equals_full_reroll():
     cfg = cfgmod.build_case_study(seed=5)
     res = sim.run_scenario(cfg)
+    store = full_store(res)
     _, models = cfgmod.build_models(cfg)
     checked = 0
     for sid in cfgmod.SUBSYSTEMS:
@@ -171,7 +172,7 @@ def test_criterion_04_incremental_equals_full_reroll():
                 continue
             k1 = tr["k1"][k]
             t = tr["t"][k]
-            cps, _, controls = res.store.retrieve(sid, k1, t)
+            cps, _, controls = store.retrieve(sid, k1, t)
             base = next(c for c in cps if to_us(c.t) == to_us(k1))
             x = base.x_hat.copy()
             for c in controls:

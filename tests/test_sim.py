@@ -19,7 +19,7 @@ from cpsrecover.anomaly import (DETECTOR_KINDS, DETECTOR_MODES,
                                 AnomalySchedule)
 from cpsrecover.config import ConfigError
 from cpsrecover.timebase import to_s, to_us
-from helpers import UNRECOVERABLE, controls_of, reference_fmt
+from helpers import UNRECOVERABLE, controls_of, full_store, reference_fmt
 
 PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / \
     "pinned_digests.json"
@@ -105,12 +105,13 @@ def test_a_finished_run_releases_its_tick_state():
         sim.every_tick_shadow(res)
 
 
-def _long_periodic_config() -> dict:
+def _long_periodic_config(horizon: float = 160.0) -> dict:
     """The 160 s case with a 1.75 s burst every 5 s on every loop, built as
-    the benchmark's long-periodic workload builds it."""
+    the benchmark's long-periodic workload builds it, or its schedule over
+    another horizon."""
     cfg = cfgmod.default_config()
-    cfg["seed"], cfg["horizon"] = 1, 160.0
-    n = int((160.0 - 3.25 - 1.75) // 5.0) + 1
+    cfg["seed"], cfg["horizon"] = 1, horizon
+    n = int((horizon - 3.25 - 1.75) // 5.0) + 1
     for sid, (first, second) in cfg["anomalies"].items():
         cfg["anomalies"][sid] = [
             dict(first if i % 2 == 0 else second,
@@ -311,6 +312,27 @@ def test_the_engine_runs_two_copies_of_the_case_study_in_one_store(tmp_path):
                                   res.traces[sid]["x_true"])
 
 
+def _held(store) -> int:
+    """The records a store holds, over all its logs."""
+    return sum(len(c.payloads) for c in [*store._checkpoints.values(),
+                                         *store._controls.values()])
+
+
+def test_the_store_holds_as_much_at_any_horizon():
+    """The periodic-burst schedule over 40 s and over 160 s: both runs end
+    holding the same number of records, within one checkpoint period's
+    worth, and hold a suffix of every record they appended."""
+    held = []
+    for horizon in (40.0, 160.0):
+        res = sim.run_scenario(_long_periodic_config(horizon))
+        assert not res.events
+        assert _held(full_store(res)) > 4 * _held(res.store)
+        held.append(_held(res.store))
+    # one second: 10 outer and 2 x 100 motor controls, 3 checkpoints
+    assert abs(held[0] - held[1]) <= 213
+    assert held[1] < 500
+
+
 def test_tick_counts(case_result):
     assert len(case_result.traces["outer"]["t"]) == 100
     assert len(case_result.traces["inner-1"]["t"]) == 1000
@@ -348,7 +370,7 @@ def test_csv_ckpt_event_matches_store(tmp_path, case_result):
         with open(tmp_path / f"{sid}.csv") as fh:
             rows = list(csv.DictReader(fh))
         event_ts = [float(r["t"]) for r in rows if r["ckpt_event"] == "1"]
-        assert event_ts == case_result.store.save_times(sid)
+        assert event_ts == full_store(case_result).save_times(sid)
 
 
 def test_csv_floats_round_trip(tmp_path, case_result):
@@ -376,7 +398,7 @@ def test_csv_recovery_columns_blank_when_healthy(tmp_path, case_result):
 
 def test_case_study_save_times(case_result):
     for sid in cfgmod.SUBSYSTEMS:
-        assert case_result.store.save_times(sid) == \
+        assert full_store(case_result).save_times(sid) == \
             [0.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0]
 
 
@@ -392,7 +414,7 @@ def test_healthy_loops_save_on_every_checkpoint_period(mu):
     want = [to_s(k * period_us)
             for k in range(-(-to_us(horizon) // period_us))]
     for sid in cfgmod.SUBSYSTEMS:
-        assert res.store.save_times(sid) == want
+        assert full_store(res).save_times(sid) == want
 
 
 def test_recovery_window_timing(case_result):
@@ -431,7 +453,7 @@ def test_coupled_plant_mode_runs():
     res = sim.run_scenario(cfg)
     params, built = cfgmod.build_models(cfg)
     tr = res.traces[robot.OUTER]
-    controls = controls_of(res.store, robot.OUTER)
+    controls = controls_of(full_store(res), robot.OUTER)
     assert len(tr["t"]) == 100
     assert [c.t for c in controls] == tr["t"].tolist()
     motors = (robot.INNER_1, robot.INNER_2)
@@ -667,6 +689,7 @@ def test_every_tick_shadow_equals_from_scratch_replay(name):
     cfg = cfgmod.build_case_study(**SHADOW_CONFIGS[name])
     res = sim.run_scenario(cfg)
     shadows = sim.every_tick_shadow(res)
+    store = full_store(res)
     loops = cfgmod.build_system(cfg)
     models = {rt.model.id: rt.model for rt in loops}
     margin_us = to_us(max(rt.ads.detection_time for rt in loops))
@@ -681,7 +704,7 @@ def test_every_tick_shadow_equals_from_scratch_replay(name):
                 first = k                       # an episode starts
             j1 = np.flatnonzero(healthy[:first]
                                 & (t_us[first] - t_us[:first] > margin_us))[-1]
-            _, _, controls = res.store.retrieve(sid, tr["t"][j1], tr["t"][k])
+            _, _, controls = store.retrieve(sid, tr["t"][j1], tr["t"][k])
             x = tr["x_rf"][j1].copy()
             for c in controls:
                 x = models[sid].f(x, c.u)
@@ -710,7 +733,7 @@ def test_every_tick_shadow_reaches_past_a_short_healthy_gap(tmp_path):
     tr = res.traces[robot.OUTER]
     shadow = sim.every_tick_shadow(res)[robot.OUTER]
     model = cfgmod.build_models(cfg)[1][robot.OUTER]
-    _, _, controls = res.store.retrieve(robot.OUTER, 1.2, 5.9)
+    _, _, controls = full_store(res).retrieve(robot.OUTER, 1.2, 5.9)
     x = tr["x_rf"][12]
     for k, c in enumerate(controls, start=13):
         x = model.f(x, c.u)
@@ -977,3 +1000,67 @@ def test_accepted_config_runs_to_the_end_or_a_safe_stop(cfg):
     for sid, model in models.items():
         ticks = -(-to_us(cfg["horizon"]) // to_us(model.dt))
         assert len(res.traces[sid]["t"]) == ticks
+
+
+def _replayed_shadows(res, store) -> dict:
+    """Each loop's every-tick shadow replayed through ``store.retrieve``:
+    on each tick of an episode the run recovered, the logged controls
+    from the newest healthy tick older than the largest detection time at
+    the episode's first tick, applied from that tick's final estimate."""
+    margin_us = to_us(max(rt.ads.detection_time for rt in res.loops))
+    shadows = {}
+    for rt in res.loops:
+        sid, tr = rt.model.id, res.traces[rt.model.id]
+        t_us = [to_us(t) for t in tr["t"]]
+        healthy = ~tr["ads_flags"].any(axis=1)
+        shadow = shadows[sid] = np.full(tr["x_rf"].shape, np.nan)
+        first = None
+        for k in np.flatnonzero(~healthy):
+            if k == 0 or healthy[k - 1]:
+                first = k                       # an episode starts
+            if np.isnan(tr["k1"][first]):       # it was not recovered
+                continue
+            j = max(j for j in range(first)
+                    if healthy[j] and t_us[first] - t_us[j] > margin_us)
+            _, _, controls = store.retrieve(sid, tr["t"][j], tr["t"][k])
+            x = tr["x_rf"][j]
+            for c in controls:
+                x = rt.model.f(x, c.u)
+            shadow[k] = x
+    return shadows
+
+
+_CUTTING = dict(cfgmod.default_config(), horizon=1.0, checkpoint_freq_hz=10.0,
+                plant_mode="coupled")
+_CUTTING["anomalies"] = dict(_CUTTING["anomalies"], outer=[dict(
+    _CUTTING["anomalies"]["outer"][0], t_start=0.3, t_end=0.8)])
+
+
+@st.composite
+def _cutting_default(draw):
+    """A ``_mutated_default`` config over 1 to 3 s with a checkpoint every
+    0.1 to 0.5 s, so that a run lasts past its first cuts more often."""
+    cfg = draw(_mutated_default())
+    cfg["horizon"] = draw(st.integers(100, 300)) / 100
+    cfg["checkpoint_freq_hz"] = 10 / draw(st.integers(1, 5))
+    return cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=_cutting_default())
+@example(cfg=_CUTTING)
+def test_a_cut_store_holds_the_suffix_of_the_runs_logs(cfg):
+    """On configs nobody chose, both plant modes and both detector modes,
+    the run's store holds a suffix of every log its trace rebuilds
+    (``full_store`` asserts it), and the every-tick shadow, which replays
+    the trace's logged inputs, equals a replay through the rebuilt store's
+    ``retrieve``, bit for bit."""
+    try:
+        cfgmod.validate_config(cfg)
+    except ConfigError:
+        return
+    res = sim.run_scenario(cfg)
+    shadows = sim.every_tick_shadow(res)
+    replayed = _replayed_shadows(res, full_store(res))
+    for sid, shadow in shadows.items():
+        np.testing.assert_array_equal(shadow, replayed[sid], err_msg=sid)

@@ -1,5 +1,6 @@
 import hashlib
 import hmac
+import math
 import re
 import struct
 
@@ -12,7 +13,7 @@ from cpsrecover import sim, store as storemod
 from cpsrecover.store import (DEFAULT_KEY, Checkpoint, IntegrityError,
                               MonotonicityError, SecureStore)
 from cpsrecover.timebase import to_us
-from helpers import (checkpoints_of, controls_of, ieee_vectors,
+from helpers import (checkpoints_of, controls_of, full_store, ieee_vectors,
                      reference_pack_control)
 
 
@@ -266,6 +267,95 @@ def test_load_rejects_a_non_utf8_subsystem_id(tmp_path):
         SecureStore.load(path)
 
 
+def test_retrieve_takes_an_infinite_bound_as_an_open_end():
+    s = small_store()
+    cps, times, ctl = s.retrieve("outer", 2.0, math.inf)
+    assert times == [2.0, 3.0]
+    assert [c.u[0] for c in ctl] == list(range(20, 40))
+    _, times, ctl = s.retrieve("outer", -math.inf, 1.0)
+    assert times == [0.0] and [c.u[0] for c in ctl] == list(range(10))
+    _, times, ctl = s.retrieve("outer", -math.inf, math.inf)
+    assert times == [0.0, 1.0, 2.0, 3.0] and len(ctl) == 40
+    assert s.retrieve("outer", math.inf, math.inf) == ([], [], [])
+
+
+@pytest.mark.parametrize("t_from, t_to, name", [
+    (math.nan, 1.0, "t_from"), (0.0, math.nan, "t_to"),
+    (math.nan, math.nan, "t_from")])
+def test_retrieve_names_a_nan_bound(t_from, t_to, name):
+    with pytest.raises(ValueError, match=f"^{name} is NaN$"):
+        small_store().retrieve("outer", t_from, t_to)
+
+
+def test_a_drop_keeps_the_records_from_its_time_on():
+    """Records older than the drop time go, from every log; the rest, and
+    what a range starting after the last dropped record returns, stay as
+    they were.  A range reaching a dropped record is refused, never cut
+    short, and so is an append at or before it."""
+    s = small_store()
+    s.append_control("inner", 0.05, [1.0])
+    whole = s.retrieve("outer", 1.95, math.inf)
+    s.drop_before(2.0)
+    assert s.save_times("outer") == [2.0, 3.0]
+    assert _records(s.retrieve("outer", 1.95, math.inf)) == _records(whole)
+    chains = s._checkpoints["outer"], s._controls["outer"]
+    assert [(c.dropped, c.anchor_t) for c in chains] == [(2, 1.0),
+                                                        (20, 19 * 0.1)]
+    assert s._controls["inner"].payloads == [] and \
+        s._controls["inner"].dropped == 1
+    for t_from, log in ((1.9, "control"), (1.0, "checkpoint"),
+                        (-math.inf, "checkpoint")):
+        with pytest.raises(ValueError, match=f"^outer: {log}: t_from"):
+            s.retrieve("outer", t_from, 4.0)
+    with pytest.raises(MonotonicityError, match="not after 0.05"):
+        s.append_control("inner", 0.05, [1.0])
+    s.append_control("inner", 0.06, [1.0])
+    assert s.verify_integrity()
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="drop time"):
+            s.drop_before(t)
+
+
+def test_a_drop_checks_the_store_first():
+    """A record changed before a drop is found by the drop's check, even
+    one the drop would remove, and nothing is dropped."""
+    s = small_store()
+    s._tamper("outer", which="control", index=3)
+    with pytest.raises(IntegrityError):
+        s.drop_before(2.0)
+    assert s.save_times("outer") == [0.0, 1.0, 2.0, 3.0]
+    assert len(s._controls["outer"].payloads) == 40
+
+
+def test_a_cut_store_round_trips_through_a_file(tmp_path):
+    s = small_store()
+    s.drop_before(1.0)
+    s.drop_before(2.5)
+    s.append_control("outer", 4.0, [40.0])
+    path = tmp_path / "store.bin"
+    s.save(path)
+    loaded = SecureStore.load(path)
+    assert _chain_states(loaded) == _chain_states(s)
+    assert loaded.verify_integrity()
+    loaded.append_control("outer", 4.1, [41.0])
+    s.append_control("outer", 4.1, [41.0])
+    assert _chain_states(loaded) == _chain_states(s)
+
+
+def _records(retrieved) -> list:
+    """A ``retrieve`` result as comparable tuples."""
+    cps, times, ctl = retrieved
+    return [times, [(c.t, c.x_hat.tobytes(), c.ads_flags.tobytes())
+                    for c in cps], [(c.t, c.u.tobytes()) for c in ctl]]
+
+
+def _chain_states(store) -> list:
+    """Each log's records, tags, times and anchor."""
+    return [(c.label, c.payloads, c.tags, c.times, c.anchor, c.anchor_t,
+             c.dropped)
+            for c in [*store._checkpoints.values(), *store._controls.values()]]
+
+
 def test_reads_of_unknown_subsystem_have_no_side_effect():
     s = small_store()
     before = s.subsystems()
@@ -359,6 +449,12 @@ def test_tamper_after_verify_is_detected(n_sealed, n_new, which, how, where,
         s.retrieve("a", 0.0, 1.0)
 
 
+def _tamper_anchor(chain, byte):
+    a = bytearray(chain.anchor)
+    a[byte % len(a)] ^= 0x10
+    chain.anchor = bytes(a)
+
+
 def _shift_tag_boundary(chain, i, _):
     """Move the last byte of tag ``i`` to the front of the next one."""
     j = min(i, len(chain.tags) - 2)
@@ -391,12 +487,12 @@ _KEY = b"property key"
 
 
 def _full_walk(store) -> bool:
-    """Every chain checked from its first record, with nothing remembered;
-    a chain whose record, tag and time counts differ fails."""
+    """Every chain checked from its anchor, with nothing remembered; a
+    chain whose record, tag and time counts differ fails."""
     for chain in [*store._checkpoints.values(), *store._controls.values()]:
         if not len(chain.payloads) == len(chain.tags) == len(chain.times):
             return False
-        prev = b"\x00" * 32
+        prev = chain.anchor
         for payload, tag in zip(chain.payloads, chain.tags):
             want = hmac.new(_KEY, bytes(prev) + bytes(payload),
                             hashlib.sha256).digest()
@@ -407,7 +503,7 @@ def _full_walk(store) -> bool:
 
 
 _edits = ["flip_payload", "flip_tag", "restore", "to_bytearray", "poke",
-          "truncate", "shift", "drop_tag"]
+          "truncate", "shift", "drop_tag", "drop", "flip_anchor"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -432,13 +528,30 @@ _edits = ["flip_payload", "flip_tag", "restore", "to_bytearray", "poke",
 @example(ops=[("append", "control", 0, 3), ("verify", "control", 0, 0),
               ("flip_payload", "control", 0, 0), ("drop_tag", "control", 0, 0),
               ("verify", "control", 0, 0)])
+# a flipped anchor: the chain's first record no longer follows it
+@example(ops=[("append", "control", 0, 3), ("verify", "control", 0, 0),
+              ("drop", "control", 2, 0), ("flip_anchor", "control", 0, 5),
+              ("verify", "control", 0, 0)])
+# a drop before any verify, and a drop over an edit it would remove
+@example(ops=[("append", "control", 0, 2), ("drop", "control", 1, 0),
+              ("verify", "control", 0, 0)])
+@example(ops=[("append", "control", 0, 2), ("flip_payload", "control", 3, 0),
+              ("drop", "control", 0, 0), ("verify", "control", 0, 0)])
+# an append right after a drop, on a log the drop emptied and on one it
+# did not
+@example(ops=[("append", "control", 0, 1), ("drop", "control", 0, 0),
+              ("append", "checkpoint", 0, 0), ("append", "control", 0, 0),
+              ("verify", "control", 0, 0)])
 def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
-    """Whatever was appended, edited, restored or cut between checks,
-    ``verify_integrity`` gives the verdict of a walk over every record.
+    """Whatever was appended, edited, restored, cut or dropped between
+    checks, ``verify_integrity`` gives the verdict of a walk over every
+    record from the anchor, and a drop succeeds exactly when that walk
+    passes.
 
     Edits count records from the newest, where the walked copy ends.
     ``truncate`` cuts records and tags but not times, so from then on both
-    verdicts are False.
+    verdicts are False.  ``drop`` cuts every log at the time of a record of
+    one, never below an earlier cut.
     """
     s = SecureStore(key=_KEY)
     s.append_checkpoint("a", Checkpoint(0.0, [0.0, 0.0], [0]))
@@ -447,12 +560,29 @@ def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
     chains = {"checkpoint": s._checkpoints["a"], "control": s._controls["a"]}
     originals = {kind: list(zip(chain.payloads, chain.tags))
                  for kind, chain in chains.items()}   # records as appended
-    clock = 0
+    anchors = {kind: chain.anchor for kind, chain in chains.items()}
+    clock = cut = 0
     for op, kind, back, byte in ops:
         if op == "verify":
             assert s.verify_integrity() == _full_walk(s)
             continue
         chain = chains[kind]
+        if op == "drop" and chain.times:
+            cut = max(cut, chain.times[-1 - back % len(chain.times)])
+            passes = _full_walk(s)
+            try:
+                s.drop_before(cut)
+            except IntegrityError:
+                assert not passes
+                continue
+            assert passes
+            for k, c in chains.items():
+                del originals[k][:len(originals[k]) - len(c.payloads)]
+                anchors[k] = c.anchor
+            continue
+        if op == "flip_anchor":
+            _tamper_anchor(chain, byte)
+            continue
         if op == "append":
             for _ in range(1 + byte % 4):
                 clock += 1
@@ -475,6 +605,7 @@ def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
             chain.payloads[:] = [bytes(bytearray(p))
                                  for p, _ in originals[kind]]
             chain.tags[:] = [bytes(bytearray(t)) for _, t in originals[kind]]
+            chain.anchor = bytes(bytearray(anchors[kind]))
         elif op == "to_bytearray":   # equal content, but mutable
             records[i:] = map(bytearray, records[i:])
         elif op == "poke":      # change a bytearray record in place
@@ -495,15 +626,119 @@ def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
     assert s.verify_integrity() == _full_walk(s)
 
 
+def _file_records(data: bytes) -> list:
+    """A saved store's records as ``[sub-system id, payload, tag]``."""
+    records, off = [], 0
+    while off < len(data):
+        (length,) = struct.unpack_from("<I", data, off)
+        sub, _, payload = data[off + 4:off + 4 + length].partition(b"\x00")
+        off += 4 + length + 32
+        records.append([sub, payload, data[off - 32:off]])
+    return records
+
+
+def _file_of(records) -> bytes:
+    return b"".join(struct.pack("<I", len(sub) + 1 + len(payload)) + sub
+                    + b"\x00" + payload + tag for sub, payload, tag in records)
+
+
+_FILE_MUTATIONS = ["front_cut", "reanchored_front_cut", "drop_anchor",
+                   "flip_anchor", "move_anchor", "repeat_anchor",
+                   "rename_log"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(3, 8), min_size=1, max_size=3),
+       cuts=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       mutation=st.sampled_from([None, *_FILE_MUTATIONS]),
+       pick=st.integers(0, 10_000), byte=st.integers(0, 10_000))
+def test_an_anchored_file_loads_only_as_saved(tmp_path_factory, sizes, cuts,
+                                              mutation, pick, byte):
+    """A store cut once or more, saved to a file, loads to equal chains,
+    anchors included.  Each mutation of the file fails the load: one more
+    record cut from the front of a log, with or without its anchor
+    rewritten to match the cut; an anchor dropped, one bit flipped in its
+    payload or MAC, moved to lead another log, or repeated after a record
+    of its own log, which ``save`` never writes; or a log renamed, anchor
+    and records, to another loop id, which only the anchor's MAC binds.
+    Every log
+    keeps at least two records, since cutting a log's only record is also
+    cutting its suffix, which a hash chain cannot detect."""
+    s = SecureStore(key=_KEY)
+    for i, n in enumerate(sizes):      # n checkpoints and 5 n controls
+        for k in range(n):
+            s.append_checkpoint(f"s{i}", Checkpoint(k * 0.5, [k, -k], [0]))
+        for k in range(5 * n):
+            s.append_control(f"s{i}", k * 0.1, [k / 3])
+    for j in sorted(cuts):
+        s.drop_before(min(j, min(sizes) - 2) * 0.5)
+    path = tmp_path_factory.mktemp("store") / "store.bin"
+    s.save(path)
+    records = _file_records(path.read_bytes())
+    anchors = [i for i, (_, payload, _) in enumerate(records)
+               if payload[:1] == b"A"]
+    assert len(anchors) == 2 * len(sizes)
+    if mutation is None:
+        assert _chain_states(SecureStore.load(path, key=_KEY)) == \
+            _chain_states(s)
+        return
+    a = anchors[pick % len(anchors)]
+    sub, body, mac = records[a]
+    if mutation == "front_cut":       # a log's first record follows its anchor
+        del records[a + 1]
+    elif mutation == "reanchored_front_cut":
+        _, first, tag = records.pop(a + 1)
+        _, kind, dropped, _ = storemod._ANCHOR_HEAD.unpack_from(body)
+        (t,) = struct.unpack_from("<d", first, 1)
+        records[a][1] = storemod._ANCHOR_HEAD.pack(
+            b"A", kind, dropped + 1, t) + tag
+    elif mutation == "drop_anchor":
+        del records[a]
+    elif mutation == "rename_log":    # the anchor, then its log's records
+        end = a + 1
+        while end < len(records) and records[end][0] == sub \
+                and records[end][1][:1] == body[1:2]:
+            end += 1
+        for r in records[a:end]:
+            r[0] = sub + b"x"
+    elif mutation == "repeat_anchor":
+        records.insert(a + 2, list(records[a]))
+    elif mutation == "flip_anchor":
+        blob = bytearray(body + mac)
+        blob[byte % len(blob)] ^= 1 << byte % 8
+        records[a][1:] = bytes(blob[:len(body)]), bytes(blob[len(body):])
+    else:       # in place of another log's anchor, relabelled for that log
+        b = anchors[(pick + 1 + byte % (len(anchors) - 1)) % len(anchors)]
+        other = records[b]
+        records[b] = [other[0], b"A" + other[1][1:2] + body[2:], mac]
+    path.write_bytes(_file_of(records))
+    with pytest.raises(IntegrityError):
+        SecureStore.load(path, key=_KEY)
+
+
+# the seed-42 run's own store, as saved: its records from 8 s on, each log
+# led by its anchor
+PINNED_CUT_SIZE = 28_222
+PINNED_CUT_SHA256 = \
+    "638b40ee80aa65c2bbeb80b8d591ef2c32de7d7a2c3669a834ff096dd7758740"
+
+
 def test_saved_store_format_is_pinned(tmp_path, monkeypatch):
-    """The default seed-42 store saves to the same bytes as before."""
+    """Every record the default seed-42 run appended saves to the same
+    bytes as before the store was cut; the run's own store saves to bytes
+    pinned as well."""
     monkeypatch.delenv("CPSRECOVER_STORE_KEY", raising=False)
+    res = sim.run_scenario(cfgmod.build_case_study(seed=42))
     path = tmp_path / "store.bin"
-    sim.run_scenario(cfgmod.build_case_study(seed=42)).store.save(path)
+    full_store(res).save(path)
     data = path.read_bytes()
     assert len(data) == 139_036
     assert hashlib.sha256(data).hexdigest() == \
         "aa2a9f17e513f497c1c33525b6c16b202aff572e1e3a8d969191621d80dd1cc4"
+    res.store.save(path)
+    data = path.read_bytes()
+    assert len(data) == PINNED_CUT_SIZE
+    assert hashlib.sha256(data).hexdigest() == PINNED_CUT_SHA256
 
 
 @settings(max_examples=100, deadline=None)
@@ -530,17 +765,18 @@ def test_a_default_run_hashes_each_record_once(monkeypatch):
     monkeypatch.setattr(storemod._Chain, "_tag", counting_tag)
     result = sim.run_scenario(cfgmod.build_case_study(seed=42))
     assert np.isfinite(result.traces["outer"]["k1"]).any()   # it recovered
-    chains = [*result.store._checkpoints.values(),
-              *result.store._controls.values()]
-    assert macs[0] == sum(len(c.payloads) for c in chains) > 0
+    run_macs = macs[0]
     assert result.store.verify_integrity()
-    assert macs[0] == sum(len(c.payloads) for c in chains)
+    assert macs[0] == run_macs
+    full = full_store(result)
+    chains = [*full._checkpoints.values(), *full._controls.values()]
+    assert run_macs == sum(len(c.payloads) for c in chains) > 0
 
 
 def test_load_hashes_each_record_once(case_result, tmp_path, monkeypatch):
     """``load`` appends each record as a write does and compares the tag
-    that append computed: one MAC per record, and the loaded store's first
-    check only compares."""
+    that append computed: one MAC per record and one per anchor, and the
+    loaded store's first check only compares."""
     path = tmp_path / "store.bin"
     case_result.store.save(path)
     macs = [0]
@@ -553,13 +789,15 @@ def test_load_hashes_each_record_once(case_result, tmp_path, monkeypatch):
     monkeypatch.setattr(storemod._Chain, "_tag", counting_tag)
     loaded = SecureStore.load(path)
     chains = [*loaded._checkpoints.values(), *loaded._controls.values()]
-    assert macs[0] == sum(len(c.payloads) for c in chains) > 0
+    anchors = sum(1 for c in chains if c.dropped)
+    assert anchors == len(chains)
+    assert macs[0] == sum(len(c.payloads) for c in chains) + anchors
     assert loaded.verify_integrity()
-    assert macs[0] == sum(len(c.payloads) for c in chains)
+    assert macs[0] == sum(len(c.payloads) for c in chains) + anchors
 
 
 def test_case_study_store_invariants(case_result):
-    store = case_result.store
+    store = full_store(case_result)
     horizon_us = to_us(cfgmod.default_config()["horizon"])
     # the detected-anomaly intervals of the default schedule
     detected = [(3.5, 5.0), (8.5, 10.0)]
@@ -577,7 +815,7 @@ def test_case_study_store_invariants(case_result):
 
 
 def test_tick_counts(case_result):
-    store = case_result.store
+    store = full_store(case_result)
     assert len(controls_of(store, "outer")) == 100
     assert len(controls_of(store, "inner-1")) == 1000
     assert len(controls_of(store, "inner-2")) == 1000
