@@ -55,9 +55,10 @@ from .timebase import US_PER_S, base_resolution_us, to_us
 
 SUBSYSTEMS = tuple(robot.LOOPS)
 # a run allocates each loop's rows before its first tick: its trace
-# columns, anomaly window index (an array and a list) and noise take 181
-# bytes per row of a motor loop (about 1.8 GB for 10**7 rows) and 294 per
-# row of the pose loop
+# columns, anomaly window index and detection flags take 117 bytes per row
+# of a motor loop (about 1.2 GB for 10**7 rows) and 190 per row of the pose
+# loop, 16 and 24 more with bounds; noise and the window list the ticks
+# read come a block of ``sim._NOISE_BLOCK`` rows at a time
 MAX_TRACE_ROWS = 10_000_000
 
 

@@ -133,10 +133,12 @@ class SubsystemRuntime:
     resolve the detector for each row; residual-threshold ticks fill their
     own rows.  ``trace`` holds the loop's trace columns, ``flags`` among
     them as ``ads_flags``, and each tick writes its row; ``columns`` names
-    the columns of a state, sensor and input.  ``logged_u`` holds each
-    row's logged input: the ``u`` column itself, or, where
-    ``applied_input`` is set, an array of its own, NaN until a tick logs
-    its row.  The scheduler steps the plant and keeps its state in
+    the columns of a state, sensor and input.  No tick writes ``ee_bound``,
+    nor ``rsee_bound`` without ``bounds``: each is one shared read-only row
+    (``np.broadcast_to``, row stride 0), so it costs no memory per row.
+    ``logged_u`` holds each row's logged input: the ``u`` column itself,
+    or, where ``applied_input`` is set, an array of its own, NaN until a
+    tick logs its row.  The scheduler steps the plant and keeps its state in
     ``x_true``, which the tick records.
     """
 
@@ -182,8 +184,11 @@ class SubsystemRuntime:
                 1, round(self.ads.detection_time / self.model.dt)))
         self.detected = bytearray(self.flags.any(axis=1))
         # a column without a value on a tick (x_rec while healthy, k1 and
-        # rsee_bound outside recovery, ee_bound without bounds) is NaN there
+        # rsee_bound outside recovery, ee_bound without bounds) is NaN there;
+        # a column no tick writes is one read-only row shared by every row
         rows, n_x = self.ticks, self.model.n_x
+        nan_row = np.full(n_x, np.nan)
+        ee_row = nan_row if self.bounds is None else self.bounds.eps_delta
         self.trace = {
             "t": np.empty(rows),
             "x_true": np.empty((rows, n_x)),
@@ -196,9 +201,10 @@ class SubsystemRuntime:
             "ads_flags": self.flags,
             "ckpt_event": np.zeros(rows, bool),
             "k1": np.full(rows, np.nan),            # checkpoint in use
-            "rsee_bound": np.full((rows, n_x), np.nan),
-            "ee_bound": np.full((rows, n_x), np.nan if self.bounds is None
-                                else self.bounds.eps_delta),
+            "rsee_bound": (np.broadcast_to(nan_row, (rows, n_x))
+                           if self.bounds is None
+                           else np.full((rows, n_x), np.nan)),
+            "ee_bound": np.broadcast_to(ee_row, (rows, n_x)),
             "safe_stop": np.zeros(rows, bool),
         }
         self.logged_u = (self.trace["u"] if self.applied_input is None

@@ -17,8 +17,10 @@ between loops pass through their controllers.  All randomness flows from
 one master seed through per-(loop, noise kind) child streams, spawned in
 loop order, so a loop appended after the others never perturbs another
 loop's draws and identical (config, seed) pairs yield byte-identical CSVs.
-Before its first tick a loop draws its noise for the whole run, one row
-per tick and one call per stream, and a tick reads its row.
+A loop draws its noise a block of ``_NOISE_BLOCK`` rows at a time, one
+call per stream per block, and a tick reads its row of the block.  A
+block equals as many one-row draws, bit for bit, so the block size never
+changes a run; it bounds the memory a run's noise takes.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from .timebase import to_s, to_us
 
 # fixed stream-split order; adding streams at the end preserves old draws
 _STREAMS = ("process", "measurement", "init")
+# rows of noise, and of anomaly window indices, a loop holds at a time
+_NOISE_BLOCK = 4096
 
 
 def make_rngs(seed: int, loop_ids: list) -> dict:
@@ -72,7 +76,9 @@ def _loop_ticks(periods_us: list, horizon_us: int, ckpt_us: int):
 class SimResult:
     """A finished run.  ``traces`` holds each loop's whole history;
     ``store`` holds only the records since its last cut, which each log's
-    anchor commits to, and the loops' ``logged_u`` the logged inputs."""
+    anchor commits to, and the loops' ``logged_u`` the logged inputs.
+    A trace's ``ee_bound``, and its ``rsee_bound`` when the loop has no
+    bounds, is a view of one shared read-only row (row stride 0)."""
 
     traces: dict
     store: SecureStore
@@ -104,19 +110,16 @@ def run_loops(loops: list, seed: int, horizon_us: int,
     rngs = make_rngs(seed, [rt.model.id for rt in loops])
     store = SecureStore()
     detection_times = {rt.model.id: rt.ads.detection_time for rt in loops}
-    # each loop's (w, v) rows, its windows' offsets and each row's window
-    inputs = []
+    # each loop's windows' offsets, and its current block: the first row,
+    # the (w, v) rows and each row's window; empty until the first tick
+    offsets, blocks = [], []
     for rt in loops:
         model, sid = rt.model, rt.model.id
         # the plant's initial state, drawn around the model's mu0
         rt.x_true = model.mu0 + sample_noise(
             model.Sigma0_factor, rngs[(sid, "init")], 1)[0]
-        inputs.append((
-            sample_noise(model.Q_factor, rngs[(sid, "process")], rt.ticks),
-            sample_noise(model.R_factor, rngs[(sid, "measurement")],
-                         rt.ticks),
-            [w.gamma * w.y_a for w in rt.schedule.windows],
-            rt.window.tolist()))
+        offsets.append([w.gamma * w.y_a for w in rt.schedule.windows])
+        blocks.append((0, (), (), ()))
 
     events = []
     cut_at = None       # the checkpoint instant the store was last cut at
@@ -135,12 +138,19 @@ def run_loops(loops: list, seed: int, horizon_us: int,
         # plant advances one loop period with the previously applied input
         # before the sensors are read, so the measurement and the
         # estimator's predict step refer to the same instant
-        w, v, offsets, window = inputs[i]
-        n = rt.rows
+        lo, w, v, window = blocks[i]
+        n = rt.rows - lo
+        if n == len(w):     # the block is used up: draw the next one
+            lo, n, sid = rt.rows, 0, model.id
+            rows = min(_NOISE_BLOCK, rt.ticks - lo)
+            w = sample_noise(model.Q_factor, rngs[(sid, "process")], rows)
+            v = sample_noise(model.R_factor, rngs[(sid, "measurement")], rows)
+            window = rt.window[lo:lo + rows].tolist()
+            blocks[i] = lo, w, v, window
         rt.x_true = model.f(rt.x_true, rt.last_u) + w[n]
         y = model.g(rt.x_true, rt.last_u) + v[n]
         if window[n] >= 0:
-            y = y + offsets[window[n]]
+            y = y + offsets[i][window[n]]
         try:
             stop = subsystem_tick(rt, store, c_k, y, t, detection_times)
             reason = "anomaly duration exceeded maximum tolerable duration"

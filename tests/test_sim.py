@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -331,6 +332,36 @@ def test_the_store_holds_as_much_at_any_horizon():
     # one second: 10 outer and 2 x 100 motor controls, 3 checkpoints
     assert abs(held[0] - held[1]) <= 213
     assert held[1] < 500
+
+
+def test_a_run_row_holds_only_what_varies():
+    """The periodic-burst schedule over 120 s peaks at under 185 traced
+    bytes per loop row: a column no tick writes is one shared read-only
+    row, and noise is drawn a block at a time.  With bounds, ``rsee_bound``
+    is a column of its own, which recovering ticks write."""
+    # a first run imports and caches what any run needs
+    sim.run_scenario(_long_periodic_config(10.0))
+    tracemalloc.start()
+    try:
+        res = sim.run_scenario(_long_periodic_config(120.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = sum(len(tr["t"]) for tr in res.traces.values())
+    # 194.8 B with both columns dense and the noise drawn for the whole run;
+    # 147.0 B with shared rows and blocks (Python 3.11.7, numpy 2.4.6)
+    assert peak / rows <= 185
+    for tr in res.traces.values():
+        for name in ("ee_bound", "rsee_bound"):
+            assert not tr[name].flags.writeable, name
+            assert tr[name].strides[0] == 0, name
+    bounded = sim.run_scenario(cfgmod.build_case_study(**CSV_CONFIGS["bounds"]))
+    tr = bounded.traces[robot.OUTER]
+    assert not tr["ee_bound"].flags.writeable
+    assert tr["ee_bound"].strides[0] == 0
+    assert (tr["ee_bound"] == _OUTER_BOUNDS["eps_delta"]).all()
+    assert tr["rsee_bound"].strides[0] != 0
+    assert np.isfinite(tr["rsee_bound"]).any()
 
 
 def test_tick_counts(case_result):
@@ -1039,10 +1070,13 @@ _CUTTING["anomalies"] = dict(_CUTTING["anomalies"], outer=[dict(
 @st.composite
 def _cutting_default(draw):
     """A ``_mutated_default`` config over 1 to 3 s with a checkpoint every
-    0.1 to 0.5 s, so that a run lasts past its first cuts more often."""
+    0.1 to 0.5 s and a ``t_max`` of 1 to 3 s, so that a run lasts past its
+    first cuts more often."""
     cfg = draw(_mutated_default())
     cfg["horizon"] = draw(st.integers(100, 300)) / 100
     cfg["checkpoint_freq_hz"] = 10 / draw(st.integers(1, 5))
+    cfg["t_max"] = draw(st.integers(100, 300).map(lambda k: k / 100)
+                        | st.floats(1.0, 3.0))
     return cfg
 
 
@@ -1064,3 +1098,44 @@ def test_a_cut_store_holds_the_suffix_of_the_runs_logs(cfg):
     replayed = _replayed_shadows(res, full_store(res))
     for sid, shadow in shadows.items():
         np.testing.assert_array_equal(shadow, replayed[sid], err_msg=sid)
+
+
+def _records(store) -> dict:
+    """Each log of ``store`` by label: its dropped count, anchor, and the
+    payloads, tags and times of the records it holds."""
+    return {c.label: (c.dropped, c.anchor, c.anchor_t, c.payloads, c.tags,
+                      c.times)
+            for c in [*store._checkpoints.values(), *store._controls.values()]}
+
+
+def _run_outputs(cfg, out_dir) -> tuple:
+    """A run's CSV bytes, its store's records, ``full_store``'s records and
+    its every-tick shadow."""
+    res = sim.run_scenario(cfg)
+    csvs = [Path(p).read_bytes() for p in sim.emit_csv(res, out_dir)]
+    return (csvs, _records(res.store), _records(full_store(res)),
+            sim.every_tick_shadow(res))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=_cutting_default())
+@example(cfg=_CUTTING)
+@example(cfg=cfgmod.build_case_study(**CSV_CONFIGS["safe-stop"]))
+def test_noise_block_boundaries_are_invisible(tmp_path_factory, cfg):
+    """Noise drawn 1, 7 or 64 rows at a time gives the run that one block
+    for the whole run gives: the same CSV bytes, store records, rebuilt
+    records and every-tick shadow, also on a coupled run that cuts its
+    store and on one that safe-stops mid-way."""
+    try:
+        cfgmod.validate_config(cfg)
+    except ConfigError:
+        return
+    *want, want_shadows = _run_outputs(cfg, tmp_path_factory.mktemp("csv"))
+    for block in (1, 7, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_NOISE_BLOCK", block)
+            *got, shadows = _run_outputs(cfg, tmp_path_factory.mktemp("csv"))
+        assert got == want, block
+        for sid, shadow in shadows.items():
+            np.testing.assert_array_equal(shadow, want_shadows[sid],
+                                          err_msg=f"{sid}, block {block}")
