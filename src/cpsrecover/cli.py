@@ -2,7 +2,11 @@
 
 Subcommands:
 
-* ``run <config>`` - simulate and emit per-loop trace CSVs.
+* ``run <config>`` - simulate and emit per-loop trace CSVs.  A writer
+  process (:class:`sim.CsvStream`) formats and writes each block of rows
+  while the simulation goes on, to ``<loop>.csv.part``, renamed to
+  ``<loop>.csv`` once the run is over; a run that fails part-way leaves
+  no ``.part`` file and no process behind.
 * ``bounds <config>`` - evaluate the error bounds, maximum tolerable
   anomaly duration and checkpoint-frequency gap bound from the configured
   bound parameters, without simulating.
@@ -13,12 +17,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation error, 2 runtime error, 3 simulation
 ended in a safe stop, on a ``t_max`` overrun or an unrecoverable tick (the
-truncated trace is still emitted).
+truncated trace is still emitted).  A ``run`` that exits 2 part-way writes
+no trace CSV; one whose writing fails may leave the CSVs written before
+the failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -101,8 +108,8 @@ def _cmd_bounds(cfg: dict) -> int:
 
 
 def _cmd_run(result: sim.SimResult, out_dir: str) -> None:
-    for p in sim.emit_csv(result, out_dir):
-        print(f"wrote {p}")
+    for rt in result.loops:     # written by the run's sim.CsvStream
+        print(f"wrote {os.path.join(out_dir, rt.model.id)}.csv")
     for e in result.events:
         print(f"event: {e}")
 
@@ -172,9 +179,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "bounds":
             return _cmd_bounds(cfg)
-        result = sim.run_loops(cfgmod.build_system(cfg), cfg["seed"],
-                               to_us(cfg["horizon"]),
-                               to_us(1.0 / cfg["checkpoint_freq_hz"]))
+        loops = cfgmod.build_system(cfg)
+        # run writes its trace CSVs while it simulates
+        with (sim.CsvStream(loops, cfg["out_dir"]) if args.command == "run"
+              else contextlib.nullcontext()) as stream:
+            result = sim.run_loops(loops, cfg["seed"], to_us(cfg["horizon"]),
+                                   to_us(1.0 / cfg["checkpoint_freq_hz"]),
+                                   stream and stream.on_block)
         _SIMULATING[args.command](result, cfg["out_dir"])
         return 3 if result.safe_stop else 0
     except cfgmod.ConfigError as exc:

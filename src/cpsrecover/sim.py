@@ -21,6 +21,12 @@ A loop draws its noise a block of ``_NOISE_BLOCK`` rows at a time, one
 call per stream per block, and a tick reads its row of the block.  A
 block equals as many one-row draws, bit for bit, so the block size never
 changes a run; it bounds the memory a run's noise takes.
+
+A trace CSV is written a block of ``_CSV_BLOCK`` rows at a time, either
+after the run by :func:`emit_csv` or, during it, by a :class:`CsvStream`
+whose writer process formats each block the run hands over through
+``run_loops``'s ``on_block`` hook.  Both cut the same blocks and format
+them through :func:`_csvwriter.format_block`, so they write the same bytes.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csvwriter
 from . import config as cfgmod
 from .framework import (UnrecoverableError, consistent_checkpoint,
                         most_recent_consistent_checkpoint, subsystem_tick)
@@ -96,8 +103,8 @@ def run_scenario(cfg: dict) -> SimResult:
                      to_us(1.0 / cfg["checkpoint_freq_hz"]))
 
 
-def run_loops(loops: list, seed: int, horizon_us: int,
-              ckpt_us: int) -> SimResult:
+def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
+              on_block=None) -> SimResult:
     """Run ``loops``, fresh runtimes with distinct ids in fire order, for
     ``horizon_us`` microseconds, checkpointing every ``ckpt_us``.
 
@@ -106,7 +113,14 @@ def run_loops(loops: list, seed: int, horizon_us: int,
     runtime keeps what a finished run is read for, its model, columns,
     detector, schedule, bounds, trace and logged inputs; its
     ``window``, ``detected``, ``innovations``, ``episode``, ``controller``
-    and ``applied_input`` are set to None."""
+    and ``applied_input`` are set to None.
+
+    With ``on_block``, each tick that fills a ``_CSV_BLOCK``-row block of
+    loop ``i``'s trace calls ``on_block(i, rt)`` when it returns: every row
+    below ``rt.rows`` is then final, the row of a stopping tick included.
+    When the ticks end, the run calls it once more for each loop whose
+    last block is partial, so it sees each block once, in order.
+    :class:`CsvStream` writes the trace CSVs from these calls."""
     rngs = make_rngs(seed, [rt.model.id for rt in loops])
     store = SecureStore()
     detection_times = {rt.model.id: rt.ads.detection_time for rt in loops}
@@ -156,6 +170,8 @@ def run_loops(loops: list, seed: int, horizon_us: int,
             reason = "anomaly duration exceeded maximum tolerable duration"
         except UnrecoverableError as exc:
             stop, reason = True, f"unrecoverable: {exc}"
+        if on_block is not None and rt.rows % _CSV_BLOCK == 0:
+            on_block(i, rt)
         if stop:     # no episode opens on a tick that finds no checkpoint
             ep = rt.episode
             events.append({"type": "safe-stop", "subsystem": model.id, "t": t,
@@ -163,7 +179,10 @@ def run_loops(loops: list, seed: int, horizon_us: int,
                            "reason": reason})
             break
 
-    for rt in loops:     # release what only the ticks read
+    for i, rt in enumerate(loops):
+        if on_block is not None and rt.rows % _CSV_BLOCK:   # a partial block
+            on_block(i, rt)
+        # release what only the ticks read
         rt.window = rt.detected = rt.innovations = rt.episode = None
         rt.controller = rt.applied_input = None
     return SimResult({rt.model.id: {name: col[:rt.rows]
@@ -186,60 +205,100 @@ def write_csv(path, header: list, columns: list) -> None:
     A float is written in Python's shortest round-trip repr, so re-parsing
     reproduces it bit-exactly and identical tables yield byte-identical
     files; a Boolean or an integer as an integer; NaN as an empty field.
-    A block of ``_CSV_BLOCK`` rows is one float table formatted through one
-    ``%`` template, ``%r`` for a float column and ``%d`` for an integer or
-    Boolean one.  A column that is NaN on every row of the block is written
-    as empty fields and never formatted.
+    Each block of ``_CSV_BLOCK`` rows is one :func:`_csv_block` formatted
+    by :func:`_csvwriter.format_block`, as a :class:`CsvStream`'s are.
     """
-    # each column's format, repeated over its width
-    fields = np.array([fmt for col in columns for fmt in (
-        ["%d" if col.dtype.kind in "biu" else "%r"]
-        * math.prod(col.shape[1:]))], dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            table = np.column_stack([c[lo:lo + _CSV_BLOCK] for c in columns])
-            blank = np.isnan(table).all(axis=0)
-            row = ",".join(np.where(blank, "", fields)) + "\n"
-            text = (row * len(table)) % tuple(
-                table[:, ~blank].ravel().tolist())
-            # repr writes NaN as "nan", which no other field holds
-            fh.write(text.replace("nan", ""))
+            row, n, values = _csv_block([c[lo:lo + _CSV_BLOCK]
+                                         for c in columns])
+            fh.write(_csvwriter.format_block(row, n, values.tolist()))
+
+
+def _csv_block(columns: list) -> tuple:
+    """``(row template, rows, values)`` of a block of ``columns``: one
+    float table whose row template holds ``%r`` for a float column and
+    ``%d`` for an integer or Boolean one.  A column that is NaN on every
+    row of the block is written as empty fields and never formatted, so
+    ``values``, float64, holds the other columns' fields row by row."""
+    fields = [fmt for col in columns for fmt in (
+        ["%d" if col.dtype.kind in "biu" else "%r"]
+        * math.prod(col.shape[1:]))]
+    table = np.column_stack(columns)
+    blank = np.isnan(table).all(axis=0)
+    row = ",".join(np.where(blank, "", fields)) + "\n"
+    return row, len(table), table[:, ~blank].ravel()
+
+
+def _trace_columns(tr: dict, lo: int, hi: int) -> list:
+    """The CSV columns of rows ``lo`` to ``hi`` of trace ``tr``: ``x_rf``
+    on a row without recovery is NaN, an empty field."""
+    cols = {name: tr[name][lo:hi] for name in _CSV_COLUMNS}
+    cols["x_rf"] = np.where(cols["recovered"].any(axis=1)[:, None],
+                            cols["x_rf"], np.nan)
+    return [cols[name] for name in _CSV_COLUMNS]
+
+
+def _csv_header(rt, tr: dict) -> list:
+    """The header of the trace CSV of loop ``rt``, whose trace is ``tr``."""
+    sn, mn, un = rt.columns
+    # a generic detector flags the loop as a whole: one column
+    flags = ([f"ads_flag_{c}" for c in mn]
+             if tr["ads_flags"].shape[1] == len(mn) else ["ads_flag"])
+    return (["t"]
+            + [f"x_true_{c}" for c in sn]
+            + [f"y_meas_{c}" for c in mn]
+            + [f"x_hat_{c}" for c in sn]
+            + [f"x_rf_{c}" for c in sn]
+            + [f"recovered_mask_{c}" for c in sn]
+            + [f"u_{c}" for c in un]
+            + flags
+            + ["ckpt_event"]
+            + [f"rsee_bound_{c}" for c in sn]
+            + [f"ee_bound_{c}" for c in sn]
+            + ["safe_stop"])
 
 
 def emit_csv(result: SimResult, out_dir) -> list:
-    """Write one CSV per subsystem through :func:`write_csv`; returns the
-    written paths.  ``x_rf`` on a tick without recovery is an empty field.
-    """
+    """Write one trace CSV per subsystem of a finished run through
+    :func:`write_csv`; returns the written paths.  It writes the bytes a
+    :class:`CsvStream` writes while the run goes on."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for rt in result.loops:
         tr = result.traces[rt.model.id]
-        sn, mn, un = rt.columns
-        # a generic detector flags the loop as a whole: one column
-        flags = ([f"ads_flag_{c}" for c in mn]
-                 if tr["ads_flags"].shape[1] == len(mn) else ["ads_flag"])
-        header = (["t"]
-                  + [f"x_true_{c}" for c in sn]
-                  + [f"y_meas_{c}" for c in mn]
-                  + [f"x_hat_{c}" for c in sn]
-                  + [f"x_rf_{c}" for c in sn]
-                  + [f"recovered_mask_{c}" for c in sn]
-                  + [f"u_{c}" for c in un]
-                  + flags
-                  + ["ckpt_event"]
-                  + [f"rsee_bound_{c}" for c in sn]
-                  + [f"ee_bound_{c}" for c in sn]
-                  + ["safe_stop"])
-        columns = dict(tr, x_rf=np.where(tr["recovered"].any(axis=1)[:, None],
-                                         tr["x_rf"], np.nan))
         path = os.path.join(out_dir, f"{rt.model.id}.csv")
         try:
-            write_csv(path, header, [columns[n] for n in _CSV_COLUMNS])
+            write_csv(path, _csv_header(rt, tr), _trace_columns(tr, 0, None))
         except OSError as exc:
             raise OSError(f"failed writing trace CSV {path}: {exc}") from exc
         paths.append(path)
     return paths
+
+
+class CsvStream(_csvwriter.Writer):
+    """The trace CSVs of ``loops``, fresh runtimes, written by a writer
+    process in ``out_dir`` while :func:`run_loops` runs them.
+
+    Pass :meth:`on_block` as ``run_loops``'s ``on_block``; it hands over
+    each block of ``_CSV_BLOCK`` rows, or fewer at a trace's end, to be
+    written to ``<out_dir>/<loop id>.csv``.  Leaving the context waits for
+    the files; see :class:`_csvwriter.Writer` for what a failure leaves
+    behind.  The files equal :func:`emit_csv`'s byte for byte: both cut
+    the same blocks and format them alike.
+    """
+
+    def __init__(self, loops: list, out_dir):
+        super().__init__([(os.path.join(out_dir, f"{rt.model.id}.csv"),
+                           ",".join(_csv_header(rt, rt.trace)) + "\n")
+                          for rt in loops])
+
+    def on_block(self, i: int, rt) -> None:
+        """Hand over the block of loop ``i``'s trace that its last row ends."""
+        lo = (rt.rows - 1) // _CSV_BLOCK * _CSV_BLOCK
+        row, n, values = _csv_block(_trace_columns(rt.trace, lo, rt.rows))
+        self.block(i, row, n, values.tobytes())
 
 
 def every_tick_shadow(result: SimResult) -> dict:

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -353,3 +355,71 @@ def test_bounds_json_writes_an_overflowed_bound_as_null(tmp_path):
                        parse_constant=refuse)["outer"]
     assert None in entry["bound_past_t_max"]
     assert None in entry["gap_bound_half_second_in"]
+
+
+def _outer_controller_raises(monkeypatch, exc, at: float = 12.0) -> None:
+    """Each built system's outer controller raises ``exc`` from ``at`` s."""
+    build = cfgmod.build_system
+
+    def build_failing(cfg):
+        loops = build(cfg)
+        control = loops[0].controller
+
+        def failing(x_hat, t):
+            if t >= at:
+                raise exc
+            return control(x_hat, t)
+
+        loops[0].controller = failing
+        return loops
+
+    monkeypatch.setattr(cfgmod, "build_system", build_failing)
+
+
+@pytest.mark.parametrize("case", ["finishes", "safe-stop", "raises",
+                                  "interrupted", "unwritable", "no-part"])
+def test_a_run_leaves_no_writer_behind(tmp_path, monkeypatch, capsys, case):
+    """A 20 s ``run`` that finishes, safe-stops, raises at 12 s (after the
+    motor loops' first blocks), is interrupted there, cannot rename to
+    ``inner-1.csv`` or cannot open ``outer.csv.part`` has reaped its
+    writer process and ended its feeder thread when ``cli.main`` returns
+    or raises, and leaves no ``.part`` file; one that fails part-way
+    leaves no CSV at all."""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, horizon=20.0, out_dir=str(out),
+                     **({"t_max": 0.5} if case == "safe-stop" else {}))
+    if case == "raises":
+        _outer_controller_raises(monkeypatch, RuntimeError("controller"))
+    elif case == "interrupted":
+        _outer_controller_raises(monkeypatch, KeyboardInterrupt())
+    elif case == "unwritable":
+        (out / "inner-1.csv").mkdir(parents=True)
+    elif case == "no-part":
+        (out / "outer.csv.part").mkdir(parents=True)
+    procs, popen = [], subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        procs.append(popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    threads = set(threading.enumerate())
+    try:
+        code = cli.main(["run", path])
+    except KeyboardInterrupt:
+        code = "interrupted"
+    assert [p.returncode is not None for p in procs] == [True]
+    assert set(threading.enumerate()) <= threads
+    assert not [p for p in out.glob("*.part") if p.is_file()]
+    want = {"finishes": 0, "safe-stop": 3, "raises": 2,
+            "interrupted": "interrupted", "unwritable": 2, "no-part": 2}[case]
+    assert code == want
+    csvs = sorted(p.name for p in out.glob("*.csv") if p.is_file())
+    if case in ("raises", "interrupted"):
+        assert not csvs
+    elif case in ("unwritable", "no-part"):
+        err = capsys.readouterr().err
+        assert err.startswith("error: failed writing trace CSV ")
+        assert ("outer.csv" if case == "no-part" else "inner-1.csv") in err
+    else:
+        assert csvs == sorted(f"{sid}.csv" for sid in cfgmod.SUBSYSTEMS)

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
@@ -334,23 +336,34 @@ def test_the_store_holds_as_much_at_any_horizon():
     assert held[1] < 500
 
 
-def test_a_run_row_holds_only_what_varies():
-    """The periodic-burst schedule over 120 s peaks at under 185 traced
-    bytes per loop row: a column no tick writes is one shared read-only
-    row, and noise is drawn a block at a time.  With bounds, ``rsee_bound``
-    is a column of its own, which recovering ticks write."""
-    # a first run imports and caches what any run needs
-    sim.run_scenario(_long_periodic_config(10.0))
+def _traced_peak(horizon: float) -> tuple:
+    """The traced peak of a periodic-burst run over ``horizon`` seconds,
+    and the run."""
     tracemalloc.start()
     try:
-        res = sim.run_scenario(_long_periodic_config(120.0))
-        peak = tracemalloc.get_traced_memory()[1]
+        res = sim.run_scenario(_long_periodic_config(horizon))
+        return tracemalloc.get_traced_memory()[1], res
     finally:
         tracemalloc.stop()
-    rows = sum(len(tr["t"]) for tr in res.traces.values())
-    # 194.8 B with both columns dense and the noise drawn for the whole run;
-    # 147.0 B with shared rows and blocks (Python 3.11.7, numpy 2.4.6)
-    assert peak / rows <= 185
+
+
+def test_a_run_row_holds_only_what_varies(monkeypatch):
+    """The periodic-burst schedule's traced peak grows by at most 135
+    bytes per loop row between 10 s and 30 s: a column no tick writes is
+    one shared read-only row, and noise is drawn a block at a time.  With
+    bounds, ``rsee_bound`` is a column of its own, which recovering ticks
+    write."""
+    # 256-row noise blocks are as full at 10 s as at 30 s, so only what
+    # grows with the rows differs; the blocks never change a run
+    monkeypatch.setattr(sim, "_NOISE_BLOCK", 256)
+    # the untraced run imports and caches what runs over 10 s need
+    sim.run_scenario(_long_periodic_config(10.0))
+    (short, res_short), (peak, res) = _traced_peak(10.0), _traced_peak(30.0)
+    rows = [sum(len(tr["t"]) for tr in r.traces.values())
+            for r in (res_short, res)]
+    # 125-127 B with shared rows and noise blocks, 142 B with a dense
+    # ee_bound (Python 3.11.7, numpy 2.4.6)
+    assert (peak - short) / (rows[1] - rows[0]) <= 135
     for tr in res.traces.values():
         for name in ("ee_bound", "rsee_bound"):
             assert not tr[name].flags.writeable, name
@@ -1139,3 +1152,40 @@ def test_noise_block_boundaries_are_invisible(tmp_path_factory, cfg):
         for sid, shadow in shadows.items():
             np.testing.assert_array_equal(shadow, want_shadows[sid],
                                           err_msg=f"{sid}, block {block}")
+
+
+# horizons whose motor loops end 1 row short of a CSV block, on one, 1 row
+# past one, and on two
+_BLOCK_EDGES = [cfgmod.build_case_study(seed=5, horizon=rows / 100)
+                for rows in (1023, 1024, 1025, 2048)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=_cutting_default())
+@example(cfg=_BLOCK_EDGES[0])
+@example(cfg=_BLOCK_EDGES[1])
+@example(cfg=_BLOCK_EDGES[2])
+@example(cfg=_BLOCK_EDGES[3])
+@example(cfg=cfgmod.build_case_study(**CSV_CONFIGS["safe-stop"]))
+@example(cfg=cfgmod.build_case_study(**CSV_CONFIGS["bounds"]))
+@example(cfg=cfgmod.build_case_study(**CSV_CONFIGS["generic"]))
+@example(cfg=cfgmod.build_case_study(**CSV_CONFIGS["coupled"]))
+def test_streamed_csvs_equal_emit_csv(tmp_path_factory, cfg):
+    """``cpsrecover run``, whose writer process formats each block while
+    the run goes on, writes the bytes ``emit_csv`` writes after the run,
+    and nothing else: around block edges, on a run that stops mid-block,
+    with a dense ``rsee_bound``, a generic detector and a coupled plant."""
+    try:
+        cfgmod.validate_config(cfg)
+    except ConfigError:
+        return
+    out = tmp_path_factory.mktemp("stream")
+    path = out / "scenario.json"
+    cfgmod.save_config(cfg, path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", str(path), "--out-dir", str(out / "run")])
+    res = sim.run_scenario(cfg)
+    assert code == (3 if res.safe_stop else 0)
+    want = {Path(p).name: Path(p).read_bytes()
+            for p in sim.emit_csv(res, out / "emit")}
+    assert {p.name: p.read_bytes() for p in (out / "run").iterdir()} == want
