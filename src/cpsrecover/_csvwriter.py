@@ -38,10 +38,11 @@ class Writer:
     through a child process, one :meth:`block` at a time.
 
     A daemon feeder thread writes the frames to the child's stdin, so
-    :meth:`block` never waits on the pipe.  Leaving the context without an
-    exception ends every file and waits for the child's renames; a child
-    that failed then raises ``OSError`` naming the file.  Leaving it on an
-    exception kills the child.  After an exception or a failure the
+    :meth:`block` never waits on the pipe.  A child that failed makes the
+    next :meth:`block` raise ``OSError`` naming the file, and so does
+    leaving the context without an exception, which otherwise ends every
+    file and waits for the child's renames.  Leaving it on an exception
+    kills the child.  After an exception or a failure the
     ``.part`` files are removed, and in every case no process, thread or
     pipe outlives the context.
     """
@@ -77,7 +78,15 @@ class Writer:
     def block(self, fid: int, row: str, n: int, values: bytes) -> None:
         """Append ``n`` rows of template ``row`` to file ``fid``, filled
         from ``values``, native float64s."""
+        if self._proc.poll() is not None:   # the child stopped before the end
+            raise self._failure(self._proc.stderr.read())
         self._frames.put(_frame(b"b", fid, n, row, values))
+
+    def _failure(self, stderr: bytes) -> OSError:
+        """The error of a child that exited, from what it wrote to stderr."""
+        err = stderr.decode(errors="replace").strip()
+        code = self._proc.returncode
+        return OSError(err or f"trace CSV writer exited {code}")
 
     def __enter__(self):
         return self
@@ -91,14 +100,14 @@ class Writer:
         self._frames.put(None)
         self._feeder.join()
         # closes stdin, however the child ended, and reads stderr to its end
-        err = proc.communicate()[1].decode(errors="replace").strip()
+        err = proc.communicate()[1]
         if exc_type is not None or proc.returncode:
             for path in self._paths:
                 # absent, or a directory the child could not replace
                 with contextlib.suppress(OSError):
                     os.remove(path + ".part")
         if exc_type is None and proc.returncode:
-            raise OSError(err or f"trace CSV writer exited {proc.returncode}")
+            raise self._failure(err)
 
 
 def _main() -> None:

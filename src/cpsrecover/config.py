@@ -12,8 +12,9 @@ A scenario is a plain JSON-compatible dict.  Top-level keys:
                        velocity) or "coupled" (driven by the velocity
                        reconstructed from the motor speeds)
 ``robot``              physical/controller parameter overrides
-``noise``              per-loop noise standard deviations
-``init``               initial state means per loop
+``noise``              per-level noise standard deviations
+                       ``<level>_q_std`` and ``<level>_r_std``
+``init``               initial state means per level
 ``anomalies``          per-loop anomaly windows
                        ``{t_start, t_end, y_a, gamma}``
 ``ads``                per-loop detector config
@@ -29,6 +30,12 @@ values, and ``ads`` merges loop by loop: an ``ads.<loop>`` entry replaces
 that loop's entry as a whole, and a field it leaves out takes the
 ``AdsConfig`` default, so ``{"kind": "generic"}`` alone gets a
 ``detection_time`` of 0, not the case study's 0.25.
+
+The loops and levels are those :data:`robot.LOOPS` and
+:data:`robot.LEVELS` list when a function is called: a loop's id keys its
+``anomalies``, ``ads`` and ``bounds``, and a level, which its loops share,
+names its ``robot`` rate, its ``noise`` and its ``init``.  This module
+names no loop.
 
 :func:`build_system` turns a resolved scenario into the loops of one run,
 for :func:`cpsrecover.sim.run_loops`; :func:`build_models` and
@@ -53,12 +60,12 @@ from .estimator import EstimatorState
 from .framework import SubsystemRuntime
 from .timebase import US_PER_S, base_resolution_us, to_us
 
-SUBSYSTEMS = tuple(robot.LOOPS)
+SUBSYSTEMS = tuple(robot.LOOPS)     # robot's loops at import, in fire order
 # a run allocates each loop's rows before its first tick: its trace
-# columns, anomaly window index and detection flags take 117 bytes per row
-# of a motor loop (about 1.2 GB for 10**7 rows) and 190 per row of the pose
-# loop, 16 and 24 more with bounds; noise and the window list the ticks
-# read come a block of ``sim._NOISE_BLOCK`` rows at a time
+# columns and detection flags take 109 bytes per row of a motor loop (about
+# 1.1 GB for 10**7 rows) and 182 per row of the pose loop, 16 and 24 more
+# with bounds; noise and anomaly windows come a block of ``sim._BLOCK``
+# rows at a time
 MAX_TRACE_ROWS = 10_000_000
 
 
@@ -69,8 +76,12 @@ class ConfigError(ValueError):
 def default_config() -> dict:
     """The ground-robot case study: 10 s horizon, 1 Hz checkpointing,
     additive bursts on the outer position sensors and both encoders in
-    [3.25, 5) and [8.25, 10) with a 0.25 s detection delay."""
-    anomaly_windows = [[3.25, 5.0], [8.25, 10.0]]
+    [3.25, 5) and [8.25, 10) with a 0.25 s detection delay, for every loop
+    :data:`robot.LEVELS` lists."""
+    # each level's offsets y_a in [3.25, 5) and in [8.25, 10), and the
+    # sensors gamma they hit; every loop gets lists of its own
+    bursts = {"outer": ([5.0, 5.0, 0.0], [-5.0, -5.0, 0.0], [1, 1, 0]),
+              "inner": ([20000.0], [-20000.0], [1])}
     return {
         "horizon": 10.0,
         "seed": 0,
@@ -90,26 +101,17 @@ def default_config() -> dict:
             "inner": [0.0, 40.0],
         },
         "anomalies": {
-            robot.OUTER: [
-                {"t_start": a, "t_end": b, "y_a": [5.0, 5.0, 0.0] if a < 8 else [-5.0, -5.0, 0.0],
-                 "gamma": [1, 1, 0]}
-                for a, b in anomaly_windows
-            ],
-            robot.INNER_1: [
-                {"t_start": a, "t_end": b, "y_a": [20000.0] if a < 8 else [-20000.0],
-                 "gamma": [1]}
-                for a, b in anomaly_windows
-            ],
-            robot.INNER_2: [
-                {"t_start": a, "t_end": b, "y_a": [20000.0] if a < 8 else [-20000.0],
-                 "gamma": [1]}
-                for a, b in anomaly_windows
-            ],
+            sid: [{"t_start": a, "t_end": b, "y_a": list(y_a),
+                   "gamma": list(gamma)}
+                  for (a, b), y_a in zip(((3.25, 5.0), (8.25, 10.0)),
+                                         (first, second))]
+            for level, (first, second, gamma) in bursts.items()
+            for sid in robot.LEVELS[level]
         },
         "ads": {
             sid: {"kind": "specific", "mode": "oracle",
                   "detection_time": 0.25, "threshold": 0.0}
-            for sid in SUBSYSTEMS
+            for sid in robot.LOOPS
         },
         "bounds": {},
     }
@@ -158,15 +160,17 @@ def validate_config(cfg: dict) -> dict:
         if k not in defaults:
             errors.append(f"unknown key {k!r}")
     params = _check_robot(cfg["robot"], errors)
-    dt_o = 1.0 / params.outer_rate
-    dt_i = 1.0 / params.inner_rate
-    base = base_resolution_us([dt_o, dt_i])
+    # each level's loop period, under the name of its first loop
+    periods = {sids[0]: 1.0 / getattr(params, f"{level}_rate")
+               for level, sids in robot.LEVELS.items()}
+    base = base_resolution_us(periods.values())
     horizon = cfg["horizon"]
     if not _seconds(horizon) or horizon <= 0:
         errors.append("horizon must be a positive number of seconds")
     elif to_us(horizon) % base != 0:
         errors.append("horizon must be a multiple of the base tick")
-    elif -(-to_us(horizon) // min(to_us(dt_o), to_us(dt_i))) > MAX_TRACE_ROWS:
+    elif (-(-to_us(horizon) // min(map(to_us, periods.values())))
+          > MAX_TRACE_ROWS):
         errors.append(f"horizon {horizon} s needs more than the cap of "
                       f"{MAX_TRACE_ROWS} trace rows per loop")
     seed = cfg["seed"]
@@ -179,7 +183,7 @@ def validate_config(cfg: dict) -> dict:
         errors.append("checkpoint_freq_hz must be a frequency whose period "
                       "is at least 1 microsecond")
     else:
-        for name, dt in ((robot.OUTER, dt_o), (robot.INNER_1, dt_i)):
+        for name, dt in periods.items():
             if period_us % to_us(dt) != 0:
                 errors.append(
                     f"checkpoint period 1/{mu} Hz is not a multiple of the "
@@ -201,24 +205,24 @@ def validate_config(cfg: dict) -> dict:
                               "variance, overflows a float")
     init = cfg["init"]
     if _check_keys(init, "init", defaults["init"], errors):
-        for k, sid in (("outer", robot.OUTER), ("inner", robot.INNER_1)):
-            n_x = len(robot.LOOPS[sid].state)
-            if k in init and not _vector(init[k], n_x):
-                errors.append(f"init.{k} must be a list of {n_x} numbers")
+        for level, sids in robot.LEVELS.items():
+            n_x = len(robot.LOOPS[sids[0]].state)
+            if level in init and not _vector(init[level], n_x):
+                errors.append(f"init.{level} must be a list of {n_x} numbers")
     anomalies = cfg["anomalies"]
-    if _check_keys(anomalies, "anomalies", SUBSYSTEMS, errors, "loop id"):
+    if _check_keys(anomalies, "anomalies", robot.LOOPS, errors, "loop id"):
         for sid, windows in anomalies.items():
-            if sid in SUBSYSTEMS:
+            if sid in robot.LOOPS:
                 _check_windows(sid, windows, errors)
     ads = cfg["ads"]
-    if _check_keys(ads, "ads", SUBSYSTEMS, errors, "loop id"):
+    if _check_keys(ads, "ads", robot.LOOPS, errors, "loop id"):
         for sid, spec in ads.items():
-            if sid in SUBSYSTEMS:
+            if sid in robot.LOOPS:
                 _check_ads(sid, spec, base, errors)
     bounds = cfg["bounds"]
-    if _check_keys(bounds, "bounds", SUBSYSTEMS, errors, "loop id"):
+    if _check_keys(bounds, "bounds", robot.LOOPS, errors, "loop id"):
         for sid, spec in bounds.items():
-            if sid in SUBSYSTEMS:
+            if sid in robot.LOOPS:
                 _check_bounds(sid, spec, errors)
                 _check_bounded_windows(sid, anomalies, errors)
     if errors:
@@ -293,7 +297,7 @@ def _check_robot(spec, errors: list) -> robot.RobotParams:
     # a loop ticks every to_us(period) microseconds while its model steps
     # by the period itself, so the two must agree
     n_errors = len(errors)
-    for name in ("outer_rate", "inner_rate"):
+    for name in (f"{level}_rate" for level in robot.LEVELS):
         rate = getattr(params, name)
         period = US_PER_S / rate if _period_us(rate) else None
         if period is None:
@@ -402,30 +406,12 @@ def _schedule_from(windows) -> AnomalySchedule:
 
 
 def build_models(cfg: dict):
-    """Instantiate the three sub-system models from a resolved scenario."""
+    """The robot parameters and each loop's model, in fire order, from a
+    resolved scenario: ``(params, {loop id: model})``."""
     params = robot.RobotParams(**cfg["robot"])
-    noise, init = cfg["noise"], cfg["init"]
-    dt_o = 1.0 / params.outer_rate
-    dt_i = 1.0 / params.inner_rate
-
-    q_o = noise["outer_q_std"] ** 2 * np.eye(3)
-    r_o = noise["outer_r_std"] ** 2 * np.eye(3)
-    q_i = noise["inner_q_std"] ** 2 * np.eye(2)
-    r_i = np.array([[noise["inner_r_std"] ** 2]])
-
-    mu0_o = np.asarray(init["outer"], float)
-    mu0_i = np.asarray(init["inner"], float)
-    models = {
-        robot.OUTER: robot.bicycle_model(dt_o, q_o, r_o, mu0=mu0_o,
-                                         Sigma0=np.zeros((3, 3))),
-        robot.INNER_1: robot.dc_motor_model(robot.INNER_1, dt_i, params, q_i,
-                                            r_i, mu0=mu0_i,
-                                            Sigma0=np.zeros((2, 2))),
-        robot.INNER_2: robot.dc_motor_model(robot.INNER_2, dt_i, params, q_i,
-                                            r_i, mu0=mu0_i,
-                                            Sigma0=np.zeros((2, 2))),
-    }
-    return params, models
+    return params, {sid: robot.build_model(sid, params, cfg["noise"],
+                                           cfg["init"])
+                    for sid in robot.LOOPS}
 
 
 def build_bound_params(cfg: dict, models) -> dict:

@@ -127,15 +127,15 @@ class SubsystemRuntime:
     """Mutable per-loop state threaded through the tick function.
 
     The loop ticks at ``0, dt, 2 dt, ...``; ``rows`` counts its ticks so
-    far, so it is the row the next tick reads and writes.  ``window``
-    holds each of ``ticks`` rows' anomaly window, an index into
-    ``schedule.windows``, or -1.  ``flags`` and ``detected`` (0/1)
-    resolve the detector for each row; residual-threshold ticks fill their
-    own rows.  ``trace`` holds the loop's trace columns, ``flags`` among
-    them as ``ads_flags``, and each tick writes its row; ``columns`` names
-    the columns of a state, sensor and input.  No tick writes ``ee_bound``,
-    nor ``rsee_bound`` without ``bounds``: each is one shared read-only row
-    (``np.broadcast_to``, row stride 0), so it costs no memory per row.
+    far, so it is the row the next tick reads and writes.  ``flags`` and
+    ``detected`` (0/1) resolve the detector for each of ``ticks`` rows;
+    residual-threshold ticks fill their own rows; the scheduler resolves
+    ``schedule``'s windows a block of rows at a time.  ``trace`` holds the
+    loop's trace columns, ``flags`` among them as ``ads_flags``, and each
+    tick writes its row; ``columns`` names the columns of a state, sensor
+    and input.  No tick writes ``ee_bound``, nor ``rsee_bound`` without
+    ``bounds``: each is one shared read-only row (``np.broadcast_to``, row
+    stride 0), so it costs no memory per row.
     ``logged_u`` holds each row's logged input: the ``u`` column itself,
     or, where ``applied_input`` is set, an array of its own, NaN until a
     tick logs its row.  The scheduler steps the plant and keeps its state in
@@ -162,7 +162,6 @@ class SubsystemRuntime:
     # the recent innovations a residual-threshold detector averages; an
     # oracle detector reads none, so it keeps None
     innovations: deque | None = field(init=False, default=None)
-    window: np.ndarray = field(init=False, repr=False)
     flags: np.ndarray = field(init=False, repr=False)
     detected: bytearray = field(init=False, repr=False)
     trace: dict = field(init=False, repr=False)
@@ -175,7 +174,6 @@ class SubsystemRuntime:
         if self.x_true is None:
             self.x_true = np.asarray(self.model.mu0, float)
         t_us = np.arange(self.ticks) * to_us(self.model.dt)
-        self.window = self.schedule.window_index(t_us, 0)
         self.flags = oracle_flags(self.ads, self.schedule, t_us,
                                   self.model.n_y)
         if self.ads.mode == "residual-threshold":

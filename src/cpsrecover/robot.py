@@ -3,13 +3,16 @@
 A two-level hierarchy: an outer trajectory loop with bicycle-model
 kinematics and a dynamic-inversion controller, feeding wheel-speed
 references to two inner DC-motor loops with PID controllers.  All default
-parameters are exposed through :class:`RobotParams`; the scenario builder
-in :mod:`cpsrecover.config` uses them to assemble the full configuration.
+parameters are exposed through :class:`RobotParams`.
 
 The module is the one description of the case study's loops: :data:`LOOPS`
-names each loop, in fire order, with its trace columns, :data:`LINEAR`
-names the linear loops, and :func:`make_controllers` wires the loops'
-controllers together.  The simulator runs whatever loops it is given.
+names each loop, in fire order, with its trace columns, :data:`LEVELS`
+groups them into the hierarchy's levels, whose parameters, noise and
+initial mean a level's loops share, :data:`LINEAR` names the linear loops,
+:func:`build_model` builds a loop's model and :func:`make_controllers`
+wires the loops' controllers together.  :mod:`cpsrecover.config`
+validates, defaults and builds whatever loops these list, and the
+simulator runs whatever loops it is given.
 
 The continuous-time dynamics are discretized with an explicit Euler step.
 The outer loop runs at 10 Hz, the inner loops at 100 Hz.  The models and
@@ -54,8 +57,12 @@ LOOPS = {
     INNER_1: Columns(("i", "w"), ("w",), ("V",)),
     INNER_2: Columns(("i", "w"), ("w",), ("V",)),
 }
+# each level's loops, in fire order.  A level names the RobotParams rate
+# ``<level>_rate``, the noise stds ``<level>_q_std`` and ``<level>_r_std``,
+# and the ``init`` mean ``<level>`` that its loops share
+LEVELS = {"outer": (OUTER,), "inner": (INNER_1, INNER_2)}
 # the loops whose models are linear
-LINEAR = (INNER_1, INNER_2)
+LINEAR = LEVELS["inner"]
 
 
 @dataclass
@@ -173,6 +180,22 @@ def dc_motor_model(motor_id: str, dt: float, params: RobotParams,
         jac_C=lambda x, u: C,
         Q=np.asarray(Q, float), R=np.atleast_2d(np.asarray(R, float)), dt=dt,
         mu0=mu0, Sigma0=Sigma0)
+
+
+def build_model(sid: str, params: RobotParams, noise: dict,
+                init: dict) -> SubsystemModel:
+    """Loop ``sid``'s model, from its level's rate in ``params``, noise
+    stds in ``noise`` and mean in ``init``, with a zero initial
+    covariance."""
+    level = next(lv for lv, sids in LEVELS.items() if sid in sids)
+    n_x, n_y = len(LOOPS[sid].state), len(LOOPS[sid].meas)
+    dt = 1.0 / getattr(params, f"{level}_rate")
+    Q = noise[f"{level}_q_std"] ** 2 * np.eye(n_x)
+    R = noise[f"{level}_r_std"] ** 2 * np.eye(n_y)
+    mu0, Sigma0 = np.asarray(init[level], float), np.zeros((n_x, n_x))
+    if sid == OUTER:
+        return bicycle_model(dt, Q, R, mu0=mu0, Sigma0=Sigma0)
+    return dc_motor_model(sid, dt, params, Q, R, mu0=mu0, Sigma0=Sigma0)
 
 
 def reference_trajectory(t: float, position, prev_heading: float = 0.0):

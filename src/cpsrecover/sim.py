@@ -17,16 +17,20 @@ between loops pass through their controllers.  All randomness flows from
 one master seed through per-(loop, noise kind) child streams, spawned in
 loop order, so a loop appended after the others never perturbs another
 loop's draws and identical (config, seed) pairs yield byte-identical CSVs.
-A loop draws its noise a block of ``_NOISE_BLOCK`` rows at a time, one
-call per stream per block, and a tick reads its row of the block.  A
-block equals as many one-row draws, bit for bit, so the block size never
-changes a run; it bounds the memory a run's noise takes.
 
-A trace CSV is written a block of ``_CSV_BLOCK`` rows at a time, either
-after the run by :func:`emit_csv` or, during it, by a :class:`CsvStream`
-whose writer process formats each block the run hands over through
-``run_loops``'s ``on_block`` hook.  Both cut the same blocks and format
-them through :func:`_csvwriter.format_block`, so they write the same bytes.
+A loop runs a block of ``_BLOCK`` rows at a time.  When it starts a
+block, the scheduler hands the finished block to ``run_loops``'s
+``on_block`` hook, draws the block's noise, one call per stream, and
+resolves the anomaly window of each of its ticks; a tick reads its row of
+each.  A block of noise equals as many one-row draws, bit for bit, so the
+block size never changes a run; it bounds the memory the noise and the
+windows take.
+
+A trace CSV is written a block of ``_BLOCK`` rows at a time, either after
+the run by :func:`emit_csv` or, during it, by a :class:`CsvStream` whose
+writer process formats each block the run hands over through
+``on_block``.  Both cut the same blocks and format them through
+:func:`_csvwriter.format_block`, so they write the same bytes.
 """
 
 from __future__ import annotations
@@ -47,8 +51,11 @@ from .timebase import to_s, to_us
 
 # fixed stream-split order; adding streams at the end preserves old draws
 _STREAMS = ("process", "measurement", "init")
-# rows of noise, and of anomaly window indices, a loop holds at a time
-_NOISE_BLOCK = 4096
+# rows of noise and of anomaly windows a loop holds at a time, and rows of
+# a trace CSV formatted and written at a time; the writer formats each
+# loop's last block after the last tick, so a larger block makes a run
+# wait longer for its files
+_BLOCK = 1024
 
 
 def make_rngs(seed: int, loop_ids: list) -> dict:
@@ -111,15 +118,15 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
     At each checkpoint instant that has a consistent checkpoint ``k1``
     the store drops its records older than ``k1``.  When the run ends each
     runtime keeps what a finished run is read for, its model, columns,
-    detector, schedule, bounds, trace and logged inputs; its
-    ``window``, ``detected``, ``innovations``, ``episode``, ``controller``
-    and ``applied_input`` are set to None.
+    detector, schedule, bounds, trace and logged inputs; its ``detected``,
+    ``innovations``, ``episode``, ``controller`` and ``applied_input`` are
+    set to None.
 
-    With ``on_block``, each tick that fills a ``_CSV_BLOCK``-row block of
-    loop ``i``'s trace calls ``on_block(i, rt)`` when it returns: every row
-    below ``rt.rows`` is then final, the row of a stopping tick included.
-    When the ticks end, the run calls it once more for each loop whose
-    last block is partial, so it sees each block once, in order.
+    With ``on_block``, a loop ``i`` that starts a ``_BLOCK``-row block of
+    its trace first calls ``on_block(i, rt)`` for the block it finished,
+    and when the ticks end the run calls it for each loop's last block,
+    full or partial: every row below ``rt.rows`` is then final, the row of
+    a stopping tick included, and it sees each block once, in order.
     :class:`CsvStream` writes the trace CSVs from these calls."""
     rngs = make_rngs(seed, [rt.model.id for rt in loops])
     store = SecureStore()
@@ -154,12 +161,15 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
         # estimator's predict step refer to the same instant
         lo, w, v, window = blocks[i]
         n = rt.rows - lo
-        if n == len(w):     # the block is used up: draw the next one
+        if n == len(w):     # the block is used up: hand it over, go on
+            if on_block is not None and n:
+                on_block(i, rt)
             lo, n, sid = rt.rows, 0, model.id
-            rows = min(_NOISE_BLOCK, rt.ticks - lo)
+            rows = min(_BLOCK, rt.ticks - lo)
             w = sample_noise(model.Q_factor, rngs[(sid, "process")], rows)
             v = sample_noise(model.R_factor, rngs[(sid, "measurement")], rows)
-            window = rt.window[lo:lo + rows].tolist()
+            window = rt.schedule.window_index(
+                np.arange(lo, lo + rows) * to_us(model.dt), 0).tolist()
             blocks[i] = lo, w, v, window
         rt.x_true = model.f(rt.x_true, rt.last_u) + w[n]
         y = model.g(rt.x_true, rt.last_u) + v[n]
@@ -170,8 +180,6 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
             reason = "anomaly duration exceeded maximum tolerable duration"
         except UnrecoverableError as exc:
             stop, reason = True, f"unrecoverable: {exc}"
-        if on_block is not None and rt.rows % _CSV_BLOCK == 0:
-            on_block(i, rt)
         if stop:     # no episode opens on a tick that finds no checkpoint
             ep = rt.episode
             events.append({"type": "safe-stop", "subsystem": model.id, "t": t,
@@ -180,10 +188,10 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
             break
 
     for i, rt in enumerate(loops):
-        if on_block is not None and rt.rows % _CSV_BLOCK:   # a partial block
+        if on_block is not None and rt.rows > blocks[i][0]:   # its last block
             on_block(i, rt)
         # release what only the ticks read
-        rt.window = rt.detected = rt.innovations = rt.episode = None
+        rt.detected = rt.innovations = rt.episode = None
         rt.controller = rt.applied_input = None
     return SimResult({rt.model.id: {name: col[:rt.rows]
                                     for name, col in rt.trace.items()}
@@ -191,7 +199,6 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
                      store, events, bool(events), loops)
 
 
-_CSV_BLOCK = 1024     # rows formatted and written at a time
 # the trace columns a CSV holds, in its column order
 _CSV_COLUMNS = ("t", "x_true", "y_meas", "x_hat", "x_rf", "recovered", "u",
                 "ads_flags", "ckpt_event", "rsee_bound", "ee_bound",
@@ -205,13 +212,13 @@ def write_csv(path, header: list, columns: list) -> None:
     A float is written in Python's shortest round-trip repr, so re-parsing
     reproduces it bit-exactly and identical tables yield byte-identical
     files; a Boolean or an integer as an integer; NaN as an empty field.
-    Each block of ``_CSV_BLOCK`` rows is one :func:`_csv_block` formatted
+    Each block of ``_BLOCK`` rows is one :func:`_csv_block` formatted
     by :func:`_csvwriter.format_block`, as a :class:`CsvStream`'s are.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            row, n, values = _csv_block([c[lo:lo + _CSV_BLOCK]
+        for lo in range(0, len(columns[0]), _BLOCK):
+            row, n, values = _csv_block([c[lo:lo + _BLOCK]
                                          for c in columns])
             fh.write(_csvwriter.format_block(row, n, values.tolist()))
 
@@ -282,7 +289,7 @@ class CsvStream(_csvwriter.Writer):
     process in ``out_dir`` while :func:`run_loops` runs them.
 
     Pass :meth:`on_block` as ``run_loops``'s ``on_block``; it hands over
-    each block of ``_CSV_BLOCK`` rows, or fewer at a trace's end, to be
+    each block of ``_BLOCK`` rows, or fewer at a trace's end, to be
     written to ``<out_dir>/<loop id>.csv``.  Leaving the context waits for
     the files; see :class:`_csvwriter.Writer` for what a failure leaves
     behind.  The files equal :func:`emit_csv`'s byte for byte: both cut
@@ -296,7 +303,7 @@ class CsvStream(_csvwriter.Writer):
 
     def on_block(self, i: int, rt) -> None:
         """Hand over the block of loop ``i``'s trace that its last row ends."""
-        lo = (rt.rows - 1) // _CSV_BLOCK * _CSV_BLOCK
+        lo = (rt.rows - 1) // _BLOCK * _BLOCK
         row, n, values = _csv_block(_trace_columns(rt.trace, lo, rt.rows))
         self.block(i, row, n, values.tobytes())
 

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import re
+import struct
 import subprocess
 import threading
 from types import SimpleNamespace
@@ -9,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cpsrecover import cli, sim
+from cpsrecover import _csvwriter, cli, sim
 from cpsrecover import config as cfgmod
 from helpers import UNRECOVERABLE
 
@@ -423,3 +425,50 @@ def test_a_run_leaves_no_writer_behind(tmp_path, monkeypatch, capsys, case):
         assert ("outer.csv" if case == "no-part" else "inner-1.csv") in err
     else:
         assert csvs == sorted(f"{sid}.csv" for sid in cfgmod.SUBSYSTEMS)
+
+
+def test_a_block_after_the_writer_failed_raises(tmp_path):
+    """A hand-off after the writer process exited raises the ``OSError``
+    that leaving the context would raise, naming the file; the context
+    still reaps the child and ends its feeder thread."""
+    path = str(tmp_path / "outer.csv")
+    os.mkdir(path + ".part")
+    past_block = []
+    with pytest.raises(OSError, match=re.escape(path)):
+        with _csvwriter.Writer([(path, "x\n")]) as writer:
+            writer._proc.wait(timeout=60)     # it fails on its first frame
+            writer.block(0, "%r\n", 1, struct.pack("d", 1.0))
+            past_block.append(True)
+    assert not past_block
+    assert writer._proc.returncode == 1
+    assert not writer._feeder.is_alive()
+    assert not [p for p in tmp_path.glob("*.part") if p.is_file()]
+
+
+def test_a_run_stops_at_the_first_block_after_its_writer_failed(
+        tmp_path, monkeypatch, capsys):
+    """A writer process that cannot open ``outer.csv.part`` stops a 20 s
+    ``run`` at its first hand-off, which exits 2 naming the file and
+    leaves no process, thread or file behind."""
+    out = tmp_path / "out"
+    (out / "outer.csv.part").mkdir(parents=True)
+    path = write_cfg(tmp_path, horizon=20.0, out_dir=str(out))
+    writers, block = [], _csvwriter.Writer.block
+
+    def block_once_the_child_failed(self, *args):
+        if not writers:
+            self._proc.wait(timeout=60)
+        writers.append(self)
+        return block(self, *args)
+
+    monkeypatch.setattr(_csvwriter.Writer, "block",
+                        block_once_the_child_failed)
+    threads = set(threading.enumerate())
+    assert cli.main(["run", path]) == 2
+    assert len(writers) == 1
+    assert writers[0]._proc.returncode == 1
+    assert set(threading.enumerate()) <= threads
+    err = capsys.readouterr().err
+    assert err.startswith("error: failed writing trace CSV ")
+    assert "outer.csv" in err
+    assert not [p for p in out.iterdir() if p.is_file()]

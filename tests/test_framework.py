@@ -198,10 +198,11 @@ _edges_us = st.lists(st.integers(-300_000, 2_000_000), unique=True,
          kind="specific", data=None)
 def test_resolved_schedule_equals_the_per_tick_reference(
         edges, n_y, dt_us, detection_us, kind, data):
-    """On every tick a runtime's resolved window, the measurement it
-    offsets, its flag row and ``detected`` equal the per-tick reference
-    window, injection and oracle, and so do ``oracle_flags`` of the tick
-    alone; a residual-threshold runtime starts with every row clear."""
+    """On every tick the window the scheduler resolves, the measurement
+    it offsets, a runtime's flag row and ``detected`` equal the per-tick
+    reference window, injection and oracle, and so do ``oracle_flags`` of
+    the tick alone; a residual-threshold runtime starts with every row
+    clear."""
     draw = data.draw if data else (lambda s: [1] * n_y)
     points = sorted(edges)
     windows = [AnomalyWindow(to_s(a), to_s(b), draw(st.lists(
@@ -219,10 +220,11 @@ def test_resolved_schedule_equals_the_per_tick_reference(
     rt = lti_runtime(model, detection_time=ads.detection_time,
                      schedule=sched, kind=kind, ticks=ticks)
     y = np.array([-0.0, 1.5, -2.25][:n_y])
-    assert rt.window.shape == (ticks,) and rt.window.dtype.kind == "i"
+    window = sched.window_index(np.arange(ticks) * dt_us, 0)
+    assert window.shape == (ticks,) and window.dtype.kind == "i"
     for n in range(ticks):
         t = to_s(n * dt_us)
-        j = rt.window[n]
+        j = window[n]
         w = sched.windows[j] if j >= 0 else None
         assert w is reference_active_window(sched, t)
         # the offset a run adds, as sim.run_loops computes it per window

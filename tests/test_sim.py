@@ -100,8 +100,8 @@ def test_a_finished_run_releases_its_tick_state():
                 cfgmod.build_case_study(**UNRECOVERABLE)):
         res = sim.run_scenario(cfg)
         for rt in res.loops:
-            for name in ("window", "detected", "innovations", "episode",
-                         "controller", "applied_input"):
+            for name in ("detected", "innovations", "episode", "controller",
+                         "applied_input"):
                 assert getattr(rt, name) is None, (rt.model.id, name)
             assert rt.trace["ads_flags"] is rt.flags
             assert rt.columns and rt.schedule is not None
@@ -355,7 +355,7 @@ def test_a_run_row_holds_only_what_varies(monkeypatch):
     write."""
     # 256-row noise blocks are as full at 10 s as at 30 s, so only what
     # grows with the rows differs; the blocks never change a run
-    monkeypatch.setattr(sim, "_NOISE_BLOCK", 256)
+    monkeypatch.setattr(sim, "_BLOCK", 256)
     # the untraced run imports and caches what runs over 10 s need
     sim.run_scenario(_long_periodic_config(10.0))
     (short, res_short), (peak, res) = _traced_peak(10.0), _traced_peak(30.0)
@@ -608,7 +608,7 @@ def _random_trace(rng, loop: str, rows: int, generic: bool,
                   palette: list) -> dict:
     """A trace of ``loop`` of random floats, a fifth of them from
     ``palette``, with NaN on a tenth of the rows of each float column and
-    on every row of some of its ``sim._CSV_BLOCK``-row blocks; a generic
+    on every row of some of its ``sim._BLOCK``-row blocks; a generic
     detector has one flag column."""
     sn, mn, un = robot.LOOPS[loop]
 
@@ -618,9 +618,9 @@ def _random_trace(rng, loop: str, rows: int, generic: bool,
         pick = rng.random(a.shape) < 0.2
         a[pick] = rng.choice(palette, int(pick.sum()))
         a[rng.random(a.shape) < 0.1] = np.nan
-        for lo in range(0, rows, sim._CSV_BLOCK):
+        for lo in range(0, rows, sim._BLOCK):
             blank = rng.random(a.shape[1:]) < 0.3
-            a[lo:lo + sim._CSV_BLOCK][..., blank] = np.nan
+            a[lo:lo + sim._BLOCK][..., blank] = np.nan
         return a
 
     n_x = len(sn)
@@ -939,6 +939,30 @@ def test_validate_builds_no_models(monkeypatch):
     cfgmod.validate_config(cfg)
 
 
+@pytest.mark.parametrize("seed", [42, 7])
+def test_config_validates_defaults_and_builds_the_loops_robot_lists(
+        tmp_path, monkeypatch, seed):
+    """With ``inner-2`` left out of ``robot``'s description, the default
+    config is valid, a run writes the other two loops' CSVs, and they equal
+    the three-loop run's byte for byte: ``config`` reads the description
+    when called, and a loop appended after the others changes none of
+    their draws."""
+    full = sim.emit_csv(sim.run_scenario(cfgmod.build_case_study(seed=seed)),
+                        tmp_path / "full")
+    monkeypatch.setattr(robot, "LOOPS", {sid: cols for sid, cols
+                                         in robot.LOOPS.items()
+                                         if sid != robot.INNER_2})
+    monkeypatch.setattr(robot, "LEVELS", {"outer": (robot.OUTER,),
+                                          "inner": (robot.INNER_1,)})
+    cfg = cfgmod.default_config()
+    cfgmod.validate_config(cfg)
+    cfg["seed"] = seed
+    paths = sim.emit_csv(sim.run_scenario(cfg), tmp_path / "two")
+    assert [Path(p).name for p in paths] == ["outer.csv", "inner-1.csv"]
+    for got, want in zip(paths, full):
+        assert Path(got).read_bytes() == Path(want).read_bytes(), got
+
+
 _json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(max_size=5),
@@ -1135,10 +1159,10 @@ def _run_outputs(cfg, out_dir) -> tuple:
 @example(cfg=_CUTTING)
 @example(cfg=cfgmod.build_case_study(**CSV_CONFIGS["safe-stop"]))
 def test_noise_block_boundaries_are_invisible(tmp_path_factory, cfg):
-    """Noise drawn 1, 7 or 64 rows at a time gives the run that one block
-    for the whole run gives: the same CSV bytes, store records, rebuilt
-    records and every-tick shadow, also on a coupled run that cuts its
-    store and on one that safe-stops mid-way."""
+    """Blocks of 1, 7 or 64 rows, of noise, anomaly windows and CSV rows,
+    give the run that the default block gives: the same CSV bytes, store
+    records, rebuilt records and every-tick shadow, also on a coupled run
+    that cuts its store and on one that safe-stops mid-way."""
     try:
         cfgmod.validate_config(cfg)
     except ConfigError:
@@ -1146,7 +1170,7 @@ def test_noise_block_boundaries_are_invisible(tmp_path_factory, cfg):
     *want, want_shadows = _run_outputs(cfg, tmp_path_factory.mktemp("csv"))
     for block in (1, 7, 64):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "_NOISE_BLOCK", block)
+            mp.setattr(sim, "_BLOCK", block)
             *got, shadows = _run_outputs(cfg, tmp_path_factory.mktemp("csv"))
         assert got == want, block
         for sid, shadow in shadows.items():
