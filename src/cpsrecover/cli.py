@@ -5,8 +5,9 @@ Subcommands:
 * ``run <config>`` - simulate and emit per-loop trace CSVs.  A writer
   process (:class:`sim.CsvStream`) formats and writes each block of rows
   while the simulation goes on, to ``<loop>.csv.part``, renamed to
-  ``<loop>.csv`` once the run is over; a run that fails part-way leaves
-  no ``.part`` file and no process behind.
+  ``<loop>.csv`` once the run is over, so each loop holds one block of
+  rows whatever the horizon; a run that fails part-way leaves no
+  ``.part`` file and no process behind.
 * ``bounds <config>`` - evaluate the error bounds, maximum tolerable
   anomaly duration and checkpoint-frequency gap bound from the configured
   bound parameters, without simulating.

@@ -34,8 +34,9 @@ that loop's entry as a whole, and a field it leaves out takes the
 The loops and levels are those :data:`robot.LOOPS` and
 :data:`robot.LEVELS` list when a function is called: a loop's id keys its
 ``anomalies``, ``ads`` and ``bounds``, and a level, which its loops share,
-names its ``robot`` rate, its ``noise`` and its ``init``.  This module
-names no loop.
+names its ``robot`` rate, its ``noise`` and its ``init``.  Coupled mode
+needs the loops of :data:`robot.COUPLED_READS`.  This module names no
+loop.
 
 :func:`build_system` turns a resolved scenario into the loops of one run,
 for :func:`cpsrecover.sim.run_loops`; :func:`build_models` and
@@ -61,11 +62,12 @@ from .framework import SubsystemRuntime
 from .timebase import US_PER_S, base_resolution_us, to_us
 
 SUBSYSTEMS = tuple(robot.LOOPS)     # robot's loops at import, in fire order
-# a run allocates each loop's rows before its first tick: its trace
-# columns and detection flags take 109 bytes per row of a motor loop (about
-# 1.1 GB for 10**7 rows) and 182 per row of the pose loop, 16 and 24 more
-# with bounds; noise and anomaly windows come a block of ``sim._BLOCK``
-# rows at a time
+# a run that keeps whole traces (compare, checkpoints) allocates each
+# loop's rows before its first tick: its trace columns and detection flags
+# take 109 bytes per row of a motor loop (about 1.1 GB for 10**7 rows) and
+# 182 per row of the pose loop, 16 and 24 more with bounds; noise, anomaly
+# windows and flags come a block of ``sim._BLOCK`` rows at a time.  ``run``
+# holds one block per loop, but validation is the same for every command
 MAX_TRACE_ROWS = 10_000_000
 
 
@@ -190,6 +192,9 @@ def validate_config(cfg: dict) -> dict:
                     f"{name} loop period {dt}")
     if cfg["plant_mode"] not in ("ideal", "coupled"):
         errors.append("plant_mode must be 'ideal' or 'coupled'")
+    elif cfg["plant_mode"] == "coupled":
+        errors += [f"plant_mode 'coupled' needs loop {sid!r} in robot.LOOPS"
+                   for sid in robot.COUPLED_READS if sid not in robot.LOOPS]
     t_max = cfg["t_max"]
     if not _seconds(t_max) or t_max <= 0:
         errors.append("t_max must be a positive number of seconds")

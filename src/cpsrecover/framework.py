@@ -4,8 +4,8 @@ Three cooperating pieces:
 
 * :func:`subsystem_tick` - one loop iteration of a sub-system: estimate,
   detect, recover if needed, control, log, checkpoint.  It reads the
-  flags its :class:`SubsystemRuntime` resolved once per run and writes
-  its trace row there.
+  flags its :class:`SubsystemRuntime` resolved for the block it is in and
+  writes its trace row there.
 * :func:`roll_forward_recover` - rebuild the current estimate by replaying
   the dynamics predict step from the most recent consistent checkpoint
   using the logged control inputs, then overwrite exactly the estimate
@@ -39,6 +39,9 @@ from .timebase import to_us, to_s
 # Gain entries below this are treated as structurally zero when mapping
 # sensor flags to estimate elements.
 GAIN_ZERO_TOL = 1e-12
+# rows of a block: a runtime holds its first block when it is built, and
+# the scheduler runs a loop a block at a time (``sim._BLOCK``)
+BLOCK = 1024
 
 CONSISTENT = "consistent"
 PARTLY_INCONSISTENT = "partly-inconsistent"
@@ -127,19 +130,24 @@ class SubsystemRuntime:
     """Mutable per-loop state threaded through the tick function.
 
     The loop ticks at ``0, dt, 2 dt, ...``; ``rows`` counts its ticks so
-    far, so it is the row the next tick reads and writes.  ``flags`` and
-    ``detected`` (0/1) resolve the detector for each of ``ticks`` rows;
-    residual-threshold ticks fill their own rows; the scheduler resolves
-    ``schedule``'s windows a block of rows at a time.  ``trace`` holds the
-    loop's trace columns, ``flags`` among them as ``ads_flags``, and each
-    tick writes its row; ``columns`` names the columns of a state, sensor
-    and input.  No tick writes ``ee_bound``, nor ``rsee_bound`` without
-    ``bounds``: each is one shared read-only row (``np.broadcast_to``, row
-    stride 0), so it costs no memory per row.
-    ``logged_u`` holds each row's logged input: the ``u`` column itself,
-    or, where ``applied_input`` is set, an array of its own, NaN until a
-    tick logs its row.  The scheduler steps the plant and keeps its state in
-    ``x_true``, which the tick records.
+    far, so it is the row the next tick reads and writes.  The runtime
+    holds rows ``lo`` on, as many as :meth:`hold` was asked for: every
+    tick of a run that keeps its whole trace, or one block of a run that
+    hands each finished block to a sink and then reuses its rows.  Built,
+    it holds its first ``BLOCK`` rows, or fewer if it has fewer ``ticks``,
+    and has resolved their flags, so a runtime built by hand ticks without
+    the scheduler.  ``flags`` and ``detected`` (0/1) give the detector's
+    flags of each held row: :meth:`start_block` resolves an oracle's a
+    block at a time, and residual-threshold ticks fill their own rows.
+    ``trace`` holds the loop's trace columns, ``flags`` among them as
+    ``ads_flags``, and each tick writes its row; ``columns`` names the
+    columns of a state, sensor and input.  No tick writes ``ee_bound``,
+    nor ``rsee_bound`` without ``bounds``: each is one shared read-only
+    row (``np.broadcast_to``, row stride 0), so it costs no memory per
+    row.  ``logged_u`` holds each row's logged input: the ``u`` column
+    itself, or, where ``applied_input`` is set, an array of its own, NaN
+    until a tick logs its row.  The scheduler steps the plant and keeps its
+    state in ``x_true``, which the tick records.
     """
 
     model: SubsystemModel
@@ -149,7 +157,7 @@ class SubsystemRuntime:
     ads: AdsConfig
     schedule: AnomalySchedule
     t_max: float                      # maximum tolerable anomaly duration, s
-    ticks: int                        # ticks the flags and trace cover
+    ticks: int                        # ticks the run has
     last_u: np.ndarray = None         # input applied at the previous tick
     episode: Episode | None = None    # None while healthy
     # set by the scheduler when the logged input differs from h()'s output
@@ -167,35 +175,42 @@ class SubsystemRuntime:
     trace: dict = field(init=False, repr=False)
     logged_u: np.ndarray = field(init=False, repr=False)
     rows: int = field(init=False, default=0)
+    lo: int = field(init=False, default=0)     # the first row held
 
     def __post_init__(self):
         if self.last_u is None:
             self.last_u = np.zeros(self.model.n_u)
         if self.x_true is None:
             self.x_true = np.asarray(self.model.mu0, float)
-        t_us = np.arange(self.ticks) * to_us(self.model.dt)
-        self.flags = oracle_flags(self.ads, self.schedule, t_us,
-                                  self.model.n_y)
         if self.ads.mode == "residual-threshold":
-            self.flags[:] = 0
             self.innovations = deque(maxlen=max(
                 1, round(self.ads.detection_time / self.model.dt)))
-        self.detected = bytearray(self.flags.any(axis=1))
+        rows = min(BLOCK, self.ticks)
+        self.hold(rows)
+        self.start_block(np.arange(rows) * to_us(self.model.dt))
+
+    def hold(self, rows: int) -> None:
+        """Hold ``rows`` fresh rows from row ``self.rows`` on;
+        :meth:`start_block` resolves their flags."""
+        n_x, n_y, n_u = self.model.n_x, self.model.n_y, self.model.n_u
         # a column without a value on a tick (x_rec while healthy, k1 and
         # rsee_bound outside recovery, ee_bound without bounds) is NaN there;
         # a column no tick writes is one read-only row shared by every row
-        rows, n_x = self.ticks, self.model.n_x
         nan_row = np.full(n_x, np.nan)
         ee_row = nan_row if self.bounds is None else self.bounds.eps_delta
+        # a generic detector flags the loop as a whole: one flag
+        self.flags = np.zeros((rows, n_y if self.ads.kind == "specific"
+                               else 1), int)
+        self.detected = bytearray(rows)
         self.trace = {
             "t": np.empty(rows),
             "x_true": np.empty((rows, n_x)),
-            "y_meas": np.empty((rows, self.model.n_y)),
+            "y_meas": np.empty((rows, n_y)),
             "x_hat": np.empty((rows, n_x)),         # estimator posterior
             "x_rf": np.empty((rows, n_x)),          # final estimate
             "x_rec": np.full((rows, n_x), np.nan),  # raw roll-forward vector
             "recovered": np.zeros((rows, n_x), bool),  # per-element mask
-            "u": np.empty((rows, self.model.n_u)),
+            "u": np.empty((rows, n_u)),
             "ads_flags": self.flags,
             "ckpt_event": np.zeros(rows, bool),
             "k1": np.full(rows, np.nan),            # checkpoint in use
@@ -206,7 +221,31 @@ class SubsystemRuntime:
             "safe_stop": np.zeros(rows, bool),
         }
         self.logged_u = (self.trace["u"] if self.applied_input is None
-                         else np.full((rows, self.model.n_u), np.nan))
+                         else np.full((rows, n_u), np.nan))
+        self.lo = self.rows
+
+    def start_block(self, t_us: np.ndarray) -> None:
+        """Start the block of rows from ``rows`` on, ticking at the
+        (integer µs) times ``t_us``: resolve the oracle's flags of its rows.
+        A residual-threshold detector's rows start clear.  A runtime that
+        holds too few rows past ``rows`` for the block reuses its rows from
+        ``rows`` on, a sink having read them: it gives each the defaults
+        :meth:`hold` gave it of the columns a tick may leave unwritten."""
+        n = self.rows - self.lo
+        if n + len(t_us) > len(self.detected):
+            self.lo, n, tr = self.rows, 0, self.trace
+            tr["x_rec"][:] = tr["k1"][:] = np.nan
+            tr["recovered"][:] = tr["ckpt_event"][:] = False
+            tr["safe_stop"][:] = False
+            if self.bounds is not None:
+                tr["rsee_bound"][:] = np.nan
+            if self.logged_u is not tr["u"]:
+                self.logged_u[:] = np.nan
+        flags = oracle_flags(self.ads, self.schedule, t_us, self.model.n_y)
+        if self.innovations is not None:    # its ticks flag their rows
+            flags[:] = 0
+        self.flags[n:n + len(flags)] = flags
+        self.detected[n:n + len(flags)] = flags.any(axis=1).tobytes()
 
 
 def element_mask(K: np.ndarray, flags: np.ndarray, kind: str) -> np.ndarray:
@@ -293,14 +332,16 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     checkpoint (healthy tick with checkpoint Boolean ``c_k`` set), safe-stop
     check; ``detection_times`` maps every loop id to its detection time.
     The tick reads its flags from, and writes its trace row to, row
-    ``rt.rows`` of ``rt``, then counts itself.  Returns whether the episode
+    ``rt.rows`` of ``rt``, its held row ``rt.rows - rt.lo``, then counts
+    itself.  Returns whether the episode
     outlasted the tolerable duration (the row's ``safe_stop``).  When
     recovery is impossible it raises :class:`UnrecoverableError` after
     writing its row: the estimate and flags, ``u`` NaN (no control was
     computed or logged), nothing recovered and ``safe_stop`` set.
     """
     model = rt.model
-    n = rt.rows
+    k = rt.rows
+    n = k - rt.lo
     est, K, innovation, prior = estimator_step(model, rt.est, rt.last_u,
                                                y_now)
     if rt.innovations is not None:
@@ -322,7 +363,7 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
             tr["x_rf"][n] = x_hat
             tr["u"][n] = np.nan
             tr["safe_stop"][n] = True
-            rt.rows = n + 1
+            rt.rows = k + 1
             raise
 
     u = rt.controller(x_hat, t)
@@ -335,7 +376,7 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     tr["x_rf"][n] = x_hat
     tr["u"][n] = u
     # commit runtime state; no step changes an estimate in place
-    rt.rows = n + 1
+    rt.rows = k + 1
     rt.last_u = u_logged
     if not detected:
         if c_k:
@@ -357,7 +398,7 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     tr["k1"][n] = ep.k1
     if rt.bounds is not None:
         tr["rsee_bound"][n] = recovery_error_bound_at(
-            rt.bounds, n, to_us(ep.k1) // to_us(model.dt))
+            rt.bounds, k, to_us(ep.k1) // to_us(model.dt))
     stop = to_us(t) > ep.deadline_us
     tr["safe_stop"][n] = stop
     return stop

@@ -9,6 +9,7 @@ The module is the one description of the case study's loops: :data:`LOOPS`
 names each loop, in fire order, with its trace columns, :data:`LEVELS`
 groups them into the hierarchy's levels, whose parameters, noise and
 initial mean a level's loops share, :data:`LINEAR` names the linear loops,
+:data:`COUPLED_READS` the loops whose plant states coupled mode reads,
 :func:`build_model` builds a loop's model and :func:`make_controllers`
 wires the loops' controllers together.  :mod:`cpsrecover.config`
 validates, defaults and builds whatever loops these list, and the
@@ -63,6 +64,9 @@ LOOPS = {
 LEVELS = {"outer": (OUTER,), "inner": (INNER_1, INNER_2)}
 # the loops whose models are linear
 LINEAR = LEVELS["inner"]
+# the loops whose plant states, their wheel speeds, the outer plant's input
+# reads in coupled mode, left wheel first
+COUPLED_READS = (INNER_1, INNER_2)
 
 
 @dataclass
@@ -187,7 +191,9 @@ def build_model(sid: str, params: RobotParams, noise: dict,
     """Loop ``sid``'s model, from its level's rate in ``params``, noise
     stds in ``noise`` and mean in ``init``, with a zero initial
     covariance."""
-    level = next(lv for lv, sids in LEVELS.items() if sid in sids)
+    level = next((lv for lv, sids in LEVELS.items() if sid in sids), None)
+    if level is None:
+        raise ValueError(f"loop {sid!r} is in no level of robot.LEVELS")
     n_x, n_y = len(LOOPS[sid].state), len(LOOPS[sid].meas)
     dt = 1.0 / getattr(params, f"{level}_rate")
     Q = noise[f"{level}_q_std"] ** 2 * np.eye(n_x)
@@ -316,7 +322,7 @@ def make_controllers(params: RobotParams,
 
     def achieved(u):
         return wheel_transform_inverse(
-            [plant_state(INNER_1)[1], plant_state(INNER_2)[1]], params)
+            [plant_state(sid)[1] for sid in COUPLED_READS], params)
 
     controllers = {OUTER: outer, INNER_1: inner(0), INNER_2: inner(1)}
     return controllers, {OUTER: achieved}

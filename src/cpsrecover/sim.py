@@ -21,10 +21,11 @@ loop's draws and identical (config, seed) pairs yield byte-identical CSVs.
 A loop runs a block of ``_BLOCK`` rows at a time.  When it starts a
 block, the scheduler hands the finished block to ``run_loops``'s
 ``on_block`` hook, draws the block's noise, one call per stream, and
-resolves the anomaly window of each of its ticks; a tick reads its row of
-each.  A block of noise equals as many one-row draws, bit for bit, so the
-block size never changes a run; it bounds the memory the noise and the
-windows take.
+resolves the anomaly window and the oracle's flags of each of its ticks;
+a tick reads its row of each.  A block of noise equals as many one-row
+draws, bit for bit, so the block size never changes a run; it bounds the
+memory the noise, the windows and the flags take, and, with an
+``on_block`` hook, the trace rows a loop holds.
 
 A trace CSV is written a block of ``_BLOCK`` rows at a time, either after
 the run by :func:`emit_csv` or, during it, by a :class:`CsvStream` whose
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import _csvwriter
 from . import config as cfgmod
-from .framework import (UnrecoverableError, consistent_checkpoint,
+from .framework import (BLOCK, UnrecoverableError, consistent_checkpoint,
                         most_recent_consistent_checkpoint, subsystem_tick)
 from .models import sample_noise
 from .store import SecureStore
@@ -51,11 +52,11 @@ from .timebase import to_s, to_us
 
 # fixed stream-split order; adding streams at the end preserves old draws
 _STREAMS = ("process", "measurement", "init")
-# rows of noise and of anomaly windows a loop holds at a time, and rows of
-# a trace CSV formatted and written at a time; the writer formats each
-# loop's last block after the last tick, so a larger block makes a run
-# wait longer for its files
-_BLOCK = 1024
+# rows of noise, anomaly windows and flags a loop holds at a time, of its
+# trace while it hands each block to a sink, and of a trace CSV formatted
+# and written at a time; the writer formats each loop's last block after
+# the last tick, so a larger block makes a run wait longer for its files
+_BLOCK = BLOCK
 
 
 def make_rngs(seed: int, loop_ids: list) -> dict:
@@ -88,11 +89,14 @@ def _loop_ticks(periods_us: list, horizon_us: int, ckpt_us: int):
 
 @dataclass
 class SimResult:
-    """A finished run.  ``traces`` holds each loop's whole history;
-    ``store`` holds only the records since its last cut, which each log's
-    anchor commits to, and the loops' ``logged_u`` the logged inputs.
-    A trace's ``ee_bound``, and its ``rsee_bound`` when the loop has no
-    bounds, is a view of one shared read-only row (row stride 0)."""
+    """A finished run.  ``traces`` holds each loop's whole history, or,
+    after a run that handed its blocks to an ``on_block`` sink, only the
+    rows of each loop's last block, from row ``rt.lo`` on: the sink had
+    the others.  ``store`` holds only the records since its last cut,
+    which each log's anchor commits to, and the loops' ``logged_u`` the
+    logged inputs of the rows their traces hold.  A trace's ``ee_bound``,
+    and its ``rsee_bound`` when the loop has no bounds, is a view of one
+    shared read-only row (row stride 0)."""
 
     traces: dict
     store: SecureStore
@@ -122,12 +126,16 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
     ``innovations``, ``episode``, ``controller`` and ``applied_input`` are
     set to None.
 
-    With ``on_block``, a loop ``i`` that starts a ``_BLOCK``-row block of
-    its trace first calls ``on_block(i, rt)`` for the block it finished,
-    and when the ticks end the run calls it for each loop's last block,
-    full or partial: every row below ``rt.rows`` is then final, the row of
-    a stopping tick included, and it sees each block once, in order.
-    :class:`CsvStream` writes the trace CSVs from these calls."""
+    Without ``on_block`` each runtime holds every row of its trace.  With
+    it, a runtime holds one ``_BLOCK``-row block, whatever the horizon: a
+    loop ``i`` that starts a block first calls ``on_block(i, rt)`` for the
+    block it finished, then reuses its rows, and when the ticks end the
+    run calls it for each loop's last block, full or partial.  In each
+    call the held rows ``rt.lo`` to ``rt.rows`` are final, the row of a
+    stopping tick included, at places ``0`` to ``rt.rows - rt.lo`` of the
+    runtime's columns; it sees each block once, in order, and must copy
+    what it keeps.  :class:`CsvStream` writes the trace CSVs from these
+    calls."""
     rngs = make_rngs(seed, [rt.model.id for rt in loops])
     store = SecureStore()
     detection_times = {rt.model.id: rt.ads.detection_time for rt in loops}
@@ -141,6 +149,8 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
             model.Sigma0_factor, rngs[(sid, "init")], 1)[0]
         offsets.append([w.gamma * w.y_a for w in rt.schedule.windows])
         blocks.append((0, (), (), ()))
+        # a sink takes each finished block, so the loop holds one
+        rt.hold(rt.ticks if on_block is None else min(_BLOCK, rt.ticks))
 
     events = []
     cut_at = None       # the checkpoint instant the store was last cut at
@@ -168,8 +178,9 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
             rows = min(_BLOCK, rt.ticks - lo)
             w = sample_noise(model.Q_factor, rngs[(sid, "process")], rows)
             v = sample_noise(model.R_factor, rngs[(sid, "measurement")], rows)
-            window = rt.schedule.window_index(
-                np.arange(lo, lo + rows) * to_us(model.dt), 0).tolist()
+            t_us = np.arange(lo, lo + rows) * to_us(model.dt)
+            window = rt.schedule.window_index(t_us, 0).tolist()
+            rt.start_block(t_us)
             blocks[i] = lo, w, v, window
         rt.x_true = model.f(rt.x_true, rt.last_u) + w[n]
         y = model.g(rt.x_true, rt.last_u) + v[n]
@@ -193,7 +204,7 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
         # release what only the ticks read
         rt.detected = rt.innovations = rt.episode = None
         rt.controller = rt.applied_input = None
-    return SimResult({rt.model.id: {name: col[:rt.rows]
+    return SimResult({rt.model.id: {name: col[:rt.rows - rt.lo]
                                     for name, col in rt.trace.items()}
                       for rt in loops},
                      store, events, bool(events), loops)
@@ -238,10 +249,11 @@ def _csv_block(columns: list) -> tuple:
     return row, len(table), table[:, ~blank].ravel()
 
 
-def _trace_columns(tr: dict, lo: int, hi: int) -> list:
-    """The CSV columns of rows ``lo`` to ``hi`` of trace ``tr``: ``x_rf``
-    on a row without recovery is NaN, an empty field."""
-    cols = {name: tr[name][lo:hi] for name in _CSV_COLUMNS}
+def _trace_columns(tr: dict, rows) -> list:
+    """The CSV columns of the first ``rows`` rows of trace ``tr``, or of
+    all if ``rows`` is None: ``x_rf`` on a row without recovery is NaN, an
+    empty field."""
+    cols = {name: tr[name][:rows] for name in _CSV_COLUMNS}
     cols["x_rf"] = np.where(cols["recovered"].any(axis=1)[:, None],
                             cols["x_rf"], np.nan)
     return [cols[name] for name in _CSV_COLUMNS]
@@ -277,7 +289,7 @@ def emit_csv(result: SimResult, out_dir) -> list:
         tr = result.traces[rt.model.id]
         path = os.path.join(out_dir, f"{rt.model.id}.csv")
         try:
-            write_csv(path, _csv_header(rt, tr), _trace_columns(tr, 0, None))
+            write_csv(path, _csv_header(rt, tr), _trace_columns(tr, None))
         except OSError as exc:
             raise OSError(f"failed writing trace CSV {path}: {exc}") from exc
         paths.append(path)
@@ -290,7 +302,8 @@ class CsvStream(_csvwriter.Writer):
 
     Pass :meth:`on_block` as ``run_loops``'s ``on_block``; it hands over
     each block of ``_BLOCK`` rows, or fewer at a trace's end, to be
-    written to ``<out_dir>/<loop id>.csv``.  Leaving the context waits for
+    written to ``<out_dir>/<loop id>.csv``, as a copy, since the run
+    reuses the rows of the block.  Leaving the context waits for
     the files; see :class:`_csvwriter.Writer` for what a failure leaves
     behind.  The files equal :func:`emit_csv`'s byte for byte: both cut
     the same blocks and format them alike.
@@ -302,10 +315,9 @@ class CsvStream(_csvwriter.Writer):
                           for rt in loops])
 
     def on_block(self, i: int, rt) -> None:
-        """Hand over the block of loop ``i``'s trace that its last row ends."""
-        lo = (rt.rows - 1) // _BLOCK * _BLOCK
-        row, n, values = _csv_block(_trace_columns(rt.trace, lo, rt.rows))
-        self.block(i, row, n, values.tobytes())
+        """Hand over the block of loop ``i``'s trace that its runtime holds."""
+        row, n, values = _csv_block(_trace_columns(rt.trace, rt.rows - rt.lo))
+        self.block(i, row, n, values.tobytes())     # a copy of the rows
 
 
 def every_tick_shadow(result: SimResult) -> dict:
@@ -322,7 +334,9 @@ def every_tick_shadow(result: SimResult) -> dict:
     episode the run could not recover, whose first tick has no ``k1``.
 
     The replay reads each loop's logged inputs, ``rt.logged_u``, from the
-    run itself: the store keeps only the records since its last cut.
+    run itself: the store keeps only the records since its last cut.  It
+    reads whole traces, so ``result`` is a run without an ``on_block``
+    sink.
     """
     detection_times = {rt.model.id: rt.ads.detection_time
                        for rt in result.loops}

@@ -93,19 +93,32 @@ def test_a_run_writes_no_model():
             assert getattr(rt.model, name) is value, (rt.model.id, name)
 
 
-def test_a_finished_run_releases_its_tick_state():
+def test_a_finished_run_releases_its_tick_state(monkeypatch):
     """A finished run keeps what its readers use and drops what only the
-    ticks read, whether it ran to the end or stopped."""
+    ticks read, whether it ran to the end or stopped, and whether it kept
+    whole traces or handed its blocks to a sink; after a sink, each trace
+    holds the rows of the loop's last block."""
+    monkeypatch.setattr(sim, "_BLOCK", 64)
     for cfg in (cfgmod.build_case_study(seed=42),
                 cfgmod.build_case_study(**UNRECOVERABLE)):
-        res = sim.run_scenario(cfg)
-        for rt in res.loops:
-            for name in ("detected", "innovations", "episode", "controller",
-                         "applied_input"):
-                assert getattr(rt, name) is None, (rt.model.id, name)
-            assert rt.trace["ads_flags"] is rt.flags
-            assert rt.columns and rt.schedule is not None
-        sim.every_tick_shadow(res)
+        cfg = cfgmod.validate_config(cfg)
+        for sink in (None, lambda i, rt: None):
+            res = sim.run_loops(cfgmod.build_system(cfg), cfg["seed"],
+                                to_us(cfg["horizon"]), 1_000_000, sink)
+            for rt in res.loops:
+                for name in ("detected", "innovations", "episode",
+                             "controller", "applied_input"):
+                    assert getattr(rt, name) is None, (rt.model.id, name)
+                assert rt.trace["ads_flags"] is rt.flags
+                assert rt.columns and rt.schedule is not None
+                t = res.traces[rt.model.id]["t"]
+                held = range(rt.lo, rt.rows)
+                assert t.tolist() == [to_s(k * to_us(rt.model.dt))
+                                      for k in held]
+                assert rt.lo == (0 if sink is None
+                                 else max(rt.rows - 1, 0) // 64 * 64)
+            if sink is None:
+                sim.every_tick_shadow(res)
 
 
 def _long_periodic_config(horizon: float = 160.0) -> dict:
@@ -176,10 +189,11 @@ def test_csv_configs_match_pinned_digests(tmp_path, name):
 
 def test_a_run_resolves_its_schedule_once_per_loop(monkeypatch):
     """A default run looks up no active window and never calls
-    ``step_dynamics``: each loop resolves its schedule before its first
-    tick, with two lookups over its whole tick grid (the window of each
-    row and the oracle's delayed one), and the tick steps the model
-    itself."""
+    ``step_dynamics``: each loop, whose ticks fit in one block, resolves
+    its schedule before its first tick, with two lookups over its whole
+    tick grid (the window of each row and the oracle's delayed one), and
+    one more when it is built (its first block's flags), and the tick steps
+    the model itself."""
     calls = Counter()
     grids = Counter()      # the number of times looked up in one call
     window_index = AnomalySchedule.window_index
@@ -208,7 +222,7 @@ def test_a_run_resolves_its_schedule_once_per_loop(monkeypatch):
     assert res.traces[robot.OUTER]["ads_flags"].any()
     assert not calls
     assert grids == Counter(len(res.traces[rt.model.id]["t"])
-                            for rt in res.loops for _ in range(2))
+                            for rt in res.loops for _ in range(3))
 
 
 def test_a_default_run_predicts_each_motor_state_once(monkeypatch):
@@ -336,34 +350,47 @@ def test_the_store_holds_as_much_at_any_horizon():
     assert held[1] < 500
 
 
-def _traced_peak(horizon: float) -> tuple:
+def _traced_peak(horizon: float, on_block=None) -> tuple:
     """The traced peak of a periodic-burst run over ``horizon`` seconds,
-    and the run."""
+    and the run, which hands its blocks to ``on_block`` if given."""
+    cfg = cfgmod.validate_config(_long_periodic_config(horizon))
     tracemalloc.start()
     try:
-        res = sim.run_scenario(_long_periodic_config(horizon))
+        res = sim.run_loops(cfgmod.build_system(cfg), cfg["seed"],
+                            to_us(horizon),
+                            to_us(1.0 / cfg["checkpoint_freq_hz"]), on_block)
         return tracemalloc.get_traced_memory()[1], res
     finally:
         tracemalloc.stop()
 
 
 def test_a_run_row_holds_only_what_varies(monkeypatch):
-    """The periodic-burst schedule's traced peak grows by at most 135
+    """The periodic-burst schedule's traced peak grows by at most 125
     bytes per loop row between 10 s and 30 s: a column no tick writes is
     one shared read-only row, and noise is drawn a block at a time.  With
     bounds, ``rsee_bound`` is a column of its own, which recovering ticks
-    write."""
+    write.  A run that hands its blocks to a sink holds one block of
+    rows, so its peak grows by at most 24 bytes per loop row."""
     # 256-row noise blocks are as full at 10 s as at 30 s, so only what
     # grows with the rows differs; the blocks never change a run
     monkeypatch.setattr(sim, "_BLOCK", 256)
     # the untraced run imports and caches what runs over 10 s need
     sim.run_scenario(_long_periodic_config(10.0))
-    (short, res_short), (peak, res) = _traced_peak(10.0), _traced_peak(30.0)
-    rows = [sum(len(tr["t"]) for tr in r.traces.values())
-            for r in (res_short, res)]
-    # 125-127 B with shared rows and noise blocks, 142 B with a dense
-    # ee_bound (Python 3.11.7, numpy 2.4.6)
-    assert (peak - short) / (rows[1] - rows[0]) <= 135
+
+    def growth(sink) -> tuple:
+        """The peak's growth per loop row, and the 30 s run."""
+        (short, res_short), (peak, res) = (_traced_peak(10.0, sink),
+                                           _traced_peak(30.0, sink))
+        rows = [sum(rt.rows for rt in r.loops) for r in (res_short, res)]
+        return (peak - short) / (rows[1] - rows[0]), res
+
+    # 117 B with shared rows and noise blocks, 133 B with a dense
+    # ee_bound; 15.5 B with a sink, of which about 7 B is the outer loop's
+    # block, 100 rows at 10 s and 256 at 30 s, and 3 B the 4 more windows
+    # of each loop (Python 3.11.7, numpy 2.4.6)
+    assert growth(lambda i, rt: None)[0] <= 24
+    per_row, res = growth(None)
+    assert per_row <= 125
     for tr in res.traces.values():
         for name in ("ee_bound", "rsee_bound"):
             assert not tr[name].flags.writeable, name
@@ -939,22 +966,40 @@ def test_validate_builds_no_models(monkeypatch):
     cfgmod.validate_config(cfg)
 
 
-@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("seed, gap", [(42, None), (7, None),
+                                       (42, "coupled"), (42, "no level")],
+                         ids=["42", "7", "coupled", "no-level"])
 def test_config_validates_defaults_and_builds_the_loops_robot_lists(
-        tmp_path, monkeypatch, seed):
+        tmp_path, monkeypatch, seed, gap):
     """With ``inner-2`` left out of ``robot``'s description, the default
     config is valid, a run writes the other two loops' CSVs, and they equal
     the three-loop run's byte for byte: ``config`` reads the description
     when called, and a loop appended after the others changes none of
-    their draws."""
-    full = sim.emit_csv(sim.run_scenario(cfgmod.build_case_study(seed=seed)),
-                        tmp_path / "full")
+    their draws.  A gap in the description is named up front: coupled mode,
+    whose outer plant reads ``inner-2``'s state, is rejected, and a loop in
+    no level makes ``build_model`` raise."""
+    if gap is None:
+        full = sim.emit_csv(sim.run_scenario(
+            cfgmod.build_case_study(seed=seed)), tmp_path / "full")
     monkeypatch.setattr(robot, "LOOPS", {sid: cols for sid, cols
                                          in robot.LOOPS.items()
                                          if sid != robot.INNER_2})
     monkeypatch.setattr(robot, "LEVELS", {"outer": (robot.OUTER,),
                                           "inner": (robot.INNER_1,)})
     cfg = cfgmod.default_config()
+    if gap == "coupled":
+        cfg["plant_mode"] = "coupled"
+        with pytest.raises(ConfigError,
+                           match=r"needs loop 'inner-2' in robot\.LOOPS"):
+            cfgmod.validate_config(cfg)
+        return
+    if gap == "no level":
+        resolved = cfgmod.validate_config(cfg)
+        monkeypatch.setattr(robot, "LEVELS", {"outer": (robot.OUTER,)})
+        with pytest.raises(ValueError, match=r"loop 'inner-1' is in no "
+                           r"level of robot\.LEVELS"):
+            cfgmod.build_system(resolved)
+        return
     cfgmod.validate_config(cfg)
     cfg["seed"] = seed
     paths = sim.emit_csv(sim.run_scenario(cfg), tmp_path / "two")
@@ -1182,23 +1227,42 @@ def test_noise_block_boundaries_are_invisible(tmp_path_factory, cfg):
 # past one, and on two
 _BLOCK_EDGES = [cfgmod.build_case_study(seed=5, horizon=rows / 100)
                 for rows in (1023, 1024, 1025, 2048)]
+# a motor burst over rows 1,000-1,175: an episode across the default block's
+# edge
+_ACROSS_AN_EDGE = cfgmod.build_case_study(seed=5, horizon=12.0, anomalies={
+    sid: [dict(windows[0], t_start=10.0, t_end=11.75)] for sid, windows
+    in cfgmod.default_config()["anomalies"].items() if sid == robot.INNER_1})
+# the default block, and blocks of 1, 7 and 64 rows, in which a run reuses
+# its held block many times
+_SMALL_BLOCKS = (None, 1, 7, 64)
 
 
 @settings(max_examples=20, deadline=None)
-@given(cfg=_cutting_default())
-@example(cfg=_BLOCK_EDGES[0])
-@example(cfg=_BLOCK_EDGES[1])
-@example(cfg=_BLOCK_EDGES[2])
-@example(cfg=_BLOCK_EDGES[3])
-@example(cfg=cfgmod.build_case_study(**CSV_CONFIGS["safe-stop"]))
-@example(cfg=cfgmod.build_case_study(**CSV_CONFIGS["bounds"]))
-@example(cfg=cfgmod.build_case_study(**CSV_CONFIGS["generic"]))
-@example(cfg=cfgmod.build_case_study(**CSV_CONFIGS["coupled"]))
-def test_streamed_csvs_equal_emit_csv(tmp_path_factory, cfg):
+@given(cfg=_cutting_default(), blocks=st.just((None,)))
+@example(cfg=_BLOCK_EDGES[0], blocks=(None,))
+@example(cfg=_BLOCK_EDGES[1], blocks=(None,))
+@example(cfg=_BLOCK_EDGES[2], blocks=(None,))
+@example(cfg=_BLOCK_EDGES[3], blocks=(None,))
+@example(cfg=_ACROSS_AN_EDGE, blocks=(None,))
+@example(cfg=cfgmod.build_case_study(**CSV_CONFIGS["safe-stop"]),
+         blocks=_SMALL_BLOCKS)
+@example(cfg=cfgmod.build_case_study(**CSV_CONFIGS["bounds"]),
+         blocks=_SMALL_BLOCKS)
+@example(cfg=cfgmod.build_case_study(**CSV_CONFIGS["generic"]),
+         blocks=(None,))
+@example(cfg=cfgmod.build_case_study(**CSV_CONFIGS["coupled"]),
+         blocks=_SMALL_BLOCKS)
+@example(cfg=cfgmod.build_case_study(**SHADOW_CONFIGS["residual-threshold"],
+                                     horizon=4.0), blocks=(None, 64))
+def test_streamed_csvs_equal_emit_csv(tmp_path_factory, cfg, blocks):
     """``cpsrecover run``, whose writer process formats each block while
     the run goes on, writes the bytes ``emit_csv`` writes after the run,
-    and nothing else: around block edges, on a run that stops mid-block,
-    with a dense ``rsee_bound``, a generic detector and a coupled plant."""
+    and nothing else: around block edges, on an episode across one, on a
+    run that stops mid-block, with a dense ``rsee_bound``, a generic
+    detector, a coupled plant and ticks that flag themselves.  With a
+    ``sim._BLOCK`` of ``blocks`` (None: the default), the blocks the run
+    hands over, every column and the logged inputs, make up the whole run's
+    traces: a reused block starts with each column's defaults."""
     try:
         cfgmod.validate_config(cfg)
     except ConfigError:
@@ -1206,10 +1270,32 @@ def test_streamed_csvs_equal_emit_csv(tmp_path_factory, cfg):
     out = tmp_path_factory.mktemp("stream")
     path = out / "scenario.json"
     cfgmod.save_config(cfg, path)
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["run", str(path), "--out-dir", str(out / "run")])
     res = sim.run_scenario(cfg)
-    assert code == (3 if res.safe_stop else 0)
     want = {Path(p).name: Path(p).read_bytes()
             for p in sim.emit_csv(res, out / "emit")}
-    assert {p.name: p.read_bytes() for p in (out / "run").iterdir()} == want
+    on_block = sim.CsvStream.on_block
+    for block in blocks:
+        held = {rt.model.id: [] for rt in res.loops}
+
+        def keep(stream, i, rt):
+            rows = rt.rows - rt.lo
+            held[rt.model.id].append(
+                {name: col[:rows].copy() for name, col
+                 in dict(rt.trace, logged_u=rt.logged_u).items()})
+            on_block(stream, i, rt)
+
+        run = out / f"run-{block}"
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(sim, "_BLOCK", block)
+            mp.setattr(sim.CsvStream, "on_block", keep)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["run", str(path), "--out-dir", str(run)])
+        assert code == (3 if res.safe_stop else 0)
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == want, block
+        for rt in res.loops:
+            tr = dict(res.traces[rt.model.id], logged_u=rt.logged_u[:rt.rows])
+            for name, col in tr.items():
+                np.testing.assert_array_equal(np.concatenate(
+                    [col[:0]] + [b[name] for b in held[rt.model.id]]),
+                    col, err_msg=f"{rt.model.id} {name}, block {block}")
