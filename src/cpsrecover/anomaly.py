@@ -72,14 +72,18 @@ class AnomalySchedule:
         object.__setattr__(self, "windows", ws)
         object.__setattr__(self, "_starts_us",
                            np.array([w.start_us for w in ws], np.int64))
-        # one end more, below every time: the one index -1 reads
+        # one end more, below every time, and a gamma row of zeros: the ones
+        # index -1 reads; no gamma table without windows, which flag nothing
         object.__setattr__(self, "_ends_us", np.array(
             [*(w.end_us for w in ws), np.iinfo(np.int64).min], np.int64))
+        object.__setattr__(self, "_gammas", np.array(
+            [*(w.gamma for w in ws), np.zeros_like(ws[0].gamma)], int)
+            if ws else None)
 
     def window_index(self, t_us, delay_us: int):
         """Index of the window with ``start_us + delay_us <= t < end_us`` for
         each (integer µs) time of ``t_us``, or -1: windows never overlap."""
-        i = np.searchsorted(self._starts_us + delay_us, t_us, side="right") - 1
+        i = np.searchsorted(self._starts_us, t_us - delay_us, side="right") - 1
         return np.where(t_us < self._ends_us[i], i, -1)
 
     def active_window(self, t: float) -> AnomalyWindow | None:
@@ -130,10 +134,9 @@ def oracle_flags(config: AdsConfig, schedule: AnomalySchedule, t_us,
     """The oracle's 0/1 integer flags, a row per (integer µs) time of
     ``t_us``: the active window's ``gamma`` from its start + detection
     time."""
-    gammas = np.array([*(w.gamma for w in schedule.windows), np.zeros(n_y)],
-                      dtype=int)     # the last row is the one -1 picks
-    return _by_kind(config.kind, gammas[schedule.window_index(
-        t_us, to_us(config.detection_time))])
+    i = schedule.window_index(t_us, to_us(config.detection_time))
+    return _by_kind(config.kind, np.zeros((*np.shape(i), n_y), int)
+                    if schedule._gammas is None else schedule._gammas[i])
 
 
 def ads_evaluate(config: AdsConfig, window: Sequence[np.ndarray],

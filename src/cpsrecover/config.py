@@ -64,8 +64,8 @@ from .timebase import US_PER_S, base_resolution_us, to_us
 SUBSYSTEMS = tuple(robot.LOOPS)     # robot's loops at import, in fire order
 # a run that keeps whole traces (compare, checkpoints) allocates each
 # loop's rows before its first tick: its trace columns and detection flags
-# take 109 bytes per row of a motor loop (about 1.1 GB for 10**7 rows) and
-# 182 per row of the pose loop, 16 and 24 more with bounds; noise, anomaly
+# take 102 bytes per row of a motor loop (about 1.0 GB for 10**7 rows) and
+# 161 per row of the pose loop, 16 and 24 more with bounds; noise, anomaly
 # windows and flags come a block of ``sim._BLOCK`` rows at a time.  ``run``
 # holds one block per loop, but validation is the same for every command
 MAX_TRACE_ROWS = 10_000_000
@@ -429,7 +429,8 @@ def build_bound_params(cfg: dict, models) -> dict:
 def build_system(cfg: dict) -> list:
     """The loops of one run of a resolved scenario, in fire order: each a
     :class:`SubsystemRuntime` with its model, columns, schedule, detector,
-    bounds, controller, coupled-mode applied input, ``t_max`` and tick count.
+    bounds, controller, coupled-mode applied input, ``t_max`` and tick count,
+    and no trace rows, which :func:`sim.run_loops` holds.
     :func:`robot.make_controllers` wires the controllers, which keep state,
     so each run needs its own build."""
     params, models = build_models(cfg)

@@ -39,9 +39,6 @@ from .timebase import to_us, to_s
 # Gain entries below this are treated as structurally zero when mapping
 # sensor flags to estimate elements.
 GAIN_ZERO_TOL = 1e-12
-# rows of a block: a runtime holds its first block when it is built, and
-# the scheduler runs a loop a block at a time (``sim._BLOCK``)
-BLOCK = 1024
 
 CONSISTENT = "consistent"
 PARTLY_INCONSISTENT = "partly-inconsistent"
@@ -131,23 +128,21 @@ class SubsystemRuntime:
 
     The loop ticks at ``0, dt, 2 dt, ...``; ``rows`` counts its ticks so
     far, so it is the row the next tick reads and writes.  The runtime
-    holds rows ``lo`` on, as many as :meth:`hold` was asked for: every
-    tick of a run that keeps its whole trace, or one block of a run that
-    hands each finished block to a sink and then reuses its rows.  Built,
-    it holds its first ``BLOCK`` rows, or fewer if it has fewer ``ticks``,
-    and has resolved their flags, so a runtime built by hand ticks without
-    the scheduler.  ``flags`` and ``detected`` (0/1) give the detector's
-    flags of each held row: :meth:`start_block` resolves an oracle's a
-    block at a time, and residual-threshold ticks fill their own rows.
-    ``trace`` holds the loop's trace columns, ``flags`` among them as
-    ``ads_flags``, and each tick writes its row; ``columns`` names the
-    columns of a state, sensor and input.  No tick writes ``ee_bound``,
-    nor ``rsee_bound`` without ``bounds``: each is one shared read-only
-    row (``np.broadcast_to``, row stride 0), so it costs no memory per
-    row.  ``logged_u`` holds each row's logged input: the ``u`` column
-    itself, or, where ``applied_input`` is set, an array of its own, NaN
-    until a tick logs its row.  The scheduler steps the plant and keeps its
-    state in ``x_true``, which the tick records.
+    holds rows ``lo`` on, as many as :meth:`hold` was last asked for, and
+    built, it holds none: the scheduler holds every tick of a run that
+    keeps its whole trace, or fresh rows for each block of a run that hands
+    each finished block to a sink.  ``flags`` (Booleans) and ``detected``
+    (0/1) give the detector's flags of each held row: :meth:`start_block`
+    resolves an oracle's a block at a time, and residual-threshold ticks
+    fill their own rows.  ``trace`` holds the loop's trace columns,
+    ``flags`` among them as ``ads_flags``, and each tick writes its row;
+    ``columns`` names the columns of a state, sensor and input.  No tick
+    writes ``ee_bound``, nor ``rsee_bound`` without ``bounds``: each is
+    one shared read-only row (``np.broadcast_to``, row stride 0), so it
+    costs no memory per row.  ``logged_u`` holds each row's logged input:
+    the ``u`` column itself, or, where ``applied_input`` is set, an array
+    of its own, NaN until a tick logs its row.  The scheduler steps the
+    plant and keeps its state in ``x_true``, which the tick records.
     """
 
     model: SubsystemModel
@@ -170,10 +165,10 @@ class SubsystemRuntime:
     # the recent innovations a residual-threshold detector averages; an
     # oracle detector reads none, so it keeps None
     innovations: deque | None = field(init=False, default=None)
-    flags: np.ndarray = field(init=False, repr=False)
-    detected: bytearray = field(init=False, repr=False)
-    trace: dict = field(init=False, repr=False)
-    logged_u: np.ndarray = field(init=False, repr=False)
+    flags: np.ndarray = field(init=False, repr=False, default=None)
+    detected: bytearray = field(init=False, repr=False, default=None)
+    trace: dict = field(init=False, repr=False, default=None)
+    logged_u: np.ndarray = field(init=False, repr=False, default=None)
     rows: int = field(init=False, default=0)
     lo: int = field(init=False, default=0)     # the first row held
 
@@ -185,13 +180,11 @@ class SubsystemRuntime:
         if self.ads.mode == "residual-threshold":
             self.innovations = deque(maxlen=max(
                 1, round(self.ads.detection_time / self.model.dt)))
-        rows = min(BLOCK, self.ticks)
-        self.hold(rows)
-        self.start_block(np.arange(rows) * to_us(self.model.dt))
 
     def hold(self, rows: int) -> None:
-        """Hold ``rows`` fresh rows from row ``self.rows`` on;
-        :meth:`start_block` resolves their flags."""
+        """Hold ``rows`` fresh rows from row ``self.rows`` on, each with
+        the defaults of the columns a tick may leave unwritten, and no
+        flag set; :meth:`start_block` resolves an oracle's flags."""
         n_x, n_y, n_u = self.model.n_x, self.model.n_y, self.model.n_u
         # a column without a value on a tick (x_rec while healthy, k1 and
         # rsee_bound outside recovery, ee_bound without bounds) is NaN there;
@@ -200,7 +193,7 @@ class SubsystemRuntime:
         ee_row = nan_row if self.bounds is None else self.bounds.eps_delta
         # a generic detector flags the loop as a whole: one flag
         self.flags = np.zeros((rows, n_y if self.ads.kind == "specific"
-                               else 1), int)
+                               else 1), bool)
         self.detected = bytearray(rows)
         self.trace = {
             "t": np.empty(rows),
@@ -225,27 +218,14 @@ class SubsystemRuntime:
         self.lo = self.rows
 
     def start_block(self, t_us: np.ndarray) -> None:
-        """Start the block of rows from ``rows`` on, ticking at the
-        (integer µs) times ``t_us``: resolve the oracle's flags of its rows.
-        A residual-threshold detector's rows start clear.  A runtime that
-        holds too few rows past ``rows`` for the block reuses its rows from
-        ``rows`` on, a sink having read them: it gives each the defaults
-        :meth:`hold` gave it of the columns a tick may leave unwritten."""
-        n = self.rows - self.lo
-        if n + len(t_us) > len(self.detected):
-            self.lo, n, tr = self.rows, 0, self.trace
-            tr["x_rec"][:] = tr["k1"][:] = np.nan
-            tr["recovered"][:] = tr["ckpt_event"][:] = False
-            tr["safe_stop"][:] = False
-            if self.bounds is not None:
-                tr["rsee_bound"][:] = np.nan
-            if self.logged_u is not tr["u"]:
-                self.logged_u[:] = np.nan
-        flags = oracle_flags(self.ads, self.schedule, t_us, self.model.n_y)
-        if self.innovations is not None:    # its ticks flag their rows
-            flags[:] = 0
-        self.flags[n:n + len(flags)] = flags
-        self.detected[n:n + len(flags)] = flags.any(axis=1).tobytes()
+        """Resolve an oracle's flags of the held rows from ``rows`` on,
+        ticking at the (integer µs) times ``t_us``.  A residual-threshold
+        detector's rows stay clear until its ticks flag them."""
+        if self.ads.mode == "oracle":
+            n = self.rows - self.lo
+            flags = oracle_flags(self.ads, self.schedule, t_us, self.model.n_y)
+            self.flags[n:n + len(flags)] = flags
+            self.detected[n:n + len(flags)] = flags.any(axis=1).tobytes()
 
 
 def element_mask(K: np.ndarray, flags: np.ndarray, kind: str) -> np.ndarray:

@@ -18,14 +18,16 @@ one master seed through per-(loop, noise kind) child streams, spawned in
 loop order, so a loop appended after the others never perturbs another
 loop's draws and identical (config, seed) pairs yield byte-identical CSVs.
 
-A loop runs a block of ``_BLOCK`` rows at a time.  When it starts a
-block, the scheduler hands the finished block to ``run_loops``'s
-``on_block`` hook, draws the block's noise, one call per stream, and
-resolves the anomaly window and the oracle's flags of each of its ticks;
-a tick reads its row of each.  A block of noise equals as many one-row
-draws, bit for bit, so the block size never changes a run; it bounds the
-memory the noise, the windows and the flags take, and, with an
-``on_block`` hook, the trace rows a loop holds.
+A loop runs a block of ``_BLOCK`` rows at a time, and the scheduler alone
+decides where a block starts and which rows its runtime holds.  When a
+loop starts a block, the scheduler hands the finished block to
+``run_loops``'s ``on_block`` hook and holds fresh rows for the next one,
+draws the block's noise, one call per stream, and resolves the anomaly
+window and the oracle's flags of each of its ticks; a tick reads its row
+of each.  A block of noise equals as many one-row draws, bit for bit, so
+the block size never changes a run; it bounds the memory the noise, the
+windows and the flags take, and, with an ``on_block`` hook, the trace
+rows a loop holds.
 
 A trace CSV is written a block of ``_BLOCK`` rows at a time, either after
 the run by :func:`emit_csv` or, during it, by a :class:`CsvStream` whose
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import _csvwriter
 from . import config as cfgmod
-from .framework import (BLOCK, UnrecoverableError, consistent_checkpoint,
+from .framework import (UnrecoverableError, consistent_checkpoint,
                         most_recent_consistent_checkpoint, subsystem_tick)
 from .models import sample_noise
 from .store import SecureStore
@@ -56,7 +58,7 @@ _STREAMS = ("process", "measurement", "init")
 # trace while it hands each block to a sink, and of a trace CSV formatted
 # and written at a time; the writer formats each loop's last block after
 # the last tick, so a larger block makes a run wait longer for its files
-_BLOCK = BLOCK
+_BLOCK = 1024
 
 
 def make_rngs(seed: int, loop_ids: list) -> dict:
@@ -92,11 +94,11 @@ class SimResult:
     """A finished run.  ``traces`` holds each loop's whole history, or,
     after a run that handed its blocks to an ``on_block`` sink, only the
     rows of each loop's last block, from row ``rt.lo`` on: the sink had
-    the others.  ``store`` holds only the records since its last cut,
-    which each log's anchor commits to, and the loops' ``logged_u`` the
-    logged inputs of the rows their traces hold.  A trace's ``ee_bound``,
-    and its ``rsee_bound`` when the loop has no bounds, is a view of one
-    shared read-only row (row stride 0)."""
+    the others, each block in rows of its own.  ``store`` holds only the
+    records since its last cut, which each log's anchor commits to, and
+    the loops' ``logged_u`` the logged inputs of the rows their traces
+    hold.  A trace's ``ee_bound``, and its ``rsee_bound`` when the loop
+    has no bounds, is a view of one shared read-only row (row stride 0)."""
 
     traces: dict
     store: SecureStore
@@ -126,16 +128,17 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
     ``innovations``, ``episode``, ``controller`` and ``applied_input`` are
     set to None.
 
-    Without ``on_block`` each runtime holds every row of its trace.  With
-    it, a runtime holds one ``_BLOCK``-row block, whatever the horizon: a
-    loop ``i`` that starts a block first calls ``on_block(i, rt)`` for the
-    block it finished, then reuses its rows, and when the ticks end the
-    run calls it for each loop's last block, full or partial.  In each
-    call the held rows ``rt.lo`` to ``rt.rows`` are final, the row of a
-    stopping tick included, at places ``0`` to ``rt.rows - rt.lo`` of the
-    runtime's columns; it sees each block once, in order, and must copy
-    what it keeps.  :class:`CsvStream` writes the trace CSVs from these
-    calls."""
+    Without ``on_block`` each runtime holds every row of its trace, from
+    before its first tick.  With it, a runtime holds one ``_BLOCK``-row
+    block, whatever the horizon: a loop ``i`` that starts a block first
+    calls ``on_block(i, rt)`` for the block it finished, then holds fresh
+    rows for the next, and when the ticks end the run calls it for each
+    loop's last block, full or partial.  In each call the held rows
+    ``rt.lo`` to ``rt.rows`` are final, the row of a stopping tick
+    included, at places ``0`` to ``rt.rows - rt.lo`` of the runtime's
+    columns; it sees each block once, in order, and the run never writes
+    them again, so it may keep them.  :class:`CsvStream` writes the trace
+    CSVs from these calls."""
     rngs = make_rngs(seed, [rt.model.id for rt in loops])
     store = SecureStore()
     detection_times = {rt.model.id: rt.ads.detection_time for rt in loops}
@@ -149,7 +152,7 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
             model.Sigma0_factor, rngs[(sid, "init")], 1)[0]
         offsets.append([w.gamma * w.y_a for w in rt.schedule.windows])
         blocks.append((0, (), (), ()))
-        # a sink takes each finished block, so the loop holds one
+        # every tick's rows, or, with a sink, the first block's
         rt.hold(rt.ticks if on_block is None else min(_BLOCK, rt.ticks))
 
     events = []
@@ -174,6 +177,7 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
         if n == len(w):     # the block is used up: hand it over, go on
             if on_block is not None and n:
                 on_block(i, rt)
+                rt.hold(min(_BLOCK, rt.ticks - rt.rows))
             lo, n, sid = rt.rows, 0, model.id
             rows = min(_BLOCK, rt.ticks - lo)
             w = sample_noise(model.Q_factor, rngs[(sid, "process")], rows)
@@ -259,12 +263,13 @@ def _trace_columns(tr: dict, rows) -> list:
     return [cols[name] for name in _CSV_COLUMNS]
 
 
-def _csv_header(rt, tr: dict) -> list:
-    """The header of the trace CSV of loop ``rt``, whose trace is ``tr``."""
+def _csv_header(rt) -> list:
+    """The header of the trace CSV of loop ``rt``."""
     sn, mn, un = rt.columns
-    # a generic detector flags the loop as a whole: one column
+    # a generic detector flags the loop as a whole: one column, named by
+    # its sensor on a one-sensor loop
     flags = ([f"ads_flag_{c}" for c in mn]
-             if tr["ads_flags"].shape[1] == len(mn) else ["ads_flag"])
+             if rt.ads.kind == "specific" or len(mn) == 1 else ["ads_flag"])
     return (["t"]
             + [f"x_true_{c}" for c in sn]
             + [f"y_meas_{c}" for c in mn]
@@ -289,7 +294,7 @@ def emit_csv(result: SimResult, out_dir) -> list:
         tr = result.traces[rt.model.id]
         path = os.path.join(out_dir, f"{rt.model.id}.csv")
         try:
-            write_csv(path, _csv_header(rt, tr), _trace_columns(tr, None))
+            write_csv(path, _csv_header(rt), _trace_columns(tr, None))
         except OSError as exc:
             raise OSError(f"failed writing trace CSV {path}: {exc}") from exc
         paths.append(path)
@@ -302,8 +307,7 @@ class CsvStream(_csvwriter.Writer):
 
     Pass :meth:`on_block` as ``run_loops``'s ``on_block``; it hands over
     each block of ``_BLOCK`` rows, or fewer at a trace's end, to be
-    written to ``<out_dir>/<loop id>.csv``, as a copy, since the run
-    reuses the rows of the block.  Leaving the context waits for
+    written to ``<out_dir>/<loop id>.csv``.  Leaving the context waits for
     the files; see :class:`_csvwriter.Writer` for what a failure leaves
     behind.  The files equal :func:`emit_csv`'s byte for byte: both cut
     the same blocks and format them alike.
@@ -311,13 +315,13 @@ class CsvStream(_csvwriter.Writer):
 
     def __init__(self, loops: list, out_dir):
         super().__init__([(os.path.join(out_dir, f"{rt.model.id}.csv"),
-                           ",".join(_csv_header(rt, rt.trace)) + "\n")
+                           ",".join(_csv_header(rt)) + "\n")
                           for rt in loops])
 
     def on_block(self, i: int, rt) -> None:
         """Hand over the block of loop ``i``'s trace that its runtime holds."""
         row, n, values = _csv_block(_trace_columns(rt.trace, rt.rows - rt.lo))
-        self.block(i, row, n, values.tobytes())     # a copy of the rows
+        self.block(i, row, n, values.tobytes())
 
 
 def every_tick_shadow(result: SimResult) -> dict:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cpsrecover.analysis import checkpoint_time_before_anomaly
 from cpsrecover.estimator import _REG, EstimatorState
+from cpsrecover.framework import SubsystemRuntime
 from cpsrecover.models import SubsystemModel, identity
 from cpsrecover.store import (Checkpoint, SecureStore, _unpack_checkpoint,
                               _unpack_control)
@@ -60,6 +61,21 @@ def random_lti_model(rng, n=None, dt=1.0):
         jac_A=lambda x, u: A, jac_C=lambda x, u: C,
         Q=np.zeros((n, n)), R=np.zeros((n, n)), dt=dt, **prior(n))
     return model, A, B
+
+
+def ticking_runtime(model, ads, schedule, ticks: int,
+                    t_max: float = 100.0) -> SubsystemRuntime:
+    """A runtime of ``model`` with a zero controller that a test ticks by
+    hand: it holds a row for each of its ``ticks``, as ``sim.run_loops``
+    does for a run that keeps whole traces, and has resolved their
+    flags."""
+    rt = SubsystemRuntime(model=model, est=EstimatorState.initial(model),
+                          controller=lambda x, t: np.zeros(model.n_u),
+                          ads=ads, schedule=schedule, t_max=t_max,
+                          ticks=ticks)
+    rt.hold(ticks)
+    rt.start_block(np.arange(ticks) * to_us(model.dt))
+    return rt
 
 
 def _decoded(logs: dict, subsystem: str, unpack) -> list:

@@ -5,10 +5,10 @@ from hypothesis import example, given, settings, strategies as st
 from cpsrecover import framework, robot
 from cpsrecover.anomaly import (DETECTOR_KINDS, AdsConfig, AnomalySchedule,
                                 AnomalyWindow, oracle_flags)
-from cpsrecover.estimator import EstimatorState, estimator_step
+from cpsrecover.estimator import estimator_step
 from cpsrecover.framework import (CONSISTENT, FULLY_INCONSISTENT,
-                                  PARTLY_INCONSISTENT, SubsystemRuntime,
-                                  UnrecoverableError, classify_checkpoint_set,
+                                  PARTLY_INCONSISTENT, UnrecoverableError,
+                                  classify_checkpoint_set,
                                   element_mask,
                                   most_recent_consistent_checkpoint,
                                   roll_forward_recover, subsystem_tick)
@@ -18,7 +18,7 @@ from cpsrecover.timebase import to_s, to_us
 from helpers import (controls_of, prior, random_lti_model,
                      reference_active_window, reference_inject_anomaly,
                      reference_oracle_flags, reference_roll_forward,
-                     scalar_lti_model)
+                     scalar_lti_model, ticking_runtime)
 
 
 # -- consistent checkpoint selection ------------------------------------
@@ -171,10 +171,7 @@ def lti_runtime(model, t_max=100.0, detection_time=1.0, schedule=None,
     if schedule is None:
         schedule = AnomalySchedule(())
     ads = AdsConfig(kind=kind, mode=mode, detection_time=detection_time)
-    return SubsystemRuntime(model=model, est=EstimatorState.initial(model),
-                            controller=lambda x, t: np.zeros(model.n_u),
-                            ads=ads, schedule=schedule, t_max=t_max,
-                            ticks=ticks)
+    return ticking_runtime(model, ads, schedule, ticks, t_max)
 
 
 # window edges in µs: consecutive pairs of sorted distinct points, so the
@@ -199,10 +196,10 @@ _edges_us = st.lists(st.integers(-300_000, 2_000_000), unique=True,
 def test_resolved_schedule_equals_the_per_tick_reference(
         edges, n_y, dt_us, detection_us, kind, data):
     """On every tick the window the scheduler resolves, the measurement
-    it offsets, a runtime's flag row and ``detected`` equal the per-tick
-    reference window, injection and oracle, and so do ``oracle_flags`` of
-    the tick alone; a residual-threshold runtime starts with every row
-    clear."""
+    it offsets, the window delayed by the detection time, a runtime's
+    Boolean flag row and ``detected`` equal the per-tick reference window,
+    injection and oracle, and so do ``oracle_flags`` of the tick alone, as
+    integers; a residual-threshold runtime starts with every row clear."""
     draw = data.draw if data else (lambda s: [1] * n_y)
     points = sorted(edges)
     windows = [AnomalyWindow(to_s(a), to_s(b), draw(st.lists(
@@ -221,7 +218,9 @@ def test_resolved_schedule_equals_the_per_tick_reference(
                      schedule=sched, kind=kind, ticks=ticks)
     y = np.array([-0.0, 1.5, -2.25][:n_y])
     window = sched.window_index(np.arange(ticks) * dt_us, 0)
+    delayed = sched.window_index(np.arange(ticks) * dt_us, detection_us)
     assert window.shape == (ticks,) and window.dtype.kind == "i"
+    assert rt.flags.dtype == bool
     for n in range(ticks):
         t = to_s(n * dt_us)
         j = window[n]
@@ -232,12 +231,16 @@ def test_resolved_schedule_equals_the_per_tick_reference(
         want_y = reference_inject_anomaly(y, sched, t)
         assert (got_y is y) == (want_y is y)
         assert got_y.tobytes() == want_y.tobytes()
+        assert delayed[n] == next(
+            (j for j, w in enumerate(sched.windows)
+             if w.start_us + detection_us <= n * dt_us < w.end_us), -1)
         want = reference_oracle_flags(n_y, sched, t, ads.detection_time)
         if kind == "generic":
             want = np.array([int(want.any())])
-        for got in (rt.flags[n], oracle_flags(ads, sched, to_us(t), n_y)):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        got = oracle_flags(ads, sched, to_us(t), n_y)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(rt.flags[n], want)
         assert rt.detected[n] == int(want.any())
     residual = lti_runtime(model, detection_time=ads.detection_time,
                            schedule=sched, kind=kind,
@@ -405,9 +408,7 @@ def test_healthy_elements_untouched_by_recovery():
         mu0=np.zeros(2), Sigma0=np.diag([1.0, 1.0]))
     sched = AnomalySchedule((AnomalyWindow(4.0, 9.0, [50.0, 0.0], [1, 0]),))
     ads = AdsConfig(kind="specific", mode="oracle", detection_time=1.0)
-    rt = SubsystemRuntime(model=m, est=EstimatorState.initial(m),
-                          controller=lambda x, t: np.zeros(1), ads=ads,
-                          schedule=sched, t_max=100.0, ticks=8)
+    rt = ticking_runtime(m, ads, sched, ticks=8)
     store = SecureStore()
     for k in range(8):
         t = float(k)

@@ -94,17 +94,21 @@ def test_a_run_writes_no_model():
 
 
 def test_a_finished_run_releases_its_tick_state(monkeypatch):
-    """A finished run keeps what its readers use and drops what only the
-    ticks read, whether it ran to the end or stopped, and whether it kept
-    whole traces or handed its blocks to a sink; after a sink, each trace
-    holds the rows of the loop's last block."""
+    """A built runtime holds no rows; a finished run keeps what its
+    readers use and drops what only the ticks read, whether it ran to the
+    end or stopped, and whether it kept whole traces or handed its blocks
+    to a sink; after a sink, each trace holds the rows of the loop's last
+    block."""
     monkeypatch.setattr(sim, "_BLOCK", 64)
     for cfg in (cfgmod.build_case_study(seed=42),
                 cfgmod.build_case_study(**UNRECOVERABLE)):
         cfg = cfgmod.validate_config(cfg)
         for sink in (None, lambda i, rt: None):
-            res = sim.run_loops(cfgmod.build_system(cfg), cfg["seed"],
-                                to_us(cfg["horizon"]), 1_000_000, sink)
+            loops = cfgmod.build_system(cfg)
+            assert all(rt.trace is rt.flags is rt.detected is None
+                       for rt in loops)
+            res = sim.run_loops(loops, cfg["seed"], to_us(cfg["horizon"]),
+                                1_000_000, sink)
             for rt in res.loops:
                 for name in ("detected", "innovations", "episode",
                              "controller", "applied_input"):
@@ -191,9 +195,8 @@ def test_a_run_resolves_its_schedule_once_per_loop(monkeypatch):
     """A default run looks up no active window and never calls
     ``step_dynamics``: each loop, whose ticks fit in one block, resolves
     its schedule before its first tick, with two lookups over its whole
-    tick grid (the window of each row and the oracle's delayed one), and
-    one more when it is built (its first block's flags), and the tick steps
-    the model itself."""
+    tick grid (the window of each row and the oracle's delayed one), none
+    when it is built, and the tick steps the model itself."""
     calls = Counter()
     grids = Counter()      # the number of times looked up in one call
     window_index = AnomalySchedule.window_index
@@ -222,7 +225,7 @@ def test_a_run_resolves_its_schedule_once_per_loop(monkeypatch):
     assert res.traces[robot.OUTER]["ads_flags"].any()
     assert not calls
     assert grids == Counter(len(res.traces[rt.model.id]["t"])
-                            for rt in res.loops for _ in range(3))
+                            for rt in res.loops for _ in range(2))
 
 
 def test_a_default_run_predicts_each_motor_state_once(monkeypatch):
@@ -678,8 +681,9 @@ def test_emit_csv_writes_the_per_value_rendering(tmp_path_factory, rows, loop,
     blank on rows without recovery."""
     trace = _random_trace(np.random.default_rng(seed), loop, rows, generic,
                           palette)
-    stand_in = SimpleNamespace(model=SimpleNamespace(id=loop),
-                               columns=robot.LOOPS[loop])
+    stand_in = SimpleNamespace(
+        model=SimpleNamespace(id=loop), columns=robot.LOOPS[loop],
+        ads=SimpleNamespace(kind="generic" if generic else "specific"))
     res = sim.SimResult({loop: trace}, None, [], False, [stand_in])
     [path] = sim.emit_csv(res, tmp_path_factory.mktemp("csv"))
     with open(path, newline="") as fh:
@@ -707,7 +711,7 @@ def test_csv_rows_have_as_many_fields_as_the_header(tmp_path, name):
 TRACE_COLUMNS = {
     "t": ("<f8", ""), "x_true": ("<f8", "x"), "y_meas": ("<f8", "y"),
     "x_hat": ("<f8", "x"), "x_rf": ("<f8", "x"), "x_rec": ("<f8", "x"),
-    "recovered": ("|b1", "x"), "u": ("<f8", "u"), "ads_flags": ("<i8", "f"),
+    "recovered": ("|b1", "x"), "u": ("<f8", "u"), "ads_flags": ("|b1", "f"),
     "ckpt_event": ("|b1", ""), "k1": ("<f8", ""), "rsee_bound": ("<f8", "x"),
     "ee_bound": ("<f8", "x"), "safe_stop": ("|b1", ""),
 }
@@ -1153,12 +1157,19 @@ _CUTTING["anomalies"] = dict(_CUTTING["anomalies"], outer=[dict(
 def _cutting_default(draw):
     """A ``_mutated_default`` config over 1 to 3 s with a checkpoint every
     0.1 to 0.5 s and a ``t_max`` of 1 to 3 s, so that a run lasts past its
-    first cuts more often."""
+    first cuts more often.  Every loop's first window starts at 0.6 to
+    0.8 s, later than any detection time, so that its detection finds a
+    checkpoint to recover from, unless a residual-threshold detector
+    flagged a loop before the first checkpoint."""
     cfg = draw(_mutated_default())
     cfg["horizon"] = draw(st.integers(100, 300)) / 100
     cfg["checkpoint_freq_hz"] = 10 / draw(st.integers(1, 5))
     cfg["t_max"] = draw(st.integers(100, 300).map(lambda k: k / 100)
                         | st.floats(1.0, 3.0))
+    for windows in cfg["anomalies"].values():
+        start = draw(st.integers(60, 80)) / 100
+        windows[0] = dict(windows[0], t_start=start,
+                          t_end=start + draw(st.integers(1, 80)) / 100)
     return cfg
 
 
@@ -1232,13 +1243,13 @@ _BLOCK_EDGES = [cfgmod.build_case_study(seed=5, horizon=rows / 100)
 _ACROSS_AN_EDGE = cfgmod.build_case_study(seed=5, horizon=12.0, anomalies={
     sid: [dict(windows[0], t_start=10.0, t_end=11.75)] for sid, windows
     in cfgmod.default_config()["anomalies"].items() if sid == robot.INNER_1})
-# the default block, and blocks of 1, 7 and 64 rows, in which a run reuses
-# its held block many times
+# the default block, and blocks of 1, 7 and 64 rows, in which a run holds
+# fresh rows many times
 _SMALL_BLOCKS = (None, 1, 7, 64)
 
 
 @settings(max_examples=20, deadline=None)
-@given(cfg=_cutting_default(), blocks=st.just((None,)))
+@given(cfg=_cutting_default(), blocks=st.sampled_from([(None,), (7,), (64,)]))
 @example(cfg=_BLOCK_EDGES[0], blocks=(None,))
 @example(cfg=_BLOCK_EDGES[1], blocks=(None,))
 @example(cfg=_BLOCK_EDGES[2], blocks=(None,))
@@ -1261,8 +1272,10 @@ def test_streamed_csvs_equal_emit_csv(tmp_path_factory, cfg, blocks):
     run that stops mid-block, with a dense ``rsee_bound``, a generic
     detector, a coupled plant and ticks that flag themselves.  With a
     ``sim._BLOCK`` of ``blocks`` (None: the default), the blocks the run
-    hands over, every column and the logged inputs, make up the whole run's
-    traces: a reused block starts with each column's defaults."""
+    hands over, kept as they are handed, every column and the logged
+    inputs, make up the whole run's traces: each block has rows of its own,
+    which share no memory with another block's, and the run never writes
+    them again."""
     try:
         cfgmod.validate_config(cfg)
     except ConfigError:
@@ -1280,7 +1293,7 @@ def test_streamed_csvs_equal_emit_csv(tmp_path_factory, cfg, blocks):
         def keep(stream, i, rt):
             rows = rt.rows - rt.lo
             held[rt.model.id].append(
-                {name: col[:rows].copy() for name, col
+                {name: col[:rows] for name, col
                  in dict(rt.trace, logged_u=rt.logged_u).items()})
             on_block(stream, i, rt)
 
@@ -1295,7 +1308,17 @@ def test_streamed_csvs_equal_emit_csv(tmp_path_factory, cfg, blocks):
         assert {p.name: p.read_bytes() for p in run.iterdir()} == want, block
         for rt in res.loops:
             tr = dict(res.traces[rt.model.id], logged_u=rt.logged_u[:rt.rows])
+            kept = held[rt.model.id]
             for name, col in tr.items():
                 np.testing.assert_array_equal(np.concatenate(
-                    [col[:0]] + [b[name] for b in held[rt.model.id]]),
+                    [col[:0]] + [b[name] for b in kept]),
                     col, err_msg=f"{rt.model.id} {name}, block {block}")
+                # a column no tick writes is one shared read-only row; the
+                # others' blocks are contiguous, so a block that shares
+                # memory with another shares it with the next by address
+                own = sorted((b[name] for b in kept
+                              if b[name].flags.writeable),
+                             key=lambda a: a.ctypes.data)
+                assert not any(np.shares_memory(a, b)
+                               for a, b in zip(own, own[1:])), (
+                    rt.model.id, name, block)
