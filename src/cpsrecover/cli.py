@@ -30,6 +30,7 @@ import contextlib
 import json
 import os
 import sys
+from bisect import bisect_right
 
 import numpy as np
 
@@ -125,10 +126,11 @@ def _cmd_compare(result: sim.SimResult, out_dir: str) -> None:
         gap = np.abs(shadows[sid][rows] - tr["x_rec"][rows])
         bound = np.full(gap.shape, np.nan)
         if bp is not None:
+            starts = [w.t_start for w in rt.schedule.windows]    # sorted
             for i, tk in enumerate(t):
                 # anchored at the latest anomaly window started by t
-                s = max((w.t_start for w in rt.schedule.windows
-                         if w.t_start <= tk), default=tk)
+                j = bisect_right(starts, tk)
+                s = starts[j - 1] if j else tk
                 bound[i] = accuracy_resource_gap_bound(
                     bp, round(tk / bp.tick), s)
         states = range(gap.shape[1])

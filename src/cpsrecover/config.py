@@ -61,7 +61,6 @@ from .estimator import EstimatorState
 from .framework import SubsystemRuntime
 from .timebase import US_PER_S, base_resolution_us, to_us
 
-SUBSYSTEMS = tuple(robot.LOOPS)     # robot's loops at import, in fire order
 # a run that keeps whole traces (compare, checkpoints) allocates each
 # loop's rows before its first tick: its trace columns and detection flags
 # take 102 bytes per row of a motor loop (about 1.0 GB for 10**7 rows) and

@@ -18,13 +18,9 @@ simulator runs whatever loops it is given.
 The continuous-time dynamics are discretized with an explicit Euler step.
 The outer loop runs at 10 Hz, the inner loops at 100 Hz.  The models and
 controllers run every tick, so their matrix products are written
-``a.dot(b)``, and their element-wise arithmetic is done by float kernels,
-as :mod:`cpsrecover.estimator` explains: the motor's ``f`` around its one
-product ``A_c.dot(x)``, the pose loop's ``f`` and ``jac_A``, and
-:func:`wheel_transform`.  Each runs on Python floats only when every input
-is finite and otherwise evaluates the numpy expression it replaces, so its
-result is that expression's bit for bit.  The outer controller passes its
-estimate to :func:`reference_trajectory` as Python floats too.
+``a.dot(b)``, as :mod:`cpsrecover.estimator` explains.  The motor's Euler
+step, which runs on 95 % of a run's ticks, is the one *float kernel*: see
+:func:`dc_motor_model`.
 """
 
 from __future__ import annotations
@@ -117,26 +113,7 @@ def bicycle_model(dt: float, Q: np.ndarray, R: np.ndarray,
                          [0.0, 0.0, v * math.cos(x[2])],
                          [0.0, 0.0, 0.0]])
 
-    f_ref, jac_ref = euler_discretize(deriv, jac_deriv, dt)
-
-    # the Euler step and its Jacobian hold no product sums, so each is one
-    # Python-float kernel, falling back on non-finite inputs
-    def f(x, u):
-        x0, x1, x2 = x.tolist()
-        v, w = u.tolist()
-        if not math.isfinite(x0 + x1 + x2 + v + w + dt):
-            return f_ref(x, u)
-        return np.array([x0 + v * math.cos(x2) * dt,
-                         x1 + v * math.sin(x2) * dt, x2 + w * dt])
-
-    def jac_A(x, u):
-        theta, v = x.item(2), u.item(0)
-        if not math.isfinite(theta + v + dt):
-            return jac_ref(x, u)
-        return np.array([1.0, 0.0, 0.0 + -v * math.sin(theta) * dt,
-                         0.0, 1.0, 0.0 + v * math.cos(theta) * dt,
-                         0.0, 0.0, 1.0]).reshape(3, 3)
-
+    f, jac_A = euler_discretize(deriv, jac_deriv, dt)
     eye3 = identity(3)             # read-only, shared
     return SubsystemModel(
         id=OUTER, n_x=3, n_y=3, n_u=2,
@@ -169,7 +146,21 @@ def dc_motor_model(motor_id: str, dt: float, params: RobotParams,
     b0, b1 = B_c.tolist()
     consts = b0 + b1 + dt          # not finite if one of them is not
 
-    # numpy sums the products of A_c.dot(x); the rest is element-wise
+    # The Euler step is a float kernel: numpy sums the products of
+    # A_c.dot(x), and the element-wise rest runs on Python floats and builds
+    # its array once, where numpy would dispatch each operation on two
+    # elements (1.5 against 2.8 us a call on a 2-core Xeon, numpy 2.4).  It
+    # takes that path only when every input is finite.  Where two NaN
+    # operands meet in a sum or product, which one's sign and payload the
+    # result keeps depends on the operand order the compiled code chose: a
+    # numpy array operation keeps the first one's, a numpy scalar operation
+    # the second one's, and CPython 3.11 one or the other depending on
+    # whether it has specialised that operation yet.  From finite inputs
+    # every NaN that arises is the same default NaN, so on any other input
+    # ``f`` evaluates ``f_ref``, and either way its result is ``f_ref``'s
+    # bit for bit.  The property test checks that with the function warm and
+    # with a cold copy of its bytecode, since only the cold copy catches a
+    # missing guard.
     def f(x, u):
         x0, x1 = x.tolist()
         u0 = u.item(0)
@@ -212,9 +203,6 @@ def reference_trajectory(t: float, position, prev_heading: float = 0.0):
     reference is held.
     """
     rx, ry = 2.0 * math.cos(t), 2.0 * math.sin(t)
-    # Python and numpy alike keep the first operand's NaN of a difference of
-    # two (only a sum's or product's operands may be swapped), so Python
-    # floats in ``position`` give numpy scalars' result
     dx, dy = rx - position[0], ry - position[1]
     if dx == 0.0 and dy == 0.0:
         heading = prev_heading
@@ -241,13 +229,10 @@ def dynamic_inversion_control(x_hat, ref, ref_rate, params: RobotParams):
 
 def wheel_transform(u_outer, params: RobotParams):
     """Body velocity command [v, omega] to [left, right] wheel speeds."""
-    v, w = np.asarray(u_outer, float).tolist()
-    sep, r = params.wheel_separation, params.wheel_radius
-    if not math.isfinite(v + w + sep + r):
-        v, w = u_outer
-        return np.array([2.0 * v - w * sep, 2.0 * v + w * sep]) / (2.0 * r)
-    d = 2.0 * r
-    return np.array([(2.0 * v - w * sep) / d, (2.0 * v + w * sep) / d])
+    v, w = u_outer
+    sep = params.wheel_separation
+    return (np.array([2.0 * v - w * sep, 2.0 * v + w * sep])
+            / (2.0 * params.wheel_radius))
 
 
 def wheel_transform_inverse(wheel_speeds, params: RobotParams):
@@ -305,7 +290,7 @@ def make_controllers(params: RobotParams,
 
     def outer(x_hat, t):
         nonlocal wheel_refs, prev_heading
-        ref = reference_trajectory(t, x_hat.tolist(), prev_heading)
+        ref = reference_trajectory(t, x_hat, prev_heading)
         prev_heading = ref[2]
         u = dynamic_inversion_control(x_hat, ref, reference_rate(t), params)
         wheel_refs = wheel_transform(u, params).tolist()

@@ -339,14 +339,16 @@ def every_tick_shadow(result: SimResult) -> dict:
 
     The replay reads each loop's logged inputs, ``rt.logged_u``, from the
     run itself: the store keeps only the records since its last cut.  It
-    reads whole traces, so ``result`` is a run without an ``on_block``
-    sink.
+    indexes whole traces by tick, so it raises ``ValueError`` on a run
+    with an ``on_block`` sink that holds only a loop's last block.
     """
     detection_times = {rt.model.id: rt.ads.detection_time
                        for rt in result.loops}
     shadows = {}
     for rt in result.loops:
         model, sid = rt.model, rt.model.id
+        if rt.lo:
+            raise ValueError(f"{sid}: streamed, holds rows {rt.lo} on only")
         tr = result.traces[sid]
         t = tr["t"]
         shadow = shadows[sid] = np.full((len(t), model.n_x), np.nan)

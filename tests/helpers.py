@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cpsrecover.analysis import checkpoint_time_before_anomaly
+from cpsrecover.config import default_config
 from cpsrecover.estimator import _REG, EstimatorState
 from cpsrecover.framework import SubsystemRuntime
 from cpsrecover.models import SubsystemModel, identity
@@ -25,6 +26,21 @@ UNRECOVERABLE = {
     "ads": {"inner-1": {"kind": "specific", "mode": "oracle",
                         "detection_time": 0.0, "threshold": 0.0}},
 }
+
+
+def long_periodic_config(horizon: float = 160.0) -> dict:
+    """The 160 s case with a 1.75 s burst every 5 s on every loop, built as
+    the benchmark's long-periodic workload builds it, or its schedule over
+    another horizon."""
+    cfg = default_config()
+    cfg["seed"], cfg["horizon"] = 1, horizon
+    n = int((horizon - 3.25 - 1.75) // 5.0) + 1
+    for sid, (first, second) in cfg["anomalies"].items():
+        cfg["anomalies"][sid] = [
+            dict(first if i % 2 == 0 else second,
+                 t_start=3.25 + 5.0 * i, t_end=3.25 + 5.0 * i + 1.75)
+            for i in range(n)]
+    return cfg
 
 
 def prior(n: int) -> dict:
@@ -308,29 +324,6 @@ def reference_motor_f(params, dt, x, u):
                      -params.k_friction / params.inertia]])
     B_c = np.array([1.0 / L, 0.0])
     return x + np.multiply(A_c.dot(x) + B_c * u[0], np.array(dt, float))
-
-
-def reference_bicycle_f(dt, x, u):
-    """The pose loop's Euler step."""
-    v, w = u
-    deriv = np.array([v * math.cos(x[2]), v * math.sin(x[2]), w])
-    return x + np.multiply(deriv, np.array(dt, float))
-
-
-def reference_bicycle_jac_A(dt, x, u):
-    """The pose loop's Euler-step Jacobian ``I + J dt``."""
-    v = u[0]
-    J = np.array([[0.0, 0.0, -v * math.sin(x[2])],
-                  [0.0, 0.0, v * math.cos(x[2])],
-                  [0.0, 0.0, 0.0]])
-    return identity(3) + J * dt
-
-
-def reference_wheel_transform(u_outer, params):
-    """Body velocity command to wheel speeds."""
-    v, w = u_outer
-    return np.array([(2.0 * v - w * params.wheel_separation),
-                     (2.0 * v + w * params.wheel_separation)]) / (2.0 * params.wheel_radius)
 
 
 def reference_pack_control(t: float, u) -> bytes:

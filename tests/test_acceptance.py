@@ -66,16 +66,16 @@ def calibrated_bounds():
     """Bound parameters calibrated on seeds disjoint from every test seed."""
     cfg0 = cfgmod.default_config()
     _, models = cfgmod.build_models(cfg0)
-    recs = {sid: [] for sid in cfgmod.SUBSYSTEMS}
+    recs = {sid: [] for sid in robot.LOOPS}
     for seed in range(1000, 1010):
         res = sim.run_scenario(cfgmod.build_case_study(seed=seed))
-        for sid in cfgmod.SUBSYSTEMS:
+        for sid in robot.LOOPS:
             recs[sid].append(_calibration_records(res, sid, _windows(cfg0, sid)))
     return {
         sid: calibrate_bound_params(models[sid], recs[sid],
                                     tick=models[sid].dt, mu=1.0,
                                     lti=sid in robot.LINEAR)
-        for sid in cfgmod.SUBSYSTEMS}
+        for sid in robot.LOOPS}
 
 
 def test_criterion_01_recovery_beats_uncorrected_estimator():
@@ -102,7 +102,7 @@ def test_criterion_02_bound_containment(calibrated_bounds):
     rsee_checked = ee_checked = 0
     for seed in range(100):
         res = sim.run_scenario(cfgmod.build_case_study(seed=seed))
-        for sid in cfgmod.SUBSYSTEMS:
+        for sid in robot.LOOPS:
             bp = calibrated_bounds[sid]
             dt = models[sid].dt
             tr = res.traces[sid]
@@ -164,7 +164,7 @@ def test_criterion_04_incremental_equals_full_reroll():
     store = full_store(res)
     _, models = cfgmod.build_models(cfg)
     checked = 0
-    for sid in cfgmod.SUBSYSTEMS:
+    for sid in robot.LOOPS:
         model = models[sid]
         tr = res.traces[sid]
         for k in range(len(tr["t"])):
@@ -244,7 +244,7 @@ def test_criterion_07_accuracy_resource_gap(calibrated_bounds):
     res = sim.run_scenario(cfg)
     shadows = sim.every_tick_shadow(res)
     compared = 0
-    for sid in cfgmod.SUBSYSTEMS:
+    for sid in robot.LOOPS:
         bp = calibrated_bounds[sid]
         dt = models[sid].dt
         tr = res.traces[sid]
@@ -261,7 +261,7 @@ def test_criterion_07_accuracy_resource_gap(calibrated_bounds):
             compared += 1
     assert compared > 100
     # at the every-tick checkpoint frequency the bound collapses to zero
-    for sid in cfgmod.SUBSYSTEMS:
+    for sid in robot.LOOPS:
         bp = dataclasses.replace(calibrated_bounds[sid],
                                  mu=1.0 / calibrated_bounds[sid].tick)
         s = 3.25
@@ -274,10 +274,10 @@ def test_criterion_08_consistency_classification(case_result):
     store = case_result.store
     models = {rt.model.id: rt.model for rt in case_result.loops}
     common = set.intersection(
-        *(set(store.save_times(sid)) for sid in cfgmod.SUBSYSTEMS))
+        *(set(store.save_times(sid)) for sid in robot.LOOPS))
     assert common  # the coordinator produced shared save instants
     for t in common:
-        snapshot = {sid: [t] * models[sid].n_x for sid in cfgmod.SUBSYSTEMS}
+        snapshot = {sid: [t] * models[sid].n_x for sid in robot.LOOPS}
         assert classify_checkpoint_set(snapshot) == CONSISTENT
     assert classify_checkpoint_set(
         {"outer": [3.0, 3.0, 3.0], "inner-1": [2.9, 2.9]}) == \
@@ -343,6 +343,6 @@ def test_criterion_10_determinism_and_performance(tmp_path):
     b_dir = tmp_path / "b"
     sim.emit_csv(res_a, a_dir)
     sim.emit_csv(res_b, b_dir)
-    for sid in cfgmod.SUBSYSTEMS:
+    for sid in robot.LOOPS:
         assert (a_dir / f"{sid}.csv").read_bytes() == \
             (b_dir / f"{sid}.csv").read_bytes(), sid

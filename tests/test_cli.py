@@ -11,9 +11,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cpsrecover import _csvwriter, cli, sim
+from cpsrecover import _csvwriter, cli, robot, sim
 from cpsrecover import config as cfgmod
-from helpers import UNRECOVERABLE
+from helpers import UNRECOVERABLE, long_periodic_config
 
 
 def write_cfg(tmp_path, **overrides):
@@ -27,7 +27,7 @@ def test_run_happy_path(tmp_path, capsys):
     path = write_cfg(tmp_path, out_dir=str(tmp_path))
     code = cli.main(["run", path, "--seed", "42"])
     assert code == 0
-    for sid in cfgmod.SUBSYSTEMS:
+    for sid in robot.LOOPS:
         assert (tmp_path / f"{sid}.csv").exists()
 
 
@@ -263,17 +263,33 @@ PINNED_TABLES = {
         "outer_gap.csv": "45b6b7ee678d91edcefdd41d20715f695684e5489267bd3ffec94a7d169f4c79"}),
     "bounded": dict(_GAP_DIGESTS, **{
         "outer_gap.csv": "82040c7a53545df52b2e548252ee09b759a2f01a6e05c7db145ec652cf151903"}),
+    "periodic": {
+        "inner-1_gap.csv": "4bc06153d1e649ec2d6cb79e172b57d2348339661e07decd76ade2910d3c8508",
+        "inner-2_gap.csv": "23aa18b00b57d9c414983faf5a1963125d8d7d82cf51192f17c903429a22bc8c",
+        "outer_gap.csv": "0e0e26cb48ce0718ccefce73bcee320968bf97cdf6cbaf927be8e26660454d5b",
+        "checkpoints.csv": "8a42821d5565c809a24acc212b3c1592472cda818889ee2a6afb882d9bb6a20e"},
 }
+_MOTOR_BOUNDS = {"A_bar": [[1.0, 0.0], [0.0, 1.0]], "eps_delta": [0.1, 0.1],
+                 "eps_omega": [0.1, 0.1]}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
 def test_compare_and_checkpoints_tables_are_pinned(tmp_path, name):
-    """The seed-42 default, and the same with CI's outer bounds section."""
-    bounds = {"outer": _CI_OUTER_BOUNDS} if name == "bounded" else {}
-    path = write_cfg(tmp_path, seed=42, out_dir=str(tmp_path / "out"),
-                     bounds=bounds)
-    assert cli.main(["compare", path]) == 0
-    assert cli.main(["checkpoints", path]) == 0
+    """The seed-42 default; the same with CI's outer bounds section; and
+    the 60 s periodic schedule with bounds on inner-1, whose 1,800
+    recovering ticks each anchor their gap bound at one of 12 windows."""
+    if name == "periodic":
+        cfg = long_periodic_config(60.0)
+        cfg["bounds"] = {"inner-1": _MOTOR_BOUNDS}
+    else:
+        cfg = cfgmod.build_case_study(
+            seed=42, bounds={"outer": _CI_OUTER_BOUNDS} if name == "bounded"
+            else {})
+    cfg["out_dir"] = str(tmp_path / "out")
+    path = tmp_path / "scenario.json"
+    cfgmod.save_config(cfg, path)
+    assert cli.main(["compare", str(path)]) == 0
+    assert cli.main(["checkpoints", str(path)]) == 0
     assert {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
             for f in PINNED_TABLES[name]} == PINNED_TABLES[name]
 
@@ -424,7 +440,7 @@ def test_a_run_leaves_no_writer_behind(tmp_path, monkeypatch, capsys, case):
         assert err.startswith("error: failed writing trace CSV ")
         assert ("outer.csv" if case == "no-part" else "inner-1.csv") in err
     else:
-        assert csvs == sorted(f"{sid}.csv" for sid in cfgmod.SUBSYSTEMS)
+        assert csvs == sorted(f"{sid}.csv" for sid in robot.LOOPS)
 
 
 def test_a_block_after_the_writer_failed_raises(tmp_path):

@@ -10,8 +10,7 @@ from cpsrecover.models import (DimensionError, SubsystemModel,
 from cpsrecover.timebase import base_resolution_us
 
 from helpers import (cold, finite_difference_jacobian, ieee_floats,
-                     ieee_vectors, outcome, prior, reference_bicycle_f,
-                     reference_bicycle_jac_A, reference_motor_f)
+                     ieee_vectors, outcome, prior, reference_motor_f)
 
 
 def _outer(dt=0.1):
@@ -287,22 +286,4 @@ def test_motor_step_is_its_numpy_expression(x, u, dt, inductance):
     before = x.tobytes(), u.tobytes()
     want = outcome(reference_motor_f, params, dt, x, u)
     assert outcome(m.f, x, u) == outcome(cold(m.f), x, u) == want
-    assert (x.tobytes(), u.tobytes()) == before
-
-
-@settings(max_examples=200, deadline=None)
-@given(x=ieee_vectors(3), u=ieee_vectors(2), dt=_positive)
-@example(x=np.array([np.nan, 0.0, 0.0]), u=np.array([-np.nan, 0.0]),
-         dt=0.1)
-def test_pose_step_and_jacobian_are_their_numpy_expressions(x, u, dt):
-    """The pose loop's ``f`` and ``jac_A``, warm or cold, equal the Euler
-    step and ``I + J dt`` as numpy evaluates them, bit for bit, or raise
-    alike."""
-    m = robot.bicycle_model(dt, 0.01 * np.eye(3), 0.01 * np.eye(3),
-                            **prior(3))
-    before = x.tobytes(), u.tobytes()
-    want = outcome(reference_bicycle_f, dt, x, u)
-    assert outcome(m.f, x, u) == outcome(cold(m.f), x, u) == want
-    want = outcome(reference_bicycle_jac_A, dt, x, u)
-    assert outcome(m.jac_A, x, u) == outcome(cold(m.jac_A), x, u) == want
     assert (x.tobytes(), u.tobytes()) == before

@@ -22,7 +22,8 @@ from cpsrecover.anomaly import (DETECTOR_KINDS, DETECTOR_MODES,
                                 AnomalySchedule)
 from cpsrecover.config import ConfigError
 from cpsrecover.timebase import to_s, to_us
-from helpers import UNRECOVERABLE, controls_of, full_store, reference_fmt
+from helpers import (UNRECOVERABLE, controls_of, full_store,
+                     long_periodic_config, reference_fmt)
 
 PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / \
     "pinned_digests.json"
@@ -34,7 +35,7 @@ def test_determinism_byte_identical_csv(tmp_path):
     out_b = tmp_path / "b"
     sim.emit_csv(sim.run_scenario(cfg), out_a)
     sim.emit_csv(sim.run_scenario(cfg), out_b)
-    for sid in cfgmod.SUBSYSTEMS:
+    for sid in robot.LOOPS:
         assert (out_a / f"{sid}.csv").read_bytes() == \
             (out_b / f"{sid}.csv").read_bytes()
 
@@ -50,7 +51,7 @@ def _csv_digests(cfg, out_dir) -> dict:
     sim.emit_csv(sim.run_scenario(cfg), out_dir)
     return {f"{sid}.csv": hashlib.sha256(
         (out_dir / f"{sid}.csv").read_bytes()).hexdigest()
-        for sid in cfgmod.SUBSYSTEMS}
+        for sid in robot.LOOPS}
 
 
 def test_cold_and_warm_gain_tables_give_the_pinned_csvs(tmp_path):
@@ -125,26 +126,23 @@ def test_a_finished_run_releases_its_tick_state(monkeypatch):
                 sim.every_tick_shadow(res)
 
 
-def _long_periodic_config(horizon: float = 160.0) -> dict:
-    """The 160 s case with a 1.75 s burst every 5 s on every loop, built as
-    the benchmark's long-periodic workload builds it, or its schedule over
-    another horizon."""
-    cfg = cfgmod.default_config()
-    cfg["seed"], cfg["horizon"] = 1, horizon
-    n = int((horizon - 3.25 - 1.75) // 5.0) + 1
-    for sid, (first, second) in cfg["anomalies"].items():
-        cfg["anomalies"][sid] = [
-            dict(first if i % 2 == 0 else second,
-                 t_start=3.25 + 5.0 * i, t_end=3.25 + 5.0 * i + 1.75)
-            for i in range(n)]
-    return cfg
+def test_every_tick_shadow_refuses_a_streamed_run(monkeypatch):
+    """A run that handed its blocks to a sink holds each loop's last block
+    only, which the shadow cannot index by tick."""
+    monkeypatch.setattr(sim, "_BLOCK", 64)
+    cfg = cfgmod.validate_config(cfgmod.build_case_study(seed=42))
+    res = sim.run_loops(cfgmod.build_system(cfg), cfg["seed"],
+                        to_us(cfg["horizon"]), 1_000_000, lambda i, rt: None)
+    assert res.loops[0].model.id == robot.OUTER and res.loops[0].lo == 64
+    with pytest.raises(ValueError, match="^outer: streamed, holds rows 64 on only"):
+        sim.every_tick_shadow(res)
 
 
 def test_long_periodic_csvs_match_pinned_digests(tmp_path):
     """The long-periodic case; its motor loops spend most steps reading
     their gain table's fixed point."""
     pinned = json.loads(PINNED_DIGESTS.read_text())["long-periodic"]
-    sim.emit_csv(sim.run_scenario(_long_periodic_config()), tmp_path)
+    sim.emit_csv(sim.run_scenario(long_periodic_config()), tmp_path)
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in pinned} == pinned
 
@@ -284,7 +282,7 @@ def test_loops_off_each_others_grid_tick_at_their_own_periods():
     cfg = cfgmod.build_case_study(
         horizon=2.0, robot={"outer_rate": 1e6 / 99_999},
         checkpoint_freq_hz=1e6 / 999_990_000,
-        anomalies={sid: [] for sid in cfgmod.SUBSYSTEMS})
+        anomalies={sid: [] for sid in robot.LOOPS})
     res = sim.run_scenario(cfg)
     assert not res.events
     for sid, period in ((robot.OUTER, 99_999), (robot.INNER_1, 10_000),
@@ -323,9 +321,9 @@ def test_the_engine_runs_two_copies_of_the_case_study_in_one_store(tmp_path):
     pinned = json.loads(PINNED_DIGESTS.read_text())["default-seed-42"]
     digests = {f"{sid}.csv": hashlib.sha256(
         (tmp_path / f"{sid}.csv").read_bytes()).hexdigest()
-        for sid in cfgmod.SUBSYSTEMS}
+        for sid in robot.LOOPS}
     assert digests == pinned
-    for sid in cfgmod.SUBSYSTEMS:        # the copies draw their own noise
+    for sid in robot.LOOPS:        # the copies draw their own noise
         assert res.traces[sid + "#2"]["ckpt_event"].tolist() == \
             res.traces[sid]["ckpt_event"].tolist()
         assert not np.array_equal(res.traces[sid + "#2"]["x_true"],
@@ -344,7 +342,7 @@ def test_the_store_holds_as_much_at_any_horizon():
     worth, and hold a suffix of every record they appended."""
     held = []
     for horizon in (40.0, 160.0):
-        res = sim.run_scenario(_long_periodic_config(horizon))
+        res = sim.run_scenario(long_periodic_config(horizon))
         assert not res.events
         assert _held(full_store(res)) > 4 * _held(res.store)
         held.append(_held(res.store))
@@ -356,7 +354,7 @@ def test_the_store_holds_as_much_at_any_horizon():
 def _traced_peak(horizon: float, on_block=None) -> tuple:
     """The traced peak of a periodic-burst run over ``horizon`` seconds,
     and the run, which hands its blocks to ``on_block`` if given."""
-    cfg = cfgmod.validate_config(_long_periodic_config(horizon))
+    cfg = cfgmod.validate_config(long_periodic_config(horizon))
     tracemalloc.start()
     try:
         res = sim.run_loops(cfgmod.build_system(cfg), cfg["seed"],
@@ -378,7 +376,7 @@ def test_a_run_row_holds_only_what_varies(monkeypatch):
     # grows with the rows differs; the blocks never change a run
     monkeypatch.setattr(sim, "_BLOCK", 256)
     # the untraced run imports and caches what runs over 10 s need
-    sim.run_scenario(_long_periodic_config(10.0))
+    sim.run_scenario(long_periodic_config(10.0))
 
     def growth(sink) -> tuple:
         """The peak's growth per loop row, and the 30 s run."""
@@ -420,7 +418,7 @@ def test_zero_noise_estimates_converge_to_truth():
         noise={"outer_q_std": 0.0, "outer_r_std": 0.0,
                "inner_q_std": 0.0, "inner_r_std": 0.0})
     res = sim.run_scenario(cfg)
-    for sid in cfgmod.SUBSYSTEMS:
+    for sid in robot.LOOPS:
         tr = res.traces[sid]
         late = tr["t"] > 1.0
         assert np.abs(tr["x_rf"][late] - tr["x_true"][late]).max() < 1e-6
@@ -440,7 +438,7 @@ def test_csv_header_and_schema(tmp_path):
 
 def test_csv_ckpt_event_matches_store(tmp_path, case_result):
     sim.emit_csv(case_result, tmp_path)
-    for sid in cfgmod.SUBSYSTEMS:
+    for sid in robot.LOOPS:
         with open(tmp_path / f"{sid}.csv") as fh:
             rows = list(csv.DictReader(fh))
         event_ts = [float(r["t"]) for r in rows if r["ckpt_event"] == "1"]
@@ -471,7 +469,7 @@ def test_csv_recovery_columns_blank_when_healthy(tmp_path, case_result):
 
 
 def test_case_study_save_times(case_result):
-    for sid in cfgmod.SUBSYSTEMS:
+    for sid in robot.LOOPS:
         assert full_store(case_result).save_times(sid) == \
             [0.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0]
 
@@ -482,12 +480,12 @@ def test_healthy_loops_save_on_every_checkpoint_period(mu):
     horizon = 2.5
     cfg = cfgmod.build_case_study(
         seed=0, horizon=horizon, checkpoint_freq_hz=mu,
-        anomalies={sid: [] for sid in cfgmod.SUBSYSTEMS})
+        anomalies={sid: [] for sid in robot.LOOPS})
     res = sim.run_scenario(cfg)
     period_us = to_us(1.0 / mu)
     want = [to_s(k * period_us)
             for k in range(-(-to_us(horizon) // period_us))]
-    for sid in cfgmod.SUBSYSTEMS:
+    for sid in robot.LOOPS:
         assert full_store(res).save_times(sid) == want
 
 
@@ -549,7 +547,7 @@ def test_safe_stop_truncates_trace():
     # first episode is detected at 3.5 and exceeds 0.5 s tolerable duration
     stop_t = res.events[0]["t"]
     assert 3.5 < stop_t < 5.0
-    for sid in cfgmod.SUBSYSTEMS:
+    for sid in robot.LOOPS:
         assert res.traces[sid]["t"].max() <= stop_t
 
 
@@ -584,7 +582,7 @@ def test_an_unrecoverable_tick_writes_its_row():
 _OUTER_BOUNDS = {"A_bar": [[1.0, 0.0, 0.2], [0.0, 1.0, 0.2], [0.0, 0.0, 1.0]],
                  "eps_delta": [0.3, 0.3, 0.3], "eps_omega": [0.6, 0.6, 0.6],
                  "phi_bar": [0.1, 0.1, 0.0], "E_max": [50.0, 50.0, 50.0]}
-_GENERIC = {sid: {"kind": "generic"} for sid in cfgmod.SUBSYSTEMS}
+_GENERIC = {sid: {"kind": "generic"} for sid in robot.LOOPS}
 
 CSV_CONFIGS = {
     "generic": dict(seed=3, ads=_GENERIC),
@@ -696,7 +694,7 @@ def test_csv_rows_have_as_many_fields_as_the_header(tmp_path, name):
     """A generic detector's single flag has a single ``ads_flag`` column."""
     cfg = cfgmod.build_case_study(**CSV_CONFIGS.get(name, dict(seed=3)))
     sim.emit_csv(sim.run_scenario(cfg), tmp_path)
-    for sid in cfgmod.SUBSYSTEMS:
+    for sid in robot.LOOPS:
         with open(tmp_path / f"{sid}.csv", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert rows and all(len(r) == len(header) for r in rows)
@@ -725,7 +723,7 @@ TRACE_COLUMNS = {
 def test_trace_column_dtypes_and_shapes(overrides, rows):
     res = sim.run_scenario(cfgmod.build_case_study(**overrides))
     generic = "ads" in overrides
-    for sid, n in zip(cfgmod.SUBSYSTEMS, rows):
+    for sid, n in zip(robot.LOOPS, rows):
         sn, mn, un = robot.LOOPS[sid]
         width = {"x": (len(sn),), "y": (len(mn),), "u": (len(un),),
                  "f": (1 if generic else len(mn),), "": ()}
@@ -743,7 +741,7 @@ def _ads(mode, kind="specific", outer_threshold=0.0, inner_threshold=0.0):
     return {sid: {"kind": kind, "mode": mode, "detection_time": 0.25,
                   "threshold": outer_threshold if sid == robot.OUTER
                   else inner_threshold}
-            for sid in cfgmod.SUBSYSTEMS}
+            for sid in robot.LOOPS}
 
 
 SHADOW_CONFIGS = {
@@ -801,7 +799,7 @@ def test_every_tick_shadow_reaches_past_a_short_healthy_gap(tmp_path):
                       dict(burst, t_start=5.0, t_end=6.0)],
         robot.INNER_1: [], robot.INNER_2: []}
     cfg["ads"] = {sid: {"detection_time": 0.0 if sid == robot.OUTER else 1.0}
-                  for sid in cfgmod.SUBSYSTEMS}
+                  for sid in robot.LOOPS}
     episode = [round(5.0 + 0.1 * i, 1) for i in range(10)]
 
     res = sim.run_scenario(cfg)
@@ -955,7 +953,7 @@ def test_validate_caps_the_trace_rows_per_loop():
     with pytest.raises(ConfigError, match=cap):
         cfgmod.validate_config(cfgmod.build_case_study(horizon=1e5 + 0.01))
     cfgmod.validate_config(cfgmod.default_config())
-    cfgmod.validate_config(_long_periodic_config())
+    cfgmod.validate_config(long_periodic_config())
 
 
 def test_validate_builds_no_models(monkeypatch):
@@ -1029,7 +1027,7 @@ def _near_default(draw, values):
     while True:
         if isinstance(node, dict):
             # an empty section (robot, bounds) gets a loop id or a new key
-            key = draw(st.sampled_from(sorted(node) or cfgmod.SUBSYSTEMS)
+            key = draw(st.sampled_from(sorted(node) or tuple(robot.LOOPS))
                        | st.text(max_size=5))
         else:
             key = draw(st.integers(0, len(node) - 1))
@@ -1086,7 +1084,7 @@ def _mutated_default(draw):
     cfg["t_max"] = draw(st.integers(1, 100).map(lambda k: k / 100)
                         | st.floats(0.001, 2.0))
     cfg["plant_mode"] = draw(st.sampled_from(["ideal", "coupled"]))
-    for sid in cfgmod.SUBSYSTEMS:
+    for sid in robot.LOOPS:
         cfg["ads"][sid] = {
             "kind": draw(st.sampled_from(DETECTOR_KINDS)),
             "mode": draw(st.sampled_from(DETECTOR_MODES)),

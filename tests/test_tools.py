@@ -1,8 +1,12 @@
+import ast
 import runpy
 from pathlib import Path
 
+import pytest
+
+ROOT = Path(__file__).parents[1]
 code_lines = runpy.run_path(
-    str(Path(__file__).parents[1] / "tools" / "code_lines.py"))["code_lines"]
+    str(ROOT / "tools" / "code_lines.py"))["code_lines"]
 
 
 def test_code_lines_skip_comments_docstrings_and_blank_lines(tmp_path):
@@ -27,3 +31,34 @@ class C:
 docstring"""
 ''')
     assert code_lines(path) == 6
+
+
+def unused_imports(source: str) -> list:
+    """The names that ``source`` imports and never reads, ``from
+    __future__`` aside; ``a.b`` reads the name ``a``."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_unused_imports_finds_a_name_never_read():
+    source = ("from __future__ import annotations\n"
+              "import math\nimport os.path\nimport numpy as np\n"
+              "from . import sim\nfrom .models import a, b as c\n"
+              "def f(x: c) -> None:\n    return np.cos(os.path.sep)\n")
+    assert unused_imports(source) == ["a", "math", "sim"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in (ROOT / "src" / "cpsrecover").glob("*.py")
+    if p.name != "__init__.py"))            # __init__ imports to re-export
+def test_a_module_reads_every_name_it_imports(path):
+    source = (ROOT / "src" / "cpsrecover" / path).read_text()
+    assert unused_imports(source) == []
