@@ -9,7 +9,9 @@ Three cooperating pieces:
 * :func:`roll_forward_recover` - rebuild the current estimate by replaying
   the dynamics predict step from the most recent consistent checkpoint
   using the logged control inputs, then overwrite exactly the estimate
-  elements implicated by the detector.
+  elements implicated by the detector.  Those elements depend on the
+  gain, the flags and the detector kind alone, so a gain-table gain,
+  which recurs, reads them from a memo keyed on the three.
 * :func:`most_recent_consistent_checkpoint` - the most recent checkpoint
   time common to all loops that lies outside every detector's detection
   window.  The scheduler hands every loop the same checkpoint Boolean on
@@ -112,14 +114,6 @@ class Episode:
     # start + t_max in µs: a tick after it safe-stops, so an episode of
     # exactly t_max does not
     deadline_us: int
-    # the read-only element mask of the last recovering tick, whether it
-    # selects every element, and the gain object and the flag-row bytes it
-    # was built from; the flags can change within an episode, and so can
-    # the gain
-    mask: np.ndarray | None = None
-    mask_full: bool = False
-    mask_gain: np.ndarray | None = None
-    mask_flags: bytes = b""
 
 
 @dataclass
@@ -240,6 +234,33 @@ def element_mask(K: np.ndarray, flags: np.ndarray, kind: str) -> np.ndarray:
     return g > GAIN_ZERO_TOL
 
 
+def _mask(K: np.ndarray, flags: np.ndarray, kind: str) -> tuple:
+    """The read-only :func:`element_mask` and whether it is full."""
+    mask = element_mask(K, flags, kind)
+    mask.flags.writeable = False
+    return mask, np.count_nonzero(mask) == mask.size
+
+
+# _mask of read-only gains, keyed on what a mask depends on: the gain's
+# shape, type and bytes, the flag row's type and bytes and the detector
+# kind.  Read-only gains are the estimator's gain-table entries, which
+# recur across ticks and runs; a new gain of each tick, as the pose loop's,
+# is never a key.  Past _MASK_ENTRIES the oldest entry goes.
+_MASKS: dict = {}
+_MASK_ENTRIES = 1024
+
+
+def _memo_mask(K: np.ndarray, flags: np.ndarray, kind: str) -> tuple:
+    key = (K.shape, K.dtype.char, K.tobytes(), flags.dtype.char,
+           flags.tobytes(), kind)
+    hit = _MASKS.get(key)
+    if hit is None:
+        if len(_MASKS) >= _MASK_ENTRIES:
+            del _MASKS[next(iter(_MASKS))]
+        hit = _MASKS[key] = _mask(K, flags, kind)
+    return hit
+
+
 def replay(model: SubsystemModel, x: np.ndarray, controls) -> np.ndarray:
     """Roll ``x`` forward through the predict step, one logged control each."""
     for c in controls:
@@ -261,8 +282,10 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
     ``prior`` is its predict step.  Returns ``(x_hat_updated, x_rec, mask,
     k1)``; ``k1`` is ``None`` unless this call re-rolled, and a full mask
     returns ``x_rec`` itself as the updated estimate.  The mask is
-    read-only: an open episode keeps it for later ticks with the same gain
-    object ``K`` and the same flags.
+    read-only.  A read-only ``K``, a gain-table entry, takes its mask from
+    a memo keyed on the gain's and the flags' bytes and the detector kind,
+    which every later tick and run with the same three shares; any other
+    ``K`` computes its own.
     """
     model = rt.model
     ep = rt.episode
@@ -286,16 +309,8 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
     else:
         x_rec = model.f(ep.x_rec, rt.last_u)
 
-    flag_bytes = flags.tobytes()
-    if ep is not None and ep.mask_gain is K and ep.mask_flags == flag_bytes:
-        mask, full = ep.mask, ep.mask_full
-    else:
-        mask = element_mask(K, flags, rt.ads.kind)
-        mask.flags.writeable = False
-        full = np.count_nonzero(mask) == mask.size
-        if ep is not None:
-            ep.mask, ep.mask_full = mask, full
-            ep.mask_gain, ep.mask_flags = K, flag_bytes
+    mask, full = (_mask if K.flags.writeable else _memo_mask)(
+        K, flags, rt.ads.kind)
     if full:
         return x_rec, x_rec, mask, k1
     x_new = x_hat.copy()

@@ -300,7 +300,7 @@ def make_controllers(params: RobotParams,
         pid = PidState()
 
         def control(x_hat, t):
-            error = wheel_refs[index] - float(x_hat[1])
+            error = wheel_refs[index] - x_hat.item(1)
             return np.array([pid_control(pid, error, dt, params)])
 
         return control

@@ -2,10 +2,15 @@
 
 Each sub-system owns two logs: its checkpoints, whose times are the save
 times, and the control inputs it applied.  Every appended record extends
-a keyed-hash chain: its tag is HMAC-SHA256 over the previous record's tag
-followed by the canonical payload.  So any in-place change to a stored
-payload or tag is detected by :meth:`SecureStore.verify_integrity`, as is a
-record without its tag or time.  Truncating a suffix of all three alike is
+a keyed-hash chain: its tag is a keyed BLAKE2s (Aumasson et al., "BLAKE2:
+simpler, smaller, fast as MD5", ACNS 2013) over the previous record's tag
+followed by the canonical payload.  Any key is first hashed to 32 bytes,
+so an empty one still keys the hash.  Each log has a key of its own: the
+store key's BLAKE2s of the log's kind byte and sub-system id.  So a record
+is bound to its log, and any in-place change to a stored payload or tag
+is detected by :meth:`SecureStore.verify_integrity`, as is a record
+without its tag or time.  Each log keeps one keyed hasher, which a tag
+copies: one hash per record.  Truncating a suffix of all three alike is
 NOT detected by the chain alone.
 
 A store holds only what recovery can still use.  :meth:`SecureStore.drop_before`
@@ -54,14 +59,16 @@ persistence format for post-run analysis: per record
 IEEE-754 doubles.  A log with a dropped prefix is led by an anchor record
 of the same layout: its payload is ``b"A"``, the log's kind byte, the
 dropped count (u64), the last dropped time (double) and the anchor tag, and
-its tag field holds a MAC of that payload and the log's label under the
-key.  A store with nothing dropped has no anchor records.  ``load`` decodes
+its tag field holds its MAC: the log's own tag of that payload after a zero
+tag.  A store with nothing dropped has no anchor records.  ``load`` decodes
 each payload, reading only inside it, checks that it packs back to the same
 bytes, appends it and compares the tag the append computed with the stored
 one, so it hashes each record once, and each anchor once.  A malformed
 record, a bad time, a differing tag, or an anchor that fails its MAC or
-does not lead its log, as after a changed byte, a front cut, a moved anchor
-or a wrong key, raises :class:`IntegrityError`; the store is dropped.
+does not lead its log, as after a changed byte, a front cut, a moved anchor,
+records moved to another log or a wrong key, raises
+:class:`IntegrityError`; the store is dropped.  So does a file saved with
+the HMAC-SHA256 tags of earlier versions.
 
 The integrity key comes from the ``CPSRECOVER_STORE_KEY`` environment
 variable or the constructor; the built-in default key is for simulation
@@ -85,20 +92,6 @@ from .timebase import to_us
 DEFAULT_KEY = b"cpsrecover-insecure-default-key"
 _TAG_LEN = 32
 _ZERO_TAG = b"\x00" * _TAG_LEN
-_BLOCK = 64                                   # SHA-256 block size, bytes
-_IPAD = bytes(b ^ 0x36 for b in range(256))   # byte translation tables
-_OPAD = bytes(b ^ 0x5C for b in range(256))
-
-
-def _keyed_sha256(key: bytes) -> tuple:
-    """HMAC-SHA256's inner and outer hashes with the padded key absorbed
-    (RFC 2104).  A tag copies both, which costs less than copying an
-    ``hmac`` object, and equals ``hmac.new(key, msg, sha256).digest()``."""
-    if len(key) > _BLOCK:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(_BLOCK, b"\x00")
-    return (hashlib.sha256(key.translate(_IPAD)),
-            hashlib.sha256(key.translate(_OPAD)))
 
 
 class IntegrityError(RuntimeError):
@@ -149,7 +142,7 @@ def _unpack_checkpoint(payload: bytes) -> Checkpoint:
     return Checkpoint(t, x.copy(), flags)
 
 
-_CONTROL_HEAD = struct.Struct("<dI")      # a control record's t and size
+_CONTROL_HEAD = struct.Struct("<cdI")     # a control record's kind, t, size
 # an anchor record's kind, log kind, dropped count and last dropped time;
 # its anchor tag follows
 _ANCHOR_HEAD = struct.Struct("<ccQd")
@@ -159,13 +152,13 @@ _F8 = np.dtype("<f8")                     # parsed once, not per record
 def _pack_control(t: float, u) -> bytes:
     if u.__class__ is not np.ndarray or u.dtype is not _F8:
         u = np.asarray(u, _F8)
-    return b"U" + _CONTROL_HEAD.pack(t, u.size) + u.tobytes()
+    return _CONTROL_HEAD.pack(b"U", t, u.size) + u.tobytes()
 
 
 def _unpack_control(payload: bytes) -> ControlRecord:
-    t, nu = _CONTROL_HEAD.unpack_from(payload, 1)
-    off = 1 + _CONTROL_HEAD.size
-    return ControlRecord(t, np.frombuffer(payload, "<f8", nu, off).copy())
+    _, t, nu = _CONTROL_HEAD.unpack_from(payload)
+    return ControlRecord(t, np.frombuffer(payload, "<f8", nu,
+                                          _CONTROL_HEAD.size).copy())
 
 
 class _Chain:
@@ -178,8 +171,8 @@ class _Chain:
     anchor stands for the ones dropped before them.
     """
 
-    def __init__(self, mac: tuple, label: str):
-        self._mac = mac                # from _keyed_sha256, holding no data
+    def __init__(self, key: bytes, label: str):
+        self._mac = hashlib.blake2s(key=key)   # keyed, holding no data
         self.label = label             # "<sub-system>: <kind>", for errors
         self.payloads: list[bytes] = []
         self.tags: list[bytes] = []
@@ -196,29 +189,28 @@ class _Chain:
         self._walked_tags: list[bytes] = []
 
     def _tag(self, payload: bytes, prev: bytes) -> bytes:
-        inner, outer = self._mac[0].copy(), self._mac[1].copy()
-        inner.update(prev)
-        inner.update(payload)
-        outer.update(inner.digest())
-        return outer.digest()
+        h = self._mac.copy()
+        h.update(prev)
+        h.update(payload)
+        return h.digest()
 
     def append(self, payload: bytes, t: float) -> bytes:
         """Append ``payload`` at ``t``, finite and after the last time, and
         return its tag; else raise :class:`MonotonicityError`."""
         times = self.times
-        if not math.isfinite(t):
-            raise MonotonicityError(f"{self.label} time {t} not finite")
         last = times[-1] if times else self.anchor_t
-        if t <= last:
+        if not last < t < math.inf:          # also false for a NaN ``t``
+            if not math.isfinite(t):
+                raise MonotonicityError(f"{self.label} time {t} not finite")
             raise MonotonicityError(f"{self.label} time {t} not after {last}")
-        tag = self._tag(payload, self.tags[-1] if self.tags else self.anchor)
+        prev = self.tags[-1] if self.tags else self.anchor
+        tag = self._tag(payload, prev)
         walked = self._walked_tags
         # the copy stays a chain that passes a walk only when the new tag is
         # computed from the copy's own last tag, or its anchor; an edited tag
         # is another object, since the copy holds immutable bytes
         if (len(walked) == len(self.tags) == len(self.payloads)
-                and (self.tags[-1] is walked[-1] if walked
-                     else self.anchor is self._walked_anchor)):
+                and prev is (walked[-1] if walked else self._walked_anchor)):
             self._walked_payloads.append(bytes(payload))
             walked.append(tag)
         self.tags.append(tag)
@@ -278,24 +270,20 @@ class _Chain:
                             self._walked_payloads, self._walked_tags):
                 del records[:i]
 
-    def anchor_mac(self, body: bytes) -> bytes:
-        """The MAC of an anchor record's payload ``body``, bound to this
-        log's label.  ``body`` begins with ``b"A"`` where a record's payload
-        begins with ``b"C"`` or ``b"U"``, so it is never a record's tag."""
-        return self._tag(body + self.label.encode(), _ZERO_TAG)
-
 
 class SecureStore:
     """Per-subsystem checkpoint and control logs.
 
-    A saved record ends its sub-system id at a NUL byte, so the first
-    append under an id holding a NUL character raises ``ValueError``.
+    A saved record ends its sub-system id, in UTF-8, at a NUL byte, so the
+    first append under an id holding a NUL character, or one that does not
+    encode, raises ``ValueError``.
     """
 
     def __init__(self, key: bytes | None = None):
         if key is None:
             key = os.environb.get(b"CPSRECOVER_STORE_KEY", DEFAULT_KEY)
-        self._mac = _keyed_sha256(key)
+        # any key, the empty one too, becomes a 32-byte BLAKE2s key
+        self._key = hashlib.blake2s(key).digest()
         self._checkpoints: dict[str, _Chain] = {}
         self._controls: dict[str, _Chain] = {}
 
@@ -304,10 +292,12 @@ class SecureStore:
             if "\x00" in subsystem:
                 raise ValueError(
                     f"sub-system id {subsystem!r} contains a NUL character")
-            self._checkpoints[subsystem] = _Chain(
-                self._mac, f"{subsystem}: checkpoint")
-            self._controls[subsystem] = _Chain(
-                self._mac, f"{subsystem}: control")
+            sid = subsystem.encode()
+            # each log's key is a keyed BLAKE2s of its kind byte and its id
+            self._checkpoints[subsystem], self._controls[subsystem] = (
+                _Chain(hashlib.blake2s(kind + sid, key=self._key).digest(),
+                       f"{subsystem}: {name}")
+                for kind, name in ((b"C", "checkpoint"), (b"U", "control")))
         return self._checkpoints[subsystem], self._controls[subsystem]
 
     # -- writes ---------------------------------------------------------
@@ -319,7 +309,10 @@ class SecureStore:
     def append_control(self, subsystem: str, t: float, u) -> None:
         """Append the control input ``u`` applied at time ``t``; it is read
         back as a :class:`ControlRecord`."""
-        chain = self._controls.get(subsystem) or self._chains(subsystem)[1]
+        try:
+            chain = self._controls[subsystem]
+        except KeyError:
+            chain = self._chains(subsystem)[1]
         chain.append(_pack_control(t, u), t)
 
     def drop_before(self, t: float) -> None:
@@ -404,7 +397,10 @@ class SecureStore:
                         body = _ANCHOR_HEAD.pack(
                             b"A", kind, chain.dropped, chain.anchor_t
                         ) + bytes(chain.anchor)
-                        records = [(body, chain.anchor_mac(body)), *records]
+                        # its MAC is the log's tag of ``body`` after a zero
+                        # tag; no record's payload begins with b"A"
+                        records = [(body, chain._tag(body, _ZERO_TAG)),
+                                   *records]
                     for payload, tag in records:
                         rec = sub.encode() + b"\x00" + payload
                         fh.write(struct.pack("<I", len(rec)))
@@ -489,7 +485,7 @@ def _anchor(path, ckpts: _Chain, ctrls: _Chain, body: bytes,
     if chain.dropped or chain.payloads:
         raise IntegrityError(f"{path}: {chain.label} anchor does not lead "
                              "its log")
-    if not hmac.compare_digest(chain.anchor_mac(body), mac):
+    if not hmac.compare_digest(chain._tag(body, _ZERO_TAG), mac):
         raise IntegrityError(f"{path}: {chain.label} anchor fails its MAC")
     chain.anchor = chain._walked_anchor = body[_ANCHOR_HEAD.size:]
     chain.anchor_t, chain.dropped = t, dropped

@@ -1,5 +1,6 @@
 """Shared model builders and reference computations for the test suite."""
 
+import hashlib
 import math
 import struct
 import types
@@ -125,7 +126,7 @@ def full_store(result) -> SecureStore:
     run hashed.
     """
     full = SecureStore()
-    full._mac = result.store._mac
+    full._key = result.store._key
     unrecoverable = {e["subsystem"] for e in result.events
                      if e["reason"].startswith("unrecoverable")}
     for rt in result.loops:
@@ -330,6 +331,17 @@ def reference_pack_control(t: float, u) -> bytes:
     """A control record's payload."""
     u = np.asarray(u, "<f8")
     return b"U" + struct.pack("<dI", t, u.size) + u.tobytes()
+
+
+def reference_tag(key: bytes, kind: bytes, sid: bytes, prev: bytes,
+                  payload: bytes) -> bytes:
+    """A record's tag, derived from the store key ``key`` by hand: the key
+    hashed to 32 bytes, the log's key that key's BLAKE2s of the log's kind
+    byte and sub-system id, and the tag that log key's BLAKE2s of the
+    previous tag and the payload."""
+    store_key = hashlib.blake2s(key).digest()
+    log_key = hashlib.blake2s(kind + sid, key=store_key).digest()
+    return hashlib.blake2s(prev + payload, key=log_key).digest()
 
 
 def cold(fn):

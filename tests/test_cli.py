@@ -268,6 +268,11 @@ PINNED_TABLES = {
         "inner-2_gap.csv": "23aa18b00b57d9c414983faf5a1963125d8d7d82cf51192f17c903429a22bc8c",
         "outer_gap.csv": "0e0e26cb48ce0718ccefce73bcee320968bf97cdf6cbaf927be8e26660454d5b",
         "checkpoints.csv": "8a42821d5565c809a24acc212b3c1592472cda818889ee2a6afb882d9bb6a20e"},
+    "onset": {
+        "inner-1_gap.csv": "fe585e42d518ef459904ec149d70148db9b8ac5d3075aee6bc0e8745885e3586",
+        "inner-2_gap.csv": "71490b833b1f1041423bd5d6af70758dddd60bb46eb75d6183a9019d7ad76d3a",
+        "outer_gap.csv": "6565519ab1ab263898acbd19b4858dad265a36fa5c593cf8eb309f0a52ee128e",
+        "checkpoints.csv": "7dd934eac6c490bb05cea4059c4d3c26f4bd10117dd5fc3a771832283dd0fa54"},
 }
 _MOTOR_BOUNDS = {"A_bar": [[1.0, 0.0], [0.0, 1.0]], "eps_delta": [0.1, 0.1],
                  "eps_omega": [0.1, 0.1]}
@@ -275,12 +280,20 @@ _MOTOR_BOUNDS = {"A_bar": [[1.0, 0.0], [0.0, 1.0]], "eps_delta": [0.1, 0.1],
 
 @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
 def test_compare_and_checkpoints_tables_are_pinned(tmp_path, name):
-    """The seed-42 default; the same with CI's outer bounds section; and
-    the 60 s periodic schedule with bounds on inner-1, whose 1,800
-    recovering ticks each anchor their gap bound at one of 12 windows."""
+    """The seed-42 default; the same with CI's outer bounds section; the
+    60 s periodic schedule with bounds on inner-1, whose 1,800 recovering
+    ticks each anchor their gap bound at one of 12 windows; and the seed-42
+    default with every detection time 0 and bounds on inner-1, whose first
+    recovering tick of each episode, 3.25 s and 8.25 s, is its window's
+    start."""
     if name == "periodic":
         cfg = long_periodic_config(60.0)
         cfg["bounds"] = {"inner-1": _MOTOR_BOUNDS}
+    elif name == "onset":
+        cfg = cfgmod.build_case_study(seed=42,
+                                      bounds={"inner-1": _MOTOR_BOUNDS})
+        for spec in cfg["ads"].values():
+            spec["detection_time"] = 0.0
     else:
         cfg = cfgmod.build_case_study(
             seed=42, bounds={"outer": _CI_OUTER_BOUNDS} if name == "bounded"

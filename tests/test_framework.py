@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cpsrecover import framework, robot
+from cpsrecover import config as cfgmod, framework, robot, sim
 from cpsrecover.anomaly import (DETECTOR_KINDS, AdsConfig, AnomalySchedule,
                                 AnomalyWindow, oracle_flags)
 from cpsrecover.estimator import estimator_step
@@ -525,8 +525,8 @@ def test_the_cached_mask_follows_the_flags_and_the_gain(monkeypatch):
     """In one outer-loop episode the flag row changes from [1, 1, 0] to
     [1, 0, 0] while the gain object stays, and the gain object changes
     while the flags stay; each recovering row's mask is ``element_mask`` of
-    that tick's gain and flags, and the mask the episode keeps is
-    read-only."""
+    that tick's gain and flags, and each mask ``roll_forward_recover``
+    returns is read-only."""
     model = robot.bicycle_model(0.1, 0.01 * np.eye(3), 0.01 * np.eye(3),
                                 mu0=np.array([2.0, 0.0, 1.5]),
                                 Sigma0=np.eye(3))
@@ -542,6 +542,15 @@ def test_the_cached_mask_follows_the_flags_and_the_gain(monkeypatch):
         return est, used[-1], innovation, prior
 
     monkeypatch.setattr(framework, "estimator_step", step)
+    masks = []                         # each recovering tick's mask
+    recover = framework.roll_forward_recover
+
+    def spy(*args):
+        out = recover(*args)
+        masks.append(out[2])
+        return out
+
+    monkeypatch.setattr(framework, "roll_forward_recover", spy)
     dt_us = to_us(model.dt)
     windows = tuple(AnomalyWindow(to_s(a * dt_us), to_s(b * dt_us),
                                   np.zeros(3), gamma)
@@ -564,4 +573,42 @@ def test_the_cached_mask_follows_the_flags_and_the_gain(monkeypatch):
     # [1, 1, 0] under each gain and [1, 0, 0]: three distinct masks
     assert len({tr["recovered"][n].tobytes() for n in recovering}) == 3
     assert rt.episode.start == to_s(3 * dt_us)
-    assert not rt.episode.mask.flags.writeable
+    assert len(masks) == len(recovering)
+    assert not any(mask.flags.writeable for mask in masks)
+
+
+def test_the_mask_memo_serves_the_motor_loops(monkeypatch):
+    """Two seed-42 default runs in one process, from an empty memo: every
+    gain that enters the memo is read-only, and each memo entry is one
+    ``element_mask`` call of the first run's motor loops.  The second run
+    calls ``element_mask`` once per recovering outer tick, whose gain is
+    new on each tick, and never on a motor tick."""
+    monkeypatch.setattr(framework, "_MASKS", {})
+    loop, calls, memo_calls = [None], [], []
+    recover = framework.roll_forward_recover
+    mask_of, memo = framework.element_mask, framework._memo_mask
+
+    def spy_recover(rt, *args):
+        loop[0] = rt.model.id
+        return recover(rt, *args)
+
+    def spy_mask(*args):
+        calls.append(loop[0])
+        return mask_of(*args)
+
+    def spy_memo(K, *args):
+        memo_calls.append((loop[0], K.flags.writeable))
+        return memo(K, *args)
+
+    monkeypatch.setattr(framework, "roll_forward_recover", spy_recover)
+    monkeypatch.setattr(framework, "element_mask", spy_mask)
+    monkeypatch.setattr(framework, "_memo_mask", spy_memo)
+    cfg = cfgmod.build_case_study(seed=42)
+    sim.run_scenario(cfg)
+    assert len(framework._MASKS) == sum(c != "outer" for c in calls) > 0
+    calls.clear()
+    res = sim.run_scenario(cfg)
+    outer = np.count_nonzero(~np.isnan(res.traces["outer"]["k1"]))
+    assert calls == ["outer"] * outer and outer > 0
+    assert memo_calls and all(sid != "outer" and not writeable
+                              for sid, writeable in memo_calls)

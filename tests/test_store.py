@@ -14,7 +14,7 @@ from cpsrecover.store import (DEFAULT_KEY, Checkpoint, IntegrityError,
                               MonotonicityError, SecureStore)
 from cpsrecover.timebase import to_us
 from helpers import (checkpoints_of, controls_of, full_store, ieee_vectors,
-                     reference_pack_control)
+                     reference_pack_control, reference_tag)
 
 
 def small_store():
@@ -225,9 +225,10 @@ def test_load_rejects_malformed_records(tmp_path, payload):
     """A record with a valid tag but a payload that is not a checkpoint or
     control of the length its header gives fails the load."""
     rec = b"outer\x00" + payload
-    tag = hmac.new(DEFAULT_KEY, b"\x00" * 32 + payload, hashlib.sha256)
+    kind = b"C" if payload[:1] == b"C" else b"U"
+    tag = reference_tag(DEFAULT_KEY, kind, b"outer", b"\x00" * 32, payload)
     path = tmp_path / "store.bin"
-    path.write_bytes(struct.pack("<I", len(rec)) + rec + tag.digest())
+    path.write_bytes(struct.pack("<I", len(rec)) + rec + tag)
     with pytest.raises(IntegrityError, match=r"store\.bin: .*outer"):
         SecureStore.load(path, key=DEFAULT_KEY)
 
@@ -238,7 +239,7 @@ def _tagged_controls(path, times):
     prev, data = b"\x00" * 32, b""
     for t in times:
         payload = b"U" + struct.pack("<dI", t, 1) + struct.pack("<d", 1.0)
-        prev = hmac.new(DEFAULT_KEY, prev + payload, hashlib.sha256).digest()
+        prev = reference_tag(DEFAULT_KEY, b"U", b"outer", prev, payload)
         rec = b"outer\x00" + payload
         data += struct.pack("<I", len(rec)) + rec + prev
     path.write_bytes(data)
@@ -489,16 +490,17 @@ _KEY = b"property key"
 def _full_walk(store) -> bool:
     """Every chain checked from its anchor, with nothing remembered; a
     chain whose record, tag and time counts differ fails."""
-    for chain in [*store._checkpoints.values(), *store._controls.values()]:
-        if not len(chain.payloads) == len(chain.tags) == len(chain.times):
-            return False
-        prev = chain.anchor
-        for payload, tag in zip(chain.payloads, chain.tags):
-            want = hmac.new(_KEY, bytes(prev) + bytes(payload),
-                            hashlib.sha256).digest()
-            if not hmac.compare_digest(want, bytes(tag)):
+    for kind, logs in ((b"C", store._checkpoints), (b"U", store._controls)):
+        for sid, chain in logs.items():
+            if not len(chain.payloads) == len(chain.tags) == len(chain.times):
                 return False
-            prev = tag
+            prev = chain.anchor
+            for payload, tag in zip(chain.payloads, chain.tags):
+                want = reference_tag(_KEY, kind, sid.encode(), bytes(prev),
+                                     bytes(payload))
+                if not hmac.compare_digest(want, bytes(tag)):
+                    return False
+                prev = tag
     return True
 
 
@@ -660,10 +662,10 @@ def test_an_anchored_file_loads_only_as_saved(tmp_path_factory, sizes, cuts,
     rewritten to match the cut; an anchor dropped, one bit flipped in its
     payload or MAC, moved to lead another log, or repeated after a record
     of its own log, which ``save`` never writes; or a log renamed, anchor
-    and records, to another loop id, which only the anchor's MAC binds.
-    Every log
-    keeps at least two records, since cutting a log's only record is also
-    cutting its suffix, which a hash chain cannot detect."""
+    and records, to another loop id, whose key every tag and the anchor's
+    MAC depend on.  Every log keeps at least two records, since cutting a
+    log's only record is also cutting its suffix, which a hash chain cannot
+    detect."""
     s = SecureStore(key=_KEY)
     for i, n in enumerate(sizes):      # n checkpoints and 5 n controls
         for k in range(n):
@@ -716,11 +718,32 @@ def test_an_anchored_file_loads_only_as_saved(tmp_path_factory, sizes, cuts,
         SecureStore.load(path, key=_KEY)
 
 
+@pytest.mark.parametrize("horizon", [2.0, 10.0])
+def test_swapping_two_logs_ids_fails_the_load(tmp_path, horizon):
+    """The seed-42 run's store, saved and then given ``inner-1``'s id on
+    every ``inner-2`` record and the reverse, fails the load: each log
+    tags under a key of its own id.  The 2 s run has dropped nothing, so
+    no anchor MAC is there to catch the swap; the 10 s run's logs each lead
+    with one."""
+    res = sim.run_scenario(cfgmod.build_case_study(seed=42, horizon=horizon))
+    path = tmp_path / "store.bin"
+    res.store.save(path)
+    records = _file_records(path.read_bytes())
+    anchors = sum(payload[:1] == b"A" for _, payload, _ in records)
+    assert anchors == (0 if horizon == 2.0 else 6)
+    swap = {b"inner-1": b"inner-2", b"inner-2": b"inner-1"}
+    for record in records:
+        record[0] = swap.get(record[0], record[0])
+    path.write_bytes(_file_of(records))
+    with pytest.raises(IntegrityError, match="fails its"):
+        SecureStore.load(path)
+
+
 # the seed-42 run's own store, as saved: its records from 8 s on, each log
 # led by its anchor
 PINNED_CUT_SIZE = 28_222
 PINNED_CUT_SHA256 = \
-    "638b40ee80aa65c2bbeb80b8d591ef2c32de7d7a2c3669a834ff096dd7758740"
+    "ab251f881db6c0f2ab96037a45fdec78ed2e3d2e86c882b3703f2f94cac9a665"
 
 
 def test_saved_store_format_is_pinned(tmp_path, monkeypatch):
@@ -734,7 +757,7 @@ def test_saved_store_format_is_pinned(tmp_path, monkeypatch):
     data = path.read_bytes()
     assert len(data) == 139_036
     assert hashlib.sha256(data).hexdigest() == \
-        "aa2a9f17e513f497c1c33525b6c16b202aff572e1e3a8d969191621d80dd1cc4"
+        "454f89d339cf3812902512ce8bb1a4ecfae6a25667b5de5d3b74310aa4d591a2"
     res.store.save(path)
     data = path.read_bytes()
     assert len(data) == PINNED_CUT_SIZE
@@ -746,10 +769,13 @@ def test_saved_store_format_is_pinned(tmp_path, monkeypatch):
        payload=st.binary(max_size=100))
 @example(key=b"k" * 64, prev=b"\x00" * 32, payload=b"")
 @example(key=b"k" * 65, prev=b"\x00" * 32, payload=b"U")
-def test_chain_tags_are_hmac_sha256(key, prev, payload):
-    chain = storemod._Chain(storemod._keyed_sha256(key), "a: control")
-    assert chain._tag(payload, prev) == hmac.new(
-        key, prev + payload, hashlib.sha256).digest()
+def test_chain_tags_are_keyed_blake2s(key, prev, payload):
+    """Each log tags under its own key, derived from the store key; an
+    empty key still keys the hash."""
+    for kind, chain in zip((b"C", b"U"), SecureStore(key=key)._chains("a")):
+        tag = chain._tag(payload, prev)
+        assert tag == reference_tag(key, kind, b"a", prev, payload)
+        assert tag != hashlib.blake2s(prev + payload).digest()
 
 
 def test_a_default_run_hashes_each_record_once(monkeypatch):
