@@ -7,7 +7,10 @@ Dynamics given as continuous-time derivatives are discretized with an
 explicit Euler step (``x + deriv(x, u) * dt``).
 
 A model's covariances are constant: it keeps read-only copies of them and
-factors each once, when it is built, for :func:`sample_noise`.  Noise comes
+factors each once, when it is built, for :func:`sample_noise`.  That
+factorisation is also the check that a covariance is positive
+semi-definite, so building a model runs no eigen-decomposition unless a
+nonzero covariance fails its Cholesky factorisation.  Noise comes
 in blocks of rows, each row one draw: a block draws its rows from the
 generator in order, so it equals, bit for bit, as many one-row draws and
 leaves the generator in the same state.
@@ -26,14 +29,6 @@ class DimensionError(ValueError):
     """A vector or matrix argument does not conform to the model dimensions."""
 
 
-def _check_psd(name: str, m: np.ndarray) -> None:
-    if not np.allclose(m, m.T, atol=1e-10):
-        raise ValueError(f"{name} must be symmetric")
-    w = np.linalg.eigvalsh(m / 2.0 + m.T / 2.0)   # halved: cannot overflow
-    if w.min() < -1e-9:
-        raise ValueError(f"{name} must be positive semi-definite")
-
-
 @functools.lru_cache(maxsize=None)
 def identity(n: int) -> np.ndarray:
     """Read-only ``n x n`` identity, shared by every caller."""
@@ -45,11 +40,12 @@ def identity(n: int) -> np.ndarray:
 def noise_factor(cov) -> np.ndarray:
     """A factor ``L`` with ``L @ L.T == cov``, for :func:`sample_noise`.
 
-    A Cholesky factor when the covariance is positive definite, an
-    eigen-decomposition otherwise (singular covariances, e.g. a zero row,
-    are legal).  A zero covariance gets an ``n x 0`` factor, so sampling it
-    draws nothing from the generator.  Raises ``ValueError`` if the
-    covariance is not positive semi-definite.
+    This is the positive semi-definiteness check: a Cholesky factor that
+    succeeds certifies a positive definite covariance, and a zero
+    covariance gets an ``n x 0`` factor, so sampling it draws nothing from
+    the generator.  Any other covariance (a singular one, e.g. with a zero
+    row, is legal) is factored by an eigen-decomposition of its symmetric
+    part, and ``ValueError`` is raised if an eigenvalue is below ``-1e-9``.
     """
     cov = np.asarray(cov, float)
     n = cov.shape[0]
@@ -58,8 +54,9 @@ def noise_factor(cov) -> np.ndarray:
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh((cov + cov.T) / 2.0)
-        if w.min() < -1e-9 * max(1.0, abs(w.max())):
+        # the symmetric part, halved first so that it cannot overflow
+        w, V = np.linalg.eigh(cov / 2.0 + cov.T / 2.0)
+        if w.min() < -1e-9:
             raise ValueError("covariance is not positive semi-definite")
         return V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
@@ -71,9 +68,11 @@ class SubsystemModel:
     ``f(x, u)`` returns the next state, ``g(x, u)`` the measurement.
     ``jac_A``/``jac_C`` evaluate the state Jacobians of ``f``/``g``.
     ``mu0``/``Sigma0`` are the initial state's mean and covariance.
-    ``Q``, ``R`` and ``Sigma0`` are stored as read-only float copies, each
-    with its :func:`noise_factor` in ``Q_factor``, ``R_factor`` and
-    ``Sigma0_factor``.
+    ``mu0``, ``Q``, ``R`` and ``Sigma0`` are stored as read-only float
+    copies, each covariance with its read-only :func:`noise_factor` in
+    ``Q_factor``, ``R_factor`` and ``Sigma0_factor``.  A covariance must be
+    finite and symmetric, and its factorisation is its positive
+    semi-definiteness check.
     """
 
     id: str
@@ -103,12 +102,23 @@ class SubsystemModel:
             if got != shape:
                 raise DimensionError(
                     f"{self.id}: {name} has shape {got}, expected {shape}")
+        mu0 = np.array(self.mu0, float)
+        mu0.flags.writeable = False
+        object.__setattr__(self, "mu0", mu0)
         for name in ("Q", "R", "Sigma0"):
             cov = np.array(getattr(self, name), float)
-            _check_psd(name, cov)
-            cov.flags.writeable = False
+            if not np.isfinite(cov).all():
+                raise ValueError(f"{name} must be finite")
+            if not np.allclose(cov, cov.T, atol=1e-10):
+                raise ValueError(f"{name} must be symmetric")
+            try:
+                factor = noise_factor(cov)
+            except ValueError:
+                raise ValueError(
+                    f"{name} must be positive semi-definite") from None
+            cov.flags.writeable = factor.flags.writeable = False
             object.__setattr__(self, name, cov)
-            object.__setattr__(self, name + "_factor", noise_factor(cov))
+            object.__setattr__(self, name + "_factor", factor)
 
 
 def step_dynamics(model: SubsystemModel, x, u, w) -> np.ndarray:

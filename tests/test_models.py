@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cpsrecover import robot
+from cpsrecover import config, robot, sim
 from cpsrecover.models import (DimensionError, SubsystemModel,
                                euler_discretize, noise_factor, sample_noise,
                                step_dynamics)
@@ -142,13 +142,77 @@ def test_non_psd_covariance_raises():
         noise_factor(np.diag([1.0, -1.0]))
 
 
+def _cov_model(**covs):
+    """A two-state motor model; ``covs`` replaces any of its ``Q``, ``R``
+    and ``Sigma0``."""
+    kw = dict(Q=np.eye(2), R=np.eye(1), Sigma0=np.zeros((2, 2)))
+    kw.update(covs)
+    return robot.dc_motor_model(robot.INNER_1, 0.01, robot.RobotParams(),
+                                kw["Q"], kw["R"], np.zeros(2), kw["Sigma0"])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["Q", "R", "Sigma0"])
+def test_non_finite_covariance_is_rejected(name, bad):
+    cov = np.eye(1 if name == "R" else 2)
+    cov[0, 0] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        _cov_model(**{name: cov})
+
+
+def test_the_default_path_runs_no_eigen_decomposition(monkeypatch):
+    """Every covariance of the case study is positive definite or zero, so
+    building its loops and running them never decomposes one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen-decomposition on the default path")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    cfg = config.validate_config(config.default_config())
+    assert config.build_system(cfg)
+    cfg["horizon"] = 1.0
+    assert sim.run_scenario(cfg).traces
+    # a nonzero covariance whose Cholesky factorisation fails is factored
+    # from the eigen-decomposition of its symmetric part
+    monkeypatch.undo()
+    cov = np.diag([1.0, 0.0])
+    w, V = np.linalg.eigh((cov + cov.T) / 2.0)
+    want = V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    assert noise_factor(cov).tobytes() == want.tobytes()
+    assert _cov_model(Q=cov).Q_factor.tobytes() == want.tobytes()
+
+
+def test_the_psd_tolerance_is_absolute():
+    """An eigenvalue below -1e-9 is rejected at any scale of the others."""
+    with pytest.raises(ValueError, match="not positive semi-definite"):
+        noise_factor(np.diag([1e6, -1e-8]))
+    assert noise_factor(np.diag([1e6, -1e-10])).shape == (2, 2)
+
+
+def test_a_covariance_its_cholesky_accepts_is_positive_semi_definite():
+    """The factorisation is the check: this positive definite covariance,
+    near singular at a norm of 1e7, is accepted with its Cholesky factor,
+    though a symmetric eigen-solver may round its least eigenvalue below
+    -1e-9."""
+    cov = np.array([
+        [3100894.2071691332, 479441.348241979, -809437.6750123504],
+        [479441.348241979, 9063964.54421277, -2779781.4967671363],
+        [-809437.6750123504, -2779781.4967671363, 995183.1218597677]])
+    m = robot.bicycle_model(0.1, cov, 0.01 * np.eye(3), **prior(3))
+    assert m.Q_factor.tobytes() == np.linalg.cholesky(cov).tobytes()
+
+
 def test_model_covariances_are_read_only_copies():
-    q = 0.01 * np.eye(3)
-    m = robot.bicycle_model(0.1, q, q, **prior(3))
-    assert q.flags.writeable
-    for cov in (m.Q, m.R, m.Sigma0):
-        with pytest.raises(ValueError):
-            cov[0, 0] = 1.0
+    """So are ``mu0`` and the covariances' factors; the caller's arrays
+    stay writeable."""
+    q, mu0 = 0.01 * np.eye(3), np.zeros(3)
+    m = robot.bicycle_model(0.1, q, q, mu0=mu0,
+                            Sigma0=np.diag([1.0, 1.0, 0.0]))
+    assert q.flags.writeable and mu0.flags.writeable
+    for a in (m.Q, m.R, m.Sigma0, m.mu0, m.Q_factor, m.R_factor,
+              m.Sigma0_factor):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
 
 
 def test_jacobians_match_finite_differences():
@@ -190,7 +254,7 @@ def test_measurement_jacobians_are_read_only():
 
 
 def test_psd_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Q must be positive semi-definite"):
         SubsystemModel(id="bad", n_x=1, n_y=1, n_u=1,
                        f=lambda x, u: x, g=lambda x, u: x,
                        jac_A=lambda x, u: np.eye(1),
