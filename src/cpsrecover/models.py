@@ -45,9 +45,12 @@ def noise_factor(cov) -> np.ndarray:
     covariance gets an ``n x 0`` factor, so sampling it draws nothing from
     the generator.  Any other covariance (a singular one, e.g. with a zero
     row, is legal) is factored by an eigen-decomposition of its symmetric
-    part, and ``ValueError`` is raised if an eigenvalue is below ``-1e-9``.
+    part, and ``ValueError`` is raised if an eigenvalue is below ``-1e-9``,
+    or, before any factoring, if an entry is not finite.
     """
     cov = np.asarray(cov, float)
+    if not np.isfinite(cov).all():
+        raise ValueError("covariance is not finite")
     n = cov.shape[0]
     if not np.any(cov):
         return np.zeros((n, 0))

@@ -138,7 +138,8 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
     included, at places ``0`` to ``rt.rows - rt.lo`` of the runtime's
     columns; it sees each block once, in order, and the run never writes
     them again, so it may keep them.  :class:`CsvStream` writes the trace
-    CSVs from these calls."""
+    CSVs from these calls, and is done with a block when its call returns,
+    so a run holds one block per loop whatever the writer's speed."""
     rngs = make_rngs(seed, [rt.model.id for rt in loops])
     store = SecureStore()
     detection_times = {rt.model.id: rt.ads.detection_time for rt in loops}
@@ -307,7 +308,9 @@ class CsvStream(_csvwriter.Writer):
 
     Pass :meth:`on_block` as ``run_loops``'s ``on_block``; it hands over
     each block of ``_BLOCK`` rows, or fewer at a trace's end, to be
-    written to ``<out_dir>/<loop id>.csv``.  Leaving the context waits for
+    written to ``<out_dir>/<loop id>.csv``, by writing the block's values
+    into the writer's pipe: it returns once they are in it, and waits only
+    while the writer is a whole pipe behind.  Leaving the context waits for
     the files; see :class:`_csvwriter.Writer` for what a failure leaves
     behind.  The files equal :func:`emit_csv`'s byte for byte: both cut
     the same blocks and format them alike.
@@ -321,7 +324,7 @@ class CsvStream(_csvwriter.Writer):
     def on_block(self, i: int, rt) -> None:
         """Hand over the block of loop ``i``'s trace that its runtime holds."""
         row, n, values = _csv_block(_trace_columns(rt.trace, rt.rows - rt.lo))
-        self.block(i, row, n, values.tobytes())
+        self.block(i, row, n, values)
 
 
 def every_tick_shadow(result: SimResult) -> dict:

@@ -3,9 +3,12 @@ import hashlib
 import json
 import os
 import re
+import signal
 import struct
 import subprocess
+import sys
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -413,9 +416,9 @@ def test_a_run_leaves_no_writer_behind(tmp_path, monkeypatch, capsys, case):
     """A 20 s ``run`` that finishes, safe-stops, raises at 12 s (after the
     motor loops' first blocks), is interrupted there, cannot rename to
     ``inner-1.csv`` or cannot open ``outer.csv.part`` has reaped its
-    writer process and ended its feeder thread when ``cli.main`` returns
-    or raises, and leaves no ``.part`` file; one that fails part-way
-    leaves no CSV at all."""
+    writer process and left no thread when ``cli.main`` returns or
+    raises, and leaves no ``.part`` file; one that fails part-way leaves
+    no CSV at all."""
     out = tmp_path / "out"
     path = write_cfg(tmp_path, horizon=20.0, out_dir=str(out),
                      **({"t_max": 0.5} if case == "safe-stop" else {}))
@@ -458,19 +461,20 @@ def test_a_run_leaves_no_writer_behind(tmp_path, monkeypatch, capsys, case):
 
 def test_a_block_after_the_writer_failed_raises(tmp_path):
     """A hand-off after the writer process exited raises the ``OSError``
-    that leaving the context would raise, naming the file; the context
-    still reaps the child and ends its feeder thread."""
+    that leaving the context would raise, naming the file; the writer
+    starts no thread, and the context still reaps the child."""
     path = str(tmp_path / "outer.csv")
     os.mkdir(path + ".part")
-    past_block = []
+    past_block, threads = [], set(threading.enumerate())
     with pytest.raises(OSError, match=re.escape(path)):
         with _csvwriter.Writer([(path, "x\n")]) as writer:
-            writer._proc.wait(timeout=60)     # it fails on its first frame
+            assert set(threading.enumerate()) == threads
+            writer._proc.wait(timeout=60)     # it fails opening its file
             writer.block(0, "%r\n", 1, struct.pack("d", 1.0))
             past_block.append(True)
     assert not past_block
     assert writer._proc.returncode == 1
-    assert not writer._feeder.is_alive()
+    assert set(threading.enumerate()) <= threads
     assert not [p for p in tmp_path.glob("*.part") if p.is_file()]
 
 
@@ -501,3 +505,154 @@ def test_a_run_stops_at_the_first_block_after_its_writer_failed(
     assert err.startswith("error: failed writing trace CSV ")
     assert "outer.csv" in err
     assert not [p for p in out.iterdir() if p.is_file()]
+
+
+def _pipe_size(writer) -> int:
+    """The bytes the pipe to ``writer``'s child holds, or 1 MiB where the
+    OS cannot tell."""
+    try:
+        import fcntl
+        return fcntl.fcntl(writer._proc.stdin, fcntl.F_GETPIPE_SZ)
+    except (ImportError, AttributeError):
+        return 1 << 20
+
+
+@pytest.fixture(scope="module")
+def csvs_20s(tmp_path_factory):
+    """The trace CSVs of a 20 s default run, written after the run."""
+    res = sim.run_scenario(cfgmod.build_case_study(horizon=20.0))
+    return {Path(p).name: Path(p).read_bytes()
+            for p in sim.emit_csv(res, tmp_path_factory.mktemp("emit"))}
+
+
+@pytest.mark.parametrize("case", ["sized-pipe", "default-pipe",
+                                  "non-utf8-dir"])
+def test_a_run_writes_through_one_process_and_no_thread(
+        tmp_path, monkeypatch, csvs_20s, case):
+    """A 20 s ``run`` starts no thread and writes the bytes ``emit_csv``
+    writes after the run: through the pipe the writer sizes, through the
+    default pipe where the OS refuses that size, and into a directory
+    whose name is not UTF-8."""
+    out = tmp_path / "out"
+    if case == "default-pipe":
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("the OS sizes no pipe")
+        refused = []
+
+        def refuse(fd, cmd, arg):
+            refused.append(cmd)
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(fcntl, "fcntl", refuse)
+    elif case == "non-utf8-dir":
+        out = tmp_path / os.fsdecode(b"out\xff")
+        try:
+            out.mkdir()
+        except OSError:
+            pytest.skip("the filesystem refuses a name that is not UTF-8")
+    started, start = [], threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    path = write_cfg(tmp_path, horizon=20.0, out_dir=str(out))
+    assert cli.main(["run", path]) == 0
+    assert not started
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == csvs_20s
+    if case == "default-pipe":
+        assert refused == [fcntl.F_SETPIPE_SZ]
+
+
+def test_a_block_is_done_with_its_values_when_it_returns(tmp_path):
+    """A hand-off takes the values themselves, and is done with them when
+    it returns: overwriting them then leaves the file as handed over."""
+    path = str(tmp_path / "a.csv")
+    values = np.array([1.5, np.nan, -0.0])
+    with _csvwriter.Writer([(path, "a\n")]) as writer:
+        writer.block(0, "%r\n", 3, values)
+        values[:] = 7.0
+        writer.block(0, "%r\n", 1, values[:1])
+    assert Path(path).read_text() == "a\n1.5\n\n-0.0\n7.0\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="no SIGSTOP")
+def test_a_block_waits_while_its_writer_is_a_whole_pipe_behind(tmp_path):
+    """With the writer process stopped, a hand-off of more bytes than its
+    pipe holds has not returned after 0.5 s, and completes once the
+    process goes on."""
+    path = str(tmp_path / "a.csv")
+    with _csvwriter.Writer([(path, "a\n")]) as writer:
+        values = np.arange(_pipe_size(writer) // 8, dtype=float)
+        os.kill(writer._proc.pid, signal.SIGSTOP)
+        try:
+            handing = threading.Thread(target=writer.block, args=(
+                0, "%r\n", len(values), values))
+            handing.start()
+            handing.join(0.5)
+            assert handing.is_alive()
+        finally:
+            os.kill(writer._proc.pid, signal.SIGCONT)
+        handing.join(60)
+        assert not handing.is_alive()
+    assert Path(path).read_text() == "a\n" + "".join(
+        f"{v!r}\n" for v in values.tolist())
+
+
+def test_a_writer_whose_stdin_ends_without_the_end_frame_renames_nothing(
+        tmp_path):
+    """A writer process whose stdin ends with no end frame, as when its
+    parent died, leaves the blocks it got in ``<path>.part`` and writes
+    no ``<path>``."""
+    path = str(tmp_path / "a.csv")
+    frame = (_csvwriter._HEAD.pack(b"b", 0, 2, 3, 16) + b"%r\n"
+             + struct.pack("2d", 1.0, 2.5))
+    child = subprocess.run([sys.executable, _csvwriter.__file__, path, "a\n"],
+                           input=frame, capture_output=True, timeout=60)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert not os.path.exists(path)
+    assert Path(path + ".part").read_text() == "a\n1.0\n2.5\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="no SIGSTOP")
+def test_a_stopped_writer_holds_the_run_back(tmp_path, monkeypatch):
+    """A 160 s ``run`` whose writer process is stopped at the first
+    hand-off, and goes on 1 s later, waits for it: the blocks handed over
+    meanwhile fit in the pipe, so the run holds none the writer has not
+    taken, and the CSVs equal an unstopped run's."""
+    cfg = long_periodic_config()
+    runs = {}
+    for name in ("plain", "stopped"):
+        cfg["out_dir"] = str(tmp_path / name)
+        runs[name] = str(tmp_path / f"{name}.json")
+        cfgmod.save_config(cfg, runs[name])
+    assert cli.main(["run", runs["plain"]]) == 0
+    stop, going_on, meanwhile = {}, [], []
+    block = _csvwriter.Writer.block
+
+    def go_on(pid):
+        going_on.append(True)       # first, so that no later block counts
+        os.kill(pid, signal.SIGCONT)
+
+    def block_on_a_stopped_writer(self, fid, row, n, values):
+        if not stop:
+            stop["pipe"] = _pipe_size(self)
+            os.kill(self._proc.pid, signal.SIGSTOP)
+            stop["timer"] = threading.Timer(1.0, go_on, (self._proc.pid,))
+            stop["timer"].start()
+        block(self, fid, row, n, values)
+        if not going_on:
+            meanwhile.append(_csvwriter._HEAD.size + len(row.encode())
+                             + memoryview(values).nbytes)
+
+    monkeypatch.setattr(_csvwriter.Writer, "block", block_on_a_stopped_writer)
+    try:
+        assert cli.main(["run", runs["stopped"]]) == 0
+    finally:
+        stop["timer"].join(60)
+    assert going_on and meanwhile
+    assert sum(meanwhile) <= stop["pipe"]
+    assert ({p.name: p.read_bytes() for p in (tmp_path / "stopped").iterdir()}
+            == {p.name: p.read_bytes() for p in (tmp_path / "plain").iterdir()})

@@ -142,6 +142,12 @@ def test_non_psd_covariance_raises():
         noise_factor(np.diag([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_covariance_has_no_noise_factor(bad):
+    with pytest.raises(ValueError, match="^covariance is not finite$"):
+        noise_factor(np.array([[bad]]))
+
+
 def _cov_model(**covs):
     """A two-state motor model; ``covs`` replaces any of its ``Q``, ``R``
     and ``Sigma0``."""
