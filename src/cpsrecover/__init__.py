@@ -23,7 +23,7 @@ from .framework import (SubsystemRuntime, UnrecoverableError,
                         classify_checkpoint_set,
                         most_recent_consistent_checkpoint,
                         roll_forward_recover, subsystem_tick)
-from .models import SubsystemModel, sample_noise, step_dynamics
+from .models import SubsystemModel, sample_noise
 from .store import Checkpoint, ControlRecord, SecureStore
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "SubsystemModel", "SubsystemRuntime", "UnrecoverableError",
     "classify_checkpoint_set", "estimator_step",
     "most_recent_consistent_checkpoint", "roll_forward_recover",
-    "sample_noise", "step_dynamics", "subsystem_tick",
+    "sample_noise", "subsystem_tick",
 ]
 
 __version__ = "0.1.0"

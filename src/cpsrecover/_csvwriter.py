@@ -8,9 +8,10 @@ header.  It then reads frames from its stdin: a block of a file (a row
 template, a row count and the block's float64 values as raw bytes, which
 it reads back bit for bit) and the end of every file.  It renames each
 ``<path>.part`` to ``<path>`` at the end frame, so a child that stops
-before then, or whose stdin ends without one, renames nothing.  This
-module imports only the standard library, so the child starts without
-numpy.
+before then renames nothing.  A child whose stdin ends before the end
+frame, at a frame's end or inside one, as when its parent was killed,
+removes every ``.part`` file and exits quietly.  This module imports only
+the standard library, so the child starts without numpy.
 """
 
 import contextlib
@@ -113,24 +114,36 @@ class Writer:
 
 def _main() -> None:
     """The child: write the files its arguments name from the frames on
-    stdin; on a failure exit 1 with the file and the reason on stderr."""
-    read = sys.stdin.buffer.read
+    stdin; on a failure exit 1 with the file and the reason on stderr.  A
+    stdin that ends before the end frame removes the ``.part`` files, and
+    the child exits 0 with nothing on stderr: its parent, if alive, has
+    given the files up."""
+    def read(size: int) -> bytes:
+        """The next ``size`` bytes of stdin; ``EOFError`` if it ends first."""
+        if len(data := sys.stdin.buffer.read(size)) < size:
+            raise EOFError
+        return data
+
     paths, files, fid = sys.argv[1::2], [], 0
     try:
         for fid, (path, header) in enumerate(zip(paths, sys.argv[2::2])):
             files.append(open(path + ".part", "w", newline=""))
             files[fid].write(header)
-        while head := read(_HEAD.size):
-            kind, fid, n, a, b = _HEAD.unpack(head)
-            if kind == b"e":
-                for fid, fh in enumerate(files):
-                    fh.close()
-                    os.replace(paths[fid] + ".part", paths[fid])
-                break
+        while (frame := _HEAD.unpack(read(_HEAD.size)))[0] != b"e":
+            _, fid, n, a, b = frame
             files[fid].write(format_block(
                 read(a).decode(), n, memoryview(read(b)).cast("d").tolist()))
+        for fid, fh in enumerate(files):
+            fh.close()
+            os.replace(paths[fid] + ".part", paths[fid])
     except OSError as exc:
         sys.exit(f"failed writing trace CSV {paths[fid]}: {exc}")
+    except EOFError:     # no end frame: every file is incomplete
+        for fh in files:
+            with contextlib.suppress(OSError):
+                fh.close()
+            with contextlib.suppress(OSError):
+                os.remove(fh.name)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 Anomalies are additive: inside a scheduled window the measurement becomes
 ``y + Gamma @ y_a`` where ``Gamma`` is a diagonal 0/1 sensor-selection
-matrix.  A detector returns an integer flag array.  It comes in two kinds
-("specific" flags each sensor, "generic" gives one flag for the loop) and
-two modes:
+matrix.  An :class:`AnomalySchedule` computes each window's offset
+``Gamma @ y_a`` once, in ``offsets``, which :func:`inject_anomaly` and the
+scheduler (:func:`cpsrecover.sim.run_loops`) add.  A detector returns an
+integer flag array.  It comes in two kinds ("specific" flags each sensor,
+"generic" gives one flag for the loop) and two modes:
 
 * ``oracle`` - flags follow the ground-truth schedule delayed by the
   configured detection time; a window's flag latches from
@@ -45,21 +47,15 @@ class AnomalyWindow:
         object.__setattr__(self, "y_a", np.asarray(self.y_a, float))
         object.__setattr__(self, "gamma", g)
 
-    @property
-    def start_us(self) -> int:
-        return to_us(self.t_start)
-
-    @property
-    def end_us(self) -> int:
-        return to_us(self.t_end)
-
 
 @dataclass(frozen=True)
 class AnomalySchedule:
     """Non-overlapping anomaly windows for one sub-system.
 
     Windows are kept sorted with their start and end times in integer
-    microseconds, so :meth:`window_index` is a bisection.
+    microseconds, so :meth:`window_index` is a bisection.  ``offsets``
+    holds each sorted window's measurement offset ``gamma * y_a``, the
+    one a measurement inside it gets.
     """
 
     windows: tuple = ()
@@ -70,26 +66,24 @@ class AnomalySchedule:
             if a.t_end > b.t_start:
                 raise ValueError("anomaly windows must not overlap")
         object.__setattr__(self, "windows", ws)
+        object.__setattr__(self, "offsets",
+                           tuple(w.gamma * w.y_a for w in ws))
         object.__setattr__(self, "_starts_us",
-                           np.array([w.start_us for w in ws], np.int64))
+                           np.array([to_us(w.t_start) for w in ws], np.int64))
         # one end more, below every time, and a gamma row of zeros: the ones
         # index -1 reads; no gamma table without windows, which flag nothing
         object.__setattr__(self, "_ends_us", np.array(
-            [*(w.end_us for w in ws), np.iinfo(np.int64).min], np.int64))
+            [*(to_us(w.t_end) for w in ws), np.iinfo(np.int64).min], np.int64))
         object.__setattr__(self, "_gammas", np.array(
             [*(w.gamma for w in ws), np.zeros_like(ws[0].gamma)], int)
             if ws else None)
 
     def window_index(self, t_us, delay_us: int):
-        """Index of the window with ``start_us + delay_us <= t < end_us`` for
-        each (integer µs) time of ``t_us``, or -1: windows never overlap."""
+        """Index of the window with ``t_start + delay_us <= t < t_end``, in
+        integer µs, for each (integer µs) time of ``t_us``, or -1: windows
+        never overlap."""
         i = np.searchsorted(self._starts_us, t_us - delay_us, side="right") - 1
         return np.where(t_us < self._ends_us[i], i, -1)
-
-    def active_window(self, t: float) -> AnomalyWindow | None:
-        """The window with ``t_start <= t < t_end``, if any."""
-        i = self.window_index(to_us(t), 0)
-        return self.windows[i] if i >= 0 else None
 
 
 DETECTOR_KINDS = ("specific", "generic")
@@ -115,12 +109,13 @@ class AdsConfig:
 def inject_anomaly(y_healthy, schedule: AnomalySchedule, t: float) -> np.ndarray:
     """Corrupt a measurement if ``t`` falls inside an anomaly window.
 
-    Outside every window the input array is returned unchanged (bit-exact).
+    Inside one it gets the window's ``schedule.offsets`` entry; outside
+    every window the input array is returned unchanged (bit-exact).
     """
-    w = schedule.active_window(t)
-    if w is None:
+    i = schedule.window_index(to_us(t), 0)
+    if i < 0:
         return y_healthy
-    return np.asarray(y_healthy, float) + w.gamma * w.y_a
+    return np.asarray(y_healthy, float) + schedule.offsets[i]
 
 
 def _by_kind(kind: str, flags: np.ndarray) -> np.ndarray:

@@ -8,10 +8,12 @@ Three cooperating pieces:
   writes its trace row there.
 * :func:`roll_forward_recover` - rebuild the current estimate by replaying
   the dynamics predict step from the most recent consistent checkpoint
-  using the logged control inputs, then overwrite exactly the estimate
-  elements implicated by the detector.  Those elements depend on the
-  gain, the flags and the detector kind alone, so a gain-table gain,
-  which recurs, reads them from a memo keyed on the three.
+  using the logged control inputs (:func:`replay`, which
+  :func:`cpsrecover.sim.every_tick_shadow` runs too), then overwrite
+  exactly the estimate elements implicated by the detector.  Those
+  elements depend on the gain, the flags and the detector kind alone, so
+  a gain-table gain, which recurs, reads them from a memo keyed on the
+  three.
 * :func:`most_recent_consistent_checkpoint` - the most recent checkpoint
   time common to all loops that lies outside every detector's detection
   window.  The scheduler hands every loop the same checkpoint Boolean on
@@ -261,10 +263,11 @@ def _memo_mask(K: np.ndarray, flags: np.ndarray, kind: str) -> tuple:
     return hit
 
 
-def replay(model: SubsystemModel, x: np.ndarray, controls) -> np.ndarray:
-    """Roll ``x`` forward through the predict step, one logged control each."""
-    for c in controls:
-        x = model.f(x, c.u)
+def replay(model: SubsystemModel, x: np.ndarray, inputs) -> np.ndarray:
+    """Roll ``x`` forward through the predict step, one step per logged
+    input of ``inputs``, each an array of the model's ``n_u`` inputs."""
+    for u in inputs:
+        x = model.f(x, u)
     return x
 
 
@@ -303,7 +306,7 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
                 for i, c in enumerate(controls)):
             raise UnrecoverableError(
                 f"{model.id}: control log has gaps in [{k1}, {t})")
-        x_rec = replay(model, cps[0].x_hat, controls)
+        x_rec = replay(model, cps[0].x_hat, [c.u for c in controls])
     elif rt.est.x_hat is ep.x_rec:
         x_rec = prior
     else:

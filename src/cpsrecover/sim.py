@@ -24,10 +24,11 @@ loop starts a block, the scheduler hands the finished block to
 ``run_loops``'s ``on_block`` hook and holds fresh rows for the next one,
 draws the block's noise, one call per stream, and resolves the anomaly
 window and the oracle's flags of each of its ticks; a tick reads its row
-of each.  A block of noise equals as many one-row draws, bit for bit, so
-the block size never changes a run; it bounds the memory the noise, the
-windows and the flags take, and, with an ``on_block`` hook, the trace
-rows a loop holds.
+of each, and a tick inside a window adds that window's entry of the
+schedule's ``offsets``.  A block of noise equals as many one-row draws,
+bit for bit, so the block size never changes a run; it bounds the memory
+the noise, the windows and the flags take, and, with an ``on_block``
+hook, the trace rows a loop holds.
 
 A trace CSV is written a block of ``_BLOCK`` rows at a time, either after
 the run by :func:`emit_csv` or, during it, by a :class:`CsvStream` whose
@@ -47,7 +48,8 @@ import numpy as np
 from . import _csvwriter
 from . import config as cfgmod
 from .framework import (UnrecoverableError, consistent_checkpoint,
-                        most_recent_consistent_checkpoint, subsystem_tick)
+                        most_recent_consistent_checkpoint, replay,
+                        subsystem_tick)
 from .models import sample_noise
 from .store import SecureStore
 from .timebase import to_s, to_us
@@ -143,16 +145,16 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
     rngs = make_rngs(seed, [rt.model.id for rt in loops])
     store = SecureStore()
     detection_times = {rt.model.id: rt.ads.detection_time for rt in loops}
-    # each loop's windows' offsets, and its current block: the first row,
-    # the (w, v) rows and each row's window; empty until the first tick
-    offsets, blocks = [], []
+    # each loop's current block: the first row, the (w, v) rows, each row's
+    # window and the schedule's offsets, which the block's rows index;
+    # empty until the first tick
+    blocks = []
     for rt in loops:
         model, sid = rt.model, rt.model.id
         # the plant's initial state, drawn around the model's mu0
         rt.x_true = model.mu0 + sample_noise(
             model.Sigma0_factor, rngs[(sid, "init")], 1)[0]
-        offsets.append([w.gamma * w.y_a for w in rt.schedule.windows])
-        blocks.append((0, (), (), ()))
+        blocks.append((0, (), (), (), rt.schedule.offsets))
         # every tick's rows, or, with a sink, the first block's
         rt.hold(rt.ticks if on_block is None else min(_BLOCK, rt.ticks))
 
@@ -173,7 +175,7 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
         # plant advances one loop period with the previously applied input
         # before the sensors are read, so the measurement and the
         # estimator's predict step refer to the same instant
-        lo, w, v, window = blocks[i]
+        lo, w, v, window, offsets = blocks[i]
         n = rt.rows - lo
         if n == len(w):     # the block is used up: hand it over, go on
             if on_block is not None and n:
@@ -186,11 +188,11 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
             t_us = np.arange(lo, lo + rows) * to_us(model.dt)
             window = rt.schedule.window_index(t_us, 0).tolist()
             rt.start_block(t_us)
-            blocks[i] = lo, w, v, window
+            blocks[i] = lo, w, v, window, offsets
         rt.x_true = model.f(rt.x_true, rt.last_u) + w[n]
         y = model.g(rt.x_true, rt.last_u) + v[n]
         if window[n] >= 0:
-            y = y + offsets[i][window[n]]
+            y = y + offsets[window[n]]
         try:
             stop = subsystem_tick(rt, store, c_k, y, t, detection_times)
             reason = "anomaly duration exceeded maximum tolerable duration"
@@ -333,8 +335,9 @@ def every_tick_shadow(result: SimResult) -> dict:
     Each healthy tick's final estimate is a virtual checkpoint.  At the
     first recovering tick of an episode the newest one older than the
     largest detection time is chosen, as real recovery chooses among the
-    consistent checkpoints, and the logged controls are replayed from it;
-    each later tick of the episode extends the replay by one control.  The
+    consistent checkpoints, and the logged controls are replayed from it
+    by :func:`framework.replay`, as recovery replays them; each later tick
+    of the episode extends the replay by one control.  The
     shadow shares the run's plant, noise and control history and differs
     only in the checkpoint it rolls forward from.  Returns
     ``{loop id: (ticks, n_x) array}``, NaN on healthy ticks and on an
@@ -355,8 +358,6 @@ def every_tick_shadow(result: SimResult) -> dict:
         tr = result.traces[sid]
         t = tr["t"]
         shadow = shadows[sid] = np.full((len(t), model.n_x), np.nan)
-        if not len(t):
-            continue
         healthy = ~tr["ads_flags"].any(axis=1)
         edges = np.flatnonzero(np.diff(np.r_[True, healthy, True]))
         # the search bisects at each episode's cutoff, so the healthy ticks
@@ -369,11 +370,7 @@ def every_tick_shadow(result: SimResult) -> dict:
             k1 = most_recent_consistent_checkpoint(
                 healthy_times, detection_times, t[a])
             j = to_us(k1) // dt_us            # the row of time k1
-            x = tr["x_rf"][j]
-            for k in range(j, a):
-                x = model.f(x, logged[k])
-            shadow[a] = x
+            shadow[a] = x = replay(model, tr["x_rf"][j], logged[j:a])
             for k in range(a + 1, b):
-                x = model.f(x, logged[k - 1])
-                shadow[k] = x
+                shadow[k] = x = model.f(x, logged[k - 1])
     return shadows

@@ -371,12 +371,9 @@ class SecureStore:
 
     def verify_integrity(self) -> bool:
         """True iff every chain in every subsystem validates."""
-        for sub in self._checkpoints:
-            if not self._checkpoints[sub].verify():
-                return False
-            if not self._controls[sub].verify():
-                return False
-        return True
+        return all(self._checkpoints[sub].verify()
+                   and self._controls[sub].verify()
+                   for sub in self._checkpoints)
 
     # -- persistence ----------------------------------------------------
 
@@ -420,10 +417,7 @@ class SecureStore:
         """
         store = cls(key=key)
         with open(path, "rb") as fh:
-            while True:
-                hdr = fh.read(4)
-                if not hdr:
-                    break
+            while hdr := fh.read(4):
                 length = int.from_bytes(hdr, "little")
                 rec, tag = fh.read(length), fh.read(_TAG_LEN)
                 if len(hdr) != 4 or len(rec) != length or len(tag) != _TAG_LEN:

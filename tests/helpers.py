@@ -236,7 +236,7 @@ def reference_active_window(schedule, t: float):
     """The window with ``t_start <= t < t_end`` in integer µs, if any."""
     t_us = to_us(t)
     return next((w for w in schedule.windows
-                 if w.start_us <= t_us < w.end_us), None)
+                 if to_us(w.t_start) <= t_us < to_us(w.t_end)), None)
 
 
 def reference_inject_anomaly(y_healthy, schedule, t: float) -> np.ndarray:
@@ -252,7 +252,8 @@ def reference_oracle_flags(n_y: int, schedule, t: float,
     """A specific oracle detector's flags at ``t``."""
     flags = np.zeros(n_y, dtype=int)
     w = reference_active_window(schedule, t)
-    if w is not None and w.start_us + to_us(detection_time) <= to_us(t):
+    if (w is not None
+            and to_us(w.t_start) + to_us(detection_time) <= to_us(t)):
         flags |= w.gamma.astype(int)
     return flags
 

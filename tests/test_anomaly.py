@@ -131,23 +131,34 @@ _windows = st.lists(
 @given(spec=_windows, detection_ticks=st.integers(0, 12),
        probe_ticks=st.lists(st.integers(-2, 500), min_size=1, max_size=40))
 def test_bisect_lookup_matches_linear_scan(spec, detection_ticks, probe_ticks):
+    """The schedule's window of a time, the measurement it injects and the
+    oracle's flags equal a scan over the windows, each with an offset of
+    its own, given in reverse order."""
     windows, end = [], 0
     for gap, length, gamma in spec:
         start = end + gap
         end = start + length
         windows.append(AnomalyWindow(start / 100, end / 100,
-                                     [1.0, 2.0, 3.0], gamma))
+                                     [1.0, 2.0, 3.0 + len(windows)], gamma))
     sched = AnomalySchedule(tuple(reversed(windows)))
     detection_time = detection_ticks / 100
+    y = np.array([-0.0, 0.5, -4.0])
     for tick in probe_ticks:
         t = tick / 100
         t_us = to_us(t)
-        want = next((w for w in windows if w.start_us <= t_us < w.end_us),
-                    None)
-        assert sched.active_window(t) is want
+        i = next((i for i, w in enumerate(windows)
+                  if to_us(w.t_start) <= t_us < to_us(w.t_end)), -1)
+        assert sched.window_index(t_us, 0) == i
+        out = inject_anomaly(y, sched, t)
+        if i < 0:
+            assert out is y
+        else:
+            w = windows[i]
+            assert out.tobytes() == (y + w.gamma * w.y_a).tobytes()
         flags = np.zeros(3, dtype=int)
         for w in windows:
-            if w.start_us + to_us(detection_time) <= t_us < w.end_us:
+            if (to_us(w.t_start) + to_us(detection_time) <= t_us
+                    < to_us(w.t_end)):
                 flags |= w.gamma.astype(int)
         out = oracle_flags(AdsConfig(detection_time=detection_time), sched,
                            t_us, n_y=3)

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -601,19 +602,98 @@ def test_a_block_waits_while_its_writer_is_a_whole_pipe_behind(tmp_path):
         f"{v!r}\n" for v in values.tolist())
 
 
+def _writer_fed(tmp_path, data: bytes) -> subprocess.CompletedProcess:
+    """A writer process of ``a.csv`` and ``b.csv`` in ``tmp_path``, run to
+    its end on the stdin ``data``."""
+    return subprocess.run(
+        [sys.executable, _csvwriter.__file__, str(tmp_path / "a.csv"), "a\n",
+         str(tmp_path / "b.csv"), "b\n"],
+        input=data, capture_output=True, timeout=60)
+
+
+# a block of two rows of a.csv
+_FRAME = (_csvwriter._HEAD.pack(b"b", 0, 2, 3, 16) + b"%r\n"
+          + struct.pack("2d", 1.0, 2.5))
+
+
 def test_a_writer_whose_stdin_ends_without_the_end_frame_renames_nothing(
         tmp_path):
-    """A writer process whose stdin ends with no end frame, as when its
-    parent died, leaves the blocks it got in ``<path>.part`` and writes
-    no ``<path>``."""
-    path = str(tmp_path / "a.csv")
-    frame = (_csvwriter._HEAD.pack(b"b", 0, 2, 3, 16) + b"%r\n"
-             + struct.pack("2d", 1.0, 2.5))
-    child = subprocess.run([sys.executable, _csvwriter.__file__, path, "a\n"],
-                           input=frame, capture_output=True, timeout=60)
+    """A writer process whose stdin ends at a frame's end with no end
+    frame, as when its parent died between two hand-offs, writes no
+    ``<path>``, removes every ``<path>.part`` and exits quietly; given the
+    end frame it writes the files."""
+    child = _writer_fed(tmp_path, _FRAME)
     assert (child.returncode, child.stderr) == (0, b"")
-    assert not os.path.exists(path)
-    assert Path(path + ".part").read_text() == "a\n1.0\n2.5\n"
+    assert not list(tmp_path.iterdir())
+    child = _writer_fed(tmp_path, _FRAME + _csvwriter._HEAD.pack(
+        b"e", 0, 0, 0, 0))
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert (tmp_path / "a.csv").read_text() == "a\n1.0\n2.5\n"
+    assert (tmp_path / "b.csv").read_text() == "b\n"
+
+
+@pytest.mark.parametrize("cut", [1, _csvwriter._HEAD.size - 1,
+                                 _csvwriter._HEAD.size + 1,
+                                 len(_FRAME) - 12, len(_FRAME) - 8],
+                         ids=["head", "head-end", "template", "mid-value",
+                              "value-end"])
+def test_a_writer_whose_stdin_ends_inside_a_frame_leaves_no_part_file(
+        tmp_path, cut):
+    """A writer process whose stdin ends inside a frame, in its head, its
+    row template or its values (mid-value or at a value's end), as when
+    its parent was killed between the two writes of a hand-off, removes
+    every ``.part`` file and exits without a traceback."""
+    child = _writer_fed(tmp_path, _FRAME + _FRAME[:cut])
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert not list(tmp_path.iterdir())
+
+
+def _writer_pids(out_dir) -> list:
+    """The live processes whose command line names ``out_dir``: a run's
+    writer process; an exited one, a zombie, has an empty command line."""
+    pids = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            cmdline = Path("/proc", pid, "cmdline").read_bytes()
+        except OSError:         # exited meanwhile, or not ours to read
+            continue
+        if os.fsencode(out_dir) in cmdline and b"_csvwriter" in cmdline:
+            pids.append(int(pid))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
+def test_a_killed_run_leaves_no_part_file_and_no_writer(tmp_path):
+    """A 160 s ``run`` killed with SIGKILL once its first ``.part`` file
+    exists cleans up nothing itself; its writer process, whose stdin then
+    ends, removes every ``.part`` file and exits."""
+    out = tmp_path / "out"
+    cfg = long_periodic_config()
+    cfg["out_dir"] = str(out)
+    cfgmod.save_config(cfg, tmp_path / "long.json")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.Popen(
+        [sys.executable, "-m", "cpsrecover.cli", "run",
+         str(tmp_path / "long.json")], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(out.glob("*.part")):
+            assert run.poll() is None and time.monotonic() < deadline
+            time.sleep(0.002)
+        assert _writer_pids(str(out))
+        run.kill()
+    finally:
+        run.kill()
+        run.wait(timeout=60)
+    assert run.returncode == -signal.SIGKILL
+    deadline = time.monotonic() + 60
+    while list(out.glob("*.part")) or _writer_pids(str(out)):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    assert not list(out.iterdir())
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="no SIGSTOP")

@@ -226,14 +226,15 @@ def test_resolved_schedule_equals_the_per_tick_reference(
         j = window[n]
         w = sched.windows[j] if j >= 0 else None
         assert w is reference_active_window(sched, t)
-        # the offset a run adds, as sim.run_loops computes it per window
-        got_y = y if w is None else y + w.gamma * w.y_a
+        # the offset a run adds: the schedule's, of the tick's window
+        got_y = y if w is None else y + sched.offsets[j]
         want_y = reference_inject_anomaly(y, sched, t)
         assert (got_y is y) == (want_y is y)
         assert got_y.tobytes() == want_y.tobytes()
         assert delayed[n] == next(
             (j for j, w in enumerate(sched.windows)
-             if w.start_us + detection_us <= n * dt_us < w.end_us), -1)
+             if to_us(w.t_start) + detection_us <= n * dt_us
+             < to_us(w.t_end)), -1)
         want = reference_oracle_flags(n_y, sched, t, ads.detection_time)
         if kind == "generic":
             want = np.array([int(want.any())])

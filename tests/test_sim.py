@@ -190,8 +190,8 @@ def test_csv_configs_match_pinned_digests(tmp_path, name):
 
 
 def test_a_run_resolves_its_schedule_once_per_loop(monkeypatch):
-    """A default run looks up no active window and never calls
-    ``step_dynamics``: each loop, whose ticks fit in one block, resolves
+    """A default run never calls ``step_dynamics`` and no tick looks up
+    its window: each loop, whose ticks fit in one block, resolves
     its schedule before its first tick, with two lookups over its whole
     tick grid (the window of each row and the oracle's delayed one), none
     when it is built, and the tick steps the model itself."""
@@ -209,8 +209,6 @@ def test_a_run_resolves_its_schedule_once_per_loop(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(AnomalySchedule, "active_window", counting(
-        "active_window", AnomalySchedule.active_window))
     monkeypatch.setattr(AnomalySchedule, "window_index", lookup)
     for name in ("step_dynamics",):
         fn = getattr(models, name)

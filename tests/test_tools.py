@@ -3,6 +3,7 @@ import runpy
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 ROOT = Path(__file__).parents[1]
 code_lines = runpy.run_path(
@@ -62,3 +63,15 @@ def test_unused_imports_finds_a_name_never_read():
 def test_a_module_reads_every_name_it_imports(path):
     source = (ROOT / "src" / "cpsrecover" / path).read_text()
     assert unused_imports(source) == []
+
+
+def test_tier1_loads_the_derandomized_profile_unless_one_is_given(
+        pytestconfig):
+    """Without ``--hypothesis-profile`` the suite runs the ``tier1``
+    profile, derandomized and without an example database; with it, the
+    profile it names."""
+    given = pytestconfig.getoption("--hypothesis-profile")
+    assert settings.get_current_profile_name() == (given or "tier1")
+    if given is None:
+        assert settings.default.derandomize
+        assert settings.default.database is None
