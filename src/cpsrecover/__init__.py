@@ -16,22 +16,10 @@ Modules:
 * ``config``/``sim``/``cli`` - scenario schema and the builder of a run's
   loops, a scheduler that runs the loops it is given and the CSV writer,
   command line
+
+The package root re-exports nothing: import a module by its path, as in
+``from cpsrecover import sim`` or ``from cpsrecover.store import
+SecureStore``.
 """
-
-from .estimator import EstimatorState, estimator_step
-from .framework import (SubsystemRuntime, UnrecoverableError,
-                        classify_checkpoint_set,
-                        most_recent_consistent_checkpoint,
-                        roll_forward_recover, subsystem_tick)
-from .models import SubsystemModel, sample_noise
-from .store import Checkpoint, ControlRecord, SecureStore
-
-__all__ = [
-    "Checkpoint", "ControlRecord", "EstimatorState", "SecureStore",
-    "SubsystemModel", "SubsystemRuntime", "UnrecoverableError",
-    "classify_checkpoint_set", "estimator_step",
-    "most_recent_consistent_checkpoint", "roll_forward_recover",
-    "sample_noise", "subsystem_tick",
-]
 
 __version__ = "0.1.0"

@@ -134,18 +134,14 @@ def oracle_flags(config: AdsConfig, schedule: AnomalySchedule, t_us,
                     if schedule._gammas is None else schedule._gammas[i])
 
 
-def ads_evaluate(config: AdsConfig, window: Sequence[np.ndarray],
-                 n_y: int) -> np.ndarray:
+def ads_evaluate(config: AdsConfig,
+                 window: Sequence[np.ndarray]) -> np.ndarray:
     """Run the residual-threshold detector; returns its 0/1 integer flags.
 
     A specific detector returns one flag per sensor, a generic one a single
     flag for the whole loop.  ``window`` holds the most recent innovation
-    vectors, at most ``detection_time / dt`` of them.  ``n_y`` is the
-    loop's sensor count, the width of an empty window's flags.
+    vectors, at least one and at most ``max(1, round(detection_time /
+    dt))`` of them: a tick appends its innovation before it evaluates.
     """
-    if not window:
-        flags = np.zeros(n_y, dtype=int)
-    else:
-        mean_abs = np.mean(np.abs(np.asarray(window, float)), axis=0)
-        flags = (mean_abs > config.threshold).astype(int)
-    return _by_kind(config.kind, flags)
+    mean_abs = np.mean(np.abs(np.asarray(window, float)), axis=0)
+    return _by_kind(config.kind, (mean_abs > config.threshold).astype(int))

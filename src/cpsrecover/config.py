@@ -57,7 +57,6 @@ from . import robot
 from .analysis import BoundParams
 from .anomaly import (DETECTOR_KINDS, DETECTOR_MODES, AdsConfig,
                       AnomalySchedule, AnomalyWindow)
-from .estimator import EstimatorState
 from .framework import SubsystemRuntime
 from .timebase import US_PER_S, base_resolution_us, to_us
 
@@ -428,8 +427,9 @@ def build_bound_params(cfg: dict, models) -> dict:
 def build_system(cfg: dict) -> list:
     """The loops of one run of a resolved scenario, in fire order: each a
     :class:`SubsystemRuntime` with its model, columns, schedule, detector,
-    bounds, controller, coupled-mode applied input, ``t_max`` and tick count,
-    and no trace rows, which :func:`sim.run_loops` holds.
+    bounds, controller, coupled-mode applied input and ``t_max``, and no
+    trace rows.  It reads no ``horizon``: :func:`sim.run_loops` takes the
+    run's length, and holds the rows its ticks write.
     :func:`robot.make_controllers` wires the controllers, which keep state,
     so each run needs its own build."""
     params, models = build_models(cfg)
@@ -439,13 +439,10 @@ def build_system(cfg: dict) -> list:
         params, lambda sid: loops[sid].x_true)
     applied = coupled if cfg["plant_mode"] == "coupled" else {}
     for sid, columns in robot.LOOPS.items():
-        model = models[sid]
         loops[sid] = SubsystemRuntime(
-            model=model, columns=columns, est=EstimatorState.initial(model),
+            model=models[sid], columns=columns,
             controller=controllers[sid], applied_input=applied.get(sid),
             ads=AdsConfig(**cfg["ads"][sid]),
             schedule=_schedule_from(cfg["anomalies"].get(sid, [])),
-            t_max=cfg["t_max"],
-            ticks=-(-to_us(cfg["horizon"]) // to_us(model.dt)),
-            bounds=bounds.get(sid))
+            t_max=cfg["t_max"], bounds=bounds.get(sid))
     return list(loops.values())

@@ -79,8 +79,6 @@ def estimator_step(model: SubsystemModel, est: EstimatorState,
     A = model.jac_A(est.x_hat, u)
     x_pred = model.f(est.x_hat, u)
     C = model.jac_C(x_pred, u)
-    if C.ndim != 2:
-        C = np.atleast_2d(C)
     # numpy converts a list operand as asarray(y_now, float) would
     innov = y_now - model.g(x_pred, u)
     table = est.gain_table or _gain_table(       # resolved on the first step

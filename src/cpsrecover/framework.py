@@ -122,6 +122,13 @@ class Episode:
 class SubsystemRuntime:
     """Mutable per-loop state threaded through the tick function.
 
+    A runtime is built from its loop's description alone: its model,
+    controller, detector, anomaly schedule, ``t_max``, coupled-mode applied
+    input, bounds and trace column names.  It starts its own run state:
+    the estimate at the model's prior (``EstimatorState.initial``), a zero
+    last input, the plant at ``mu0`` and no episode.  How many ticks a run
+    has is the scheduler's to say (:func:`cpsrecover.sim.run_loops`).
+
     The loop ticks at ``0, dt, 2 dt, ...``; ``rows`` counts its ticks so
     far, so it is the row the next tick reads and writes.  The runtime
     holds rows ``lo`` on, as many as :meth:`hold` was last asked for, and
@@ -142,22 +149,21 @@ class SubsystemRuntime:
     """
 
     model: SubsystemModel
-    est: EstimatorState
     # (x_hat, t) -> u, a 1-D float array of the model's n_u inputs
     controller: Callable[[np.ndarray, float], np.ndarray]
     ads: AdsConfig
     schedule: AnomalySchedule
     t_max: float                      # maximum tolerable anomaly duration, s
-    ticks: int                        # ticks the run has
-    last_u: np.ndarray = None         # input applied at the previous tick
-    episode: Episode | None = None    # None while healthy
     # set by the scheduler when the logged input differs from h()'s output
     # (coupled plant mode logs the input actually applied to the plant);
     # u -> the applied input, an array like u
     applied_input: Callable[[np.ndarray], np.ndarray] = None
     bounds: BoundParams | None = None  # fills the bound columns
-    x_true: np.ndarray = None         # plant state; mu0 unless given
     columns: tuple | None = None      # (state, meas, input) column names
+    est: EstimatorState = field(init=False)
+    last_u: np.ndarray = field(init=False)  # input applied at the last tick
+    x_true: np.ndarray = field(init=False)  # plant state; mu0 until drawn
+    episode: Episode | None = field(init=False, default=None)  # None: healthy
     # the recent innovations a residual-threshold detector averages; an
     # oracle detector reads none, so it keeps None
     innovations: deque | None = field(init=False, default=None)
@@ -169,10 +175,9 @@ class SubsystemRuntime:
     lo: int = field(init=False, default=0)     # the first row held
 
     def __post_init__(self):
-        if self.last_u is None:
-            self.last_u = np.zeros(self.model.n_u)
-        if self.x_true is None:
-            self.x_true = np.asarray(self.model.mu0, float)
+        self.est = EstimatorState.initial(self.model)
+        self.last_u = np.zeros(self.model.n_u)
+        self.x_true = np.asarray(self.model.mu0, float)
         if self.ads.mode == "residual-threshold":
             self.innovations = deque(maxlen=max(
                 1, round(self.ads.detection_time / self.model.dt)))
@@ -323,7 +328,7 @@ def roll_forward_recover(rt: SubsystemRuntime, store: SecureStore,
 
 def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
                    y_now: np.ndarray, t: float,
-                   detection_times: dict) -> bool:
+                   detection_times: dict) -> str | None:
     """One loop iteration at time ``t`` with measurement ``y_now``.
 
     Order: estimate, detect, recover (if flagged), control, log control,
@@ -331,11 +336,14 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     check; ``detection_times`` maps every loop id to its detection time.
     The tick reads its flags from, and writes its trace row to, row
     ``rt.rows`` of ``rt``, its held row ``rt.rows - rt.lo``, then counts
-    itself.  Returns whether the episode
-    outlasted the tolerable duration (the row's ``safe_stop``).  When
-    recovery is impossible it raises :class:`UnrecoverableError` after
-    writing its row: the estimate and flags, ``u`` NaN (no control was
-    computed or logged), nothing recovered and ``safe_stop`` set.
+    itself.  Returns why the run must stop, or None to go on; a stopping
+    tick sets its row's ``safe_stop``, which no other tick writes, and no
+    exception leaves the tick.  A tick past its episode's tolerable
+    duration returns ``"anomaly duration exceeded maximum tolerable
+    duration"``.  When recovery is impossible the tick writes its row, the
+    estimate and flags, ``u`` NaN (no control was computed or logged) and
+    nothing recovered, and returns ``"unrecoverable: <why>"``, the message
+    of the :class:`UnrecoverableError` that recovery raised.
     """
     model = rt.model
     k = rt.rows
@@ -344,7 +352,7 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
                                                y_now)
     if rt.innovations is not None:
         rt.innovations.append(np.atleast_1d(innovation))
-        rt.flags[n] = ads_evaluate(rt.ads, rt.innovations, model.n_y)
+        rt.flags[n] = ads_evaluate(rt.ads, rt.innovations)
         rt.detected[n] = bool(rt.flags[n].any())
     detected = rt.detected[n]
 
@@ -357,12 +365,12 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
         try:
             x_hat, x_rec, mask, k1 = roll_forward_recover(
                 rt, store, x_hat, K, rt.flags[n], detection_times, t, prior)
-        except UnrecoverableError:
+        except UnrecoverableError as exc:
             tr["x_rf"][n] = x_hat
             tr["u"][n] = np.nan
             tr["safe_stop"][n] = True
             rt.rows = k + 1
-            raise
+            return f"unrecoverable: {exc}"
 
     u = rt.controller(x_hat, t)
     if rt.applied_input is None:
@@ -383,7 +391,7 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
             tr["ckpt_event"][n] = True
         rt.est = est
         rt.episode = None
-        return False
+        return None
 
     rt.est = EstimatorState(x_hat, est.P, est.gain_table)
     ep = rt.episode
@@ -397,6 +405,7 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     if rt.bounds is not None:
         tr["rsee_bound"][n] = recovery_error_bound_at(
             rt.bounds, k, to_us(ep.k1) // to_us(model.dt))
-    stop = to_us(t) > ep.deadline_us
-    tr["safe_stop"][n] = stop
-    return stop
+    if to_us(t) > ep.deadline_us:
+        tr["safe_stop"][n] = True
+        return "anomaly duration exceeded maximum tolerable duration"
+    return None

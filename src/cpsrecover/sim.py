@@ -123,12 +123,16 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
     """Run ``loops``, fresh runtimes with distinct ids in fire order, for
     ``horizon_us`` microseconds, checkpointing every ``ckpt_us``.
 
-    At each checkpoint instant that has a consistent checkpoint ``k1``
-    the store drops its records older than ``k1``.  When the run ends each
-    runtime keeps what a finished run is read for, its model, columns,
-    detector, schedule, bounds, trace and logged inputs; its ``detected``,
-    ``innovations``, ``episode``, ``controller`` and ``applied_input`` are
-    set to None.
+    The run's length is this call's alone: a loop ticking every ``dt_us``
+    has ``-(-horizon_us // dt_us)`` ticks, those below ``horizon_us``, and
+    its runtime holds no more rows than those.  The first tick that
+    returns a stop reason ends the run with a ``safe-stop`` event that
+    carries it.  At each checkpoint instant that has a consistent
+    checkpoint ``k1`` the store drops its records older than ``k1``.  When
+    the run ends each runtime keeps what a finished run is read for, its
+    model, columns, detector, schedule, bounds, trace and logged inputs;
+    its ``detected``, ``innovations``, ``episode``, ``controller`` and
+    ``applied_input`` are set to None.
 
     Without ``on_block`` each runtime holds every row of its trace, from
     before its first tick.  With it, a runtime holds one ``_BLOCK``-row
@@ -149,14 +153,15 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
     # window and the schedule's offsets, which the block's rows index;
     # empty until the first tick
     blocks = []
-    for rt in loops:
+    ticks = [-(-horizon_us // to_us(rt.model.dt)) for rt in loops]
+    for rt, n_ticks in zip(loops, ticks):
         model, sid = rt.model, rt.model.id
         # the plant's initial state, drawn around the model's mu0
         rt.x_true = model.mu0 + sample_noise(
             model.Sigma0_factor, rngs[(sid, "init")], 1)[0]
         blocks.append((0, (), (), (), rt.schedule.offsets))
         # every tick's rows, or, with a sink, the first block's
-        rt.hold(rt.ticks if on_block is None else min(_BLOCK, rt.ticks))
+        rt.hold(n_ticks if on_block is None else min(_BLOCK, n_ticks))
 
     events = []
     cut_at = None       # the checkpoint instant the store was last cut at
@@ -180,9 +185,9 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
         if n == len(w):     # the block is used up: hand it over, go on
             if on_block is not None and n:
                 on_block(i, rt)
-                rt.hold(min(_BLOCK, rt.ticks - rt.rows))
+                rt.hold(min(_BLOCK, ticks[i] - rt.rows))
             lo, n, sid = rt.rows, 0, model.id
-            rows = min(_BLOCK, rt.ticks - lo)
+            rows = min(_BLOCK, ticks[i] - lo)
             w = sample_noise(model.Q_factor, rngs[(sid, "process")], rows)
             v = sample_noise(model.R_factor, rngs[(sid, "measurement")], rows)
             t_us = np.arange(lo, lo + rows) * to_us(model.dt)
@@ -193,12 +198,8 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
         y = model.g(rt.x_true, rt.last_u) + v[n]
         if window[n] >= 0:
             y = y + offsets[window[n]]
-        try:
-            stop = subsystem_tick(rt, store, c_k, y, t, detection_times)
-            reason = "anomaly duration exceeded maximum tolerable duration"
-        except UnrecoverableError as exc:
-            stop, reason = True, f"unrecoverable: {exc}"
-        if stop:     # no episode opens on a tick that finds no checkpoint
+        reason = subsystem_tick(rt, store, c_k, y, t, detection_times)
+        if reason:     # no episode opens on a tick that finds no checkpoint
             ep = rt.episode
             events.append({"type": "safe-stop", "subsystem": model.id, "t": t,
                            "episode_start": ep.start if ep else None,

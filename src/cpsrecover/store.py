@@ -121,11 +121,7 @@ class ControlRecord:
     """Control input applied at time ``t``."""
 
     t: float
-    u: np.ndarray
-
-    def __post_init__(self):
-        # little-endian, as it is packed: the native float64 on most hosts
-        object.__setattr__(self, "u", np.asarray(self.u, "<f8"))
+    u: np.ndarray     # little-endian float64, as it is packed
 
 
 def _pack_checkpoint(cp: Checkpoint) -> bytes:

@@ -86,10 +86,9 @@ def ticking_runtime(model, ads, schedule, ticks: int,
     hand: it holds a row for each of its ``ticks``, as ``sim.run_loops``
     does for a run that keeps whole traces, and has resolved their
     flags."""
-    rt = SubsystemRuntime(model=model, est=EstimatorState.initial(model),
+    rt = SubsystemRuntime(model=model,
                           controller=lambda x, t: np.zeros(model.n_u),
-                          ads=ads, schedule=schedule, t_max=t_max,
-                          ticks=ticks)
+                          ads=ads, schedule=schedule, t_max=t_max)
     rt.hold(ticks)
     rt.start_block(np.arange(ticks) * to_us(model.dt))
     return rt

@@ -32,7 +32,6 @@ from cpsrecover.analysis import (accuracy_resource_gap_bound, BoundParams,
                                  max_duration_certificate,
                                  recovery_error_bound_at)
 from cpsrecover.anomaly import AdsConfig, AnomalySchedule
-from cpsrecover.estimator import EstimatorState
 from cpsrecover.framework import (CONSISTENT, FULLY_INCONSISTENT,
                                   PARTLY_INCONSISTENT, SubsystemRuntime,
                                   UnrecoverableError, classify_checkpoint_set,
@@ -141,10 +140,10 @@ def test_criterion_03_lti_closed_form_equivalence():
         for k in range(N):
             store.append_control(model.id, float(k), us[k])
         ads = AdsConfig(kind="generic", mode="oracle", detection_time=1.0)
-        rt = SubsystemRuntime(model=model, est=EstimatorState.initial(model),
+        rt = SubsystemRuntime(model=model,
                               controller=lambda x, t: np.zeros(model.n_u),
                               ads=ads, schedule=AnomalySchedule(()),
-                              t_max=1e9, ticks=0)     # it never ticks
+                              t_max=1e9)     # it never ticks
         out = np.array([1])
         _, x_iter, _, _ = roll_forward_recover(
             rt, store, np.zeros(model.n_x), np.zeros((model.n_x, model.n_y)),

@@ -95,9 +95,7 @@ def test_generic_collapses_to_boolean():
         assert out[0] == want
     res = AdsConfig(kind="generic", mode="residual-threshold", threshold=1.0)
     loud = [np.array([0.1, 5.0])] * 2
-    np.testing.assert_array_equal(
-        ads_evaluate(res, loud, n_y=2), [1])
-    np.testing.assert_array_equal(ads_evaluate(res, [], n_y=2), [0])
+    np.testing.assert_array_equal(ads_evaluate(res, loud), [1])
 
 
 def test_residual_threshold_mode():
@@ -105,8 +103,8 @@ def test_residual_threshold_mode():
                     detection_time=0.0, threshold=1.0)
     quiet = [np.array([0.1, 0.2])] * 3
     loud = [np.array([5.0, 0.2])] * 3
-    np.testing.assert_array_equal(ads_evaluate(cfg, quiet, n_y=2), [0, 0])
-    np.testing.assert_array_equal(ads_evaluate(cfg, loud, n_y=2), [1, 0])
+    np.testing.assert_array_equal(ads_evaluate(cfg, quiet), [0, 0])
+    np.testing.assert_array_equal(ads_evaluate(cfg, loud), [1, 0])
 
 
 def test_window_validation():

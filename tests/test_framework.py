@@ -132,10 +132,14 @@ def test_classify_empty_raises():
 # -- safe stop ----------------------------------------------------------
 
 
+# the stop reason of a tick past its episode's tolerable duration
+OVERRUN = "anomaly duration exceeded maximum tolerable duration"
+
+
 def test_safe_stop_strict_inequality():
     """An episode safe-stops on its first tick past start + ``t_max``, in
     integer µs: one lasting exactly ``t_max`` does not, though in floats
-    ``0.4 - 0.1 > 0.3``."""
+    ``0.4 - 0.1 > 0.3``.  A tick that goes on returns None."""
     sched = AnomalySchedule((AnomalyWindow(0.1, 5.0, [50.0], [1]),))
     m = scalar_lti_model(dt=0.1)
     rt = lti_runtime(m, t_max=0.3, detection_time=0.0, schedule=sched)
@@ -143,7 +147,7 @@ def test_safe_stop_strict_inequality():
     stops = [subsystem_tick(rt, store, True, np.array([0.0]),
                             to_s(k * 100_000), {m.id: 0.0}) for k in range(8)]
     assert rt.episode.start == 0.1 and 0.4 - 0.1 > 0.3
-    assert stops == [False] * 5 + [True] * 3
+    assert stops == [None] * 5 + [OVERRUN] * 3
 
 
 # -- element mask -------------------------------------------------------
@@ -305,7 +309,7 @@ def test_healthy_tick_checkpoints_and_logs():
     stop = subsystem_tick(rt, store, True, np.array([0.0]), 0.0,
                           {m.id: rt.ads.detection_time})
     tr = rt.trace
-    assert not stop and rt.rows == 1
+    assert stop is None and rt.rows == 1
     assert tr["ckpt_event"][0] and not tr["ads_flags"][0].any()
     assert np.isnan(tr["x_rec"][0]).all() and not tr["recovered"][0].any()
     assert store.save_times(m.id) == [0.0]
@@ -340,23 +344,24 @@ def test_episode_exceeding_t_max_flags_safe_stop():
                                     float(k), {m.id: rt.ads.detection_time}))
     # detection at 5.0; the episode strictly exceeds 2.0 s from t=8.0
     assert rt.episode.start == 5.0
-    assert stops == [False] * 8 + [True] * 2
-    assert rt.trace["safe_stop"][:10].tolist() == stops
+    assert stops == [None] * 8 + [OVERRUN] * 2
+    assert rt.trace["safe_stop"][:10].tolist() == [False] * 8 + [True] * 2
     assert rt.trace["ads_flags"][9].any()
 
 
-def test_an_unrecoverable_tick_writes_its_row_and_raises():
+def test_an_unrecoverable_tick_writes_its_row_and_returns_its_reason():
     """Flagged at t = 1 with detection time 1, the tick finds no checkpoint
-    older than t = 0: it writes and counts its row, then raises, with no
-    control logged and no episode opened."""
+    older than t = 0: it writes and counts its row, then returns the
+    reason recovery gave, with no control logged and no episode opened."""
     sched = AnomalySchedule((AnomalyWindow(0.0, 30.0, [50.0], [1]),))
     m, rt, store = tick_scenario(sched)
     detection_times = {m.id: rt.ads.detection_time}
     subsystem_tick(rt, store, True, np.array([0.0]), 0.0, detection_times)
     last_u = rt.last_u
-    with pytest.raises(UnrecoverableError):
-        subsystem_tick(rt, store, True, np.array([50.0]), 1.0,
-                       detection_times)
+    stop = subsystem_tick(rt, store, True, np.array([50.0]), 1.0,
+                          detection_times)
+    assert stop == ("unrecoverable: no consistent checkpoint older than "
+                    "detection window before k=1.0")
     tr = rt.trace
     assert rt.rows == 2 and rt.episode is None and rt.last_u is last_u
     assert tr["t"][1] == 1.0 and tr["y_meas"][1, 0] == 50.0

@@ -126,6 +126,29 @@ def test_a_finished_run_releases_its_tick_state(monkeypatch):
                 sim.every_tick_shadow(res)
 
 
+def test_a_runs_length_belongs_to_run_loops_alone():
+    """Loops built from a 2 s config tick as ``run_loops`` is told: run for
+    2.05 s, off the outer loop's 0.1 s grid, they write bit for bit the
+    traces of a 2.05 s config, the ticks below 2.05 s, and run for 1 s
+    they hold only that second's rows."""
+    cfg = cfgmod.validate_config(cfgmod.build_case_study(seed=42,
+                                                         horizon=2.0))
+    ckpt_us = to_us(1.0 / cfg["checkpoint_freq_hz"])
+    got = sim.run_loops(cfgmod.build_system(cfg), 42, 2_050_000, ckpt_us)
+    want = sim.run_scenario(dict(cfg, horizon=2.05))
+    assert {sid: len(tr["t"]) for sid, tr in got.traces.items()} == {
+        sid: 21 if sid == robot.OUTER else 205 for sid in robot.LOOPS}
+    for sid, tr in want.traces.items():
+        for name, col in tr.items():
+            mine = got.traces[sid][name]
+            assert mine.shape == col.shape and mine.dtype == col.dtype
+            assert mine.tobytes() == col.tobytes(), (sid, name)
+    short = sim.run_loops(cfgmod.build_system(cfg), 42, 1_000_000, ckpt_us)
+    for rt in short.loops:
+        held = 10 if rt.model.id == robot.OUTER else 100
+        assert rt.rows == len(rt.trace["t"]) == held, rt.model.id
+
+
 def test_every_tick_shadow_refuses_a_streamed_run(monkeypatch):
     """A run that handed its blocks to a sink holds each loop's last block
     only, which the shadow cannot index by tick."""

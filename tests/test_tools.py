@@ -58,8 +58,7 @@ def test_unused_imports_finds_a_name_never_read():
 
 
 @pytest.mark.parametrize("path", sorted(
-    p.name for p in (ROOT / "src" / "cpsrecover").glob("*.py")
-    if p.name != "__init__.py"))            # __init__ imports to re-export
+    p.name for p in (ROOT / "src" / "cpsrecover").glob("*.py")))
 def test_a_module_reads_every_name_it_imports(path):
     source = (ROOT / "src" / "cpsrecover" / path).read_text()
     assert unused_imports(source) == []
