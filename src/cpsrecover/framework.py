@@ -337,8 +337,10 @@ def subsystem_tick(rt: SubsystemRuntime, store: SecureStore, c_k: bool,
     The tick reads its flags from, and writes its trace row to, row
     ``rt.rows`` of ``rt``, its held row ``rt.rows - rt.lo``, then counts
     itself.  Returns why the run must stop, or None to go on; a stopping
-    tick sets its row's ``safe_stop``, which no other tick writes, and no
-    exception leaves the tick.  A tick past its episode's tolerable
+    tick sets its row's ``safe_stop``, which no other tick writes.  The one
+    exception that leaves the tick is the store's :class:`IntegrityError`,
+    which a recovering tick's ``retrieve`` raises on a store that fails its
+    check; the run ends with it.  A tick past its episode's tolerable
     duration returns ``"anomaly duration exceeded maximum tolerable
     duration"``.  When recovery is impossible the tick writes its row, the
     estimate and flags, ``u`` NaN (no control was computed or logged) and

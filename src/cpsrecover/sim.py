@@ -128,7 +128,10 @@ def run_loops(loops: list, seed: int, horizon_us: int, ckpt_us: int,
     its runtime holds no more rows than those.  The first tick that
     returns a stop reason ends the run with a ``safe-stop`` event that
     carries it.  At each checkpoint instant that has a consistent
-    checkpoint ``k1`` the store drops its records older than ``k1``.  When
+    checkpoint ``k1`` the store drops its records older than ``k1``.  A
+    store that fails its check raises the store's :class:`IntegrityError`,
+    from that cut or from a recovering tick, the one exception that leaves
+    a tick, and the run ends with it.  When
     the run ends each runtime keeps what a finished run is read for, its
     model, columns, detector, schedule, bounds, trace and logged inputs;
     its ``detected``, ``innovations``, ``episode``, ``controller`` and

@@ -7,11 +7,8 @@ simpler, smaller, fast as MD5", ACNS 2013) over the previous record's tag
 followed by the canonical payload.  Any key is first hashed to 32 bytes,
 so an empty one still keys the hash.  Each log has a key of its own: the
 store key's BLAKE2s of the log's kind byte and sub-system id.  So a record
-is bound to its log, and any in-place change to a stored payload or tag
-is detected by :meth:`SecureStore.verify_integrity`, as is a record
-without its tag or time.  Each log keeps one keyed hasher, which a tag
-copies: one hash per record.  Truncating a suffix of all three alike is
-NOT detected by the chain alone.
+is bound to its log.  Each log keeps one keyed hasher, which a tag copies:
+one hash per record, on append.
 
 A store holds only what recovery can still use.  :meth:`SecureStore.drop_before`
 drops, from every log, the records older than a time, after the store
@@ -25,50 +22,49 @@ to Support Computer Forensics", ACM TISSEC 1999).  A log's times stay after
 its anchor's, and ``retrieve`` refuses a range that starts at or before the
 anchor's time rather than return part of it.
 
-:meth:`SecureStore.retrieve` verifies the whole store, every chain of
-every sub-system, before it returns anything, so recovery never proceeds
-from a store holding a corrupt record, even one outside the requested
-range.  The check is incremental but content-based.  Once a chain has
-passed a walk, it keeps the *walked copy*: the anchor tag the walk started
-from and the payload and tag ``bytes`` it hashed.  A later check compares
-the chain's anchor and first records with that copy, a plain comparison
-with no hashing, and walks the chain only over the records appended since.
-A changed anchor, payload byte, tag or record boundary, or a truncation
-below the copy's length, fails the comparison and forces a walk from the
-anchor.  The verdict is therefore always the full walk's.  The copy needs
-no key: code that can edit the records in place can also reach the key
-beside them.  A drop trims the copy with the records.
+:meth:`SecureStore.retrieve` verifies the whole store, every log of every
+sub-system, before it returns anything, so recovery never proceeds from a
+store holding a corrupt record, even one outside the requested range.
+Each log keeps a *sealed copy*: the records, the tags and the anchor (its
+count, tag and time) that its own ``append``, ``drop_before`` and ``load``
+left.  :meth:`SecureStore.verify_integrity` compares each log's public
+lists and anchor with that copy, content for content, and hashes nothing.
+So any in-place change fails it: a changed payload byte, tag, record
+boundary, anchor tag, anchor time or dropped count, a record without its
+tag, and a log cut short, which a hash chain alone cannot detect.  The
+copy needs no key: code that can edit the records in place can also reach
+the key beside them.  It holds references to the appended records, not
+new bytes.
 
-An appended record joins the walked copy too, when the copy covers every
-record of the chain and the chain's last tag, or its anchor when it holds
-no record, is the copy's own object: its tag was just computed from that
-tag, so the copy stays a chain that passes a walk, and each record is
-hashed once.  Otherwise it waits for the next check's walk.
+Every record time the store reads comes from the record's own payload,
+where it follows the kind byte: ``retrieve`` finds its range by bisection
+over the payloads, after the check, and decodes only the records it
+returns.  The reads that select by time before any check, ``save_times``
+and an append's order check, read the sealed copy.
 
-Each chain also keeps its record times in append order, so ``retrieve``
-finds its range by bisection and decodes only the records it returns.
-
-Every record enters a chain through ``_Chain.append``, which checks its
-time, finite and after the chain's last (or its anchor's), and computes
-and returns its tag.  The writes pack a record and append it; so does
+Every record enters a log through ``_Chain.append``, which checks its
+time, finite and after the log's last (or its anchor's), and computes and
+returns its tag.  The writes pack a record and append it; so does
 ``load``.
 
 The store is in-memory first.  ``save``/``load`` provide an optional binary
 persistence format for post-run analysis: per record
 ``[u32 length][subsystem NUL payload][32-byte tag]``, little-endian,
-IEEE-754 doubles.  A log with a dropped prefix is led by an anchor record
-of the same layout: its payload is ``b"A"``, the log's kind byte, the
-dropped count (u64), the last dropped time (double) and the anchor tag, and
-its tag field holds its MAC: the log's own tag of that payload after a zero
-tag.  A store with nothing dropped has no anchor records.  ``load`` decodes
-each payload, reading only inside it, checks that it packs back to the same
-bytes, appends it and compares the tag the append computed with the stored
-one, so it hashes each record once, and each anchor once.  A malformed
-record, a bad time, a differing tag, or an anchor that fails its MAC or
-does not lead its log, as after a changed byte, a front cut, a moved anchor,
-records moved to another log or a wrong key, raises
-:class:`IntegrityError`; the store is dropped.  So does a file saved with
-the HMAC-SHA256 tags of earlier versions.
+IEEE-754 doubles.  ``save`` refuses a store that fails the check.  A log
+with a dropped prefix is led by an anchor record of the same layout: its
+payload is ``b"A"``, the log's kind byte, the dropped count (u64), the last
+dropped time (double) and the anchor tag, and its tag field holds its MAC:
+the log's own tag of that payload after a zero tag.  A store with nothing
+dropped has no anchor records.  ``load`` decodes each payload, reading
+only inside it, checks that it packs back to the same bytes, appends it
+and compares the tag the append computed with the stored one, so it hashes
+each record once, and each anchor once.  A malformed record, a bad time, a
+differing tag, or an anchor that fails its MAC or does not lead its log,
+as after a changed byte, a front cut, a moved anchor, records moved to
+another log or a wrong key, raises :class:`IntegrityError`; the store is
+dropped.  So does a file saved with the HMAC-SHA256 tags of earlier
+versions.  A file cut short after a whole record still loads: the chain
+alone cannot tell its end.
 
 The integrity key comes from the ``CPSRECOVER_STORE_KEY`` environment
 variable or the constructor; the built-in default key is for simulation
@@ -143,6 +139,7 @@ _CONTROL_HEAD = struct.Struct("<cdI")     # a control record's kind, t, size
 # its anchor tag follows
 _ANCHOR_HEAD = struct.Struct("<ccQd")
 _F8 = np.dtype("<f8")                     # parsed once, not per record
+_TIME = struct.Struct("<d")
 
 
 def _pack_control(t: float, u) -> bytes:
@@ -157,14 +154,22 @@ def _unpack_control(payload: bytes) -> ControlRecord:
                                           _CONTROL_HEAD.size).copy())
 
 
-class _Chain:
-    """One append-only log with a keyed hash chain and its record times.
+def _time(payload) -> float:
+    """A record's time: the double right after its kind byte."""
+    return _TIME.unpack_from(payload, 1)[0]
 
-    ``times`` is set by :meth:`append` and never re-read from the payloads.
-    :meth:`verify` checks the payload and tag lists themselves, so a record
-    changed in place fails it before ``retrieve`` consults ``times``.  The
-    lists hold the records kept since the last :meth:`drop_before`; the
-    anchor stands for the ones dropped before them.
+
+def _us(payload) -> int:
+    return to_us(_time(payload))
+
+
+class _Chain:
+    """One append-only log with a keyed hash chain and its sealed copy.
+
+    The public lists hold the records kept since the last
+    :meth:`drop_before`; the anchor stands for the ones dropped before
+    them.  The sealed copy holds what the log's own writes left, and
+    :meth:`verify` compares the public lists and anchor with it.
     """
 
     def __init__(self, key: bytes, label: str):
@@ -172,17 +177,16 @@ class _Chain:
         self.label = label             # "<sub-system>: <kind>", for errors
         self.payloads: list[bytes] = []
         self.tags: list[bytes] = []
-        self.times: list[float] = []   # record times, in append order
         # the dropped prefix: its record count, and its last record's tag,
         # from which the chain continues, and time
         self.dropped = 0
         self.anchor = _ZERO_TAG
         self.anchor_t = -math.inf
-        # the anchor and the bytes of the records the last passing walk
-        # hashed
-        self._walked_anchor = _ZERO_TAG
-        self._walked_payloads: list[bytes] = []
-        self._walked_tags: list[bytes] = []
+        # the sealed copy: the records, tags and (dropped, anchor,
+        # anchor_t) that this log's own writes left
+        self._payloads: list[bytes] = []
+        self._tags: list[bytes] = []
+        self._anchor = (0, _ZERO_TAG, -math.inf)
 
     def _tag(self, payload: bytes, prev: bytes) -> bytes:
         h = self._mac.copy()
@@ -191,79 +195,46 @@ class _Chain:
         return h.digest()
 
     def append(self, payload: bytes, t: float) -> bytes:
-        """Append ``payload`` at ``t``, finite and after the last time, and
-        return its tag; else raise :class:`MonotonicityError`."""
-        times = self.times
-        last = times[-1] if times else self.anchor_t
+        """Append ``payload``, whose time is ``t``, finite and after the
+        sealed last time, and return its tag, chained from the sealed last
+        tag; else raise :class:`MonotonicityError`."""
+        sealed = self._payloads
+        last = _time(sealed[-1]) if sealed else self._anchor[2]
         if not last < t < math.inf:          # also false for a NaN ``t``
             if not math.isfinite(t):
                 raise MonotonicityError(f"{self.label} time {t} not finite")
             raise MonotonicityError(f"{self.label} time {t} not after {last}")
-        prev = self.tags[-1] if self.tags else self.anchor
-        tag = self._tag(payload, prev)
-        walked = self._walked_tags
-        # the copy stays a chain that passes a walk only when the new tag is
-        # computed from the copy's own last tag, or its anchor; an edited tag
-        # is another object, since the copy holds immutable bytes
-        if (len(walked) == len(self.tags) == len(self.payloads)
-                and prev is (walked[-1] if walked else self._walked_anchor)):
-            self._walked_payloads.append(bytes(payload))
-            walked.append(tag)
-        self.tags.append(tag)
+        tag = self._tag(payload, self._tags[-1] if sealed else self._anchor[1])
+        sealed.append(payload)
+        self._tags.append(tag)
         self.payloads.append(payload)
-        times.append(float(t))
+        self.tags.append(tag)
         return tag
-
-    def complete(self) -> bool:   # every record has a tag and a time
-        return len(self.payloads) == len(self.tags) == len(self.times)
 
     def between(self, lo_us, hi_us) -> list[bytes]:
         """Payloads with ``lo_us <= t < hi_us``, in append order; a bound
         may be an infinity, an open end."""
-        i = bisect_left(self.times, lo_us, key=to_us)
-        return self.payloads[i:bisect_left(self.times, hi_us, i, key=to_us)]
+        i = bisect_left(self.payloads, lo_us, key=_us)
+        return self.payloads[i:bisect_left(self.payloads, hi_us, i, key=_us)]
 
     def verify(self) -> bool:
-        """True iff every record has a tag and a time, and every tag
-        matches its chain position from the anchor.
-
-        Records equal to the walked copy are not hashed again; the walk
-        starts after them, or from the anchor when they or the anchor
-        differ.  When the copy holds every record, as after appends alone,
-        this only compares.
-        """
-        if not self.complete():
-            return False
-        n = len(self._walked_tags)
-        if (self.anchor != self._walked_anchor
-                or self.payloads[:n] != self._walked_payloads
-                or self.tags[:n] != self._walked_tags):
-            n = 0
-            self._walked_anchor = bytes(self.anchor)
-            self._walked_payloads, self._walked_tags = [], []
-        prev = self._walked_tags[-1] if n else self._walked_anchor
-        payloads = [bytes(p) for p in self.payloads[n:]]
-        tags = [bytes(t) for t in self.tags[n:]]
-        for payload, tag in zip(payloads, tags):
-            if not hmac.compare_digest(self._tag(payload, prev), tag):
-                return False
-            prev = tag
-        self._walked_payloads += payloads
-        self._walked_tags += tags
-        return True
+        """True iff the public lists and anchor equal the sealed copy,
+        content for content."""
+        return ((self.dropped, self.anchor, self.anchor_t) == self._anchor
+                and self.payloads == self._payloads
+                and self.tags == self._tags)
 
     def drop_before(self, t_us: int) -> None:
         """Drop the records with ``t < t_us`` microseconds; the last one
         becomes the anchor.  The chain must have just passed
-        :meth:`verify`, so the walked copy holds every record and is
-        trimmed with them."""
-        i = bisect_left(self.times, t_us, key=to_us)
+        :meth:`verify`."""
+        i = bisect_left(self._payloads, t_us, key=_us)
         if i:
-            self.anchor = self._walked_anchor = self._walked_tags[i - 1]
-            self.anchor_t = self.times[i - 1]
-            self.dropped += i
-            for records in (self.payloads, self.tags, self.times,
-                            self._walked_payloads, self._walked_tags):
+            self.dropped, self.anchor, self.anchor_t = self._anchor = (
+                self._anchor[0] + i, self._tags[i - 1],
+                _time(self._payloads[i - 1]))
+            for records in (self.payloads, self.tags, self._payloads,
+                            self._tags):
                 del records[:i]
 
 
@@ -332,8 +303,9 @@ class SecureStore:
         return list(self._checkpoints)
 
     def save_times(self, subsystem: str) -> list[float]:
+        """A loop's checkpoint times, read from its sealed copy."""
         chain = self._checkpoints.get(subsystem)
-        return list(chain.times) if chain else []
+        return [_time(p) for p in chain._payloads] if chain else []
 
     def retrieve(self, subsystem: str, t_from: float, t_to: float):
         """Records with ``t in [t_from, t_to)``; verifies integrity first.
@@ -376,11 +348,10 @@ class SecureStore:
     def save(self, path) -> None:
         """Write all logs as length-prefixed tagged records, each log with
         a dropped prefix led by its anchor record; raises
-        :class:`IntegrityError` if a log's record and tag counts differ."""
-        if not all(c.complete() for c in [*self._checkpoints.values(),
-                                          *self._controls.values()]):
-            raise IntegrityError(
-                f"{path}: a log's record, tag and time counts differ")
+        :class:`IntegrityError`, writing nothing, if the store fails
+        :meth:`verify_integrity`."""
+        if not self.verify_integrity():
+            raise IntegrityError(f"{path}: store integrity check failed")
         with open(path, "wb") as fh:
             for sub in sorted(self._checkpoints):
                 for kind, chain in ((b"C", self._checkpoints[sub]),
@@ -477,5 +448,5 @@ def _anchor(path, ckpts: _Chain, ctrls: _Chain, body: bytes,
                              "its log")
     if not hmac.compare_digest(chain._tag(body, _ZERO_TAG), mac):
         raise IntegrityError(f"{path}: {chain.label} anchor fails its MAC")
-    chain.anchor = chain._walked_anchor = body[_ANCHOR_HEAD.size:]
-    chain.anchor_t, chain.dropped = t, dropped
+    chain.dropped, chain.anchor, chain.anchor_t = chain._anchor = (
+        dropped, body[_ANCHOR_HEAD.size:], t)

@@ -29,6 +29,31 @@ UNRECOVERABLE = {
 }
 
 
+# (log, loop, time) of a record that ``tamper_after_append`` edits in the
+# seed-42 default run: the first inner-1 checkpoint, which the cut at 1 s
+# checks first, and the inner-2 control at 3.2 s, which the outer loop's
+# recovery at 3.5 s checks first
+MID_RUN_EDITS = {"cut": ("checkpoint", "inner-1", 0.0),
+                 "recovery": ("control", "inner-2", 3.2)}
+
+
+def tamper_after_append(monkeypatch, log: str, subsystem: str,
+                        t: float) -> None:
+    """Patch ``SecureStore`` so that the record its ``log``, "checkpoint"
+    or "control", of ``subsystem`` gets at ``t`` is edited in place right
+    after it is appended."""
+    name = f"append_{log}"
+    append = getattr(SecureStore, name)
+
+    def append_then_tamper(store, sid, *args):
+        append(store, sid, *args)
+        at = args[0].t if log == "checkpoint" else args[0]
+        if sid == subsystem and to_us(at) == to_us(t):
+            store._tamper(sid, which=log, index=-1)
+
+    monkeypatch.setattr(SecureStore, name, append_then_tamper)
+
+
 def long_periodic_config(horizon: float = 160.0) -> dict:
     """The 160 s case with a 1.75 s burst every 5 s on every loop, built as
     the benchmark's long-periodic workload builds it, or its schedule over
@@ -144,9 +169,9 @@ def full_store(result) -> SecureStore:
             n = chain.dropped
             assert chain.payloads == rebuilt.payloads[n:], chain.label
             assert chain.tags == rebuilt.tags[n:], chain.label
-            assert chain.times == rebuilt.times[n:], chain.label
             assert (chain.anchor, chain.anchor_t) == (
-                (rebuilt.tags[n - 1], rebuilt.times[n - 1]) if n
+                (rebuilt.tags[n - 1],
+                 struct.unpack_from("<d", rebuilt.payloads[n - 1], 1)[0]) if n
                 else (b"\x00" * 32, -math.inf)), chain.label
     return full
 

@@ -17,7 +17,8 @@ import pytest
 
 from cpsrecover import _csvwriter, cli, robot, sim
 from cpsrecover import config as cfgmod
-from helpers import UNRECOVERABLE, long_periodic_config
+from helpers import (MID_RUN_EDITS, UNRECOVERABLE, long_periodic_config,
+                     tamper_after_append)
 
 
 def write_cfg(tmp_path, **overrides):
@@ -91,6 +92,19 @@ def test_run_safe_stop_exit_3(tmp_path):
     assert len(rows) < 100                       # truncated at the stop
     assert rows[-1]["safe_stop"] == "1"
     assert float(rows[-1]["t"]) > 3.5
+
+
+@pytest.mark.parametrize("where", sorted(MID_RUN_EDITS))
+def test_a_store_edited_mid_run_exits_2_and_writes_no_csv(
+        tmp_path, capsys, monkeypatch, where):
+    """``run`` exits 2 on a store that fails its check mid-run, whether a
+    cut or a recovery finds it, and leaves no CSV and no ``.part`` file."""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, out_dir=str(out))
+    tamper_after_append(monkeypatch, *MID_RUN_EDITS[where])
+    assert cli.main(["run", path, "--seed", "42"]) == 2
+    assert "error: store integrity check failed" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "checkpoints"])

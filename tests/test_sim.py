@@ -7,6 +7,7 @@ import json
 import math
 import re
 import sys
+import traceback
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -21,9 +22,10 @@ from cpsrecover import cli, estimator, models, robot, sim
 from cpsrecover.anomaly import (DETECTOR_KINDS, DETECTOR_MODES,
                                 AnomalySchedule)
 from cpsrecover.config import ConfigError
+from cpsrecover.store import IntegrityError
 from cpsrecover.timebase import to_s, to_us
-from helpers import (UNRECOVERABLE, controls_of, full_store,
-                     long_periodic_config, reference_fmt)
+from helpers import (MID_RUN_EDITS, UNRECOVERABLE, controls_of, full_store,
+                     long_periodic_config, reference_fmt, tamper_after_append)
 
 PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / \
     "pinned_digests.json"
@@ -570,6 +572,29 @@ def test_safe_stop_truncates_trace():
     assert 3.5 < stop_t < 5.0
     for sid in robot.LOOPS:
         assert res.traces[sid]["t"].max() <= stop_t
+
+
+@pytest.mark.parametrize("where", sorted(MID_RUN_EDITS))
+def test_a_store_edited_mid_run_ends_it_with_an_integrity_error(
+        monkeypatch, where):
+    """A record edited in place mid-run makes the run raise the store's
+    ``IntegrityError`` at the next check: from the cut at 1 s, in
+    ``run_loops``, for inner-1's first checkpoint; from inside the outer
+    loop's tick at 3.5 s, as its recovery reads the store, for inner-2's
+    3.2 s control.  The latter is the one exception that leaves a tick."""
+    tamper_after_append(monkeypatch, *MID_RUN_EDITS[where])
+    with pytest.raises(IntegrityError,
+                       match="^store integrity check failed$") as info:
+        sim.run_scenario(cfgmod.build_case_study(seed=42))
+    frames = {f.f_code.co_name: f.f_locals
+              for f, _ in traceback.walk_tb(info.value.__traceback__)}
+    if where == "cut":
+        assert "drop_before" in frames and "subsystem_tick" not in frames
+        assert frames["run_loops"]["t"] == 1.0
+    else:
+        assert {"roll_forward_recover", "retrieve"} <= frames.keys()
+        tick = frames["subsystem_tick"]
+        assert (tick["rt"].model.id, tick["t"]) == ("outer", 3.5)
 
 
 def test_an_unrecoverable_tick_writes_its_row():
@@ -1121,8 +1146,18 @@ def _mutated_default(draw):
     return cfg
 
 
+_CUTTING = dict(cfgmod.default_config(), horizon=1.0, checkpoint_freq_hz=10.0,
+                plant_mode="coupled")
+_CUTTING["anomalies"] = dict(_CUTTING["anomalies"], outer=[dict(
+    _CUTTING["anomalies"]["outer"][0], t_start=0.3, t_end=0.8)])
+
+
 @settings(max_examples=30, deadline=None)
 @given(cfg=_mutated_default())
+# a coupled run that recovers and cuts its store, and one that safe-stops
+# at 8.4 s on a residual-threshold episode past t_max
+@example(cfg=_CUTTING)
+@example(cfg=cfgmod.build_case_study(**SHADOW_CONFIGS["residual-threshold"]))
 def test_accepted_config_runs_to_the_end_or_a_safe_stop(cfg):
     try:
         cfgmod.validate_config(cfg)
@@ -1164,12 +1199,6 @@ def _replayed_shadows(res, store) -> dict:
                 x = rt.model.f(x, c.u)
             shadow[k] = x
     return shadows
-
-
-_CUTTING = dict(cfgmod.default_config(), horizon=1.0, checkpoint_freq_hz=10.0,
-                plant_mode="coupled")
-_CUTTING["anomalies"] = dict(_CUTTING["anomalies"], outer=[dict(
-    _CUTTING["anomalies"]["outer"][0], t_start=0.3, t_end=0.8)])
 
 
 @st.composite
@@ -1214,9 +1243,8 @@ def test_a_cut_store_holds_the_suffix_of_the_runs_logs(cfg):
 
 def _records(store) -> dict:
     """Each log of ``store`` by label: its dropped count, anchor, and the
-    payloads, tags and times of the records it holds."""
-    return {c.label: (c.dropped, c.anchor, c.anchor_t, c.payloads, c.tags,
-                      c.times)
+    payloads and tags of the records it holds."""
+    return {c.label: (c.dropped, c.anchor, c.anchor_t, c.payloads, c.tags)
             for c in [*store._checkpoints.values(), *store._controls.values()]}
 
 

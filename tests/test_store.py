@@ -109,34 +109,100 @@ def test_tamper_checkpoint_payload():
     assert not s.verify_integrity()
 
 
-def test_truncation_not_detected_by_chain():
-    # removing a suffix of records, tags and times alike keeps a valid
-    # chain prefix; documented semantics
+def test_a_log_cut_short_fails_the_check():
+    """Removing a suffix of records and tags alike keeps a valid chain
+    prefix, which a hash chain alone cannot tell from the whole log; the
+    sealed copy still holds the cut records, so the check fails."""
     s = small_store()
     chain = s._controls["outer"]
     chain.payloads.pop()
     chain.tags.pop()
-    chain.times.pop()
-    assert s.verify_integrity()
+    assert not s.verify_integrity()
+    with pytest.raises(IntegrityError):
+        s.retrieve("outer", 0.0, 4.0)
 
 
-def test_truncation_after_verify_not_detected_by_chain():
-    # truncating below the sealed count falls back to a full walk
+def test_a_log_cut_short_after_a_check_fails_it(tmp_path):
+    """A log cut short after a passing check is not served the shortened
+    range, and ``save`` refuses it, writing nothing."""
     s = small_store()
     assert s.verify_integrity()
     chain = s._controls["outer"]
     del chain.payloads[-3:]
     del chain.tags[-3:]
-    del chain.times[-3:]
-    assert s.verify_integrity()
-    _, _, ctl = s.retrieve("outer", 3.0, 4.0)
-    assert [round(c.t, 10) for c in ctl] == [3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6]
+    assert not s.verify_integrity()
+    with pytest.raises(IntegrityError):
+        s.retrieve("outer", 3.0, 4.0)
+    path = tmp_path / "store.bin"
+    with pytest.raises(IntegrityError, match="store integrity check failed"):
+        s.save(path)
+    assert not path.exists()
+
+
+def _anchored_store() -> SecureStore:
+    """Five checkpoints and five controls at 0-4 s, cut at 2 s."""
+    s = SecureStore()
+    for k in range(5):
+        s.append_checkpoint("a", Checkpoint(float(k), [k, -k], [0]))
+        s.append_control("a", float(k), [k / 3])
+    s.drop_before(2.0)
+    return s
+
+
+@pytest.mark.parametrize("field, value", [("anchor_t", 0.5), ("dropped", 1),
+                                          ("dropped", 3)])
+def test_an_edited_anchor_time_or_count_fails_the_check(field, value):
+    """Each log's anchor time and dropped count are checked with its tag:
+    an anchor time moved back would let ``retrieve`` serve a range whose
+    first records were dropped."""
+    s = _anchored_store()
+    assert s.retrieve("a", 2.5, 4.0)[0] != []
+    with pytest.raises(ValueError, match="last dropped record"):
+        s.retrieve("a", 1.0, 4.0)
+    for chain in (s._checkpoints["a"], s._controls["a"]):
+        setattr(chain, field, value)
+    assert not s.verify_integrity()
+    with pytest.raises(IntegrityError):
+        s.retrieve("a", 1.0, 4.0)
+
+
+@pytest.mark.parametrize("which", ["checkpoint", "control"])
+@pytest.mark.parametrize("byte", [1, 4, 8])
+def test_a_payload_whose_time_changed_fails_the_check(which, byte):
+    """A record's time is read from its payload, right after the kind
+    byte; a changed time byte fails the check before any read by time, and
+    ``save_times`` reports the times as saved."""
+    s = _anchored_store()
+    before = s.save_times("a")
+    chain = (s._checkpoints if which == "checkpoint" else s._controls)["a"]
+    _tamper_payload(chain, 1, byte)
+    assert not s.verify_integrity()
+    assert s.save_times("a") == before == [2.0, 3.0, 4.0]
+    with pytest.raises(IntegrityError):
+        s.retrieve("a", 2.5, 4.0)
+    with pytest.raises(IntegrityError):
+        s.drop_before(3.0)
+
+
+@pytest.mark.parametrize("last", [storemod._pack_control(9.0, [4 / 3]),
+                                  b"U"], ids=["later", "cut-short"])
+def test_an_append_reads_the_sealed_last_time(last):
+    """An append checks its time against the last record it sealed, not
+    against a last payload edited in place: a later time, or one cut short
+    before its time, neither refuses the next append nor raises from it,
+    and the check still fails."""
+    s = _anchored_store()
+    s._controls["a"].payloads[-1] = last
+    s.append_control("a", 5.0, [5.0])
+    with pytest.raises(MonotonicityError, match="not after 5.0"):
+        s.append_control("a", 5.0, [5.0])
+    assert not s.verify_integrity()
 
 
 def test_a_record_without_its_tag_fails_verification(tmp_path):
     """A rewritten last payload whose tag is dropped is not served: the
-    chain's payload and tag counts differ, so the check fails and
-    ``save`` refuses the store, writing nothing."""
+    log differs from its sealed copy, so the check fails and ``save``
+    refuses the store, writing nothing."""
     s = SecureStore()
     for k in range(5):
         s.append_control("outer", k * 0.1, [float(k)])
@@ -147,7 +213,7 @@ def test_a_record_without_its_tag_fails_verification(tmp_path):
     with pytest.raises(IntegrityError):
         s.retrieve("outer", 0.0, 1.0)
     path = tmp_path / "store.bin"
-    with pytest.raises(IntegrityError, match="counts differ"):
+    with pytest.raises(IntegrityError, match="store integrity check failed"):
         s.save(path)
     assert not path.exists()
 
@@ -351,9 +417,8 @@ def _records(retrieved) -> list:
 
 
 def _chain_states(store) -> list:
-    """Each log's records, tags, times and anchor."""
-    return [(c.label, c.payloads, c.tags, c.times, c.anchor, c.anchor_t,
-             c.dropped)
+    """Each log's records, tags and anchor."""
+    return [(c.label, c.payloads, c.tags, c.anchor, c.anchor_t, c.dropped)
             for c in [*store._checkpoints.values(), *store._controls.values()]]
 
 
@@ -438,7 +503,7 @@ def test_tamper_after_verify_is_detected(n_sealed, n_new, which, how, where,
     s = SecureStore()
     for k in range(n_sealed + n_new):
         if k == n_sealed:
-            assert s.verify_integrity()  # seals the first n_sealed records
+            assert s.verify_integrity()  # passes on the first n_sealed records
         s.append_checkpoint("a", Checkpoint(k * 0.5, [k, 2.0 * k], [0]))
         s.append_control("a", k * 0.5, [k / 3])
     if n_new == 0:
@@ -471,14 +536,14 @@ def _shift_tag_boundary(chain, i, _):
        where=st.integers(0, 10_000), byte=st.integers(0, 255))
 def test_tamper_under_a_continued_seal_is_detected(n_first, n_more, which,
                                                    how, where, byte):
-    """A seal extended over newer records still covers every record."""
+    """A check passed before newer appends leaves every record covered."""
     s = SecureStore()
     for k in range(n_first + n_more):
         if k == n_first:
-            assert s.verify_integrity()  # seals the first n_first records
+            assert s.verify_integrity()  # passes on the first n_first records
         s.append_checkpoint("a", Checkpoint(k * 0.5, [k, 2.0 * k], [0]))
         s.append_control("a", k * 0.5, [k / 3])
-    assert s.verify_integrity()          # extends the seal over the rest
+    assert s.verify_integrity()          # and on the rest
     chain = (s._checkpoints if which == "checkpoint" else s._controls)["a"]
     how(chain, where % len(chain.payloads), byte)
     assert not s.verify_integrity()
@@ -489,10 +554,10 @@ _KEY = b"property key"
 
 def _full_walk(store) -> bool:
     """Every chain checked from its anchor, with nothing remembered; a
-    chain whose record, tag and time counts differ fails."""
+    chain whose record and tag counts differ fails."""
     for kind, logs in ((b"C", store._checkpoints), (b"U", store._controls)):
         for sid, chain in logs.items():
-            if not len(chain.payloads) == len(chain.tags) == len(chain.times):
+            if len(chain.payloads) != len(chain.tags):
                 return False
             prev = chain.anchor
             for payload, tag in zip(chain.payloads, chain.tags):
@@ -502,6 +567,16 @@ def _full_walk(store) -> bool:
                     return False
                 prev = tag
     return True
+
+
+def _as_kept(chains, kept, anchors) -> bool:
+    """Every list and anchor of ``chains`` equal, content for content,
+    what the API appended and kept: the records and tags of ``kept`` and
+    the (dropped, anchor, anchor_t) of ``anchors``."""
+    return all([bytes(p) for p in c.payloads] == [p for p, _ in kept[k]]
+               and [bytes(t) for t in c.tags] == [t for _, t in kept[k]]
+               and (c.dropped, bytes(c.anchor), c.anchor_t) == anchors[k]
+               for k, c in chains.items())
 
 
 _edits = ["flip_payload", "flip_tag", "restore", "to_bytearray", "poke",
@@ -520,13 +595,13 @@ _edits = ["flip_payload", "flip_tag", "restore", "to_bytearray", "poke",
 @example(ops=[("append", "control", 0, 2), ("to_bytearray", "control", 0, 1),
               ("verify", "control", 0, 0), ("poke", "control", 0, 1),
               ("verify", "control", 0, 0)])
-# a record appended after a tag edit is tagged from the edited tag, so it
-# must not join the walked copy: restoring the edit would then pass
+# a record appended after a tag edit is tagged from the sealed tag, so
+# restoring the edit passes
 @example(ops=[("append", "control", 0, 0), ("flip_tag", "control", 0, 0),
               ("append", "control", 0, 0), ("restore", "control", 0, 0),
               ("verify", "control", 0, 0)])
-# a rewritten last payload whose tag is dropped: the walk must not stop at
-# the shorter list
+# a rewritten last payload whose tag is dropped: the check must not stop
+# at the shorter list
 @example(ops=[("append", "control", 0, 3), ("verify", "control", 0, 0),
               ("flip_payload", "control", 0, 0), ("drop_tag", "control", 0, 0),
               ("verify", "control", 0, 0)])
@@ -544,34 +619,44 @@ _edits = ["flip_payload", "flip_tag", "restore", "to_bytearray", "poke",
 @example(ops=[("append", "control", 0, 1), ("drop", "control", 0, 0),
               ("append", "checkpoint", 0, 0), ("append", "control", 0, 0),
               ("verify", "control", 0, 0)])
-def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
+def test_verify_equals_what_the_api_kept_under_any_edit_sequence(ops):
     """Whatever was appended, edited, restored, cut or dropped between
-    checks, ``verify_integrity`` gives the verdict of a walk over every
-    record from the anchor, and a drop succeeds exactly when that walk
-    passes.
+    checks, ``verify_integrity`` is True exactly when every list and anchor
+    equal what the API appended and kept; whenever it is True, a walk over
+    every record from the anchor passes; and a drop succeeds exactly when
+    it is True.
 
-    Edits count records from the newest, where the walked copy ends.
-    ``truncate`` cuts records and tags but not times, so from then on both
-    verdicts are False.  ``drop`` cuts every log at the time of a record of
-    one, never below an earlier cut.
+    Edits count records from the newest.  ``truncate`` cuts records and
+    tags alike, which a walk accepts and the check does not, until a
+    ``restore``.  ``drop`` cuts every log at the time of a record the API
+    kept in one, never below an earlier cut.
     """
     s = SecureStore(key=_KEY)
     s.append_checkpoint("a", Checkpoint(0.0, [0.0, 0.0], [0]))
     s.append_control("a", 0.0, [0.0])
     s.append_control("b", 0.0, [0.0])
     chains = {"checkpoint": s._checkpoints["a"], "control": s._controls["a"]}
-    originals = {kind: list(zip(chain.payloads, chain.tags))
-                 for kind, chain in chains.items()}   # records as appended
-    anchors = {kind: chain.anchor for kind, chain in chains.items()}
+    kept = {kind: list(zip(chain.payloads, chain.tags))   # as appended
+            for kind, chain in chains.items()}
+    anchors = {kind: (0, chain.anchor, -math.inf)
+               for kind, chain in chains.items()}
+
+    def check() -> bool:
+        ok = s.verify_integrity()
+        assert ok == _as_kept(chains, kept, anchors)
+        assert not ok or _full_walk(s)
+        return ok
+
     clock = cut = 0
     for op, kind, back, byte in ops:
         if op == "verify":
-            assert s.verify_integrity() == _full_walk(s)
+            check()
             continue
         chain = chains[kind]
-        if op == "drop" and chain.times:
-            cut = max(cut, chain.times[-1 - back % len(chain.times)])
-            passes = _full_walk(s)
+        if op == "drop" and kept[kind]:
+            times = [struct.unpack_from("<d", p, 1)[0] for p, _ in kept[kind]]
+            cut = max(cut, times[-1 - back % len(times)])
+            passes = check()
             try:
                 s.drop_before(cut)
             except IntegrityError:
@@ -579,8 +664,8 @@ def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
                 continue
             assert passes
             for k, c in chains.items():
-                del originals[k][:len(originals[k]) - len(c.payloads)]
-                anchors[k] = c.anchor
+                del kept[k][:len(kept[k]) - len(c.payloads)]
+                anchors[k] = (c.dropped, c.anchor, c.anchor_t)
             continue
         if op == "flip_anchor":
             _tamper_anchor(chain, byte)
@@ -593,7 +678,7 @@ def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
                                                         [clock, -clock], [1]))
                 else:
                     s.append_control("a", clock / 8, [clock / 3])
-                originals[kind].append((chain.payloads[-1], chain.tags[-1]))
+                kept[kind].append((chain.payloads[-1], chain.tags[-1]))
             continue
         if len(chain.payloads) < 2:
             continue
@@ -604,10 +689,9 @@ def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
         elif op == "flip_tag" and i < len(chain.tags):
             _tamper_tag(chain, i, byte)
         elif op == "restore":   # equal bytes, but new objects
-            chain.payloads[:] = [bytes(bytearray(p))
-                                 for p, _ in originals[kind]]
-            chain.tags[:] = [bytes(bytearray(t)) for _, t in originals[kind]]
-            chain.anchor = bytes(bytearray(anchors[kind]))
+            chain.payloads[:] = [bytes(bytearray(p)) for p, _ in kept[kind]]
+            chain.tags[:] = [bytes(bytearray(t)) for _, t in kept[kind]]
+            chain.anchor = bytes(bytearray(anchors[kind][1]))
         elif op == "to_bytearray":   # equal content, but mutable
             records[i:] = map(bytearray, records[i:])
         elif op == "poke":      # change a bytearray record in place
@@ -617,15 +701,14 @@ def test_verify_equals_a_full_walk_under_any_edit_sequence(ops):
                 r = mutable[back % len(mutable)]
                 r[byte % len(r)] ^= 0x04
         elif op == "truncate":
-            cut = 1 + back % (len(chain.payloads) - 1)
-            del chain.payloads[-cut:]
-            del chain.tags[-cut:]
-            del originals[kind][-cut:]
+            n = 1 + back % (len(chain.payloads) - 1)
+            del chain.payloads[-n:]
+            del chain.tags[-n:]
         elif op == "shift":
             _shift_boundary(chain, i, byte)
         elif op == "drop_tag" and i < len(chain.tags):
             del chain.tags[i]
-    assert s.verify_integrity() == _full_walk(s)
+    check()
 
 
 def _file_records(data: bytes) -> list:
@@ -779,7 +862,7 @@ def test_chain_tags_are_keyed_blake2s(key, prev, payload):
 
 
 def test_a_default_run_hashes_each_record_once(monkeypatch):
-    """Appends join the walked copy, so the checks before each recovery
+    """Appends join the sealed copy, so the checks before each recovery
     only compare: one MAC per appended record over the whole run."""
     macs = [0]
     tag = storemod._Chain._tag
