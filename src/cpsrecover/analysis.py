@@ -266,22 +266,28 @@ def calibrate_bound_params(model, records, tick: float, mu: float,
       recovery episodes (zero for LTI loops).
 
     ``lti=True`` declares a constant Jacobian, evaluated once per record, at
-    the first tick, instead of on every tick, and a zero ``phi_bar``.
+    the first tick, instead of on every tick, and a zero ``phi_bar``.  With
+    ``lti=False`` calibration makes one model evaluation per record, not
+    per tick: ``jac_A`` on the stack of its ``x_hat`` rows, and two ``f``
+    calls and one ``jac_A`` on the stack of its recovering rows, as
+    :class:`~cpsrecover.models.SubsystemModel`'s stack contract allows.
+
+    ``ValueError``, naming the record and the array, is raised before any
+    model evaluation if a record's arrays differ in row count or do not
+    match the model's widths, or, with ``lti=False``, if ``x_true``,
+    ``x_hat`` or ``u`` is not finite or ``x_rec`` holds an infinity.
     """
     n = model.n_x
     A_bar = np.zeros((n, n))
     err_samples = []
     phi_bar = np.zeros(n)
-    for rec in records:
-        x_true = np.asarray(rec["x_true"], float)
+    for i, rec in enumerate(records):
+        x_true, x_hat, x_rec, u, mask = _checked_record(model, i, rec, lti)
         if not len(x_true):
             continue
-        x_hat = np.asarray(rec["x_hat"], float)
-        x_rec = rec["x_rec"]
-        u = rec["u"]
-        mask = np.asarray(rec["recovered"], bool)
-        ticks = range(1 if lti else len(x_true))
-        jac = np.array([model.jac_A(x_hat[k], u[k]) for k in ticks])
+        jac = model.jac_A(x_hat[0], u[0]) if lti else model.jac_A(x_hat, u)
+        # a Jacobian that holds for every row may come back as one matrix
+        jac = np.reshape(jac, (-1, n, n))
         A_bar = np.maximum(A_bar, np.abs(jac).max(axis=0))
         healthy = ~mask
         rows = healthy.any(axis=1)
@@ -301,6 +307,25 @@ def calibrate_bound_params(model, records, tick: float, mu: float,
                        phi_bar=phi_bar, tick=tick, mu=mu)
 
 
+def _checked_record(model, i: int, rec, lti: bool) -> tuple:
+    """Record ``i``'s ``x_true``, ``x_hat``, ``x_rec``, ``u`` and
+    ``recovered`` as float arrays (the mask Boolean), checked as
+    :func:`calibrate_bound_params` says."""
+    names = ("x_true", "x_hat", "x_rec", "u", "recovered")
+    arrays = [np.asarray(rec[name], bool if name == "recovered" else float)
+              for name in names]
+    rows = np.shape(arrays[0])[:1]
+    for name, a in zip(names, arrays):
+        want = rows + ((model.n_u if name == "u" else model.n_x),)
+        if a.shape != want:
+            raise ValueError(f"record {i}: {name} has shape {a.shape}, "
+                             f"expected {want}")
+        if not lti and name != "recovered" and not np.isfinite(
+                a[~np.isnan(a)] if name == "x_rec" else a).all():
+            raise ValueError(f"record {i}: {name} is not finite")
+    return tuple(arrays)
+
+
 def _episode_remainders(model, x_true, x_rec, u, mask) -> np.ndarray:
     """Max accumulated nonlinear remainder along each recovery episode.
 
@@ -308,18 +333,23 @@ def _episode_remainders(model, x_true, x_rec, u, mask) -> np.ndarray:
     with the Jacobian evaluated at the roll-forward value, over the rows
     that recover some element and have a roll-forward value; each run of
     consecutive such rows is one episode, and ``phi`` starts it at zero.
+    Every residual comes from one stack of those rows; only the recurrence
+    runs row by row.
     """
     x_rec = np.asarray(x_rec, float)
     rows = np.flatnonzero(np.any(mask, axis=1)
                           & ~np.any(np.isnan(x_rec), axis=1))
-    accs = np.empty((len(rows), model.n_x))
+    n = model.n_x
+    xt, xr, uk = np.asarray(x_true)[rows], x_rec[rows], np.asarray(u)[rows]
+    A = np.broadcast_to(model.jac_A(xr, uk), (len(rows), n, n))
+    resids = np.abs(model.f(xt, uk) - model.f(xr, uk)
+                    - np.matmul(A, (xt - xr)[..., None])[..., 0])
+    A_abs = np.abs(A)
+    accs = np.empty((len(rows), n))
     last = -2
     for i, k in enumerate(rows.tolist()):
         if k != last + 1:
-            acc = np.zeros(model.n_x)
-        A = model.jac_A(x_rec[k], u[k])
-        resid = np.abs(model.f(x_true[k], u[k]) - model.f(x_rec[k], u[k])
-                       - A.dot(x_true[k] - x_rec[k]))
-        acc = accs[i] = np.abs(A).dot(acc) + resid
+            acc = np.zeros(n)
+        acc = accs[i] = A_abs[i].dot(acc) + resids[i]
         last = k
     return np.max(accs, axis=0, initial=0.0)

@@ -70,6 +70,13 @@ class SubsystemModel:
 
     ``f(x, u)`` returns the next state, ``g(x, u)`` the measurement.
     ``jac_A``/``jac_C`` evaluate the state Jacobians of ``f``/``g``.
+    ``f`` and ``jac_A`` also take a stack of states ``(T, n_x)`` with its
+    inputs ``(T, n_u)`` and return ``(T, n_x)`` and ``(T, n_x, n_x)``,
+    each row bit for bit the one-state result on finite input; a
+    ``jac_A`` that does not depend on the state may return the one
+    ``(n_x, n_x)`` matrix that holds for every row.  A model must meet
+    that to be calibrated with ``lti=False``
+    (:func:`cpsrecover.analysis.calibrate_bound_params`).
     ``mu0``/``Sigma0`` are the initial state's mean and covariance.
     ``mu0``, ``Q``, ``R`` and ``Sigma0`` are stored as read-only float
     copies, each covariance with its read-only :func:`noise_factor` in
@@ -156,7 +163,8 @@ def euler_discretize(deriv, jac_deriv, dt: float):
     """Build discrete ``f`` and its Jacobian from a continuous derivative.
 
     ``f(x, u) = x + deriv(x, u) * dt``, in float64; the Jacobian is
-    ``I + jac_deriv(x, u) * dt``.
+    ``I + jac_deriv(x, u) * dt``.  Both broadcast over a stack of states
+    when ``deriv`` and ``jac_deriv`` do.
     """
     dt0 = np.array(dt, float)   # multiplies as the float64 dt would
 
@@ -167,6 +175,6 @@ def euler_discretize(deriv, jac_deriv, dt: float):
 
     def jac_A(x, u):
         J = np.asarray(jac_deriv(x, u), float)
-        return identity(J.shape[0]) + J * dt
+        return identity(J.shape[-1]) + J * dt
 
     return f, jac_A

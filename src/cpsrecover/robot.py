@@ -101,17 +101,31 @@ class RobotParams:
 
 def bicycle_model(dt: float, Q: np.ndarray, R: np.ndarray,
                   mu0: np.ndarray, Sigma0: np.ndarray) -> SubsystemModel:
-    """Outer-loop kinematics: state [x, y, theta], input [v, omega]."""
+    """Outer-loop kinematics: state [x, y, theta], input [v, omega].
+
+    One state takes ``math.cos``/``math.sin`` and builds one array; a
+    stack takes ``np.cos``/``np.sin`` of its heading column, which equal
+    them bit for bit.
+    """
 
     def deriv(x, u):
-        v, w = u
-        return np.array([v * math.cos(x[2]), v * math.sin(x[2]), w])
+        if x.ndim == 1:
+            v, w = u
+            return np.array([v * math.cos(x[2]), v * math.sin(x[2]), w])
+        v, theta = u[:, 0], x[:, 2]
+        return np.stack([v * np.cos(theta), v * np.sin(theta), u[:, 1]], -1)
 
     def jac_deriv(x, u):
-        v = u[0]
-        return np.array([[0.0, 0.0, -v * math.sin(x[2])],
-                         [0.0, 0.0, v * math.cos(x[2])],
-                         [0.0, 0.0, 0.0]])
+        if x.ndim == 1:
+            v = u[0]
+            return np.array([[0.0, 0.0, -v * math.sin(x[2])],
+                             [0.0, 0.0, v * math.cos(x[2])],
+                             [0.0, 0.0, 0.0]])
+        v, theta = u[:, 0], x[:, 2]
+        J = np.zeros((len(x), 3, 3))
+        J[:, 0, 2] = -v * np.sin(theta)
+        J[:, 1, 2] = v * np.cos(theta)
+        return J
 
     f, jac_A = euler_discretize(deriv, jac_deriv, dt)
     eye3 = identity(3)             # read-only, shared
@@ -128,7 +142,7 @@ def dc_motor_model(motor_id: str, dt: float, params: RobotParams,
     """Inner-loop DC motor: state [current, angular velocity], input voltage.
 
     The dynamics are linear, so ``jac_A`` and ``jac_C`` each return one
-    read-only Jacobian built with the model.
+    read-only Jacobian built with the model, for one state or a stack.
     """
     Rm, L = params.motor_resistance, params.motor_inductance
     A_c = np.array([[-Rm / L, -params.k_emf / L],
@@ -137,7 +151,9 @@ def dc_motor_model(motor_id: str, dt: float, params: RobotParams,
     B_c = np.array([1.0 / L, 0.0])
 
     def deriv(x, u):
-        return A_c.dot(x) + B_c * u[0]
+        if x.ndim == 1:
+            return A_c.dot(x) + B_c * u[0]
+        return np.matmul(A_c, x[..., None])[..., 0] + B_c * u[..., :1]
 
     f_ref, jac_A = euler_discretize(deriv, lambda x, u: A_c, dt)
     A = jac_A(None, None)          # constant, so built once and shared
@@ -160,14 +176,17 @@ def dc_motor_model(motor_id: str, dt: float, params: RobotParams,
     # ``f`` evaluates ``f_ref``, and either way its result is ``f_ref``'s
     # bit for bit.  The property test checks that with the function warm and
     # with a cold copy of its bytecode, since only the cold copy catches a
-    # missing guard.
+    # missing guard.  A stack takes the numpy expression, ``f_ref``, whose
+    # stacked ``np.matmul`` equals ``A_c.dot`` of each row bit for bit.
     def f(x, u):
-        x0, x1 = x.tolist()
-        u0 = u.item(0)
-        if not math.isfinite(x0 + x1 + u0 + consts):
-            return f_ref(x, u)
-        d0, d1 = A_c.dot(x).tolist()
-        return np.array([x0 + (d0 + b0 * u0) * dt, x1 + (d1 + b1 * u0) * dt])
+        if x.ndim == 1:
+            x0, x1 = x.tolist()
+            u0 = u.item(0)
+            if math.isfinite(x0 + x1 + u0 + consts):
+                d0, d1 = A_c.dot(x).tolist()
+                return np.array([x0 + (d0 + b0 * u0) * dt,
+                                 x1 + (d1 + b1 * u0) * dt])
+        return f_ref(x, u)
 
     return SubsystemModel(
         id=motor_id, n_x=2, n_y=1, n_u=1,

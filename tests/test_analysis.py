@@ -250,7 +250,7 @@ def _calibrate_per_tick(model, records, tick, mu, sigma_factor=6.0,
                 err_samples.append(np.where(
                     healthy, rec["x_true"][k] - rec["x_hat"][k], np.nan))
         if not lti:
-            phi_bar = np.maximum(phi_bar, _episode_remainders(
+            phi_bar = np.maximum(phi_bar, reference_episode_remainders(
                 model, rec["x_true"], rec["x_rec"], rec["u"],
                 rec["recovered"]))
     sigma = np.sqrt(np.nanmean(np.asarray(err_samples) ** 2, axis=0))
@@ -368,11 +368,16 @@ def _random_records(rng, n_x, n_u, n_records):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_records=st.integers(1, 4),
-       lti=st.booleans())
-def test_calibration_bit_identical_to_per_tick(seed, n_records, lti):
+       case=st.sampled_from([(True, "motor"), (False, "motor"),
+                             (False, "pose")]))
+def test_calibration_bit_identical_to_per_tick(seed, n_records, case):
+    """One model evaluation per record equals one per tick, bit for bit;
+    lti=True declares a constant Jacobian, so only the motor takes it, and
+    with lti=False the motor sums its rounding remainders."""
     from cpsrecover import robot
+    lti, kind = case
     rng = np.random.default_rng(seed)
-    if lti:  # lti=True declares a constant Jacobian
+    if kind == "motor":
         model = robot.dc_motor_model("inner-1", 0.1, robot.RobotParams(),
                                      0.01 * np.eye(2), [[0.01]], **prior(2))
     else:
@@ -399,6 +404,65 @@ def test_calibration_reads_integer_masks_as_booleans(case_models):
     as_int = calibrate_bound_params(models["inner-1"], [rec], tick=0.01,
                                     mu=1.0, lti=True)
     np.testing.assert_array_equal(as_int.eps_delta, [6.0, 6.0])
+
+
+def _pose_records():
+    """Two records of four rows of the pose loop's widths, each healthy on
+    every row."""
+    return [{"x_true": np.ones((4, 3)), "x_hat": np.zeros((4, 3)),
+             "x_rec": np.full((4, 3), np.nan), "u": np.ones((4, 2)),
+             "recovered": np.zeros((4, 3), bool)} for _ in range(2)]
+
+
+@pytest.mark.parametrize("lti", [True, False])
+@pytest.mark.parametrize("name, change", [
+    *((name, "rows") for name in ("x_hat", "x_rec", "u", "recovered")),
+    *((name, "width") for name in ("x_true", "x_hat", "x_rec", "u",
+                                   "recovered"))])
+def test_calibration_rejects_a_record_of_the_wrong_shape(case_models, name,
+                                                         change, lti):
+    """Before any model evaluation: a one-row array would broadcast over a
+    stack of four rows, and one row short would be an IndexError."""
+    _, models = case_models
+    records = _pose_records()
+    a = records[1][name]
+    records[1][name] = (a[:1] if change == "rows"
+                        else np.concatenate([a, a[:, :1]], axis=1))
+    with pytest.raises(ValueError, match=f"record 1: {name} has shape"):
+        calibrate_bound_params(models["outer"], records, tick=0.1, mu=1.0,
+                               lti=lti)
+
+
+@pytest.mark.parametrize("name, col, value", [
+    ("x_hat", 2, np.inf), ("x_hat", 0, np.nan), ("u", 0, np.nan),
+    ("u", 1, -np.inf), ("x_true", 2, np.inf), ("x_rec", 2, -np.inf)])
+def test_calibration_without_lti_rejects_a_non_finite_record(
+        case_models, name, col, value):
+    """An infinite heading would be a domain error of ``math.cos`` and a
+    numpy warning of ``np.cos``; x_rec's NaN marks a row without a
+    roll-forward value, so only its infinities are rejected."""
+    _, models = case_models
+    records = _pose_records()
+    records[1]["recovered"][2] = True
+    records[1]["x_rec"][2] = 0.0
+    records[1][name][2, col] = value
+    with pytest.raises(ValueError, match=f"record 1: {name} is not finite"):
+        calibrate_bound_params(models["outer"], records, tick=0.1, mu=1.0,
+                               lti=False)
+
+
+def test_calibration_with_lti_accepts_a_stopped_runs_last_input(
+        case_models):
+    """An unrecoverable stop's row logs no input, so its ``u`` is NaN; a
+    constant Jacobian is evaluated at the first row alone."""
+    _, models = case_models
+    model = models["inner-1"]
+    rec = {"x_true": np.ones((3, 2)), "x_hat": np.zeros((3, 2)),
+           "x_rec": np.full((3, 2), np.nan), "u": np.zeros((3, 1)),
+           "recovered": np.zeros((3, 2), bool)}
+    rec["u"][-1] = np.nan
+    got = calibrate_bound_params(model, [rec], tick=0.01, mu=1.0, lti=True)
+    assert got.A_bar.tobytes() == np.abs(model.jac_A(None, None)).tobytes()
 
 
 def test_calibration_needs_a_healthy_sample(case_models):

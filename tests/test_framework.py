@@ -426,6 +426,40 @@ def test_healthy_elements_untouched_by_recovery():
             assert tr["x_rf"][k, 1] == tr["x_hat"][k, 1]
 
 
+def test_the_engine_recovers_one_element_of_a_decoupled_loop():
+    """``sim.run_loops`` on one linear loop of two decoupled states, each
+    read by its own sensor, with an anomaly on sensor 0 alone: every
+    recovering row takes element 0 from the roll-forward and element 1 from
+    the estimator, and after the first such row the roll-forward steps its
+    own last value, since the estimate is not it.  Element 0 equals a
+    from-scratch replay of the checkpoint through the logged inputs, bit
+    for bit."""
+    A, B = np.diag([0.95, 0.9]), np.array([[0.1], [0.2]])
+    m = SubsystemModel(
+        id="decoupled", n_x=2, n_y=2, n_u=1,
+        f=lambda x, u: A.dot(x) + B.dot(u), g=lambda x, u: x.copy(),
+        jac_A=lambda x, u: A, jac_C=lambda x, u: np.eye(2),
+        Q=np.diag([1e-4, 4e-4]), R=np.diag([1e-2, 2e-2]), dt=0.1,
+        mu0=np.array([1.0, -1.0]), Sigma0=np.diag([0.5, 0.25]))
+    window = AnomalyWindow(2.0, 3.0, [5.0, 5.0], [1, 0])
+    rt = framework.SubsystemRuntime(
+        model=m, controller=lambda x, t: np.array([0.3 - 0.5 * x[0]]),
+        ads=AdsConfig(kind="specific", mode="oracle", detection_time=0.2),
+        schedule=AnomalySchedule((window,)), t_max=5.0)
+    res = sim.run_loops([rt], 7, to_us(5.0), to_us(1.0))
+    assert not res.events
+    tr = res.traces[m.id]
+    rows = np.flatnonzero(tr["recovered"].any(axis=1))
+    assert rows.tolist() == list(range(22, 30))
+    for n in rows.tolist():
+        assert tr["recovered"][n].tolist() == [True, False]
+        assert tr["x_rf"][n, 1] == tr["x_hat"][n, 1]
+        j = to_us(tr["k1"][n]) // to_us(m.dt)
+        x = framework.replay(m, tr["x_rf"][j], rt.logged_u[j:n])
+        assert x.tobytes() == tr["x_rec"][n].tobytes()
+        assert tr["x_rf"][n, 0].tobytes() == x[0].tobytes()
+
+
 def test_a_tick_reads_the_row_of_its_count_not_of_t_over_dt():
     """A model whose period is not a whole number of microseconds (2.5 µs
     here) ticks every ``to_us(dt)`` = 2 µs, and its flags are resolved on

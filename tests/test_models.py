@@ -357,3 +357,77 @@ def test_motor_step_is_its_numpy_expression(x, u, dt, inductance):
     want = outcome(reference_motor_f, params, dt, x, u)
     assert outcome(m.f, x, u) == outcome(cold(m.f), x, u) == want
     assert (x.tobytes(), u.tobytes()) == before
+
+
+# -- stacks of states ---------------------------------------------------------
+# Finite floats whose products in a model's step cannot overflow: signed
+# zeros, subnormals and magnitudes up to 1e150.
+_stack_floats = st.one_of(
+    st.floats(-1e150, 1e150, width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, 1e150]))
+# headings at, and a few ulps or a hair off, multiples of pi / 2, where a
+# sine or cosine passes through zero or one
+_headings = st.one_of(
+    _stack_floats,
+    st.builds(lambda k, ulps: float(np.nextafter(
+        k * np.pi / 2, np.copysign(np.inf, ulps)) if ulps else k * np.pi / 2),
+        st.integers(-64, 64), st.integers(-1, 1)),
+    st.builds(lambda k, e: k * np.pi / 2 + e, st.integers(-64, 64),
+              st.floats(-1e-6, 1e-6)))
+
+
+@st.composite
+def _stack(draw, n_x, n_u, heading=None):
+    """``(x, u)``: ``(T, n_x)`` states and ``(T, n_u)`` inputs, with
+    column ``heading`` of ``x`` drawn from :data:`_headings`."""
+    rows = draw(st.integers(0, 6))
+    x = draw(arrays(np.float64, (rows, n_x), elements=_stack_floats))
+    if heading is not None:
+        x[:, heading] = draw(arrays(np.float64, rows, elements=_headings))
+    return x, draw(arrays(np.float64, (rows, n_u), elements=_stack_floats))
+
+
+def _assert_stack_is_row_by_row(f, jac_A, x, u):
+    """``f`` and ``jac_A`` of the stack ``(x, u)`` equal their one-state
+    calls row by row, bit for bit; a Jacobian that comes back as one
+    matrix equals every row's."""
+    rows, n = x.shape
+    got = f(x, u)
+    assert got.shape == x.shape
+    assert got.tobytes() == b"".join(f(a, b).tobytes() for a, b in zip(x, u))
+    J = jac_A(x, u)
+    each = [jac_A(a, b).tobytes() for a, b in zip(x, u)]
+    if J.shape == (n, n):
+        assert each == [J.tobytes()] * rows
+    else:
+        assert J.shape == (rows, n, n) and J.tobytes() == b"".join(each)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sid=st.sampled_from(list(robot.LOOPS)), data=st.data())
+def test_every_model_evaluates_a_stack_row_by_row(sid, data):
+    """Calibration evaluates a record as one stack of states: the pose
+    loop's heading through ``np.cos``/``np.sin``, which equal
+    ``math.cos``/``math.sin`` bit for bit, and the motor's step through a
+    stacked ``np.matmul``, which equals ``A_c.dot`` of each row."""
+    cfg = config.default_config()
+    model = robot.build_model(sid, robot.RobotParams(), cfg["noise"],
+                              cfg["init"])
+    x, u = data.draw(_stack(model.n_x, model.n_u,
+                            heading=2 if sid == robot.OUTER else None))
+    _assert_stack_is_row_by_row(model.f, model.jac_A, x, u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 4), constant=st.booleans(), data=st.data())
+def test_euler_discretize_broadcasts_over_a_stack(n, constant, data):
+    """``f`` and ``jac_A`` broadcast over a stack whenever ``deriv`` and
+    ``jac_deriv`` do, whatever the number of rows; a constant
+    ``jac_deriv`` gives one Jacobian for every row."""
+    x, u = data.draw(_stack(n, 2))
+    J_c = np.arange(n * n, dtype=float).reshape(n, n) - 1.5
+    f, jac_A = euler_discretize(
+        lambda x, u: x * u[..., :1] - u[..., 1:],
+        (lambda x, u: J_c) if constant
+        else lambda x, u: x[..., :, None] * x[..., None, :], 0.1)
+    _assert_stack_is_row_by_row(f, jac_A, x, u)
