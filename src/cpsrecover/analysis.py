@@ -14,14 +14,22 @@ All bounds work on per-element absolute values.  Conventions:
 The bound over a chain of ``n`` predict steps is the row
 ``B_n = D_n + S_n + phi_bar`` with ``D_n = |A|^n eps_delta`` and
 ``S_n = sum_{p=1..n} |A|^p eps_omega``.  It depends on ``k`` and ``k1``
-only through ``n = k - k1``, so each :class:`BoundParams` caches the rows
-``B_n`` for every ``n`` evaluated so far and extends them on demand; a
-bound is a copy of one row, and costs the same deep into an episode as at
-its start.  The gap bound reads two rows, and a duration search reads one
-row per duration, so a search over ``T`` ticks costs ``O(T)``.
+only through ``n = k - k1``, so the rows ``B_n`` for every ``n``
+evaluated so far are cached and extended on demand, one ``|A|`` product
+per new row; a bound is a copy of one row, and costs the same deep into an
+episode as at its start.  The rows depend only on ``A_bar``,
+``eps_delta``, ``eps_omega`` and ``phi_bar``: every live
+:class:`BoundParams` with equal such inputs reads one shared cache, so a
+variant made by :func:`dataclasses.replace` of ``E_max``, ``mu`` or
+``tick`` reads rows already grown, one with other row inputs starts a
+fresh cache, and the rows go when the last set that reads them does.  A
+gap bound is one row of the clamped differences ``B_{n+e} - B_n``, kept
+for the last few chain offsets ``e`` and recomputed whole when the rows
+grow.  A duration search compares each stretch of rows a growth adds with
+``E_max`` at once, so a search over ``T`` ticks costs ``O(T)``.
 ``BoundParams`` is immutable, with read-only arrays and finite inputs, so
-the cache can never go stale; derive a variant with
-:func:`dataclasses.replace`, which starts a fresh cache.
+the cache can never go stale; it takes no lock, so threads that evaluate
+sets with equal row inputs must hold one of their own.
 Every bound returned is a new array that the caller may modify.  An
 element that overflows a float is +inf, a valid but vacuous bound, and
 so is every element that ``|A|`` couples to it in a longer chain; an
@@ -40,6 +48,7 @@ applies, removes nothing more.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +57,10 @@ from .timebase import to_s, to_us
 
 _SIGMA_FACTOR = 6.0   # calibrated bounds sit this many std devs out
 _FLOAT_MAX = np.finfo(float).max
+_ROW_INPUTS = ("A_bar", "eps_delta", "eps_omega", "phi_bar")
+_MEMO = 16            # entries a gap memo holds before it starts afresh
+# row inputs' bytes -> the rows of every live BoundParams with those inputs
+_SHARED_SUMS = weakref.WeakValueDictionary()
 
 
 class _ChainSums:
@@ -70,12 +83,30 @@ class _ChainSums:
         self.rows = np.empty((16, len(eps_delta)))
         self.rows[0] = eps_delta + phi_bar
         self._len = 1
+        self._gaps = {}                 # chain offset e -> gap rows
 
     def upto(self, n: int) -> np.ndarray:
         """The rows, grown to hold row ``n``."""
         if n >= self._len:
             self._grow(n)
         return self.rows
+
+    def gaps(self, e: int, n: int) -> np.ndarray:
+        """Gap rows ``max(B_{m+e} - min(B_m, FLOAT_MAX), 0)`` for every ``m``
+        the rows hold, grown to hold ``B_n``; kept per offset ``e`` until
+        the rows grow."""
+        rows = self.upto(n)
+        g = self._gaps.get(e)
+        if g is None or len(g) + e < self._len:
+            if len(self._gaps) >= _MEMO:
+                self._gaps.clear()
+            # capping the shorter chain's bound turns inf - inf into +inf
+            # rather than NaN; where only the shorter chain overflows, the
+            # gap clamps to 0
+            g = self._gaps[e] = np.maximum(
+                rows[e:self._len]
+                - np.minimum(rows[:self._len - e], _FLOAT_MAX), 0.0)
+        return g
 
     def _grow(self, n: int) -> None:
         if n >= len(self.rows):
@@ -92,14 +123,18 @@ class _ChainSums:
                 prev = row
             # an element that overflows holds +inf, and a zero of |A| times
             # it makes NaN in the next row; that product of 0 and a finite
-            # value is 0, so from the first NaN row on the rows are summed
-            # without it (no inf - inf: every operand is nonnegative)
+            # value is 0, so from the first NaN row on, a row that comes out
+            # NaN is summed again without it (no inf - inf: every operand is
+            # nonnegative).  Each row is tested on its own, so no row depends
+            # on where a growth began, and sets that share rows agree
             nan = np.isnan(new).any(axis=1)
             if nan.any():
                 first = nan.argmax()
                 prev = new[first - 1] if first else self._last
                 for row in new[first:]:
-                    np.nansum(A_abs * (prev + w), axis=1, out=row)
+                    np.matmul(A_abs, prev + w, out=row)
+                    if np.isnan(row).any():
+                        np.nansum(A_abs * (prev + w), axis=1, out=row)
                     prev = row
             self._last = new[-1].copy()
             new += self._phi_bar
@@ -115,7 +150,8 @@ class BoundParams:
     the accumulated Taylor remainders of the nonlinear dynamics (zero for
     LTI loops).  ``E_max`` is the maximum permissible error, ``delta_s`` the
     minimum time between anomalies, ``mu`` the checkpointing frequency and
-    ``tick`` the sub-system loop period in seconds.
+    ``tick`` the sub-system loop period in seconds, at least one
+    microsecond, the package's time step.
 
     Instances are immutable and their arrays read-only; use
     :func:`dataclasses.replace` for a variant.
@@ -131,6 +167,8 @@ class BoundParams:
     tick: float = 1.0
     t_search_max: float = 1000.0      # grid-search horizon cap, seconds
     _sums: _ChainSums = field(init=False, repr=False, compare=False)
+    # anomaly start -> (checkpoint tick, last tick before the start)
+    _anchors: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A_bar = np.array(np.atleast_2d(np.asarray(self.A_bar, float)))
@@ -148,7 +186,7 @@ class BoundParams:
             fields["E_max"] = vector(self.E_max)
             if np.any(np.isnan(fields["E_max"])):
                 raise ValueError("E_max must not be NaN")
-        for name in ("A_bar", "eps_delta", "eps_omega", "phi_bar"):
+        for name in _ROW_INPUTS:
             if not np.all(np.isfinite(fields[name])):
                 raise ValueError(f"{name} must be finite")
             if name != "A_bar" and np.any(fields[name] < 0):
@@ -157,13 +195,20 @@ class BoundParams:
             if not (math.isfinite(getattr(self, name))
                     and getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive and finite")
+        if to_us(self.tick) < 1:
+            raise ValueError("tick must be at least one microsecond")
         if not (math.isfinite(self.t_search_max) and self.t_search_max >= 0):
             raise ValueError("t_search_max must be finite and nonnegative")
         for name, value in fields.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_sums", _ChainSums(
-            np.abs(A_bar), self.eps_delta, self.eps_omega, self.phi_bar))
+        rows_of = tuple(fields[name] for name in _ROW_INPUTS)
+        key = (A_bar.shape, b"".join(a.tobytes() for a in rows_of))
+        sums = _SHARED_SUMS.get(key)
+        if sums is None:
+            sums = _SHARED_SUMS[key] = _ChainSums(np.abs(A_bar), *rows_of[1:])
+        object.__setattr__(self, "_sums", sums)
+        object.__setattr__(self, "_anchors", {})
 
 
 def recovery_error_bound_at(params: BoundParams, k: int, k1: int) -> np.ndarray:
@@ -212,19 +257,23 @@ def max_duration_certificate(params: BoundParams, s: float):
     k1 = checkpoint_time_before_anomaly(s, params.delta_s, params.mu, tick)
     # an anomaly lasting T ticks ends a chain of n0 + T predict steps
     n0 = round(s / tick) - round(k1 / tick)
-    E = params.E_max
-    max_ticks = int(params.t_search_max / tick)
-    sums = params._sums
-    rows = sums.upto(n0 + 1)
-    if (rows[n0 + 1] > E).any():
-        return 0.0, rows[n0 + 1].copy(), rows[n0 + 1].copy()
-    for T in range(2, max_ticks + 1):
+    E, sums = params.E_max, params._sums
+    top = max(to_us(params.t_search_max) // to_us(tick), 1)
+    # T becomes the first duration up to top whose bound exceeds E_max, or
+    # top + 1; each stretch of rows a growth adds is compared at once
+    T = 1
+    while T <= top:
         rows = sums.upto(n0 + T)
-        if (rows[n0 + T] > E).any():
-            return (T - 1) * tick, rows[n0 + T - 1].copy(), rows[n0 + T].copy()
-    lo = max(max_ticks, 1)
-    rows = sums.upto(n0 + lo + 1)
-    return lo * tick, rows[n0 + lo].copy(), rows[n0 + lo + 1].copy()
+        end = min(len(rows) - n0, top + 1)
+        over = (rows[n0 + T:n0 + end] > E).any(axis=1)
+        if over.any():
+            T += int(over.argmax())
+            break
+        T = end
+    rows = sums.upto(n0 + T)
+    if T == 1:
+        return 0.0, rows[n0 + 1].copy(), rows[n0 + 1].copy()
+    return (T - 1) * tick, rows[n0 + T - 1].copy(), rows[n0 + T].copy()
 
 
 def accuracy_resource_gap_bound(params: BoundParams, k: int, s: float) -> np.ndarray:
@@ -234,19 +283,20 @@ def accuracy_resource_gap_bound(params: BoundParams, k: int, s: float) -> np.nda
     frequency-``mu`` checkpoint and at the tick just before the anomaly
     start, clamped at zero.  Zero when ``mu`` already checkpoints every tick.
     """
-    tick = params.tick
-    k1 = checkpoint_time_before_anomaly(s, params.delta_s, params.mu, tick)
-    k1_t = round(k1 / tick)
-    opt_t = round(s / tick) - 1
+    anchors = params._anchors.get(s)
+    if anchors is None:
+        tick = params.tick
+        k1 = checkpoint_time_before_anomaly(s, params.delta_s, params.mu, tick)
+        if len(params._anchors) >= _MEMO:
+            params._anchors.clear()
+        anchors = params._anchors[s] = round(k1 / tick), round(s / tick) - 1
+    k1_t, opt_t = anchors
     if k1_t >= opt_t:
         return np.zeros_like(params.eps_delta)
     if k <= opt_t:
         raise ValueError("error bound requires k > k1")
     n, n1 = round(k - opt_t), round(k - k1_t)
-    rows = params._sums.upto(n1)
-    # capping the shorter chain's bound turns inf - inf into +inf rather than
-    # NaN; where only the shorter chain overflows, the gap clamps to 0
-    return np.maximum(rows[n1] - np.minimum(rows[n], _FLOAT_MAX), 0.0)
+    return params._sums.gaps(n1 - n, n1)[n].copy()
 
 
 def calibrate_bound_params(model, records, tick: float, mu: float,
@@ -265,12 +315,16 @@ def calibrate_bound_params(model, records, tick: float, mu: float,
     * ``phi_bar``: element-wise max accumulated Taylor remainder over the
       recovery episodes (zero for LTI loops).
 
+    Every record is checked first; the records are then stacked, and the
+    error, Jacobian and remainder work runs once over the stack, each
+    result bit for bit the one record by record would give.
     ``lti=True`` declares a constant Jacobian, evaluated once per record, at
-    the first tick, instead of on every tick, and a zero ``phi_bar``.  With
-    ``lti=False`` calibration makes one model evaluation per record, not
-    per tick: ``jac_A`` on the stack of its ``x_hat`` rows, and two ``f``
-    calls and one ``jac_A`` on the stack of its recovering rows, as
-    :class:`~cpsrecover.models.SubsystemModel`'s stack contract allows.
+    its first tick, instead of on every tick, and a zero ``phi_bar``.  With
+    ``lti=False`` calibration makes one model evaluation in all, not one
+    per record or tick: ``jac_A`` on the stack of ``x_hat`` rows, and two
+    ``f`` calls and one ``jac_A`` on the stack of recovering rows, as
+    :class:`~cpsrecover.models.SubsystemModel`'s stack contract allows; a
+    record's first row starts a new recovery episode.
 
     ``ValueError``, naming the record and the array, is raised before any
     model evaluation if a record's arrays differ in row count or do not
@@ -278,29 +332,31 @@ def calibrate_bound_params(model, records, tick: float, mu: float,
     ``x_hat`` or ``u`` is not finite or ``x_rec`` holds an infinity.
     """
     n = model.n_x
-    A_bar = np.zeros((n, n))
-    err_samples = []
-    phi_bar = np.zeros(n)
-    for i, rec in enumerate(records):
-        x_true, x_hat, x_rec, u, mask = _checked_record(model, i, rec, lti)
-        if not len(x_true):
-            continue
-        jac = model.jac_A(x_hat[0], u[0]) if lti else model.jac_A(x_hat, u)
-        # a Jacobian that holds for every row may come back as one matrix
-        jac = np.reshape(jac, (-1, n, n))
-        A_bar = np.maximum(A_bar, np.abs(jac).max(axis=0))
-        healthy = ~mask
-        rows = healthy.any(axis=1)
-        err_samples.append(np.where(healthy[rows],
-                                    x_true[rows] - x_hat[rows], np.nan))
-        if not lti:
-            phi_bar = np.maximum(
-                phi_bar, _episode_remainders(model, x_true, x_rec, u, mask))
-    errs = np.concatenate([np.empty((0, n))] + err_samples)
-    never = np.flatnonzero(np.isnan(errs).all(axis=0))
+    checked = [_checked_record(model, i, rec, lti)
+               for i, rec in enumerate(records)]
+    mask = np.concatenate([np.empty((0, n), bool)] + [c[4] for c in checked])
+    # the rows with a healthy element, each element not healthy NaN.  The
+    # Boolean reductions run over transposed copies: numpy reduces a long
+    # contiguous axis in one pass, and a few columns row by row, some ten
+    # times slower on 10,000 rows
+    errs = np.where(mask, np.nan, np.concatenate(
+        [np.empty((0, n))] + [c[0] - c[1] for c in checked])).compress(
+            ~mask.T.copy().all(axis=0), axis=0)
+    never = np.flatnonzero(np.isnan(errs).T.copy().all(axis=1))
     if never.size:
         raise ValueError("calibration needs a healthy sample of every state "
                          f"element; element(s) {never.tolist()} have none")
+    if lti:
+        jac = [model.jac_A(c[1][0], c[3][0]) for c in checked if len(c[0])]
+        phi_bar = np.zeros(n)
+    else:
+        x_true, x_hat, x_rec, u = (np.concatenate([c[j] for c in checked])
+                                   for j in range(4))
+        jac = model.jac_A(x_hat, u)
+        starts = np.cumsum([0] + [len(c[0]) for c in checked[:-1]])
+        phi_bar = _episode_remainders(model, x_true, x_rec, u, mask, starts)
+    # a Jacobian that holds for every row may come back as one matrix
+    A_bar = np.abs(np.reshape(jac, (-1, n, n))).max(axis=0)
     sigma = np.sqrt(np.nanmean(errs ** 2, axis=0))
     return BoundParams(A_bar=A_bar, eps_delta=_SIGMA_FACTOR * sigma,
                        eps_omega=_SIGMA_FACTOR * np.sqrt(np.diag(model.Q)),
@@ -326,13 +382,15 @@ def _checked_record(model, i: int, rec, lti: bool) -> tuple:
     return tuple(arrays)
 
 
-def _episode_remainders(model, x_true, x_rec, u, mask) -> np.ndarray:
+def _episode_remainders(model, x_true, x_rec, u, mask,
+                        starts=()) -> np.ndarray:
     """Max accumulated nonlinear remainder along each recovery episode.
 
     Propagates ``phi_{k+1} = |A| phi_k + |f(x) - f(xr) - A (x - xr)|``
     with the Jacobian evaluated at the roll-forward value, over the rows
     that recover some element and have a roll-forward value; each run of
     consecutive such rows is one episode, and ``phi`` starts it at zero.
+    A row in ``starts``, the first row of a stacked record, starts one too.
     Every residual comes from one stack of those rows; only the recurrence
     runs row by row.
     """
@@ -346,10 +404,9 @@ def _episode_remainders(model, x_true, x_rec, u, mask) -> np.ndarray:
                     - np.matmul(A, (xt - xr)[..., None])[..., 0])
     A_abs = np.abs(A)
     accs = np.empty((len(rows), n))
-    last = -2
-    for i, k in enumerate(rows.tolist()):
-        if k != last + 1:
+    fresh = (np.diff(rows, prepend=-2) != 1) | np.isin(rows, starts)
+    for i, new in enumerate(fresh.tolist()):
+        if new:
             acc = np.zeros(n)
         acc = accs[i] = A_abs[i].dot(acc) + resids[i]
-        last = k
     return np.max(accs, axis=0, initial=0.0)

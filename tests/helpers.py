@@ -398,8 +398,8 @@ def outcome(fn, *args):
 
 class ReferenceBounds:
     """Per-call bound formulas for one ``analysis.BoundParams``, over chain
-    sums grown with the same recurrence, capacity doubling and NaN rule as
-    the module's cache."""
+    sums grown with the same recurrence as the module's cache, and the same
+    NaN rule, applied to each row on its own."""
 
     def __init__(self, params):
         self.params = params
@@ -418,9 +418,7 @@ class ReferenceBounds:
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(self._len, len(rows)):
                     np.matmul(A_abs, rows[i - 1] + w, out=rows[i])
-                nan = np.isnan(rows[self._len:]).any(axis=1)
-                if nan.any():
-                    for i in range(self._len + nan.argmax(), len(rows)):
+                    if np.isnan(rows[i]).any():
                         np.nansum(A_abs * (rows[i - 1] + w), axis=1,
                                   out=rows[i])
             self._rows, self._len = rows, len(rows)
@@ -454,7 +452,7 @@ class ReferenceBounds:
         tick, E = p.tick, p.E_max
         k1 = checkpoint_time_before_anomaly(s, p.delta_s, p.mu, tick)
         n0 = round(s / tick) - round(k1 / tick)
-        max_ticks = int(p.t_search_max / tick)
+        max_ticks = to_us(p.t_search_max) // to_us(tick)
         prev = self._chain_bound(n0 + 1)
         if np.any(prev > E):
             return 0.0, prev, prev.copy()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -328,6 +329,41 @@ def test_max_duration_search_memory_is_linear():
     assert peak < 20_000 * 100
 
 
+@pytest.mark.parametrize("ticks, t_search_max", [(3, 0.3), (4, 0.4),
+                                                 (6, 0.6), (7, 0.7)])
+def test_max_duration_search_cap_counts_whole_ticks(ticks, t_search_max):
+    """The cap is counted on the microsecond grid: in floats, 0.3 / 0.1 is
+    2.9999999999999996, which would search two ticks, not three."""
+    p = scalar_params(E_max=[np.inf], tick=0.1, t_search_max=t_search_max)
+    T, lo, hi = max_duration_certificate(p, 1.0)
+    assert T == ticks * 0.1
+    assert outcome(lambda: np.hstack((T, lo, hi))) == outcome(
+        lambda: np.hstack(ReferenceBounds(p).certificate(1.0)))
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("first", [15, 16, 31, 32, 63, 64, 127, 128])
+def test_max_duration_first_exceedance_across_capacity_doublings(first,
+                                                                 warm):
+    """The scan compares each stretch of rows that a growth adds at once;
+    a first exceeding row on either side of a doubling (the rows start 16
+    deep) is found as the one-row-at-a-time reference finds it, on fresh
+    rows and on rows another equal set has grown deep."""
+    p = BoundParams(A_bar=np.diag([1.0, 0.5]), eps_delta=[0.1, 0.1],
+                    eps_omega=[0.05, 0.05], tick=1.0)
+    # the first element's bound 0.1 + 0.05 n rises by 0.05 per row; at
+    # s = 1 s the scan's duration T ends the chain at row T + 1
+    e_max = [0.1 + 0.05 * (first - 0.5), np.inf]
+    if warm:            # a set that shares p's rows grows them deep
+        recovery_error_bound_at(replace(p, E_max=[np.inf, np.inf]), 1000, 0)
+    q = replace(p, E_max=e_max)
+    T, lo, hi = max_duration_certificate(q, 1.0)
+    assert T == first - 2.0
+    assert lo[0] <= e_max[0] < hi[0]
+    assert outcome(lambda: np.hstack((T, lo, hi))) == outcome(
+        lambda: np.hstack(ReferenceBounds(q).certificate(1.0)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(s_us=st.integers(1, 10**7), grid_us=st.integers(1, 2 * 10**6),
        tick_us=st.integers(1, 10**6), detection_us=st.integers(0, 10**6))
@@ -394,6 +430,30 @@ def test_calibration_bit_identical_to_per_tick(seed, n_records, case):
     for name in ("A_bar", "eps_delta", "eps_omega", "phi_bar"):
         np.testing.assert_array_equal(getattr(got, name),
                                       getattr(want, name), err_msg=name)
+
+
+def test_stacked_calibration_ends_episodes_at_record_edges():
+    """Calibration stacks its records; a recovery episode that runs to the
+    last row of one record and one that starts on the first row of the
+    next stay two episodes, and zero-row records add nothing."""
+    from cpsrecover import robot
+    model = robot.bicycle_model(0.1, 0.01 * np.eye(3), 0.01 * np.eye(3),
+                                **prior(3))
+    rng = np.random.default_rng(17)
+    records = []
+    for T in (6, 0, 5, 0, 0, 7, 4, 0):
+        # every row recovers some element, so each record is one episode
+        # from its first row to its last
+        mask = np.tile([True, False, False], (T, 1))
+        mask[T // 2:T // 2 + 1] = [False, True, True]
+        records.append({"x_true": rng.normal(size=(T, 3)),
+                        "x_hat": rng.normal(size=(T, 3)),
+                        "x_rec": rng.normal(size=(T, 3)),
+                        "u": rng.normal(size=(T, 2)), "recovered": mask})
+    got = calibrate_bound_params(model, records, tick=0.1, mu=1.0, lti=False)
+    want = _calibrate_per_tick(model, records, tick=0.1, mu=1.0, lti=False)
+    for name in ("A_bar", "eps_delta", "eps_omega", "phi_bar"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_calibration_reads_integer_masks_as_booleans(case_models):
@@ -539,6 +599,30 @@ def test_an_overflowing_bound_is_inf_never_nan():
                                       [np.inf, np.inf])
 
 
+def test_rows_do_not_depend_on_where_a_growth_began():
+    """An overflow that vanishes: the first element reads the second through
+    ``1e200`` and nothing reads it back, so it is +inf only while the second
+    stays above ~1e108, and the rows after each +inf row come out NaN from
+    ``0 * inf``.  Rows grown one doubling at a time and rows grown 1,000
+    deep at once, as a set that shares them may have grown them, are the
+    same bytes."""
+    A = [[0.0, 1e200, 0.0], [0.0, 0.3, 0.2], [0.0, 0.4, 0.1]]
+    def make():
+        return BoundParams(A_bar=A, eps_delta=[0.0, 1e110, 3e109],
+                           eps_omega=[0.5, 0.25, 0.75],
+                           phi_bar=[0.0, 0.1, 0.0])
+
+    p = make()
+    step = [recovery_error_bound_at(p, n, 0).tobytes() for n in range(1, 300)]
+    assert np.isinf(recovery_error_bound_at(p, 1, 0)[0])
+    assert np.isfinite(recovery_error_bound_at(p, 299, 0)).all()
+    del p
+    q = make()
+    recovery_error_bound_at(q, 1000, 0)
+    assert [recovery_error_bound_at(q, n, 0).tobytes()
+            for n in range(1, 300)] == step
+
+
 # -- cached rows against the per-call references -------------------------
 
 
@@ -599,6 +683,68 @@ def test_cached_bounds_equal_the_per_call_references(seed, kind, n, tick, mu,
         assert got == want, (which, offset, frac, anchor)
 
 
+def _answers(p, queries):
+    """Every query's outcome, as the test above asks them of ``p``."""
+    tick, got = p.tick, []
+    for which, offset, frac, anchor in queries:
+        s = (anchor + frac) * tick
+        if which == "bound":
+            got.append(outcome(recovery_error_bound_at, p,
+                               anchor + offset + frac, anchor))
+        elif which == "gap":
+            got.append(outcome(accuracy_resource_gap_bound, p,
+                               round(s / tick) + offset + frac, s))
+        else:
+            got.append(outcome(
+                lambda: np.hstack(max_duration_certificate(p, s))))
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(_KINDS),
+       n=st.integers(1, 3), tick=st.sampled_from([1.0, 0.1, 0.01]),
+       mu=st.sampled_from([1.0, 0.5, 0.2, 0.1]),
+       max_ticks=st.integers(0, 60), cap=st.integers(2, 60),
+       deep=st.integers(1, 700), queries=_QUERIES)
+def test_equal_row_inputs_share_rows_bit_for_bit(seed, kind, n, tick, mu,
+                                                 max_ticks, cap, deep,
+                                                 queries):
+    """Sets with equal ``A_bar``, ``eps_delta``, ``eps_omega`` and
+    ``phi_bar`` share one cache of rows while any of them is alive, and
+    answer every query with the same bytes: a fresh set, one built while an
+    equal set has grown its rows deep, and a ``replace`` of ``E_max`` and
+    ``mu`` on a set that has answered other queries.  No rows outlive the
+    last set that reads them."""
+    def make(**kw):
+        return _bounds_of_kind(np.random.default_rng(seed), kind, n,
+                               tick=tick, t_search_max=max_ticks * tick, **kw)
+
+    probe = make()
+    e_max = (ReferenceBounds(probe).bound(cap, 0)
+             * np.random.default_rng(seed + 1).uniform(0.9, 1.1, n))
+    rows = weakref.ref(probe._sums)
+    del probe
+    assert rows() is None
+
+    fresh = make(mu=mu, E_max=e_max)
+    want = _answers(fresh, queries)
+    rows = weakref.ref(fresh._sums)
+    del fresh
+    assert rows() is None
+
+    grown = make()
+    recovery_error_bound_at(grown, deep, 0)
+    beside = make(mu=mu, E_max=e_max)
+    assert beside._sums is grown._sums
+    assert _answers(beside, queries) == want
+
+    other = make(mu=0.05, E_max=e_max * 2.0)
+    _answers(other, queries)
+    variant = replace(other, mu=mu, E_max=e_max)
+    assert variant._sums is other._sums
+    assert _answers(variant, queries) == want
+
+
 def test_bound_and_gap_calls_grow_the_cache_logarithmically():
     # 2,000 calls in the order a scan makes them, deeper by one tick each,
     # with a different anomaly start for every gap
@@ -640,7 +786,7 @@ def test_episode_remainders_equal_the_per_tick_reference():
     ("E_max", [np.nan]),
     ("tick", 0.0), ("tick", np.inf), ("mu", 0.0), ("mu", -1.0),
     ("mu", np.nan), ("t_search_max", np.inf), ("t_search_max", -1.0),
-    ("t_search_max", np.nan)])
+    ("t_search_max", np.nan), ("tick", 1e-7)])
 def test_bound_params_reject_inputs_that_bound_nothing(name, value):
     with pytest.raises(ValueError, match=name):
         scalar_params(**{name: value})
