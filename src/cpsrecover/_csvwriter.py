@@ -1,6 +1,6 @@
 """CSV block formatting, and a writer process that formats while a run goes on.
 
-:func:`format_block` is the one CSV block formatter: :func:`sim.write_csv`
+:func:`format_block` is the one CSV block formatter: :func:`sim.emit_csv`
 calls it in-process, and the child process of a :class:`Writer` calls it
 on the blocks a run hands over.  The child takes its files as arguments,
 a path and a header each, opens each as ``<path>.part`` and writes its
@@ -37,7 +37,8 @@ def format_block(row: str, n: int, values) -> str:
 
 class Writer:
     """A context manager that writes ``files``, ``(path, header)`` pairs,
-    through a child process, one :meth:`block` at a time.
+    through a child process, one :meth:`block` at a time; ``paths`` lists
+    their paths.
 
     The writer is that one process and the pipe to its stdin, sized
     ``_PIPE`` bytes where the OS allows it, and starts no thread: a
@@ -55,7 +56,7 @@ class Writer:
         # imported here, so that the child and a process that only formats
         # never load it
         import subprocess
-        self._paths = [path for path, _ in files]
+        self.paths = [path for path, _ in files]
         # isolated and without site: the child needs the standard library
         # only; Popen passes each path as the bytes of its file name
         self._proc = subprocess.Popen(
@@ -104,7 +105,7 @@ class Writer:
         # closes stdin, however the child ended, and reads stderr to its end
         err = proc.communicate()[1]
         if exc_type is not None or proc.returncode:
-            for path in self._paths:
+            for path in self.paths:
                 # absent, or a directory the child could not replace
                 with contextlib.suppress(OSError):
                     os.remove(path + ".part")

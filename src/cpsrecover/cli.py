@@ -2,35 +2,36 @@
 
 Subcommands:
 
-* ``run <config>`` - simulate and emit per-loop trace CSVs.  A writer
-  process (:class:`sim.CsvStream`) formats and writes each block of rows
-  while the simulation goes on, to ``<loop>.csv.part``, renamed to
-  ``<loop>.csv`` once the run is over, so each loop holds one block of
-  rows whatever the horizon; a run that fails part-way leaves no
-  ``.part`` file and no process behind.
+* ``run <config>`` - simulate and emit per-loop trace CSVs.
 * ``bounds <config>`` - evaluate the error bounds, maximum tolerable
   anomaly duration and checkpoint-frequency gap bound from the configured
   bound parameters, without simulating.
-* ``compare <config>`` - one run, then a replay of its recovery episodes
-  from an every-tick checkpoint (:func:`sim.every_tick_shadow`); emits the
-  empirical gap against its bound per recovery tick.
+* ``compare <config>`` - one run, with its recovery episodes replayed from
+  an every-tick checkpoint (:class:`sim.Shadow`); emits the empirical gap
+  against its bound per recovery tick.
 * ``checkpoints <config>`` - emit the checkpoint creation/usage table.
+
+A simulating command writes its files from the blocks of rows the run
+hands over to its sink (:data:`STREAMS`) while the simulation goes on, so
+each loop holds one block of rows whatever the horizon.  ``run`` and
+``compare`` write through a writer process, to ``<file>.part``, renamed
+once the run is over; ``checkpoints`` keeps each loop's rows in a
+temporary file and writes its table once the run is over.  A run that
+fails part-way leaves no file, ``.part`` file or process behind.
 
 Exit codes: 0 success, 1 validation error, 2 runtime error, 3 simulation
 ended in a safe stop, on a ``t_max`` overrun or an unrecoverable tick (the
-truncated trace is still emitted).  A ``run`` that exits 2 part-way writes
-no trace CSV; one whose writing fails may leave the CSVs written before
-the failure.
+truncated trace is still emitted).  A command that exits 2 part-way
+writes no file; one whose writing fails may leave the files written
+before the failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
-from bisect import bisect_right
 
 import numpy as np
 
@@ -109,59 +110,10 @@ def _cmd_bounds(cfg: dict) -> int:
     return 0
 
 
-def _cmd_run(result: sim.SimResult, out_dir: str) -> None:
-    for rt in result.loops:     # written by the run's sim.CsvStream
-        print(f"wrote {os.path.join(out_dir, rt.model.id)}.csv")
-    for e in result.events:
-        print(f"event: {e}")
-
-
-def _cmd_compare(result: sim.SimResult, out_dir: str) -> None:
-    shadows = sim.every_tick_shadow(result)
-    for rt in result.loops:
-        sid, bp = rt.model.id, rt.bounds
-        tr = result.traces[sid]
-        rows = tr["recovered"].any(axis=1)
-        t = tr["t"][rows]
-        gap = np.abs(shadows[sid][rows] - tr["x_rec"][rows])
-        bound = np.full(gap.shape, np.nan)
-        if bp is not None:
-            starts = [w.t_start for w in rt.schedule.windows]    # sorted
-            for i, tk in enumerate(t):
-                # anchored at the latest anomaly window started by t
-                j = bisect_right(starts, tk)
-                s = starts[j - 1] if j else tk
-                bound[i] = accuracy_resource_gap_bound(
-                    bp, round(tk / bp.tick), s)
-        states = range(gap.shape[1])
-        path = os.path.join(out_dir, f"{sid}_gap.csv")
-        sim.write_csv(path, ["t", *(f"gap_{j}" for j in states),
-                             *(f"gap_bound_{j}" for j in states)],
-                      [t, gap, bound])
-        print(f"wrote {path}")
-
-
-def _cmd_checkpoints(result: sim.SimResult, out_dir: str) -> None:
-    path = os.path.join(out_dir, "checkpoints.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("subsystem,t,event,checkpoint_t\n")
-        for sid, tr in result.traces.items():
-            t, k1 = tr["t"].tolist(), tr["k1"].tolist()
-            created = tr["ckpt_event"]
-            used = tr["recovered"].any(axis=1) & ~np.isnan(tr["k1"])
-            fields = []      # a tick's created row, then its used row
-            for k in np.flatnonzero(created | used):
-                if created[k]:
-                    fields += (t[k], "created", t[k])
-                if used[k]:
-                    fields += (t[k], "used", k1[k])
-            row = sid.replace("%", "%%") + ",%r,%s,%r\n"
-            fh.write(row * (len(fields) // 3) % tuple(fields))
-    print(f"wrote {path}")
-
-
-_SIMULATING = {"run": _cmd_run, "compare": _cmd_compare,
-               "checkpoints": _cmd_checkpoints}
+# each simulating command's sink, which writes its files from the blocks
+# of the run
+STREAMS = {"run": sim.CsvStream, "compare": sim.GapStream,
+           "checkpoints": sim.CheckpointStream}
 
 
 def main(argv=None) -> int:
@@ -183,13 +135,15 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             return _cmd_bounds(cfg)
         loops = cfgmod.build_system(cfg)
-        # run writes its trace CSVs while it simulates
-        with (sim.CsvStream(loops, cfg["out_dir"]) if args.command == "run"
-              else contextlib.nullcontext()) as stream:
+        with STREAMS[args.command](loops, cfg["out_dir"]) as stream:
             result = sim.run_loops(loops, cfg["seed"], to_us(cfg["horizon"]),
                                    to_us(1.0 / cfg["checkpoint_freq_hz"]),
-                                   stream and stream.on_block)
-        _SIMULATING[args.command](result, cfg["out_dir"])
+                                   stream.on_block)
+        for path in stream.paths:
+            print(f"wrote {path}")
+        if args.command == "run":
+            for e in result.events:
+                print(f"event: {e}")
         return 3 if result.safe_stop else 0
     except cfgmod.ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

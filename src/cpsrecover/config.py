@@ -60,12 +60,13 @@ from .anomaly import (DETECTOR_KINDS, DETECTOR_MODES, AdsConfig,
 from .framework import SubsystemRuntime
 from .timebase import US_PER_S, base_resolution_us, to_us
 
-# a run that keeps whole traces (compare, checkpoints) allocates each
-# loop's rows before its first tick: its trace columns and detection flags
-# take 102 bytes per row of a motor loop (about 1.0 GB for 10**7 rows) and
-# 161 per row of the pose loop, 16 and 24 more with bounds; noise, anomaly
-# windows and flags come a block of ``sim._BLOCK`` rows at a time.  ``run``
-# holds one block per loop, but validation is the same for every command
+# every command hands each block of ``sim._BLOCK`` rows to its sink and
+# holds one block per loop; the cap stays because a run that keeps whole
+# traces (``sim.run_scenario``) allocates each loop's rows before its first
+# tick: its trace columns and detection flags take 102 bytes per row of a
+# motor loop (about 1.0 GB for 10**7 rows) and 161 per row of the pose
+# loop, 16 and 24 more with bounds.  It also bounds a command's length,
+# and validation is the same for every caller
 MAX_TRACE_ROWS = 10_000_000
 
 

@@ -9,7 +9,7 @@ Three cooperating pieces:
 * :func:`roll_forward_recover` - rebuild the current estimate by replaying
   the dynamics predict step from the most recent consistent checkpoint
   using the logged control inputs (:func:`replay`, which
-  :func:`cpsrecover.sim.every_tick_shadow` runs too), then overwrite
+  :class:`cpsrecover.sim.Shadow` runs too), then overwrite
   exactly the estimate elements implicated by the detector.  Those
   elements depend on the gain, the flags and the detector kind alone, so
   a gain-table gain, which recurs, reads them from a memo keyed on the

@@ -34,21 +34,27 @@ A trace CSV is written a block of ``_BLOCK`` rows at a time, either after
 the run by :func:`emit_csv` or, during it, by a :class:`CsvStream` whose
 writer process formats each block the run hands over through
 ``on_block``.  Both cut the same blocks and format them through
-:func:`_csvwriter.format_block`, so they write the same bytes.
+:func:`_csvwriter.format_block`, so they write the same bytes.  Each
+command's tables are such a sink: a :class:`GapStream` writes ``compare``'s
+gap CSVs from the every-tick :class:`Shadow` of each block, and a
+:class:`CheckpointStream` ``checkpoints.csv``, so no command holds a whole
+trace.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import shutil
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _csvwriter
 from . import config as cfgmod
-from .framework import (UnrecoverableError, consistent_checkpoint,
-                        most_recent_consistent_checkpoint, replay,
+from .analysis import accuracy_resource_gap_bound
+from .framework import (UnrecoverableError, consistent_checkpoint, replay,
                         subsystem_tick)
 from .models import sample_noise
 from .store import SecureStore
@@ -227,30 +233,16 @@ _CSV_COLUMNS = ("t", "x_true", "y_meas", "x_hat", "x_rf", "recovered", "u",
                 "safe_stop")
 
 
-def write_csv(path, header: list, columns: list) -> None:
-    """Write a CSV of ``header`` and the rows of ``columns``, arrays of one
-    row per CSV row and one CSV field per element of a row.
-
-    A float is written in Python's shortest round-trip repr, so re-parsing
-    reproduces it bit-exactly and identical tables yield byte-identical
-    files; a Boolean or an integer as an integer; NaN as an empty field.
-    Each block of ``_BLOCK`` rows is one :func:`_csv_block` formatted
-    by :func:`_csvwriter.format_block`, as a :class:`CsvStream`'s are.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), _BLOCK):
-            row, n, values = _csv_block([c[lo:lo + _BLOCK]
-                                         for c in columns])
-            fh.write(_csvwriter.format_block(row, n, values.tolist()))
-
-
 def _csv_block(columns: list) -> tuple:
     """``(row template, rows, values)`` of a block of ``columns``: one
     float table whose row template holds ``%r`` for a float column and
     ``%d`` for an integer or Boolean one.  A column that is NaN on every
     row of the block is written as empty fields and never formatted, so
-    ``values``, float64, holds the other columns' fields row by row."""
+    ``values``, float64, holds the other columns' fields row by row.
+
+    A float is written in Python's shortest round-trip repr, so re-parsing
+    reproduces it bit-exactly and identical tables yield byte-identical
+    files; a Boolean or an integer as an integer; NaN as an empty field."""
     fields = [fmt for col in columns for fmt in (
         ["%d" if col.dtype.kind in "biu" else "%r"]
         * math.prod(col.shape[1:]))]
@@ -292,16 +284,22 @@ def _csv_header(rt) -> list:
 
 
 def emit_csv(result: SimResult, out_dir) -> list:
-    """Write one trace CSV per subsystem of a finished run through
-    :func:`write_csv`; returns the written paths.  It writes the bytes a
-    :class:`CsvStream` writes while the run goes on."""
+    """Write one trace CSV per subsystem of a finished run, a
+    :func:`_csv_block` of ``_BLOCK`` rows at a time, each formatted by
+    :func:`_csvwriter.format_block`; returns the written paths.  It writes
+    the bytes a :class:`CsvStream` writes while the run goes on."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for rt in result.loops:
-        tr = result.traces[rt.model.id]
+        columns = _trace_columns(result.traces[rt.model.id], None)
         path = os.path.join(out_dir, f"{rt.model.id}.csv")
         try:
-            write_csv(path, _csv_header(rt), _trace_columns(tr, None))
+            with open(path, "w", newline="") as fh:
+                fh.write(",".join(_csv_header(rt)) + "\n")
+                for lo in range(0, len(columns[0]), _BLOCK):
+                    row, n, values = _csv_block([c[lo:lo + _BLOCK]
+                                                 for c in columns])
+                    fh.write(_csvwriter.format_block(row, n, values.tolist()))
         except OSError as exc:
             raise OSError(f"failed writing trace CSV {path}: {exc}") from exc
         paths.append(path)
@@ -333,48 +331,154 @@ class CsvStream(_csvwriter.Writer):
         self.block(i, row, n, values)
 
 
-def every_tick_shadow(result: SimResult) -> dict:
-    """Per-loop recovery of a finished run as if every tick were checkpointed.
+def _newest(healthy: np.ndarray, end: int) -> int:
+    """The newest healthy row before row ``end``, or row 0 if none."""
+    rows = np.flatnonzero(healthy[:max(end, 0)])
+    return rows[-1] if rows.size else 0
+
+
+class Shadow:
+    """Each loop's recovery as if every tick were checkpointed, computed
+    from the blocks of a run.
 
     Each healthy tick's final estimate is a virtual checkpoint.  At the
     first recovering tick of an episode the newest one older than the
     largest detection time is chosen, as real recovery chooses among the
     consistent checkpoints, and the logged controls are replayed from it
     by :func:`framework.replay`, as recovery replays them; each later tick
-    of the episode extends the replay by one control.  The
-    shadow shares the run's plant, noise and control history and differs
-    only in the checkpoint it rolls forward from.  Returns
-    ``{loop id: (ticks, n_x) array}``, NaN on healthy ticks and on an
-    episode the run could not recover, whose first tick has no ``k1``.
+    of the episode extends the replay by one control.  The shadow shares
+    the run's plant, noise and control history and differs only in the
+    checkpoint it rolls forward from.
 
-    The replay reads each loop's logged inputs, ``rt.logged_u``, from the
-    run itself: the store keeps only the records since its last cut.  It
-    indexes whole traces by tick, so it raises ``ValueError`` on a run
-    with an ``on_block`` sink that holds only a loop's last block.
+    Call :meth:`rows` with each block of each loop of ``loops``, in order,
+    as ``run_loops``'s ``on_block`` gets them, or once with each loop's
+    whole trace.  Per loop it keeps the newest healthy row that a later
+    episode could still pick and every row after it: their health, final
+    estimates and logged inputs (``rt.logged_u``: the store keeps only the
+    records since its last cut).
     """
-    detection_times = {rt.model.id: rt.ads.detection_time
-                       for rt in result.loops}
-    shadows = {}
-    for rt in result.loops:
-        model, sid = rt.model, rt.model.id
-        if rt.lo:
-            raise ValueError(f"{sid}: streamed, holds rows {rt.lo} on only")
-        tr = result.traces[sid]
-        t = tr["t"]
-        shadow = shadows[sid] = np.full((len(t), model.n_x), np.nan)
-        healthy = ~tr["ads_flags"].any(axis=1)
-        edges = np.flatnonzero(np.diff(np.r_[True, healthy, True]))
-        # the search bisects at each episode's cutoff, so the healthy ticks
-        # after an episode's start never match
-        healthy_times = {sid: t[healthy].tolist()}
-        dt_us, logged = to_us(model.dt), rt.logged_u
-        for a, b in edges.reshape(-1, 2):     # an episode is ticks a..b-1
-            if np.isnan(tr["k1"][a]):         # an unrecoverable stop
-                continue
-            k1 = most_recent_consistent_checkpoint(
-                healthy_times, detection_times, t[a])
-            j = to_us(k1) // dt_us            # the row of time k1
-            shadow[a] = x = replay(model, tr["x_rf"][j], logged[j:a])
-            for k in range(a + 1, b):
-                shadow[k] = x = model.f(x, logged[k - 1])
-    return shadows
+
+    def __init__(self, loops: list):
+        margin_us = to_us(max(rt.ads.detection_time for rt in loops))
+        # an episode that starts at row a picks a row a - lag or older
+        self._lag = [margin_us // to_us(rt.model.dt) + 1 for rt in loops]
+        # per loop: the first row kept, the shadow of the last row or None,
+        # then the kept rows' health, final estimates and logged inputs
+        self._kept = [(0, None, np.zeros(0, bool), np.empty((0, rt.model.n_x)),
+                       np.empty((0, rt.model.n_u))) for rt in loops]
+
+    def rows(self, i: int, rt) -> np.ndarray:
+        """The shadow of the rows that loop ``i``'s runtime ``rt`` holds,
+        ``(rows, n_x)``: NaN on healthy rows and on an episode the run
+        could not recover, whose first row has no ``k1``."""
+        n, model, tr = rt.rows - rt.lo, rt.model, rt.trace
+        lo, x, *kept = self._kept[i]
+        healthy, x_rf, logged = (np.concatenate([old, new[:n]]) for old, new
+                                 in zip(kept, (~tr["ads_flags"].any(axis=1),
+                                               tr["x_rf"], rt.logged_u)))
+        at = rt.lo - lo                    # the kept row of the first held
+        shadow = np.full((n, model.n_x), np.nan)
+        lag = self._lag[i]
+        for k in np.flatnonzero(~healthy[at:]) + at:
+            if k == 0 or healthy[k - 1]:            # an episode starts
+                x = None
+                if not np.isnan(tr["k1"][k - at]):  # the run recovered it
+                    j = _newest(healthy, k - lag + 1)
+                    x = replay(model, x_rf[j], logged[j:k])
+            elif x is not None:
+                x = model.f(x, logged[k - 1])
+            if x is not None:
+                shadow[k - at] = x
+        j = _newest(healthy, len(healthy) - lag + 1)
+        self._kept[i] = lo + j, x, healthy[j:], x_rf[j:], logged[j:]
+        return shadow
+
+
+class GapStream(_csvwriter.Writer):
+    """``compare``'s gap CSVs of ``loops``, fresh runtimes, written by a
+    writer process in ``out_dir`` while :func:`run_loops` runs them.
+
+    Pass :meth:`on_block` as ``run_loops``'s ``on_block``.  For each
+    recovering row of a block, ``<out_dir>/<loop id>_gap.csv`` gets its
+    time, the gap between its every-tick :class:`Shadow` and the run's
+    roll-forward value ``x_rec``, and the gap bound of a loop with bounds,
+    NaN, a blank field, without.  The writer formats each block as a
+    :class:`CsvStream`'s does, so the bytes do not depend on the block
+    size; leaving the context waits for the files.
+    """
+
+    def __init__(self, loops: list, out_dir):
+        self._shadow = Shadow(loops)
+        super().__init__([(
+            os.path.join(out_dir, f"{rt.model.id}_gap.csv"),
+            ",".join(["t"] + [f"{name}_{j}" for name in ("gap", "gap_bound")
+                              for j in range(rt.model.n_x)]) + "\n")
+            for rt in loops])
+
+    def on_block(self, i: int, rt) -> None:
+        """Hand over the gap rows of the block that loop ``i``'s runtime
+        holds."""
+        n, bp, tr = rt.rows - rt.lo, rt.bounds, rt.trace
+        rows = tr["recovered"][:n].any(axis=1)
+        gap = np.abs(self._shadow.rows(i, rt)[rows] - tr["x_rec"][:n][rows])
+        t = tr["t"][:n][rows]
+        bound = np.full(gap.shape, np.nan)
+        if bp is not None:
+            starts = [w.t_start for w in rt.schedule.windows]    # sorted
+            for k, tk in enumerate(t):
+                # anchored at the latest anomaly window started by t
+                j = bisect_right(starts, tk)
+                s = starts[j - 1] if j else tk
+                bound[k] = accuracy_resource_gap_bound(
+                    bp, round(tk / bp.tick), s)
+        if len(t):
+            self.block(i, *_csv_block([t, gap, bound]))
+
+
+class CheckpointStream:
+    """``checkpoints.csv`` of ``loops``, fresh runtimes, in ``out_dir``:
+    each loop's rows in turn, in fire order, a ``created`` row for each
+    checkpoint it saved and a ``used`` row, with the checkpoint's time, for
+    each recovering row, a tick's created row first.
+
+    Pass :meth:`on_block` as ``run_loops``'s ``on_block``: it formats a
+    block's rows into a temporary file of its loop's.  Leaving the context
+    without an exception writes the table from them; leaving it in any way
+    closes them, which removes them.
+    """
+
+    def __init__(self, loops: list, out_dir):
+        import tempfile
+        self.paths = [os.path.join(out_dir, "checkpoints.csv")]
+        self._parts = [tempfile.TemporaryFile("w+", newline="")
+                       for _ in loops]
+
+    def on_block(self, i: int, rt) -> None:
+        """Append the rows of the block that loop ``i``'s runtime holds."""
+        n, tr = rt.rows - rt.lo, rt.trace
+        t, k1 = tr["t"][:n].tolist(), tr["k1"][:n].tolist()
+        created = tr["ckpt_event"][:n]
+        used = tr["recovered"][:n].any(axis=1) & ~np.isnan(tr["k1"][:n])
+        fields = []      # a tick's created row, then its used row
+        for k in np.flatnonzero(created | used):
+            if created[k]:
+                fields += (t[k], "created", t[k])
+            if used[k]:
+                fields += (t[k], "used", k1[k])
+        row = rt.model.id.replace("%", "%%") + ",%r,%s,%r\n"
+        self._parts[i].write(row * (len(fields) // 3) % tuple(fields))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        try:
+            if exc_type is None:
+                with open(self.paths[0], "w", newline="") as fh:
+                    fh.write("subsystem,t,event,checkpoint_t\n")
+                    for part in self._parts:
+                        part.seek(0)
+                        shutil.copyfileobj(part, fh)
+        finally:
+            for part in self._parts:
+                part.close()

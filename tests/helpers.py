@@ -4,10 +4,12 @@ import hashlib
 import math
 import struct
 import types
+from collections import defaultdict
 
 import numpy as np
 from hypothesis import strategies as st
 
+from cpsrecover import sim
 from cpsrecover.analysis import checkpoint_time_before_anomaly
 from cpsrecover.config import default_config
 from cpsrecover.estimator import _REG, EstimatorState
@@ -176,6 +178,28 @@ def full_store(result) -> SecureStore:
     return full
 
 
+def every_tick_shadows(result) -> dict:
+    """``{loop id: shadow}`` of a finished run that kept whole traces, each
+    loop's whole trace fed to one ``sim.Shadow`` as one block."""
+    shadow = sim.Shadow(result.loops)
+    return {rt.model.id: shadow.rows(i, rt)
+            for i, rt in enumerate(result.loops)}
+
+
+def keep_shadow_rows(monkeypatch) -> dict:
+    """Patch ``sim.Shadow.rows`` so that the shadow rows of each block it
+    is called with are kept, in order, in the returned ``{loop id: [rows,
+    ...]}``."""
+    kept, rows = defaultdict(list), sim.Shadow.rows
+
+    def keeping(shadow, i, rt):
+        kept[rt.model.id].append(rows(shadow, i, rt))
+        return kept[rt.model.id][-1]
+
+    monkeypatch.setattr(sim.Shadow, "rows", keeping)
+    return kept
+
+
 def finite_difference_jacobian(fn, x, u, rel_h: float = 1e-6) -> np.ndarray:
     """Central finite-difference Jacobian of ``fn(x, u)`` w.r.t. ``x``."""
     x = np.asarray(x, float)
@@ -237,9 +261,9 @@ def ekf_update(model: SubsystemModel, x_pred, P_pred, K, y_meas, u):
 
 
 def reference_fmt(value) -> str:
-    """One CSV field, rendered on its own: the rule ``sim.write_csv`` must
-    keep.  Booleans and integers as integers, NaN as an empty field, any
-    other float in Python's shortest round-trip repr."""
+    """One CSV field, rendered on its own: the rule every CSV block of
+    ``sim`` must keep.  Booleans and integers as integers, NaN as an empty
+    field, any other float in Python's shortest round-trip repr."""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):

@@ -39,7 +39,7 @@ from cpsrecover.framework import (CONSISTENT, FULLY_INCONSISTENT,
                                   roll_forward_recover)
 from cpsrecover.store import Checkpoint, SecureStore
 from cpsrecover.timebase import to_us
-from helpers import full_store, random_lti_model
+from helpers import every_tick_shadows, full_store, random_lti_model
 
 RECOVERED_ELEMENTS = {"outer": [0, 1], "inner-1": [1], "inner-2": [1]}
 SETTLE = 0.25   # post-anomaly settle margin for the healthy-error check, s
@@ -241,7 +241,7 @@ def test_criterion_07_accuracy_resource_gap(calibrated_bounds):
     cfg = cfgmod.build_case_study(seed=11)
     _, models = cfgmod.build_models(cfg)
     res = sim.run_scenario(cfg)
-    shadows = sim.every_tick_shadow(res)
+    shadows = every_tick_shadows(res)
     compared = 0
     for sid in robot.LOOPS:
         bp = calibrated_bounds[sid]

@@ -94,17 +94,41 @@ def test_run_safe_stop_exit_3(tmp_path):
     assert float(rows[-1]["t"]) > 3.5
 
 
-@pytest.mark.parametrize("where", sorted(MID_RUN_EDITS))
+def _commands(cases, commands=tuple(cli.STREAMS)) -> list:
+    """``(command, case)`` parameters of each of ``commands``, simulating
+    ones, and each of ``cases``, named by the case alone for ``run``."""
+    return [pytest.param(command, case, id=case if command == "run"
+                         else f"{command}-{case}")
+            for command in commands for case in cases]
+
+
+def _recording_popen(monkeypatch) -> list:
+    """Patch ``subprocess.Popen`` so that the processes it starts are kept
+    in the returned list."""
+    procs, popen = [], subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        procs.append(popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    return procs
+
+
+@pytest.mark.parametrize("command, where", _commands(sorted(MID_RUN_EDITS)))
 def test_a_store_edited_mid_run_exits_2_and_writes_no_csv(
-        tmp_path, capsys, monkeypatch, where):
-    """``run`` exits 2 on a store that fails its check mid-run, whether a
-    cut or a recovery finds it, and leaves no CSV and no ``.part`` file."""
+        tmp_path, capsys, monkeypatch, command, where):
+    """Each simulating command exits 2 on a store that fails its check
+    mid-run, whether a cut or a recovery finds it, and leaves no file, no
+    ``.part`` file and no process."""
     out = tmp_path / "out"
     path = write_cfg(tmp_path, out_dir=str(out))
     tamper_after_append(monkeypatch, *MID_RUN_EDITS[where])
-    assert cli.main(["run", path, "--seed", "42"]) == 2
+    procs = _recording_popen(monkeypatch)
+    assert cli.main([command, path, "--seed", "42"]) == 2
     assert "error: store integrity check failed" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+    assert all(p.returncode is not None for p in procs)
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "checkpoints"])
@@ -358,12 +382,19 @@ def test_an_out_dir_that_cannot_be_made_is_refused_up_front(
 
 
 def test_checkpoints_escapes_percent_in_a_loop_id(tmp_path):
+    """The ``checkpoints`` sink writes a loop id with ``%`` in it as it is,
+    on the rows of each block it is handed."""
     trace = {"t": np.array([0.0, 0.5, 1.0]),
              "ckpt_event": np.array([True, False, True]),
              "recovered": np.array([[False], [True], [True]]),
              "k1": np.array([np.nan, 0.0, 0.0])}
-    result = SimpleNamespace(traces={"50%d": trace})
-    cli._cmd_checkpoints(result, str(tmp_path))
+    model = SimpleNamespace(id="50%d")
+    with sim.CheckpointStream([SimpleNamespace(model=model)],
+                              str(tmp_path)) as stream:
+        for lo, rows in ((0, 2), (2, 3)):
+            stream.on_block(0, SimpleNamespace(
+                model=model, lo=lo, rows=rows,
+                trace={name: col[lo:] for name, col in trace.items()}))
     assert (tmp_path / "checkpoints.csv").read_text() == (
         "subsystem,t,event,checkpoint_t\n"
         "50%d,0.0,created,0.0\n50%d,0.5,used,0.0\n"
@@ -425,39 +456,46 @@ def _outer_controller_raises(monkeypatch, exc, at: float = 12.0) -> None:
     monkeypatch.setattr(cfgmod, "build_system", build_failing)
 
 
-@pytest.mark.parametrize("case", ["finishes", "safe-stop", "raises",
-                                  "interrupted", "unwritable", "no-part"])
-def test_a_run_leaves_no_writer_behind(tmp_path, monkeypatch, capsys, case):
-    """A 20 s ``run`` that finishes, safe-stops, raises at 12 s (after the
-    motor loops' first blocks), is interrupted there, cannot rename to
-    ``inner-1.csv`` or cannot open ``outer.csv.part`` has reaped its
-    writer process and left no thread when ``cli.main`` returns or
-    raises, and leaves no ``.part`` file; one that fails part-way leaves
-    no CSV at all."""
+# the files each simulating command writes, by loop id
+_WRITES = {"run": lambda sid: f"{sid}.csv",
+           "compare": lambda sid: f"{sid}_gap.csv",
+           "checkpoints": lambda sid: "checkpoints.csv"}
+
+
+@pytest.mark.parametrize("command, case", [
+    *_commands(["finishes", "safe-stop", "raises", "interrupted",
+                "unwritable"]),
+    # checkpoints writes no .part file
+    *_commands(["no-part"], ("run", "compare"))])
+def test_a_run_leaves_no_writer_behind(tmp_path, monkeypatch, capsys,
+                                       command, case):
+    """A 20 s run of each simulating command that finishes, safe-stops,
+    raises at 12 s (after the motor loops' first blocks), is interrupted
+    there, cannot write inner-1's file (``checkpoints.csv``, the one file
+    of ``checkpoints``) or cannot open outer's ``.part`` file has reaped
+    its writer process, if it has one, ``checkpoints`` none, and left no
+    thread when ``cli.main`` returns or raises, and leaves no ``.part``
+    file; one that fails part-way leaves no file at all."""
     out = tmp_path / "out"
     path = write_cfg(tmp_path, horizon=20.0, out_dir=str(out),
                      **({"t_max": 0.5} if case == "safe-stop" else {}))
+    written = _WRITES[command]
     if case == "raises":
         _outer_controller_raises(monkeypatch, RuntimeError("controller"))
     elif case == "interrupted":
         _outer_controller_raises(monkeypatch, KeyboardInterrupt())
     elif case == "unwritable":
-        (out / "inner-1.csv").mkdir(parents=True)
+        (out / written(robot.INNER_1)).mkdir(parents=True)
     elif case == "no-part":
-        (out / "outer.csv.part").mkdir(parents=True)
-    procs, popen = [], subprocess.Popen
-
-    def recording_popen(*args, **kwargs):
-        procs.append(popen(*args, **kwargs))
-        return procs[-1]
-
-    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        (out / (written(robot.OUTER) + ".part")).mkdir(parents=True)
+    procs = _recording_popen(monkeypatch)
     threads = set(threading.enumerate())
     try:
-        code = cli.main(["run", path])
+        code = cli.main([command, path])
     except KeyboardInterrupt:
         code = "interrupted"
-    assert [p.returncode is not None for p in procs] == [True]
+    assert [p.returncode is not None for p in procs] == (
+        [] if command == "checkpoints" else [True])
     assert set(threading.enumerate()) <= threads
     assert not [p for p in out.glob("*.part") if p.is_file()]
     want = {"finishes": 0, "safe-stop": 3, "raises": 2,
@@ -468,10 +506,12 @@ def test_a_run_leaves_no_writer_behind(tmp_path, monkeypatch, capsys, case):
         assert not csvs
     elif case in ("unwritable", "no-part"):
         err = capsys.readouterr().err
-        assert err.startswith("error: failed writing trace CSV ")
-        assert ("outer.csv" if case == "no-part" else "inner-1.csv") in err
+        assert err.startswith("error: failed writing trace CSV "
+                              if command != "checkpoints" else "error: ")
+        assert written(robot.OUTER if case == "no-part"
+                       else robot.INNER_1) in err
     else:
-        assert csvs == sorted(f"{sid}.csv" for sid in robot.LOOPS)
+        assert csvs == sorted({written(sid) for sid in robot.LOOPS})
 
 
 def test_a_block_after_the_writer_failed_raises(tmp_path):

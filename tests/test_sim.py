@@ -9,7 +9,7 @@ import re
 import sys
 import traceback
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,7 +24,8 @@ from cpsrecover.anomaly import (DETECTOR_KINDS, DETECTOR_MODES,
 from cpsrecover.config import ConfigError
 from cpsrecover.store import IntegrityError
 from cpsrecover.timebase import to_s, to_us
-from helpers import (MID_RUN_EDITS, UNRECOVERABLE, controls_of, full_store,
+from helpers import (MID_RUN_EDITS, UNRECOVERABLE, controls_of,
+                     every_tick_shadows, full_store, keep_shadow_rows,
                      long_periodic_config, reference_fmt, tamper_after_append)
 
 PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / \
@@ -125,7 +126,7 @@ def test_a_finished_run_releases_its_tick_state(monkeypatch):
                 assert rt.lo == (0 if sink is None
                                  else max(rt.rows - 1, 0) // 64 * 64)
             if sink is None:
-                sim.every_tick_shadow(res)
+                every_tick_shadows(res)
 
 
 def test_a_runs_length_belongs_to_run_loops_alone():
@@ -149,18 +150,6 @@ def test_a_runs_length_belongs_to_run_loops_alone():
     for rt in short.loops:
         held = 10 if rt.model.id == robot.OUTER else 100
         assert rt.rows == len(rt.trace["t"]) == held, rt.model.id
-
-
-def test_every_tick_shadow_refuses_a_streamed_run(monkeypatch):
-    """A run that handed its blocks to a sink holds each loop's last block
-    only, which the shadow cannot index by tick."""
-    monkeypatch.setattr(sim, "_BLOCK", 64)
-    cfg = cfgmod.validate_config(cfgmod.build_case_study(seed=42))
-    res = sim.run_loops(cfgmod.build_system(cfg), cfg["seed"],
-                        to_us(cfg["horizon"]), 1_000_000, lambda i, rt: None)
-    assert res.loops[0].model.id == robot.OUTER and res.loops[0].lo == 64
-    with pytest.raises(ValueError, match="^outer: streamed, holds rows 64 on only"):
-        sim.every_tick_shadow(res)
 
 
 def test_long_periodic_csvs_match_pinned_digests(tmp_path):
@@ -320,9 +309,9 @@ def test_result_keeps_its_own_config():
     computes from the loops it ran."""
     cfg = cfgmod.build_case_study(seed=3)
     res = sim.run_scenario(cfg)
-    shadow = sim.every_tick_shadow(res)[robot.OUTER]
+    shadow = every_tick_shadows(res)[robot.OUTER]
     cfg["ads"][robot.OUTER]["detection_time"] = 1.0
-    np.testing.assert_array_equal(sim.every_tick_shadow(res)[robot.OUTER],
+    np.testing.assert_array_equal(every_tick_shadows(res)[robot.OUTER],
                                   shadow)
 
 
@@ -374,27 +363,45 @@ def test_the_store_holds_as_much_at_any_horizon():
     assert held[1] < 500
 
 
-def _traced_peak(horizon: float, on_block=None) -> tuple:
+@contextlib.contextmanager
+def _table_sinks(loops: list, out_dir):
+    """``compare``'s and ``checkpoints``' sinks of ``loops``, writing into
+    ``out_dir``, as one ``on_block`` hook."""
+    out_dir.mkdir(exist_ok=True)
+    with sim.GapStream(loops, out_dir) as gap, \
+            sim.CheckpointStream(loops, out_dir) as checkpoints:
+        def on_block(i, rt):
+            gap.on_block(i, rt)
+            checkpoints.on_block(i, rt)
+        yield on_block
+
+
+def _traced_peak(horizon: float, sink=None) -> tuple:
     """The traced peak of a periodic-burst run over ``horizon`` seconds,
-    and the run, which hands its blocks to ``on_block`` if given."""
+    and the run, which hands its blocks to the ``on_block`` hook that the
+    context manager ``sink(loops)`` gives, if given."""
     cfg = cfgmod.validate_config(long_periodic_config(horizon))
     tracemalloc.start()
     try:
-        res = sim.run_loops(cfgmod.build_system(cfg), cfg["seed"],
-                            to_us(horizon),
-                            to_us(1.0 / cfg["checkpoint_freq_hz"]), on_block)
+        loops = cfgmod.build_system(cfg)
+        with sink(loops) if sink else contextlib.nullcontext() as on_block:
+            res = sim.run_loops(loops, cfg["seed"], to_us(horizon),
+                                to_us(1.0 / cfg["checkpoint_freq_hz"]),
+                                on_block)
         return tracemalloc.get_traced_memory()[1], res
     finally:
         tracemalloc.stop()
 
 
-def test_a_run_row_holds_only_what_varies(monkeypatch):
+def test_a_run_row_holds_only_what_varies(tmp_path, monkeypatch):
     """The periodic-burst schedule's traced peak grows by at most 125
     bytes per loop row between 10 s and 30 s: a column no tick writes is
     one shared read-only row, and noise is drawn a block at a time.  With
     bounds, ``rsee_bound`` is a column of its own, which recovering ticks
     write.  A run that hands its blocks to a sink holds one block of
-    rows, so its peak grows by at most 24 bytes per loop row."""
+    rows, so its peak grows by at most 24 bytes per loop row, with a sink
+    that keeps nothing and with ``compare``'s and ``checkpoints``' sinks
+    together."""
     # 256-row noise blocks are as full at 10 s as at 30 s, so only what
     # grows with the rows differs; the blocks never change a run
     monkeypatch.setattr(sim, "_BLOCK", 256)
@@ -411,8 +418,11 @@ def test_a_run_row_holds_only_what_varies(monkeypatch):
     # 117 B with shared rows and noise blocks, 133 B with a dense
     # ee_bound; 15.5 B with a sink, of which about 7 B is the outer loop's
     # block, 100 rows at 10 s and 256 at 30 s, and 3 B the 4 more windows
-    # of each loop (Python 3.11.7, numpy 2.4.6)
-    assert growth(lambda i, rt: None)[0] <= 24
+    # of each loop (Python 3.11.7, numpy 2.4.6).  On a 2-core Xeon: 109 B,
+    # and with a sink 13.3 B, with compare's and checkpoints' 13.9 B
+    assert growth(lambda loops: contextlib.nullcontext(
+        lambda i, rt: None))[0] <= 24
+    assert growth(lambda loops: _table_sinks(loops, tmp_path))[0] <= 24
     per_row, res = growth(None)
     assert per_row <= 125
     for tr in res.traces.values():
@@ -619,7 +629,7 @@ def test_an_unrecoverable_tick_writes_its_row():
     # the outer loop fired before it at t = 0; inner-2 after it never did
     assert len(res.traces[robot.OUTER]["t"]) == 1
     assert len(res.traces[robot.INNER_2]["t"]) == 0
-    shadows = sim.every_tick_shadow(res)
+    shadows = every_tick_shadows(res)
     assert np.isnan(shadows[robot.INNER_1]).all()
 
 
@@ -807,7 +817,7 @@ def test_every_tick_shadow_equals_from_scratch_replay(name):
     no shadow."""
     cfg = cfgmod.build_case_study(**SHADOW_CONFIGS[name])
     res = sim.run_scenario(cfg)
-    shadows = sim.every_tick_shadow(res)
+    shadows = every_tick_shadows(res)
     store = full_store(res)
     loops = cfgmod.build_system(cfg)
     models = {rt.model.id: rt.model for rt in loops}
@@ -833,11 +843,13 @@ def test_every_tick_shadow_equals_from_scratch_replay(name):
     assert checked > 100
 
 
-def test_every_tick_shadow_reaches_past_a_short_healthy_gap(tmp_path):
+def test_every_tick_shadow_reaches_past_a_short_healthy_gap(tmp_path,
+                                                           monkeypatch):
     """Outer bursts in [1.25, 4.5) and [5.0, 6.0) with the largest detection
     time 1.0 s: the shadow of the second episode rolls forward from the
     healthy tick at 1.2 s, since 4.5-4.9 are too recent; the gap CSV has a
-    row for each of its ticks."""
+    row for each of its ticks.  ``compare`` streams 7-row blocks, so that
+    tick lies six blocks before the episode's first."""
     cfg = cfgmod.build_case_study(seed=1, t_max=9.0)
     burst = cfg["anomalies"][robot.OUTER][0]
     cfg["anomalies"] = {
@@ -850,7 +862,12 @@ def test_every_tick_shadow_reaches_past_a_short_healthy_gap(tmp_path):
 
     res = sim.run_scenario(cfg)
     tr = res.traces[robot.OUTER]
-    shadow = sim.every_tick_shadow(res)[robot.OUTER]
+    path = tmp_path / "cfg.json"
+    cfgmod.save_config(cfg, path)
+    monkeypatch.setattr(sim, "_BLOCK", 7)
+    kept = keep_shadow_rows(monkeypatch)
+    assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 0
+    shadow = np.concatenate(kept[robot.OUTER])
     model = cfgmod.build_models(cfg)[1][robot.OUTER]
     _, _, controls = full_store(res).retrieve(robot.OUTER, 1.2, 5.9)
     x = tr["x_rf"][12]
@@ -861,10 +878,6 @@ def test_every_tick_shadow_reaches_past_a_short_healthy_gap(tmp_path):
     np.testing.assert_array_equal(tr["t"][50:60], episode)
     assert not tr["ads_flags"][[12, 45, 46, 47, 48, 49]].any()
     assert tr["ads_flags"][[13, 44] + list(range(50, 60))].any(axis=1).all()
-
-    path = tmp_path / "cfg.json"
-    cfgmod.save_config(cfg, path)
-    assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 0
     with open(tmp_path / "outer_gap.csv") as fh:
         rows = {float(r["t"]) for r in csv.DictReader(fh)}
     assert set(episode) <= rows
@@ -1177,7 +1190,10 @@ def _replayed_shadows(res, store) -> dict:
     """Each loop's every-tick shadow replayed through ``store.retrieve``:
     on each tick of an episode the run recovered, the logged controls
     from the newest healthy tick older than the largest detection time at
-    the episode's first tick, applied from that tick's final estimate."""
+    the episode's first tick up to the tick, applied from that tick's final
+    estimate.  Each episode retrieves its controls once, up to its last
+    tick, and applies them in turn, so a tick's shadow is the value that
+    the controls before it give."""
     margin_us = to_us(max(rt.ads.detection_time for rt in res.loops))
     shadows = {}
     for rt in res.loops:
@@ -1185,18 +1201,23 @@ def _replayed_shadows(res, store) -> dict:
         t_us = [to_us(t) for t in tr["t"]]
         healthy = ~tr["ads_flags"].any(axis=1)
         shadow = shadows[sid] = np.full(tr["x_rf"].shape, np.nan)
-        first = None
+        controls = None
         for k in np.flatnonzero(~healthy):
-            if k == 0 or healthy[k - 1]:
-                first = k                       # an episode starts
-            if np.isnan(tr["k1"][first]):       # it was not recovered
+            if k == 0 or healthy[k - 1]:        # an episode starts
+                controls = None
+                if np.isnan(tr["k1"][k]):       # it was not recovered
+                    continue
+                last = k
+                while last + 1 < len(healthy) and not healthy[last + 1]:
+                    last += 1
+                j = max(j for j in range(k)
+                        if healthy[j] and t_us[k] - t_us[j] > margin_us)
+                _, _, got = store.retrieve(sid, tr["t"][j], tr["t"][last])
+                controls, x = deque(got), tr["x_rf"][j]
+            if controls is None:
                 continue
-            j = max(j for j in range(first)
-                    if healthy[j] and t_us[first] - t_us[j] > margin_us)
-            _, _, controls = store.retrieve(sid, tr["t"][j], tr["t"][k])
-            x = tr["x_rf"][j]
-            for c in controls:
-                x = rt.model.f(x, c.u)
+            while controls and to_us(controls[0].t) < t_us[k]:
+                x = rt.model.f(x, controls.popleft().u)
             shadow[k] = x
     return shadows
 
@@ -1235,7 +1256,7 @@ def test_a_cut_store_holds_the_suffix_of_the_runs_logs(cfg):
     except ConfigError:
         return
     res = sim.run_scenario(cfg)
-    shadows = sim.every_tick_shadow(res)
+    shadows = every_tick_shadows(res)
     replayed = _replayed_shadows(res, full_store(res))
     for sid, shadow in shadows.items():
         np.testing.assert_array_equal(shadow, replayed[sid], err_msg=sid)
@@ -1254,7 +1275,7 @@ def _run_outputs(cfg, out_dir) -> tuple:
     res = sim.run_scenario(cfg)
     csvs = [Path(p).read_bytes() for p in sim.emit_csv(res, out_dir)]
     return (csvs, _records(res.store), _records(full_store(res)),
-            sim.every_tick_shadow(res))
+            every_tick_shadows(res))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1322,7 +1343,11 @@ def test_streamed_csvs_equal_emit_csv(tmp_path_factory, cfg, blocks):
     hands over, kept as they are handed, every column and the logged
     inputs, make up the whole run's traces: each block has rows of its own,
     which share no memory with another block's, and the run never writes
-    them again."""
+    them again.  ``compare``'s and ``checkpoints``' sinks, handed the same
+    blocks, write the files they write when handed each loop's whole trace
+    as one block, and the every-tick shadow that ``compare``'s sink
+    streams equals, bit for bit, a replay of each episode through the
+    store that ``full_store`` rebuilds."""
     try:
         cfgmod.validate_config(cfg)
     except ConfigError:
@@ -1333,6 +1358,11 @@ def test_streamed_csvs_equal_emit_csv(tmp_path_factory, cfg, blocks):
     res = sim.run_scenario(cfg)
     want = {Path(p).name: Path(p).read_bytes()
             for p in sim.emit_csv(res, out / "emit")}
+    with _table_sinks(res.loops, out / "tables") as whole:
+        for i, rt in enumerate(res.loops):
+            whole(i, rt)
+    tables = {p.name: p.read_bytes() for p in (out / "tables").iterdir()}
+    replayed = _replayed_shadows(res, full_store(res))
     on_block = sim.CsvStream.on_block
     for block in blocks:
         held = {rt.model.id: [] for rt in res.loops}
@@ -1343,16 +1373,25 @@ def test_streamed_csvs_equal_emit_csv(tmp_path_factory, cfg, blocks):
                 {name: col[:rows] for name, col
                  in dict(rt.trace, logged_u=rt.logged_u).items()})
             on_block(stream, i, rt)
+            streamed(i, rt)
 
-        run = out / f"run-{block}"
-        with pytest.MonkeyPatch.context() as mp:
+        run, written = out / f"run-{block}", out / f"tables-{block}"
+        with pytest.MonkeyPatch.context() as mp, \
+                _table_sinks(res.loops, written) as streamed:
             if block is not None:
                 mp.setattr(sim, "_BLOCK", block)
             mp.setattr(sim.CsvStream, "on_block", keep)
+            shadows = keep_shadow_rows(mp)
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(["run", str(path), "--out-dir", str(run)])
         assert code == (3 if res.safe_stop else 0)
         assert {p.name: p.read_bytes() for p in run.iterdir()} == want, block
+        assert {p.name: p.read_bytes()
+                for p in written.iterdir()} == tables, block
+        for sid, shadow in replayed.items():
+            np.testing.assert_array_equal(
+                np.concatenate([shadow[:0], *shadows[sid]]), shadow,
+                err_msg=f"{sid}, block {block}")
         for rt in res.loops:
             tr = dict(res.traces[rt.model.id], logged_u=rt.logged_u[:rt.rows])
             kept = held[rt.model.id]
@@ -1369,3 +1408,4 @@ def test_streamed_csvs_equal_emit_csv(tmp_path_factory, cfg, blocks):
                 assert not any(np.shares_memory(a, b)
                                for a, b in zip(own, own[1:])), (
                     rt.model.id, name, block)
+
